@@ -425,7 +425,7 @@ def cmd_manifold(cfg, args):
     if zg is None:
         raise ConfigError("solver.zeta_grid is required for the manifold command")
     grid = [np.atleast_1d(np.asarray(z, dtype=float)) for z in zg]
-    graph = manifold_graph(s, grid, ctx, jobs=args.jobs)
+    graph = manifold_graph(s, grid, ctx)
     rows = []
     for g in graph.samples:
         coords = ";".join(_fmt(v) for v in g.zeta_coords)
@@ -507,8 +507,6 @@ def build_parser():
                     "and measure-driven systems")
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="path to the JSON config")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for manifold sampling")
     parser.add_argument("--tol", type=float, default=None,
                         help="override the block tolerance")
     parser.add_argument("--out", default=None, help="output directory")

@@ -33,8 +33,8 @@ sits below the solver tolerance.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -42,7 +42,7 @@ from scipy.linalg import expm
 
 from .dichotomy import DichotomyData
 from .funcspace import PiecewisePath, StieltjesMeasure, norm, running_integral
-from .linsys import FundamentalOperator, RegularityReport
+from .linsys import FundamentalOperator, PropagationError, RegularityReport
 
 _RANGE_TOL = 1e-10
 
@@ -310,26 +310,33 @@ def splitting_bases(P):
     return Bs, Bu
 
 
-@dataclass
-class _LPCell:
-    J: np.ndarray
-    J_inv: np.ndarray
-    phi: np.ndarray
-    phi_inv: np.ndarray
-    P: np.ndarray
-    P_plus: np.ndarray
-    sigma: np.ndarray
-    weights: np.ndarray
-    phi_sig: np.ndarray
-    phi_sig_inv: np.ndarray
-    K_stable: np.ndarray     # (Q, n, n): V(x_{j+1}, sigma_q) P(sigma_q)
-    K_unstable: np.ndarray   # (Q, n, n): V(x_j, sigma_q) (Id - P(sigma_q))
-    dens_u: np.ndarray
-    atom_w: float
+def _mv(A, v):
+    """Stacked matrix-vector products A[..., :, :] @ v[..., :]."""
+    return np.einsum("...ij,...j->...i", A, v)
+
+
+class _Kernels(NamedTuple):
+    """Per-cell arrays of the fast operator, stacked along the mesh.
+
+    Row k belongs to the cell [x_k, x_{k+1}]; ``J`` has one row per node.
+    ``P+`` is J P J^{-1}, the projection just after the jump at x_k.
+    """
+
+    sigma: np.ndarray       # (M, Q) quadrature times
+    lam: np.ndarray         # (M, Q) their positions in the cell, in [0, 1]
+    wq: np.ndarray          # (M, Q) quadrature weights times the density factor
+    atom_w: np.ndarray      # (M,) nonlinearity atom weight at x_k
+    J: np.ndarray           # (M+1, n, n) jump factor at each node
+    F: np.ndarray           # (M, n, n) phi J: left value at x_k to x_{k+1}
+    G: np.ndarray           # (M, n, n) J^{-1} phi^{-1}: back from x_{k+1} to x_k
+    atom_s: np.ndarray      # (M, n, n) phi P+
+    atom_u: np.ndarray      # (M, n, n) J^{-1} (Id - P+)
+    K_stable: np.ndarray    # (M, Q, n, n) V(x_{k+1}, sigma_q) P(sigma_q)
+    K_unstable: np.ndarray  # (M, Q, n, n) V(x_k, sigma_q) (Id - P(sigma_q))
 
 
 class LPContext:
-    """Everything a manifold solve needs, with read-only per-cell caches."""
+    """Everything a manifold solve needs, with read-only stacked kernels."""
 
     def __init__(self, fund: FundamentalOperator, dich: DichotomyData,
                  nonlin: NonlinearitySpec, T, tol=1e-10, max_iter=80,
@@ -351,7 +358,7 @@ class LPContext:
                 raise ValueError("nonlinearity atom at t=%g missing from the mesh" % t)
         self.i_T = fund.node_index(self.T)
         self._proj = None
-        self._cells = {}
+        self._kernels = None
 
     # -- projections ---------------------------------------------------------
 
@@ -377,32 +384,38 @@ class LPContext:
     def P(self, i):
         return self._projections()[i]
 
-    def P_plus(self, i):
-        J, J_inv = self.fund.jump_factor(i)
-        return J @ self.P(i) @ J_inv
+    def kernels(self, i_s) -> _Kernels:
+        """Fast-operator kernels from node ``i_s`` to the horizon.
 
-    def lpcell(self, j) -> _LPCell:
-        cell = self._cells.get(j)
-        if cell is not None:
-            return cell
-        fc = self.fund.cell(j)
-        J, J_inv = self.fund.jump_factor(j)
-        P = self.P(j)
-        P_plus = J @ P @ J_inv
-        eye = np.eye(self.fund.n)
-        K_s = np.stack([fc.phi @ P_plus @ fc.phi_sig_inv[q]
-                        for q in range(len(fc.sigma))])
-        K_u = np.stack([J_inv @ (eye - P_plus) @ fc.phi_sig_inv[q]
-                        for q in range(len(fc.sigma))])
-        cell = _LPCell(
-            J=J, J_inv=J_inv, phi=fc.phi, phi_inv=fc.phi_inv, P=P,
-            P_plus=P_plus, sigma=fc.sigma, weights=fc.weights,
-            phi_sig=fc.phi_sig, phi_sig_inv=fc.phi_sig_inv,
-            K_stable=K_s, K_unstable=K_u,
-            dens_u=np.asarray(self.nonlin.density_factor(fc.sigma), dtype=float),
-            atom_w=float(self.nonlin.atom_weight(self.fund.nodes[j])))
-        self._cells[j] = cell
-        return cell
+        The stacks for the whole mesh up to T are built on first use (not
+        with the context) and sliced for a span that starts later.
+        """
+        if self._kernels is None:
+            self._kernels = self._build_kernels()
+        return _Kernels._make(a[i_s:] for a in self._kernels)
+
+    def _build_kernels(self):
+        fund, m = self.fund, self.i_T
+        cells = [fund.cell(j) for j in range(m)]
+        J, J_inv = (np.stack(mats) for mats in
+                    zip(*(fund.jump_factor(j) for j in range(m + 1))))
+        phi = np.stack([c.phi for c in cells])
+        phi_sig_inv = np.stack([c.phi_sig_inv for c in cells])
+        P_plus = J[:m] @ self._projections()[:m] @ J_inv[:m]
+        atom_s = phi @ P_plus
+        atom_u = J_inv[:m] @ (np.eye(fund.n) - P_plus)
+        sigma = np.stack([c.sigma for c in cells])
+        a, b = fund.nodes[:m, None], fund.nodes[1:m + 1, None]
+        return _Kernels(
+            sigma=sigma, lam=(sigma - a) / (b - a),
+            wq=np.stack([c.weights for c in cells]) * self.nonlin.density_factor(sigma),
+            atom_w=np.array([self.nonlin.atom_weight(t) for t in fund.nodes[:m]],
+                            dtype=float),
+            J=J, F=phi @ J[:m],
+            G=J_inv[:m] @ np.stack([c.phi_inv for c in cells]),
+            atom_s=atom_s, atom_u=atom_u,
+            K_stable=atom_s[:, None] @ phi_sig_inv,
+            K_unstable=atom_u[:, None] @ phi_sig_inv)
 
     def span(self, s):
         """Mesh node indices covering [s, T]; s must be a node."""
@@ -417,17 +430,12 @@ class LPContext:
     def initial_path(self, zeta, s):
         """z_0(t) = V(t, s) zeta (exact in the linear case)."""
         idx = self.span(s)
-        x = self.fund.nodes[idx]
-        vals = np.empty((len(idx), self.fund.n))
-        vals[0] = zeta
-        for k in range(len(idx) - 1):
-            cc = self.lpcell(idx[k])
-            vals[k + 1] = cc.phi @ (cc.J @ vals[k])
-        rights = vals.copy()
-        for k in range(len(idx)):
-            J, _ = self.fund.jump_factor(idx[k])
-            rights[k] = J @ vals[k]
-        return SolutionPath(x, vals, rights)
+        kern = self.kernels(idx[0])
+        vals = [np.asarray(zeta, dtype=float)]
+        for F_k in kern.F:
+            vals.append(F_k @ vals[-1])
+        vals = np.array(vals)
+        return SolutionPath(self.fund.nodes[idx], vals, _mv(kern.J, vals))
 
     def tail_bound(self, s):
         """Certified size of the discarded unstable tail beyond T."""
@@ -455,19 +463,27 @@ def _check_zeta(zeta, P_s):
     return zeta
 
 
-def _cell_density(ctx, cc, z: SolutionPath, k):
-    """Nonlinearity density at the quadrature times of mesh cell k."""
-    x = z.times
-    a, b = x[k], x[k + 1]
-    lam = (cc.sigma - a) / (b - a)
-    zq = (1.0 - lam)[:, None] * z.right_values[k] + lam[:, None] * z.values[k + 1]
-    return ctx.nonlin.value(cc.sigma, zq) * cc.dens_u[:, None]
+def _forcing(ctx, kern: _Kernels, z: SolutionPath, x):
+    """Nonlinearity terms of a path on the mesh ``x``.
+
+    Returns f, the weighted density at every quadrature state (z runs
+    linearly from its right value at x_k to its left value at x_{k+1}), the
+    cells ``at`` that carry an atom, and the atom terms per node (zero away
+    from ``at`` and at the last node).
+    """
+    lam = kern.lam[..., None]
+    zq = (1.0 - lam) * z.right_values[:-1, None] + lam * z.values[1:, None]
+    f = ctx.nonlin.value(kern.sigma, zq) * kern.wq[..., None]
+    at = np.flatnonzero(kern.atom_w)
+    atoms = np.zeros(z.values.shape)
+    atoms[at] = kern.atom_w[at, None] * ctx.nonlin.value(x[at], z.values[at])
+    return f, at, atoms
 
 
 def lp_operator_apply(z: SolutionPath, zeta, s, ctx: LPContext, mode=None):
     """One application of the manifold operator to a mesh path.
 
-    Fast mode runs two cocycle sweeps with per-cell projected kernels; the
+    Fast mode runs two cocycle sweeps over the stacked cell kernels; the
     reference mode evaluates the literal four-term form (see module
     docstring).  Both return a new ``SolutionPath`` on the same mesh.
     """
@@ -484,42 +500,22 @@ def lp_operator_apply(z: SolutionPath, zeta, s, ctx: LPContext, mode=None):
     if ctx.nonlin.kind == "generic":
         raise ValueError("generic nonlinearities run in reference mode only")
 
-    n = ctx.fund.n
-    M = len(idx) - 1
-    dens = [None] * M
-    atoms = np.zeros((M, n))
-    for k in range(M):
-        cc = ctx.lpcell(idx[k])
-        dens[k] = _cell_density(ctx, cc, z, k)
-        if cc.atom_w:
-            atoms[k] = cc.atom_w * ctx.nonlin.value(x[k], z.values[k])
+    kern = ctx.kernels(idx[0])
+    f, at, atoms = _forcing(ctx, kern, z, x)
+    c1 = np.einsum("kqij,kqj->ki", kern.K_stable, f)
+    c2 = np.einsum("kqij,kqj->ki", kern.K_unstable, f)
+    c1[at] += _mv(kern.atom_s[at], atoms[at])
+    c2[at] += _mv(kern.atom_u[at], atoms[at])
 
-    z_lin = np.empty((M + 1, n))
-    I1 = np.empty((M + 1, n))
-    z_lin[0] = zeta
-    I1[0] = 0.0
-    for k in range(M):
-        cc = ctx.lpcell(idx[k])
-        loc = np.einsum("q,qij,qj->i", cc.weights, cc.K_stable, dens[k])
-        I1[k + 1] = cc.phi @ (cc.J @ I1[k] + cc.P_plus @ atoms[k]) + loc
-        z_lin[k + 1] = cc.phi @ (cc.J @ z_lin[k])
-
-    I2 = np.empty((M + 1, n))
-    I2[M] = 0.0
-    eye = np.eye(n)
-    for k in range(M - 1, -1, -1):
-        cc = ctx.lpcell(idx[k])
-        loc = np.einsum("q,qij,qj->i", cc.weights, cc.K_unstable, dens[k])
-        I2[k] = cc.J_inv @ (cc.phi_inv @ I2[k + 1]) + \
-            cc.J_inv @ ((eye - cc.P_plus) @ atoms[k]) + loc
-
-    vals = z_lin + I1 - I2
-    rights = vals.copy()
-    for k in range(M + 1):
-        cc_J, _ = ctx.fund.jump_factor(idx[k])
-        a_k = atoms[k] if k < M else np.zeros(n)
-        rights[k] = cc_J @ vals[k] + a_k
-    return SolutionPath(x, vals, rights)
+    # y = V(t, s) zeta + stable integral up to t; I2 = unstable integral to T
+    y = [zeta]
+    for F_k, c_k in zip(kern.F, c1):
+        y.append(F_k @ y[-1] + c_k)
+    I2 = [np.zeros(len(zeta))]
+    for G_k, c_k in zip(kern.G[::-1], c2[::-1]):
+        I2.append(G_k @ I2[-1] + c_k)
+    vals = np.array(y) - np.array(I2[::-1])
+    return SolutionPath(x, vals, _mv(kern.J, vals) + atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -559,13 +555,12 @@ def _inner_accumulation(ctx, z, idx, layout):
     acc = np.zeros(n)
     for k in range(len(idx) - 1):
         pts, _ = layout[k]
-        cc = ctx.lpcell(idx[k])
+        atom_w = ctx.nonlin.atom_weight(ctx.fund.nodes[idx[k]])
         cells_nodes = np.empty((len(pts), n))
         cells_mids = np.empty((len(pts) - 1, n))
         cells_nodes[0] = acc
-        if cc.atom_w:
-            zk = z.values[k]
-            acc = acc + cc.atom_w * ctx.nonlin.value(pts[0], zk)
+        if atom_w:
+            acc = acc + atom_w * ctx.nonlin.value(pts[0], z.values[k])
         a_cell, b_cell = pts[0], pts[-1]
         for l in range(len(pts) - 1):
             a, b = pts[l], pts[l + 1]
@@ -614,14 +609,14 @@ def _reference_apply(z: SolutionPath, zeta, s, ctx: LPContext, refine0=2,
             Mcur = ctx.P(idx[out])
             for k in range(out - 1, -1, -1):
                 pts, steps = layout[k]
-                cc = ctx.lpcell(idx[k])
+                J, _ = ctx.fund.jump_factor(idx[k])
                 for l in range(len(steps) - 1, -1, -1):
                     M_hi = Mcur
                     Mcur = Mcur @ steps[l]
                     stable += (M_hi - Mcur) @ mid_N[k][l]
                 # jump of the integrator at the cell's left node
                 M_plus = Mcur
-                Mcur = Mcur @ cc.J
+                Mcur = Mcur @ J
                 stable += (M_plus - Mcur) @ node_N[k][0]
             # unstable outer integral over [t, T), sweeping sigma upward;
             # the final boundary term carries the truncated tail beyond T
@@ -630,9 +625,9 @@ def _reference_apply(z: SolutionPath, zeta, s, ctx: LPContext, refine0=2,
             Ucur = eye - ctx.P(idx[out])
             for k in range(out, M):
                 pts, steps = layout[k]
-                cc = ctx.lpcell(idx[k])
+                _, J_inv = ctx.fund.jump_factor(idx[k])
                 U_left = Ucur
-                Ucur = Ucur @ cc.J_inv
+                Ucur = Ucur @ J_inv
                 unstable += (Ucur - U_left) @ node_N[k][0]
                 for l in range(len(steps)):
                     U_lo = Ucur
@@ -651,7 +646,7 @@ def _reference_apply(z: SolutionPath, zeta, s, ctx: LPContext, refine0=2,
     rights = vals.copy()
     for k in range(M + 1):
         J, _ = ctx.fund.jump_factor(idx[k])
-        a_k = ctx.lpcell(idx[k]).atom_w if k < M else 0.0
+        a_k = ctx.nonlin.atom_weight(x[k]) if k < M else 0.0
         add = a_k * ctx.nonlin.value(x[k], z.values[k]) if a_k else np.zeros(n)
         rights[k] = J @ vals[k] + add
     return SolutionPath(x, vals, rights)
@@ -785,20 +780,16 @@ def flow_residual(path: SolutionPath, s, ctx: LPContext):
     roundoff along the unstable directions.)
     """
     idx = ctx.span(float(s))
-    x = ctx.fund.nodes[idx]
-    n = ctx.fund.n
-    M = len(idx) - 1
-    worst = 0.0
-    for k in range(M):
-        cc = ctx.lpcell(idx[k])
-        dens = _cell_density(ctx, cc, path, k)
-        loc = np.einsum("q,qij,qj->i", cc.weights,
-                        np.stack([cc.phi @ inv for inv in cc.phi_sig_inv]), dens)
-        atom = cc.atom_w * ctx.nonlin.value(x[k], path.values[k]) if cc.atom_w \
-            else np.zeros(n)
-        pred = cc.phi @ (cc.J @ path.values[k] + atom) + loc
-        worst = max(worst, float(np.linalg.norm(pred - path.values[k + 1])))
-    return worst
+    kern = ctx.kernels(idx[0])
+    f, _, atoms = _forcing(ctx, kern, path, ctx.fund.nodes[idx])
+    # phi = phi P+ + (phi J) J^{-1} (Id - P+): the projected kernels add up
+    # to the unprojected V(x_{k+1}, sigma) and phi
+    K = kern.K_stable + kern.F[:, None] @ kern.K_unstable
+    phi = kern.atom_s + kern.F @ kern.atom_u
+    pred = _mv(kern.F, path.values[:-1]) + _mv(phi, atoms[:-1]) + \
+        np.einsum("kqij,kqj->ki", K, f)
+    return float(np.max(np.linalg.norm(pred - path.values[1:], axis=1),
+                        initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -836,35 +827,33 @@ class ManifoldGraph:
             self.K_fit / (1.0 - self.L_empirical)
 
 
-def manifold_graph(s, zeta_grid, ctx: LPContext, jobs=1) -> ManifoldGraph:
+def manifold_graph(s, zeta_grid, ctx: LPContext) -> ManifoldGraph:
     """Sample the graph map over stable coordinates inside the cutoff ball.
 
-    Individual solve failures are recorded per sample and do not abort the
-    graph.  ``jobs`` > 1 distributes solves over threads (the caches are
-    read-only during graphing).
+    Numerical solve failures are recorded per sample and do not abort the
+    graph; a grid point of the wrong dimension or outside the ball raises.
     """
     s = float(s)
     P_s = ctx.P(ctx.span(s)[0])
     Bs, Bu = splitting_bases(P_s)
     coords = [np.atleast_1d(np.asarray(c, dtype=float)) for c in zeta_grid]
     for c in coords:
+        if c.shape != (Bs.shape[1],):
+            raise ValueError("grid point %r needs %d stable coordinates"
+                             % (c, Bs.shape[1]))
         if norm(c) > ctx.nonlin.rho + 1e-12:
             raise ValueError("grid point %r outside the cutoff radius" % (c,))
 
-    def run(c):
+    samples, sols = [], []
+    for c in coords:
         try:
             sol = solve_lp(Bs @ c, s, ctx)
-            return GraphSample(c, sol.m, True, iterations=sol.iterations), sol
-        except (NonContractionError, SolveError, ValueError) as exc:
-            return GraphSample(c, None, False, error=str(exc)), None
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, coords))
-    else:
-        results = [run(c) for c in coords]
-    samples = [r[0] for r in results]
-    sols = [r[1] for r in results if r[1] is not None]
+        except (NonContractionError, SolveError, PropagationError,
+                np.linalg.LinAlgError) as exc:
+            samples.append(GraphSample(c, None, False, error=str(exc)))
+            continue
+        samples.append(GraphSample(c, sol.m, True, iterations=sol.iterations))
+        sols.append(sol)
 
     lip = 0.0
     good = [g for g in samples if g.ok]

@@ -157,6 +157,17 @@ def test_manifold_nonconvergence_exit(tmp_path):
     assert proc.returncode == 3
 
 
+def test_manifold_grid_of_wrong_dimension_is_config_error(tmp_path):
+    cfg = json.loads(open(config_path("planar_quadratic.json")).read())
+    cfg["solver"]["zeta_grid"] = [[0.1, 0.05], [0, 0]]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(cfg))
+    proc = run_cli(["manifold", "--config", str(path), "--out", str(tmp_path)])
+    assert proc.returncode == 1
+    err = json.loads(proc.stderr.splitlines()[-1])
+    assert err["error"] == "config"
+
+
 def test_parse_error_exits_one_with_position(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"system": }')

@@ -63,6 +63,67 @@ def test_first_iterate_matches_tail_integral(ctx_planar):
     assert z1.values[0][1] == pytest.approx(expected, abs=5e-3 * zeta1 ** 2)
 
 
+def _loop_apply(z, zeta, s, ctx):
+    """Per-cell loop form of the fast operator, the reference for the
+    stacked-array form; built from the fundamental operator's cells, its
+    jump factors and the context's projections only."""
+    fund, nl = ctx.fund, ctx.nonlin
+    idx = ctx.span(s)
+    x = fund.nodes[idx]
+    n, M = fund.n, len(idx) - 1
+    eye = np.eye(n)
+    cells = []
+    for k in range(M):
+        fc = fund.cell(idx[k])
+        J, J_inv = fund.jump_factor(idx[k])
+        P_plus = J @ ctx.P(idx[k]) @ J_inv
+        lam = (fc.sigma - x[k]) / (x[k + 1] - x[k])
+        zq = (1.0 - lam)[:, None] * z.right_values[k] + lam[:, None] * z.values[k + 1]
+        dens = nl.value(fc.sigma, zq) * nl.density_factor(fc.sigma)[:, None]
+        w = nl.atom_weight(x[k])
+        atom = w * nl.value(x[k], z.values[k]) if w else np.zeros(n)
+        K_s = np.stack([fc.phi @ P_plus @ inv for inv in fc.phi_sig_inv])
+        K_u = np.stack([J_inv @ (eye - P_plus) @ inv for inv in fc.phi_sig_inv])
+        loc_s = np.einsum("q,qij,qj->i", fc.weights, K_s, dens)
+        loc_u = np.einsum("q,qij,qj->i", fc.weights, K_u, dens)
+        cells.append((fc, J, J_inv, P_plus, atom, loc_s, loc_u))
+    z_lin = np.empty((M + 1, n))
+    I1 = np.zeros((M + 1, n))
+    I2 = np.zeros((M + 1, n))
+    z_lin[0] = zeta
+    for k, (fc, J, _, P_plus, atom, loc_s, _) in enumerate(cells):
+        I1[k + 1] = fc.phi @ (J @ I1[k] + P_plus @ atom) + loc_s
+        z_lin[k + 1] = fc.phi @ (J @ z_lin[k])
+    for k in range(M - 1, -1, -1):
+        fc, _, J_inv, P_plus, atom, _, loc_u = cells[k]
+        I2[k] = J_inv @ (fc.phi_inv @ I2[k + 1]) + \
+            J_inv @ ((eye - P_plus) @ atom) + loc_u
+    vals = z_lin + I1 - I2
+    rights = np.stack([fund.jump_factor(idx[k])[0] @ vals[k] +
+                       (cells[k][4] if k < M else 0.0) for k in range(M + 1)])
+    return vals, rights
+
+
+@pytest.mark.parametrize("name, s, zetas", [
+    ("ctx_planar", 0.0, (0.1, -0.2)),
+    ("ctx_impulsive", 0.0, (0.1, 0.2)),
+    ("ctx_scalar_mde", 0.0, (0.4, -0.3)),
+    ("ctx_impulsive", 1.0, (0.15,)),      # a later start slices the stacks
+])
+def test_array_apply_matches_loop_form(request, name, s, zetas):
+    ctx = request.getfixturevalue(name)
+    Bs, _ = splitting_bases(ctx.P(ctx.span(s)[0]))
+    for zeta1 in zetas:
+        zeta = Bs @ np.array([zeta1])
+        z = lp_operator_apply(ctx.initial_path(zeta, s), zeta, s, ctx)
+        out = lp_operator_apply(z, zeta, s, ctx)
+        vals, rights = _loop_apply(z, zeta, s, ctx)
+        # float64 roundoff over a few hundred cells
+        bound = 1e-13 * (1.0 + float(np.max(np.abs(vals))))
+        assert float(np.max(np.abs(out.values - vals))) <= bound
+        assert float(np.max(np.abs(out.right_values - rights))) <= bound
+
+
 def test_operator_rejects_zeta_off_the_stable_range(ctx_planar):
     mesh = ctx_planar.mesh(0.0)
     zero = SolutionPath(mesh, np.zeros((len(mesh), 2)))
@@ -138,17 +199,14 @@ def test_manifold_graph_collects_lipschitz_data(ctx_planar):
     assert graph.L_empirical < 1.0
 
 
-def test_manifold_graph_parallel_matches_serial(ctx_planar):
-    grid = [np.array([z]) for z in (-0.1, 0.1)]
-    serial = manifold_graph(0.0, grid, ctx_planar, jobs=1)
-    threaded = manifold_graph(0.0, grid, ctx_planar, jobs=2)
-    for a, b in zip(serial.ok_samples, threaded.ok_samples):
-        assert np.allclose(a.m_coords, b.m_coords, atol=1e-14)
-
-
 def test_manifold_graph_rejects_grid_outside_cutoff(ctx_planar):
     with pytest.raises(ValueError):
         manifold_graph(0.0, [np.array([0.9])], ctx_planar)
+
+
+def test_manifold_graph_rejects_grid_point_of_wrong_dimension(ctx_planar):
+    with pytest.raises(ValueError, match="stable coordinates"):
+        manifold_graph(0.0, [np.array([0.1, 0.05]), np.zeros(2)], ctx_planar)
 
 
 def test_invariance_along_the_flow(ctx_planar):
