@@ -27,7 +27,8 @@ from .funcspace import (PiecewisePath, StieltjesMeasure, norm,
                         running_integral, total_variation)
 from .linsys import (CheckItem, FundamentalOperator, LinearSystemSpec,
                      check_regularity, lambda_g_from_mde)
-from .lp_manifold import LPContext, NonlinearitySpec, auto_horizon, contraction_bound
+from .lp_manifold import (LPContext, NonlinearitySpec, auto_horizon,
+                          contraction_bound, safe_exp)
 
 
 class HypothesisError(ValueError):
@@ -91,20 +92,26 @@ class HypothesesReport:
             "kind": self.kind,
             "all_passed": self.all_passed,
             "conditions": {
-                k: {"passed": v.passed, "value": _plain(v.value),
-                    "witness": _plain(v.witness)}
+                k: {"passed": v.passed, "value": plain(v.value),
+                    "witness": plain(v.witness)}
                 for k, v in self.items.items()},
-            "constants": {k: _plain(v) for k, v in self.constants.items()},
+            "constants": {k: plain(v) for k, v in self.constants.items()},
         }
 
 
-def _plain(value):
+def plain(value):
+    """A JSON-ready copy: arrays and numpy scalars become Python values,
+    tuples become lists and infinities become the strings "inf"/"-inf"."""
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
     if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
+        return plain(value.tolist())
+    if isinstance(value, (np.floating, np.integer, np.bool_)):
         return value.item()
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0 else "-inf"
     return value
 
 
@@ -218,12 +225,25 @@ def _check_mde(spec: MdeSpec, window) -> HypothesesReport:
 
 
 def _measure_domination(spec, window):
-    """int ||C|| d|u| over the window: the (D5) domination constant."""
-    from scipy.integrate import quad
-    val, _ = quad(lambda t: norm(spec.C(t)) * abs(float(spec.u.density(t))),
-                  window[0], window[1], limit=200)
-    val += sum(norm(spec.C(t)) * abs(w)
-               for t, w in spec.u.atoms_in(window[0], window[1]))
+    """int ||C|| d|u| over the window: the (D5) domination constant.
+
+    Exact on cells where C and the density are both constant; adaptive
+    quadrature on the others.
+    """
+    C, dens = spec.C, spec.u.density
+    c, d = float(window[0]), float(window[1])
+    cuts = sorted({c, d} | {t for t in (*C.times, *dens.times) if c < t < d})
+    val = 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        mid = 0.5 * (a + b)
+        if C.segments[C.segment_index(mid)].is_constant and \
+                dens.segments[dens.segment_index(mid)].is_constant:
+            val += norm(C(mid)) * abs(float(dens(mid))) * (b - a)
+            continue
+        from scipy.integrate import quad
+        part, _ = quad(lambda t: norm(C(t)) * abs(float(dens(t))), a, b, limit=200)
+        val += part
+    val += sum(norm(C(t)) * abs(w) for t, w in spec.u.atoms_in(c, d))
     return float(val)
 
 
@@ -259,7 +279,6 @@ def ide_to_context(spec: IdeSpec, s=0.0, T=None, tol=1e-10, base_step=0.1,
             raise HypothesisError(name, hyp.items[name].witness)
 
     linspec = LinearSystemSpec(spec.n, spec.A, impulses=spec.impulses, t0=s)
-    reg_probe = check_regularity(linspec, (s, probe_hi))
     if T is None:
         _, dich_probe, _ = _certify(linspec, (s, probe_hi), base_step, grid,
                                     P0, projection_mode, (s,))
@@ -272,8 +291,8 @@ def ide_to_context(spec: IdeSpec, s=0.0, T=None, tol=1e-10, base_step=0.1,
     gate = contraction_bound(spec.f.v_h((s, float(T))), dich.K, reg.C_a,
                              reg.V_Lambda)
     ide_gate = hyp.constants["M_gamma"] * (1.0 + dich.K * (1.0 + 2.0 * dich.K)) \
-        * hyp.constants["C_b"] ** 3 * _safe_exp(3.0 * hyp.constants["C_b"]
-                                                * reg.V_Lambda) * reg.V_Lambda ** 2
+        * hyp.constants["C_b"] ** 3 * safe_exp(3.0 * hyp.constants["C_b"]
+                                               * reg.V_Lambda) * reg.V_Lambda ** 2
     ctx = LPContext(fund, dich, spec.f, T=float(T), tol=tol, regularity=reg,
                     reports={"hypotheses": hyp, "dichotomy": dich_report,
                              "smallness_gate": gate,
@@ -316,17 +335,10 @@ def mde_to_context(spec: MdeSpec, s=0.0, T=None, tol=1e-10, base_step=0.1,
     V_u = spec.u.variation((s, float(T)))
     V_full = reg.V_Lambda
     printed_gate = 2.0 * spec.H.L_H * V_u * (1.0 + dich.K * (1.0 + 2.0 * dich.K)) \
-        * C_g ** 3 * _safe_exp(3.0 * C_g * V_full) * V_full ** 2
+        * C_g ** 3 * safe_exp(3.0 * C_g * V_full) * V_full ** 2
     gate = contraction_bound(spec.H.v_h((s, float(T))), dich.K, reg.C_a, V_full)
     ctx = LPContext(fund, dich, spec.H, T=float(T), tol=tol, regularity=reg,
                     reports={"hypotheses": hyp, "dichotomy": dich_report,
                              "smallness_gate": gate,
                              "realization_gate": printed_gate})
     return ctx
-
-
-def _safe_exp(x):
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf

@@ -21,7 +21,6 @@ import argparse
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 
@@ -29,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .apps import (HypothesisError, IdeSpec, MdeSpec, check_hypotheses,
-                   ide_to_context, mde_to_context)
+                   ide_to_context, mde_to_context, plain)
 from .dichotomy import SplittingError
 from .funcspace import PiecewisePath, StieltjesMeasure
 from .kurzweil import IntegrationError, cross_check
@@ -222,30 +221,16 @@ def write_csv(path, meta, columns, rows):
 
 
 def write_json(path, meta, payload):
-    doc = {"meta": {k: _plain(v) for k, v in sorted(meta.items())}}
-    doc.update(_plain(payload))
+    doc = {"meta": {k: plain(v) for k, v in sorted(meta.items())}}
+    doc.update(plain(payload))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _plain(value):
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return _plain(value.tolist())
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return value
-
-
 def error_json(kind, message, **extra):
     doc = {"error": kind, "message": str(message)}
-    doc.update({k: _plain(v) for k, v in extra.items()})
+    doc.update({k: plain(v) for k, v in extra.items()})
     print(json.dumps(doc, sort_keys=True), file=sys.stderr)
 
 

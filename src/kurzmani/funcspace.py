@@ -22,7 +22,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 
 class QuadratureError(RuntimeError):
@@ -463,6 +462,38 @@ class PiecewisePath:
         return self + (-1.0) * other
 
 
+def add_jumps(path, jumps, t0=None):
+    """``path`` plus a right-jump at each ``(time, jump)``, built in one pass.
+
+    Equals folding ``PiecewisePath.step(time, jump)`` into ``path`` one jump
+    at a time (jumps at one time add up), with one cumulative offset per
+    interval and a single validation of the result.  Given ``t0``, every
+    added step vanishes there: a jump before ``t0`` starts at ``-jump`` and
+    ends at zero.
+    """
+    if not jumps:
+        return path
+    jumps = sorted(jumps, key=lambda e: float(e[0]))
+    jt = np.array([float(t) for t, _ in jumps])
+    jv = np.stack([np.asarray(j, dtype=float) for _, j in jumps])
+    times = np.union1d(path.times, jt)
+    # offsets[i] holds on the interval (times[i-1], times[i])
+    cum = np.concatenate([np.zeros((1,) + path.shape), np.cumsum(jv, axis=0)])
+    passed = np.searchsorted(jt, times, side="right")
+    offsets = cum[np.concatenate([[0], passed])]
+    if t0 is not None:
+        offsets = offsets - cum[np.searchsorted(jt, float(t0), side="left")]
+    probes = [_interior_point(lo, hi) for lo, hi in
+              zip([-math.inf] + list(times), list(times) + [math.inf])]
+    seg_idx = np.searchsorted(path.times, probes, side="left")
+    segments = [path.segments[k].plus(Segment.constant(off))
+                for k, off in zip(seg_idx, offsets)]
+    bps = [Breakpoint(t, path.left(t) + offsets[i], path(t) + offsets[i],
+                      path.right(t) + offsets[i + 1])
+           for i, t in enumerate(times)]
+    return PiecewisePath(segments, bps)
+
+
 def _interior_point(lo, hi):
     if math.isinf(lo) and math.isinf(hi):
         return 0.0
@@ -552,10 +583,15 @@ class StieltjesMeasure:
         total = 0.0
         cuts = sorted({c, d} | {t for t in self.density.times if c < t < d})
         for a, b in zip(cuts, cuts[1:]):
-            if b > a:
-                val, _ = _quad_cell(lambda t: abs(float(self.density.sample(t))),
-                                    a, b, quad_tol)
-                total += val
+            if b <= a:
+                continue
+            seg = self.density.segments[self.density.segment_index(0.5 * (a + b))]
+            if seg.is_constant:
+                total += abs(float(seg.coeffs[0])) * (b - a)
+                continue
+            val, _ = _quad_cell(lambda t: abs(float(self.density.sample(t))),
+                                a, b, quad_tol)
+            total += val
         total += sum(abs(w) for _, w in self.atoms_in(c, d))
         return total
 
@@ -565,10 +601,7 @@ class StieltjesMeasure:
         Normalized so u(t0) accounts for no atom at t0 itself; only
         differences of u ever matter to the integrals.
         """
-        base = running_integral(self.density, t0)
-        for t, w in self.atoms:
-            base = base + PiecewisePath.step(t, w)
-        return base
+        return add_jumps(running_integral(self.density, t0), self.atoms)
 
 
 def running_stieltjes_integral(f, mu, t0):
@@ -588,9 +621,7 @@ def running_stieltjes_integral(f, mu, t0):
         rs = mu.density.segments[mu.density.segment_index(probe)]
         segs.append(fs.times_scalar_segment(rs))
     smooth = running_integral(PiecewisePath.from_segments(times, segs), t0)
-    for t, w in mu.atoms:
-        smooth = smooth + PiecewisePath.step(t, w * f(t))
-    return smooth
+    return add_jumps(smooth, [(t, w * f(t)) for t, w in mu.atoms])
 
 
 # ---------------------------------------------------------------------------
@@ -714,6 +745,7 @@ def cousin_division(gauge, window=None, max_depth=64):
 # ---------------------------------------------------------------------------
 
 def _quad_cell(f, a, b, tol):
+    from scipy.integrate import quad
     val, err = quad(f, a, b, epsabs=tol, epsrel=1e-12, limit=200)
     return val, err
 
@@ -724,7 +756,8 @@ def total_variation(path, window, quad_tol=1e-10):
     Exact for this path class up to quadrature tolerance: the smooth part
     contributes the integral of the derivative's norm, a breakpoint inside
     the window contributes its one-sided jump norms (left jumps count on
-    (c, d], right jumps on [c, d))."""
+    (c, d], right jumps on [c, d)).  A cell whose derivative is constant
+    contributes ``norm(derivative) * (b - a)`` exactly, without quadrature."""
     c, d = _check_window(window)
     total = 0.0
     worst_err = 0.0
@@ -733,6 +766,9 @@ def total_variation(path, window, quad_tol=1e-10):
         if b <= a:
             continue
         dseg = path.segments[path.segment_index(0.5 * (a + b))].derivative()
+        if dseg.is_constant:
+            total += norm(dseg.coeffs[0]) * (b - a)
+            continue
         val, err = _quad_cell(lambda t: norm(dseg.value(t)), a, b, quad_tol)
         total += val
         worst_err = max(worst_err, err)

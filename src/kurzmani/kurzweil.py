@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 from .funcspace import PiecewisePath, StieltjesMeasure, TaggedDivision, norm
 
@@ -201,6 +200,7 @@ def stieltjes_integral(f: PiecewisePath, mu: StieltjesMeasure, window,
         raise ValueError("window endpoints must be finite")
     if d < c:
         return -stieltjes_integral(f, mu, (d, c), quad_tol)
+    from scipy.integrate import quad_vec
     total = np.zeros(f.shape)
     cuts = {c, d}
     cuts |= {bp.time for bp in f.breakpoints if c < bp.time < d}

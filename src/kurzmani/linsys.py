@@ -25,14 +25,19 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from .funcspace import (PiecewisePath, StieltjesMeasure, norm,
+from .funcspace import (PiecewisePath, StieltjesMeasure, add_jumps, norm,
                         running_integral, running_stieltjes_integral,
                         total_variation)
 
 _TIME_TOL = 1e-11
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on first use."""
+    from scipy.integrate import solve_ivp as _solve_ivp
+    return _solve_ivp(*args, **kwargs)
 
 
 class PropagationError(RuntimeError):
@@ -155,13 +160,8 @@ def lambda_from_ide(A: PiecewisePath, impulses, t0) -> PiecewisePath:
     for t, _ in impulses:
         if abs(t - t0) <= _TIME_TOL:
             raise ValueError("impulse at the reference time t0=%g is ambiguous" % t0)
-    lam = running_integral(A, t0)
-    for t, B in impulses:
-        B = np.asarray(B, dtype=float)
-        # normalized to vanish at t0: accumulation below t0 starts at -B
-        base = -B if t < t0 else None
-        lam = lam + PiecewisePath.step(t, B, base=base)
-    return lam
+    # normalized to vanish at t0: accumulation below t0 starts at -B
+    return add_jumps(running_integral(A, t0), impulses, t0=t0)
 
 
 def lambda_g_from_mde(A: PiecewisePath, C: PiecewisePath, u: StieltjesMeasure,
@@ -276,7 +276,6 @@ class FundamentalOperator:
             gen = self.spec.generator(0.5 * (a + b))
             mats = [expm(gen * (t - a)) for t in ts]
             return mats, gen
-        gen_mid = None
 
         def rhs(t, y):
             return (self.spec.generator(t) @ y.reshape(n, n)).ravel()
@@ -288,7 +287,7 @@ class FundamentalOperator:
             raise PropagationError("integrator failed on [%g, %g]: %s"
                                    % (a, b, sol.message))
         mats = [sol.y[:, k].reshape(n, n) for k in range(sol.y.shape[1])]
-        return mats, gen_mid
+        return mats, None
 
     def cell(self, j) -> _CellCache:
         """Cached data for the cell [x_j, x_{j+1}]."""

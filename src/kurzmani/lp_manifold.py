@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .dichotomy import DichotomyData
@@ -656,11 +655,18 @@ def _reference_apply(z: SolutionPath, zeta, s, ctx: LPContext, refine0=2,
 # contraction bookkeeping
 # ---------------------------------------------------------------------------
 
+def safe_exp(x):
+    """``math.exp`` that returns inf instead of raising on overflow."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def contraction_bound(v_h, K, C_a, V_Lambda):
     """2 V_h (1 + K(1+2K)) C_a^3 exp(3 C_a V_Lambda) V_Lambda^2."""
-    try:
-        grow = math.exp(3.0 * C_a * V_Lambda)
-    except OverflowError:
+    grow = safe_exp(3.0 * C_a * V_Lambda)
+    if grow == math.inf:
         return math.inf
     return 2.0 * v_h * (1.0 + K * (1.0 + 2.0 * K)) * C_a ** 3 * grow * V_Lambda ** 2
 
@@ -905,6 +911,7 @@ class Classification:
 
 def classify_initial(z0, s, ctx: LPContext, bound) -> Classification:
     """Forward-integrate the full nonlinear system until escape or horizon."""
+    from scipy.integrate import solve_ivp
     z0 = np.asarray(z0, dtype=float)
     bound = float(bound)
     if bound <= norm(z0):

@@ -273,3 +273,20 @@ def test_metadata_header_present(tmp_path):
     head = (tmp_path / "t_manifold.csv").read_text().splitlines()[:3]
     assert any(line.startswith("# config_sha256=") for line in head)
     assert any(line.startswith("# version=") for line in head)
+
+
+def test_manifold_runs_without_importing_scipy_integrate(tmp_path):
+    # constant-coefficient impulsive configs need no quadrature and no ODE
+    # solver, so the CLI must not pay for importing scipy.integrate
+    code = "\n".join([
+        "import sys",
+        "import kurzmani.cli as cli",
+        "for name in ('planar_quadratic', 'impulsive_saddle'):",
+        "    cfg = sys.argv[1] + '/' + name + '.json'",
+        "    assert cli.main(['manifold', '--config', cfg, '--out', sys.argv[2]]) == 0",
+        "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate was imported'",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code, os.path.abspath(CONFIG_DIR),
+                           str(tmp_path)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "impulsive_saddle_manifold.csv").exists()
