@@ -4,10 +4,10 @@
 K(V, D) = sum_j [V(tag_j, t_j) - V(tag_j, t_{j-1})] through a sequence of
 divisions that halve a uniform fineness each round while forcing every known
 atom time to be the tag of a shrinking private cell.  ``stieltjes_integral``
-is the fast evaluator for the piecewise class: adaptive quadrature of the
-density part plus explicit atom terms.  ``cross_check`` runs both on the same
-data and is the standing validation that the fast decomposition agrees with
-the defining limit.
+is the fast evaluator for the piecewise class: the density part in closed
+form, cell by cell, from the antiderivative of ``f * density``, plus explicit
+atom terms.  ``cross_check`` runs both on the same data and is the standing
+validation that the fast decomposition agrees with the defining limit.
 
 Atom convention (used consistently everywhere): at a jump time of the
 integrator the sum picks up ``f(value_at) * (full two-sided jump)``; with
@@ -51,8 +51,6 @@ class PointIntervalFn:
     * ``node_function(f)``       V(tag, t) = f(t)
     * ``stieltjes_pair(f, mu)``  V(tag, t) = f(tag) * u(t), u the distribution
       of ``mu``
-    * ``accumulation(acc, atoms)``  cell term given directly as
-      acc(tag, a, b); used when V(tag, .) is itself a running integral
     * ``matrix_integrator(M, w, jumps)``  cell term (M(b) - M(a)) @ w(tag)
     """
 
@@ -87,10 +85,6 @@ class PointIntervalFn:
 
         atoms = [t for t, _ in mu.atoms] + [bp.time for bp in f.breakpoints]
         return cls(term, atom_times=atoms, batch=batch, label="stieltjes")
-
-    @classmethod
-    def accumulation(cls, acc, atom_times=()):
-        return cls(acc, atom_times=atom_times, label="accumulation")
 
     @classmethod
     def matrix_integrator(cls, M, w, jump_times=()):
@@ -137,9 +131,8 @@ def pinned_division(window, atoms, radius, step) -> TaggedDivision:
             return
         ncells = max(1, int(math.ceil((b - a) / step)))
         edges = np.linspace(a, b, ncells + 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            nodes.append(hi)
-            tags.append(0.5 * (lo + hi))
+        nodes.extend(edges[1:])
+        tags.extend(0.5 * (edges[:-1] + edges[1:]))
 
     cursor = c
     for lo, t, hi in pins:
@@ -191,8 +184,12 @@ def stieltjes_integral(f: PiecewisePath, mu: StieltjesMeasure, window,
                        quad_tol=1e-10):
     """Fast Perron-Stieltjes integral of ``f`` against ``d mu`` over [c, d].
 
-    Splits at every breakpoint of ``f`` and of the density and at every atom,
-    integrates ``f * density`` adaptively per smooth cell, and adds
+    Splits at every breakpoint of ``f`` and of the density and at every atom.
+    On each smooth cell the product ``f * density`` is a segment
+    (``Segment.times_scalar_segment``), so the cell contributes
+    ``anti(b) - anti(a)`` of its antiderivative exactly.  Only a preset times
+    a non-constant factor leaves the segment class; such a cell is
+    integrated by ``quad_vec`` to ``quad_tol``.  Finally adds
     ``f(value_at) * weight`` for each atom in [c, d).
     """
     c, d = float(window[0]), float(window[1])
@@ -200,25 +197,30 @@ def stieltjes_integral(f: PiecewisePath, mu: StieltjesMeasure, window,
         raise ValueError("window endpoints must be finite")
     if d < c:
         return -stieltjes_integral(f, mu, (d, c), quad_tol)
-    from scipy.integrate import quad_vec
+    density = mu.density
     total = np.zeros(f.shape)
     cuts = {c, d}
     cuts |= {bp.time for bp in f.breakpoints if c < bp.time < d}
-    cuts |= {bp.time for bp in mu.density.breakpoints if c < bp.time < d}
+    cuts |= {bp.time for bp in density.breakpoints if c < bp.time < d}
     cuts |= {t for t, _ in mu.atoms if c < t < d}
     cuts = sorted(cuts)
     for a, b in zip(cuts, cuts[1:]):
-        if b <= a:
-            continue
-
-        def integrand(t):
-            return f.sample(t) * float(mu.density.sample(t))
-
-        val, err = quad_vec(integrand, a, b, epsabs=quad_tol, epsrel=1e-12)
-        if err > max(100 * quad_tol, 1e-8 * (1.0 + norm(val))):
-            raise IntegrationError(
-                "density quadrature achieved only %.3e on [%g, %g]" % (err, a, b))
-        total = total + val
+        # no breakpoint of f or the density lies in (a, b): both follow the
+        # segment just right of a
+        fs = f.segments[f.segment_index(a, side=+1)]
+        rs = density.segments[density.segment_index(a, side=+1)]
+        try:
+            anti = fs.times_scalar_segment(rs).antiderivative()
+        except NotImplementedError:
+            from scipy.integrate import quad_vec
+            val, err = quad_vec(lambda t: f.sample(t) * float(density.sample(t)),
+                                a, b, epsabs=quad_tol, epsrel=1e-12)
+            if err > max(100 * quad_tol, 1e-8 * (1.0 + norm(val))):
+                raise IntegrationError(
+                    "density quadrature achieved only %.3e on [%g, %g]" % (err, a, b))
+            total = total + val
+        else:
+            total = total + (anti.value(b) - anti.value(a))
     for t, w in mu.atoms_in(c, d):
         total = total + w * f(t)
     return total

@@ -22,7 +22,9 @@ A second, much slower evaluation path implements the operator literally as
 
 with the inner accumulation built from gauge-style sums (atom times pinned as
 tags) and the outer Stieltjes sums taken against the sampled matrix paths on
-successively refined subdivisions of the solver mesh.  Agreement of the two
+successively refined subdivisions of the solver mesh.  Refinement doubles
+until two passes agree to ``max(tol, 1e-9)``; stopping at ``max_refine``
+instead logs a warning on the ``kurzmani`` logger.  Agreement of the two
 modes is the standing certificate for the reduced form.
 
 Truncation: the dropped unstable tail beyond T is bounded by
@@ -32,6 +34,7 @@ sits below the solver tolerance.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -42,6 +45,8 @@ from scipy.linalg import expm
 from .dichotomy import DichotomyData
 from .funcspace import PiecewisePath, StieltjesMeasure, norm, running_integral
 from .linsys import FundamentalOperator, PropagationError, RegularityReport
+
+log = logging.getLogger("kurzmani")
 
 _RANGE_TOL = 1e-10
 
@@ -596,9 +601,11 @@ def _reference_apply(z: SolutionPath, zeta, s, ctx: LPContext, refine0=2,
     eye = np.eye(n)
     tol = max(ctx.tol, 1e-9)
     prev = None
+    change = math.nan
     refine = refine0
     while True:
         layout = _fine_layout(ctx, idx, refine)
+        step_invs = [np.linalg.inv(steps) for _, steps in layout]
         node_N, mid_N = _inner_accumulation(ctx, z, idx, layout)
         vals = np.empty((M + 1, n))
         for out in range(M + 1):
@@ -630,15 +637,20 @@ def _reference_apply(z: SolutionPath, zeta, s, ctx: LPContext, refine0=2,
                 unstable += (Ucur - U_left) @ node_N[k][0]
                 for l in range(len(steps)):
                     U_lo = Ucur
-                    Ucur = Ucur @ np.linalg.inv(steps[l])
+                    Ucur = Ucur @ step_invs[k][l]
                     unstable += (Ucur - U_lo) @ mid_N[k][l]
             unstable -= Ucur @ node_N[-1][-1]
             lin = ctx.fund.value(t, float(s)) @ (ctx.P(idx[0]) @ zeta)
             N_t = node_N[out][0] if out < M else node_N[-1][-1]
             vals[out] = lin + N_t - stable + unstable
-        if prev is not None and float(np.max(np.linalg.norm(vals - prev, axis=1))) < tol:
-            break
+        if prev is not None:
+            change = float(np.max(np.linalg.norm(vals - prev, axis=1)))
+            if change < tol:
+                break
         if refine >= max_refine:
+            log.warning("reference apply stopped at refine=%d (max_refine) with "
+                        "sup-norm change %.3e, not below tol %.3e",
+                        refine, change, tol)
             break
         prev = vals
         refine *= 2

@@ -1,7 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
 from kurzmani.funcspace import PiecewisePath, Segment, StieltjesMeasure
@@ -153,3 +157,159 @@ def test_randomized_fast_reference_agreement(seed):
     mu = StieltjesMeasure(dens, atoms)
     report = cross_check(f, mu, (0.0, 1.0), tol=1e-6)
     assert report.passed, report.difference
+
+
+# ---------------------------------------------------------------------------
+# closed-form density cells and the division fill
+# ---------------------------------------------------------------------------
+
+def quad_vec_oracle(f, mu, window):
+    """Per-cell adaptive quadrature of ``f * density`` plus the atom terms."""
+    c, d = window
+    inner = np.concatenate([f.times, mu.density.times, [t for t, _ in mu.atoms]])
+    cuts = sorted({c, d} | {float(t) for t in inner if c < t < d})
+    total = np.zeros(f.shape)
+    for a, b in zip(cuts, cuts[1:]):
+        val, _ = scipy.integrate.quad_vec(
+            lambda t: f.sample(t) * float(mu.density.sample(t)), a, b,
+            epsabs=1e-14, epsrel=1e-14)
+        total = total + val
+    for t, w in mu.atoms_in(c, d):
+        total = total + w * f(t)
+    return total
+
+
+def _refuse_quad_vec(*args, **kwargs):
+    raise AssertionError("quad_vec called on a closed-form cell")
+
+
+CLOSED_FORM_CASES = {
+    "poly_x_poly": (
+        PiecewisePath.polynomial([0.3, -1.2, 0.7]),
+        StieltjesMeasure(PiecewisePath.polynomial([0.5, 0.25]),
+                         [(0.3, 0.4), (0.7, -1.1)]),
+        (0.0, 1.0)),
+    "piecewise_poly_with_shared_jump": (
+        PiecewisePath.from_segments(
+            [0.4], [Segment.polynomial([1.0, 2.0]), Segment.polynomial([0.0, -1.0, 3.0])],
+            values=[2.5]),
+        StieltjesMeasure(PiecewisePath.from_segments(
+            [0.6], [Segment.polynomial([1.0, -0.5]), Segment.constant(2.0)]),
+            [(0.4, 0.8)]),
+        (0.0, 1.0)),
+    "preset_x_constant": (
+        PiecewisePath.preset("sin", 1.0, (7.0, 0.3)),
+        StieltjesMeasure(PiecewisePath.constant(0.7), [(0.25, 0.5), (0.75, 1.0)]),
+        (0.0, 1.0)),
+    "lacunary_x_constant": (
+        PiecewisePath.preset("wcos", 1.0, (0.5, 3.0, 4)),
+        StieltjesMeasure(PiecewisePath.constant(-1.3), [(0.3, 0.2)]), (0.1, 0.83)),
+    "constant_vector_x_preset": (
+        PiecewisePath.constant([1.0, -2.0]),
+        StieltjesMeasure(PiecewisePath.preset("cos", 0.5, (3.0, 0.1)), [(0.5, 2.0)]),
+        (0.0, 1.0)),
+    "matrix_poly_x_poly": (
+        PiecewisePath.polynomial([np.eye(2), [[0.0, 1.0], [2.0, 0.0]],
+                                  [[0.5, 0.0], [0.0, -0.5]]]),
+        StieltjesMeasure(PiecewisePath.polynomial([0.2, 1.5]), [(0.1, -0.3)]),
+        (0.0, 1.0)),
+    "offset_window": (
+        PiecewisePath.polynomial([0.3, -1.2, 0.7]),
+        StieltjesMeasure(PiecewisePath.polynomial([0.5, 0.25]),
+                         [(40.5, 0.4), (41.0, -1.1)]),
+        (40.0, 41.5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLOSED_FORM_CASES))
+def test_closed_form_cells_match_quad_vec_without_calling_it(case, monkeypatch):
+    f, mu, window = CLOSED_FORM_CASES[case]
+    expected = quad_vec_oracle(f, mu, window)
+    monkeypatch.setattr(scipy.integrate, "quad_vec", _refuse_quad_vec)
+    value = stieltjes_integral(f, mu, window)
+    assert np.shape(value) == f.shape
+    err = float(np.max(np.abs(value - expected)))
+    assert err <= 1e-12 * (1.0 + float(np.max(np.abs(expected))))
+
+
+def test_preset_times_nonconstant_density_falls_back_to_quad_vec(monkeypatch):
+    f = PiecewisePath.preset("exp", 1.0, (1.0,))
+    mu = StieltjesMeasure(PiecewisePath.polynomial([1.0, 0.5]), [(0.5, 2.0)])
+    expected = quad_vec_oracle(f, mu, (0.0, 1.0))
+    calls = []
+    orig = scipy.integrate.quad_vec
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad_vec", counted)
+    value = float(stieltjes_integral(f, mu, (0.0, 1.0)))
+    assert calls == [(0.0, 0.5), (0.5, 1.0)]
+    # int_0^1 e^t (1 + t/2) dt = (e - 1) + (1/2); atom 2 e^{1/2}
+    exact = (math.e - 1.0) + 0.5 + 2.0 * math.exp(0.5)
+    assert value == pytest.approx(exact, abs=1e-10)
+    assert value == pytest.approx(float(expected), abs=1e-10)
+
+
+def pinned_division_by_cell_loop(window, atoms, radius, step):
+    """The per-cell loop form of ``pinned_division``."""
+    c, d = float(window[0]), float(window[1])
+    atoms = sorted({t for t in atoms if c <= t <= d})
+    if atoms:
+        gaps = [b - a for a, b in zip(atoms, atoms[1:])]
+        limit = min([d - c] + gaps) / 4.0
+        radius = min(radius, limit) if limit > 0 else radius
+    nodes = [c]
+    tags = []
+
+    def fill(a, b):
+        if b <= a:
+            return
+        ncells = max(1, int(math.ceil((b - a) / step)))
+        edges = np.linspace(a, b, ncells + 1)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            nodes.append(hi)
+            tags.append(0.5 * (lo + hi))
+
+    cursor = c
+    for t in atoms:
+        lo, hi = max(c, t - radius), min(d, t + radius)
+        fill(cursor, lo)
+        nodes.append(hi)
+        tags.append(t)
+        cursor = hi
+    fill(cursor, d)
+    return np.array(nodes), np.array(tags)
+
+
+@pytest.mark.parametrize("window,atoms,radius,step", [
+    ((0.0, 1.0), [], 0.01, 0.125),
+    ((0.0, 1.0), [0.25, 0.5], 0.01, 0.1),
+    ((0.0, 1.0), [0.0, 0.3, 1.0], 1e-3, 1.0 / 3.0),
+    ((-2.0, 3.5), [-1.1, 0.7, 0.71, 2.9], 0.05, 2.0 ** -9),
+    ((40.0, 41.5), [40.5, 41.0], 0.01, 0.007),
+])
+def test_pinned_division_matches_the_cell_loop(window, atoms, radius, step):
+    div = pinned_division(window, atoms, radius, step)
+    nodes, tags = pinned_division_by_cell_loop(window, atoms, radius, step)
+    assert np.array_equal(div.nodes, nodes)
+    assert np.array_equal(div.tags, tags)
+
+
+def test_cross_check_on_polynomials_leaves_scipy_integrate_unloaded():
+    code = "\n".join([
+        "import sys",
+        "from kurzmani.funcspace import PiecewisePath, StieltjesMeasure",
+        "from kurzmani.kurzweil import cross_check",
+        "mu = StieltjesMeasure(PiecewisePath.polynomial([0.5, 0.25]),",
+        "                      [(0.3, 0.4), (0.7, -1.1)])",
+        "f = PiecewisePath.polynomial([0.3, -1.2, 0.7])",
+        "assert cross_check(f, mu, (0.0, 1.0), tol=1e-6).passed",
+        "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate was imported'",
+    ])
+    import kurzmani
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kurzmani.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from conftest import impulsive_manifold_closed_form
 from kurzmani.funcspace import PiecewisePath
 from kurzmani.lp_manifold import (LPContext, NonlinearitySpec, SolutionPath,
+                                  _reference_apply,
                                   bisect_manifold_oracle, classify_initial,
                                   contraction_bound, contraction_estimate,
                                   fixed_point_residual, flow_residual,
@@ -354,3 +356,33 @@ def test_mode_agreement_scalar_mde_with_atom(ctx_scalar_mde):
     ref = lp_operator_apply(z0, zeta, 0.0, ctx_scalar_mde, mode="reference")
     agreement = float(np.max(np.abs(fast.values - ref.values)))
     assert agreement <= 1e-5
+
+
+def _short_planar(ctx_planar):
+    return LPContext(ctx_planar.fund, ctx_planar.dich, ctx_planar.nonlin,
+                     T=1.0, tol=1e-10, regularity=ctx_planar.regularity)
+
+
+def test_reference_apply_warns_when_refinement_stops_at_the_cap(ctx_planar, caplog):
+    ctx = _short_planar(ctx_planar)
+    zeta = np.array([0.01, 0.0])
+    z0 = ctx.initial_path(zeta, 0.0)
+    with caplog.at_level(logging.WARNING, logger="kurzmani"):
+        _reference_apply(z0, zeta, 0.0, ctx, refine0=1, max_refine=2)
+    records = [r for r in caplog.records if r.name == "kurzmani"]
+    assert len(records) == 1
+    assert records[0].levelno == logging.WARNING
+    refine, change, tol = records[0].args
+    assert refine == 2 and tol == 1e-9
+    # one doubling from refine 1 leaves a change well above tol
+    assert tol < change < 1e-5
+    assert "refine=2" in records[0].getMessage()
+
+
+def test_converging_reference_apply_logs_nothing(ctx_planar, caplog):
+    ctx = _short_planar(ctx_planar)
+    zeta = np.array([0.01, 0.0])
+    z0 = ctx.initial_path(zeta, 0.0)
+    with caplog.at_level(logging.DEBUG, logger="kurzmani"):
+        _reference_apply(z0, zeta, 0.0, ctx)
+    assert not [r for r in caplog.records if r.name == "kurzmani"]
