@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dichotomy import (DichotomyData, projection_family, spectral_projection,
-                        verify_dichotomy)
+from .dichotomy import certify
 from .funcspace import (PiecewisePath, StieltjesMeasure, norm,
                         running_integral, total_variation)
 from .linsys import (CheckItem, FundamentalOperator, LinearSystemSpec,
@@ -247,20 +246,6 @@ def _measure_domination(spec, window):
     return float(val)
 
 
-def _certify(linspec, window, base_step, grid, P0, mode, extra_times):
-    fund = FundamentalOperator(linspec, window, base_step=base_step,
-                               extra_times=extra_times)
-    proj = spectral_projection(linspec, mode=mode, P0=P0)
-    if grid is None:
-        hi = min(window[1], window[0] + 10.0)
-        grid = np.linspace(window[0], hi, 21)
-    K, alpha, report = verify_dichotomy(fund, proj, grid)
-    fam = projection_family(fund, proj, grid)
-    dich = DichotomyData(P0=proj, K=K, alpha=alpha, grid=np.asarray(grid),
-                         family=fam, t0=linspec.t0)
-    return fund, dich, report
-
-
 def ide_to_context(spec: IdeSpec, s=0.0, T=None, tol=1e-10, base_step=0.1,
                    P0=None, grid=None, projection_mode="auto",
                    horizon_margin=5.0) -> LPContext:
@@ -280,13 +265,13 @@ def ide_to_context(spec: IdeSpec, s=0.0, T=None, tol=1e-10, base_step=0.1,
 
     linspec = LinearSystemSpec(spec.n, spec.A, impulses=spec.impulses, t0=s)
     if T is None:
-        _, dich_probe, _ = _certify(linspec, (s, probe_hi), base_step, grid,
-                                    P0, projection_mode, (s,))
-        T = auto_horizon(s, dich_probe.K, dich_probe.alpha,
+        probe = certify(FundamentalOperator(linspec, (s, probe_hi), base_step),
+                        grid, P0, projection_mode)
+        T = auto_horizon(s, probe.K, probe.alpha,
                          spec.f.h_rate((s, probe_hi)), tol, margin=horizon_margin)
         T = math.ceil(T / base_step) * base_step
-    fund, dich, dich_report = _certify(linspec, (s, float(T)), base_step, grid,
-                                       P0, projection_mode, (s,))
+    fund = FundamentalOperator(linspec, (s, float(T)), base_step)
+    dich = certify(fund, grid, P0, projection_mode)
     reg = check_regularity(linspec, (s, float(T)))
     gate = contraction_bound(spec.f.v_h((s, float(T))), dich.K, reg.C_a,
                              reg.V_Lambda)
@@ -294,7 +279,7 @@ def ide_to_context(spec: IdeSpec, s=0.0, T=None, tol=1e-10, base_step=0.1,
         * hyp.constants["C_b"] ** 3 * safe_exp(3.0 * hyp.constants["C_b"]
                                                * reg.V_Lambda) * reg.V_Lambda ** 2
     ctx = LPContext(fund, dich, spec.f, T=float(T), tol=tol, regularity=reg,
-                    reports={"hypotheses": hyp, "dichotomy": dich_report,
+                    reports={"hypotheses": hyp, "dichotomy": dich.report,
                              "smallness_gate": gate,
                              "realization_gate": ide_gate})
     return ctx
@@ -322,14 +307,15 @@ def mde_to_context(spec: MdeSpec, s=0.0, T=None, tol=1e-10, base_step=0.1,
     linspec = LinearSystemSpec(spec.n, spec.A, measure_part=(spec.C, spec.u),
                                t0=s)
     if T is None:
-        _, dich_probe, _ = _certify(linspec, (s, probe_hi), base_step, grid,
-                                    P0, projection_mode, (s,))
-        T = auto_horizon(s, dich_probe.K, dich_probe.alpha,
+        probe = certify(FundamentalOperator(linspec, (s, probe_hi), base_step),
+                        grid, P0, projection_mode)
+        T = auto_horizon(s, probe.K, probe.alpha,
                          spec.H.h_rate((s, probe_hi)), tol, margin=horizon_margin)
         T = math.ceil(T / base_step) * base_step
     atom_times = tuple(t for t, _ in spec.u.atoms)
-    fund, dich, dich_report = _certify(linspec, (s, float(T)), base_step, grid,
-                                       P0, projection_mode, (s,) + atom_times)
+    fund = FundamentalOperator(linspec, (s, float(T)), base_step,
+                               extra_times=atom_times)
+    dich = certify(fund, grid, P0, projection_mode)
     reg = check_regularity(linspec, (s, float(T)))
     C_g = hyp.constants["C_g"]
     V_u = spec.u.variation((s, float(T)))
@@ -338,7 +324,7 @@ def mde_to_context(spec: MdeSpec, s=0.0, T=None, tol=1e-10, base_step=0.1,
         * C_g ** 3 * safe_exp(3.0 * C_g * V_full) * V_full ** 2
     gate = contraction_bound(spec.H.v_h((s, float(T))), dich.K, reg.C_a, V_full)
     ctx = LPContext(fund, dich, spec.H, T=float(T), tol=tol, regularity=reg,
-                    reports={"hypotheses": hyp, "dichotomy": dich_report,
+                    reports={"hypotheses": hyp, "dichotomy": dich.report,
                              "smallness_gate": gate,
                              "realization_gate": printed_gate})
     return ctx

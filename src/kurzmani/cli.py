@@ -377,14 +377,16 @@ def cmd_fundamental(cfg, args):
 
 def cmd_dichotomy(cfg, args):
     from .dichotomy import certify
+    from .linsys import FundamentalOperator
     spec = _linear_spec(cfg)
     sol = solver_block(cfg)
     window = tuple(float(x) for x in sol.get("window", (0.0, 10.0)))
-    grid = parse_grid(sol.get("grid"), None)
+    op = FundamentalOperator(spec, window,
+                             base_step=float(sol.get("base_step", 0.1)))
+    grid = parse_grid(sol.get("grid"), np.linspace(window[0], window[1], 21))
     P0 = np.asarray(sol["P0"], dtype=float) if "P0" in sol else None
-    data = certify(spec, window, grid=grid, P0=P0,
-                   mode=sol.get("projection_mode", "auto"),
-                   base_step=float(sol.get("base_step", 0.1)))
+    data = certify(op, grid=grid, P0=P0,
+                   mode=sol.get("projection_mode", "auto"))
     rows = [(float(sep), float(logN), side)
             for sep, logN, _, _, side in data.report.samples]
     csv_path = _outpath(cfg, args, "dichotomy.csv")

@@ -2,9 +2,10 @@
 
 The reference projection P0 at t0 either comes from the user, from the
 spectrum of an autonomous (optionally periodically kicked) generator, or from
-a singular-subspace heuristic over a finite horizon.  The family
-P(t) = V(t, t0) P0 V(t0, t) is then propagated node to node, and the two
-decay inequalities
+a singular-subspace heuristic over a finite horizon.  ``projection_family``
+is the one place that conjugates P0 along the operator,
+P(t) = V(t, t0) P0 V(t0, t), both on a certification grid and on the solver
+mesh.  The two decay inequalities
 
     ||V(t, s) P(s)||        <= K exp(-alpha (t - s)),   t >= s
     ||V(t, s) (Id - P(s))|| <= K exp(+alpha (t - s)),   t <  s
@@ -13,6 +14,8 @@ are certified by fitting the exact max-envelope over sampled pairs: both
 families contribute constraints log N <= log K - alpha * |t - s|, the fitted
 alpha is the largest one that does not raise the minimal envelope constant,
 and K is the resulting constant.  A uniform bound, not a regression.
+``certify`` runs the whole chain on a built operator and returns
+``DichotomyData(P0, K, alpha, report)``.
 """
 
 from __future__ import annotations
@@ -152,7 +155,9 @@ def projection_family(op: FundamentalOperator, P0, times):
     """P(t_i) = V(t_i, t0) P0 V(t0, t_i) for each requested time.
 
     Propagated by local conjugation between consecutive times to keep the
-    factors short; ``times`` must be mesh nodes of the operator.
+    factors short, forward from t0 and backward from t0.  ``times`` may be
+    any times in the operator window, mesh nodes or not: the same family
+    serves the certification grid and the solver mesh of ``LPContext``.
     """
     times = np.asarray(times, dtype=float)
     order = np.argsort(times)
@@ -181,25 +186,6 @@ def projection_family(op: FundamentalOperator, P0, times):
 
 
 @dataclass
-class DichotomyData:
-    """Certified splitting: reference projection, constants and the family."""
-
-    P0: np.ndarray
-    K: float
-    alpha: float
-    grid: np.ndarray
-    family: np.ndarray
-    t0: float = 0.0
-
-    def __post_init__(self):
-        self.P0 = _validate_projection(self.P0)
-        self.rank = int(round(float(np.trace(self.P0))))
-
-    def projection(self, i):
-        return self.family[i]
-
-
-@dataclass
 class DichotomyReport:
     K_fit: float
     alpha_fit: float
@@ -210,6 +196,20 @@ class DichotomyReport:
     required_passed: bool | None = None
     required_witness: tuple | None = None
     heuristic_projection: bool = False
+
+
+@dataclass
+class DichotomyData:
+    """Certified splitting: reference projection, constants and the report."""
+
+    P0: np.ndarray
+    K: float
+    alpha: float
+    report: DichotomyReport
+
+    def __post_init__(self):
+        self.P0 = _validate_projection(self.P0)
+        self.rank = int(round(float(np.trace(self.P0))))
 
 
 def _max_envelope(seps, logs, alpha):
@@ -299,18 +299,17 @@ def verify_dichotomy(op: FundamentalOperator, P0, grid, required=None,
     return K_fit, alpha_fit, report
 
 
-def certify(spec: LinearSystemSpec, window, grid=None, P0=None, mode="auto",
-            base_step=0.1, required=None) -> DichotomyData:
-    """Build the operator, construct P0, fit the envelope, package the data."""
-    op = FundamentalOperator(spec, window, base_step=base_step)
+def certify(op: FundamentalOperator, grid=None, P0=None,
+            mode="auto") -> DichotomyData:
+    """Construct P0 for the operator's system, fit the envelope, package both.
+
+    The default grid is 21 points on [lo, min(hi, lo + 10)] of the operator
+    window; grid points outside the window are dropped.
+    """
+    lo, hi = op.window
     if grid is None:
-        grid = np.linspace(window[0], window[1], 21)
-    grid = np.asarray([g for g in grid if op.window[0] <= g <= op.window[1]])
-    proj = spectral_projection(spec, mode=mode, P0=P0)
-    K_fit, alpha_fit, report = verify_dichotomy(op, proj, grid, required=required)
-    fam = projection_family(op, proj, grid)
-    data = DichotomyData(P0=proj, K=K_fit, alpha=alpha_fit, grid=grid,
-                         family=fam, t0=spec.t0)
-    data.report = report
-    data.operator = op
-    return data
+        grid = np.linspace(lo, min(hi, lo + 10.0), 21)
+    grid = np.asarray([g for g in grid if lo <= g <= hi])
+    proj = spectral_projection(op.spec, mode=mode, P0=P0)
+    K_fit, alpha_fit, report = verify_dichotomy(op, proj, grid)
+    return DichotomyData(P0=proj, K=K_fit, alpha=alpha_fit, report=report)

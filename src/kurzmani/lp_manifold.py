@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import expm
 
-from .dichotomy import DichotomyData
+from .dichotomy import DichotomyData, projection_family
 from .funcspace import PiecewisePath, StieltjesMeasure, norm, running_integral
 from .linsys import FundamentalOperator, PropagationError, RegularityReport
 
@@ -152,18 +152,16 @@ class NonlinearitySpec:
     """A registry nonlinearity with cutoff and smallness data.
 
     Kinds: ``ide_pointwise`` (forcing f(t, z) dt, with a bounding path
-    gamma), ``mde_kernel`` (kernel H(t, z) du against a driving measure, with
-    bounds M_H and L_H), and ``generic`` (reference-mode only; an explicit
-    F(z, t) with a supplied modulus variation).  The registry functions
-    vanish at z = 0, and outside radius ``rho`` the value is smoothly
-    truncated so the global smallness hypotheses hold; the computed manifold
-    is local to the ball of radius rho.
+    gamma) and ``mde_kernel`` (kernel H(t, z) du against a driving measure,
+    with bounds M_H and L_H).  The registry functions vanish at z = 0, and
+    outside radius ``rho`` the value is smoothly truncated so the global
+    smallness hypotheses hold; the computed manifold is local to the ball of
+    radius rho.
     """
 
     def __init__(self, kind, registry_id, params=None, rho=0.5, measure=None,
-                 gamma=None, M_H=None, L_H=None, v_h_hint=None,
-                 generic_fn=None, generic_atoms=()):
-        if kind not in ("ide_pointwise", "mde_kernel", "generic"):
+                 gamma=None, M_H=None, L_H=None):
+        if kind not in ("ide_pointwise", "mde_kernel"):
             raise ValueError("unknown nonlinearity kind %r" % kind)
         self.kind = kind
         self.registry_id = registry_id
@@ -187,9 +185,6 @@ class NonlinearitySpec:
         self.lip_eff = lip2 + sup2 * 1.5 / self.rho
         self.M_H = float(M_H) if M_H is not None else self.sup_eff
         self.L_H = float(L_H) if L_H is not None else self.lip_eff
-        self.v_h_hint = v_h_hint
-        self._generic_fn = generic_fn
-        self.generic_atoms = tuple(generic_atoms)
         zero = np.zeros(self._probe_dim())
         if norm(self.value(0.0, zero)) != 0.0:
             raise ValueError("registry nonlinearity must vanish at z = 0")
@@ -218,8 +213,6 @@ class NonlinearitySpec:
     def atom_times(self):
         if self.kind == "mde_kernel":
             return tuple(t for t, _ in self.measure.atoms)
-        if self.kind == "generic":
-            return self.generic_atoms
         return ()
 
     def atom_weight(self, t):
@@ -241,10 +234,6 @@ class NonlinearitySpec:
         """Variation of the accumulation modulus h over the window."""
         if self.kind == "mde_kernel":
             return max(self.M_H, self.L_H) * self.measure.variation(window)
-        if self.kind == "generic":
-            if self.v_h_hint is None:
-                raise ValueError("generic nonlinearity needs v_h_hint")
-            return float(self.v_h_hint)
         g = self.gamma_path()
         return float(running_integral(g, window[0])(window[1]))
 
@@ -254,15 +243,8 @@ class NonlinearitySpec:
             grid = np.linspace(window[0], window[1], 101)
             return max(self.M_H, self.L_H) * float(
                 np.max(np.abs(self.measure.density.sample(grid))))
-        if self.kind == "generic":
-            return float(self.v_h_hint)
         grid = np.linspace(window[0], window[1], 101)
         return float(np.max(self.gamma_path().sample(grid)))
-
-    def generic_increment(self, z, a, b):
-        if self.kind != "generic":
-            raise ValueError("only generic nonlinearities expose F directly")
-        return self._generic_fn(z, b) - self._generic_fn(z, a)
 
 
 # ---------------------------------------------------------------------------
@@ -367,23 +349,10 @@ class LPContext:
     # -- projections ---------------------------------------------------------
 
     def _projections(self):
-        if self._proj is not None:
-            return self._proj
-        nodes = self.fund.nodes
-        n = self.fund.n
-        P = np.empty((len(nodes), n, n))
-        i0 = self.fund.i_t0
-        P[i0] = self.dich.P0
-        for i in range(i0, len(nodes) - 1):
-            J, _ = self.fund.jump_factor(i)
-            V = self.fund.cell(i).phi @ J
-            P[i + 1] = V @ P[i] @ np.linalg.inv(V)
-        for i in range(i0, 0, -1):
-            J, _ = self.fund.jump_factor(i - 1)
-            V = self.fund.cell(i - 1).phi @ J
-            P[i - 1] = np.linalg.solve(V, P[i] @ V)
-        self._proj = P
-        return P
+        if self._proj is None:
+            self._proj = projection_family(self.fund, self.dich.P0,
+                                           self.fund.nodes)
+        return self._proj
 
     def P(self, i):
         return self._projections()[i]
@@ -501,8 +470,6 @@ def lp_operator_apply(z: SolutionPath, zeta, s, ctx: LPContext, mode=None):
         return _reference_apply(z, zeta, s, ctx)
     if mode != "fast":
         raise ValueError("unknown mode %r" % mode)
-    if ctx.nonlin.kind == "generic":
-        raise ValueError("generic nonlinearities run in reference mode only")
 
     kern = ctx.kernels(idx[0])
     f, at, atoms = _forcing(ctx, kern, z, x)
@@ -571,19 +538,15 @@ def _inner_accumulation(ctx, z, idx, layout):
             tau = 0.5 * (a + b)
             lam = (tau - a_cell) / (b_cell - a_cell)
             z_tau = (1.0 - lam) * z.right_values[k] + lam * z.values[k + 1]
-            if ctx.nonlin.kind == "generic":
-                inc_half = ctx.nonlin.generic_increment(z_tau, a, tau)
-                inc_full = inc_half + ctx.nonlin.generic_increment(z_tau, tau, b)
-            else:
-                sig = 0.5 * (a + tau) + 0.5 * (tau - a) * gl5
-                w = 0.5 * (tau - a) * gw5
-                f = ctx.nonlin.value(sig, np.broadcast_to(z_tau, (5, n)))
-                inc_half = np.einsum("q,qi->i", w * ctx.nonlin.density_factor(sig), f)
-                sig2 = 0.5 * (tau + b) + 0.5 * (b - tau) * gl5
-                w2 = 0.5 * (b - tau) * gw5
-                f2 = ctx.nonlin.value(sig2, np.broadcast_to(z_tau, (5, n)))
-                inc_full = inc_half + np.einsum(
-                    "q,qi->i", w2 * ctx.nonlin.density_factor(sig2), f2)
+            sig = 0.5 * (a + tau) + 0.5 * (tau - a) * gl5
+            w = 0.5 * (tau - a) * gw5
+            f = ctx.nonlin.value(sig, np.broadcast_to(z_tau, (5, n)))
+            inc_half = np.einsum("q,qi->i", w * ctx.nonlin.density_factor(sig), f)
+            sig2 = 0.5 * (tau + b) + 0.5 * (b - tau) * gl5
+            w2 = 0.5 * (b - tau) * gw5
+            f2 = ctx.nonlin.value(sig2, np.broadcast_to(z_tau, (5, n)))
+            inc_full = inc_half + np.einsum(
+                "q,qi->i", w2 * ctx.nonlin.density_factor(sig2), f2)
             cells_mids[l] = acc + inc_half
             acc = acc + inc_full
             cells_nodes[l + 1] = acc
@@ -686,8 +649,6 @@ def contraction_bound(v_h, K, C_a, V_Lambda):
 @dataclass
 class ContractionEstimate:
     L_theory: float
-    L_theory_single_window: float
-    h_operator_bound: float
     v_h: float
     K: float
     alpha: float
@@ -714,11 +675,8 @@ def contraction_estimate(ctx: LPContext, s=None) -> ContractionEstimate:
     v_h = ctx.nonlin.v_h((s, ctx.T))
     K, alpha = ctx.dich.K, ctx.dich.alpha
     C_a, V_L = ctx.regularity.C_a, ctx.regularity.V_Lambda
-    L = contraction_bound(v_h, K, C_a, V_L)
-    h_bound = 2.0 * v_h * K * (1.0 + 2.0 * K) * C_a ** 3 * \
-        (math.exp(3.0 * C_a * V_L) if 3.0 * C_a * V_L < 700 else math.inf) * V_L ** 2
     return ContractionEstimate(
-        L_theory=L, L_theory_single_window=0.5 * L, h_operator_bound=h_bound,
+        L_theory=contraction_bound(v_h, K, C_a, V_L),
         v_h=v_h, K=K, alpha=alpha, C_a=C_a, V_Lambda=V_L)
 
 

@@ -33,6 +33,16 @@ def test_planar_benchmark_context_construction():
     assert sol.m[0] == pytest.approx(-0.1 ** 2 / 3.0, abs=5e-3 * 0.01)
 
 
+def test_context_default_grid_spans_ten_units_from_s():
+    f = NonlinearitySpec("ide_pointwise", "zero", {"n": 2}, rho=0.5)
+    ctx = ide_to_context(IdeSpec(2, saddle_path(), (), f), s=1.0, T=41.0,
+                         grid=None)
+    report = ctx.reports["dichotomy"]
+    assert report is ctx.dich.report
+    ts = [t for _, _, t, _, _ in report.samples]
+    assert min(ts) == 1.0 and max(ts) == 11.0
+
+
 def test_impulse_variation_arithmetic():
     impulses = tuple((float(k), np.diag([0.1, 0.0])) for k in range(1, 11))
     spec = IdeSpec(2, saddle_path(), impulses, quadratic_forcing(0.05))

@@ -225,6 +225,21 @@ def test_dichotomy_flat_system_certified_failure(tmp_path):
     assert proc.returncode == 2
 
 
+def test_dichotomy_default_grid_spans_the_whole_window(tmp_path):
+    cfg = {"system": {"kind": "linear", "n": 1, "A": {"constant": [[-1.0]]}},
+           "solver": {"window": [0.0, 20.0], "P0": [[1.0]]},
+           "output": {"prefix": "wide"}}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(cfg))
+    proc = run_cli(["dichotomy", "--config", str(path), "--out", str(tmp_path)])
+    assert proc.returncode == 0, proc.stderr
+    lines = (tmp_path / "wide_dichotomy.csv").read_text().splitlines()
+    rows = [r.split(",") for r in lines if not r.startswith("#")][1:]
+    # 21 grid points on [0, 20]: the widest stable pair is (t, s) = (20, 0)
+    assert len(rows) == 21 * 22 // 2
+    assert max(float(r[0]) for r in rows) == 20.0
+
+
 def test_classify_reports_escape_rows(tmp_path):
     cfg_path, _ = small_saddle_config(
         tmp_path, initial_points=[[0.1, 0.006666666666666667]], bound=100.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -136,9 +137,24 @@ def test_fit_envelope_recovers_known_rate():
     assert log_k == pytest.approx(math.log(2.0), abs=1e-6)
 
 
-def test_certify_packages_operator_and_family():
-    data = certify(saddle_spec(), (0.0, 10.0), grid=np.linspace(0.0, 10.0, 21))
+def test_certify_packages_constants_and_report():
+    op = FundamentalOperator(saddle_spec(), (0.0, 10.0))
+    data = certify(op, grid=np.linspace(0.0, 10.0, 21))
     assert isinstance(data, DichotomyData)
+    assert [f.name for f in dataclasses.fields(data)] == ["P0", "K", "alpha",
+                                                          "report"]
     assert data.rank == 1
     assert data.report.dichotomy_detected
     assert abs(data.K - 1.0) <= 0.01 and abs(data.alpha - 1.0) <= 0.01
+
+
+def test_certify_default_grid_is_the_first_ten_time_units():
+    op = FundamentalOperator(saddle_spec(), (0.0, 20.0), base_step=0.5)
+    data = certify(op)
+    ts = {t for _, _, t, _, _ in data.report.samples}
+    assert min(ts) == 0.0 and max(ts) == 10.0
+    assert len(ts) == 21
+    # grid points outside the operator window are dropped, not propagated to
+    wide = certify(op, grid=np.linspace(-5.0, 25.0, 7))
+    assert {t for _, _, t, _, _ in wide.report.samples} == {0.0, 5.0, 10.0,
+                                                            15.0, 20.0}
