@@ -69,11 +69,15 @@ def spectral_projection(spec: LinearSystemSpec, t0=None, mode="auto", P0=None,
     contracting right / expanding left singular directions of the flow over
     ``horizon`` (a labeled heuristic for genuinely nonautonomous systems).
     ``auto`` picks explicit > autonomous > svd.
+
+    Returns ``(P0, how)`` where ``how`` names the branch that produced P0:
+    ``explicit``, ``autonomous`` (generator spectrum), ``periodic``
+    (monodromy spectrum) or ``svd``.
     """
     t0 = spec.t0 if t0 is None else float(t0)
     n = spec.n
     if P0 is not None:
-        return _validate_projection(P0)
+        return _validate_projection(P0), "explicit"
     if mode not in ("auto", "autonomous", "svd", "explicit"):
         raise ValueError("unknown projection mode %r" % mode)
     if mode == "explicit":
@@ -95,11 +99,11 @@ def spectral_projection(spec: LinearSystemSpec, t0=None, mode="auto", P0=None,
                     % _IMAG_MARGIN)
             s_basis, k = _invariant_basis(gen, sort="lhp")
             if k == 0:
-                return np.zeros((n, n))
+                return np.zeros((n, n)), "autonomous"
             u_basis, ku = _invariant_basis(gen, sort="rhp")
             if ku == 0:
-                return np.eye(n)
-            return _oblique_projector(s_basis, u_basis)
+                return np.eye(n), "autonomous"
+            return _oblique_projector(s_basis, u_basis), "autonomous"
         times = [t for t, _ in events]
         factors = [J for _, J in events]
         period = times[1] - times[0] if len(times) > 1 else None
@@ -124,11 +128,11 @@ def spectral_projection(spec: LinearSystemSpec, t0=None, mode="auto", P0=None,
 
             s_basis, k = _invariant_basis(mono, sort=inside)
             if k == 0:
-                return np.zeros((n, n))
+                return np.zeros((n, n)), "periodic"
             u_basis, ku = _invariant_basis(mono, sort=outside)
             if ku == 0:
-                return np.eye(n)
-            return _oblique_projector(s_basis, u_basis)
+                return np.eye(n), "periodic"
+            return _oblique_projector(s_basis, u_basis), "periodic"
         if mode == "autonomous":
             raise SplittingError("jump pattern is not periodic; supply P0 or use svd")
 
@@ -141,14 +145,14 @@ def spectral_projection(spec: LinearSystemSpec, t0=None, mode="auto", P0=None,
     _, sv_f, vt = np.linalg.svd(fwd)
     k = int(np.sum(sv_f < 1.0))
     if k == 0:
-        return np.zeros((n, n))
+        return np.zeros((n, n)), "svd"
     if k == n:
-        return np.eye(n)
+        return np.eye(n), "svd"
     stable = vt[n - k:, :].T
     bwd = op.value(t0, t0 - horizon)
     u_l, sv_b, _ = np.linalg.svd(bwd)
     unstable = u_l[:, :n - k]
-    return _oblique_projector(stable, unstable)
+    return _oblique_projector(stable, unstable), "svd"
 
 
 def projection_family(op: FundamentalOperator, P0, times):
@@ -195,7 +199,7 @@ class DichotomyReport:
     required: tuple | None = None
     required_passed: bool | None = None
     required_witness: tuple | None = None
-    heuristic_projection: bool = False
+    projection_mode: str | None = None   # spectral_projection branch behind P0
 
 
 @dataclass
@@ -310,6 +314,7 @@ def certify(op: FundamentalOperator, grid=None, P0=None,
     if grid is None:
         grid = np.linspace(lo, min(hi, lo + 10.0), 21)
     grid = np.asarray([g for g in grid if lo <= g <= hi])
-    proj = spectral_projection(op.spec, mode=mode, P0=P0)
+    proj, how = spectral_projection(op.spec, mode=mode, P0=P0)
     K_fit, alpha_fit, report = verify_dichotomy(op, proj, grid)
+    report.projection_mode = how
     return DichotomyData(P0=proj, K=K_fit, alpha=alpha_fit, report=report)

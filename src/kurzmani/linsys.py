@@ -12,11 +12,10 @@ factors.  Solutions are stored left-continuous: the factor at a jump time
 applies when propagating past it, so V(t, s) includes the factors at times in
 [s, t) and V(t, t) = Id exactly.
 
-Accuracy note: products of cell propagators are exact for the decoupled and
-triangular systems this library targets as benchmarks; for strongly coupled
-systems the projected kernels lose digits once alpha * horizon approaches the
-floating-point range (an intrinsic conditioning limit of hyperbolic
-splittings, not of the product formula).
+Accuracy note: the product formula itself is well conditioned; what limits a
+long horizon is the projection family conjugated along it, whose roundoff
+grows like exp(2 alpha t) and swamps it near 2 alpha T = -log(eps) (see
+``LPContext._projections``, which refuses such a family).
 """
 
 from __future__ import annotations

@@ -14,6 +14,19 @@ iterates stay left-continuous like the solutions they approximate.  The fixed
 point phi yields the graph value m(s, zeta) = phi(s) - zeta in the unstable
 directions.
 
+The fast mode evaluates both integrals as affine recurrences over the mesh
+cells: forward from s with the propagators F~_k = V(x_{k+1}, x_k) P(x_k) and
+backward from T with G~_k = V(x_k, x_{k+1}) (Id - P(x_{k+1})).  Each runs as
+a Hillis-Steele inclusive prefix scan (Blelloch, "Prefix sums and their
+applications", 1990): log2(M) levels of stored products, so an application
+is a few stacked products with no Python loop over cells.  The projections
+change nothing in exact arithmetic (P(x_{k+1}) F_k = F_k P(x_k)), but they
+make every stored product a dichotomy-bounded propagator, norm <= K.  A
+solve iterates a batch of anchors (sample axis last) with one application
+per iteration for all unconverged samples; each sample keeps its own
+convergence test, ratio history and error, and ``solve_lp`` is a batch of
+one.
+
 A second, much slower evaluation path implements the operator literally as
 
     V(t,s) P(s) zeta + int_s^t DF
@@ -42,13 +55,21 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import expm
 
-from .dichotomy import DichotomyData, projection_family
+from .dichotomy import DichotomyData, SplittingError, projection_family
 from .funcspace import PiecewisePath, StieltjesMeasure, norm, running_integral
-from .linsys import FundamentalOperator, PropagationError, RegularityReport
+from .linsys import (_TIME_TOL, FundamentalOperator, PropagationError,
+                     RegularityReport)
 
 log = logging.getLogger("kurzmani")
 
 _RANGE_TOL = 1e-10
+_IDEMPOTENCY_TOL = 1e-8
+
+
+def _same_time(t, ref):
+    """Whether times match ``ref`` to the mesh tolerance, relative away from 0."""
+    return np.abs(np.asarray(t, dtype=float) - ref) <= \
+        _TIME_TOL * np.maximum(1.0, np.abs(ref))
 
 
 class NonContractionError(RuntimeError):
@@ -219,7 +240,7 @@ class NonlinearitySpec:
         if self.kind != "mde_kernel":
             return 0.0
         for ta, w in self.measure.atoms:
-            if abs(ta - t) <= 1e-11:
+            if _same_time(t, ta):
                 return w
         return 0.0
 
@@ -297,15 +318,38 @@ def splitting_bases(P):
 
 
 def _mv(A, v):
-    """Stacked matrix-vector products A[..., :, :] @ v[..., :]."""
-    return np.einsum("...ij,...j->...i", A, v)
+    """Stacked products A[..., :, :] @ v[..., :, :] of matrices and columns.
+
+    Mesh arrays of the fast operator keep the sample axis last, (M, n, S),
+    so one stacked product serves a single path (S = 1) and a batch alike.
+    """
+    return np.einsum("...ij,...js->...is", A, v)
+
+
+def _q_blocks(K):
+    """(M, Q, n, n) per-node kernels as (M, n, Q n): one product per cell."""
+    return np.concatenate(np.moveaxis(K, 1, 0), axis=-1)
+
+
+def _stacked_norm(A):
+    """Operator 2-norms of a stack of matrices; inf where an entry is not finite."""
+    out = np.full(A.shape[0], np.inf)
+    finite = np.all(np.isfinite(A), axis=(-2, -1))
+    out[finite] = np.linalg.norm(A[finite], 2, axis=(-2, -1))
+    return out
 
 
 class _Kernels(NamedTuple):
     """Per-cell arrays of the fast operator, stacked along the mesh.
 
     Row k belongs to the cell [x_k, x_{k+1}]; ``J`` has one row per node.
-    ``P+`` is J P J^{-1}, the projection just after the jump at x_k.
+    ``P+`` is J P J^{-1}, the projection just after the jump at x_k.  The
+    scan levels are the sweep propagators projected by the dichotomy,
+    F~_k = F_k P(x_k) and G~_k = G_k (Id - P(x_{k+1})) with G_k = F_k^{-1};
+    level d multiplies 2^d consecutive ones, truncated at the mesh ends
+    where no sweep reads them.  A forward product sits in the row of its
+    last cell and a backward one in the row of its first, so slicing off
+    leading rows keeps every product a later start reads.
     """
 
     sigma: np.ndarray       # (M, Q) quadrature times
@@ -314,11 +358,58 @@ class _Kernels(NamedTuple):
     atom_w: np.ndarray      # (M,) nonlinearity atom weight at x_k
     J: np.ndarray           # (M+1, n, n) jump factor at each node
     F: np.ndarray           # (M, n, n) phi J: left value at x_k to x_{k+1}
-    G: np.ndarray           # (M, n, n) J^{-1} phi^{-1}: back from x_{k+1} to x_k
     atom_s: np.ndarray      # (M, n, n) phi P+
     atom_u: np.ndarray      # (M, n, n) J^{-1} (Id - P+)
-    K_stable: np.ndarray    # (M, Q, n, n) V(x_{k+1}, sigma_q) P(sigma_q)
-    K_unstable: np.ndarray  # (M, Q, n, n) V(x_k, sigma_q) (Id - P(sigma_q))
+    K_stable: np.ndarray    # (M, n, Q n) V(x_{k+1}, sigma_q) P(sigma_q), q-blocks
+    K_unstable: np.ndarray  # (M, n, Q n) V(x_k, sigma_q) (Id - P(sigma_q))
+    F_scan: np.ndarray      # (M, L, n, n) F~_k F~_{k-1} ... F~_{k-2^d+1}
+    G_scan: np.ndarray      # (M, L, n, n) G~_k G~_{k+1} ... G~_{k+2^d-1}
+
+
+def _scan_levels(A, forward):
+    """Hillis-Steele level products of a stacked (M, n, n) sequence.
+
+    Level d + 1 joins two level-d products 2^d rows apart; a forward level
+    ends at its row, a backward level starts there.  Returns (M, L, n, n)
+    with L levels, enough for ``_scan`` over any row suffix.
+    """
+    levels = [A]
+    o = 1
+    while 2 * o < len(A):
+        prev = levels[-1]
+        nxt = prev.copy()
+        if forward:
+            nxt[o:] = prev[o:] @ prev[:-o]
+        else:
+            nxt[:-o] = prev[:-o] @ prev[o:]
+        levels.append(nxt)
+        o *= 2
+    return np.stack(levels, axis=1)
+
+
+def _scan(levels, c, forward):
+    """Inclusive scan of the affine recurrence u_k = A_k u_{k-1} + c_k
+    (forward) or u_k = A_k u_{k+1} + c_k (backward) with zero outside;
+    ``c`` is (M, n, S) and is overwritten with the result."""
+    M = len(c)
+    o, d = 1, 0
+    while o < M:
+        if forward:
+            c[o:] += _mv(levels[o:, d], c[:-o])
+        else:
+            c[:-o] += _mv(levels[:-o, d], c[o:])
+        o, d = 2 * o, d + 1
+    return c
+
+
+def _stable_sweep(kern: _Kernels, zetas, c1):
+    """V(x_k, s) zeta plus the stable integral up to x_k, for every node.
+
+    ``zetas`` is (n, S) and ``c1`` the (M, n, S) per-cell increments; zeta
+    enters as F~_0 zeta on the first cell.  Returns (M+1, n, S).
+    """
+    c1[:1] += _mv(kern.F_scan[:1, 0], zetas[None])
+    return np.concatenate([zetas[None], _scan(kern.F_scan, c1, forward=True)])
 
 
 class LPContext:
@@ -344,14 +435,30 @@ class LPContext:
                 raise ValueError("nonlinearity atom at t=%g missing from the mesh" % t)
         self.i_T = fund.node_index(self.T)
         self._proj = None
+        self._proj_defect = None
         self._kernels = None
 
     # -- projections ---------------------------------------------------------
 
     def _projections(self):
+        """P(x_i) on every mesh node, checked for idempotency in one pass.
+
+        Forward conjugation amplifies roundoff by about exp(2 alpha t), so a
+        long horizon can return matrices that are no longer projections; that
+        raises ``SplittingError`` at the first bad node.
+        """
         if self._proj is None:
-            self._proj = projection_family(self.fund, self.dich.P0,
-                                           self.fund.nodes)
+            proj = projection_family(self.fund, self.dich.P0, self.fund.nodes)
+            defect = _stacked_norm(proj @ proj - proj)
+            bad = np.flatnonzero(~(defect <= _IDEMPOTENCY_TOL))
+            if bad.size:
+                i = int(bad[0])
+                raise SplittingError(
+                    "projection family lost idempotency at node %d (t=%g): "
+                    "||P^2 - P|| = %.3e > %g" % (i, self.fund.nodes[i], defect[i],
+                                                 _IDEMPOTENCY_TOL))
+            self._proj = proj
+            self._proj_defect = float(np.max(defect))
         return self._proj
 
     def P(self, i):
@@ -360,8 +467,9 @@ class LPContext:
     def kernels(self, i_s) -> _Kernels:
         """Fast-operator kernels from node ``i_s`` to the horizon.
 
-        The stacks for the whole mesh up to T are built on first use (not
-        with the context) and sliced for a span that starts later.
+        The stacks for the whole mesh up to T, scan levels included, are
+        built on first use (not with the context) and sliced for a span that
+        starts later.
         """
         if self._kernels is None:
             self._kernels = self._build_kernels()
@@ -369,14 +477,22 @@ class LPContext:
 
     def _build_kernels(self):
         fund, m = self.fund, self.i_T
+        eye = np.eye(fund.n)
         cells = [fund.cell(j) for j in range(m)]
         J, J_inv = (np.stack(mats) for mats in
                     zip(*(fund.jump_factor(j) for j in range(m + 1))))
         phi = np.stack([c.phi for c in cells])
         phi_sig_inv = np.stack([c.phi_sig_inv for c in cells])
-        P_plus = J[:m] @ self._projections()[:m] @ J_inv[:m]
+        proj = self._projections()[:m + 1]
+        P_plus = J[:m] @ proj[:m] @ J_inv[:m]
         atom_s = phi @ P_plus
-        atom_u = J_inv[:m] @ (np.eye(fund.n) - P_plus)
+        atom_u = J_inv[:m] @ (eye - P_plus)
+        F = phi @ J[:m]
+        G = J_inv[:m] @ np.stack([c.phi_inv for c in cells])
+        self.reports["splitting"] = {
+            "idempotency_defect": self._proj_defect,
+            "cocycle_gap": float(np.max(_stacked_norm(proj[1:] @ F - F @ proj[:m]),
+                                        initial=0.0))}
         sigma = np.stack([c.sigma for c in cells])
         a, b = fund.nodes[:m, None], fund.nodes[1:m + 1, None]
         return _Kernels(
@@ -384,11 +500,11 @@ class LPContext:
             wq=np.stack([c.weights for c in cells]) * self.nonlin.density_factor(sigma),
             atom_w=np.array([self.nonlin.atom_weight(t) for t in fund.nodes[:m]],
                             dtype=float),
-            J=J, F=phi @ J[:m],
-            G=J_inv[:m] @ np.stack([c.phi_inv for c in cells]),
-            atom_s=atom_s, atom_u=atom_u,
-            K_stable=atom_s[:, None] @ phi_sig_inv,
-            K_unstable=atom_u[:, None] @ phi_sig_inv)
+            J=J, F=F, atom_s=atom_s, atom_u=atom_u,
+            K_stable=_q_blocks(atom_s[:, None] @ phi_sig_inv),
+            K_unstable=_q_blocks(atom_u[:, None] @ phi_sig_inv),
+            F_scan=_scan_levels(F @ proj[:m], forward=True),
+            G_scan=_scan_levels(G @ (eye - proj[1:]), forward=False))
 
     def span(self, s):
         """Mesh node indices covering [s, T]; s must be a node."""
@@ -401,14 +517,14 @@ class LPContext:
         return self.fund.nodes[self.span(s)]
 
     def initial_path(self, zeta, s):
-        """z_0(t) = V(t, s) zeta (exact in the linear case)."""
+        """z_0(t) = V(t, s) zeta for zeta in the stable range at s."""
         idx = self.span(s)
+        zeta = _check_zeta(zeta, self.P(idx[0]))
         kern = self.kernels(idx[0])
-        vals = [np.asarray(zeta, dtype=float)]
-        for F_k in kern.F:
-            vals.append(F_k @ vals[-1])
-        vals = np.array(vals)
-        return SolutionPath(self.fund.nodes[idx], vals, _mv(kern.J, vals))
+        vals = _stable_sweep(kern, zeta[:, None],
+                             np.zeros((len(idx) - 1, self.fund.n, 1)))
+        return SolutionPath(self.fund.nodes[idx], vals[..., 0],
+                            _mv(kern.J, vals)[..., 0])
 
     def tail_bound(self, s):
         """Certified size of the discarded unstable tail beyond T."""
@@ -436,57 +552,75 @@ def _check_zeta(zeta, P_s):
     return zeta
 
 
-def _forcing(ctx, kern: _Kernels, z: SolutionPath, x):
-    """Nonlinearity terms of a path on the mesh ``x``.
+def _columns(fn, t, z):
+    """``fn(t, z)`` for states stored along axis -2, samples along -1."""
+    return np.moveaxis(fn(t, np.moveaxis(z, -1, -2)), -1, -2)
 
-    Returns f, the weighted density at every quadrature state (z runs
-    linearly from its right value at x_k to its left value at x_{k+1}), the
-    cells ``at`` that carry an atom, and the atom terms per node (zero away
-    from ``at`` and at the last node).
+
+def _forcing(ctx, kern: _Kernels, values, rights, x):
+    """Nonlinearity terms of a batch of paths on the mesh ``x``.
+
+    ``values`` and ``rights`` are (M+1, n, S) left values and right limits.
+    Returns f, the (M, Q n, S) weighted density at every quadrature state (z
+    runs linearly from its right value at x_k to its left value at x_{k+1}),
+    the cells ``at`` that carry an atom, and the atom terms per node (zero
+    away from ``at`` and at the last node).
     """
-    lam = kern.lam[..., None]
-    zq = (1.0 - lam) * z.right_values[:-1, None] + lam * z.values[1:, None]
-    f = ctx.nonlin.value(kern.sigma, zq) * kern.wq[..., None]
+    lam = kern.lam[..., None, None]
+    zq = (1.0 - lam) * rights[:-1, None] + lam * values[1:, None]
+    f = _columns(ctx.nonlin.value, kern.sigma, zq) * kern.wq[..., None, None]
     at = np.flatnonzero(kern.atom_w)
-    atoms = np.zeros(z.values.shape)
-    atoms[at] = kern.atom_w[at, None] * ctx.nonlin.value(x[at], z.values[at])
-    return f, at, atoms
+    atoms = np.zeros(values.shape)
+    atoms[at] = kern.atom_w[at, None, None] * _columns(ctx.nonlin.value, x[at],
+                                                       values[at])
+    M, Q, n, S = f.shape
+    return f.reshape(M, Q * n, S), at, atoms
+
+
+def _fast_apply(ctx, kern: _Kernels, x, values, rights, zetas):
+    """The fast operator on a batch of mesh paths; see ``lp_operator_apply``.
+
+    ``values``/``rights`` are (M+1, n, S) and ``zetas`` (n, S); returns the
+    new left values and right limits.
+    """
+    f, at, atoms = _forcing(ctx, kern, values, rights, x)
+    c1 = _mv(kern.K_stable, f)
+    c2 = _mv(kern.K_unstable, f)
+    c1[at] += _mv(kern.atom_s[at], atoms[at])
+    c2[at] += _mv(kern.atom_u[at], atoms[at])
+    # y = V(t, s) zeta + stable integral up to t, minus the unstable one to T
+    vals = _stable_sweep(kern, zetas, c1)
+    vals[:-1] -= _scan(kern.G_scan, c2, forward=False)
+    return vals, _mv(kern.J, vals) + atoms
 
 
 def lp_operator_apply(z: SolutionPath, zeta, s, ctx: LPContext, mode=None):
     """One application of the manifold operator to a mesh path.
 
-    Fast mode runs two cocycle sweeps over the stacked cell kernels; the
-    reference mode evaluates the literal four-term form (see module
-    docstring).  Both return a new ``SolutionPath`` on the same mesh.
+    Fast mode computes the stable integral from s and the unstable integral
+    back from T as two affine recurrences over the mesh cells,
+    y_{k+1} = F~_k y_k + c_k and I_k = G~_k I_{k+1} + c'_k, each evaluated
+    as a log2(M)-level inclusive prefix scan over the context's stored
+    products of the dichotomy-projected propagators (``_Kernels``).  By the
+    cocycle identity P(x_{k+1}) F_k = F_k P(x_k) the projection leaves the
+    sweeps unchanged in exact arithmetic, and it keeps every stored product
+    bounded by the dichotomy constant.  The reference mode evaluates the
+    literal four-term form (see module docstring).  Both return a new
+    ``SolutionPath`` on the same mesh.
     """
     mode = ctx.mode if mode is None else mode
     idx = ctx.span(float(s))
     x = ctx.fund.nodes[idx]
-    if len(z.times) != len(x) or np.max(np.abs(z.times - x)) > 1e-11:
+    if len(z.times) != len(x) or not np.all(_same_time(z.times, x)):
         raise ValueError("path mesh does not match the context mesh from s")
     zeta = _check_zeta(zeta, ctx.P(idx[0]))
     if mode == "reference":
         return _reference_apply(z, zeta, s, ctx)
     if mode != "fast":
         raise ValueError("unknown mode %r" % mode)
-
-    kern = ctx.kernels(idx[0])
-    f, at, atoms = _forcing(ctx, kern, z, x)
-    c1 = np.einsum("kqij,kqj->ki", kern.K_stable, f)
-    c2 = np.einsum("kqij,kqj->ki", kern.K_unstable, f)
-    c1[at] += _mv(kern.atom_s[at], atoms[at])
-    c2[at] += _mv(kern.atom_u[at], atoms[at])
-
-    # y = V(t, s) zeta + stable integral up to t; I2 = unstable integral to T
-    y = [zeta]
-    for F_k, c_k in zip(kern.F, c1):
-        y.append(F_k @ y[-1] + c_k)
-    I2 = [np.zeros(len(zeta))]
-    for G_k, c_k in zip(kern.G[::-1], c2[::-1]):
-        I2.append(G_k @ I2[-1] + c_k)
-    vals = np.array(y) - np.array(I2[::-1])
-    return SolutionPath(x, vals, _mv(kern.J, vals) + atoms)
+    vals, rights = _fast_apply(ctx, ctx.kernels(idx[0]), x, z.values[..., None],
+                               z.right_values[..., None], zeta[:, None])
+    return SolutionPath(x, vals[..., 0], rights[..., 0])
 
 
 # ---------------------------------------------------------------------------
@@ -701,43 +835,94 @@ class LPSolution:
         return max(self.ratio_history) if self.ratio_history else 0.0
 
 
+def _record_contraction(ctx: LPContext, s):
+    """Contraction estimate at ``s``, kept in ``ctx.reports`` on first use."""
+    est = contraction_estimate(ctx, s=s)
+    est.conservative_gate_engaged = est.L_theory >= 1.0
+    ctx.reports.setdefault("contraction", est)
+    return est
+
+
+def _solve_batch(zetas, s, ctx: LPContext, Bu, force=False, mode=None):
+    """Fixed points for an (S, n) batch of anchors at one base time.
+
+    All unconverged samples share one operator application per iteration.
+    Each sample keeps its own difference and ratio history: it leaves the
+    batch once its difference drops below ``ctx.tol``, and it gets its own
+    ``NonContractionError`` (three non-shrinking differences, unless
+    ``force``) or ``SolveError`` (``max_iter`` reached).  Returns one
+    ``LPSolution`` or exception per sample; ``Bu`` is the unstable basis at s.
+    """
+    mode = ctx.mode if mode is None else mode
+    if mode not in ("fast", "reference"):
+        raise ValueError("unknown mode %r" % mode)
+    idx = ctx.span(s)
+    x = ctx.fund.nodes[idx]
+    P_s = ctx.P(idx[0])
+    zetas = np.array([_check_zeta(z, P_s) for z in zetas]).reshape(-1, ctx.fund.n).T
+    S = zetas.shape[1]
+    kern = ctx.kernels(idx[0])
+    vals = _stable_sweep(kern, zetas, np.zeros((len(x) - 1, ctx.fund.n, S)))
+    rights = _mv(kern.J, vals)
+    out = [None] * S
+    diffs = [[] for _ in range(S)]
+    ratios = [[] for _ in range(S)]
+    active = np.arange(S)
+    for it in range(1, ctx.max_iter + 1):
+        if not active.size:
+            break
+        if mode == "fast":
+            new_v, new_r = _fast_apply(ctx, kern, x, vals[..., active],
+                                       rights[..., active], zetas[:, active])
+        else:
+            paths = [_reference_apply(SolutionPath(x, vals[..., i], rights[..., i]),
+                                      zetas[:, i], s, ctx) for i in active]
+            new_v = np.stack([p.values for p in paths], axis=-1)
+            new_r = np.stack([p.right_values for p in paths], axis=-1)
+        step = np.max(np.linalg.norm(new_v - vals[..., active], axis=1), axis=0)
+        vals[..., active], rights[..., active] = new_v, new_r
+        still = []
+        for i, diff in zip(active, step.tolist()):
+            d, r = diffs[i], ratios[i]
+            if d:
+                r.append(diff / d[-1] if d[-1] > 0 else 0.0)
+            d.append(diff)
+            if diff < ctx.tol:
+                m_vec = vals[0, :, i] - zetas[:, i]
+                out[i] = LPSolution(
+                    phi=SolutionPath(x, vals[..., i].copy(), rights[..., i].copy()),
+                    m_vector=m_vec, m=Bu.T @ m_vec, zeta=zetas[:, i], s=s,
+                    iterations=it, residual=diff, ratio_history=r,
+                    converged=True)
+            elif not force and len(r) >= 3 and all(q >= 1.0 for q in r[-3:]):
+                out[i] = NonContractionError(
+                    "iterates stopped contracting (ratios %s)" % r[-3:],
+                    ratio_history=r)
+            else:
+                still.append(i)
+        active = np.array(still, dtype=int)
+    for i in active:
+        out[i] = SolveError("no convergence in %d iterations (last diff %.3e)"
+                            % (ctx.max_iter, diffs[i][-1]), residual=diffs[i][-1])
+    return out
+
+
 def solve_lp(zeta, s, ctx: LPContext, force=False, mode=None) -> LPSolution:
     """Iterate the operator to its fixed point from z_0(t) = V(t, s) zeta.
 
     Stops when the sup-norm difference of consecutive iterates drops below
     ``ctx.tol``.  Three consecutive non-shrinking differences abort with the
     ratio history unless ``force`` is set; ``max_iter`` aborts with the last
-    residual.
+    residual.  A batch of one for the solve behind ``manifold_graph``.
     """
     s = float(s)
-    zeta = np.asarray(zeta, dtype=float)
+    _, Bu = splitting_bases(ctx.P(ctx.span(s)[0]))
     if ctx.regularity is not None and not force:
-        est = contraction_estimate(ctx, s=s)
-        est.conservative_gate_engaged = est.L_theory >= 1.0
-        ctx.reports.setdefault("contraction", est)
-    z = ctx.initial_path(zeta, s)
-    ratios = []
-    diffs = []
-    for it in range(1, ctx.max_iter + 1):
-        z_next = lp_operator_apply(z, zeta, s, ctx, mode=mode)
-        diff = z_next.diff_sup(z)
-        if diffs:
-            ratios.append(diff / diffs[-1] if diffs[-1] > 0 else 0.0)
-        diffs.append(diff)
-        z = z_next
-        if diff < ctx.tol:
-            Bs, Bu = splitting_bases(ctx.P(ctx.span(s)[0]))
-            m_vec = z.values[0] - zeta
-            return LPSolution(
-                phi=z, m_vector=m_vec, m=Bu.T @ m_vec, zeta=zeta, s=s,
-                iterations=it, residual=diff, ratio_history=ratios,
-                converged=True)
-        if not force and len(ratios) >= 3 and all(r >= 1.0 for r in ratios[-3:]):
-            raise NonContractionError(
-                "iterates stopped contracting (ratios %s)" % ratios[-3:],
-                ratio_history=ratios)
-    raise SolveError("no convergence in %d iterations (last diff %.3e)"
-                     % (ctx.max_iter, diffs[-1]), residual=diffs[-1])
+        _record_contraction(ctx, s)
+    (sol,) = _solve_batch([zeta], s, ctx, Bu, force=force, mode=mode)
+    if isinstance(sol, Exception):
+        raise sol
+    return sol
 
 
 def fixed_point_residual(sol: LPSolution, ctx: LPContext, mode=None):
@@ -757,14 +942,14 @@ def flow_residual(path: SolutionPath, s, ctx: LPContext):
     """
     idx = ctx.span(float(s))
     kern = ctx.kernels(idx[0])
-    f, _, atoms = _forcing(ctx, kern, path, ctx.fund.nodes[idx])
+    f, _, atoms = _forcing(ctx, kern, path.values[..., None],
+                           path.right_values[..., None], ctx.fund.nodes[idx])
     # phi = phi P+ + (phi J) J^{-1} (Id - P+): the projected kernels add up
     # to the unprojected V(x_{k+1}, sigma) and phi
-    K = kern.K_stable + kern.F[:, None] @ kern.K_unstable
+    K = kern.K_stable + kern.F @ kern.K_unstable
     phi = kern.atom_s + kern.F @ kern.atom_u
-    pred = _mv(kern.F, path.values[:-1]) + _mv(phi, atoms[:-1]) + \
-        np.einsum("kqij,kqj->ki", K, f)
-    return float(np.max(np.linalg.norm(pred - path.values[1:], axis=1),
+    pred = _mv(kern.F, path.values[:-1, :, None]) + _mv(phi, atoms[:-1]) + _mv(K, f)
+    return float(np.max(np.linalg.norm(pred[..., 0] - path.values[1:], axis=1),
                         initial=0.0))
 
 
@@ -820,28 +1005,32 @@ def manifold_graph(s, zeta_grid, ctx: LPContext) -> ManifoldGraph:
         if norm(c) > ctx.nonlin.rho + 1e-12:
             raise ValueError("grid point %r outside the cutoff radius" % (c,))
 
+    try:
+        outcomes = _solve_batch([Bs @ c for c in coords], s, ctx, Bu)
+    except (PropagationError, np.linalg.LinAlgError) as exc:
+        outcomes = [exc] * len(coords)
     samples, sols = [], []
-    for c in coords:
-        try:
-            sol = solve_lp(Bs @ c, s, ctx)
-        except (NonContractionError, SolveError, PropagationError,
-                np.linalg.LinAlgError) as exc:
-            samples.append(GraphSample(c, None, False, error=str(exc)))
-            continue
-        samples.append(GraphSample(c, sol.m, True, iterations=sol.iterations))
-        sols.append(sol)
+    for c, sol in zip(coords, outcomes):
+        if isinstance(sol, LPSolution):
+            samples.append(GraphSample(c, sol.m, True, iterations=sol.iterations))
+            sols.append(sol)
+        else:
+            samples.append(GraphSample(c, None, False, error=str(sol)))
 
+    # worst difference quotient over all pairs of converged samples
     lip = 0.0
-    good = [g for g in samples if g.ok]
-    for i in range(len(good)):
-        for j in range(i + 1, len(good)):
-            dz = norm(good[i].zeta_coords - good[j].zeta_coords)
-            if dz > 1e-14:
-                lip = max(lip, norm(good[i].m_coords - good[j].m_coords) / dz)
+    if len(sols) > 1:
+        i, j = np.triu_indices(len(sols), 1)
+        Z = np.array([g.zeta_coords for g in samples if g.ok])
+        Mc = np.array([sol.m for sol in sols])
+        dz = np.linalg.norm(Z[i] - Z[j], axis=-1)
+        far = dz > 1e-14
+        lip = float(np.max(np.linalg.norm(Mc[i] - Mc[j], axis=-1)[far] / dz[far],
+                           initial=0.0))
     L_emp = max((s_.L_empirical for s_ in sols), default=0.0)
     L_theory = math.nan
     if ctx.regularity is not None:
-        L_theory = contraction_estimate(ctx, s=s).L_theory
+        L_theory = _record_contraction(ctx, s).L_theory
     graph = ManifoldGraph(
         s=s, basis_stable=Bs, basis_unstable=Bu, samples=samples,
         lipschitz_estimate=lip, L_empirical=L_emp, L_theory=L_theory,
@@ -856,8 +1045,9 @@ def invariance_check(s, zeta, t1, ctx: LPContext) -> float:
     """
     sol = solve_lp(zeta, s, ctx)
     idx = ctx.span(float(s))
-    k = int(np.searchsorted(ctx.fund.nodes[idx], float(t1)))
-    if abs(ctx.fund.nodes[idx][k] - t1) > 1e-11:
+    nodes = ctx.fund.nodes[idx]
+    k = int(np.argmin(np.abs(nodes - float(t1))))
+    if not _same_time(t1, nodes[k]):
         raise ValueError("t1=%g is not a mesh node" % t1)
     phi_t1 = sol.phi.values[k]
     P_t1 = ctx.P(idx[k])
@@ -911,7 +1101,7 @@ def classify_initial(z0, s, ctx: LPContext, bound) -> Classification:
         J, _ = ctx.fund.jump_factor(i)
         if k == len(nodes) - 1 or not np.array_equal(J, eye) or \
                 ctx.nonlin.atom_weight(nodes[k]) or \
-                any(abs(nodes[k] - b) <= 1e-11 for b in kinks):
+                any(_same_time(nodes[k], b) for b in kinks):
             stops.append(k)
     for a_i, b_i in zip(stops[:-1], stops[1:]):
         J, _ = ctx.fund.jump_factor(idx[a_i])

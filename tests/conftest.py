@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from kurzmani.funcspace import PiecewisePath, StieltjesMeasure
 from kurzmani.lp_manifold import NonlinearitySpec
 
 SADDLE = np.diag([-1.0, 1.0])
+COUPLED = np.array([[-1.0, 3.0], [0.5, 1.0]])
 
 
 def quadratic_forcing(eps, rho=0.5):
@@ -33,6 +36,22 @@ def ctx_impulsive():
                    quadratic_forcing(0.05))
     return ide_to_context(spec, s=0.0, T=40.0, tol=1e-10,
                           grid=np.linspace(0.0, 10.0, 21))
+
+
+def coupled_context(T):
+    """Non-normal coupled generator [[-1, 3], [0.5, 1]] with the saddle kicks
+    diag(0.1, 0) at the integers inside (0, T), f = (0, 0.05 x^2)."""
+    impulses = tuple((float(k), np.diag([0.1, 0.0])) for k in range(1, math.ceil(T)))
+    spec = IdeSpec(2, PiecewisePath.constant(COUPLED), impulses,
+                   quadratic_forcing(0.05))
+    return ide_to_context(spec, s=0.0, T=T, tol=1e-10,
+                          grid=np.linspace(0.0, min(T, 10.0), 21))
+
+
+@pytest.fixture(scope="session")
+def ctx_coupled():
+    """The coupled kicked system on a T=4 window."""
+    return coupled_context(4.0)
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+from kurzmani import cli
 from kurzmani.dichotomy import (DichotomyData, SplittingError, certify,
                                 fit_envelope, projection_family,
                                 spectral_projection, verify_dichotomy)
@@ -11,6 +13,7 @@ from kurzmani.funcspace import PiecewisePath, norm
 from kurzmani.linsys import FundamentalOperator, LinearSystemSpec
 
 SADDLE = np.diag([-1.0, 1.0])
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def saddle_spec(impulses=()):
@@ -18,13 +21,14 @@ def saddle_spec(impulses=()):
 
 
 def test_spectral_projection_saddle():
-    P0 = spectral_projection(saddle_spec())
+    P0, how = spectral_projection(saddle_spec())
     np.testing.assert_allclose(P0, np.diag([1.0, 0.0]), atol=1e-12)
+    assert how == "autonomous"
 
 
 def test_spectral_projection_scalar_contraction_and_expansion():
-    con = spectral_projection(LinearSystemSpec(1, PiecewisePath.constant([[-1.0]])))
-    exp = spectral_projection(LinearSystemSpec(1, PiecewisePath.constant([[1.0]])))
+    con, _ = spectral_projection(LinearSystemSpec(1, PiecewisePath.constant([[-1.0]])))
+    exp, _ = spectral_projection(LinearSystemSpec(1, PiecewisePath.constant([[1.0]])))
     assert con[0, 0] == pytest.approx(1.0)
     assert exp[0, 0] == pytest.approx(0.0)
 
@@ -42,13 +46,33 @@ def test_explicit_projection_must_be_idempotent():
 
 def test_periodic_kick_monodromy_projection():
     impulses = tuple((float(k), np.diag([0.1, 0.0])) for k in range(1, 10))
-    P0 = spectral_projection(saddle_spec(impulses))
+    P0, how = spectral_projection(saddle_spec(impulses))
     np.testing.assert_allclose(P0, np.diag([1.0, 0.0]), atol=1e-12)
+    assert how == "periodic"
 
 
 def test_svd_mode_recovers_diagonal_splitting():
-    P0 = spectral_projection(saddle_spec(), mode="svd", horizon=5.0)
+    P0, how = spectral_projection(saddle_spec(), mode="svd", horizon=5.0)
     np.testing.assert_allclose(P0, np.diag([1.0, 0.0]), atol=1e-8)
+    assert how == "svd"
+
+
+@pytest.mark.parametrize("name, how", [
+    ("ctx_planar", "autonomous"),        # planar_quadratic
+    ("ctx_impulsive", "periodic"),       # impulsive_saddle
+    ("ctx_scalar_mde", "svd"),           # scalar_mde: one atom, no period
+])
+def test_certify_records_the_projection_mode(request, name, how):
+    assert request.getfixturevalue(name).reports["dichotomy"].projection_mode == how
+
+
+def test_certify_records_explicit_and_requested_svd_modes():
+    cfg = cli.load_config(CONFIGS / "expansion_example.json")
+    op = FundamentalOperator(cli._linear_spec(cfg), (0.0, 3.0))
+    explicit = certify(op, P0=np.asarray(cli.solver_block(cfg)["P0"], dtype=float))
+    assert explicit.report.projection_mode == "explicit"
+    saddle = FundamentalOperator(saddle_spec(), (0.0, 10.0))
+    assert certify(saddle, mode="svd").report.projection_mode == "svd"
 
 
 def test_saddle_envelope_fit_is_exact():

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import impulsive_manifold_closed_form
-from kurzmani.dichotomy import certify, projection_family
-from kurzmani.funcspace import PiecewisePath, norm
+from conftest import coupled_context, impulsive_manifold_closed_form
+from kurzmani.dichotomy import SplittingError, certify, projection_family
+from kurzmani.funcspace import PiecewisePath, StieltjesMeasure, norm
 from kurzmani.linsys import FundamentalOperator, LinearSystemSpec
 from kurzmani.lp_manifold import (LPContext, NonlinearitySpec, SolutionPath,
                                   _reference_apply,
@@ -148,9 +148,15 @@ def _loop_apply(z, zeta, s, ctx):
     ("ctx_impulsive", 0.0, (0.1, 0.2)),
     ("ctx_scalar_mde", 0.0, (0.4, -0.3)),
     ("ctx_impulsive", 1.0, (0.15,)),      # a later start slices the stacks
+    ("ctx_coupled", 0.0, (0.1, -0.2)),    # non-normal coupled generator
+    ("ctx_coupled", 1.0, (0.15,)),
 ])
 def test_array_apply_matches_loop_form(request, name, s, zetas):
     ctx = request.getfixturevalue(name)
+    kern = ctx.kernels(ctx.span(s)[0])
+    # the scan levels are dichotomy-projected propagators: bounded by K
+    for levels in (kern.F_scan, kern.G_scan):
+        assert float(np.max(np.linalg.norm(levels, 2, axis=(-2, -1)))) <= 2.0 * ctx.dich.K
     Bs, _ = splitting_bases(ctx.P(ctx.span(s)[0]))
     for zeta1 in zetas:
         zeta = Bs @ np.array([zeta1])
@@ -161,6 +167,33 @@ def test_array_apply_matches_loop_form(request, name, s, zetas):
         bound = 1e-13 * (1.0 + float(np.max(np.abs(vals))))
         assert float(np.max(np.abs(out.values - vals))) <= bound
         assert float(np.max(np.abs(out.right_values - rights))) <= bound
+
+
+def test_context_reports_the_splitting_defects():
+    ctx = coupled_context(8.0)
+    ctx.kernels(0)
+    report = ctx.reports["splitting"]
+    assert report["idempotency_defect"] <= 1e-13
+    assert report["cocycle_gap"] <= 1e-13
+
+
+def test_context_rejects_a_projection_family_that_lost_idempotency():
+    """Forward conjugation over 2 alpha T beyond -log(eps) returns matrices
+    that are no longer projections; the context refuses them."""
+    ctx = coupled_context(24.0)
+    with pytest.raises(SplittingError, match="lost idempotency at node"):
+        ctx.P(0)
+    with pytest.raises(SplittingError):
+        solve_lp(np.zeros(2), 0.0, ctx)
+
+
+def test_atom_times_match_relative_to_their_size():
+    u = StieltjesMeasure(PiecewisePath.constant(1.0), [(1e6, 0.3)],
+                         nondecreasing=True)
+    H = NonlinearitySpec("mde_kernel", "saturated_tanh", {"gain": [[0.2]]},
+                         rho=1.0, measure=u)
+    assert H.atom_weight(np.nextafter(1e6, 2e6)) == 0.3
+    assert H.atom_weight(1e6 * (1.0 + 1e-6)) == 0.0
 
 
 def test_operator_rejects_zeta_off_the_stable_range(ctx_planar):
@@ -180,6 +213,12 @@ def test_solution_of_zero_anchor_is_zero(ctx_planar):
     sol = solve_lp(np.zeros(2), 0.0, ctx_planar)
     assert sol.phi.sup_norm == 0.0
     assert np.allclose(sol.m, 0.0)
+
+
+def test_solve_at_the_horizon_has_a_one_node_span(ctx_planar):
+    sol = solve_lp(np.array([0.1, 0.0]), ctx_planar.T, ctx_planar)
+    assert sol.phi.values.shape == (1, 2)
+    assert np.array_equal(sol.m, [0.0])
 
 
 def test_linear_manifold_is_the_stable_subspace(ctx_planar):
@@ -234,6 +273,34 @@ def test_manifold_graph_collects_lipschitz_data(ctx_planar):
     assert graph.lipschitz_estimate == pytest.approx(0.1, abs=5e-3)
     assert graph.lipschitz_estimate <= graph.K_fit / (1.0 - graph.L_empirical)
     assert graph.L_empirical < 1.0
+
+
+@pytest.mark.parametrize("name", ["ctx_planar", "ctx_impulsive"])
+def test_batched_graph_matches_per_anchor_solves(request, name):
+    ctx = request.getfixturevalue(name)
+    grid = [np.array([c]) for c in np.linspace(-0.2, 0.2, 9)]
+    graph = manifold_graph(0.0, grid, ctx)
+    for g in graph.samples:
+        sol = solve_lp(graph.basis_stable @ g.zeta_coords, 0.0, ctx)
+        assert g.ok and g.iterations == sol.iterations
+        assert float(np.max(np.abs(g.m_coords - sol.m))) <= 1e-14
+
+
+def test_batched_graph_keeps_a_diverging_sample_to_itself(ctx_planar):
+    Q1 = np.zeros((2, 2))
+    Q1[1, 1] = 1.0
+    Q2 = np.zeros((2, 2))
+    Q2[0, 0] = 1.0
+    blow = NonlinearitySpec("ide_pointwise", "quadratic", {"mats": [Q1, Q2]},
+                            rho=50.0)
+    ctx = LPContext(ctx_planar.fund, ctx_planar.dich, blow, T=12.0,
+                    tol=1e-10, regularity=ctx_planar.regularity)
+    graph = manifold_graph(0.0, [np.array([0.05]), np.array([6.0])], ctx)
+    near, far = graph.samples
+    assert not far.ok and "stopped contracting" in far.error
+    sol = solve_lp(np.array([0.05, 0.0]), 0.0, ctx)
+    assert near.ok and near.iterations == sol.iterations
+    assert float(np.max(np.abs(near.m_coords - sol.m))) <= 1e-14
 
 
 def test_manifold_graph_rejects_grid_outside_cutoff(ctx_planar):
