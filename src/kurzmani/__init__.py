@@ -12,13 +12,10 @@ __version__ = "0.1.0"
 
 from .funcspace import (  # noqa: F401
     Breakpoint,
-    Gauge,
     PiecewisePath,
     Segment,
     StieltjesMeasure,
     TaggedDivision,
-    cousin_division,
-    is_delta_fine,
     norm,
     running_integral,
     running_stieltjes_integral,
@@ -35,9 +32,7 @@ from .linsys import (  # noqa: F401
     FundamentalOperator,
     LinearSystemSpec,
     check_regularity,
-    fundamental,
     lambda_from_ide,
-    lambda_g_from_mde,
 )
 from .dichotomy import (  # noqa: F401
     DichotomyData,

@@ -25,7 +25,7 @@ from .dichotomy import certify
 from .funcspace import (PiecewisePath, StieltjesMeasure, norm,
                         running_integral, total_variation)
 from .linsys import (CheckItem, FundamentalOperator, LinearSystemSpec,
-                     check_regularity, lambda_g_from_mde)
+                     check_regularity)
 from .lp_manifold import (LPContext, NonlinearitySpec, auto_horizon,
                           contraction_bound, safe_exp)
 
@@ -82,9 +82,6 @@ class HypothesesReport:
     @property
     def all_passed(self):
         return all(item.passed for item in self.items.values())
-
-    def failed(self):
-        return {k: v for k, v in self.items.items() if not v.passed}
 
     def to_dict(self):
         return {
@@ -303,7 +300,6 @@ def mde_to_context(spec: MdeSpec, s=0.0, T=None, tol=1e-10, base_step=0.1,
         if not hyp.items[name].passed:
             raise HypothesisError(name, hyp.items[name].witness)
 
-    lambda_g_from_mde(spec.A, spec.C, spec.u, s)   # validates (D6) per atom
     linspec = LinearSystemSpec(spec.n, spec.A, measure_part=(spec.C, spec.u),
                                t0=s)
     if T is None:

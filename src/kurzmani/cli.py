@@ -58,6 +58,14 @@ def _sane_tol(tol):
 # config parsing
 # ---------------------------------------------------------------------------
 
+def _field(node, key, what):
+    """``node[key]``, or a ``ConfigError`` naming the missing key."""
+    try:
+        return node[key]
+    except (KeyError, TypeError):
+        raise ConfigError("%s needs a %r entry" % (what, key)) from None
+
+
 def _matrix(value, what):
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
@@ -82,16 +90,18 @@ def parse_path(node, what, scalar=False):
     if kind == "poly":
         return PiecewisePath.polynomial([conv(c) for c in body])
     if kind == "preset":
-        return PiecewisePath.preset(body["kind"], conv(body.get("amp", 1.0)),
-                                    tuple(body["params"]))
+        return PiecewisePath.preset(_field(body, "kind", what + ".preset"),
+                                    conv(body.get("amp", 1.0)),
+                                    tuple(_field(body, "params", what + ".preset")))
     if kind == "piecewise":
         segs = []
-        for seg in body["segments"]:
+        for seg in _field(body, "segments", what + ".piecewise"):
             piece = parse_path(seg, what, scalar=scalar)
             if piece.breakpoints:
                 raise ConfigError("%s: piecewise segments must be simple specs" % what)
             segs.append(piece.segments[0])
-        return PiecewisePath.from_segments([float(t) for t in body["times"]], segs)
+        times = _field(body, "times", what + ".piecewise")
+        return PiecewisePath.from_segments([float(t) for t in times], segs)
     raise ConfigError("%s: unknown path spec kind %r" % (what, kind))
 
 
@@ -142,7 +152,8 @@ def parse_system(cfg):
     if A.shape != (n, n):
         raise ConfigError("system.A has shape %r, expected (%d, %d)"
                           % (A.shape, n, n))
-    impulses = tuple((float(e["time"]), _matrix(e["B"], "impulse B"))
+    impulses = tuple((float(_field(e, "time", "system.impulses entry")),
+                      _matrix(_field(e, "B", "system.impulses entry"), "impulse B"))
                      for e in sysblock.get("impulses", []))
     if kind == "ide":
         f = parse_nonlinearity(sysblock.get("nonlinearity"))
@@ -169,18 +180,15 @@ def parse_grid(node, default):
     if node is None:
         return default
     if isinstance(node, dict):
-        return np.linspace(float(node["start"]), float(node["stop"]),
-                           int(node["count"]))
+        return np.linspace(float(_field(node, "start", "solver.grid")),
+                           float(_field(node, "stop", "solver.grid")),
+                           int(_field(node, "count", "solver.grid")))
     return np.asarray([float(x) for x in node])
 
 
 def normalize_config(cfg):
     """Canonical form: plain types, sorted keys (via json round-trip)."""
     return json.loads(json.dumps(cfg, sort_keys=True))
-
-
-def serialize_config(cfg):
-    return json.dumps(normalize_config(cfg), sort_keys=True, indent=2) + "\n"
 
 
 def config_hash(cfg):
@@ -287,8 +295,9 @@ def _run_integrand(cfg, args, default_tol):
     block = cfg.get("integrand")
     if not isinstance(block, dict):
         raise ConfigError("config needs an 'integrand' block")
-    f = parse_path(block["f"], "integrand.f", scalar=bool(block.get("scalar", True)))
-    window = tuple(float(x) for x in block["window"])
+    f = parse_path(_field(block, "f", "integrand"), "integrand.f",
+                   scalar=bool(block.get("scalar", True)))
+    window = tuple(float(x) for x in _field(block, "window", "integrand"))
     tol = args.tol if args.tol is not None else float(block.get("tol", default_tol))
     _sane_tol(tol)
     if "mu" in block:
@@ -305,14 +314,7 @@ def _run_integrand(cfg, args, default_tol):
 
 
 def cmd_integrate(cfg, args):
-    try:
-        report, tol = _run_integrand(cfg, args, default_tol=1e-9)
-    except IntegrationError as exc:
-        extra = {}
-        if exc.last_two is not None:
-            extra["last_two_sums"] = [v for v in exc.last_two if v is not None]
-        error_json("divergent_integrand", exc, **extra)
-        return EXIT_CERTIFIED_FAIL
+    report, tol = _run_integrand(cfg, args, default_tol=1e-9)
     rows = [
         ("decomposition", float(np.ravel(report.fast_value)[0]), tol, 1),
         ("gauge_refinement", float(np.ravel(report.reference.value)[0]),
@@ -326,14 +328,7 @@ def cmd_integrate(cfg, args):
 
 
 def cmd_crosscheck(cfg, args):
-    try:
-        report, tol = _run_integrand(cfg, args, default_tol=1e-6)
-    except IntegrationError as exc:
-        extra = {}
-        if exc.last_two is not None:
-            extra["last_two_sums"] = [v for v in exc.last_two if v is not None]
-        error_json("divergent_integrand", exc, **extra)
-        return EXIT_CERTIFIED_FAIL
+    report, tol = _run_integrand(cfg, args, default_tol=1e-6)
     path = _outpath(cfg, args, "crosscheck.json")
     write_json(path, _meta(cfg, args, tol=tol), {
         "fast_value": report.fast_value,
@@ -514,12 +509,14 @@ def main(argv=None):
         error_json("hypothesis", exc,
                    condition=getattr(exc, "condition", None))
         return EXIT_CERTIFIED_FAIL
-    except (IntegrationError, PropagationError, NonContractionError,
-            SolveError) as exc:
+    except IntegrationError as exc:
         extra = {}
-        if isinstance(exc, IntegrationError) and exc.last_two is not None:
+        if exc.last_two is not None:
             extra["last_two_sums"] = [v for v in exc.last_two if v is not None]
-        error_json("nonconvergence", exc, **extra)
+        error_json("divergent_integrand", exc, **extra)
+        return EXIT_CERTIFIED_FAIL
+    except (PropagationError, NonContractionError, SolveError) as exc:
+        error_json("nonconvergence", exc)
         return EXIT_NONCONVERGENCE
     except ValueError as exc:
         error_json("config", exc)

@@ -1,4 +1,4 @@
-"""Piecewise-smooth paths, Stieltjes measures, gauges and tagged divisions.
+"""Piecewise-smooth paths, Stieltjes measures and tagged divisions.
 
 Every path handled by this library is smooth between finitely many
 breakpoints, with explicit one-sided limits stored at each breakpoint.  This
@@ -30,14 +30,6 @@ class QuadratureError(RuntimeError):
     def __init__(self, message, achieved):
         super().__init__(message)
         self.achieved = achieved
-
-
-class CousinError(RuntimeError):
-    """Bisection for a delta-fine division hit the depth limit."""
-
-    def __init__(self, message, interval):
-        super().__init__(message)
-        self.interval = interval
 
 
 def norm(value) -> float:
@@ -296,15 +288,13 @@ class PiecewisePath:
     construction; evaluation at a breakpoint returns the stored value.
     """
 
-    def __init__(self, segments, breakpoints=(), _skip_checks=False):
+    def __init__(self, segments, breakpoints=()):
         self.segments = tuple(segments)
         self.breakpoints = tuple(breakpoints)
         if len(self.segments) != len(self.breakpoints) + 1:
             raise ValueError("need len(segments) == len(breakpoints) + 1")
         self.shape = self.segments[0].shape
         self.times = np.array([bp.time for bp in self.breakpoints])
-        if _skip_checks:
-            return
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
             raise ValueError("breakpoint times must be strictly increasing")
         for seg in self.segments:
@@ -417,12 +407,6 @@ class PiecewisePath:
             if np.any(hit):
                 out[hit] = bp.value_at
         return out.reshape(ts.shape + self.shape)
-
-    def breakpoints_in(self, lo, hi, include_lo=True, include_hi=True):
-        for bp in self.breakpoints:
-            if (lo < bp.time < hi) or (include_lo and bp.time == lo) or \
-                    (include_hi and bp.time == hi):
-                yield bp
 
     # -- algebra ------------------------------------------------------------
 
@@ -570,10 +554,6 @@ class StieltjesMeasure:
         if np.any(self.density.sample(grid) < -1e-12):
             raise ValueError("nondecreasing measure needs a nonnegative density")
 
-    @staticmethod
-    def lebesgue():
-        return StieltjesMeasure(PiecewisePath.constant(1.0), (), nondecreasing=True)
-
     def atoms_in(self, lo, hi):
         """Atoms belonging to the window [lo, hi)."""
         return [(t, w) for t, w in self.atoms if lo <= t < hi]
@@ -625,39 +605,8 @@ def running_stieltjes_integral(f, mu, t0):
 
 
 # ---------------------------------------------------------------------------
-# gauges and tagged divisions
+# tagged divisions
 # ---------------------------------------------------------------------------
-
-class Gauge:
-    """A piecewise-constant positive function delta(t) on a window."""
-
-    def __init__(self, nodes, values):
-        self.nodes = np.asarray(nodes, dtype=float)
-        self.values = np.asarray(values, dtype=float)
-        if len(self.nodes) != len(self.values) + 1:
-            raise ValueError("need len(nodes) == len(values) + 1")
-        if not np.all(np.diff(self.nodes) > 0):
-            raise ValueError("gauge nodes must be strictly increasing")
-        if np.any(self.values <= 0):
-            raise ValueError("gauge must be strictly positive")
-
-    @staticmethod
-    def constant(delta, window):
-        c, d = _check_window(window)
-        return Gauge([c, d], [float(delta)])
-
-    @property
-    def window(self):
-        return (float(self.nodes[0]), float(self.nodes[-1]))
-
-    def __call__(self, t):
-        t = float(t)
-        if not (self.nodes[0] <= t <= self.nodes[-1]):
-            raise ValueError("t=%g outside gauge window %r" % (t, self.window))
-        i = min(int(np.searchsorted(self.nodes, t, side="right")) - 1,
-                len(self.values) - 1)
-        return float(self.values[max(i, 0)])
-
 
 @dataclass(frozen=True)
 class TaggedDivision:
@@ -676,68 +625,6 @@ class TaggedDivision:
         lo, hi = self.nodes[:-1], self.nodes[1:]
         if np.any(self.tags < lo) or np.any(self.tags > hi):
             raise ValueError("every tag must lie in its subinterval")
-
-    @property
-    def window(self):
-        return (float(self.nodes[0]), float(self.nodes[-1]))
-
-    def cells(self):
-        for j in range(len(self.tags)):
-            yield float(self.tags[j]), float(self.nodes[j]), float(self.nodes[j + 1])
-
-
-def is_delta_fine(division, gauge) -> bool:
-    """True iff every cell [t_{j-1}, t_j] sits inside (tag-delta, tag+delta)."""
-    dw, gw = division.window, gauge.window
-    if abs(dw[0] - gw[0]) > 1e-12 or abs(dw[1] - gw[1]) > 1e-12:
-        raise ValueError("division window %r does not match gauge window %r" % (dw, gw))
-    for tau, a, b in division.cells():
-        delta = gauge(tau)
-        if not (tau - delta < a and b < tau + delta):
-            return False
-    return True
-
-
-def cousin_division(gauge, window=None, max_depth=64):
-    """Construct a delta-fine tagged division by recursive bisection.
-
-    Each candidate subinterval is admitted once some tag inside it covers it;
-    positivity of the (piecewise-constant) gauge guarantees termination, and
-    the depth limit guards against degenerate inputs.
-    """
-    if window is None:
-        window = gauge.window
-    c, d = _check_window(window)
-    gw = gauge.window
-    if c < gw[0] - 1e-12 or d > gw[1] + 1e-12:
-        raise ValueError("window %r not covered by gauge window %r" % ((c, d), gw))
-    cells = []
-
-    def admit(a, b):
-        for tau in (0.5 * (a + b), a, b):
-            delta = gauge(tau)
-            if tau - delta < a and b < tau + delta:
-                return tau
-        return None
-
-    def split(a, b, depth):
-        tau = admit(a, b)
-        if tau is not None:
-            cells.append((tau, a, b))
-            return
-        if depth >= max_depth:
-            raise CousinError("no admissible tag after %d bisections" % depth, (a, b))
-        mid = 0.5 * (a + b)
-        split(a, mid, depth + 1)
-        split(mid, b, depth + 1)
-
-    if c == d:
-        return TaggedDivision(np.array([c, d]), np.array([c]))
-    split(c, d, 0)
-    cells.sort(key=lambda item: item[1])
-    nodes = np.array([c] + [b for _, _, b in cells])
-    tags = np.array([tau for tau, _, _ in cells])
-    return TaggedDivision(nodes, tags)
 
 
 # ---------------------------------------------------------------------------

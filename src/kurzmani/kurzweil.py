@@ -45,38 +45,29 @@ class IntegralResult:
 class PointIntervalFn:
     """A two-slot integrand V(tag, node) with its known atom times.
 
-    Rather than exposing raw V values, integrands implement the cell term
-    V(tag, b) - V(tag, a); the forms below cover everything the solvers use:
+    ``batch(taus, los, his)`` returns the cell terms V(tag, b) - V(tag, a)
+    of a whole division at once, stacked along axis 0; the forms below cover
+    everything the solvers use:
 
     * ``node_function(f)``       V(tag, t) = f(t)
     * ``stieltjes_pair(f, mu)``  V(tag, t) = f(tag) * u(t), u the distribution
       of ``mu``
-    * ``matrix_integrator(M, w, jumps)``  cell term (M(b) - M(a)) @ w(tag)
     """
 
-    def __init__(self, cell_term, atom_times=(), batch=None, label=""):
-        self._cell_term = cell_term
-        self.atom_times = tuple(sorted(float(t) for t in atom_times))
+    def __init__(self, batch, atom_times=()):
         self._batch = batch
-        self.label = label
+        self.atom_times = tuple(sorted(float(t) for t in atom_times))
 
     @classmethod
     def node_function(cls, f: PiecewisePath):
-        def term(tau, a, b):
-            return f(b) - f(a)
-
         def batch(taus, los, his):
             return f.sample(his) - f.sample(los)
 
-        return cls(term, atom_times=[bp.time for bp in f.breakpoints],
-                   batch=batch, label="node")
+        return cls(batch, atom_times=[bp.time for bp in f.breakpoints])
 
     @classmethod
     def stieltjes_pair(cls, f: PiecewisePath, mu: StieltjesMeasure):
         u = mu.distribution(0.0)
-
-        def term(tau, a, b):
-            return f(tau) * (u(b) - u(a))
 
         def batch(taus, los, his):
             du = u.sample(his) - u.sample(los)
@@ -84,28 +75,12 @@ class PointIntervalFn:
             return fv * du.reshape(du.shape + (1,) * len(f.shape))
 
         atoms = [t for t, _ in mu.atoms] + [bp.time for bp in f.breakpoints]
-        return cls(term, atom_times=atoms, batch=batch, label="stieltjes")
-
-    @classmethod
-    def matrix_integrator(cls, M, w, jump_times=()):
-        def term(tau, a, b):
-            return (M(b) - M(a)) @ w(tau)
-
-        return cls(term, atom_times=jump_times, label="matrix-integrator")
+        return cls(batch, atom_times=atoms)
 
     def k_sum(self, division: TaggedDivision):
         """The Riemann-type sum of this integrand over a tagged division."""
-        if self._batch is not None:
-            taus = division.tags
-            los = division.nodes[:-1]
-            his = division.nodes[1:]
-            terms = self._batch(taus, los, his)
-            return terms.sum(axis=0)
-        total = None
-        for tau, a, b in division.cells():
-            term = np.asarray(self._cell_term(tau, a, b), dtype=float)
-            total = term if total is None else total + term
-        return total
+        terms = self._batch(division.tags, division.nodes[:-1], division.nodes[1:])
+        return terms.sum(axis=0)
 
 
 def pinned_division(window, atoms, radius, step) -> TaggedDivision:

@@ -33,6 +33,16 @@ from .funcspace import (PiecewisePath, StieltjesMeasure, add_jumps, norm,
 _TIME_TOL = 1e-11
 
 
+def _same_time(t, ref):
+    """Whether ``t`` matches ``ref`` to ``_TIME_TOL``, relative where |ref| > 1.
+
+    Scalars stay in Python arithmetic; an array ``ref`` matches elementwise.
+    """
+    if isinstance(ref, np.ndarray):
+        return np.abs(t - ref) <= _TIME_TOL * np.maximum(1.0, np.abs(ref))
+    return abs(t - ref) <= _TIME_TOL * max(1.0, abs(ref))
+
+
 def solve_ivp(*args, **kwargs):
     """``scipy.integrate.solve_ivp``, imported on first use."""
     from scipy.integrate import solve_ivp as _solve_ivp
@@ -100,7 +110,7 @@ class LinearSystemSpec:
                 if _inverse_or_none(np.eye(self.n) + C(t) * w) is None:
                     raise ValueError("Id + C*du is singular at atom time %g" % t)
             for t, _ in imp:
-                if any(abs(t - ta) <= _TIME_TOL for ta, _ in u.atoms):
+                if any(_same_time(t, ta) for ta, _ in u.atoms):
                     raise ValueError("impulse and measure atom coincide at t=%g" % t)
         object.__setattr__(self, "t0", float(self.t0))
 
@@ -157,22 +167,10 @@ def lambda_from_ide(A: PiecewisePath, impulses, t0) -> PiecewisePath:
     """
     t0 = float(t0)
     for t, _ in impulses:
-        if abs(t - t0) <= _TIME_TOL:
+        if _same_time(t, t0):
             raise ValueError("impulse at the reference time t0=%g is ambiguous" % t0)
     # normalized to vanish at t0: accumulation below t0 starts at -B
     return add_jumps(running_integral(A, t0), impulses, t0=t0)
-
-
-def lambda_g_from_mde(A: PiecewisePath, C: PiecewisePath, u: StieltjesMeasure,
-                      t0) -> tuple:
-    """Accumulated coefficient paths (Lambda, G) of a measure-driven system."""
-    n = A.shape[0]
-    for t, w in u.atoms:
-        if _inverse_or_none(np.eye(n) + C(t) * w) is None:
-            raise ValueError("Id + C*du is singular at atom time %g" % t)
-    lam = running_integral(A, t0)
-    g = running_stieltjes_integral(C, u, t0)
-    return lam, g
 
 
 def accumulated_path(spec: LinearSystemSpec) -> PiecewisePath:
@@ -196,8 +194,7 @@ class _CellCache:
     gen: np.ndarray | None   # generator if constant
     sigma: np.ndarray = None       # quadrature times inside the cell
     weights: np.ndarray = None
-    phi_sig: np.ndarray = None     # (Q, n, n): Phi(sigma_q, x_j)
-    phi_sig_inv: np.ndarray = None
+    phi_sig_inv: np.ndarray = None  # (Q, n, n): Phi(sigma_q, x_j)^{-1}
 
 
 class FundamentalOperator:
@@ -205,8 +202,10 @@ class FundamentalOperator:
 
     The mesh contains the window endpoints, a uniform grid at ``base_step``,
     every jump time, every breakpoint of the generator, and the reference
-    time t0.  Per-cell propagators and in-cell quadrature samples are built
-    lazily and are read-only afterwards, so queries may run concurrently.
+    time t0; times that match under ``_same_time`` (relative away from 0)
+    share one node.  Per-cell propagators and in-cell quadrature samples are
+    built lazily and are read-only afterwards, so queries may run
+    concurrently.
     """
 
     def __init__(self, spec: LinearSystemSpec, window, base_step=0.1,
@@ -231,8 +230,9 @@ class FundamentalOperator:
         nodes += [t for t in spec.generator_breakpoints() if lo < t < hi]
         nodes += [t for t in extra_times if lo <= t <= hi]
         nodes = np.array(sorted(nodes))
-        keep = np.concatenate([[True], np.diff(nodes) > _TIME_TOL])
+        keep = np.concatenate([[True], ~_same_time(nodes[1:], nodes[:-1])])
         self.nodes = nodes[keep]
+        self._times = self.nodes.tolist()   # Python floats for scalar matching
         self._jumps = {}
         for t, J in events:
             i = self.node_index(t)
@@ -247,7 +247,7 @@ class FundamentalOperator:
     def node_index(self, t):
         i = int(np.searchsorted(self.nodes, t))
         for j in (i - 1, i, i + 1):
-            if 0 <= j < len(self.nodes) and abs(self.nodes[j] - t) <= _TIME_TOL:
+            if 0 <= j < len(self.nodes) and _same_time(t, self._times[j]):
                 return j
         raise KeyError("time %g is not a mesh node" % t)
 
@@ -302,7 +302,7 @@ class FundamentalOperator:
         phi = mats[-1]
         cache = _CellCache(
             phi=phi, phi_inv=np.linalg.inv(phi), constant=gen is not None,
-            gen=gen, sigma=sigma, weights=weights, phi_sig=phi_sig,
+            gen=gen, sigma=sigma, weights=weights,
             phi_sig_inv=np.stack([np.linalg.inv(m) for m in phi_sig]))
         self._cells[j] = cache
         return cache
@@ -315,7 +315,7 @@ class FundamentalOperator:
     def value(self, t, s):
         """V(t, s); jump factors at times in [min, max) apply per direction."""
         t, s = float(t), float(s)
-        if abs(t - s) <= _TIME_TOL:
+        if _same_time(t, s):
             return np.eye(self.n)
         if t > s:
             return self._forward(s, t)
@@ -334,7 +334,7 @@ class FundamentalOperator:
         """Product of factors from s up to t (s < t)."""
         out = np.eye(self.n)
         lo, hi = self.window
-        if s < lo - _TIME_TOL or t > hi + _TIME_TOL:
+        if (s < lo and not _same_time(s, lo)) or (t > hi and not _same_time(t, hi)):
             raise ValueError("query (%g, %g) outside window %r" % (t, s, self.window))
         # left partial cell
         try:
@@ -342,43 +342,24 @@ class FundamentalOperator:
             cursor = i
         except KeyError:
             j = int(np.searchsorted(self.nodes, s)) - 1
-            nxt = self.nodes[j + 1]
-            if t <= nxt + _TIME_TOL:
+            nxt = self._times[j + 1]
+            if t <= nxt or _same_time(t, nxt):
                 return self._partial(s, t)
             out = self._partial(s, nxt)
             cursor = j + 1
         while True:
-            tj = self.nodes[cursor]
-            if t <= tj + _TIME_TOL:
+            tj = self._times[cursor]
+            if t <= tj or _same_time(t, tj):
                 break
             J, _ = self.jump_factor(cursor)
             out = J @ out
-            nxt = self.nodes[cursor + 1]
-            if t < nxt - _TIME_TOL:
+            nxt = self._times[cursor + 1]
+            if t < nxt and not _same_time(t, nxt):
                 out = self._partial(tj, t) @ out
                 return out
             out = self.cell(cursor).phi @ out
             cursor += 1
         return out
-
-    def bound_on(self, times):
-        """sup of ||V(t, s)|| over all ordered pairs from ``times``."""
-        worst = 0.0
-        for s in times:
-            for t in times:
-                worst = max(worst, norm(self.value(t, s)))
-        return worst
-
-
-def fundamental(spec: LinearSystemSpec, t, s, base_step=0.1, ode_tol=1e-12):
-    """One-shot V(t, s) for a spec (builds a throwaway mesh around [s, t])."""
-    lo = min(float(t), float(s), spec.t0)
-    hi = max(float(t), float(s), spec.t0)
-    if hi - lo < 1e-6:
-        hi = lo + 1.0
-    op = FundamentalOperator(spec, (lo - 1e-9, hi + 1e-9), base_step=base_step,
-                             ode_tol=ode_tol, extra_times=(t, s))
-    return op.value(t, s)
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +389,13 @@ def check_regularity(spec: LinearSystemSpec, window, quad_tol=1e-10) -> Regulari
 
     C_a is the worst one-sided inverse-jump norm (at least 1, the value away
     from jumps); V_Lambda the variation of the accumulated path over the
-    window.  Flags cover finite variation, invertibility of the one-sided
-    jump factors, integrability of the smooth part, and the per-jump factor
-    conditions of the impulsive/measure realizations.
+    window.  The flags are A1 (finite variation) and A2 (invertible one-sided
+    jump factors).  The per-jump factors Id + B and Id + C du need no flag:
+    ``LinearSystemSpec`` refuses a singular one.
     """
     lo, hi = float(window[0]), float(window[1])
     lam = accumulated_path(spec)
-    n = spec.n
-    eye = np.eye(n)
+    eye = np.eye(spec.n)
     flags = {}
 
     C_a = 1.0
@@ -439,33 +419,4 @@ def check_regularity(spec: LinearSystemSpec, window, quad_tol=1e-10) -> Regulari
 
     V_L = total_variation(lam, (lo, hi), quad_tol=quad_tol)
     flags["A1_bounded_variation"] = CheckItem(math.isfinite(V_L), V_L)
-
-    m_int = total_variation(running_integral(spec.smooth, lo), (lo, hi),
-                            quad_tol=quad_tol)
-    flags["B2_smooth_integrable"] = CheckItem(math.isfinite(m_int), m_int)
-
-    if spec.impulses:
-        bad = None
-        bound = 0.0
-        for t, B in spec.impulses:
-            inv = _inverse_or_none(eye + B)
-            if inv is None:
-                bad = t
-                break
-            bound = max(bound, norm(inv))
-        flags["B3_jump_inverses"] = CheckItem(bad is None, bound, bad)
-
-    if spec.measure_part is not None:
-        C, u = spec.measure_part
-        bad = None
-        bound = 0.0
-        for t, w in u.atoms:
-            inv = _inverse_or_none(eye + C(t) * w)
-            if inv is None:
-                bad = t
-                break
-            bound = max(bound, norm(inv))
-        flags["D6_atom_inverses"] = CheckItem(bad is None, bound, bad)
-        flags["D2_left_continuous_driver"] = CheckItem(True, None)
-
     return RegularityReport(C_a=C_a, V_Lambda=V_L, flags=flags)

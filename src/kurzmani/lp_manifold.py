@@ -57,19 +57,13 @@ from scipy.linalg import expm
 
 from .dichotomy import DichotomyData, SplittingError, projection_family
 from .funcspace import PiecewisePath, StieltjesMeasure, norm, running_integral
-from .linsys import (_TIME_TOL, FundamentalOperator, PropagationError,
-                     RegularityReport)
+from .linsys import (FundamentalOperator, PropagationError, RegularityReport,
+                     _same_time)
 
 log = logging.getLogger("kurzmani")
 
 _RANGE_TOL = 1e-10
 _IDEMPOTENCY_TOL = 1e-8
-
-
-def _same_time(t, ref):
-    """Whether times match ``ref`` to the mesh tolerance, relative away from 0."""
-    return np.abs(np.asarray(t, dtype=float) - ref) <= \
-        _TIME_TOL * np.maximum(1.0, np.abs(ref))
 
 
 class NonContractionError(RuntimeError):
@@ -417,15 +411,13 @@ class LPContext:
 
     def __init__(self, fund: FundamentalOperator, dich: DichotomyData,
                  nonlin: NonlinearitySpec, T, tol=1e-10, max_iter=80,
-                 mode="fast", regularity: RegularityReport | None = None,
-                 reports=None):
+                 regularity: RegularityReport | None = None, reports=None):
         self.fund = fund
         self.dich = dich
         self.nonlin = nonlin
         self.T = float(T)
         self.tol = float(tol)
         self.max_iter = int(max_iter)
-        self.mode = mode
         self.regularity = regularity
         self.reports = dict(reports or {})
         if not fund.is_node(self.T):
@@ -513,9 +505,6 @@ class LPContext:
             raise ValueError("base time %g is past the horizon %g" % (s, self.T))
         return np.arange(i_s, self.i_T + 1)
 
-    def mesh(self, s):
-        return self.fund.nodes[self.span(s)]
-
     def initial_path(self, zeta, s):
         """z_0(t) = V(t, s) zeta for zeta in the stable range at s."""
         idx = self.span(s)
@@ -594,7 +583,7 @@ def _fast_apply(ctx, kern: _Kernels, x, values, rights, zetas):
     return vals, _mv(kern.J, vals) + atoms
 
 
-def lp_operator_apply(z: SolutionPath, zeta, s, ctx: LPContext, mode=None):
+def lp_operator_apply(z: SolutionPath, zeta, s, ctx: LPContext, mode="fast"):
     """One application of the manifold operator to a mesh path.
 
     Fast mode computes the stable integral from s and the unstable integral
@@ -608,7 +597,6 @@ def lp_operator_apply(z: SolutionPath, zeta, s, ctx: LPContext, mode=None):
     literal four-term form (see module docstring).  Both return a new
     ``SolutionPath`` on the same mesh.
     """
-    mode = ctx.mode if mode is None else mode
     idx = ctx.span(float(s))
     x = ctx.fund.nodes[idx]
     if len(z.times) != len(x) or not np.all(_same_time(z.times, x)):
@@ -789,19 +777,14 @@ class ContractionEstimate:
     C_a: float
     V_Lambda: float
     L_empirical: float | None = None
-    conservative_gate_engaged: bool = False
-
-    @property
-    def theory_contracts(self):
-        return self.L_theory < 1.0
 
 
 def contraction_estimate(ctx: LPContext, s=None) -> ContractionEstimate:
     """Theoretical contraction number plus a slot for the observed ratio.
 
     The theoretical bound is wildly conservative (it carries
-    exp(3 C_a V_Lambda)); solves gate on the observed ratios by default and
-    the flag records the common case L_theory >= 1 with L_emp < 1.
+    exp(3 C_a V_Lambda)), so it is reported and never gates a solve; the
+    observed iterate ratios do.
     """
     if ctx.regularity is None:
         raise ValueError("context carries no regularity report")
@@ -838,12 +821,11 @@ class LPSolution:
 def _record_contraction(ctx: LPContext, s):
     """Contraction estimate at ``s``, kept in ``ctx.reports`` on first use."""
     est = contraction_estimate(ctx, s=s)
-    est.conservative_gate_engaged = est.L_theory >= 1.0
     ctx.reports.setdefault("contraction", est)
     return est
 
 
-def _solve_batch(zetas, s, ctx: LPContext, Bu, force=False, mode=None):
+def _solve_batch(zetas, s, ctx: LPContext, Bu, force=False, mode="fast"):
     """Fixed points for an (S, n) batch of anchors at one base time.
 
     All unconverged samples share one operator application per iteration.
@@ -853,7 +835,6 @@ def _solve_batch(zetas, s, ctx: LPContext, Bu, force=False, mode=None):
     ``force``) or ``SolveError`` (``max_iter`` reached).  Returns one
     ``LPSolution`` or exception per sample; ``Bu`` is the unstable basis at s.
     """
-    mode = ctx.mode if mode is None else mode
     if mode not in ("fast", "reference"):
         raise ValueError("unknown mode %r" % mode)
     idx = ctx.span(s)
@@ -907,7 +888,7 @@ def _solve_batch(zetas, s, ctx: LPContext, Bu, force=False, mode=None):
     return out
 
 
-def solve_lp(zeta, s, ctx: LPContext, force=False, mode=None) -> LPSolution:
+def solve_lp(zeta, s, ctx: LPContext, force=False, mode="fast") -> LPSolution:
     """Iterate the operator to its fixed point from z_0(t) = V(t, s) zeta.
 
     Stops when the sup-norm difference of consecutive iterates drops below
@@ -925,7 +906,7 @@ def solve_lp(zeta, s, ctx: LPContext, force=False, mode=None) -> LPSolution:
     return sol
 
 
-def fixed_point_residual(sol: LPSolution, ctx: LPContext, mode=None):
+def fixed_point_residual(sol: LPSolution, ctx: LPContext, mode="fast"):
     """sup-norm distance between phi and one more operator application."""
     again = lp_operator_apply(sol.phi, sol.zeta, sol.s, ctx, mode=mode)
     return sol.phi.diff_sup(again)
@@ -981,11 +962,6 @@ class ManifoldGraph:
     @property
     def ok_samples(self):
         return [g for g in self.samples if g.ok]
-
-    def lipschitz_certificate(self):
-        """The graph bound K / (1 - L_emp) from the fitted constants."""
-        return math.inf if self.L_empirical >= 1.0 else \
-            self.K_fit / (1.0 - self.L_empirical)
 
 
 def manifold_graph(s, zeta_grid, ctx: LPContext) -> ManifoldGraph:
@@ -1062,11 +1038,6 @@ class Classification:
     t_escape: float | None
     final_state: np.ndarray
     sup_norm: float
-
-    @property
-    def on_manifold_candidate(self):
-        # bounded to the horizon is evidence, not proof
-        return self.status == "bounded_to_horizon"
 
 
 def classify_initial(z0, s, ctx: LPContext, bound) -> Classification:

@@ -11,6 +11,11 @@ SADDLE = np.diag([-1.0, 1.0])
 COUPLED = np.array([[-1.0, 3.0], [0.5, 1.0]])
 
 
+def lebesgue():
+    """Lebesgue measure: density 1, no atoms."""
+    return StieltjesMeasure(PiecewisePath.constant(1.0), (), nondecreasing=True)
+
+
 def quadratic_forcing(eps, rho=0.5):
     """f = (0, eps * x^2): the planar benchmark forcing."""
     Q1 = np.zeros((2, 2))

@@ -11,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import impulsive_manifold_closed_form
+from conftest import impulsive_manifold_closed_form, lebesgue
 from kurzmani.cli import load_config, parse_system, solver_block
 from kurzmani.apps import IdeSpec, MdeSpec, ide_to_context, mde_to_context
 from kurzmani.dichotomy import verify_dichotomy
@@ -222,7 +222,7 @@ def test_acceptance_13_front_end_round_trip():
     ide_ctx = ide_to_context(
         IdeSpec(2, PiecewisePath.constant(np.diag([-1.0, 1.0])), (), f),
         s=0.0, T=40.0, tol=1e-10)
-    u = StieltjesMeasure.lebesgue()
+    u = lebesgue()
     H = NonlinearitySpec("mde_kernel", "quadratic", {"mats": [Q1, Q2]},
                          rho=0.5, measure=u)
     mde_ctx = mde_to_context(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import SADDLE, quadratic_forcing
+from conftest import SADDLE, lebesgue, quadratic_forcing
 from kurzmani.apps import (HypothesisError, IdeSpec, MdeSpec,
                            check_hypotheses, ide_to_context, mde_to_context)
 from kurzmani.funcspace import PiecewisePath, StieltjesMeasure, total_variation
@@ -75,7 +75,7 @@ def test_ide_rejects_singular_jump():
 
 
 def test_mde_zero_kernel_is_linear():
-    u = StieltjesMeasure.lebesgue()
+    u = lebesgue()
     H = NonlinearitySpec("mde_kernel", "zero", {"n": 2}, rho=0.5, measure=u)
     spec = MdeSpec(2, saddle_path(), PiecewisePath.constant(np.zeros((2, 2))),
                    u, H)
@@ -142,7 +142,7 @@ def test_round_trip_classical_system_between_front_ends():
     f = quadratic_forcing(1.0)
     ide_ctx = ide_to_context(IdeSpec(2, saddle_path(), (), f),
                              s=0.0, T=40.0, tol=1e-10)
-    u = StieltjesMeasure.lebesgue()
+    u = lebesgue()
     H = NonlinearitySpec("mde_kernel", "quadratic",
                          {"mats": [np.zeros((2, 2)),
                                    np.array([[1.0, 0.0], [0.0, 0.0]])]},

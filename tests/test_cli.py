@@ -8,7 +8,7 @@ import pytest
 
 from kurzmani.cli import (ConfigError, config_hash, load_config, main,
                           normalize_config, parse_measure, parse_path,
-                          parse_system, serialize_config)
+                          parse_system)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -78,7 +78,7 @@ def test_parse_system_shapes_validated():
 def test_config_round_trip_identity():
     cfg = load_config(config_path("planar_quadratic.json"))
     normalized = normalize_config(cfg)
-    again = json.loads(serialize_config(cfg))
+    again = json.loads(json.dumps(normalized, sort_keys=True, indent=2))
     assert normalized == normalize_config(again)
     assert config_hash(cfg) == config_hash(again)
 
@@ -166,6 +166,37 @@ def test_manifold_grid_of_wrong_dimension_is_config_error(tmp_path):
     assert proc.returncode == 1
     err = json.loads(proc.stderr.splitlines()[-1])
     assert err["error"] == "config"
+
+
+def _without_window(cfg):
+    return "integrate", {"integrand": {"f": 1.0, "mu": {"density": 1.0}},
+                         "output": {"prefix": "nowin"}}
+
+
+def _grid_without_stop(cfg):
+    del cfg["solver"]["grid"]["stop"]
+    return "manifold", cfg
+
+
+def _impulse_without_time(cfg):
+    cfg["system"]["impulses"] = [{"B": [[0.1, 0.0], [0.0, 0.0]]}]
+    return "check", cfg
+
+
+@pytest.mark.parametrize("case, key", [(_without_window, "window"),
+                                       (_grid_without_stop, "stop"),
+                                       (_impulse_without_time, "time")],
+                         ids=["integrand-window", "grid-stop", "impulse-time"])
+def test_missing_required_key_is_config_error(tmp_path, case, key):
+    _, cfg = small_saddle_config(tmp_path)
+    command, cfg = case(cfg)
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(cfg))
+    proc = run_cli([command, "--config", str(path), "--out", str(tmp_path)])
+    assert proc.returncode == 1, proc.stderr
+    err = json.loads(proc.stderr.splitlines()[-1])
+    assert err["error"] == "config"
+    assert repr(key) in err["message"]
 
 
 def test_parse_error_exits_one_with_position(tmp_path):

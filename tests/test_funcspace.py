@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from kurzmani.funcspace import (CousinError, Gauge, PiecewisePath, Segment,
-                                StieltjesMeasure, TaggedDivision,
-                                cousin_division, is_delta_fine, norm,
+from conftest import lebesgue
+from kurzmani.funcspace import (PiecewisePath, Segment, StieltjesMeasure, norm,
                                 running_integral, running_stieltjes_integral,
                                 total_variation)
 
@@ -80,7 +79,7 @@ def test_running_integral_stitches_across_jumps():
 
 def test_running_stieltjes_integral_polynomial_case():
     C = PiecewisePath.polynomial([0.0, 1.0])
-    g = running_stieltjes_integral(C, StieltjesMeasure.lebesgue(), 0.0)
+    g = running_stieltjes_integral(C, lebesgue(), 0.0)
     assert g(1.0) == pytest.approx(0.5, abs=1e-12)
     assert g(2.0) == pytest.approx(2.0, abs=1e-12)
 
@@ -111,61 +110,6 @@ def test_nondecreasing_flag_enforced():
     with pytest.raises(ValueError):
         StieltjesMeasure(PiecewisePath.constant(1.0), [(0.0, -1.0)],
                          nondecreasing=True)
-
-
-def test_cousin_single_cell_for_wide_gauge():
-    gauge = Gauge.constant(1.0, (0.0, 1.0))
-    division = cousin_division(gauge)
-    assert len(division.tags) == 1
-    assert division.tags[0] == pytest.approx(0.5)
-    assert is_delta_fine(division, gauge)
-
-
-def test_cousin_cells_bounded_by_gauge():
-    gauge = Gauge.constant(0.1, (0.0, 1.0))
-    division = cousin_division(gauge)
-    assert np.all(np.diff(division.nodes) < 0.2)
-    assert is_delta_fine(division, gauge)
-
-
-def test_cousin_piecewise_gauge_is_fine():
-    gauge = Gauge([0.0, 0.5, 1.0], [0.01, 0.5])
-    division = cousin_division(gauge)
-    assert is_delta_fine(division, gauge)
-
-
-def test_fineness_counterexample():
-    division = TaggedDivision(np.array([0.0, 1.0]), np.array([0.0]))
-    assert not is_delta_fine(division, Gauge.constant(0.5, (0.0, 1.0)))
-    assert is_delta_fine(division, Gauge.constant(10.0, (0.0, 1.0)))
-
-
-def test_fineness_rejects_mismatched_windows():
-    division = TaggedDivision(np.array([0.0, 1.0]), np.array([0.5]))
-    with pytest.raises(ValueError):
-        is_delta_fine(division, Gauge.constant(1.0, (0.0, 2.0)))
-
-
-def test_cousin_depth_limit_reports_offending_interval():
-    gauge = Gauge.constant(1e-9, (0.0, 1.0))
-    with pytest.raises(CousinError) as err:
-        cousin_division(gauge, max_depth=8)
-    lo, hi = err.value.interval
-    assert hi - lo == pytest.approx(2.0 ** -8)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.floats(0.01, 0.6), min_size=1, max_size=5),
-       st.integers(0, 1000))
-def test_cousin_output_is_fine_for_random_piecewise_gauges(values, seed):
-    rng = np.random.default_rng(seed)
-    cuts = np.sort(rng.uniform(0.05, 0.95, size=len(values) - 1))
-    nodes = np.concatenate([[0.0], cuts, [1.0]])
-    keep = np.concatenate([[True], np.diff(nodes) > 1e-6])
-    nodes = nodes[keep]
-    gauge = Gauge(nodes, values[:len(nodes) - 1])
-    division = cousin_division(gauge)
-    assert is_delta_fine(division, gauge)
 
 
 @settings(max_examples=20, deadline=None)

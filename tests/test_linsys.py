@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from conftest import lebesgue
 from kurzmani.funcspace import (PiecewisePath, StieltjesMeasure, norm,
-                                total_variation)
+                                running_stieltjes_integral, total_variation)
 from kurzmani.linsys import (FundamentalOperator, LinearSystemSpec,
-                             check_regularity, fundamental, lambda_from_ide,
-                             lambda_g_from_mde)
+                             check_regularity, lambda_from_ide)
 
 EYE1 = np.eye(1)
 
@@ -49,28 +49,27 @@ def test_backward_branch_also_right_jumps():
 
 
 def test_measure_paths_zero_coefficient():
-    lam, g = lambda_g_from_mde(scalar_path(0.0), scalar_path(0.0),
-                               StieltjesMeasure.lebesgue(), 0.0)
+    g = running_stieltjes_integral(scalar_path(0.0), lebesgue(), 0.0)
     assert norm(g(7.0)) == 0.0
 
 
 def test_measure_paths_single_atom():
     mu = StieltjesMeasure(PiecewisePath.constant(0.0), [(2.0, 0.7)])
-    _, g = lambda_g_from_mde(scalar_path(0.0), scalar_path(1.0), mu, 0.0)
+    g = running_stieltjes_integral(scalar_path(1.0), mu, 0.0)
     assert g(2.0)[0, 0] == pytest.approx(0.0)
     assert g.right(2.0)[0, 0] == pytest.approx(0.7)
 
 
 def test_measure_paths_linear_coefficient_against_lebesgue():
     C = PiecewisePath.polynomial([np.zeros((1, 1)), EYE1])
-    _, g = lambda_g_from_mde(scalar_path(0.0), C, StieltjesMeasure.lebesgue(), 0.0)
+    g = running_stieltjes_integral(C, lebesgue(), 0.0)
     assert g(1.0)[0, 0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_singular_atom_factor_rejected():
     mu = StieltjesMeasure(PiecewisePath.constant(0.0), [(1.0, 1.0)])
     with pytest.raises(ValueError):
-        lambda_g_from_mde(scalar_path(0.0), scalar_path(-1.0), mu, 0.0)
+        LinearSystemSpec(1, scalar_path(0.0), measure_part=(scalar_path(-1.0), mu))
 
 
 def test_operator_is_identity_at_equal_times():
@@ -81,7 +80,7 @@ def test_operator_is_identity_at_equal_times():
 
 def test_product_formula_with_one_impulse():
     spec = LinearSystemSpec(1, scalar_path(-1.0), impulses=((1.0, [[1.0]]),))
-    v = fundamental(spec, 2.0, 0.0)
+    v = FundamentalOperator(spec, (0.0, 2.0)).value(2.0, 0.0)
     assert v[0, 0] == pytest.approx(2.0 * math.exp(-2.0), rel=1e-10)
 
 
@@ -132,13 +131,6 @@ def test_cocycle_and_inverse_residuals(spec_index):
         inv = norm(op.value(t, s) @ op.value(s, t) - eye)
         assert coc <= 1e-8
         assert inv <= 1e-8
-
-
-def test_bounded_on_window_reports_finite_constant():
-    spec = _three_test_specs()[1]
-    op = FundamentalOperator(spec, (0.0, 5.0))
-    c_v = op.bound_on(np.linspace(0.0, 5.0, 11))
-    assert math.isfinite(c_v) and c_v >= 1.0
 
 
 def _gauss_panel(fn, a, b, nodes=8):
