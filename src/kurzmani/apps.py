@@ -1,13 +1,15 @@
 """User-level impulsive and measure-driven system front-ends.
 
-These convert an ``IdeSpec`` or ``MdeSpec`` into a ready solver context:
-coefficient paths, fundamental operator, certified splitting, nonlinearity
-bookkeeping, and the smallness gates.  Every named hypothesis of the two
-realizations is evaluated by ``check_hypotheses`` with computed constants and
-witnesses; context construction refuses specs whose structural hypotheses
-(invertible jump factors, monotone driver) fail, while smallness gates are
-reported rather than enforced (the observed contraction ratio is the
-operative gate).
+Both realizations are one generalized ODE, dz = D[Lambda(t) z + F(z, t)]:
+an ``IdeSpec`` or ``MdeSpec`` names its linear part (``linear_spec``), its
+nonlinearity (``nonlin``) and the hypotheses it enforces (``enforced``), and
+``build_context`` turns either into a ready solver context: fundamental
+operator, certified splitting, regularity constants and the smallness
+gates.  Every named hypothesis of the two realizations is evaluated by
+``check_hypotheses`` with computed constants and witnesses; context
+construction refuses specs whose structural hypotheses (invertible jump
+factors, monotone driver) fail, while smallness gates are reported rather
+than enforced (the observed contraction ratio is the operative gate).
 
 Constant-rate forcing has no finite bound over the whole line, so the bound
 constants for pointwise forcing are computed over the solve window and
@@ -24,8 +26,7 @@ import numpy as np
 from .dichotomy import certify
 from .funcspace import (PiecewisePath, StieltjesMeasure, norm,
                         running_integral, total_variation)
-from .linsys import (CheckItem, FundamentalOperator, LinearSystemSpec,
-                     check_regularity)
+from .linsys import FundamentalOperator, LinearSystemSpec, check_regularity
 from .lp_manifold import (LPContext, NonlinearitySpec, auto_horizon,
                           contraction_bound, safe_exp)
 
@@ -48,12 +49,23 @@ class IdeSpec:
     impulses: tuple
     f: NonlinearitySpec
 
+    enforced = ("B3_jump_inverses", "a_jump_norms_summable",
+                "impulse_times_increasing", "c_gamma_dominates")
+
     def __post_init__(self):
         if self.f.kind != "ide_pointwise":
             raise ValueError("IdeSpec needs an ide_pointwise nonlinearity")
         object.__setattr__(self, "impulses",
                            tuple((float(t), np.asarray(B, dtype=float))
                                  for t, B in self.impulses))
+
+    @property
+    def nonlin(self):
+        return self.f
+
+    def linear_spec(self, t0):
+        """The linear part referenced at ``t0``: A plus the impulses."""
+        return LinearSystemSpec(self.n, self.A, impulses=self.impulses, t0=t0)
 
 
 @dataclass(frozen=True)
@@ -66,11 +78,30 @@ class MdeSpec:
     u: StieltjesMeasure
     H: NonlinearitySpec
 
+    enforced = ("D6_atom_inverses", "a_atom_inverse_bound",
+                "b_driver_nondecreasing_bv", "c_kernel_bounded_lipschitz")
+
     def __post_init__(self):
         if self.H.kind != "mde_kernel":
             raise ValueError("MdeSpec needs an mde_kernel nonlinearity")
         if self.H.measure is not self.u:
             raise ValueError("the kernel nonlinearity must be driven by spec.u")
+
+    @property
+    def nonlin(self):
+        return self.H
+
+    def linear_spec(self, t0):
+        """The linear part referenced at ``t0``: A plus C du."""
+        return LinearSystemSpec(self.n, self.A, measure_part=(self.C, self.u),
+                                t0=t0)
+
+
+@dataclass
+class CheckItem:
+    passed: bool
+    value: object = None
+    witness: object = None
 
 
 @dataclass
@@ -111,16 +142,17 @@ def plain(value):
     return value
 
 
-def _lipschitz_probe(nonlin, n, radius, samples=64, seed=0):
-    """Sampled sup and Lipschitz constants of the cutoff nonlinearity."""
-    rng = np.random.default_rng(seed)
-    pts = rng.normal(size=(samples, n))
-    pts *= (radius * rng.uniform(0.05, 1.0, size=(samples, 1))
+def _lipschitz_probe(nonlin, n, radius):
+    """Sampled sup and Lipschitz constants of the cutoff nonlinearity, from
+    64 seeded random states."""
+    rng = np.random.default_rng(0)
+    pts = rng.normal(size=(64, n))
+    pts *= (radius * rng.uniform(0.05, 1.0, size=(len(pts), 1))
             / np.linalg.norm(pts, axis=1, keepdims=True))
     vals = nonlin.value(0.0, pts)
     sup = float(np.max(np.linalg.norm(vals, axis=1)))
     lip = 0.0
-    for i in range(0, samples - 1, 2):
+    for i in range(0, len(pts) - 1, 2):
         dz = norm(pts[i] - pts[i + 1])
         if dz > 1e-12:
             lip = max(lip, norm(vals[i] - vals[i + 1]) / dz)
@@ -243,84 +275,49 @@ def _measure_domination(spec, window):
     return float(val)
 
 
-def ide_to_context(spec: IdeSpec, s=0.0, T=None, tol=1e-10, base_step=0.1,
-                   P0=None, grid=None, projection_mode="auto",
-                   horizon_margin=5.0) -> LPContext:
-    """Build a solver context for an impulsive system.
+def build_context(spec, s=0.0, T=None, tol=1e-10, base_step=0.1, P0=None,
+                  grid=None, projection_mode="auto") -> LPContext:
+    """Build a solver context for an ``IdeSpec`` or an ``MdeSpec``.
 
-    Structural hypothesis failures raise ``HypothesisError`` with the named
-    condition; the accumulation modulus is the running integral of the gamma
-    bound, so its window variation is the integral of gamma over [s, T].
+    A failed hypothesis of ``spec.enforced`` raises ``HypothesisError`` with
+    the named condition; without ``T`` a probe certification on [s, s + 20]
+    sets the horizon (``auto_horizon``).  The reports carry the hypotheses,
+    the dichotomy, the ``contraction_bound`` of the accumulation modulus and
+    the realization's printed gate, with V the variation of the accumulated
+    path: M_gamma (1 + K(1+2K)) C_b^3 exp(3 C_b V) V^2 (impulsive) or
+    2 L_H V_u (1 + K(1+2K)) C_g^3 exp(3 C_g V) V^2 (measure-driven).
     """
     s = float(s)
     probe_hi = T if T is not None else s + 20.0
     hyp = check_hypotheses(spec, (s, probe_hi))
-    for name in ("B3_jump_inverses", "a_jump_norms_summable",
-                 "impulse_times_increasing", "c_gamma_dominates"):
+    for name in spec.enforced:
         if not hyp.items[name].passed:
             raise HypothesisError(name, hyp.items[name].witness)
 
-    linspec = LinearSystemSpec(spec.n, spec.A, impulses=spec.impulses, t0=s)
+    nonlin = spec.nonlin
+    linspec = spec.linear_spec(s)
     if T is None:
         probe = certify(FundamentalOperator(linspec, (s, probe_hi), base_step),
                         grid, P0, projection_mode)
         T = auto_horizon(s, probe.K, probe.alpha,
-                         spec.f.h_rate((s, probe_hi)), tol, margin=horizon_margin)
+                         nonlin.h_rate((s, probe_hi)), tol)
         T = math.ceil(T / base_step) * base_step
-    fund = FundamentalOperator(linspec, (s, float(T)), base_step)
+    window = (s, float(T))
+    fund = FundamentalOperator(linspec, window, base_step)
     dich = certify(fund, grid, P0, projection_mode)
-    reg = check_regularity(linspec, (s, float(T)))
-    gate = contraction_bound(spec.f.v_h((s, float(T))), dich.K, reg.C_a,
-                             reg.V_Lambda)
-    ide_gate = hyp.constants["M_gamma"] * (1.0 + dich.K * (1.0 + 2.0 * dich.K)) \
-        * hyp.constants["C_b"] ** 3 * safe_exp(3.0 * hyp.constants["C_b"]
-                                               * reg.V_Lambda) * reg.V_Lambda ** 2
-    ctx = LPContext(fund, dich, spec.f, T=float(T), tol=tol, regularity=reg,
-                    reports={"hypotheses": hyp, "dichotomy": dich.report,
-                             "smallness_gate": gate,
-                             "realization_gate": ide_gate})
-    return ctx
+    reg = check_regularity(linspec, window)
+    K, V = dich.K, reg.V_Lambda
+    if isinstance(spec, IdeSpec):
+        scale, C = hyp.constants["M_gamma"], hyp.constants["C_b"]
+    else:
+        scale, C = 2.0 * spec.H.L_H * spec.u.variation(window), hyp.constants["C_g"]
+    printed = scale * (1.0 + K * (1.0 + 2.0 * K)) * C ** 3 \
+        * safe_exp(3.0 * C * V) * V ** 2
+    return LPContext(fund, dich, nonlin, T=window[1], tol=tol, regularity=reg,
+                     reports={"hypotheses": hyp, "dichotomy": dich.report,
+                              "smallness_gate": contraction_bound(
+                                  nonlin.v_h(window), K, reg.C_a, V),
+                              "realization_gate": printed})
 
 
-def mde_to_context(spec: MdeSpec, s=0.0, T=None, tol=1e-10, base_step=0.1,
-                   P0=None, grid=None, projection_mode="auto",
-                   horizon_margin=5.0) -> LPContext:
-    """Build a solver context for a measure-driven system.
-
-    The accumulation modulus is max(M_H, L_H) * u, so its window variation is
-    that multiple of the driver variation; the printed smallness gate
-    2 L_H V_u (1 + K(1+2K)) C_g^3 exp(3 C_g V) V^2 (V the variation of the
-    full accumulated coefficient path) is reported alongside.
-    """
-    s = float(s)
-    probe_hi = T if T is not None else s + 20.0
-    hyp = check_hypotheses(spec, (s, probe_hi))
-    for name in ("D6_atom_inverses", "a_atom_inverse_bound",
-                 "b_driver_nondecreasing_bv", "c_kernel_bounded_lipschitz"):
-        if not hyp.items[name].passed:
-            raise HypothesisError(name, hyp.items[name].witness)
-
-    linspec = LinearSystemSpec(spec.n, spec.A, measure_part=(spec.C, spec.u),
-                               t0=s)
-    if T is None:
-        probe = certify(FundamentalOperator(linspec, (s, probe_hi), base_step),
-                        grid, P0, projection_mode)
-        T = auto_horizon(s, probe.K, probe.alpha,
-                         spec.H.h_rate((s, probe_hi)), tol, margin=horizon_margin)
-        T = math.ceil(T / base_step) * base_step
-    atom_times = tuple(t for t, _ in spec.u.atoms)
-    fund = FundamentalOperator(linspec, (s, float(T)), base_step,
-                               extra_times=atom_times)
-    dich = certify(fund, grid, P0, projection_mode)
-    reg = check_regularity(linspec, (s, float(T)))
-    C_g = hyp.constants["C_g"]
-    V_u = spec.u.variation((s, float(T)))
-    V_full = reg.V_Lambda
-    printed_gate = 2.0 * spec.H.L_H * V_u * (1.0 + dich.K * (1.0 + 2.0 * dich.K)) \
-        * C_g ** 3 * safe_exp(3.0 * C_g * V_full) * V_full ** 2
-    gate = contraction_bound(spec.H.v_h((s, float(T))), dich.K, reg.C_a, V_full)
-    ctx = LPContext(fund, dich, spec.H, T=float(T), tol=tol, regularity=reg,
-                    reports={"hypotheses": hyp, "dichotomy": dich.report,
-                             "smallness_gate": gate,
-                             "realization_gate": printed_gate})
-    return ctx
+ide_to_context = mde_to_context = build_context

@@ -23,19 +23,19 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import __version__
-from .apps import (HypothesisError, IdeSpec, MdeSpec, check_hypotheses,
-                   ide_to_context, mde_to_context, plain)
+from .apps import (HypothesisError, IdeSpec, MdeSpec, build_context,
+                   check_hypotheses, plain)
 from .dichotomy import SplittingError
 from .funcspace import PiecewisePath, StieltjesMeasure
 from .kurzweil import IntegrationError, cross_check
-from .linsys import LinearSystemSpec, PropagationError
+from .linsys import FundamentalOperator, LinearSystemSpec, PropagationError
 from .lp_manifold import (NonContractionError, NonlinearitySpec, SolveError,
-                          classify_initial, contraction_estimate,
-                          manifold_graph)
+                          classify_initial, manifold_graph)
 
 log = logging.getLogger("kurzmani")
 
@@ -57,6 +57,17 @@ def _sane_tol(tol):
 # ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------
+
+@contextmanager
+def _reading(what):
+    """A wrong-type value met reading the ``what`` block (with block or
+    decorated parser) becomes a ``ConfigError``; solver errors pass through."""
+    try:
+        yield
+    except (TypeError, AttributeError) as exc:
+        raise ConfigError("%r block: a value has the wrong type (%s)"
+                          % (what, exc)) from None
+
 
 def _field(node, key, what):
     """``node[key]``, or a ``ConfigError`` naming the missing key."""
@@ -138,6 +149,7 @@ def parse_nonlinearity(node, u=None):
         raise ConfigError("nonlinearity spec: %s" % exc)
 
 
+@_reading("system")
 def parse_system(cfg):
     sysblock = cfg.get("system")
     if not isinstance(sysblock, dict):
@@ -252,6 +264,7 @@ def _meta(cfg, args, **extra):
     return meta
 
 
+@_reading("output")
 def _outpath(cfg, args, suffix):
     out = args.out or cfg.get("output", {}).get("dir", ".")
     os.makedirs(out, exist_ok=True)
@@ -261,25 +274,24 @@ def _outpath(cfg, args, suffix):
 
 def _context_from_config(cfg, args):
     spec = parse_system(cfg)
-    sol = solver_block(cfg)
-    tol = args.tol if args.tol is not None else float(sol.get("tol", 1e-10))
-    _sane_tol(tol)
-    if sol.get("T") is not None and float(sol["T"]) <= float(sol.get("s", 0.0)):
-        raise ConfigError("solver.T must exceed the base time s")
-    kwargs = dict(
-        s=float(sol.get("s", 0.0)),
-        T=sol.get("T"),
-        tol=tol,
-        base_step=float(sol.get("base_step", 0.1)),
-        grid=parse_grid(sol.get("grid"), None),
-        P0=np.asarray(sol["P0"], dtype=float) if "P0" in sol else None,
-        projection_mode=sol.get("projection_mode", "auto"),
-    )
-    if isinstance(spec, IdeSpec):
-        return spec, ide_to_context(spec, **kwargs)
-    if isinstance(spec, MdeSpec):
-        return spec, mde_to_context(spec, **kwargs)
-    raise ConfigError("this subcommand needs system.kind = ide or mde")
+    with _reading("solver"):
+        sol = solver_block(cfg)
+        tol = args.tol if args.tol is not None else float(sol.get("tol", 1e-10))
+        _sane_tol(tol)
+        if sol.get("T") is not None and float(sol["T"]) <= float(sol.get("s", 0.0)):
+            raise ConfigError("solver.T must exceed the base time s")
+        kwargs = dict(
+            s=float(sol.get("s", 0.0)),
+            T=sol.get("T"),
+            tol=tol,
+            base_step=float(sol.get("base_step", 0.1)),
+            grid=parse_grid(sol.get("grid"), None),
+            P0=np.asarray(sol["P0"], dtype=float) if "P0" in sol else None,
+            projection_mode=sol.get("projection_mode", "auto"),
+        )
+    if isinstance(spec, LinearSystemSpec):
+        raise ConfigError("this subcommand needs system.kind = ide or mde")
+    return spec, build_context(spec, **kwargs)
 
 
 def _run_integrand(cfg, args, default_tol):
@@ -295,13 +307,14 @@ def _run_integrand(cfg, args, default_tol):
     block = cfg.get("integrand")
     if not isinstance(block, dict):
         raise ConfigError("config needs an 'integrand' block")
-    f = parse_path(_field(block, "f", "integrand"), "integrand.f",
-                   scalar=bool(block.get("scalar", True)))
-    window = tuple(float(x) for x in _field(block, "window", "integrand"))
-    tol = args.tol if args.tol is not None else float(block.get("tol", default_tol))
-    _sane_tol(tol)
-    if "mu" in block:
-        mu = parse_measure(block["mu"], "integrand.mu")
+    with _reading("integrand"):
+        f = parse_path(_field(block, "f", "integrand"), "integrand.f",
+                       scalar=bool(block.get("scalar", True)))
+        window = tuple(float(x) for x in _field(block, "window", "integrand"))
+        tol = args.tol if args.tol is not None else float(block.get("tol", default_tol))
+        _sane_tol(tol)
+        mu = parse_measure(block["mu"], "integrand.mu") if "mu" in block else None
+    if mu is not None:
         return cross_check(f, mu, window, tol=tol), tol
     fast = np.asarray(f(window[1]) - f(window[0]))
     ref = ks_integral_ref(PointIntervalFn.node_function(f), window,
@@ -344,21 +357,24 @@ def cmd_crosscheck(cfg, args):
 
 def _linear_spec(cfg):
     spec = parse_system(cfg)
-    if isinstance(spec, IdeSpec):
-        return LinearSystemSpec(spec.n, spec.A, impulses=spec.impulses)
-    if isinstance(spec, MdeSpec):
-        return LinearSystemSpec(spec.n, spec.A, measure_part=(spec.C, spec.u))
-    return spec
+    return spec if isinstance(spec, LinearSystemSpec) else spec.linear_spec(0.0)
+
+
+def _operator_from_config(cfg, count):
+    """The solver block, the linear part's operator over ``solver.window``
+    and ``solver.grid`` (default: ``count`` points across the window)."""
+    spec = _linear_spec(cfg)
+    with _reading("solver"):
+        sol = solver_block(cfg)
+        window = tuple(float(x) for x in sol.get("window", (0.0, 10.0)))
+        base_step = float(sol.get("base_step", 0.1))
+        grid = parse_grid(sol.get("grid"),
+                          np.linspace(window[0], window[1], count))
+    return sol, FundamentalOperator(spec, window, base_step=base_step), grid
 
 
 def cmd_fundamental(cfg, args):
-    from .linsys import FundamentalOperator
-    spec = _linear_spec(cfg)
-    sol = solver_block(cfg)
-    window = tuple(float(x) for x in sol.get("window", (0.0, 10.0)))
-    op = FundamentalOperator(spec, window,
-                             base_step=float(sol.get("base_step", 0.1)))
-    grid = parse_grid(sol.get("grid"), np.linspace(window[0], window[1], 11))
+    _, op, grid = _operator_from_config(cfg, 11)
     rows = []
     from .funcspace import norm as opnorm
     for s in grid:
@@ -372,14 +388,9 @@ def cmd_fundamental(cfg, args):
 
 def cmd_dichotomy(cfg, args):
     from .dichotomy import certify
-    from .linsys import FundamentalOperator
-    spec = _linear_spec(cfg)
-    sol = solver_block(cfg)
-    window = tuple(float(x) for x in sol.get("window", (0.0, 10.0)))
-    op = FundamentalOperator(spec, window,
-                             base_step=float(sol.get("base_step", 0.1)))
-    grid = parse_grid(sol.get("grid"), np.linspace(window[0], window[1], 21))
-    P0 = np.asarray(sol["P0"], dtype=float) if "P0" in sol else None
+    sol, op, grid = _operator_from_config(cfg, 21)
+    with _reading("solver"):
+        P0 = np.asarray(sol["P0"], dtype=float) if "P0" in sol else None
     data = certify(op, grid=grid, P0=P0,
                    mode=sol.get("projection_mode", "auto"))
     rows = [(float(sep), float(logN), side)
@@ -406,7 +417,8 @@ def cmd_manifold(cfg, args):
     zg = sol.get("zeta_grid")
     if zg is None:
         raise ConfigError("solver.zeta_grid is required for the manifold command")
-    grid = [np.atleast_1d(np.asarray(z, dtype=float)) for z in zg]
+    with _reading("solver"):
+        grid = [np.atleast_1d(np.asarray(z, dtype=float)) for z in zg]
     graph = manifold_graph(s, grid, ctx)
     rows = []
     for g in graph.samples:
@@ -419,11 +431,10 @@ def cmd_manifold(cfg, args):
     csv_path = _outpath(cfg, args, "manifold.csv")
     write_csv(csv_path, _meta(cfg, args, tol=ctx.tol),
               ["zeta", "m", "ok", "iterations"], rows)
-    est = contraction_estimate(ctx, s=s)
     cert_path = _outpath(cfg, args, "manifold.json")
     write_json(cert_path, _meta(cfg, args), {
         "K": ctx.dich.K, "alpha": ctx.dich.alpha,
-        "L_theory": est.L_theory, "L_empirical": graph.L_empirical,
+        "L_theory": graph.L_theory, "L_empirical": graph.L_empirical,
         "lipschitz_estimate": graph.lipschitz_estimate,
         "T": ctx.T, "tol": ctx.tol, "tail_bound": graph.tail_bound,
         "cutoff_radius": ctx.nonlin.rho,
@@ -440,13 +451,15 @@ def cmd_classify(cfg, args):
     spec, ctx = _context_from_config(cfg, args)
     sol = solver_block(cfg)
     s = float(sol.get("s", 0.0))
-    bound = float(sol.get("bound", 1e3))
-    points = sol.get("initial_points")
+    with _reading("solver"):
+        bound = float(sol.get("bound", 1e3))
+        points = sol.get("initial_points")
+        states = [np.asarray(z0, dtype=float) for z0 in points or ()]
     if not points:
         raise ConfigError("solver.initial_points is required for classify")
     rows = []
-    for z0 in points:
-        res = classify_initial(np.asarray(z0, dtype=float), s, ctx, bound)
+    for z0, state in zip(points, states):
+        res = classify_initial(state, s, ctx, bound)
         rows.append((";".join(_fmt(v) for v in z0), res.status,
                      _fmt(res.t_escape) if res.t_escape is not None else "",
                      res.sup_norm))
@@ -461,9 +474,10 @@ def cmd_check(cfg, args):
     spec = parse_system(cfg)
     if isinstance(spec, LinearSystemSpec):
         raise ConfigError("check needs system.kind = ide or mde")
-    sol = solver_block(cfg)
-    window = (float(sol.get("s", 0.0)),
-              float(sol.get("T", float(sol.get("s", 0.0)) + 10.0)))
+    with _reading("solver"):
+        sol = solver_block(cfg)
+        window = (float(sol.get("s", 0.0)),
+                  float(sol.get("T", float(sol.get("s", 0.0)) + 10.0)))
     report = check_hypotheses(spec, window)
     path = _outpath(cfg, args, "check.json")
     write_json(path, _meta(cfg, args), report.to_dict())

@@ -30,6 +30,9 @@ from .funcspace import norm
 from .linsys import FundamentalOperator, LinearSystemSpec
 
 _IMAG_MARGIN = 1e-8
+_IDEMPOTENCY_TOL = 1e-10   # ||P0^2 - P0|| accepted for a reference projection
+_FIT_SLACK = 1e-9          # resolution in log K of the envelope fit
+_ALPHA_CAP = 60.0          # largest decay rate the fit reports
 
 
 class SplittingError(ValueError):
@@ -52,16 +55,17 @@ def _invariant_basis(matrix, sort):
     return z[:, :sdim], sdim
 
 
-def _validate_projection(P0, tol=1e-10):
+def _validate_projection(P0):
     P0 = np.asarray(P0, dtype=float)
-    if norm(P0 @ P0 - P0) > tol:
-        raise SplittingError("supplied matrix is not idempotent within %g" % tol)
+    if norm(P0 @ P0 - P0) > _IDEMPOTENCY_TOL:
+        raise SplittingError("supplied matrix is not idempotent within %g"
+                             % _IDEMPOTENCY_TOL)
     return P0
 
 
-def spectral_projection(spec: LinearSystemSpec, t0=None, mode="auto", P0=None,
-                        horizon=10.0, base_step=0.1):
-    """Reference projection onto the contracting directions at t0.
+def spectral_projection(spec: LinearSystemSpec, mode="auto", P0=None,
+                        horizon=10.0):
+    """Reference projection onto the contracting directions at ``spec.t0``.
 
     Modes: ``explicit`` validates and passes through ``P0``; ``autonomous``
     splits the spectrum of the constant generator, or of the one-period
@@ -74,7 +78,7 @@ def spectral_projection(spec: LinearSystemSpec, t0=None, mode="auto", P0=None,
     ``explicit``, ``autonomous`` (generator spectrum), ``periodic``
     (monodromy spectrum) or ``svd``.
     """
-    t0 = spec.t0 if t0 is None else float(t0)
+    t0 = spec.t0
     n = spec.n
     if P0 is not None:
         return _validate_projection(P0), "explicit"
@@ -140,7 +144,7 @@ def spectral_projection(spec: LinearSystemSpec, t0=None, mode="auto", P0=None,
         raise SplittingError("generator is not autonomous; supply P0 or use svd")
 
     # singular-subspace heuristic over a finite horizon
-    op = FundamentalOperator(spec, (t0 - horizon, t0 + horizon), base_step=base_step)
+    op = FundamentalOperator(spec, (t0 - horizon, t0 + horizon))
     fwd = op.value(t0 + horizon, t0)
     _, sv_f, vt = np.linalg.svd(fwd)
     k = int(np.sum(sv_f < 1.0))
@@ -196,9 +200,6 @@ class DichotomyReport:
     dichotomy_detected: bool
     samples: list = field(default_factory=list)   # (separation, log N, t, s, side)
     witness: tuple | None = None
-    required: tuple | None = None
-    required_passed: bool | None = None
-    required_witness: tuple | None = None
     projection_mode: str | None = None   # spectral_projection branch behind P0
 
 
@@ -222,48 +223,52 @@ def _max_envelope(seps, logs, alpha):
     return float(vals[i]), i
 
 
-def fit_envelope(seps, logs, slack=1e-9, alpha_cap=60.0):
+def fit_envelope(seps, logs):
     """Largest alpha whose uniform envelope constant stays minimal.
 
     c(alpha) = max(log N + alpha * sep) is convex nondecreasing (all
     separations are >= 0); the fit returns the right edge of its flat bottom,
-    located by bisection to ``slack`` resolution in c.
+    located by bisection to ``_FIT_SLACK`` resolution in c and capped at
+    ``_ALPHA_CAP``.
     """
     seps = np.asarray(seps, dtype=float)
     logs = np.asarray(logs, dtype=float)
     c0, _ = _max_envelope(seps, logs, 0.0)
-    target = c0 + slack
+    target = c0 + _FIT_SLACK
 
     def ok(alpha):
         return _max_envelope(seps, logs, alpha)[0] <= target
 
-    if ok(alpha_cap):
-        return alpha_cap, c0
-    lo, hi = 0.0, alpha_cap
+    if ok(_ALPHA_CAP):
+        return _ALPHA_CAP, c0
+    lo, hi = 0.0, _ALPHA_CAP
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if ok(mid):
             lo = mid
         else:
             hi = mid
-        if hi - lo < 1e-13 * max(1.0, alpha_cap):
+        if hi - lo < 1e-13 * _ALPHA_CAP:
             break
     return lo, _max_envelope(seps, logs, lo)[0]
 
 
-def verify_dichotomy(op: FundamentalOperator, P0, grid, required=None,
-                     slack=1e-9, alpha_cap=60.0):
+def verify_dichotomy(op: FundamentalOperator, P0, grid):
     """Sample both decay families on a grid and fit (K, alpha).
 
     Returns ``(K_fit, alpha_fit, report)``.  The stable family includes
-    t = s; the unstable family is sampled strictly at t < s.  A fitted alpha
-    at or below 1e-6 flags "no dichotomy detected" in the report instead of
-    raising (a flat system fits only a vanishing rate).
+    t = s; the unstable family is sampled strictly at t < s.  Both chain the
+    adjacent steps V(g_{i+1}, g_i) and V(g_i, g_{i+1}), each computed once
+    per grid.  A fitted alpha at or below 1e-6 flags "no dichotomy detected"
+    in the report instead of raising (a flat system fits only a vanishing
+    rate).
     """
     grid = np.asarray(sorted(grid), dtype=float)
     P0 = _validate_projection(P0)
     fam = projection_family(op, P0, grid)
     eye = np.eye(op.n)
+    fwd = [op.value(b, a) for a, b in zip(grid[:-1], grid[1:])]
+    bwd = [op.value(a, b) for a, b in zip(grid[:-1], grid[1:])]
     samples = []
 
     def record(sep, value, t, s, side):
@@ -275,31 +280,24 @@ def verify_dichotomy(op: FundamentalOperator, P0, grid, required=None,
         X = Ps.copy()
         record(0.0, norm(X), s, s, "stable")
         for i in range(j + 1, len(grid)):
-            X = op.value(grid[i], grid[i - 1]) @ X
+            X = fwd[i - 1] @ X
             record(grid[i] - s, norm(X), grid[i], s, "stable")
         Y = eye - Ps
         # t -> s^- limit of the backward bound forces K >= ||Id - P(s)||;
         # recorded as a zero-separation constraint, not a t = s sample
         record(0.0, norm(Y), s, s, "unstable-limit")
         for i in range(j - 1, -1, -1):
-            Y = op.value(grid[i], grid[i + 1]) @ Y
+            Y = bwd[i] @ Y
             record(s - grid[i], norm(Y), grid[i], s, "unstable")
     seps = np.array([x[0] for x in samples])
     logs = np.array([x[1] for x in samples])
-    alpha_fit, logK = fit_envelope(seps, logs, slack=slack, alpha_cap=alpha_cap)
+    alpha_fit, logK = fit_envelope(seps, logs)
     K_fit = math.exp(logK)
     _, iworst = _max_envelope(seps, logs, alpha_fit)
     report = DichotomyReport(
         K_fit=K_fit, alpha_fit=alpha_fit,
         dichotomy_detected=alpha_fit > 1e-6,
         samples=samples, witness=samples[iworst][2:])
-    if required is not None:
-        K_req, a_req = float(required[0]), float(required[1])
-        viol = logs + a_req * seps - math.log(K_req)
-        iv = int(np.argmax(viol))
-        report.required = (K_req, a_req)
-        report.required_passed = bool(viol[iv] <= 1e-12)
-        report.required_witness = samples[iv][2:]
     return K_fit, alpha_fit, report
 
 

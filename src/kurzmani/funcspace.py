@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_QUAD_TOL = 1e-10   # absolute tolerance of every adaptive quadrature cell
+
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature stopped above the requested tolerance."""
@@ -411,8 +413,6 @@ class PiecewisePath:
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, PiecewisePath):
-            other = PiecewisePath.constant(other)
         if other.shape != self.shape:
             raise ValueError("path shapes differ: %r vs %r" % (self.shape, other.shape))
         times = np.union1d(self.times, other.times)
@@ -439,11 +439,6 @@ class PiecewisePath:
         return PiecewisePath(segments, bps)
 
     __rmul__ = __mul__
-
-    def __sub__(self, other):
-        if not isinstance(other, PiecewisePath):
-            other = PiecewisePath.constant(other)
-        return self + (-1.0) * other
 
 
 def add_jumps(path, jumps, t0=None):
@@ -526,11 +521,7 @@ class StieltjesMeasure:
     at ``b`` does not.
     """
 
-    def __init__(self, density=None, atoms=(), nondecreasing=False):
-        if density is None:
-            density = PiecewisePath.constant(0.0)
-        if not isinstance(density, PiecewisePath):
-            density = PiecewisePath.constant(float(density))
+    def __init__(self, density: PiecewisePath, atoms=(), nondecreasing=False):
         if density.shape != ():
             raise ValueError("measure density must be scalar-valued")
         self.density = density
@@ -558,7 +549,7 @@ class StieltjesMeasure:
         """Atoms belonging to the window [lo, hi)."""
         return [(t, w) for t, w in self.atoms if lo <= t < hi]
 
-    def variation(self, window, quad_tol=1e-10):
+    def variation(self, window):
         c, d = _check_window(window)
         total = 0.0
         cuts = sorted({c, d} | {t for t in self.density.times if c < t < d})
@@ -570,7 +561,7 @@ class StieltjesMeasure:
                 total += abs(float(seg.coeffs[0])) * (b - a)
                 continue
             val, _ = _quad_cell(lambda t: abs(float(self.density.sample(t))),
-                                a, b, quad_tol)
+                                a, b, _QUAD_TOL)
             total += val
         total += sum(abs(w) for _, w in self.atoms_in(c, d))
         return total
@@ -637,7 +628,7 @@ def _quad_cell(f, a, b, tol):
     return val, err
 
 
-def total_variation(path, window, quad_tol=1e-10):
+def total_variation(path, window):
     """Variation of a piecewise-smooth path over [c, d].
 
     Exact for this path class up to quadrature tolerance: the smooth part
@@ -656,7 +647,7 @@ def total_variation(path, window, quad_tol=1e-10):
         if dseg.is_constant:
             total += norm(dseg.coeffs[0]) * (b - a)
             continue
-        val, err = _quad_cell(lambda t: norm(dseg.value(t)), a, b, quad_tol)
+        val, err = _quad_cell(lambda t: norm(dseg.value(t)), a, b, _QUAD_TOL)
         total += val
         worst_err = max(worst_err, err)
     for bp in path.breakpoints:
@@ -664,7 +655,7 @@ def total_variation(path, window, quad_tol=1e-10):
             total += norm(bp.left_jump)
         if c <= bp.time < d:
             total += norm(bp.right_jump)
-    if worst_err > max(100 * quad_tol, 1e-8 * (1.0 + abs(total))):
+    if worst_err > max(100 * _QUAD_TOL, 1e-8 * (1.0 + abs(total))):
         raise QuadratureError(
             "variation quadrature achieved only %.3e" % worst_err, worst_err)
     return total

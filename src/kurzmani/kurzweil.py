@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcspace import PiecewisePath, StieltjesMeasure, TaggedDivision, norm
+from .funcspace import (_QUAD_TOL, PiecewisePath, StieltjesMeasure,
+                        TaggedDivision, norm)
 
 _MAX_CELLS = 1 << 22
 
@@ -119,11 +120,11 @@ def pinned_division(window, atoms, radius, step) -> TaggedDivision:
     return TaggedDivision(np.array(nodes), np.array(tags))
 
 
-def ks_integral_ref(V: PointIntervalFn, window, tol=1e-9, max_rounds=18,
-                    initial_step=None) -> IntegralResult:
+def ks_integral_ref(V: PointIntervalFn, window, tol=1e-9,
+                    max_rounds=18) -> IntegralResult:
     """Gauge-limit reference evaluation of ``V`` over a window.
 
-    Round k uses uniform fineness ``initial_step / 2**k`` and pins every atom
+    Round k uses uniform fineness ``(d - c) / 2**(k + 3)`` and pins every atom
     of ``V`` as the tag of a private cell whose radius also halves; the
     iteration stops when two successive sums differ by less than ``tol``.
     """
@@ -132,7 +133,7 @@ def ks_integral_ref(V: PointIntervalFn, window, tol=1e-9, max_rounds=18,
         return IntegralResult(np.asarray(0.0), 0.0, 0)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    step = initial_step if initial_step is not None else (d - c) / 8.0
+    step = (d - c) / 8.0
     radius = step / 8.0
     atoms = [t for t in V.atom_times if c <= t <= d]
     previous = None
@@ -155,8 +156,7 @@ def ks_integral_ref(V: PointIntervalFn, window, tol=1e-9, max_rounds=18,
         last_two=(previous, current))
 
 
-def stieltjes_integral(f: PiecewisePath, mu: StieltjesMeasure, window,
-                       quad_tol=1e-10):
+def stieltjes_integral(f: PiecewisePath, mu: StieltjesMeasure, window):
     """Fast Perron-Stieltjes integral of ``f`` against ``d mu`` over [c, d].
 
     Splits at every breakpoint of ``f`` and of the density and at every atom.
@@ -164,14 +164,14 @@ def stieltjes_integral(f: PiecewisePath, mu: StieltjesMeasure, window,
     (``Segment.times_scalar_segment``), so the cell contributes
     ``anti(b) - anti(a)`` of its antiderivative exactly.  Only a preset times
     a non-constant factor leaves the segment class; such a cell is
-    integrated by ``quad_vec`` to ``quad_tol``.  Finally adds
+    integrated by ``quad_vec`` to ``_QUAD_TOL``.  Finally adds
     ``f(value_at) * weight`` for each atom in [c, d).
     """
     c, d = float(window[0]), float(window[1])
     if not (math.isfinite(c) and math.isfinite(d)):
         raise ValueError("window endpoints must be finite")
     if d < c:
-        return -stieltjes_integral(f, mu, (d, c), quad_tol)
+        return -stieltjes_integral(f, mu, (d, c))
     density = mu.density
     total = np.zeros(f.shape)
     cuts = {c, d}
@@ -189,8 +189,8 @@ def stieltjes_integral(f: PiecewisePath, mu: StieltjesMeasure, window,
         except NotImplementedError:
             from scipy.integrate import quad_vec
             val, err = quad_vec(lambda t: f.sample(t) * float(density.sample(t)),
-                                a, b, epsabs=quad_tol, epsrel=1e-12)
-            if err > max(100 * quad_tol, 1e-8 * (1.0 + norm(val))):
+                                a, b, epsabs=_QUAD_TOL, epsrel=1e-12)
+            if err > max(100 * _QUAD_TOL, 1e-8 * (1.0 + norm(val))):
                 raise IntegrationError(
                     "density quadrature achieved only %.3e on [%g, %g]" % (err, a, b))
             total = total + val
@@ -210,14 +210,14 @@ class CrossCheckReport:
     passed: bool
 
 
-def cross_check(f: PiecewisePath, mu: StieltjesMeasure, window, tol=1e-6,
-                quad_tol=1e-10) -> CrossCheckReport:
+def cross_check(f: PiecewisePath, mu: StieltjesMeasure, window,
+                tol=1e-6) -> CrossCheckReport:
     """Run both evaluators on the same data and compare.
 
     Passes iff the values differ by at most ``max(tol, 10 x achieved
     reference tolerance)``; reference non-convergence propagates.
     """
-    fast = np.asarray(stieltjes_integral(f, mu, window, quad_tol=quad_tol))
+    fast = np.asarray(stieltjes_integral(f, mu, window))
     ref = ks_integral_ref(PointIntervalFn.stieltjes_pair(f, mu), window,
                           tol=min(tol / 10.0, 1e-8))
     difference = norm(fast - ref.value)

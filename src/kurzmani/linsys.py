@@ -20,8 +20,7 @@ grows like exp(2 alpha t) and swamps it near 2 alpha T = -log(eps) (see
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -31,6 +30,8 @@ from .funcspace import (PiecewisePath, StieltjesMeasure, add_jumps, norm,
                         total_variation)
 
 _TIME_TOL = 1e-11
+_ODE_TOL = 1e-12      # rtol and atol of the smooth one-step integrator
+_QUAD_NODES = 3       # Gauss-Legendre nodes per mesh cell
 
 
 def _same_time(t, ref):
@@ -51,10 +52,6 @@ def solve_ivp(*args, **kwargs):
 
 class PropagationError(RuntimeError):
     """The smooth one-step integrator missed its local tolerance."""
-
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
 
 
 def _as_matrix(value, n):
@@ -208,8 +205,7 @@ class FundamentalOperator:
     concurrently.
     """
 
-    def __init__(self, spec: LinearSystemSpec, window, base_step=0.1,
-                 ode_tol=1e-12, quad_nodes=3, extra_times=()):
+    def __init__(self, spec: LinearSystemSpec, window, base_step=0.1):
         self.spec = spec
         self.n = spec.n
         lo, hi = float(window[0]), float(window[1])
@@ -218,8 +214,6 @@ class FundamentalOperator:
         if not (lo <= spec.t0 <= hi):
             raise ValueError("reference time t0 must lie inside the window")
         self.window = (lo, hi)
-        self.ode_tol = float(ode_tol)
-        self.quad_nodes = int(quad_nodes)
         events = spec.jump_events()
         for t, _ in events:
             if not (lo <= t <= hi):
@@ -228,7 +222,6 @@ class FundamentalOperator:
         nodes += list(np.arange(lo, hi, base_step)[1:])
         nodes += [t for t, _ in events]
         nodes += [t for t in spec.generator_breakpoints() if lo < t < hi]
-        nodes += [t for t in extra_times if lo <= t <= hi]
         nodes = np.array(sorted(nodes))
         keep = np.concatenate([[True], ~_same_time(nodes[1:], nodes[:-1])])
         self.nodes = nodes[keep]
@@ -238,8 +231,7 @@ class FundamentalOperator:
             i = self.node_index(t)
             self._jumps[i] = (J, np.linalg.inv(J))
         self._cells: dict[int, _CellCache] = {}
-        gl_nodes, gl_weights = np.polynomial.legendre.leggauss(self.quad_nodes)
-        self._gl = (gl_nodes, gl_weights)
+        self._gl = np.polynomial.legendre.leggauss(_QUAD_NODES)
         self.i_t0 = self.node_index(spec.t0)
 
     # -- mesh helpers -------------------------------------------------------
@@ -280,8 +272,8 @@ class FundamentalOperator:
             return (self.spec.generator(t) @ y.reshape(n, n)).ravel()
 
         sol = solve_ivp(rhs, (a, b), np.eye(n).ravel(), method="DOP853",
-                        t_eval=np.asarray(ts), rtol=self.ode_tol,
-                        atol=self.ode_tol, dense_output=False)
+                        t_eval=np.asarray(ts), rtol=_ODE_TOL,
+                        atol=_ODE_TOL, dense_output=False)
         if not sol.success:
             raise PropagationError("integrator failed on [%g, %g]: %s"
                                    % (a, b, sol.message))
@@ -308,9 +300,6 @@ class FundamentalOperator:
         return cache
 
     # -- queries ------------------------------------------------------------
-
-    def __call__(self, t, s):
-        return self.value(t, s)
 
     def value(self, t, s):
         """V(t, s); jump factors at times in [min, max) apply per direction."""
@@ -367,56 +356,26 @@ class FundamentalOperator:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class CheckItem:
-    passed: bool
-    value: object = None
-    witness: object = None
-
-
-@dataclass
 class RegularityReport:
     C_a: float
     V_Lambda: float
-    flags: dict = field(default_factory=dict)
-
-    @property
-    def all_passed(self):
-        return all(item.passed for item in self.flags.values())
 
 
-def check_regularity(spec: LinearSystemSpec, window, quad_tol=1e-10) -> RegularityReport:
-    """Evaluate the standing hypotheses on the accumulated coefficient path.
+def check_regularity(spec: LinearSystemSpec, window) -> RegularityReport:
+    """The constants of the accumulated coefficient path over a window.
 
     C_a is the worst one-sided inverse-jump norm (at least 1, the value away
     from jumps); V_Lambda the variation of the accumulated path over the
-    window.  The flags are A1 (finite variation) and A2 (invertible one-sided
-    jump factors).  The per-jump factors Id + B and Id + C du need no flag:
-    ``LinearSystemSpec`` refuses a singular one.
+    window.  Every one-sided jump factor is invertible: the right jumps are
+    the factors Id + B and Id + C du that ``LinearSystemSpec`` refuses when
+    singular, and the left jumps vanish up to roundoff.
     """
     lo, hi = float(window[0]), float(window[1])
     lam = accumulated_path(spec)
     eye = np.eye(spec.n)
-    flags = {}
-
     C_a = 1.0
-    worst = None
-    a2_ok = True
     for bp in lam.breakpoints:
-        if not (lo <= bp.time <= hi):
-            continue
-        for tag, jump in (("right", bp.right_jump), ("left", bp.left_jump)):
-            mat = eye + jump if tag == "right" else eye - jump
-            inv = _inverse_or_none(mat)
-            if inv is None:
-                a2_ok = False
-                worst = (bp.time, tag)
-                continue
-            val = norm(inv)
-            if val > C_a:
-                C_a = val
-                worst = (bp.time, tag)
-    flags["A2_one_sided_inverses"] = CheckItem(a2_ok, C_a, worst)
-
-    V_L = total_variation(lam, (lo, hi), quad_tol=quad_tol)
-    flags["A1_bounded_variation"] = CheckItem(math.isfinite(V_L), V_L)
-    return RegularityReport(C_a=C_a, V_Lambda=V_L, flags=flags)
+        if lo <= bp.time <= hi:
+            C_a = max(C_a, norm(np.linalg.inv(eye + bp.right_jump)),
+                      norm(np.linalg.inv(eye - bp.left_jump)))
+    return RegularityReport(C_a=C_a, V_Lambda=total_variation(lam, (lo, hi)))

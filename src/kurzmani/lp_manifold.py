@@ -522,11 +522,12 @@ class LPContext:
             -self.dich.alpha * max(self.T - s, 0.0))
 
 
-def auto_horizon(s, K, alpha, h_rate, tol, margin=5.0):
-    """Horizon making the exponential tail of the unstable integral < tol."""
+def auto_horizon(s, K, alpha, h_rate, tol):
+    """Horizon making the exponential tail of the unstable integral < tol,
+    plus a margin of 5."""
     if alpha <= 0:
         raise ValueError("horizon choice needs a positive decay rate")
-    return s + math.log(max(2.0 * K * max(h_rate, tol) / tol, 10.0)) / alpha + margin
+    return s + math.log(max(2.0 * K * max(h_rate, tol) / tol, 10.0)) / alpha + 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -768,33 +769,16 @@ def contraction_bound(v_h, K, C_a, V_Lambda):
     return 2.0 * v_h * (1.0 + K * (1.0 + 2.0 * K)) * C_a ** 3 * grow * V_Lambda ** 2
 
 
-@dataclass
-class ContractionEstimate:
-    L_theory: float
-    v_h: float
-    K: float
-    alpha: float
-    C_a: float
-    V_Lambda: float
-    L_empirical: float | None = None
+def contraction_estimate(ctx: LPContext, s) -> float:
+    """Theoretical contraction number of the operator from base time ``s``.
 
-
-def contraction_estimate(ctx: LPContext, s=None) -> ContractionEstimate:
-    """Theoretical contraction number plus a slot for the observed ratio.
-
-    The theoretical bound is wildly conservative (it carries
-    exp(3 C_a V_Lambda)), so it is reported and never gates a solve; the
-    observed iterate ratios do.
+    The bound is wildly conservative (it carries exp(3 C_a V_Lambda)), so it
+    is reported and never gates a solve; the observed iterate ratios do.
     """
     if ctx.regularity is None:
         raise ValueError("context carries no regularity report")
-    s = ctx.fund.window[0] if s is None else float(s)
-    v_h = ctx.nonlin.v_h((s, ctx.T))
-    K, alpha = ctx.dich.K, ctx.dich.alpha
-    C_a, V_L = ctx.regularity.C_a, ctx.regularity.V_Lambda
-    return ContractionEstimate(
-        L_theory=contraction_bound(v_h, K, C_a, V_L),
-        v_h=v_h, K=K, alpha=alpha, C_a=C_a, V_Lambda=V_L)
+    return contraction_bound(ctx.nonlin.v_h((float(s), ctx.T)), ctx.dich.K,
+                             ctx.regularity.C_a, ctx.regularity.V_Lambda)
 
 
 # ---------------------------------------------------------------------------
@@ -818,25 +802,16 @@ class LPSolution:
         return max(self.ratio_history) if self.ratio_history else 0.0
 
 
-def _record_contraction(ctx: LPContext, s):
-    """Contraction estimate at ``s``, kept in ``ctx.reports`` on first use."""
-    est = contraction_estimate(ctx, s=s)
-    ctx.reports.setdefault("contraction", est)
-    return est
-
-
-def _solve_batch(zetas, s, ctx: LPContext, Bu, force=False, mode="fast"):
+def _solve_batch(zetas, s, ctx: LPContext, Bu):
     """Fixed points for an (S, n) batch of anchors at one base time.
 
-    All unconverged samples share one operator application per iteration.
-    Each sample keeps its own difference and ratio history: it leaves the
-    batch once its difference drops below ``ctx.tol``, and it gets its own
-    ``NonContractionError`` (three non-shrinking differences, unless
-    ``force``) or ``SolveError`` (``max_iter`` reached).  Returns one
-    ``LPSolution`` or exception per sample; ``Bu`` is the unstable basis at s.
+    All unconverged samples share one fast operator application per
+    iteration.  Each sample keeps its own difference and ratio history: it
+    leaves the batch once its difference drops below ``ctx.tol``, and it
+    gets its own ``NonContractionError`` (three non-shrinking differences)
+    or ``SolveError`` (``max_iter`` reached).  Returns one ``LPSolution`` or
+    exception per sample; ``Bu`` is the unstable basis at s.
     """
-    if mode not in ("fast", "reference"):
-        raise ValueError("unknown mode %r" % mode)
     idx = ctx.span(s)
     x = ctx.fund.nodes[idx]
     P_s = ctx.P(idx[0])
@@ -852,14 +827,8 @@ def _solve_batch(zetas, s, ctx: LPContext, Bu, force=False, mode="fast"):
     for it in range(1, ctx.max_iter + 1):
         if not active.size:
             break
-        if mode == "fast":
-            new_v, new_r = _fast_apply(ctx, kern, x, vals[..., active],
-                                       rights[..., active], zetas[:, active])
-        else:
-            paths = [_reference_apply(SolutionPath(x, vals[..., i], rights[..., i]),
-                                      zetas[:, i], s, ctx) for i in active]
-            new_v = np.stack([p.values for p in paths], axis=-1)
-            new_r = np.stack([p.right_values for p in paths], axis=-1)
+        new_v, new_r = _fast_apply(ctx, kern, x, vals[..., active],
+                                   rights[..., active], zetas[:, active])
         step = np.max(np.linalg.norm(new_v - vals[..., active], axis=1), axis=0)
         vals[..., active], rights[..., active] = new_v, new_r
         still = []
@@ -875,7 +844,7 @@ def _solve_batch(zetas, s, ctx: LPContext, Bu, force=False, mode="fast"):
                     m_vector=m_vec, m=Bu.T @ m_vec, zeta=zetas[:, i], s=s,
                     iterations=it, residual=diff, ratio_history=r,
                     converged=True)
-            elif not force and len(r) >= 3 and all(q >= 1.0 for q in r[-3:]):
+            elif len(r) >= 3 and all(q >= 1.0 for q in r[-3:]):
                 out[i] = NonContractionError(
                     "iterates stopped contracting (ratios %s)" % r[-3:],
                     ratio_history=r)
@@ -888,27 +857,25 @@ def _solve_batch(zetas, s, ctx: LPContext, Bu, force=False, mode="fast"):
     return out
 
 
-def solve_lp(zeta, s, ctx: LPContext, force=False, mode="fast") -> LPSolution:
-    """Iterate the operator to its fixed point from z_0(t) = V(t, s) zeta.
+def solve_lp(zeta, s, ctx: LPContext) -> LPSolution:
+    """Iterate the fast operator to its fixed point from z_0(t) = V(t, s) zeta.
 
     Stops when the sup-norm difference of consecutive iterates drops below
     ``ctx.tol``.  Three consecutive non-shrinking differences abort with the
-    ratio history unless ``force`` is set; ``max_iter`` aborts with the last
-    residual.  A batch of one for the solve behind ``manifold_graph``.
+    ratio history; ``max_iter`` aborts with the last residual.  A batch of
+    one for the solve behind ``manifold_graph``.
     """
     s = float(s)
     _, Bu = splitting_bases(ctx.P(ctx.span(s)[0]))
-    if ctx.regularity is not None and not force:
-        _record_contraction(ctx, s)
-    (sol,) = _solve_batch([zeta], s, ctx, Bu, force=force, mode=mode)
+    (sol,) = _solve_batch([zeta], s, ctx, Bu)
     if isinstance(sol, Exception):
         raise sol
     return sol
 
 
-def fixed_point_residual(sol: LPSolution, ctx: LPContext, mode="fast"):
-    """sup-norm distance between phi and one more operator application."""
-    again = lp_operator_apply(sol.phi, sol.zeta, sol.s, ctx, mode=mode)
+def fixed_point_residual(sol: LPSolution, ctx: LPContext):
+    """sup-norm distance between phi and one more fast operator application."""
+    again = lp_operator_apply(sol.phi, sol.zeta, sol.s, ctx)
     return sol.phi.diff_sup(again)
 
 
@@ -1006,7 +973,7 @@ def manifold_graph(s, zeta_grid, ctx: LPContext) -> ManifoldGraph:
     L_emp = max((s_.L_empirical for s_ in sols), default=0.0)
     L_theory = math.nan
     if ctx.regularity is not None:
-        L_theory = _record_contraction(ctx, s).L_theory
+        L_theory = contraction_estimate(ctx, s)
     graph = ManifoldGraph(
         s=s, basis_stable=Bs, basis_unstable=Bu, samples=samples,
         lipschitz_estimate=lip, L_empirical=L_emp, L_theory=L_theory,
@@ -1091,14 +1058,14 @@ def classify_initial(z0, s, ctx: LPContext, bound) -> Classification:
     return Classification("bounded_to_horizon", None, state, sup)
 
 
-def bisect_manifold_oracle(zeta, s, ctx: LPContext, bound, bracket=None,
-                           xtol=1e-6) -> float:
+def bisect_manifold_oracle(zeta, s, ctx: LPContext, bound, xtol=1e-6) -> float:
     """Brute-force graph value via escape-direction bisection.
 
     Requires a one-dimensional unstable subspace.  Scans the unstable offset
-    eta over a bracket: above the manifold trajectories escape with positive
-    unstable coordinate, below with negative; the boundary is m(s, zeta).
-    Completely independent of the fixed-point machinery.
+    eta over the bracket [-rho/2, rho/2] (rho the cutoff radius): above the
+    manifold trajectories escape with positive unstable coordinate, below
+    with negative; the boundary is m(s, zeta).  Completely independent of
+    the fixed-point machinery.
     """
     s = float(s)
     P_s = ctx.P(ctx.span(s)[0])
@@ -1111,9 +1078,6 @@ def bisect_manifold_oracle(zeta, s, ctx: LPContext, bound, bracket=None,
         zeta = zeta.reshape(1)
     if zeta.shape[0] != ctx.fund.n:
         zeta = Bs @ np.atleast_1d(zeta)
-    if bracket is None:
-        r = ctx.nonlin.rho
-        bracket = (-0.5 * r, 0.5 * r)
 
     def side(eta):
         res = classify_initial(zeta + eta * b_u, s, ctx, bound)
@@ -1123,14 +1087,14 @@ def bisect_manifold_oracle(zeta, s, ctx: LPContext, bound, bracket=None,
             raise SolveError("integrator failed during bisection at eta=%g" % eta)
         return 1 if float(b_u @ res.final_state) > 0 else -1
 
-    lo, hi = float(bracket[0]), float(bracket[1])
+    lo, hi = -0.5 * ctx.nonlin.rho, 0.5 * ctx.nonlin.rho
     s_lo, s_hi = side(lo), side(hi)
     if s_lo == 0 or s_hi == 0:
         raise ValueError(
-            "bracket endpoint stayed bounded to the horizon; extend T, lower "
-            "the bound, or widen the bracket %r" % (bracket,))
+            "bracket endpoint stayed bounded to the horizon; extend T or lower "
+            "the bound (bracket %r)" % ((lo, hi),))
     if s_lo == s_hi:
-        raise ValueError("no escape-direction sign change on bracket %r" % (bracket,))
+        raise ValueError("no escape-direction sign change on bracket %r" % ((lo, hi),))
     while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
         s_mid = side(mid)

@@ -183,10 +183,49 @@ def _impulse_without_time(cfg):
     return "check", cfg
 
 
+def _poly_of_wrong_type(cfg):
+    return "integrate", {"integrand": {"f": {"poly": 5}, "window": [0.0, 1.0]},
+                         "output": {"prefix": "poly"}}
+
+
+def _window_of_wrong_type(cfg):
+    return "integrate", {"integrand": {"f": 1.0, "window": 5},
+                         "output": {"prefix": "win"}}
+
+
+def _impulses_of_wrong_type(cfg):
+    cfg["system"]["impulses"] = 7
+    return "manifold", cfg
+
+
+def _zeta_grid_of_wrong_type(cfg):
+    cfg["solver"]["zeta_grid"] = 3
+    return "manifold", cfg
+
+
+def _nonlinearity_of_wrong_type(cfg):
+    cfg["system"]["nonlinearity"] = 5
+    return "manifold", cfg
+
+
+def _null_horizon_in_check(cfg):
+    cfg["solver"]["T"] = None
+    return "check", cfg
+
+
+# a wrong-type value is named by the block that holds it
 @pytest.mark.parametrize("case, key", [(_without_window, "window"),
                                        (_grid_without_stop, "stop"),
-                                       (_impulse_without_time, "time")],
-                         ids=["integrand-window", "grid-stop", "impulse-time"])
+                                       (_impulse_without_time, "time"),
+                                       (_poly_of_wrong_type, "integrand"),
+                                       (_window_of_wrong_type, "integrand"),
+                                       (_impulses_of_wrong_type, "system"),
+                                       (_zeta_grid_of_wrong_type, "solver"),
+                                       (_nonlinearity_of_wrong_type, "system"),
+                                       (_null_horizon_in_check, "solver")],
+                         ids=["integrand-window", "grid-stop", "impulse-time",
+                              "poly-int", "window-int", "impulses-int",
+                              "zeta-grid-int", "nonlinearity-int", "check-T-null"])
 def test_missing_required_key_is_config_error(tmp_path, case, key):
     _, cfg = small_saddle_config(tmp_path)
     command, cfg = case(cfg)

@@ -127,24 +127,6 @@ def test_projection_family_consistency():
             assert resid <= 1e-8
 
 
-def test_certification_monotone_in_required_constants():
-    op = FundamentalOperator(saddle_spec(), (-5.0, 5.0), base_step=0.5)
-    grid = np.linspace(-5.0, 5.0, 21)
-    outcomes = {}
-    for K_req in (0.9, 1.0, 2.0):
-        for a_req in (0.5, 1.0, 1.1):
-            _, _, rep = verify_dichotomy(op, np.diag([1.0, 0.0]), grid,
-                                         required=(K_req, a_req))
-            outcomes[(K_req, a_req)] = rep.required_passed
-    assert outcomes[(1.0, 1.0)]
-    for (K_req, a_req), passed in outcomes.items():
-        if passed:
-            for K2 in (K_req, 2.0):
-                for a2 in (a_req, 0.5):
-                    if K2 >= K_req and a2 <= a_req:
-                        assert outcomes[(K2, a2)]
-
-
 def test_flat_system_reports_no_dichotomy():
     spec = LinearSystemSpec(1, PiecewisePath.constant([[0.0]]))
     op = FundamentalOperator(spec, (0.0, 5.0), base_step=0.5)

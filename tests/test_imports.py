@@ -1,11 +1,13 @@
-"""Static guards: every module-level import in the package is used, and
-every definition is reached by the package or the benchmark.
+"""Static guards: every module-level import in the package is used, every
+definition is reached by the package or the benchmark, and every defaulted
+parameter is set by some call in the package, the tests or the benchmark.
 
 No linter ships with the test environment, so these walk the source with
 ``ast``.  ``__init__.py`` is skipped: its imports are the public re-exports.
 """
 
 import ast
+import math
 import pathlib
 
 import pytest
@@ -94,3 +96,103 @@ def test_every_definition_is_reached_by_the_package_or_the_benchmark():
     exported = {alias.asname or alias.name for node in init.body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert unreached(sources, list(sources.values()) + bench, exported) == []
+
+
+def defaulted_parameters(source):
+    """(function, parameter, position, class, line) of every parameter with a
+    default.  ``position`` counts from the first argument a call passes (a
+    method's ``self``/``cls`` is not counted) and is None for keyword-only
+    parameters; ``class`` is the enclosing class of a method, else None."""
+    out = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, ast.FunctionDef):
+                a = child.args
+                params = a.posonlyargs + a.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                skip = 1 if cls is not None and not static else 0
+                first = len(params) - len(a.defaults)
+                out.extend((child.name, p.arg, i - skip, cls, p.lineno)
+                           for i, p in enumerate(params) if i >= first)
+                out.extend((child.name, p.arg, None, cls, p.lineno)
+                           for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                           if d is not None)
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def call_settings(sources):
+    """What the calls in ``sources`` set, per callee name: the keywords they
+    pass and the largest number of positional arguments.  A call is named
+    by its function or attribute name, and ``cls(...)`` by the enclosing
+    class.  A ``**mapping`` sets every keyword (marked "**") and a
+    ``*sequence`` every position (count inf)."""
+    keywords, positions = {}, {}
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = getattr(f, "id", None) or getattr(f, "attr", None)
+                if name == "cls" and cls is not None:
+                    name = cls
+                keywords.setdefault(name, set()).update(
+                    k.arg or "**" for k in child.keywords)
+                count = math.inf if any(isinstance(a, ast.Starred)
+                                        for a in child.args) else len(child.args)
+                positions[name] = max(positions.get(name, 0), count)
+            visit(child, child.name if isinstance(child, ast.ClassDef) else cls)
+
+    for source in sources:
+        visit(ast.parse(source), None)
+    return keywords, positions
+
+
+def unset_defaults(modules, callers):
+    """(module, line, function, parameter) of every defaulted parameter in
+    ``modules`` (name -> source) that no call in ``callers`` sets.  A
+    method's calls are matched by name alone, and a class's calls count for
+    its ``__init__``."""
+    keywords, positions = call_settings(callers)
+
+    def is_set(name, param, pos):
+        kws = keywords.get(name, ())
+        return "**" in kws or param in kws or (
+            pos is not None and pos < positions.get(name, 0))
+
+    return sorted((mod, line, func, param)
+                  for mod, source in modules.items()
+                  for func, param, pos, cls, line in defaulted_parameters(source)
+                  if not is_set(func, param, pos)
+                  and not (func == "__init__" and cls and is_set(cls, param, pos)))
+
+
+def test_unset_default_guard_flags_a_parameter_no_call_sets():
+    lib = ("def f(a, b=1, c=2, *, d=3):\n    return a\n\n\n"
+           "class Box:\n    def __init__(self, size=1, label=None):\n"
+           "        self.size = size\n\n"
+           "    @classmethod\n    def unit(cls):\n        return cls(1)\n\n"
+           "    def grow(self, by=1, cap=9):\n        return by\n")
+    caller = "f(0, 5)\nf(0, d=4)\nBox().grow(2)\n"
+    assert unset_defaults({"lib": lib}, [lib, caller]) == [
+        ("lib", 1, "f", "c"), ("lib", 6, "__init__", "label"),
+        ("lib", 13, "grow", "cap")]
+    spread = "kwargs = {}\nBox(**kwargs)\nf(*[0, 1, 2])\n"
+    assert unset_defaults({"lib": lib}, [lib, caller, spread]) == [
+        ("lib", 13, "grow", "cap")]
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    callers = [p.read_text(encoding="utf-8")
+               for d in (SRC, ROOT / "tests", ROOT / "perfbench")
+               for p in sorted(d.glob("*.py"))]
+    assert unset_defaults(sources, callers) == []

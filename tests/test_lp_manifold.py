@@ -278,8 +278,8 @@ def test_contraction_bound_hand_arithmetic():
 
 
 def test_contraction_estimate_reports_conservative_gate(ctx_planar):
-    est = contraction_estimate(ctx_planar, s=0.0)
-    assert est.L_theory >= 1.0          # the exponential factor is astronomical
+    # the exponential factor is astronomical
+    assert contraction_estimate(ctx_planar, s=0.0) >= 1.0
     sol = solve_lp(np.array([0.2, 0.0]), 0.0, ctx_planar)
     assert sol.L_empirical < 1.0
 
