@@ -457,6 +457,10 @@ def cmd_classify(cfg, args):
         states = [np.asarray(z0, dtype=float) for z0 in points or ()]
     if not points:
         raise ConfigError("solver.initial_points is required for classify")
+    for z0, state in zip(points, states):
+        if state.shape != (ctx.fund.n,):
+            raise ConfigError("initial point %r needs n = %d coordinates"
+                              % (z0, ctx.fund.n))
     rows = []
     for z0, state in zip(points, states):
         res = classify_initial(state, s, ctx, bound)

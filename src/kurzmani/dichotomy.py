@@ -259,9 +259,9 @@ def verify_dichotomy(op: FundamentalOperator, P0, grid):
     Returns ``(K_fit, alpha_fit, report)``.  The stable family includes
     t = s; the unstable family is sampled strictly at t < s.  Both chain the
     adjacent steps V(g_{i+1}, g_i) and V(g_i, g_{i+1}), each computed once
-    per grid.  A fitted alpha at or below 1e-6 flags "no dichotomy detected"
-    in the report instead of raising (a flat system fits only a vanishing
-    rate).
+    per grid, and the 2-norms of all sample matrices are one stacked call.
+    A fitted alpha at or below 1e-6 flags "no dichotomy detected" in the
+    report instead of raising (a flat system fits only a vanishing rate).
     """
     grid = np.asarray(sorted(grid), dtype=float)
     P0 = _validate_projection(P0)
@@ -269,26 +269,28 @@ def verify_dichotomy(op: FundamentalOperator, P0, grid):
     eye = np.eye(op.n)
     fwd = [op.value(b, a) for a, b in zip(grid[:-1], grid[1:])]
     bwd = [op.value(a, b) for a, b in zip(grid[:-1], grid[1:])]
-    samples = []
-
-    def record(sep, value, t, s, side):
-        if value > 1e-250:  # a rank-zero side contributes no constraint
-            samples.append((sep, math.log(value), t, s, side))
-
+    mats, keys = [], []   # sample matrices and their (sep, t, s, side)
     for j, s in enumerate(grid):
-        Ps = fam[j]
-        X = Ps.copy()
-        record(0.0, norm(X), s, s, "stable")
+        X = fam[j]
+        mats.append(X)
+        keys.append((0.0, s, s, "stable"))
         for i in range(j + 1, len(grid)):
             X = fwd[i - 1] @ X
-            record(grid[i] - s, norm(X), grid[i], s, "stable")
-        Y = eye - Ps
+            mats.append(X)
+            keys.append((grid[i] - s, grid[i], s, "stable"))
+        Y = eye - fam[j]
         # t -> s^- limit of the backward bound forces K >= ||Id - P(s)||;
         # recorded as a zero-separation constraint, not a t = s sample
-        record(0.0, norm(Y), s, s, "unstable-limit")
+        mats.append(Y)
+        keys.append((0.0, s, s, "unstable-limit"))
         for i in range(j - 1, -1, -1):
             Y = bwd[i] @ Y
-            record(s - grid[i], norm(Y), grid[i], s, "unstable")
+            mats.append(Y)
+            keys.append((s - grid[i], grid[i], s, "unstable"))
+    norms = np.linalg.norm(np.stack(mats), 2, axis=(-2, -1)).tolist()
+    # a rank-zero side contributes no constraint
+    samples = [(sep, math.log(v), t, s, side)
+               for (sep, t, s, side), v in zip(keys, norms) if v > 1e-250]
     seps = np.array([x[0] for x in samples])
     logs = np.array([x[1] for x in samples])
     alpha_fit, logK = fit_envelope(seps, logs)

@@ -39,7 +39,7 @@ def norm(value) -> float:
     a = np.asarray(value, dtype=float)
     if a.ndim <= 1:
         return float(np.linalg.norm(a))
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def _check_window(window):

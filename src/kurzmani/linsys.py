@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .funcspace import (PiecewisePath, StieltjesMeasure, add_jumps, norm,
+from .funcspace import (PiecewisePath, StieltjesMeasure, add_jumps,
                         running_integral, running_stieltjes_integral,
                         total_variation)
 
@@ -189,20 +189,22 @@ class _CellCache:
     phi_inv: np.ndarray
     constant: bool
     gen: np.ndarray | None   # generator if constant
-    sigma: np.ndarray = None       # quadrature times inside the cell
-    weights: np.ndarray = None
-    phi_sig_inv: np.ndarray = None  # (Q, n, n): Phi(sigma_q, x_j)^{-1}
+    sigma: np.ndarray        # quadrature times inside the cell
+    weights: np.ndarray
+    phi_sig_inv: np.ndarray  # (Q, n, n): Phi(sigma_q, x_j)^{-1}
 
 
 class FundamentalOperator:
     """Mesh-cached realization of the solution operator V(t, s).
 
     The mesh contains the window endpoints, a uniform grid at ``base_step``,
-    every jump time, every breakpoint of the generator, and the reference
-    time t0; times that match under ``_same_time`` (relative away from 0)
-    share one node.  Per-cell propagators and in-cell quadrature samples are
-    built lazily and are read-only afterwards, so queries may run
-    concurrently.
+    every jump time inside the window, every breakpoint of the generator,
+    and the reference time t0; times that match under ``_same_time``
+    (relative away from 0) share one node.  Per-cell propagators and in-cell
+    quadrature samples are built lazily: the first cell query fills every
+    constant-generator cell, one stacked pass per generator piece, and the
+    other cells are integrated one by one as they are asked for.  Both are
+    read-only afterwards.
     """
 
     def __init__(self, spec: LinearSystemSpec, window, base_step=0.1):
@@ -214,10 +216,8 @@ class FundamentalOperator:
         if not (lo <= spec.t0 <= hi):
             raise ValueError("reference time t0 must lie inside the window")
         self.window = (lo, hi)
-        events = spec.jump_events()
-        for t, _ in events:
-            if not (lo <= t <= hi):
-                raise ValueError("jump time %g outside operator window" % t)
+        # a jump outside the window cannot act on V there
+        events = [(t, J) for t, J in spec.jump_events() if lo <= t <= hi]
         nodes = [lo, hi, spec.t0]
         nodes += list(np.arange(lo, hi, base_step)[1:])
         nodes += [t for t, _ in events]
@@ -226,12 +226,16 @@ class FundamentalOperator:
         keep = np.concatenate([[True], ~_same_time(nodes[1:], nodes[:-1])])
         self.nodes = nodes[keep]
         self._times = self.nodes.tolist()   # Python floats for scalar matching
+        self._index = {t: i for i, t in enumerate(self._times)}
         self._jumps = {}
         for t, J in events:
             i = self.node_index(t)
             self._jumps[i] = (J, np.linalg.inv(J))
-        self._cells: dict[int, _CellCache] = {}
-        self._gl = np.polynomial.legendre.leggauss(_QUAD_NODES)
+        self._cells: dict[int, _CellCache] | None = None
+        gl_nodes, gl_weights = np.polynomial.legendre.leggauss(_QUAD_NODES)
+        a, b = self.nodes[:-1, None], self.nodes[1:, None]
+        self._sigma = 0.5 * (a + b) + 0.5 * (b - a) * gl_nodes   # (cells, Q)
+        self._weights = 0.5 * (b - a) * gl_weights
         self.i_t0 = self.node_index(spec.t0)
 
     # -- mesh helpers -------------------------------------------------------
@@ -265,8 +269,7 @@ class FundamentalOperator:
         ts = list(t_eval) + [b]
         if self.spec.generator_constant_on(a, b):
             gen = self.spec.generator(0.5 * (a + b))
-            mats = [expm(gen * (t - a)) for t in ts]
-            return mats, gen
+            return [expm(gen * (t - a)) for t in ts]
 
         def rhs(t, y):
             return (self.spec.generator(t) @ y.reshape(n, n)).ravel()
@@ -277,33 +280,78 @@ class FundamentalOperator:
         if not sol.success:
             raise PropagationError("integrator failed on [%g, %g]: %s"
                                    % (a, b, sol.message))
-        mats = [sol.y[:, k].reshape(n, n) for k in range(sol.y.shape[1])]
-        return mats, None
+        return [sol.y[:, k].reshape(n, n) for k in range(sol.y.shape[1])]
+
+    def _constant_cells(self):
+        """Cache entries of every cell whose generator is constant.
+
+        Cells are grouped by the segments of A, C and the density that hold
+        their midpoints.  Each group evaluates its generator once and makes
+        one stacked ``expm`` over its distinct exact steps from the left node
+        (the Gauss nodes and the cell end), then one stacked inverse.  Slices
+        of a stacked ``expm`` or ``inv`` are computed independently, so every
+        entry equals its one-matrix value bit for bit.
+        """
+        spec = self.spec
+        left, right = self.nodes[:-1], self.nodes[1:]
+        mids = 0.5 * (left + right)
+        paths = [spec.smooth]
+        if spec.measure_part is not None:
+            C, u = spec.measure_part
+            paths += [C, u.density]
+        seg = np.stack([np.searchsorted(p.times, mids) for p in paths], axis=1)
+        const = np.all([np.array([sg.is_constant for sg in p.segments])[k]
+                        for p, k in zip(paths, seg.T)], axis=0)
+        js = np.flatnonzero(const)
+        cells = {}
+        for key in np.unique(seg[js], axis=0):
+            jg = js[np.all(seg[js] == key, axis=1)]
+            a, b = left[jg, None], right[jg, None]
+            steps = np.concatenate([self._sigma[jg] - a, b - a], axis=1)
+            distinct, where = np.unique(steps, return_inverse=True)
+            gen = spec.generator(mids[jg[0]])
+            mats = expm(gen * distinct[:, None, None])
+            where = where.reshape(steps.shape)
+            phi, inv = mats[where], np.linalg.inv(mats)[where]
+            for i, j in enumerate(jg.tolist()):
+                cells[j] = _CellCache(
+                    phi=phi[i, -1], phi_inv=inv[i, -1], constant=True, gen=gen,
+                    sigma=self._sigma[j], weights=self._weights[j],
+                    phi_sig_inv=inv[i, :-1])
+        return cells
 
     def cell(self, j) -> _CellCache:
-        """Cached data for the cell [x_j, x_{j+1}]."""
+        """Cached data for the cell [x_j, x_{j+1}].
+
+        The first call fills every constant-generator cell at once
+        (``_constant_cells``); any other cell is integrated on its own.
+        """
+        if self._cells is None:
+            self._cells = self._constant_cells()
         cache = self._cells.get(j)
         if cache is not None:
             return cache
-        a, b = self.nodes[j], self.nodes[j + 1]
-        gl_nodes, gl_weights = self._gl
-        sigma = 0.5 * (a + b) + 0.5 * (b - a) * gl_nodes
-        weights = 0.5 * (b - a) * gl_weights
-        mats, gen = self._propagate(a, b, t_eval=sigma)
-        phi_sig = np.stack(mats[:-1])
-        phi = mats[-1]
+        mats = self._propagate(self.nodes[j], self.nodes[j + 1],
+                               t_eval=self._sigma[j])
         cache = _CellCache(
-            phi=phi, phi_inv=np.linalg.inv(phi), constant=gen is not None,
-            gen=gen, sigma=sigma, weights=weights,
-            phi_sig_inv=np.stack([np.linalg.inv(m) for m in phi_sig]))
+            phi=mats[-1], phi_inv=np.linalg.inv(mats[-1]), constant=False,
+            gen=None, sigma=self._sigma[j], weights=self._weights[j],
+            phi_sig_inv=np.linalg.inv(np.stack(mats[:-1])))
         self._cells[j] = cache
         return cache
 
     # -- queries ------------------------------------------------------------
 
     def value(self, t, s):
-        """V(t, s); jump factors at times in [min, max) apply per direction."""
+        """V(t, s); jump factors at times in [min, max) apply per direction.
+
+        A forward step between adjacent nodes is the cached cell propagator
+        times the jump factor at its left node.
+        """
         t, s = float(t), float(s)
+        j = self._index.get(s)
+        if j is not None and j + 1 < len(self._times) and t == self._times[j + 1]:
+            return self.cell(j).phi @ self.jump_factor(j)[0]
         if _same_time(t, s):
             return np.eye(self.n)
         if t > s:
@@ -316,8 +364,7 @@ class FundamentalOperator:
 
     def _partial(self, a, b):
         """Smooth Phi(b, a) within one cell (no interior jump times)."""
-        mats, _ = self._propagate(a, b)
-        return mats[0]
+        return self._propagate(a, b)[0]
 
     def _forward(self, s, t):
         """Product of factors from s up to t (s < t)."""
@@ -373,9 +420,10 @@ def check_regularity(spec: LinearSystemSpec, window) -> RegularityReport:
     lo, hi = float(window[0]), float(window[1])
     lam = accumulated_path(spec)
     eye = np.eye(spec.n)
+    factors = [m for bp in lam.breakpoints if lo <= bp.time <= hi
+               for m in (eye + bp.right_jump, eye - bp.left_jump)]
     C_a = 1.0
-    for bp in lam.breakpoints:
-        if lo <= bp.time <= hi:
-            C_a = max(C_a, norm(np.linalg.inv(eye + bp.right_jump)),
-                      norm(np.linalg.inv(eye - bp.left_jump)))
+    if factors:
+        inv_norms = np.linalg.norm(np.linalg.inv(np.stack(factors)), 2, axis=(-2, -1))
+        C_a = max(C_a, float(np.max(inv_norms)))
     return RegularityReport(C_a=C_a, V_Lambda=total_variation(lam, (lo, hi)))

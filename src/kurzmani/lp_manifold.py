@@ -628,7 +628,7 @@ def _fine_layout(ctx, idx, refine):
             step = expm(fc.gen * (pts[1] - pts[0]))
             steps = [step] * refine
         else:
-            mats, _ = ctx.fund._propagate(a, b, t_eval=pts[:-1].tolist())
+            mats = ctx.fund._propagate(a, b, t_eval=pts[:-1].tolist())
             full = mats[:refine] + [mats[-1]]
             steps = [full[l + 1] @ np.linalg.inv(full[l]) for l in range(refine)]
         layout.append((pts, steps))

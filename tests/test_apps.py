@@ -1,10 +1,12 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 from conftest import SADDLE, lebesgue, quadratic_forcing
-from kurzmani.apps import (HypothesisError, IdeSpec, MdeSpec,
+from kurzmani import cli
+from kurzmani.apps import (HypothesisError, IdeSpec, MdeSpec, build_context,
                            check_hypotheses, ide_to_context, mde_to_context)
 from kurzmani.funcspace import PiecewisePath, StieltjesMeasure, total_variation
 from kurzmani.linsys import accumulated_path
@@ -174,3 +176,22 @@ def test_context_meshes_contain_kernel_atoms():
 def test_check_hypotheses_rejects_other_types():
     with pytest.raises(TypeError):
         check_hypotheses(object())
+
+
+@pytest.mark.parametrize("name, horizon", [("impulsive_saddle", 32.6),
+                                           ("planar_quadratic", 30.4),
+                                           ("scalar_mde", 28.1)])
+def test_context_without_horizon_matches_shipped_horizon(name, horizon):
+    # the probe operator on [0, 20] and the final window both leave out
+    # the impulses beyond them
+    cfg = cli.load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                       "configs", name + ".json"))
+    spec, sol = cli.parse_system(cfg), cli.solver_block(cfg)
+    grid = cli.parse_grid(sol["grid"], None)
+    auto = build_context(spec, T=None, tol=sol["tol"], grid=grid)
+    shipped = build_context(spec, T=sol["T"], tol=sol["tol"], grid=grid)
+    assert auto.T == pytest.approx(horizon, abs=1e-9)
+    zeta = np.zeros(spec.n)
+    zeta[0] = 0.1
+    np.testing.assert_allclose(solve_lp(zeta, 0.0, auto).m,
+                               solve_lp(zeta, 0.0, shipped).m, rtol=0, atol=1e-12)

@@ -319,6 +319,28 @@ def test_classify_reports_escape_rows(tmp_path):
     assert any("escapes" in r for r in rows)
 
 
+@pytest.mark.parametrize("point", [[0.1], [[0.1]]], ids=["scalar", "nested"])
+def test_classify_point_of_wrong_dimension_is_config_error(tmp_path, point):
+    cfg = json.loads(open(config_path("planar_quadratic.json")).read())
+    cfg["solver"]["initial_points"] = [point]
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps(cfg))
+    proc = run_cli(["classify", "--config", str(path), "--out", str(tmp_path)])
+    assert proc.returncode == 1, proc.stderr
+    err = json.loads(proc.stderr.splitlines()[-1])
+    assert err["error"] == "config"
+    assert repr(point) in err["message"] and "n = 2" in err["message"]
+
+
+def test_manifold_without_horizon_exits_zero(tmp_path):
+    cfg = json.loads(open(config_path("impulsive_saddle.json")).read())
+    del cfg["solver"]["T"]
+    path = tmp_path / "auto.json"
+    path.write_text(json.dumps(cfg))
+    proc = run_cli(["manifold", "--config", str(path), "--out", str(tmp_path)])
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_check_reports_hypotheses(tmp_path):
     proc = run_cli(["check", "--config", config_path("scalar_mde.json"),
                     "--out", str(tmp_path)])

@@ -5,7 +5,9 @@ import pathlib
 import numpy as np
 import pytest
 
+from conftest import coupled_context
 from kurzmani import cli
+from kurzmani.apps import build_context
 from kurzmani.dichotomy import (DichotomyData, SplittingError, certify,
                                 fit_envelope, projection_family,
                                 spectral_projection, verify_dichotomy)
@@ -164,3 +166,49 @@ def test_certify_default_grid_is_the_first_ten_time_units():
     wide = certify(op, grid=np.linspace(-5.0, 25.0, 7))
     assert {t for _, _, t, _, _ in wide.report.samples} == {0.0, 5.0, 10.0,
                                                             15.0, 20.0}
+
+
+def _loop_samples(op, P0, grid):
+    """The certificate's samples, one matrix and one 2-norm at a time."""
+    fam = projection_family(op, P0, grid)
+    eye = np.eye(op.n)
+    samples = []
+
+    def record(sep, M, t, s, side):
+        value = float(np.linalg.norm(M, 2))
+        if value > 1e-250:
+            samples.append((sep, math.log(value), t, s, side))
+
+    for j, s in enumerate(grid):
+        X = fam[j]
+        record(0.0, X, s, s, "stable")
+        for i in range(j + 1, len(grid)):
+            X = op.value(grid[i], grid[i - 1]) @ X
+            record(grid[i] - s, X, grid[i], s, "stable")
+        Y = eye - fam[j]
+        record(0.0, Y, s, s, "unstable-limit")
+        for i in range(j - 1, -1, -1):
+            Y = op.value(grid[i], grid[i + 1]) @ Y
+            record(s - grid[i], Y, grid[i], s, "unstable")
+    return samples
+
+
+def _shipped_context(name):
+    cfg = cli.load_config(CONFIGS / (name + ".json"))
+    sol = cli.solver_block(cfg)
+    grid = cli.parse_grid(sol["grid"], None)
+    ctx = build_context(cli.parse_system(cfg), T=sol["T"], tol=sol["tol"], grid=grid)
+    return ctx, grid
+
+
+@pytest.mark.parametrize("name", ["planar_quadratic", "impulsive_saddle",
+                                  "scalar_mde", "coupled"])
+def test_verify_dichotomy_samples_equal_per_sample_loop(name):
+    if name == "coupled":
+        ctx, grid = coupled_context(4.0), np.linspace(0.0, 4.0, 21)
+    else:
+        ctx, grid = _shipped_context(name)
+    want = _loop_samples(ctx.fund, ctx.dich.P0, grid)
+    assert ctx.reports["dichotomy"].samples == want
+    _, _, report = verify_dichotomy(ctx.fund, ctx.dich.P0, grid)
+    assert report.samples == want

@@ -1,15 +1,20 @@
 import math
+import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import kurzmani.linsys as linsys
 from conftest import lebesgue
+from kurzmani.cli import load_config, parse_system
 from kurzmani.funcspace import (PiecewisePath, StieltjesMeasure, norm,
                                 running_stieltjes_integral, total_variation)
 from kurzmani.linsys import (FundamentalOperator, LinearSystemSpec,
                              check_regularity, lambda_from_ide)
 
 EYE1 = np.eye(1)
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def scalar_path(c):
@@ -202,3 +207,77 @@ def test_jump_convention_matches_product_formula_at_nodes():
     assert op.value(1.0, 0.0)[0, 0] == pytest.approx(1.0)
     assert op.value(0.0, 1.0)[0, 0] == pytest.approx(1.0)
     assert op.value(1.0, 2.0)[0, 0] == pytest.approx(0.5)
+
+
+def _cell_oracle(op, j):
+    """A constant cell computed one matrix at a time, outside the library."""
+    a, b = op.nodes[j], op.nodes[j + 1]
+    x, w = np.polynomial.legendre.leggauss(3)
+    sigma = 0.5 * (a + b) + 0.5 * (b - a) * x
+    gen = op.spec.generator(0.5 * (a + b))
+    phi = scipy.linalg.expm(gen * (b - a))
+    phi_sig = [scipy.linalg.expm(gen * (t - a)) for t in sigma]
+    return {"phi": phi, "phi_inv": np.linalg.inv(phi), "gen": gen,
+            "sigma": sigma, "weights": 0.5 * (b - a) * w,
+            "phi_sig_inv": np.stack([np.linalg.inv(m) for m in phi_sig])}
+
+
+def _shipped_linear_spec(name):
+    cfg = load_config(os.path.join(CONFIG_DIR, name + ".json"))
+    return parse_system(cfg).linear_spec(0.0)
+
+
+def _piecewise_spec():
+    """Two constant pieces around a polynomial one, plus one impulse."""
+    A1 = np.array([[-1.0, 0.5], [0.0, 0.8]])
+    A2 = np.array([[-0.7, 0.0], [0.3, 1.2]])
+    ramp = PiecewisePath.polynomial([A1, 0.1 * np.eye(2)]).segments[0]
+    smooth = PiecewisePath.from_segments([1.0, 2.0], [A1, ramp, A2])
+    return LinearSystemSpec(2, smooth, impulses=((2.5, np.diag([0.2, -0.1])),))
+
+
+# the polynomial piece on (1, 2) spans 10 cells of the 0.1 mesh
+@pytest.mark.parametrize("make, window, smooth_cells", [
+    (lambda: _shipped_linear_spec("impulsive_saddle"), (0.0, 40.0), 0),
+    (lambda: _shipped_linear_spec("scalar_mde"), (0.0, 12.0), 0),
+    (_piecewise_spec, (0.0, 3.5), 10),
+], ids=["impulsive_saddle", "scalar_mde", "piecewise"])
+def test_stacked_constant_cells_equal_per_cell_oracle(monkeypatch, make, window,
+                                                      smooth_cells):
+    ivp_calls = []
+    real_ivp = linsys.solve_ivp
+    monkeypatch.setattr(linsys, "solve_ivp",
+                        lambda *a, **k: ivp_calls.append(1) or real_ivp(*a, **k))
+    spec = make()
+    op = FundamentalOperator(spec, window)
+    integrated = 0
+    for j in range(len(op.nodes) - 1):
+        cell = op.cell(j)
+        if not spec.generator_constant_on(op.nodes[j], op.nodes[j + 1]):
+            assert not cell.constant and cell.gen is None
+            integrated += 1
+            continue
+        assert cell.constant
+        for key, want in _cell_oracle(op, j).items():
+            assert np.array_equal(getattr(cell, key), want), (j, key)
+    assert integrated == len(ivp_calls) == smooth_cells
+
+
+def test_constant_fill_exponentiates_each_distinct_step_once(monkeypatch):
+    spec = _shipped_linear_spec("impulsive_saddle")
+    matrices = []
+    real_expm = linsys.expm
+    monkeypatch.setattr(linsys, "expm", lambda a: matrices.append(
+        1 if np.ndim(a) == 2 else len(a)) or real_expm(a))
+    op = FundamentalOperator(spec, (0.0, 40.0))
+    cells = len(op.nodes) - 1
+    for j in range(cells):
+        op.cell(j)
+    assert cells == 400
+    distinct = set()
+    for j in range(cells):
+        oracle = _cell_oracle(op, j)
+        a, b = op.nodes[j], op.nodes[j + 1]
+        for step in [*(oracle["sigma"] - a), b - a]:
+            distinct.add((oracle["gen"].tobytes(), float(step)))
+    assert sum(matrices) <= len(distinct) < 4 * cells
