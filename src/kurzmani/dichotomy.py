@@ -163,9 +163,11 @@ def projection_family(op: FundamentalOperator, P0, times):
     """P(t_i) = V(t_i, t0) P0 V(t0, t_i) for each requested time.
 
     Propagated by local conjugation between consecutive times to keep the
-    factors short, forward from t0 and backward from t0.  ``times`` may be
-    any times in the operator window, mesh nodes or not: the same family
-    serves the certification grid and the solver mesh of ``LPContext``.
+    factors short, forward from t0 and backward from t0.  Each step is
+    V(b, a) P V(a, b); between adjacent mesh nodes both factors are stored,
+    so the mesh family takes no inverse.  ``times`` may be any times in the
+    operator window, mesh nodes or not: the same family serves the
+    certification grid and the solver mesh of ``LPContext``.
     """
     times = np.asarray(times, dtype=float)
     order = np.argsort(times)
@@ -176,8 +178,7 @@ def projection_family(op: FundamentalOperator, P0, times):
     i_anchor = int(np.searchsorted(sorted_times, t0))
 
     def step(P, a, b):
-        V = op.value(b, a)
-        return V @ P @ np.linalg.inv(V)
+        return op.value(b, a) @ P @ op.value(a, b)
 
     current = step(P_t0, t0, sorted_times[i_anchor]) if i_anchor < len(sorted_times) else None
     for idx in range(i_anchor, len(sorted_times)):

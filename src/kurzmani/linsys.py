@@ -8,9 +8,12 @@ density adds C(t) * density(t) to the smooth generator.
 The fundamental operator V(t, s) is realized by the product formula: smooth
 propagation between consecutive mesh nodes (matrix exponentials on constant
 cells, an adaptive order-8 integrator otherwise) interleaved with the jump
-factors.  Solutions are stored left-continuous: the factor at a jump time
-applies when propagating past it, so V(t, s) includes the factors at times in
-[s, t) and V(t, t) = Id exactly.
+factors.  The operator holds its mesh as one stacked store, the jump factor
+and its inverse per node and the cell propagators per cell, which the
+projection family, the fast kernels and the reference oracle all read.
+Solutions are stored left-continuous: the factor at a jump time applies when
+propagating past it, so V(t, s) includes the factors at times in [s, t) and
+V(t, t) = Id exactly.
 
 Accuracy note: the product formula itself is well conditioned; what limits a
 long horizon is the projection family conjugated along it, whose roundoff
@@ -21,6 +24,8 @@ grows like exp(2 alpha t) and swamps it near 2 alpha T = -log(eps) (see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -77,7 +82,8 @@ class LinearSystemSpec:
 
     ``smooth`` is the matrix path A(t); ``impulses`` are (time, B) with
     strictly increasing times; ``measure_part`` is an optional (C, u) pair.
-    Construction verifies every jump factor is invertible.
+    Construction verifies every jump factor is invertible and that no two
+    jump times, impulses and atoms together, match under ``_same_time``.
     """
 
     n: int
@@ -94,22 +100,22 @@ class LinearSystemSpec:
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("impulse times must be strictly increasing")
         object.__setattr__(self, "impulses", imp)
-        for t, B in imp:
-            if _inverse_or_none(np.eye(self.n) + B) is None:
-                raise ValueError("Id + B is singular at impulse time %g" % t)
         if self.measure_part is not None:
             C, u = self.measure_part
             if C.shape != (self.n, self.n):
                 raise ValueError("measure coefficient must be a matrix path")
             if not isinstance(u, StieltjesMeasure):
                 raise ValueError("measure_part must be (PiecewisePath, StieltjesMeasure)")
-            for t, w in u.atoms:
-                if _inverse_or_none(np.eye(self.n) + C(t) * w) is None:
-                    raise ValueError("Id + C*du is singular at atom time %g" % t)
-            for t, _ in imp:
-                if any(_same_time(t, ta) for ta, _ in u.atoms):
-                    raise ValueError("impulse and measure atom coincide at t=%g" % t)
         object.__setattr__(self, "t0", float(self.t0))
+        events = self.jump_events()
+        # jumps that share a mesh node would keep only one of their factors
+        for (a, _), (b, _) in zip(events, events[1:]):
+            if _same_time(b, a):
+                raise ValueError("jumps at t=%r and t=%r coincide" % (a, b))
+        for t, J in events:
+            if _inverse_or_none(J) is None:
+                raise ValueError("jump factor Id + B or Id + C*du is singular "
+                                 "at t=%g" % t)
 
     def jump_events(self):
         """Sorted (time, factor) pairs combining impulses and measure atoms."""
@@ -183,15 +189,12 @@ def accumulated_path(spec: LinearSystemSpec) -> PiecewisePath:
 # fundamental operator
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _CellCache:
-    phi: np.ndarray          # propagator across the cell
-    phi_inv: np.ndarray
-    constant: bool
-    gen: np.ndarray | None   # generator if constant
-    sigma: np.ndarray        # quadrature times inside the cell
-    weights: np.ndarray
-    phi_sig_inv: np.ndarray  # (Q, n, n): Phi(sigma_q, x_j)^{-1}
+class _Cells(NamedTuple):
+    """Per-cell propagators stacked along the mesh; row j is [x_j, x_{j+1}]."""
+
+    phi: np.ndarray          # (M, n, n) Phi(x_{j+1}, x_j)
+    phi_inv: np.ndarray      # (M, n, n)
+    phi_sig_inv: np.ndarray  # (M, Q, n, n) Phi(sigma_q, x_j)^{-1}
 
 
 class FundamentalOperator:
@@ -200,11 +203,11 @@ class FundamentalOperator:
     The mesh contains the window endpoints, a uniform grid at ``base_step``,
     every jump time inside the window, every breakpoint of the generator,
     and the reference time t0; times that match under ``_same_time``
-    (relative away from 0) share one node.  Per-cell propagators and in-cell
-    quadrature samples are built lazily: the first cell query fills every
-    constant-generator cell, one stacked pass per generator piece, and the
-    other cells are integrated one by one as they are asked for.  Both are
-    read-only afterwards.
+    (relative away from 0) share one node.  The mesh is held as stacked
+    arrays: ``jumps`` and ``jump_invs`` (N, n, n) carry the jump factor at
+    each node (identity where nothing jumps), and ``cells`` the propagators
+    across each cell and to its quadrature nodes, filled on first use.  All
+    are read-only.
     """
 
     def __init__(self, spec: LinearSystemSpec, window, base_step=0.1):
@@ -227,11 +230,13 @@ class FundamentalOperator:
         self.nodes = nodes[keep]
         self._times = self.nodes.tolist()   # Python floats for scalar matching
         self._index = {t: i for i, t in enumerate(self._times)}
-        self._jumps = {}
-        for t, J in events:
-            i = self.node_index(t)
-            self._jumps[i] = (J, np.linalg.inv(J))
-        self._cells: dict[int, _CellCache] | None = None
+        self.jumps = np.tile(np.eye(self.n), (len(self.nodes), 1, 1))
+        self.jump_invs = self.jumps.copy()
+        if events:
+            at = [self.node_index(t) for t, _ in events]
+            self.jumps[at] = [J for _, J in events]
+            self.jump_invs[at] = np.linalg.inv(self.jumps[at])
+        self.jumps.flags.writeable = self.jump_invs.flags.writeable = False
         gl_nodes, gl_weights = np.polynomial.legendre.leggauss(_QUAD_NODES)
         a, b = self.nodes[:-1, None], self.nodes[1:, None]
         self._sigma = 0.5 * (a + b) + 0.5 * (b - a) * gl_nodes   # (cells, Q)
@@ -254,13 +259,6 @@ class FundamentalOperator:
         except KeyError:
             return False
 
-    def jump_factor(self, i):
-        """(J, J^{-1}) at node i; identity when nothing jumps there."""
-        if i in self._jumps:
-            return self._jumps[i]
-        eye = np.eye(self.n)
-        return eye, eye
-
     # -- smooth propagation -------------------------------------------------
 
     def _propagate(self, a, b, t_eval=()):
@@ -282,18 +280,23 @@ class FundamentalOperator:
                                    % (a, b, sol.message))
         return [sol.y[:, k].reshape(n, n) for k in range(sol.y.shape[1])]
 
-    def _constant_cells(self):
-        """Cache entries of every cell whose generator is constant.
+    @cached_property
+    def cells(self) -> _Cells:
+        """Propagators of every cell, filled on first use.
 
-        Cells are grouped by the segments of A, C and the density that hold
-        their midpoints.  Each group evaluates its generator once and makes
-        one stacked ``expm`` over its distinct exact steps from the left node
-        (the Gauss nodes and the cell end), then one stacked inverse.  Slices
-        of a stacked ``expm`` or ``inv`` are computed independently, so every
-        entry equals its one-matrix value bit for bit.
+        Constant-generator cells are grouped by the segments of A, C and the
+        density that hold their midpoints.  Each group evaluates its
+        generator once and makes one stacked ``expm`` over its distinct exact
+        steps from the left node (the Gauss nodes and the cell end), then one
+        stacked inverse.  Slices of a stacked ``expm`` or ``inv`` are computed
+        independently, so every entry equals its one-matrix value bit for
+        bit.  Every other cell is integrated on its own in the same fill.
         """
-        spec = self.spec
+        spec, n = self.spec, self.n
         left, right = self.nodes[:-1], self.nodes[1:]
+        M, Q = self._sigma.shape
+        phi, phi_inv = np.empty((2, M, n, n))
+        phi_sig_inv = np.empty((M, Q, n, n))
         mids = 0.5 * (left + right)
         paths = [spec.smooth]
         if spec.measure_part is not None:
@@ -303,55 +306,40 @@ class FundamentalOperator:
         const = np.all([np.array([sg.is_constant for sg in p.segments])[k]
                         for p, k in zip(paths, seg.T)], axis=0)
         js = np.flatnonzero(const)
-        cells = {}
         for key in np.unique(seg[js], axis=0):
             jg = js[np.all(seg[js] == key, axis=1)]
             a, b = left[jg, None], right[jg, None]
             steps = np.concatenate([self._sigma[jg] - a, b - a], axis=1)
             distinct, where = np.unique(steps, return_inverse=True)
-            gen = spec.generator(mids[jg[0]])
-            mats = expm(gen * distinct[:, None, None])
+            mats = expm(spec.generator(mids[jg[0]]) * distinct[:, None, None])
             where = where.reshape(steps.shape)
-            phi, inv = mats[where], np.linalg.inv(mats)[where]
-            for i, j in enumerate(jg.tolist()):
-                cells[j] = _CellCache(
-                    phi=phi[i, -1], phi_inv=inv[i, -1], constant=True, gen=gen,
-                    sigma=self._sigma[j], weights=self._weights[j],
-                    phi_sig_inv=inv[i, :-1])
-        return cells
-
-    def cell(self, j) -> _CellCache:
-        """Cached data for the cell [x_j, x_{j+1}].
-
-        The first call fills every constant-generator cell at once
-        (``_constant_cells``); any other cell is integrated on its own.
-        """
-        if self._cells is None:
-            self._cells = self._constant_cells()
-        cache = self._cells.get(j)
-        if cache is not None:
-            return cache
-        mats = self._propagate(self.nodes[j], self.nodes[j + 1],
-                               t_eval=self._sigma[j])
-        cache = _CellCache(
-            phi=mats[-1], phi_inv=np.linalg.inv(mats[-1]), constant=False,
-            gen=None, sigma=self._sigma[j], weights=self._weights[j],
-            phi_sig_inv=np.linalg.inv(np.stack(mats[:-1])))
-        self._cells[j] = cache
-        return cache
+            inv = np.linalg.inv(mats)
+            phi[jg], phi_inv[jg] = mats[where[:, -1]], inv[where[:, -1]]
+            phi_sig_inv[jg] = inv[where[:, :-1]]
+        for j in np.flatnonzero(~const).tolist():
+            mats = self._propagate(left[j], right[j], t_eval=self._sigma[j])
+            phi[j], phi_inv[j] = mats[-1], np.linalg.inv(mats[-1])
+            phi_sig_inv[j] = np.linalg.inv(np.stack(mats[:-1]))
+        for arr in (phi, phi_inv, phi_sig_inv):
+            arr.flags.writeable = False
+        return _Cells(phi, phi_inv, phi_sig_inv)
 
     # -- queries ------------------------------------------------------------
 
     def value(self, t, s):
         """V(t, s); jump factors at times in [min, max) apply per direction.
 
-        A forward step between adjacent nodes is the cached cell propagator
-        times the jump factor at its left node.
+        A step between adjacent nodes reads the stored factors: forward,
+        the cell propagator times the jump factor at its left node; backward,
+        their inverses in the opposite order.
         """
         t, s = float(t), float(s)
         j = self._index.get(s)
-        if j is not None and j + 1 < len(self._times) and t == self._times[j + 1]:
-            return self.cell(j).phi @ self.jump_factor(j)[0]
+        if j is not None:
+            if j + 1 < len(self._times) and t == self._times[j + 1]:
+                return self.cells.phi[j] @ self.jumps[j]
+            if j > 0 and t == self._times[j - 1]:
+                return self.jump_invs[j - 1] @ self.cells.phi_inv[j - 1]
         if _same_time(t, s):
             return np.eye(self.n)
         if t > s:
@@ -387,13 +375,12 @@ class FundamentalOperator:
             tj = self._times[cursor]
             if t <= tj or _same_time(t, tj):
                 break
-            J, _ = self.jump_factor(cursor)
-            out = J @ out
+            out = self.jumps[cursor] @ out
             nxt = self._times[cursor + 1]
             if t < nxt and not _same_time(t, nxt):
                 out = self._partial(tj, t) @ out
                 return out
-            out = self.cell(cursor).phi @ out
+            out = self.cells.phi[cursor] @ out
             cursor += 1
         return out
 

@@ -89,6 +89,7 @@ class _Quadratic:
 
     def __init__(self, mats):
         self.mats = np.asarray(mats, dtype=float)
+        self.n = self.mats.shape[0]
 
     def __call__(self, z):
         return np.einsum("...i,kij,...j->...k", z, self.mats, z)
@@ -105,6 +106,7 @@ class _Cubic:
 
     def __init__(self, coef):
         self.coef = np.asarray(coef, dtype=float)
+        self.n = self.coef.shape[0]
 
     def __call__(self, z):
         z = np.asarray(z, dtype=float)
@@ -122,6 +124,7 @@ class _SaturatedTanh:
 
     def __init__(self, gain):
         self.gain = np.asarray(gain, dtype=float)
+        self.n = self.gain.shape[0]
 
     def __call__(self, z):
         z = np.asarray(z, dtype=float)
@@ -200,17 +203,9 @@ class NonlinearitySpec:
         self.lip_eff = lip2 + sup2 * 1.5 / self.rho
         self.M_H = float(M_H) if M_H is not None else self.sup_eff
         self.L_H = float(L_H) if L_H is not None else self.lip_eff
-        zero = np.zeros(self._probe_dim())
+        zero = np.zeros(self._raw.n)
         if norm(self.value(0.0, zero)) != 0.0:
             raise ValueError("registry nonlinearity must vanish at z = 0")
-
-    def _probe_dim(self):
-        if self.registry_id == "quadratic":
-            return np.asarray(self.params["mats"]).shape[0]
-        if self.registry_id in ("cubic", "saturated_tanh"):
-            key = "coef" if self.registry_id == "cubic" else "gain"
-            return np.asarray(self.params[key]).shape[0]
-        return int(self.params.get("n", 1))
 
     def value(self, t, z):
         """Cutoff nonlinearity; broadcasts over leading axes of z."""
@@ -254,11 +249,10 @@ class NonlinearitySpec:
 
     def h_rate(self, window):
         """Sup of the absolutely continuous rate of h (for horizon choice)."""
+        grid = np.linspace(window[0], window[1], 101)
         if self.kind == "mde_kernel":
-            grid = np.linspace(window[0], window[1], 101)
             return max(self.M_H, self.L_H) * float(
                 np.max(np.abs(self.measure.density.sample(grid))))
-        grid = np.linspace(window[0], window[1], 101)
         return float(np.max(self.gamma_path().sample(grid)))
 
 
@@ -470,26 +464,23 @@ class LPContext:
     def _build_kernels(self):
         fund, m = self.fund, self.i_T
         eye = np.eye(fund.n)
-        cells = [fund.cell(j) for j in range(m)]
-        J, J_inv = (np.stack(mats) for mats in
-                    zip(*(fund.jump_factor(j) for j in range(m + 1))))
-        phi = np.stack([c.phi for c in cells])
-        phi_sig_inv = np.stack([c.phi_sig_inv for c in cells])
+        phi, phi_inv, phi_sig_inv = (a[:m] for a in fund.cells)
+        J, J_inv = fund.jumps[:m + 1], fund.jump_invs[:m + 1]
         proj = self._projections()[:m + 1]
         P_plus = J[:m] @ proj[:m] @ J_inv[:m]
         atom_s = phi @ P_plus
         atom_u = J_inv[:m] @ (eye - P_plus)
         F = phi @ J[:m]
-        G = J_inv[:m] @ np.stack([c.phi_inv for c in cells])
+        G = J_inv[:m] @ phi_inv
         self.reports["splitting"] = {
             "idempotency_defect": self._proj_defect,
             "cocycle_gap": float(np.max(_stacked_norm(proj[1:] @ F - F @ proj[:m]),
                                         initial=0.0))}
-        sigma = np.stack([c.sigma for c in cells])
+        sigma = fund._sigma[:m]
         a, b = fund.nodes[:m, None], fund.nodes[1:m + 1, None]
         return _Kernels(
             sigma=sigma, lam=(sigma - a) / (b - a),
-            wq=np.stack([c.weights for c in cells]) * self.nonlin.density_factor(sigma),
+            wq=fund._weights[:m] * self.nonlin.density_factor(sigma),
             atom_w=np.array([self.nonlin.atom_weight(t) for t in fund.nodes[:m]],
                             dtype=float),
             J=J, F=F, atom_s=atom_s, atom_u=atom_u,
@@ -619,13 +610,13 @@ def lp_operator_apply(z: SolutionPath, zeta, s, ctx: LPContext, mode="fast"):
 def _fine_layout(ctx, idx, refine):
     """Per-cell uniform subdivisions with their step propagators."""
     layout = []
+    spec = ctx.fund.spec
     for k in range(len(idx) - 1):
         j = idx[k]
         a, b = ctx.fund.nodes[j], ctx.fund.nodes[j + 1]
         pts = np.linspace(a, b, refine + 1)
-        fc = ctx.fund.cell(j)
-        if fc.constant:
-            step = expm(fc.gen * (pts[1] - pts[0]))
+        if spec.generator_constant_on(a, b):
+            step = expm(spec.generator(0.5 * (a + b)) * (pts[1] - pts[0]))
             steps = [step] * refine
         else:
             mats = ctx.fund._propagate(a, b, t_eval=pts[:-1].tolist())
@@ -701,7 +692,7 @@ def _reference_apply(z: SolutionPath, zeta, s, ctx: LPContext, refine0=2,
             Mcur = ctx.P(idx[out])
             for k in range(out - 1, -1, -1):
                 pts, steps = layout[k]
-                J, _ = ctx.fund.jump_factor(idx[k])
+                J = ctx.fund.jumps[idx[k]]
                 for l in range(len(steps) - 1, -1, -1):
                     M_hi = Mcur
                     Mcur = Mcur @ steps[l]
@@ -717,9 +708,8 @@ def _reference_apply(z: SolutionPath, zeta, s, ctx: LPContext, refine0=2,
             Ucur = eye - ctx.P(idx[out])
             for k in range(out, M):
                 pts, steps = layout[k]
-                _, J_inv = ctx.fund.jump_factor(idx[k])
                 U_left = Ucur
-                Ucur = Ucur @ J_inv
+                Ucur = Ucur @ ctx.fund.jump_invs[idx[k]]
                 unstable += (Ucur - U_left) @ node_N[k][0]
                 for l in range(len(steps)):
                     U_lo = Ucur
@@ -742,10 +732,9 @@ def _reference_apply(z: SolutionPath, zeta, s, ctx: LPContext, refine0=2,
         refine *= 2
     rights = vals.copy()
     for k in range(M + 1):
-        J, _ = ctx.fund.jump_factor(idx[k])
         a_k = ctx.nonlin.atom_weight(x[k]) if k < M else 0.0
         add = a_k * ctx.nonlin.value(x[k], z.values[k]) if a_k else np.zeros(n)
-        rights[k] = J @ vals[k] + add
+        rights[k] = ctx.fund.jumps[idx[k]] @ vals[k] + add
     return SolutionPath(x, vals, rights)
 
 
@@ -1035,17 +1024,14 @@ def classify_initial(z0, s, ctx: LPContext, bound) -> Classification:
     kinks = ctx.fund.spec.generator_breakpoints()
     stops = [0]
     for k in range(1, len(nodes)):
-        i = idx[k]
-        J, _ = ctx.fund.jump_factor(i)
-        if k == len(nodes) - 1 or not np.array_equal(J, eye) or \
-                ctx.nonlin.atom_weight(nodes[k]) or \
+        if k == len(nodes) - 1 or not np.array_equal(ctx.fund.jumps[idx[k]], eye) \
+                or ctx.nonlin.atom_weight(nodes[k]) or \
                 any(_same_time(nodes[k], b) for b in kinks):
             stops.append(k)
     for a_i, b_i in zip(stops[:-1], stops[1:]):
-        J, _ = ctx.fund.jump_factor(idx[a_i])
         cc_w = ctx.nonlin.atom_weight(nodes[a_i])
-        state = J @ state + (cc_w * np.asarray(ctx.nonlin.value(nodes[a_i], state))
-                             if cc_w else 0.0)
+        kick = cc_w * np.asarray(ctx.nonlin.value(nodes[a_i], state)) if cc_w else 0.0
+        state = ctx.fund.jumps[idx[a_i]] @ state + kick
         sol = solve_ivp(rhs, (nodes[a_i], nodes[b_i]), state, method="DOP853",
                         rtol=1e-10, atol=1e-12, events=escape, dense_output=False)
         if not sol.success:

@@ -212,3 +212,38 @@ def test_verify_dichotomy_samples_equal_per_sample_loop(name):
     assert ctx.reports["dichotomy"].samples == want
     _, _, report = verify_dichotomy(ctx.fund, ctx.dich.P0, grid)
     assert report.samples == want
+
+
+def _inverse_step_family(op, P0):
+    """The mesh family with one explicit inverse per step, V P V^{-1}, where
+    V is the forward cell product or its inverse."""
+    x, i0 = op.nodes, op.i_t0
+    out = np.empty((len(x), op.n, op.n))
+    out[i0] = P0
+    for i in range(i0 + 1, len(x)):
+        V = op.value(x[i], x[i - 1])
+        out[i] = V @ out[i - 1] @ np.linalg.inv(V)
+    for i in range(i0 - 1, -1, -1):
+        V = np.linalg.inv(op.value(x[i + 1], x[i]))
+        out[i] = V @ out[i + 1] @ np.linalg.inv(V)
+    return out
+
+
+@pytest.mark.parametrize("name", ["impulsive_saddle", "t0_inside"])
+def test_mesh_family_matches_inverse_step_oracle(name):
+    if name == "t0_inside":
+        # a jump on each side of t0 = 2, so the family runs both ways
+        spec = LinearSystemSpec(
+            2, PiecewisePath.constant(SADDLE), t0=2.0,
+            impulses=((1.05, np.array([[0.1, 0.2], [0.1, -0.1]])),
+                      (3.55, np.array([[-0.1, -0.1], [0.2, 0.2]]))))
+        op = FundamentalOperator(spec, (0.0, 6.0))
+        P0 = np.diag([1.0, 0.0])
+    else:
+        ctx, _ = _shipped_context(name)
+        op, P0 = ctx.fund, ctx.dich.P0
+    fam = projection_family(op, P0, op.nodes)
+    want = _inverse_step_family(op, P0)
+    gap = np.linalg.norm(fam - want, 2, axis=(-2, -1))
+    scale = np.linalg.norm(want, 2, axis=(-2, -1))
+    assert np.all(gap <= 1e-13 * scale)

@@ -250,16 +250,17 @@ def test_stacked_constant_cells_equal_per_cell_oracle(monkeypatch, make, window,
                         lambda *a, **k: ivp_calls.append(1) or real_ivp(*a, **k))
     spec = make()
     op = FundamentalOperator(spec, window)
+    cells = op.cells
     integrated = 0
     for j in range(len(op.nodes) - 1):
-        cell = op.cell(j)
         if not spec.generator_constant_on(op.nodes[j], op.nodes[j + 1]):
-            assert not cell.constant and cell.gen is None
             integrated += 1
             continue
-        assert cell.constant
-        for key, want in _cell_oracle(op, j).items():
-            assert np.array_equal(getattr(cell, key), want), (j, key)
+        oracle = _cell_oracle(op, j)
+        for key in cells._fields:
+            assert np.array_equal(getattr(cells, key)[j], oracle[key]), (j, key)
+        assert np.array_equal(op._sigma[j], oracle["sigma"]), j
+        assert np.array_equal(op._weights[j], oracle["weights"]), j
     assert integrated == len(ivp_calls) == smooth_cells
 
 
@@ -270,10 +271,8 @@ def test_constant_fill_exponentiates_each_distinct_step_once(monkeypatch):
     monkeypatch.setattr(linsys, "expm", lambda a: matrices.append(
         1 if np.ndim(a) == 2 else len(a)) or real_expm(a))
     op = FundamentalOperator(spec, (0.0, 40.0))
-    cells = len(op.nodes) - 1
-    for j in range(cells):
-        op.cell(j)
-    assert cells == 400
+    cells = len(op.cells.phi)
+    assert cells == len(op.nodes) - 1 == 400
     distinct = set()
     for j in range(cells):
         oracle = _cell_oracle(op, j)
@@ -281,3 +280,50 @@ def test_constant_fill_exponentiates_each_distinct_step_once(monkeypatch):
         for step in [*(oracle["sigma"] - a), b - a]:
             distinct.add((oracle["gen"].tobytes(), float(step)))
     assert sum(matrices) <= len(distinct) < 4 * cells
+
+
+def test_mesh_store_is_read_only():
+    op = FundamentalOperator(_piecewise_spec(), (0.0, 3.5))
+    for arr in (op.jumps, op.jump_invs, *op.cells):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+@pytest.mark.parametrize("make, window", [
+    (lambda: _shipped_linear_spec("impulsive_saddle"), (0.0, 40.0)),
+    (_piecewise_spec, (0.0, 3.5)),
+], ids=["impulsive_saddle", "piecewise"])
+def test_adjacent_backward_step_is_the_inverse_forward_step(make, window):
+    op = FundamentalOperator(make(), window)
+    x = op.nodes
+    for j in range(len(x) - 1):
+        want = np.linalg.inv(op.value(x[j + 1], x[j]))
+        assert norm(op.value(x[j], x[j + 1]) - want) <= 1e-13 * norm(want), j
+
+
+def _two_jumps(kinds, gap):
+    """Factor 2 at t = 1 and factor 3 at t = 1 + gap, each an impulse or an
+    atom of the measure part (C = 1)."""
+    impulses, atoms = [], []
+    for t, b, kind in zip((1.0, 1.0 + gap), (1.0, 2.0), kinds):
+        if kind == "impulse":
+            impulses.append((t, [[b]]))
+        else:
+            atoms.append((t, b))
+    measure_part = None
+    if atoms:
+        measure_part = (scalar_path(1.0),
+                        StieltjesMeasure(PiecewisePath.constant(0.0), atoms))
+    return LinearSystemSpec(1, scalar_path(0.0), impulses=tuple(impulses),
+                            measure_part=measure_part)
+
+
+@pytest.mark.parametrize("kinds", [("impulse", "impulse"), ("atom", "atom"),
+                                   ("impulse", "atom"), ("atom", "impulse")],
+                         ids="-".join)
+def test_coincident_jumps_are_refused(kinds):
+    # one mesh node would keep one factor: V(2, 0) = 3 instead of 6
+    with pytest.raises(ValueError, match="coincide"):
+        _two_jumps(kinds, 1e-13)
+    op = FundamentalOperator(_two_jumps(kinds, 1e-6), (0.0, 3.0))
+    assert op.value(2.0, 0.0)[0, 0] == pytest.approx(6.0, rel=1e-12)

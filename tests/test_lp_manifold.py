@@ -106,8 +106,8 @@ def test_first_iterate_matches_tail_integral(ctx_planar):
 
 def _loop_apply(z, zeta, s, ctx):
     """Per-cell loop form of the fast operator, the reference for the
-    stacked-array form; built from the fundamental operator's cells, its
-    jump factors and the context's projections only."""
+    stacked-array form; built from the fundamental operator's stored cells,
+    quadrature samples and jump factors and the context's projections only."""
     fund, nl = ctx.fund, ctx.nonlin
     idx = ctx.span(s)
     x = fund.nodes[idx]
@@ -115,33 +115,36 @@ def _loop_apply(z, zeta, s, ctx):
     eye = np.eye(n)
     cells = []
     for k in range(M):
-        fc = fund.cell(idx[k])
-        J, J_inv = fund.jump_factor(idx[k])
-        P_plus = J @ ctx.P(idx[k]) @ J_inv
-        lam = (fc.sigma - x[k]) / (x[k + 1] - x[k])
+        j = idx[k]
+        phi, phi_inv = fund.cells.phi[j], fund.cells.phi_inv[j]
+        sigma, weights = fund._sigma[j], fund._weights[j]
+        J, J_inv = fund.jumps[j], fund.jump_invs[j]
+        P_plus = J @ ctx.P(j) @ J_inv
+        lam = (sigma - x[k]) / (x[k + 1] - x[k])
         zq = (1.0 - lam)[:, None] * z.right_values[k] + lam[:, None] * z.values[k + 1]
-        dens = nl.value(fc.sigma, zq) * nl.density_factor(fc.sigma)[:, None]
+        dens = nl.value(sigma, zq) * nl.density_factor(sigma)[:, None]
         w = nl.atom_weight(x[k])
         atom = w * nl.value(x[k], z.values[k]) if w else np.zeros(n)
-        K_s = np.stack([fc.phi @ P_plus @ inv for inv in fc.phi_sig_inv])
-        K_u = np.stack([J_inv @ (eye - P_plus) @ inv for inv in fc.phi_sig_inv])
-        loc_s = np.einsum("q,qij,qj->i", fc.weights, K_s, dens)
-        loc_u = np.einsum("q,qij,qj->i", fc.weights, K_u, dens)
-        cells.append((fc, J, J_inv, P_plus, atom, loc_s, loc_u))
+        K_s = np.stack([phi @ P_plus @ inv for inv in fund.cells.phi_sig_inv[j]])
+        K_u = np.stack([J_inv @ (eye - P_plus) @ inv
+                        for inv in fund.cells.phi_sig_inv[j]])
+        loc_s = np.einsum("q,qij,qj->i", weights, K_s, dens)
+        loc_u = np.einsum("q,qij,qj->i", weights, K_u, dens)
+        cells.append((phi, phi_inv, J, J_inv, P_plus, atom, loc_s, loc_u))
     z_lin = np.empty((M + 1, n))
     I1 = np.zeros((M + 1, n))
     I2 = np.zeros((M + 1, n))
     z_lin[0] = zeta
-    for k, (fc, J, _, P_plus, atom, loc_s, _) in enumerate(cells):
-        I1[k + 1] = fc.phi @ (J @ I1[k] + P_plus @ atom) + loc_s
-        z_lin[k + 1] = fc.phi @ (J @ z_lin[k])
+    for k, (phi, _, J, _, P_plus, atom, loc_s, _) in enumerate(cells):
+        I1[k + 1] = phi @ (J @ I1[k] + P_plus @ atom) + loc_s
+        z_lin[k + 1] = phi @ (J @ z_lin[k])
     for k in range(M - 1, -1, -1):
-        fc, _, J_inv, P_plus, atom, _, loc_u = cells[k]
-        I2[k] = J_inv @ (fc.phi_inv @ I2[k + 1]) + \
+        _, phi_inv, _, J_inv, P_plus, atom, _, loc_u = cells[k]
+        I2[k] = J_inv @ (phi_inv @ I2[k + 1]) + \
             J_inv @ ((eye - P_plus) @ atom) + loc_u
     vals = z_lin + I1 - I2
-    rights = np.stack([fund.jump_factor(idx[k])[0] @ vals[k] +
-                       (cells[k][4] if k < M else 0.0) for k in range(M + 1)])
+    rights = np.stack([fund.jumps[idx[k]] @ vals[k] +
+                       (cells[k][5] if k < M else 0.0) for k in range(M + 1)])
     return vals, rights
 
 

@@ -12,6 +12,7 @@ untainted.
 import ast
 import pathlib
 
+from kurzmani.linsys import _Cells
 from kurzmani.lp_manifold import _Kernels
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "kurzmani"
@@ -82,6 +83,14 @@ def test_oracles_never_touch_the_fast_kernels():
     funcs = _functions(ast.parse(source))
     assert set(ORACLES) <= set(funcs)
     assert not set(ORACLES) & tainted(source, _Kernels._fields)
+
+
+def test_mesh_store_names_stay_off_the_kernel_fields():
+    """The oracles read the fundamental operator's store; the guard matches
+    attribute names, so a store name shared with a ``_Kernels`` field would
+    taint them."""
+    store = {"jumps", "jump_invs", "cells", *_Cells._fields}
+    assert not store & set(_Kernels._fields)
 
 
 def test_fast_operator_has_no_loop_over_cells():
