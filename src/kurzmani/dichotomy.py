@@ -2,10 +2,13 @@
 
 The reference projection P0 at t0 either comes from the user, from the
 spectrum of an autonomous (optionally periodically kicked) generator, or from
-a singular-subspace heuristic over a finite horizon.  ``projection_family``
-is the one place that conjugates P0 along the operator,
-P(t) = V(t, t0) P0 V(t0, t), both on a certification grid and on the solver
-mesh.  The two decay inequalities
+a singular-subspace heuristic over a finite horizon.  The spectral splitting
+is P0 = (Id - sign(X)) / 2 by a scaled Newton iteration, X the generator or
+the Cayley transform (M + Id)^{-1} (M - Id) of the one-period monodromy M
+(from the numpy ``linsys.expm``); an empty side is exact 0 or Id.
+``projection_family`` is the one place that conjugates P0 along the
+operator, P(t) = V(t, t0) P0 V(t0, t), both on a certification grid and on
+the solver mesh.  The two decay inequalities
 
     ||V(t, s) P(s)||        <= K exp(-alpha (t - s)),   t >= s
     ||V(t, s) (Id - P(s))|| <= K exp(+alpha (t - s)),   t <  s
@@ -20,19 +23,22 @@ and K is the resulting constant.  A uniform bound, not a regression.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, schur
 
 from .funcspace import norm
-from .linsys import FundamentalOperator, LinearSystemSpec
+from .linsys import FundamentalOperator, LinearSystemSpec, expm
+
+log = logging.getLogger("kurzmani")
 
 _IMAG_MARGIN = 1e-8
 _IDEMPOTENCY_TOL = 1e-10   # ||P0^2 - P0|| accepted for a reference projection
 _FIT_SLACK = 1e-9          # resolution in log K of the envelope fit
 _ALPHA_CAP = 60.0          # largest decay rate the fit reports
+_NEWTON_CAP = 100          # Newton steps allowed for a matrix sign
 
 
 class SplittingError(ValueError):
@@ -50,9 +56,31 @@ def _oblique_projector(stable_basis, unstable_basis):
     return m @ sel @ np.linalg.inv(m)
 
 
-def _invariant_basis(matrix, sort):
-    _, z, sdim = schur(matrix, output="real", sort=sort)
-    return z[:, :sdim], sdim
+def _sign_split(x, k):
+    """(P, Newton steps, residual) for P = (Id - sign(x)) / 2, where ``x``
+    has ``k`` eigenvalues left of the imaginary axis and none on it.
+
+    Scaled Newton until the quadratic-convergence test of Higham, *Functions
+    of Matrices* (SIAM 2008), sec. 5.7, puts X within n u of sign(x).
+    """
+    n = x.shape[0]
+    eye = np.eye(n)
+    if k in (0, n):
+        return float(k == n) * eye, 0, 0.0
+    eta = n * np.finfo(float).eps
+    scaled = True
+    for steps in range(1, _NEWTON_CAP + 1):
+        inv = np.linalg.inv(x)
+        mu = abs(np.linalg.det(x)) ** (-1.0 / n) if scaled else 1.0
+        new = 0.5 * (mu * x + inv / mu)
+        change, size = np.linalg.norm(new - x, 1), np.linalg.norm(new, 1)
+        done = not scaled and change ** 2 <= eta * size / np.linalg.norm(inv, 1)
+        scaled = scaled and change > 1e-2 * size
+        x = new
+        if done:
+            return 0.5 * (eye - x), steps, norm(x @ x - eye)
+    raise SplittingError("sign-function Newton iteration did not converge in "
+                         "%d steps" % _NEWTON_CAP)
 
 
 def _validate_projection(P0):
@@ -72,16 +100,28 @@ def spectral_projection(spec: LinearSystemSpec, mode="auto", P0=None,
     monodromy when the jump pattern is periodic; ``svd`` splits by the
     contracting right / expanding left singular directions of the flow over
     ``horizon`` (a labeled heuristic for genuinely nonautonomous systems).
-    ``auto`` picks explicit > autonomous > svd.
+    ``auto`` picks explicit > autonomous > svd.  One DEBUG record on the
+    ``kurzmani`` logger names the branch, the side ranks, and the Newton
+    steps with the final residual ||X^2 - Id||.
 
     Returns ``(P0, how)`` where ``how`` names the branch that produced P0:
     ``explicit``, ``autonomous`` (generator spectrum), ``periodic``
     (monodromy spectrum) or ``svd``.
     """
+    how, P, steps, residual = _split(spec, mode, P0, horizon)
+    rank = int(round(float(np.trace(P))))
+    log.debug("spectral_projection: mode %s, stable rank %d, unstable rank %d, "
+              "%d Newton steps, residual %.3g", how, rank, spec.n - rank,
+              steps, residual)
+    return P, how
+
+
+def _split(spec, mode, P0, horizon):
+    """``spectral_projection`` as (how, P0, Newton steps, residual)."""
     t0 = spec.t0
     n = spec.n
     if P0 is not None:
-        return _validate_projection(P0), "explicit"
+        return "explicit", _validate_projection(P0), 0, 0.0
     if mode not in ("auto", "autonomous", "svd", "explicit"):
         raise ValueError("unknown projection mode %r" % mode)
     if mode == "explicit":
@@ -101,42 +141,21 @@ def spectral_projection(spec: LinearSystemSpec, mode="auto", P0=None,
                 raise SplittingError(
                     "generator has an eigenvalue within %g of the imaginary axis"
                     % _IMAG_MARGIN)
-            s_basis, k = _invariant_basis(gen, sort="lhp")
-            if k == 0:
-                return np.zeros((n, n)), "autonomous"
-            u_basis, ku = _invariant_basis(gen, sort="rhp")
-            if ku == 0:
-                return np.eye(n), "autonomous"
-            return _oblique_projector(s_basis, u_basis), "autonomous"
+            return ("autonomous", *_sign_split(gen, int(np.sum(eig.real < 0))))
         times = [t for t, _ in events]
-        factors = [J for _, J in events]
+        kick = events[0][1]
         period = times[1] - times[0] if len(times) > 1 else None
-        periodic = all(np.allclose(J, factors[0], atol=1e-12) for J in factors)
-        if period is not None:
-            periodic = periodic and np.allclose(np.diff(times), period, atol=1e-9)
-        elif len(times) == 1:
-            periodic = False
-        if periodic and period is not None and period > 0:
+        if period is not None and np.allclose(np.diff(times), period, atol=1e-9) \
+                and all(np.allclose(J, kick, atol=1e-12) for _, J in events):
             gen = spec.generator(times[0] + 0.5 * period)
-            mono = factors[0] @ expm(gen * period)
+            mono = kick @ expm(gen * period)
             lam = np.linalg.eigvals(mono)
             if np.any(np.abs(np.abs(lam) - 1.0) <= _IMAG_MARGIN):
                 raise SplittingError("monodromy eigenvalue within %g of the unit circle"
                                      % _IMAG_MARGIN)
-
-            def inside(re, im):
-                return math.hypot(re, im) < 1.0
-
-            def outside(re, im):
-                return math.hypot(re, im) > 1.0
-
-            s_basis, k = _invariant_basis(mono, sort=inside)
-            if k == 0:
-                return np.zeros((n, n)), "periodic"
-            u_basis, ku = _invariant_basis(mono, sort=outside)
-            if ku == 0:
-                return np.eye(n), "periodic"
-            return _oblique_projector(s_basis, u_basis), "periodic"
+            k = int(np.sum(np.abs(lam) < 1.0))
+            cayley = np.linalg.solve(mono + np.eye(n), mono - np.eye(n))
+            return ("periodic", *_sign_split(cayley, k))
         if mode == "autonomous":
             raise SplittingError("jump pattern is not periodic; supply P0 or use svd")
 
@@ -149,14 +168,14 @@ def spectral_projection(spec: LinearSystemSpec, mode="auto", P0=None,
     _, sv_f, vt = np.linalg.svd(fwd)
     k = int(np.sum(sv_f < 1.0))
     if k == 0:
-        return np.zeros((n, n)), "svd"
+        return "svd", np.zeros((n, n)), 0, 0.0
     if k == n:
-        return np.eye(n), "svd"
+        return "svd", np.eye(n), 0, 0.0
     stable = vt[n - k:, :].T
     bwd = op.value(t0, t0 - horizon)
     u_l, sv_b, _ = np.linalg.svd(bwd)
     unstable = u_l[:, :n - k]
-    return _oblique_projector(stable, unstable), "svd"
+    return "svd", _oblique_projector(stable, unstable), 0, 0.0
 
 
 def projection_family(op: FundamentalOperator, P0, times):
@@ -258,40 +277,45 @@ def verify_dichotomy(op: FundamentalOperator, P0, grid):
     """Sample both decay families on a grid and fit (K, alpha).
 
     Returns ``(K_fit, alpha_fit, report)``.  The stable family includes
-    t = s; the unstable family is sampled strictly at t < s.  Both chain the
-    adjacent steps V(g_{i+1}, g_i) and V(g_i, g_{i+1}), each computed once
-    per grid, and the 2-norms of all sample matrices are one stacked call.
+    t = s; the unstable family is sampled strictly at t < s.  A side of rank
+    zero (round(trace P0) is 0 or n) has no family: its samples would be
+    roundoff, which the backward chain can blow up past the true bound.
+    Both families chain the adjacent steps V(g_{i+1}, g_i) and
+    V(g_i, g_{i+1}), each computed once per grid, and the 2-norms of all
+    sample matrices are one stacked call.
     A fitted alpha at or below 1e-6 flags "no dichotomy detected" in the
     report instead of raising (a flat system fits only a vanishing rate).
     """
     grid = np.asarray(sorted(grid), dtype=float)
     P0 = _validate_projection(P0)
+    rank = int(round(float(np.trace(P0))))
     fam = projection_family(op, P0, grid)
     eye = np.eye(op.n)
     fwd = [op.value(b, a) for a, b in zip(grid[:-1], grid[1:])]
     bwd = [op.value(a, b) for a, b in zip(grid[:-1], grid[1:])]
     mats, keys = [], []   # sample matrices and their (sep, t, s, side)
     for j, s in enumerate(grid):
-        X = fam[j]
-        mats.append(X)
-        keys.append((0.0, s, s, "stable"))
-        for i in range(j + 1, len(grid)):
-            X = fwd[i - 1] @ X
+        if rank > 0:
+            X = fam[j]
             mats.append(X)
-            keys.append((grid[i] - s, grid[i], s, "stable"))
-        Y = eye - fam[j]
-        # t -> s^- limit of the backward bound forces K >= ||Id - P(s)||;
-        # recorded as a zero-separation constraint, not a t = s sample
-        mats.append(Y)
-        keys.append((0.0, s, s, "unstable-limit"))
-        for i in range(j - 1, -1, -1):
-            Y = bwd[i] @ Y
+            keys.append((0.0, s, s, "stable"))
+            for i in range(j + 1, len(grid)):
+                X = fwd[i - 1] @ X
+                mats.append(X)
+                keys.append((grid[i] - s, grid[i], s, "stable"))
+        if rank < op.n:
+            Y = eye - fam[j]
+            # t -> s^- limit of the backward bound forces K >= ||Id - P(s)||;
+            # recorded as a zero-separation constraint, not a t = s sample
             mats.append(Y)
-            keys.append((s - grid[i], grid[i], s, "unstable"))
+            keys.append((0.0, s, s, "unstable-limit"))
+            for i in range(j - 1, -1, -1):
+                Y = bwd[i] @ Y
+                mats.append(Y)
+                keys.append((s - grid[i], grid[i], s, "unstable"))
     norms = np.linalg.norm(np.stack(mats), 2, axis=(-2, -1)).tolist()
-    # a rank-zero side contributes no constraint
     samples = [(sep, math.log(v), t, s, side)
-               for (sep, t, s, side), v in zip(keys, norms) if v > 1e-250]
+               for (sep, t, s, side), v in zip(keys, norms)]
     seps = np.array([x[0] for x in samples])
     logs = np.array([x[1] for x in samples])
     alpha_fit, logK = fit_envelope(seps, logs)

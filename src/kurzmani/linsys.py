@@ -6,11 +6,12 @@ measure (C, u) whose atoms reset it through Id + C(t) * du({t}) while its
 density adds C(t) * density(t) to the smooth generator.
 
 The fundamental operator V(t, s) is realized by the product formula: smooth
-propagation between consecutive mesh nodes (matrix exponentials on constant
-cells, an adaptive order-8 integrator otherwise) interleaved with the jump
-factors.  The operator holds its mesh as one stacked store, the jump factor
-and its inverse per node and the cell propagators per cell, which the
-projection family, the fast kernels and the reference oracle all read.
+propagation between consecutive mesh nodes (the numpy ``expm`` below on
+constant cells, scipy's adaptive order-8 integrator otherwise) interleaved
+with the jump factors.  The operator holds its mesh as one stacked store,
+the jump factor and its inverse per node and the cell propagators per cell,
+which the projection family, the fast kernels and the reference oracle all
+read.
 Solutions are stored left-continuous: the factor at a jump time applies when
 propagating past it, so V(t, s) includes the factors at times in [s, t) and
 V(t, t) = Id exactly.
@@ -23,12 +24,12 @@ grows like exp(2 alpha t) and swamps it near 2 alpha T = -log(eps) (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .funcspace import (PiecewisePath, StieltjesMeasure, add_jumps,
                         running_integral, running_stieltjes_integral,
@@ -53,6 +54,41 @@ def solve_ivp(*args, **kwargs):
     """``scipy.integrate.solve_ivp``, imported on first use."""
     from scipy.integrate import solve_ivp as _solve_ivp
     return _solve_ivp(*args, **kwargs)
+
+
+# Pade-13 numerator coefficients (13 choose k) (26 - k)! / 26!, scaled to a
+# unit constant so that the zero matrix maps to Id exactly, and the 1-norm
+# below which degree 13 needs no scaling (Higham, SIAM J. Matrix Anal. Appl.
+# 26 (2005), table 2.3)
+_PADE13 = [math.comb(13, k) / math.perm(26, k) for k in range(14)]
+_THETA13 = 5.371920351148152
+
+
+def expm(a):
+    """Matrix exponential of one (n, n) matrix or an (..., n, n) stack.
+
+    Degree-13 Pade scaling and squaring (Higham 2005) with a scaling count
+    per matrix; the squarings are masked per matrix, so every slice of a
+    stacked call equals the one-matrix call bit for bit.
+    """
+    a = np.asarray(a, dtype=float)
+    norm1 = np.abs(a).sum(axis=-2).max(axis=-1)
+    s = np.ceil(np.log2(np.maximum(norm1 / _THETA13, 1.0))).astype(int)
+    a = a * np.exp2(-s)[..., None, None]
+    b = _PADE13
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(int(np.max(s, initial=0))):
+        more = s > k
+        r[more] = r[more] @ r[more]
+    return r
 
 
 class PropagationError(RuntimeError):
@@ -286,11 +322,13 @@ class FundamentalOperator:
 
         Constant-generator cells are grouped by the segments of A, C and the
         density that hold their midpoints.  Each group evaluates its
-        generator once and makes one stacked ``expm`` over its distinct exact
-        steps from the left node (the Gauss nodes and the cell end), then one
-        stacked inverse.  Slices of a stacked ``expm`` or ``inv`` are computed
-        independently, so every entry equals its one-matrix value bit for
-        bit.  Every other cell is integrated on its own in the same fill.
+        generator once and makes one stacked call of the numpy Pade ``expm``
+        of this module over its distinct exact steps from the left node (the
+        Gauss nodes and the cell end), then one stacked inverse.  Slices of a
+        stacked ``expm`` or ``inv`` are computed independently, so every
+        entry equals its one-matrix value bit for bit.  Every other cell is
+        integrated on its own in the same fill, the only step that imports
+        scipy.
         """
         spec, n = self.spec, self.n
         left, right = self.nodes[:-1], self.nodes[1:]

@@ -53,12 +53,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .dichotomy import DichotomyData, SplittingError, projection_family
 from .funcspace import PiecewisePath, StieltjesMeasure, norm, running_integral
 from .linsys import (FundamentalOperator, PropagationError, RegularityReport,
-                     _same_time)
+                     _same_time, expm)
 
 log = logging.getLogger("kurzmani")
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 from kurzmani.cli import (ConfigError, config_hash, load_config, main,
                           normalize_config, parse_measure, parse_path,
                           parse_system)
+from kurzmani.dichotomy import _FIT_SLACK
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -310,6 +312,32 @@ def test_dichotomy_default_grid_spans_the_whole_window(tmp_path):
     assert max(float(r[0]) for r in rows) == 20.0
 
 
+@pytest.mark.parametrize("gen, P0", [
+    ([[-1.0]], [[1.0]]), ([[-0.7]], [[1.0]]), ([[-1.3]], [[1.0]]),
+    ([[-0.3]], [[1.0]]), ([[-2.9]], [[1.0]]),
+    ([[-1.0, 0.0], [0.0, -2.5]], [[1.0, 0.0], [0.0, 1.0]]),
+])
+def test_dichotomy_certifies_no_roundoff_side(tmp_path, gen, P0):
+    # P0 = Id leaves the unstable side empty: its roundoff residue, chained
+    # backward over the window, must neither add rows nor steer the fit
+    cfg = {"system": {"kind": "linear", "n": len(gen), "A": {"constant": gen}},
+           "solver": {"window": [0.0, 20.0], "P0": P0},
+           "output": {"prefix": "rank"}}
+    path = tmp_path / "rank.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["dichotomy", "--config", str(path), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "rank_dichotomy.csv").read_text().splitlines()
+    rows = [r.split(",") for r in lines if not r.startswith("#")][1:]
+    assert len(rows) == 21 * 22 // 2
+    assert {r[2] for r in rows} == {"stable"}
+    cert = json.loads((tmp_path / "rank_dichotomy.json").read_text())
+    # the fit resolves log K to _FIT_SLACK, so over a 20-unit window alpha
+    # may exceed the slowest rate by up to _FIT_SLACK / 20
+    rate = -max(np.linalg.eigvals(gen).real)
+    assert 1.0 <= cert["K"] <= math.exp(_FIT_SLACK) + 1e-12
+    assert 0.0 <= cert["alpha"] - rate <= _FIT_SLACK / 20.0 + 1e-12
+
+
 def test_classify_reports_escape_rows(tmp_path):
     cfg_path, _ = small_saddle_config(
         tmp_path, initial_points=[[0.1, 0.006666666666666667]], bound=100.0)
@@ -382,16 +410,26 @@ def test_metadata_header_present(tmp_path):
     assert any(line.startswith("# version=") for line in head)
 
 
-def test_manifold_runs_without_importing_scipy_integrate(tmp_path):
-    # constant-coefficient impulsive configs need no quadrature and no ODE
-    # solver, so the CLI must not pay for importing scipy.integrate
+def test_default_commands_run_without_importing_scipy(tmp_path):
+    # constant generators need no quadrature, no ODE solver and no
+    # scipy.linalg, so the CLI must not pay for importing scipy at all
     code = "\n".join([
         "import sys",
+        "def no_scipy(after):",
+        "    loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']",
+        "    assert not loaded, '%s imported %s' % (after, loaded[:3])",
         "import kurzmani.cli as cli",
-        "for name in ('planar_quadratic', 'impulsive_saddle'):",
+        "no_scipy('import kurzmani.cli')",
+        "for cmd, name in [('manifold', 'planar_quadratic'),",
+        "                  ('manifold', 'impulsive_saddle'),",
+        "                  ('manifold', 'scalar_mde'),",
+        "                  ('dichotomy', 'expansion_example'),",
+        "                  ('fundamental', 'expansion_example'),",
+        "                  ('check', 'scalar_mde'),",
+        "                  ('integrate', 'lacunary_integral')]:",
         "    cfg = sys.argv[1] + '/' + name + '.json'",
-        "    assert cli.main(['manifold', '--config', cfg, '--out', sys.argv[2]]) == 0",
-        "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate was imported'",
+        "    assert cli.main([cmd, '--config', cfg, '--out', sys.argv[2]]) == 0",
+        "    no_scipy(cmd + ' ' + name)",
     ])
     proc = subprocess.run([sys.executable, "-c", code, os.path.abspath(CONFIG_DIR),
                            str(tmp_path)], capture_output=True, text=True)

@@ -4,9 +4,10 @@ import pathlib
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from conftest import coupled_context
-from kurzmani import cli
+from conftest import COUPLED, coupled_context
+from kurzmani import cli, dichotomy
 from kurzmani.apps import build_context
 from kurzmani.dichotomy import (DichotomyData, SplittingError, certify,
                                 fit_envelope, projection_family,
@@ -51,6 +52,118 @@ def test_periodic_kick_monodromy_projection():
     P0, how = spectral_projection(saddle_spec(impulses))
     np.testing.assert_allclose(P0, np.diag([1.0, 0.0]), atol=1e-12)
     assert how == "periodic"
+
+
+def _schur_projector(x, stable):
+    """Spectral projector onto the ``stable`` eigenvalues of ``x`` from two
+    ordered real Schur forms (scipy), the oracle of the sign splitting."""
+    n = len(x)
+    _, zs, k = scipy.linalg.schur(x, output="real", sort=stable)
+    _, zu, _ = scipy.linalg.schur(x, output="real",
+                                  sort=lambda re, im: not stable(re, im))
+    basis = np.hstack([zs[:, :k], zu[:, :n - k]])
+    return basis @ np.diag([1.0] * k + [0.0] * (n - k)) @ np.linalg.inv(basis)
+
+
+def _left(re, im):
+    return re < 0.0
+
+
+def _inside(re, im):
+    return math.hypot(re, im) < 1.0
+
+
+def _monodromy(spec):
+    (t1, J), (t2, _) = spec.jump_events()[:2]
+    return J @ scipy.linalg.expm(spec.generator(t1) * (t2 - t1))
+
+
+def _kicked(gen, kick):
+    impulses = tuple((float(k), kick) for k in range(1, 10))
+    return LinearSystemSpec(len(gen), PiecewisePath.constant(gen), impulses=impulses)
+
+
+def _assert_schur_match(spec, how):
+    P, got = spectral_projection(spec)
+    assert got == how
+    if how == "autonomous":
+        want = _schur_projector(spec.generator(spec.t0), _left)
+    else:
+        want = _schur_projector(_monodromy(spec), _inside)
+    assert norm(P - want) <= 1e-13 * max(1.0, norm(want))
+
+
+def _shipped_spec(name):
+    cfg = cli.load_config(CONFIGS / (name + ".json"))
+    return cli.parse_system(cfg).linear_spec(0.0)
+
+
+@pytest.mark.parametrize("make, how", [
+    (lambda: _shipped_spec("planar_quadratic"), "autonomous"),
+    (lambda: _shipped_spec("impulsive_saddle"), "periodic"),
+    (lambda: LinearSystemSpec(3, PiecewisePath.constant(
+        np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 2.0]]))),
+     "autonomous"),                           # Jordan block + expansion
+    (lambda: _kicked(COUPLED, np.array([[0.1, 0.2], [-0.1, 0.3]])), "periodic"),
+    (lambda: _kicked(np.array([[-0.5, 2.0, 0.0], [0.0, 0.3, 1.0],
+                               [0.0, -1.0, 0.3]]), np.eye(3) * -0.2), "periodic"),
+], ids=["planar_quadratic", "impulsive_saddle", "jordan", "kicked_coupled",
+        "kicked_3d"])
+def test_sign_projection_matches_schur(make, how):
+    _assert_schur_match(make(), how)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sign_projection_matches_schur_on_random_hyperbolic_generators(n):
+    rng = np.random.default_rng(n)
+    checked = 0
+    while checked < 20:
+        gen = rng.standard_normal((n, n))
+        re = np.linalg.eigvals(gen).real
+        if np.min(np.abs(re)) < 0.2 or np.all(re < 0) or np.all(re > 0):
+            continue
+        _assert_schur_match(LinearSystemSpec(n, PiecewisePath.constant(gen)),
+                            "autonomous")
+        checked += 1
+
+
+@pytest.mark.parametrize("spec, want", [
+    (LinearSystemSpec(2, PiecewisePath.constant([[1.0, 5.0], [0.0, 2.0]])), 0),
+    (LinearSystemSpec(2, PiecewisePath.constant([[-1.0, 5.0], [0.0, -2.0]])), 1),
+    (_kicked(np.diag([0.5, 1.0]), np.diag([0.5, 0.1])), 0),
+    (_kicked(np.diag([-0.5, -1.0]), np.diag([0.5, 0.1])), 1),
+], ids=["expanding", "contracting", "kicked_expanding", "kicked_contracting"])
+def test_sign_projection_empty_side_is_exact(spec, want):
+    P, _ = spectral_projection(spec)
+    assert np.array_equal(P, want * np.eye(2))
+
+
+def test_sign_projection_newton_cap_raises(monkeypatch):
+    monkeypatch.setattr(dichotomy, "_NEWTON_CAP", 2)
+    spec = LinearSystemSpec(2, PiecewisePath.constant(COUPLED))
+    with pytest.raises(SplittingError, match="did not converge in 2 steps"):
+        spectral_projection(spec)
+
+
+@pytest.mark.parametrize("spec, match", [
+    (LinearSystemSpec(2, PiecewisePath.constant(np.diag([-1.0, 5e-9]))),
+     "imaginary axis"),
+    (_kicked(np.diag([-1.0, 1.0]), np.diag([0.0, math.exp(-1.0) - 1.0])),
+     "unit circle"),
+], ids=["imaginary_axis", "unit_circle"])
+def test_spectral_projection_refuses_near_neutral_spectrum(spec, match):
+    with pytest.raises(SplittingError, match=match):
+        spectral_projection(spec)
+
+
+def test_spectral_projection_logs_one_debug_record(caplog):
+    with caplog.at_level("DEBUG", logger="kurzmani"):
+        spectral_projection(LinearSystemSpec(2, PiecewisePath.constant(COUPLED)))
+    (record,) = caplog.records
+    assert record.levelname == "DEBUG"
+    msg = record.getMessage()
+    assert "mode autonomous, stable rank 1, unstable rank 1" in msg
+    assert "Newton steps, residual" in msg
 
 
 def test_svd_mode_recovers_diagonal_splitting():
@@ -169,27 +282,29 @@ def test_certify_default_grid_is_the_first_ten_time_units():
 
 
 def _loop_samples(op, P0, grid):
-    """The certificate's samples, one matrix and one 2-norm at a time."""
+    """The certificate's samples, one matrix and one 2-norm at a time; a
+    side of rank zero (P0 = 0 or Id) has no samples."""
     fam = projection_family(op, P0, grid)
     eye = np.eye(op.n)
+    rank = int(round(float(np.trace(P0))))
     samples = []
 
     def record(sep, M, t, s, side):
-        value = float(np.linalg.norm(M, 2))
-        if value > 1e-250:
-            samples.append((sep, math.log(value), t, s, side))
+        samples.append((sep, math.log(float(np.linalg.norm(M, 2))), t, s, side))
 
     for j, s in enumerate(grid):
-        X = fam[j]
-        record(0.0, X, s, s, "stable")
-        for i in range(j + 1, len(grid)):
-            X = op.value(grid[i], grid[i - 1]) @ X
-            record(grid[i] - s, X, grid[i], s, "stable")
-        Y = eye - fam[j]
-        record(0.0, Y, s, s, "unstable-limit")
-        for i in range(j - 1, -1, -1):
-            Y = op.value(grid[i], grid[i + 1]) @ Y
-            record(s - grid[i], Y, grid[i], s, "unstable")
+        if rank > 0:
+            X = fam[j]
+            record(0.0, X, s, s, "stable")
+            for i in range(j + 1, len(grid)):
+                X = op.value(grid[i], grid[i - 1]) @ X
+                record(grid[i] - s, X, grid[i], s, "stable")
+        if rank < op.n:
+            Y = eye - fam[j]
+            record(0.0, Y, s, s, "unstable-limit")
+            for i in range(j - 1, -1, -1):
+                Y = op.value(grid[i], grid[i + 1]) @ Y
+                record(s - grid[i], Y, grid[i], s, "unstable")
     return samples
 
 

@@ -11,7 +11,7 @@ from kurzmani.cli import load_config, parse_system
 from kurzmani.funcspace import (PiecewisePath, StieltjesMeasure, norm,
                                 running_stieltjes_integral, total_variation)
 from kurzmani.linsys import (FundamentalOperator, LinearSystemSpec,
-                             check_regularity, lambda_from_ide)
+                             check_regularity, expm, lambda_from_ide)
 
 EYE1 = np.eye(1)
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -210,13 +210,18 @@ def test_jump_convention_matches_product_formula_at_nodes():
 
 
 def _cell_oracle(op, j):
-    """A constant cell computed one matrix at a time, outside the library."""
+    """A constant cell computed one matrix at a time, outside the operator.
+
+    ``expm`` is the library's one-matrix call, bound at import so that a
+    test counting ``linsys.expm`` calls does not count the oracle's;
+    ``test_expm_matches_scipy_on_shipped_cells`` ties it to scipy.
+    """
     a, b = op.nodes[j], op.nodes[j + 1]
     x, w = np.polynomial.legendre.leggauss(3)
     sigma = 0.5 * (a + b) + 0.5 * (b - a) * x
     gen = op.spec.generator(0.5 * (a + b))
-    phi = scipy.linalg.expm(gen * (b - a))
-    phi_sig = [scipy.linalg.expm(gen * (t - a)) for t in sigma]
+    phi = expm(gen * (b - a))
+    phi_sig = [expm(gen * (t - a)) for t in sigma]
     return {"phi": phi, "phi_inv": np.linalg.inv(phi), "gen": gen,
             "sigma": sigma, "weights": 0.5 * (b - a) * w,
             "phi_sig_inv": np.stack([np.linalg.inv(m) for m in phi_sig])}
@@ -262,6 +267,46 @@ def test_stacked_constant_cells_equal_per_cell_oracle(monkeypatch, make, window,
         assert np.array_equal(op._sigma[j], oracle["sigma"]), j
         assert np.array_equal(op._weights[j], oracle["weights"]), j
     assert integrated == len(ivp_calls) == smooth_cells
+
+
+def _rel_gap(x, ref):
+    return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_expm_stacked_slices_equal_one_matrix_calls(n):
+    # these 1-norms need 0, 0, 0, 0, 1, 2, 3, 5 and 6 squarings
+    rng = np.random.default_rng(11)
+    mats = rng.standard_normal((9, n, n))
+    mats *= (np.array([0.0, 1e-3, 0.5, 5.0, 7.0, 12.0, 30.0, 100.0, 300.0])
+             / np.abs(mats).sum(axis=-2).max(axis=-1))[:, None, None]
+    stacked = expm(mats)
+    assert np.array_equal(stacked[0], np.eye(n))
+    for k, m in enumerate(mats):
+        assert np.array_equal(stacked[k], expm(m)), k
+
+
+@pytest.mark.parametrize("name, window", [("planar_quadratic", (0.0, 40.0)),
+                                          ("impulsive_saddle", (0.0, 40.0)),
+                                          ("scalar_mde", (0.0, 12.0))])
+def test_expm_matches_scipy_on_shipped_cells(name, window):
+    op = FundamentalOperator(_shipped_linear_spec(name), window)
+    for j in range(len(op.nodes) - 1):
+        a, b = op.nodes[j], op.nodes[j + 1]
+        gen = op.spec.generator(0.5 * (a + b))
+        for t in [*op._sigma[j], b]:
+            step = gen * (t - a)
+            assert _rel_gap(expm(step), scipy.linalg.expm(step)) <= 1e-15, (j, t)
+
+
+def test_expm_matches_scipy_on_random_stacks():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        mats = rng.standard_normal((16, 3, 3))
+        mats *= (rng.uniform(0.0, 60.0, 16)
+                 / np.abs(mats).sum(axis=-2).max(axis=-1))[:, None, None]
+        for got, m in zip(expm(mats), mats):
+            assert _rel_gap(got, scipy.linalg.expm(m)) <= 1e-11
 
 
 def test_constant_fill_exponentiates_each_distinct_step_once(monkeypatch):
