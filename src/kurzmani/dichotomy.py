@@ -56,31 +56,37 @@ def _oblique_projector(stable_basis, unstable_basis):
     return m @ sel @ np.linalg.inv(m)
 
 
-def _sign_split(x, k):
-    """(P, Newton steps, residual) for P = (Id - sign(x)) / 2, where ``x``
-    has ``k`` eigenvalues left of the imaginary axis and none on it.
-
-    Scaled Newton until the quadratic-convergence test of Higham, *Functions
-    of Matrices* (SIAM 2008), sec. 5.7, puts X within n u of sign(x).
+def _sign_split(x, k, how):
+    """P = (Id - sign(x)) / 2 for ``x`` with ``k`` eigenvalues left of the
+    imaginary axis and none on it; an empty side gives exact 0 or Id.
+    Scaled Newton, stopped by Higham's quadratic-convergence test (*Functions
+    of Matrices*, SIAM 2008, sec. 5.7) at n u.  One DEBUG record names the
+    branch ``how``, the side ranks, the Newton steps and ||X^2 - Id||.
     """
     n = x.shape[0]
     eye = np.eye(n)
-    if k in (0, n):
-        return float(k == n) * eye, 0, 0.0
     eta = n * np.finfo(float).eps
-    scaled = True
-    for steps in range(1, _NEWTON_CAP + 1):
-        inv = np.linalg.inv(x)
-        mu = abs(np.linalg.det(x)) ** (-1.0 / n) if scaled else 1.0
-        new = 0.5 * (mu * x + inv / mu)
-        change, size = np.linalg.norm(new - x, 1), np.linalg.norm(new, 1)
-        done = not scaled and change ** 2 <= eta * size / np.linalg.norm(inv, 1)
-        scaled = scaled and change > 1e-2 * size
-        x = new
-        if done:
-            return 0.5 * (eye - x), steps, norm(x @ x - eye)
-    raise SplittingError("sign-function Newton iteration did not converge in "
-                         "%d steps" % _NEWTON_CAP)
+    scaled, steps = True, 0
+    if k in (0, n):
+        x = eye if k == 0 else -eye
+    else:
+        for steps in range(1, _NEWTON_CAP + 1):
+            inv = np.linalg.inv(x)
+            mu = abs(np.linalg.det(x)) ** (-1.0 / n) if scaled else 1.0
+            new = 0.5 * (mu * x + inv / mu)
+            change, size = np.linalg.norm(new - x, 1), np.linalg.norm(new, 1)
+            done = not scaled and change ** 2 <= eta * size / np.linalg.norm(inv, 1)
+            scaled = scaled and change > 1e-2 * size
+            x = new
+            if done:
+                break
+        else:
+            raise SplittingError("sign-function Newton iteration did not "
+                                 "converge in %d steps" % _NEWTON_CAP)
+    log.debug("spectral_projection: mode %s, stable rank %d, unstable rank %d, "
+              "%d Newton steps, residual %.3g", how, k, n - k, steps,
+              norm(x @ x - eye))
+    return 0.5 * (eye - x)
 
 
 def _validate_projection(P0):
@@ -100,28 +106,18 @@ def spectral_projection(spec: LinearSystemSpec, mode="auto", P0=None,
     monodromy when the jump pattern is periodic; ``svd`` splits by the
     contracting right / expanding left singular directions of the flow over
     ``horizon`` (a labeled heuristic for genuinely nonautonomous systems).
-    ``auto`` picks explicit > autonomous > svd.  One DEBUG record on the
-    ``kurzmani`` logger names the branch, the side ranks, and the Newton
-    steps with the final residual ||X^2 - Id||.
+    ``auto`` picks explicit > autonomous > svd.  The ``autonomous`` and
+    ``periodic`` branches emit one DEBUG record on the ``kurzmani`` logger
+    (see ``_sign_split``).
 
     Returns ``(P0, how)`` where ``how`` names the branch that produced P0:
     ``explicit``, ``autonomous`` (generator spectrum), ``periodic``
     (monodromy spectrum) or ``svd``.
     """
-    how, P, steps, residual = _split(spec, mode, P0, horizon)
-    rank = int(round(float(np.trace(P))))
-    log.debug("spectral_projection: mode %s, stable rank %d, unstable rank %d, "
-              "%d Newton steps, residual %.3g", how, rank, spec.n - rank,
-              steps, residual)
-    return P, how
-
-
-def _split(spec, mode, P0, horizon):
-    """``spectral_projection`` as (how, P0, Newton steps, residual)."""
     t0 = spec.t0
     n = spec.n
     if P0 is not None:
-        return "explicit", _validate_projection(P0), 0, 0.0
+        return _validate_projection(P0), "explicit"
     if mode not in ("auto", "autonomous", "svd", "explicit"):
         raise ValueError("unknown projection mode %r" % mode)
     if mode == "explicit":
@@ -141,7 +137,8 @@ def _split(spec, mode, P0, horizon):
                 raise SplittingError(
                     "generator has an eigenvalue within %g of the imaginary axis"
                     % _IMAG_MARGIN)
-            return ("autonomous", *_sign_split(gen, int(np.sum(eig.real < 0))))
+            k = int(np.sum(eig.real < 0))
+            return _sign_split(gen, k, "autonomous"), "autonomous"
         times = [t for t, _ in events]
         kick = events[0][1]
         period = times[1] - times[0] if len(times) > 1 else None
@@ -155,7 +152,7 @@ def _split(spec, mode, P0, horizon):
                                      % _IMAG_MARGIN)
             k = int(np.sum(np.abs(lam) < 1.0))
             cayley = np.linalg.solve(mono + np.eye(n), mono - np.eye(n))
-            return ("periodic", *_sign_split(cayley, k))
+            return _sign_split(cayley, k, "periodic"), "periodic"
         if mode == "autonomous":
             raise SplittingError("jump pattern is not periodic; supply P0 or use svd")
 
@@ -168,14 +165,14 @@ def _split(spec, mode, P0, horizon):
     _, sv_f, vt = np.linalg.svd(fwd)
     k = int(np.sum(sv_f < 1.0))
     if k == 0:
-        return "svd", np.zeros((n, n)), 0, 0.0
+        return np.zeros((n, n)), "svd"
     if k == n:
-        return "svd", np.eye(n), 0, 0.0
+        return np.eye(n), "svd"
     stable = vt[n - k:, :].T
     bwd = op.value(t0, t0 - horizon)
     u_l, sv_b, _ = np.linalg.svd(bwd)
     unstable = u_l[:, :n - k]
-    return "svd", _oblique_projector(stable, unstable), 0, 0.0
+    return _oblique_projector(stable, unstable), "svd"
 
 
 def projection_family(op: FundamentalOperator, P0, times):
@@ -314,8 +311,9 @@ def verify_dichotomy(op: FundamentalOperator, P0, grid):
                 mats.append(Y)
                 keys.append((s - grid[i], grid[i], s, "unstable"))
     norms = np.linalg.norm(np.stack(mats), 2, axis=(-2, -1)).tolist()
+    # a steep contraction can underflow to 0, which has no log: drop it
     samples = [(sep, math.log(v), t, s, side)
-               for (sep, t, s, side), v in zip(keys, norms)]
+               for (sep, t, s, side), v in zip(keys, norms) if v > 1e-250]
     seps = np.array([x[0] for x in samples])
     logs = np.array([x[1] for x in samples])
     alpha_fit, logK = fit_envelope(seps, logs)

@@ -56,10 +56,9 @@ def solve_ivp(*args, **kwargs):
     return _solve_ivp(*args, **kwargs)
 
 
-# Pade-13 numerator coefficients (13 choose k) (26 - k)! / 26!, scaled to a
-# unit constant so that the zero matrix maps to Id exactly, and the 1-norm
-# below which degree 13 needs no scaling (Higham, SIAM J. Matrix Anal. Appl.
-# 26 (2005), table 2.3)
+# Pade-13 coefficients (13 choose k) (26 - k)! / 26!, scaled to a unit
+# constant so that zero maps to Id exactly, and the 1-norm below which degree
+# 13 needs no scaling (Higham, SIAM J. Matrix Anal. Appl. 26 (2005), tab. 2.3)
 _PADE13 = [math.comb(13, k) / math.perm(26, k) for k in range(14)]
 _THETA13 = 5.371920351148152
 

@@ -338,6 +338,27 @@ def test_dichotomy_certifies_no_roundoff_side(tmp_path, gen, P0):
     assert 0.0 <= cert["alpha"] - rate <= _FIT_SLACK / 20.0 + 1e-12
 
 
+@pytest.mark.parametrize("P0", [None, [[1.0]]], ids=["sign_split", "explicit"])
+def test_dichotomy_survives_underflowing_contraction(tmp_path, P0):
+    # e^{-50 t} underflows to 0 before t = 15: such samples carry no log
+    # and are dropped, the rest certify the rate
+    solver = {"window": [0.0, 20.0]}
+    if P0 is not None:
+        solver["P0"] = P0
+    cfg = {"system": {"kind": "linear", "n": 1, "A": {"constant": [[-50.0]]}},
+           "solver": solver, "output": {"prefix": "steep"}}
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["dichotomy", "--config", str(path), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "steep_dichotomy.csv").read_text().splitlines()
+    rows = [r.split(",") for r in lines if not r.startswith("#")][1:]
+    assert rows and {r[2] for r in rows} == {"stable"}
+    assert max(float(r[1]) for r in rows if float(r[0]) > 0) < -49.0
+    cert = json.loads((tmp_path / "steep_dichotomy.json").read_text())
+    assert 1.0 <= cert["K"] <= math.exp(_FIT_SLACK) + 1e-12
+    assert 0.0 <= cert["alpha"] - 50.0 <= 1e-6
+
+
 def test_classify_reports_escape_rows(tmp_path):
     cfg_path, _ = small_saddle_config(
         tmp_path, initial_points=[[0.1, 0.006666666666666667]], bound=100.0)

@@ -290,7 +290,9 @@ def _loop_samples(op, P0, grid):
     samples = []
 
     def record(sep, M, t, s, side):
-        samples.append((sep, math.log(float(np.linalg.norm(M, 2))), t, s, side))
+        value = float(np.linalg.norm(M, 2))
+        if value > 1e-250:
+            samples.append((sep, math.log(value), t, s, side))
 
     for j, s in enumerate(grid):
         if rank > 0:
@@ -327,6 +329,20 @@ def test_verify_dichotomy_samples_equal_per_sample_loop(name):
     assert ctx.reports["dichotomy"].samples == want
     _, _, report = verify_dichotomy(ctx.fund, ctx.dich.P0, grid)
     assert report.samples == want
+
+
+def test_scalar_mde_certificate_samples_only_the_stable_side():
+    # svd P0 = [[1]] leaves the unstable side empty; before the rank rule its
+    # roundoff rows (log N <= -26) were sampled and were never binding, so K
+    # and alpha stay those of that certificate
+    ctx, _ = _shipped_context("scalar_mde")
+    report = ctx.reports["dichotomy"]
+    assert report.projection_mode == "svd"
+    assert np.array_equal(ctx.dich.P0, np.eye(1))
+    assert len(report.samples) == 21 * 22 // 2
+    assert {side for *_, side in report.samples} == {"stable"}
+    assert report.alpha_fit == 1.000000000097998
+    assert report.K_fit == pytest.approx(1.000000000979977, rel=1e-14)
 
 
 def _inverse_step_family(op, P0):
