@@ -18,7 +18,6 @@ from .funcspace import (  # noqa: F401
     TaggedDivision,
     norm,
     running_integral,
-    running_stieltjes_integral,
     total_variation,
 )
 from .kurzweil import (  # noqa: F401
@@ -32,7 +31,6 @@ from .linsys import (  # noqa: F401
     FundamentalOperator,
     LinearSystemSpec,
     check_regularity,
-    lambda_from_ide,
 )
 from .dichotomy import (  # noqa: F401
     DichotomyData,

@@ -283,8 +283,8 @@ def build_context(spec, s=0.0, T=None, tol=1e-10, base_step=0.1, P0=None,
     the named condition; without ``T`` a probe certification on [s, s + 20]
     sets the horizon (``auto_horizon``).  The reports carry the hypotheses,
     the dichotomy, the ``contraction_bound`` of the accumulation modulus and
-    the realization's printed gate, with V the variation of the accumulated
-    path: M_gamma (1 + K(1+2K)) C_b^3 exp(3 C_b V) V^2 (impulsive) or
+    the realization's printed gate, with V the variation of Lambda, from the
+    mesh store: M_gamma (1 + K(1+2K)) C_b^3 exp(3 C_b V) V^2 (impulsive) or
     2 L_H V_u (1 + K(1+2K)) C_g^3 exp(3 C_g V) V^2 (measure-driven).
     """
     s = float(s)
@@ -305,7 +305,7 @@ def build_context(spec, s=0.0, T=None, tol=1e-10, base_step=0.1, P0=None,
     window = (s, float(T))
     fund = FundamentalOperator(linspec, window, base_step)
     dich = certify(fund, grid, P0, projection_mode)
-    reg = check_regularity(linspec, window)
+    reg = check_regularity(fund)
     K, V = dich.K, reg.V_Lambda
     if isinstance(spec, IdeSpec):
         scale, C = hyp.constants["M_gamma"], hyp.constants["C_b"]

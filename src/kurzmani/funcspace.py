@@ -441,14 +441,12 @@ class PiecewisePath:
     __rmul__ = __mul__
 
 
-def add_jumps(path, jumps, t0=None):
+def add_jumps(path, jumps):
     """``path`` plus a right-jump at each ``(time, jump)``, built in one pass.
 
     Equals folding ``PiecewisePath.step(time, jump)`` into ``path`` one jump
     at a time (jumps at one time add up), with one cumulative offset per
-    interval and a single validation of the result.  Given ``t0``, every
-    added step vanishes there: a jump before ``t0`` starts at ``-jump`` and
-    ends at zero.
+    interval and a single validation of the result.
     """
     if not jumps:
         return path
@@ -460,8 +458,6 @@ def add_jumps(path, jumps, t0=None):
     cum = np.concatenate([np.zeros((1,) + path.shape), np.cumsum(jv, axis=0)])
     passed = np.searchsorted(jt, times, side="right")
     offsets = cum[np.concatenate([[0], passed])]
-    if t0 is not None:
-        offsets = offsets - cum[np.searchsorted(jt, float(t0), side="left")]
     probes = [_interior_point(lo, hi) for lo, hi in
               zip([-math.inf] + list(times), list(times) + [math.inf])]
     seg_idx = np.searchsorted(path.times, probes, side="left")
@@ -575,26 +571,6 @@ class StieltjesMeasure:
         return add_jumps(running_integral(self.density, t0), self.atoms)
 
 
-def running_stieltjes_integral(f, mu, t0):
-    """The path t -> integral of f d(mu) from t0 to t (left-continuous).
-
-    Smooth part needs the product ``f * density`` to stay representable
-    (polynomial x polynomial, or either factor constant).
-    """
-    t0 = float(t0)
-    times = np.union1d(f.times, mu.density.times)
-    segs = []
-    for i in range(len(times) + 1):
-        lo = -math.inf if i == 0 else times[i - 1]
-        hi = math.inf if i == len(times) else times[i]
-        probe = _interior_point(lo, hi)
-        fs = f.segments[f.segment_index(probe)]
-        rs = mu.density.segments[mu.density.segment_index(probe)]
-        segs.append(fs.times_scalar_segment(rs))
-    smooth = running_integral(PiecewisePath.from_segments(times, segs), t0)
-    return add_jumps(smooth, [(t, w * f(t)) for t, w in mu.atoms])
-
-
 # ---------------------------------------------------------------------------
 # tagged divisions
 # ---------------------------------------------------------------------------
@@ -628,34 +604,49 @@ def _quad_cell(f, a, b, tol):
     return val, err
 
 
-def total_variation(path, window):
-    """Variation of a piecewise-smooth path over [c, d].
+def norm_integral(cuts, piece, jumps):
+    """Integral of ||g|| over the cells between consecutive ``cuts``, plus
+    ``jumps``, the variation that jumps add.
 
-    Exact for this path class up to quadrature tolerance: the smooth part
-    contributes the integral of the derivative's norm, a breakpoint inside
-    the window contributes its one-sided jump norms (left jumps count on
-    (c, d], right jumps on [c, d)).  A cell whose derivative is constant
-    contributes ``norm(derivative) * (b - a)`` exactly, without quadrature."""
-    c, d = _check_window(window)
+    ``piece(a, b)`` gives g on the cell (a, b): its value where g is
+    constant there, which contributes ``norm(value) * (b - a)`` exactly,
+    else a callable of t, integrated by adaptive quadrature.  Raises
+    ``QuadratureError`` when the worst cell error exceeds
+    max(100 tol, 1e-8 (1 + total)).
+    """
     total = 0.0
     worst_err = 0.0
-    cuts = sorted({c, d} | {bp.time for bp in path.breakpoints if c < bp.time < d})
     for a, b in zip(cuts, cuts[1:]):
-        if b <= a:
+        g = piece(a, b)
+        if not callable(g):
+            total += norm(g) * (b - a)
             continue
-        dseg = path.segments[path.segment_index(0.5 * (a + b))].derivative()
-        if dseg.is_constant:
-            total += norm(dseg.coeffs[0]) * (b - a)
-            continue
-        val, err = _quad_cell(lambda t: norm(dseg.value(t)), a, b, _QUAD_TOL)
+        val, err = _quad_cell(lambda t: norm(g(t)), a, b, _QUAD_TOL)
         total += val
         worst_err = max(worst_err, err)
-    for bp in path.breakpoints:
-        if c < bp.time <= d:
-            total += norm(bp.left_jump)
-        if c <= bp.time < d:
-            total += norm(bp.right_jump)
+    total += jumps
     if worst_err > max(100 * _QUAD_TOL, 1e-8 * (1.0 + abs(total))):
         raise QuadratureError(
             "variation quadrature achieved only %.3e" % worst_err, worst_err)
     return total
+
+
+def total_variation(path, window):
+    """Variation of a piecewise-smooth path over [c, d].
+
+    Exact for this path class up to quadrature tolerance: the smooth part
+    contributes the integral of the derivative's norm (``norm_integral``:
+    exact on cells where the derivative is constant), a breakpoint inside
+    the window contributes its one-sided jump norms (left jumps count on
+    (c, d], right jumps on [c, d))."""
+    c, d = _check_window(window)
+    cuts = sorted({c, d} | {bp.time for bp in path.breakpoints if c < bp.time < d})
+
+    def derivative(a, b):
+        dseg = path.segments[path.segment_index(0.5 * (a + b))].derivative()
+        return dseg.coeffs[0] if dseg.is_constant else dseg.value
+
+    jumps = sum(norm(jump) for bp in path.breakpoints
+                for jump, inside in ((bp.left_jump, c < bp.time <= d),
+                                     (bp.right_jump, c <= bp.time < d)) if inside)
+    return norm_integral(cuts, derivative, jumps)

@@ -1,4 +1,4 @@
-"""Linear system data, coefficient paths and the fundamental operator.
+"""Linear system data, the fundamental operator and the regularity constants.
 
 A system is a smooth coefficient matrix A(t) plus two optional jump sources:
 impulses (t_i, B_i) that reset the state through Id + B_i, and a driving
@@ -10,8 +10,9 @@ propagation between consecutive mesh nodes (the numpy ``expm`` below on
 constant cells, scipy's adaptive order-8 integrator otherwise) interleaved
 with the jump factors.  The operator holds its mesh as one stacked store,
 the jump factor and its inverse per node and the cell propagators per cell,
-which the projection family, the fast kernels and the reference oracle all
-read.
+which the projection family, the fast kernels, the reference oracle and the
+regularity constants C_a and V_Lambda (``check_regularity``) all read; no
+accumulated coefficient path is built.
 Solutions are stored left-continuous: the factor at a jump time applies when
 propagating past it, so V(t, s) includes the factors at times in [s, t) and
 V(t, t) = Id exactly.
@@ -31,9 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .funcspace import (PiecewisePath, StieltjesMeasure, add_jumps,
-                        running_integral, running_stieltjes_integral,
-                        total_variation)
+from .funcspace import PiecewisePath, StieltjesMeasure, norm_integral
 
 _TIME_TOL = 1e-11
 _ODE_TOL = 1e-12      # rtol and atol of the smooth one-step integrator
@@ -193,34 +192,6 @@ class LinearSystemSpec:
 
 
 # ---------------------------------------------------------------------------
-# coefficient-path builders
-# ---------------------------------------------------------------------------
-
-def lambda_from_ide(A: PiecewisePath, impulses, t0) -> PiecewisePath:
-    """Accumulated coefficient path of an impulsive system.
-
-    Running integral of A from t0 plus a right-jump of B_i at every impulse
-    time; an impulse exactly at t0 is rejected (the accumulated path would
-    depend on which side of t0 the jump is attributed to).
-    """
-    t0 = float(t0)
-    for t, _ in impulses:
-        if _same_time(t, t0):
-            raise ValueError("impulse at the reference time t0=%g is ambiguous" % t0)
-    # normalized to vanish at t0: accumulation below t0 starts at -B
-    return add_jumps(running_integral(A, t0), impulses, t0=t0)
-
-
-def accumulated_path(spec: LinearSystemSpec) -> PiecewisePath:
-    """The full accumulated coefficient path (smooth + all jump sources)."""
-    lam = lambda_from_ide(spec.smooth, spec.impulses, spec.t0)
-    if spec.measure_part is not None:
-        C, u = spec.measure_part
-        lam = lam + running_stieltjes_integral(C, u, spec.t0)
-    return lam
-
-
-# ---------------------------------------------------------------------------
 # fundamental operator
 # ---------------------------------------------------------------------------
 
@@ -240,7 +211,8 @@ class FundamentalOperator:
     and the reference time t0; times that match under ``_same_time``
     (relative away from 0) share one node.  The mesh is held as stacked
     arrays: ``jumps`` and ``jump_invs`` (N, n, n) carry the jump factor at
-    each node (identity where nothing jumps), and ``cells`` the propagators
+    each node (identity where nothing jumps, ``event_nodes`` indexes the
+    others), and ``cells`` the propagators
     across each cell and to its quadrature nodes, filled on first use.  All
     are read-only.
     """
@@ -265,13 +237,16 @@ class FundamentalOperator:
         self.nodes = nodes[keep]
         self._times = self.nodes.tolist()   # Python floats for scalar matching
         self._index = {t: i for i, t in enumerate(self._times)}
+        self.event_nodes = np.array([self.node_index(t) for t, _ in events],
+                                    dtype=int)
         self.jumps = np.tile(np.eye(self.n), (len(self.nodes), 1, 1))
         self.jump_invs = self.jumps.copy()
         if events:
-            at = [self.node_index(t) for t, _ in events]
+            at = self.event_nodes
             self.jumps[at] = [J for _, J in events]
             self.jump_invs[at] = np.linalg.inv(self.jumps[at])
-        self.jumps.flags.writeable = self.jump_invs.flags.writeable = False
+        for arr in (self.event_nodes, self.jumps, self.jump_invs):
+            arr.flags.writeable = False
         gl_nodes, gl_weights = np.polynomial.legendre.leggauss(_QUAD_NODES)
         a, b = self.nodes[:-1, None], self.nodes[1:, None]
         self._sigma = 0.5 * (a + b) + 0.5 * (b - a) * gl_nodes   # (cells, Q)
@@ -432,22 +407,34 @@ class RegularityReport:
     V_Lambda: float
 
 
-def check_regularity(spec: LinearSystemSpec, window) -> RegularityReport:
-    """The constants of the accumulated coefficient path over a window.
+def check_regularity(fund: FundamentalOperator) -> RegularityReport:
+    """The constants of Lambda over the operator's window, from its mesh store.
 
-    C_a is the worst one-sided inverse-jump norm (at least 1, the value away
-    from jumps); V_Lambda the variation of the accumulated path over the
-    window.  Every one-sided jump factor is invertible: the right jumps are
-    the factors Id + B and Id + C du that ``LinearSystemSpec`` refuses when
-    singular, and the left jumps vanish up to roundoff.
+    C_a bounds the inverse jump factors: max(1, max ||J^{-1}||) over the
+    events in the window, either end included.  V_Lambda is the variation of
+    Lambda: the integral of ||A + C density|| over the generator's pieces
+    (exact where the generator is constant, quadrature elsewhere) plus
+    ||J - Id|| for every event in [lo, hi); a jump at hi acts past the
+    window.  An impulse at the reference time is refused: which side of t0
+    it belongs to is ambiguous.  Atoms there are accepted.
     """
-    lo, hi = float(window[0]), float(window[1])
-    lam = accumulated_path(spec)
-    eye = np.eye(spec.n)
-    factors = [m for bp in lam.breakpoints if lo <= bp.time <= hi
-               for m in (eye + bp.right_jump, eye - bp.left_jump)]
-    C_a = 1.0
-    if factors:
-        inv_norms = np.linalg.norm(np.linalg.inv(np.stack(factors)), 2, axis=(-2, -1))
-        C_a = max(C_a, float(np.max(inv_norms)))
-    return RegularityReport(C_a=C_a, V_Lambda=total_variation(lam, (lo, hi)))
+    spec = fund.spec
+    for t, _ in spec.impulses:
+        if _same_time(t, spec.t0):
+            raise ValueError("impulse at the reference time t0=%g is ambiguous"
+                             % spec.t0)
+    lo, hi = fund.window
+    ev = fund.event_nodes
+    inv_norms = np.linalg.norm(fund.jump_invs[ev], 2, axis=(-2, -1))
+    cuts = sorted({lo, hi} | {t for t in spec.generator_breakpoints() if lo < t < hi})
+
+    def generator(a, b):
+        if spec.generator_constant_on(a, b):
+            return spec.generator(0.5 * (a + b))
+        return spec.generator
+
+    inner = ev[ev < len(fund.nodes) - 1]
+    jump_norms = np.linalg.norm(fund.jumps[inner] - np.eye(fund.n), 2, axis=(-2, -1))
+    return RegularityReport(
+        C_a=float(np.max(inv_norms, initial=1.0)),
+        V_Lambda=norm_integral(cuts, generator, float(np.sum(jump_norms))))

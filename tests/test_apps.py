@@ -8,8 +8,8 @@ from conftest import SADDLE, lebesgue, quadratic_forcing
 from kurzmani import cli
 from kurzmani.apps import (HypothesisError, IdeSpec, MdeSpec, build_context,
                            check_hypotheses, ide_to_context, mde_to_context)
-from kurzmani.funcspace import PiecewisePath, StieltjesMeasure, total_variation
-from kurzmani.linsys import accumulated_path
+from kurzmani.funcspace import PiecewisePath, StieltjesMeasure
+from kurzmani.linsys import FundamentalOperator, check_regularity
 from kurzmani.lp_manifold import NonlinearitySpec, solve_lp
 
 
@@ -49,13 +49,23 @@ def test_impulse_variation_arithmetic():
     impulses = tuple((float(k), np.diag([0.1, 0.0])) for k in range(1, 11))
     spec = IdeSpec(2, saddle_path(), impulses, quadratic_forcing(0.05))
     ctx = ide_to_context(spec, s=0.0, T=12.0)
-    lam = accumulated_path(ctx.fund.spec)
+
+    def V(window):
+        return check_regularity(FundamentalOperator(ctx.fund.spec, window)).V_Lambda
+
     # integral of ||A|| plus one 0.1-jump per impulse; the right-jump sitting
     # exactly at the window's right endpoint lies outside [0, 10]
-    assert total_variation(lam, (0.0, 10.0)) == pytest.approx(
-        10.0 + 9 * 0.1, abs=1e-8)
-    assert total_variation(lam, (0.0, 10.5)) == pytest.approx(
-        10.5 + 10 * 0.1, abs=1e-8)
+    assert V((0.0, 10.0)) == pytest.approx(10.0 + 9 * 0.1, abs=1e-8)
+    assert V((0.0, 10.5)) == pytest.approx(10.5 + 10 * 0.1, abs=1e-8)
+
+
+def test_window_end_impulse_enters_C_a_but_not_V():
+    impulses = ((1.0, np.diag([0.1, 0.0])), (2.0, np.diag([-0.5, 0.0])))
+    spec = IdeSpec(2, saddle_path(), impulses, quadratic_forcing(0.05))
+    ctx = build_context(spec, s=0.0, T=2.0)
+    # ||A|| over [0, 2] plus the jump at 1; (Id + B)^{-1} at 2 is diag(2, 1)
+    assert ctx.regularity.V_Lambda == pytest.approx(2.1, rel=1e-14)
+    assert ctx.regularity.C_a == pytest.approx(2.0, rel=1e-15)
 
 
 def test_ide_window_relative_forcing_bound():
@@ -94,8 +104,6 @@ def test_mde_atom_enters_accumulated_variation():
                    PiecewisePath.constant([[1.0]]), u, H)
     ctx = mde_to_context(spec, s=0.0, T=3.0)
     assert ctx.regularity.V_Lambda == pytest.approx(0.2, abs=1e-10)
-    g = accumulated_path(ctx.fund.spec)
-    assert g.right(1.0)[0, 0] - g(1.0)[0, 0] == pytest.approx(0.2)
 
 
 def test_mde_rejects_singular_atom_factor():

@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from conftest import lebesgue
 from kurzmani.funcspace import (PiecewisePath, Segment, StieltjesMeasure, norm,
-                                running_integral, running_stieltjes_integral,
-                                total_variation)
+                                running_integral, total_variation)
 
 
 def test_variation_of_constant_path_is_zero():
@@ -75,22 +73,6 @@ def test_running_integral_stitches_across_jumps():
     assert ri(2.0) == pytest.approx(4.0)
     assert ri(-1.0) == pytest.approx(-1.0)
     assert not any(norm(bp.right_jump) > 0 for bp in ri.breakpoints)
-
-
-def test_running_stieltjes_integral_polynomial_case():
-    C = PiecewisePath.polynomial([0.0, 1.0])
-    g = running_stieltjes_integral(C, lebesgue(), 0.0)
-    assert g(1.0) == pytest.approx(0.5, abs=1e-12)
-    assert g(2.0) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_running_stieltjes_integral_atom_becomes_right_jump():
-    C = PiecewisePath.constant(1.0)
-    mu = StieltjesMeasure(PiecewisePath.constant(0.0), [(0.5, 2.0)])
-    g = running_stieltjes_integral(C, mu, 0.0)
-    assert g(0.5) == pytest.approx(0.0)
-    assert g.right(0.5) == pytest.approx(2.0)
-    assert g(1.0) == pytest.approx(2.0)
 
 
 def test_measure_distribution_left_continuous():

@@ -3,7 +3,10 @@ definition is reached by the package or the benchmark, and every defaulted
 parameter is set by some call in the package, the tests or the benchmark.
 
 No linter ships with the test environment, so these walk the source with
-``ast``.  ``__init__.py`` is skipped: its imports are the public re-exports.
+``ast``.  ``__init__.py`` is skipped by the import guard (its imports are the
+public re-exports), and a re-export reaches nothing: a definition that only
+``__init__.py`` names is dead.  ``PUBLIC_CHECKS`` lists the one kind of
+definition the package may hold for its tests alone.
 """
 
 import ast
@@ -15,6 +18,8 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "kurzmani"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# public checks that the tests call and the package does not
+PUBLIC_CHECKS = ("invariance_check",)
 
 
 def unused_imports(source):
@@ -66,10 +71,11 @@ def names_read(source):
     return read
 
 
-def unreached(modules, readers, exported):
+def unreached(modules, readers, allowed):
     """(module, line, name) of every definition in ``modules`` (name ->
-    source) that no source in ``readers`` reads and ``exported`` lacks."""
-    read = set(exported)
+    source) that no source in ``readers`` reads and ``allowed`` lacks.  An
+    import, a re-export included, binds a name without reading it."""
+    read = set(allowed)
     for source in readers:
         read |= names_read(source)
     return sorted((mod, line, name) for mod, source in modules.items()
@@ -82,7 +88,8 @@ def test_dead_definition_guard_flags_an_unread_definition():
            "    def size(self):\n        return used()\n\n"
            "    def label(self):\n        return 1\n")
     caller = "print(Box().size())\n"
-    assert unreached({"lib": lib}, [lib, caller], ()) == [
+    init = "from .lib import Box, unused, used\n"
+    assert unreached({"lib": lib}, [lib, caller, init], ()) == [
         ("lib", 5, "unused"), ("lib", 16, "label")]
     assert unreached({"lib": lib}, [lib, caller], ("unused",)) == [
         ("lib", 16, "label")]
@@ -92,10 +99,14 @@ def test_every_definition_is_reached_by_the_package_or_the_benchmark():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     bench = [p.read_text(encoding="utf-8")
              for p in sorted((ROOT / "perfbench").glob("*.py"))]
-    init = ast.parse(sources["__init__.py"])
-    exported = {alias.asname or alias.name for node in init.body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert unreached(sources, list(sources.values()) + bench, exported) == []
+    assert unreached(sources, list(sources.values()) + bench, PUBLIC_CHECKS) == []
+
+
+def test_every_public_check_is_called_by_a_test():
+    tests = set()
+    for p in sorted((ROOT / "tests").glob("test_*.py")):
+        tests |= names_read(p.read_text(encoding="utf-8"))
+    assert set(PUBLIC_CHECKS) <= tests
 
 
 def defaulted_parameters(source):

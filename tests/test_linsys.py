@@ -8,10 +8,9 @@ import scipy.linalg
 import kurzmani.linsys as linsys
 from conftest import lebesgue
 from kurzmani.cli import load_config, parse_system
-from kurzmani.funcspace import (PiecewisePath, StieltjesMeasure, norm,
-                                running_stieltjes_integral, total_variation)
+from kurzmani.funcspace import PiecewisePath, StieltjesMeasure, norm
 from kurzmani.linsys import (FundamentalOperator, LinearSystemSpec,
-                             check_regularity, expm, lambda_from_ide)
+                             check_regularity, expm)
 
 EYE1 = np.eye(1)
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -21,54 +20,65 @@ def scalar_path(c):
     return PiecewisePath.constant([[float(c)]])
 
 
+def regularity(spec, window):
+    return check_regularity(FundamentalOperator(spec, window))
+
+
 def test_accumulated_path_zero_system():
-    lam = lambda_from_ide(scalar_path(0.0), (), 0.0)
-    assert norm(lam(5.0)) == 0.0
-    assert total_variation(lam, (0.0, 5.0)) == 0.0
+    rep = regularity(LinearSystemSpec(1, scalar_path(0.0)), (-2.0, 5.0))
+    assert rep.V_Lambda == 0.0 and rep.C_a == 1.0
 
 
 def test_accumulated_path_with_one_impulse():
-    lam = lambda_from_ide(scalar_path(-1.0), ((1.0, [[0.5]]),), 0.0)
-    assert lam(1.0)[0, 0] == pytest.approx(-1.0)
-    assert lam.right(1.0)[0, 0] == pytest.approx(-0.5)
-    assert [bp.time for bp in lam.breakpoints] == [1.0]
+    spec = LinearSystemSpec(1, scalar_path(-1.0), impulses=((1.0, [[0.5]]),))
+    assert regularity(spec, (0.0, 2.0)).V_Lambda == pytest.approx(2.5, rel=1e-15)
+    # on [0, 1] the jump sits at the right end and acts past the window
+    rep = regularity(spec, (0.0, 1.0))
+    assert rep.V_Lambda == pytest.approx(1.0, rel=1e-15)
+    assert rep.C_a == 1.0
 
 
 def test_accumulated_variation_counts_every_impulse():
-    lam = lambda_from_ide(scalar_path(0.0),
-                          ((1.0, [[0.3]]), (2.0, [[0.3]])), 0.0)
-    assert total_variation(lam, (0.0, 3.0)) == pytest.approx(0.6, abs=1e-12)
+    spec = LinearSystemSpec(1, scalar_path(0.0),
+                            impulses=((1.0, [[0.3]]), (2.0, [[0.3]])))
+    assert regularity(spec, (0.0, 3.0)).V_Lambda == pytest.approx(0.6, abs=1e-12)
 
 
 def test_impulse_at_reference_time_rejected():
-    with pytest.raises(ValueError):
-        lambda_from_ide(scalar_path(0.0), ((0.0, [[0.5]]),), 0.0)
+    spec = LinearSystemSpec(1, scalar_path(0.0), impulses=((0.0, [[0.5]]),))
+    with pytest.raises(ValueError, match="impulse at the reference time t0=0 "
+                                         "is ambiguous"):
+        regularity(spec, (0.0, 3.0))
 
 
 def test_backward_branch_also_right_jumps():
-    lam = lambda_from_ide(scalar_path(0.0), ((-1.0, [[0.4]]),), 0.0)
-    assert lam(-2.0)[0, 0] == pytest.approx(-0.4)
-    assert lam(-1.0)[0, 0] == pytest.approx(-0.4)
-    assert lam.right(-1.0)[0, 0] == pytest.approx(0.0)
-    assert lam(0.0)[0, 0] == pytest.approx(0.0)
+    # an impulse before t0 counts in V_Lambda like one after it
+    spec = LinearSystemSpec(1, scalar_path(0.0), impulses=((-1.0, [[0.4]]),))
+    rep = regularity(spec, (-2.0, 1.0))
+    assert rep.V_Lambda == pytest.approx(0.4, abs=1e-12)
+    assert rep.C_a == 1.0
 
 
 def test_measure_paths_zero_coefficient():
-    g = running_stieltjes_integral(scalar_path(0.0), lebesgue(), 0.0)
-    assert norm(g(7.0)) == 0.0
+    spec = LinearSystemSpec(1, scalar_path(0.0),
+                            measure_part=(scalar_path(0.0), lebesgue()))
+    assert regularity(spec, (0.0, 7.0)).V_Lambda == 0.0
 
 
 def test_measure_paths_single_atom():
     mu = StieltjesMeasure(PiecewisePath.constant(0.0), [(2.0, 0.7)])
-    g = running_stieltjes_integral(scalar_path(1.0), mu, 0.0)
-    assert g(2.0)[0, 0] == pytest.approx(0.0)
-    assert g.right(2.0)[0, 0] == pytest.approx(0.7)
+    spec = LinearSystemSpec(1, scalar_path(0.0),
+                            measure_part=(scalar_path(1.0), mu))
+    rep = regularity(spec, (0.0, 3.0))
+    assert rep.V_Lambda == pytest.approx(0.7, abs=1e-12)
+    assert rep.C_a == 1.0
 
 
 def test_measure_paths_linear_coefficient_against_lebesgue():
+    # generator C(t) = t: a quadrature piece, integral of |t| over [0, 1]
     C = PiecewisePath.polynomial([np.zeros((1, 1)), EYE1])
-    g = running_stieltjes_integral(C, lebesgue(), 0.0)
-    assert g(1.0)[0, 0] == pytest.approx(0.5, abs=1e-12)
+    spec = LinearSystemSpec(1, scalar_path(0.0), measure_part=(C, lebesgue()))
+    assert regularity(spec, (0.0, 1.0)).V_Lambda == pytest.approx(0.5, abs=1e-12)
 
 
 def test_singular_atom_factor_rejected():
@@ -182,14 +192,14 @@ def test_measure_realization_integral_identity():
 
 
 def test_regularity_report_trivial_system():
-    rep = check_regularity(LinearSystemSpec(1, scalar_path(0.0)), (0.0, 2.0))
+    rep = regularity(LinearSystemSpec(1, scalar_path(0.0)), (0.0, 2.0))
     assert rep.C_a == pytest.approx(1.0)
     assert rep.V_Lambda == pytest.approx(0.0)
 
 
 def test_regularity_report_single_jump():
     spec = LinearSystemSpec(1, scalar_path(0.0), impulses=((1.0, [[0.5]]),))
-    rep = check_regularity(spec, (0.0, 2.0))
+    rep = regularity(spec, (0.0, 2.0))
     assert rep.C_a == pytest.approx(max(1.0, 1.0 / 1.5))
     assert rep.V_Lambda == pytest.approx(0.5)
 
@@ -329,7 +339,7 @@ def test_constant_fill_exponentiates_each_distinct_step_once(monkeypatch):
 
 def test_mesh_store_is_read_only():
     op = FundamentalOperator(_piecewise_spec(), (0.0, 3.5))
-    for arr in (op.jumps, op.jump_invs, *op.cells):
+    for arr in (op.event_nodes, op.jumps, op.jump_invs, *op.cells):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 

@@ -1,8 +1,10 @@
-"""One-pass accumulated paths and closed-form variation.
+"""One-pass jump folds, closed-form variation and the regularity constants.
 
 The one-pass jump fold is checked against the fold it replaces (one
 ``PiecewisePath.step`` + ``__add__`` per jump), kept here as the oracle;
-the closed-form variation cells are checked against adaptive quadrature.
+the closed-form variation cells are checked against adaptive quadrature;
+the regularity constants read from the mesh store are checked against the
+variation of the accumulated path that the fold builds.
 """
 
 import math
@@ -15,23 +17,22 @@ from scipy.integrate import quad
 
 import kurzmani.apps as apps
 import kurzmani.funcspace as funcspace
-from conftest import SADDLE, quadratic_forcing
-from kurzmani.apps import IdeSpec, ide_to_context
+from conftest import COUPLED, SADDLE, quadratic_forcing
+from kurzmani.apps import IdeSpec, MdeSpec, ide_to_context
 from kurzmani.cli import load_config, parse_system
 from kurzmani.funcspace import (PiecewisePath, Segment, StieltjesMeasure,
-                                add_jumps, norm, running_integral,
-                                running_stieltjes_integral, total_variation)
-from kurzmani.linsys import lambda_from_ide
+                                add_jumps, norm, running_integral, total_variation)
+from kurzmani.linsys import FundamentalOperator, LinearSystemSpec, check_regularity
+from kurzmani.lp_manifold import NonlinearitySpec
+from test_linsys import _piecewise_spec
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
-def folded(path, jumps, t0=None):
+def folded(path, jumps):
     """The old fold: one step path added per jump, each add re-validated."""
     for t, jump in jumps:
-        jump = np.asarray(jump, dtype=float)
-        base = -jump if t0 is not None and t < t0 else None
-        path = path + PiecewisePath.step(t, jump, base=base)
+        path = path + PiecewisePath.step(t, np.asarray(jump, dtype=float))
     return path
 
 
@@ -51,36 +52,6 @@ def assert_same_path(new, old):
         close(vn, vo)
 
 
-def test_lambda_from_ide_matches_fold_on_impulsive_saddle():
-    cfg = load_config(os.path.join(CONFIG_DIR, "impulsive_saddle.json"))
-    spec = parse_system(cfg)
-    assert len(spec.impulses) == 39
-    lam = lambda_from_ide(spec.A, spec.impulses, 0.0)
-    assert_same_path(lam, folded(running_integral(spec.A, 0.0), spec.impulses, t0=0.0))
-
-
-def test_lambda_from_ide_matches_fold_with_impulses_on_both_sides_of_t0():
-    # a kinked matrix generator whose breakpoint coincides with one impulse
-    A = PiecewisePath.from_segments(
-        [-1.0], [Segment.polynomial([[[0.5, 0.0], [1.0, -1.0]],
-                                     [[0.2, 0.1], [0.0, 0.3]]]),
-                 Segment.constant([[-1.0, 0.4], [0.0, 2.0]])])
-    rng = np.random.default_rng(3)
-    impulses = tuple((t, 0.3 * rng.normal(size=(2, 2)))
-                     for t in (-2.5, -1.0, -0.25, 0.75, 1.5, 4.0))
-    t0 = 0.2
-    lam = lambda_from_ide(A, impulses, t0)
-    assert_same_path(lam, folded(running_integral(A, t0), impulses, t0=t0))
-    # every added step vanishes at t0
-    assert norm(lam(t0)) <= 1e-15
-
-
-def test_impulse_at_t0_still_rejected():
-    with pytest.raises(ValueError):
-        lambda_from_ide(PiecewisePath.constant(SADDLE),
-                        ((0.0, np.eye(2)), (1.0, np.eye(2))), 0.0)
-
-
 def three_atom_measure():
     density = PiecewisePath.from_segments(
         [1.5], [Segment.polynomial([1.0, 0.5]), Segment.constant(2.0)])
@@ -88,15 +59,21 @@ def three_atom_measure():
                             nondecreasing=True)
 
 
-def test_running_stieltjes_integral_matches_fold_on_three_atoms():
-    mu = three_atom_measure()
-    C = PiecewisePath.from_segments(
-        [1.0], [Segment.constant([[-1.0, 0.2], [0.0, 0.5]]),
-                Segment.constant([[0.3, 0.0], [0.1, -0.4]])])
-    t0 = 0.25
-    smooth = running_stieltjes_integral(C, StieltjesMeasure(mu.density), t0)
-    oracle = folded(smooth, [(t, w * C(t)) for t, w in mu.atoms])
-    assert_same_path(running_stieltjes_integral(C, mu, t0), oracle)
+def test_impulse_at_t0_still_rejected():
+    # refused by the context build, from check_regularity; an atom at s is fine
+    impulses = ((1.0, np.diag([0.1, 0.0])), (2.0, np.diag([0.1, 0.0])))
+    spec = IdeSpec(2, PiecewisePath.constant(SADDLE), impulses, quadratic_forcing(0.05))
+    with pytest.raises(ValueError, match="impulse at the reference time t0=1 "
+                                         "is ambiguous"):
+        apps.build_context(spec, s=1.0, T=5.0)
+    u = StieltjesMeasure(PiecewisePath.constant(1.0), [(1.0, 0.3)],
+                         nondecreasing=True)
+    H = NonlinearitySpec("mde_kernel", "zero", {"n": 1}, rho=0.5, measure=u)
+    spec = MdeSpec(1, PiecewisePath.constant([[-1.0]]),
+                   PiecewisePath.constant([[0.5]]), u, H)
+    ctx = apps.build_context(spec, s=1.0, T=5.0)
+    # |-1 + 0.5| over [1, 5] plus the atom's jump 0.5 * 0.3 at s itself
+    assert ctx.regularity.V_Lambda == pytest.approx(2.0 + 0.15, rel=1e-14)
 
 
 def test_distribution_matches_fold_on_three_atoms():
@@ -108,9 +85,106 @@ def test_distribution_matches_fold_on_three_atoms():
 def test_add_jumps_sums_unsorted_and_coincident_jumps_like_the_fold():
     path = running_integral(PiecewisePath.polynomial([1.0, -2.0]), 0.0)
     jumps = [(2.0, 0.5), (-1.0, 0.25), (2.0, -1.5), (0.5, 3.0)]
-    assert_same_path(add_jumps(path, jumps, t0=0.0), folded(path, jumps, t0=0.0))
+    assert_same_path(add_jumps(path, jumps), folded(path, jumps))
     with pytest.raises(ValueError):
         add_jumps(PiecewisePath.constant(np.zeros((2, 2))), [(1.0, np.eye(3))])
+
+
+# ---------------------------------------------------------------------------
+# regularity constants against the accumulated path
+# ---------------------------------------------------------------------------
+
+def accumulated_oracle(spec, window):
+    """(C_a, V_Lambda) from the spec's raw data: the closed form
+    max(1, max ||(Id + B)^{-1}||) over the jumps in the window, and the
+    variation of Lambda = running integral of A + C density plus the fold of
+    every jump B (an impulse, or C(t) w at an atom)."""
+    gen, jumps = spec.smooth, list(spec.impulses)
+    if spec.measure_part is not None:
+        C, u = spec.measure_part
+        times = np.union1d(gen.times, np.union1d(C.times, u.density.times))
+        ends = [-math.inf] + list(times) + [math.inf]
+        segs = []
+        for lo, hi in zip(ends, ends[1:]):
+            t = funcspace._interior_point(lo, hi)
+            segs.append(gen.segments[gen.segment_index(t)].plus(
+                C.segments[C.segment_index(t)].times_scalar_segment(
+                    u.density.segments[u.density.segment_index(t)])))
+        gen = PiecewisePath.from_segments(times, segs)
+        jumps += [(t, w * C(t)) for t, w in u.atoms]
+    lam = folded(running_integral(gen, spec.t0), sorted(jumps, key=lambda e: e[0]))
+    eye = np.eye(spec.n)
+    C_a = max([1.0] + [norm(np.linalg.inv(eye + B)) for t, B in jumps
+                       if window[0] <= t <= window[1]])
+    return C_a, total_variation(lam, window)
+
+
+def _shipped(name):
+    return parse_system(load_config(os.path.join(CONFIG_DIR, name + ".json")))
+
+
+def _mde_with_polynomial_C():
+    """Non-zero C with a polynomial piece from t = 1, constant density, one atom."""
+    C1 = np.array([[0.4, -0.2], [0.1, 0.3]])
+    C = PiecewisePath.from_segments(
+        [1.0], [Segment.constant(C1), Segment.polynomial([C1, 0.3 * np.eye(2)])])
+    mu = StieltjesMeasure(PiecewisePath.constant(0.5), [(1.5, 0.4)],
+                          nondecreasing=True)
+    return LinearSystemSpec(2, PiecewisePath.constant(COUPLED), measure_part=(C, mu))
+
+
+def _kinked_with_impulses_on_both_sides():
+    """A kinked generator whose breakpoint sits on an impulse; t0 = 0.2."""
+    A = PiecewisePath.from_segments(
+        [-1.0], [Segment.polynomial([[[0.5, 0.0], [1.0, -1.0]],
+                                     [[0.2, 0.1], [0.0, 0.3]]]),
+                 Segment.constant([[-1.0, 0.4], [0.0, 2.0]])])
+    rng = np.random.default_rng(3)
+    impulses = tuple((t, 0.3 * rng.normal(size=(2, 2)))
+                     for t in (-2.5, -1.0, -0.25, 0.75, 1.5, 4.0))
+    return LinearSystemSpec(2, A, impulses=impulses, t0=0.2)
+
+
+def _impulses_on_both_window_ends():
+    """Impulses at both ends of [1, 3]; the largest inverse sits at 3."""
+    impulses = ((1.0, np.diag([0.1, 0.0])), (2.5, np.diag([0.1, 0.2])),
+                (3.0, np.diag([-0.5, 0.0])))
+    return LinearSystemSpec(2, PiecewisePath.constant(SADDLE), impulses=impulses,
+                            t0=2.0)
+
+
+@pytest.mark.parametrize("make, window", [
+    (lambda: _shipped("impulsive_saddle").linear_spec(0.0), (0.0, 40.0)),
+    (lambda: _shipped("scalar_mde").linear_spec(0.0), (0.0, 12.0)),
+    (_piecewise_spec, (0.0, 3.5)),
+    (_mde_with_polynomial_C, (0.0, 3.0)),
+    (_kinked_with_impulses_on_both_sides, (-3.0, 5.0)),
+    (_impulses_on_both_window_ends, (1.0, 3.0)),
+], ids=["impulsive_saddle", "scalar_mde", "piecewise", "mde_polynomial_C",
+        "both_sides_of_t0", "window_ends"])
+def test_regularity_constants_match_the_accumulated_path(make, window):
+    spec = make()
+    rep = check_regularity(FundamentalOperator(spec, window))
+    C_a, V = accumulated_oracle(spec, window)
+    assert rep.C_a == pytest.approx(C_a, rel=1e-15, abs=0.0)
+    assert rep.V_Lambda == pytest.approx(V, rel=1e-12, abs=0.0)
+
+
+def test_check_regularity_builds_no_path(monkeypatch):
+    funds = [FundamentalOperator(_shipped("impulsive_saddle").linear_spec(0.0),
+                                 (0.0, 40.0)),
+             FundamentalOperator(_mde_with_polynomial_C(), (0.0, 3.0))]
+    built = []
+    orig = PiecewisePath.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(PiecewisePath, "__init__", counted)
+    for fund in funds:
+        check_regularity(fund)
+    assert built == []
 
 
 @pytest.fixture
@@ -124,6 +198,17 @@ def quad_calls(monkeypatch):
 
     monkeypatch.setattr(funcspace, "_quad_cell", counted)
     return calls
+
+
+def test_quadrature_failures_raise_in_variation_and_regularity(monkeypatch):
+    # both read one rule: a cell error above max(100 tol, 1e-8 (1 + V)) raises
+    monkeypatch.setattr(funcspace, "_quad_cell", lambda f, a, b, tol: (0.0, 1e-6))
+    path = PiecewisePath.preset("exp", np.diag([1.0, 2.0]), (0.5,))
+    with pytest.raises(funcspace.QuadratureError):
+        total_variation(path, (0.0, 1.0))
+    fund = FundamentalOperator(_piecewise_spec(), (0.0, 3.5))
+    with pytest.raises(funcspace.QuadratureError):
+        check_regularity(fund)
 
 
 def test_linear_matrix_segments_use_the_closed_form(quad_calls):
@@ -177,9 +262,9 @@ def test_ide_context_checks_regularity_once(monkeypatch):
     calls = []
     orig = apps.check_regularity
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return orig(*args, **kwargs)
+    def counted(fund):
+        calls.append(fund.window)
+        return orig(fund)
 
     monkeypatch.setattr(apps, "check_regularity", counted)
     impulses = tuple((float(k), np.diag([0.1, 0.0])) for k in range(1, 6))
