@@ -11,7 +11,6 @@ measure-driven front-ends, and ``cli`` the command-line entry point.
 __version__ = "0.1.0"
 
 from .funcspace import (  # noqa: F401
-    Breakpoint,
     PiecewisePath,
     Segment,
     StieltjesMeasure,

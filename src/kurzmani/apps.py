@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dichotomy import certify
-from .funcspace import (PiecewisePath, StieltjesMeasure, norm,
+from .funcspace import (PiecewisePath, StieltjesMeasure, norm, norm_integral,
                         running_integral, total_variation)
 from .linsys import FundamentalOperator, LinearSystemSpec, check_regularity
 from .lp_manifold import (LPContext, NonlinearitySpec, auto_horizon,
@@ -256,23 +256,19 @@ def _measure_domination(spec, window):
     """int ||C|| d|u| over the window: the (D5) domination constant.
 
     Exact on cells where C and the density are both constant; adaptive
-    quadrature on the others.
+    quadrature on the others (``norm_integral``).
     """
     C, dens = spec.C, spec.u.density
-    c, d = float(window[0]), float(window[1])
-    cuts = sorted({c, d} | {t for t in (*C.times, *dens.times) if c < t < d})
-    val = 0.0
-    for a, b in zip(cuts, cuts[1:]):
+
+    def piece(a, b):
         mid = 0.5 * (a + b)
         if C.segments[C.segment_index(mid)].is_constant and \
                 dens.segments[dens.segment_index(mid)].is_constant:
-            val += norm(C(mid)) * abs(float(dens(mid))) * (b - a)
-            continue
-        from scipy.integrate import quad
-        part, _ = quad(lambda t: norm(C(t)) * abs(float(dens(t))), a, b, limit=200)
-        val += part
-    val += sum(norm(C(t)) * abs(w) for t, w in spec.u.atoms_in(c, d))
-    return float(val)
+            return norm(C(mid)) * abs(float(dens(mid)))
+        return lambda t: norm(C(t)) * abs(float(dens(t)))
+
+    atoms = sum(norm(C(t)) * abs(w) for t, w in spec.u.atoms_in(*window))
+    return norm_integral(window, [*C.times, *dens.times], piece, atoms)
 
 
 def build_context(spec, s=0.0, T=None, tol=1e-10, base_step=0.1, P0=None,

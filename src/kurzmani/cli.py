@@ -31,7 +31,7 @@ from . import __version__
 from .apps import (HypothesisError, IdeSpec, MdeSpec, build_context,
                    check_hypotheses, plain)
 from .dichotomy import SplittingError
-from .funcspace import PiecewisePath, StieltjesMeasure
+from .funcspace import PiecewisePath, QuadratureError, StieltjesMeasure
 from .kurzweil import IntegrationError, cross_check
 from .linsys import FundamentalOperator, LinearSystemSpec, PropagationError
 from .lp_manifold import (NonContractionError, NonlinearitySpec, SolveError,
@@ -108,7 +108,7 @@ def parse_path(node, what, scalar=False):
         segs = []
         for seg in _field(body, "segments", what + ".piecewise"):
             piece = parse_path(seg, what, scalar=scalar)
-            if piece.breakpoints:
+            if len(piece.times):
                 raise ConfigError("%s: piecewise segments must be simple specs" % what)
             segs.append(piece.segments[0])
         times = _field(body, "times", what + ".piecewise")
@@ -533,7 +533,7 @@ def main(argv=None):
             extra["last_two_sums"] = [v for v in exc.last_two if v is not None]
         error_json("divergent_integrand", exc, **extra)
         return EXIT_CERTIFIED_FAIL
-    except (PropagationError, NonContractionError, SolveError) as exc:
+    except (PropagationError, NonContractionError, SolveError, QuadratureError) as exc:
         error_json("nonconvergence", exc)
         return EXIT_NONCONVERGENCE
     except ValueError as exc:

@@ -124,10 +124,10 @@ def spectral_projection(spec: LinearSystemSpec, mode="auto", P0=None,
         raise SplittingError("explicit mode needs a P0 matrix")
 
     autonomous = spec.generator_constant_on(t0 - 1e-3, t0 + 1e-3) and \
-        len(spec.smooth.breakpoints) == 0
+        len(spec.smooth.times) == 0
     if spec.measure_part is not None:
         _, u = spec.measure_part
-        autonomous = autonomous and len(u.density.breakpoints) == 0
+        autonomous = autonomous and len(u.density.times) == 0
     if mode in ("auto", "autonomous") and autonomous:
         events = spec.jump_events()
         if not events:

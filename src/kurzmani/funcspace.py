@@ -1,16 +1,16 @@
 """Piecewise-smooth paths, Stieltjes measures and tagged divisions.
 
 Every path handled by this library is smooth between finitely many
-breakpoints, with explicit one-sided limits stored at each breakpoint.  This
-class is closed under the operations the solvers need (sums, running
-integrals, variation) and covers exactly what the impulsive and
+breakpoints and is held as nothing but its segments and its breakpoint
+times.  This class is closed under the operations the solvers need (sums,
+running integrals, variation) and covers exactly what the impulsive and
 measure-driven realizations produce.  Smooth segments are polynomials in t
 plus a small set of named function families (exp, sin/cos, and lacunary
 trigonometric sums), each closed under differentiation and antidifferentiation.
 
 Conventions used throughout:
-  * paths are left-continuous at a breakpoint unless a value is overridden,
-    so a jump shows up as a right-jump ``right_limit - value_at``;
+  * paths are left-continuous: the value at a breakpoint is the left
+    segment's, and a jump shows up as a right-jump ``right(t) - path(t)``;
   * vector norms are Euclidean, matrix norms are the operator 2-norm;
   * a window is a finite closed interval [c, d].
 """
@@ -256,62 +256,29 @@ class Segment:
 # paths
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Breakpoint:
-    """A point where the path may jump; all three values have equal shape."""
-
-    time: float
-    left_limit: np.ndarray
-    value_at: np.ndarray
-    right_limit: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "time", float(self.time))
-        for name in ("left_limit", "value_at", "right_limit"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if not (self.left_limit.shape == self.value_at.shape == self.right_limit.shape):
-            raise ValueError("breakpoint limit shapes differ at t=%g" % self.time)
-
-    @property
-    def left_jump(self):
-        return self.value_at - self.left_limit
-
-    @property
-    def right_jump(self):
-        return self.right_limit - self.value_at
-
-
 class PiecewisePath:
-    """A regulated, piecewise-smooth path on the whole line.
+    """A regulated, piecewise-smooth, left-continuous path on the whole line.
 
     ``segments`` has one entry per open interval between consecutive
-    breakpoints plus the two unbounded ends (so ``len(segments) ==
-    len(breakpoints) + 1``).  One-sided limits exist everywhere by
-    construction; evaluation at a breakpoint returns the stored value.
+    breakpoint ``times`` plus the two unbounded ends (so ``len(segments) ==
+    len(times) + 1``).  At a breakpoint the path takes the value of the
+    segment on its left, and the segment on its right gives the right limit.
     """
 
-    def __init__(self, segments, breakpoints=()):
+    def __init__(self, segments, times=()):
         self.segments = tuple(segments)
-        self.breakpoints = tuple(breakpoints)
-        if len(self.segments) != len(self.breakpoints) + 1:
-            raise ValueError("need len(segments) == len(breakpoints) + 1")
+        self.times = np.array(times, dtype=float)
+        if len(self.segments) != len(self.times) + 1:
+            raise ValueError("need len(segments) == len(times) + 1")
         self.shape = self.segments[0].shape
-        self.times = np.array([bp.time for bp in self.breakpoints])
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
             raise ValueError("breakpoint times must be strictly increasing")
         for seg in self.segments:
             if seg.shape != self.shape:
                 raise ValueError("all segments must share one value shape")
-        for i, bp in enumerate(self.breakpoints):
-            left = self.segments[i].value(bp.time)
-            right = self.segments[i + 1].value(bp.time)
-            scale = 1.0 + norm(left) + norm(right)
-            if norm(left - bp.left_limit) > 1e-9 * scale:
-                raise ValueError("segment/left-limit mismatch at t=%g" % bp.time)
-            if norm(right - bp.right_limit) > 1e-9 * scale:
-                raise ValueError("segment/right-limit mismatch at t=%g" % bp.time)
-            if not np.all(np.isfinite(bp.value_at)):
-                raise ValueError("non-finite breakpoint value at t=%g" % bp.time)
+        for seg, t in zip(self.segments, self.times):
+            if not np.all(np.isfinite(seg.value(t))):
+                raise ValueError("non-finite breakpoint value at t=%g" % t)
 
     # -- constructors -------------------------------------------------------
 
@@ -328,27 +295,14 @@ class PiecewisePath:
         return PiecewisePath([Segment.preset(kind, amp, params)])
 
     @staticmethod
-    def from_segments(times, segments, values=None):
-        """Stitch explicit segments at the given breakpoint times.
-
-        ``values`` optionally overrides the stored value at each breakpoint
-        (default: the left limit, i.e. a left-continuous path).
-        """
+    def from_segments(times, segments):
+        """Stitch explicit segments (or constants) at the given breakpoint times."""
         segments = [s if isinstance(s, Segment) else Segment.constant(s) for s in segments]
-        bps = []
-        for i, t in enumerate(times):
-            left = segments[i].value(t)
-            right = segments[i + 1].value(t)
-            val = left if values is None or values[i] is None else np.asarray(values[i], float)
-            bps.append(Breakpoint(t, left, val, right))
-        return PiecewisePath(segments, bps)
+        return PiecewisePath(segments, times)
 
     @staticmethod
     def step(time, jump, base=None):
-        """A path equal to ``base`` then ``base + jump`` after ``time``.
-
-        Left-continuous: the stored value at ``time`` is still ``base``.
-        """
+        """A path equal to ``base`` up to ``time`` and ``base + jump`` after it."""
         jump = np.asarray(jump, dtype=float)
         if base is None:
             base = np.zeros_like(jump)
@@ -358,14 +312,6 @@ class PiecewisePath:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _bp_index(self, t):
-        if len(self.times) == 0:
-            return None
-        i = bisect_left(self.times.tolist(), t)
-        if i < len(self.times) and self.times[i] == t:
-            return i
-        return None
-
     def segment_index(self, t, side=0):
         """Index of the segment governing t (side<0 left, >0 right of a bp)."""
         ts = self.times.tolist()
@@ -374,40 +320,25 @@ class PiecewisePath:
         return bisect_right(ts, t)
 
     def __call__(self, t):
+        """The value at t, which at a breakpoint is the left limit."""
         t = float(t)
-        i = self._bp_index(t)
-        if i is not None:
-            return self.breakpoints[i].value_at
         return self.segments[self.segment_index(t)].value(t)
 
-    def left(self, t):
-        t = float(t)
-        i = self._bp_index(t)
-        if i is not None:
-            return self.breakpoints[i].left_limit
-        return self.segments[self.segment_index(t, side=-1)].value(t)
+    left = __call__
 
     def right(self, t):
         t = float(t)
-        i = self._bp_index(t)
-        if i is not None:
-            return self.breakpoints[i].right_limit
         return self.segments[self.segment_index(t, side=+1)].value(t)
 
     def sample(self, ts):
-        """Batch evaluation; breakpoint times get their stored values."""
+        """Batch evaluation; a breakpoint time gets its left limit."""
         ts = np.asarray(ts, dtype=float)
         flat = np.atleast_1d(ts)
         out = np.empty(flat.shape + self.shape)
-        idx = np.searchsorted(self.times, flat, side="left") if len(self.times) else \
-            np.zeros(flat.shape, dtype=int)
+        idx = np.searchsorted(self.times, flat, side="left")
         for seg_i in np.unique(idx):
             mask = idx == seg_i
             out[mask] = self.segments[seg_i].eval(flat[mask])
-        for i, bp in enumerate(self.breakpoints):
-            hit = flat == bp.time
-            if np.any(hit):
-                out[hit] = bp.value_at
         return out.reshape(ts.shape + self.shape)
 
     # -- algebra ------------------------------------------------------------
@@ -417,7 +348,6 @@ class PiecewisePath:
             raise ValueError("path shapes differ: %r vs %r" % (self.shape, other.shape))
         times = np.union1d(self.times, other.times)
         segments = []
-        bps = []
         for i in range(len(times) + 1):
             lo = -math.inf if i == 0 else times[i - 1]
             hi = math.inf if i == len(times) else times[i]
@@ -425,18 +355,11 @@ class PiecewisePath:
             sa = self.segments[self.segment_index(probe)]
             sb = other.segments[other.segment_index(probe)]
             segments.append(sa.plus(sb))
-        for t in times:
-            bps.append(Breakpoint(t, self.left(t) + other.left(t),
-                                  self(t) + other(t),
-                                  self.right(t) + other.right(t)))
-        return PiecewisePath(segments, bps)
+        return PiecewisePath(segments, times)
 
     def __mul__(self, c):
         c = float(c)
-        segments = [s.scaled(c) for s in self.segments]
-        bps = [Breakpoint(b.time, c * b.left_limit, c * b.value_at, c * b.right_limit)
-               for b in self.breakpoints]
-        return PiecewisePath(segments, bps)
+        return PiecewisePath([s.scaled(c) for s in self.segments], self.times)
 
     __rmul__ = __mul__
 
@@ -463,10 +386,7 @@ def add_jumps(path, jumps):
     seg_idx = np.searchsorted(path.times, probes, side="left")
     segments = [path.segments[k].plus(Segment.constant(off))
                 for k, off in zip(seg_idx, offsets)]
-    bps = [Breakpoint(t, path.left(t) + offsets[i], path(t) + offsets[i],
-                      path.right(t) + offsets[i + 1])
-           for i, t in enumerate(times)]
-    return PiecewisePath(segments, bps)
+    return PiecewisePath(segments, times)
 
 
 def _interior_point(lo, hi):
@@ -498,11 +418,7 @@ def running_integral(path, t0):
         offsets[i] = offsets[i + 1] + anti[i + 1].value(t) - anti[i].value(t)
     segments = [Segment(a.coeffs.copy(), a.terms).plus(Segment.constant(off))
                 for a, off in zip(anti, offsets)]
-    bps = []
-    for i, t in enumerate(path.times):
-        v = segments[i].value(t)
-        bps.append(Breakpoint(t, v, v, v))
-    return PiecewisePath(segments, bps)
+    return PiecewisePath(segments, path.times)
 
 
 # ---------------------------------------------------------------------------
@@ -546,21 +462,15 @@ class StieltjesMeasure:
         return [(t, w) for t, w in self.atoms if lo <= t < hi]
 
     def variation(self, window):
-        c, d = _check_window(window)
-        total = 0.0
-        cuts = sorted({c, d} | {t for t in self.density.times if c < t < d})
-        for a, b in zip(cuts, cuts[1:]):
-            if b <= a:
-                continue
-            seg = self.density.segments[self.density.segment_index(0.5 * (a + b))]
-            if seg.is_constant:
-                total += abs(float(seg.coeffs[0])) * (b - a)
-                continue
-            val, _ = _quad_cell(lambda t: abs(float(self.density.sample(t))),
-                                a, b, _QUAD_TOL)
-            total += val
-        total += sum(abs(w) for _, w in self.atoms_in(c, d))
-        return total
+        """|mu|([c, d)): the integral of |density| plus the atoms in [c, d)."""
+        density = self.density
+
+        def piece(a, b):
+            seg = density.segments[density.segment_index(0.5 * (a + b))]
+            return seg.coeffs[0] if seg.is_constant else density
+
+        atoms = sum(abs(w) for _, w in self.atoms_in(*window))
+        return norm_integral(window, density.times, piece, atoms)
 
     def distribution(self, t0=0.0):
         """The left-continuous function u with du equal to this measure.
@@ -604,16 +514,18 @@ def _quad_cell(f, a, b, tol):
     return val, err
 
 
-def norm_integral(cuts, piece, jumps):
-    """Integral of ||g|| over the cells between consecutive ``cuts``, plus
-    ``jumps``, the variation that jumps add.
+def norm_integral(window, breaks, piece, jumps):
+    """Integral of ||g|| over the window [c, d], plus ``jumps``, the
+    variation that jumps add.
 
-    ``piece(a, b)`` gives g on the cell (a, b): its value where g is
-    constant there, which contributes ``norm(value) * (b - a)`` exactly,
-    else a callable of t, integrated by adaptive quadrature.  Raises
-    ``QuadratureError`` when the worst cell error exceeds
-    max(100 tol, 1e-8 (1 + total)).
+    The window is cut at every time of ``breaks`` inside it.  ``piece(a, b)``
+    gives g on the cell (a, b): its value where g is constant there, which
+    contributes ``norm(value) * (b - a)`` exactly, else a callable of t,
+    integrated by adaptive quadrature.  Raises ``QuadratureError`` when the
+    worst cell error exceeds max(100 tol, 1e-8 (1 + total)).
     """
+    c, d = _check_window(window)
+    cuts = sorted({c, d} | {t for t in breaks if c < t < d})
     total = 0.0
     worst_err = 0.0
     for a, b in zip(cuts, cuts[1:]):
@@ -636,17 +548,14 @@ def total_variation(path, window):
 
     Exact for this path class up to quadrature tolerance: the smooth part
     contributes the integral of the derivative's norm (``norm_integral``:
-    exact on cells where the derivative is constant), a breakpoint inside
-    the window contributes its one-sided jump norms (left jumps count on
-    (c, d], right jumps on [c, d))."""
+    exact on cells where the derivative is constant), and a breakpoint in
+    [c, d) contributes its jump norm ||right(t) - path(t)||; a
+    left-continuous path has no left jumps."""
     c, d = _check_window(window)
-    cuts = sorted({c, d} | {bp.time for bp in path.breakpoints if c < bp.time < d})
 
     def derivative(a, b):
         dseg = path.segments[path.segment_index(0.5 * (a + b))].derivative()
         return dseg.coeffs[0] if dseg.is_constant else dseg.value
 
-    jumps = sum(norm(jump) for bp in path.breakpoints
-                for jump, inside in ((bp.left_jump, c < bp.time <= d),
-                                     (bp.right_jump, c <= bp.time < d)) if inside)
-    return norm_integral(cuts, derivative, jumps)
+    jumps = sum(norm(path.right(t) - path(t)) for t in path.times if c <= t < d)
+    return norm_integral((c, d), path.times, derivative, jumps)

@@ -10,9 +10,9 @@ atom terms.  ``cross_check`` runs both on the same data and is the standing
 validation that the fast decomposition agrees with the defining limit.
 
 Atom convention (used consistently everywhere): at a jump time of the
-integrator the sum picks up ``f(value_at) * (full two-sided jump)``; with
-left-continuous integrators that is the right jump, and an atom at the left
-window endpoint counts while one at the right endpoint does not.
+integrator the sum picks up f's left limit there times the full two-sided
+jump; with left-continuous integrators that is the right jump, and an atom
+at the left window endpoint counts while one at the right endpoint does not.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class PointIntervalFn:
         def batch(taus, los, his):
             return f.sample(his) - f.sample(los)
 
-        return cls(batch, atom_times=[bp.time for bp in f.breakpoints])
+        return cls(batch, atom_times=f.times)
 
     @classmethod
     def stieltjes_pair(cls, f: PiecewisePath, mu: StieltjesMeasure):
@@ -75,7 +75,7 @@ class PointIntervalFn:
             fv = f.sample(taus)
             return fv * du.reshape(du.shape + (1,) * len(f.shape))
 
-        atoms = [t for t, _ in mu.atoms] + [bp.time for bp in f.breakpoints]
+        atoms = [t for t, _ in mu.atoms] + f.times.tolist()
         return cls(batch, atom_times=atoms)
 
     def k_sum(self, division: TaggedDivision):
@@ -164,8 +164,8 @@ def stieltjes_integral(f: PiecewisePath, mu: StieltjesMeasure, window):
     (``Segment.times_scalar_segment``), so the cell contributes
     ``anti(b) - anti(a)`` of its antiderivative exactly.  Only a preset times
     a non-constant factor leaves the segment class; such a cell is
-    integrated by ``quad_vec`` to ``_QUAD_TOL``.  Finally adds
-    ``f(value_at) * weight`` for each atom in [c, d).
+    integrated by ``quad_vec`` to ``_QUAD_TOL``.  Finally adds f's left
+    limit at the atom times its weight for each atom in [c, d).
     """
     c, d = float(window[0]), float(window[1])
     if not (math.isfinite(c) and math.isfinite(d)):
@@ -174,11 +174,8 @@ def stieltjes_integral(f: PiecewisePath, mu: StieltjesMeasure, window):
         return -stieltjes_integral(f, mu, (d, c))
     density = mu.density
     total = np.zeros(f.shape)
-    cuts = {c, d}
-    cuts |= {bp.time for bp in f.breakpoints if c < bp.time < d}
-    cuts |= {bp.time for bp in density.breakpoints if c < bp.time < d}
-    cuts |= {t for t, _ in mu.atoms if c < t < d}
-    cuts = sorted(cuts)
+    breaks = [*f.times, *density.times, *(t for t, _ in mu.atoms)]
+    cuts = sorted({c, d} | {t for t in breaks if c < t < d})
     for a, b in zip(cuts, cuts[1:]):
         # no breakpoint of f or the density lies in (a, b): both follow the
         # segment just right of a

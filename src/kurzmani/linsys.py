@@ -169,11 +169,10 @@ class LinearSystemSpec:
         return m
 
     def generator_breakpoints(self):
-        times = {bp.time for bp in self.smooth.breakpoints}
+        times = set(self.smooth.times.tolist())
         if self.measure_part is not None:
             C, u = self.measure_part
-            times |= {bp.time for bp in C.breakpoints}
-            times |= {bp.time for bp in u.density.breakpoints}
+            times |= set(C.times.tolist()) | set(u.density.times.tolist())
         return times
 
     def generator_constant_on(self, lo, hi):
@@ -423,10 +422,8 @@ def check_regularity(fund: FundamentalOperator) -> RegularityReport:
         if _same_time(t, spec.t0):
             raise ValueError("impulse at the reference time t0=%g is ambiguous"
                              % spec.t0)
-    lo, hi = fund.window
     ev = fund.event_nodes
     inv_norms = np.linalg.norm(fund.jump_invs[ev], 2, axis=(-2, -1))
-    cuts = sorted({lo, hi} | {t for t in spec.generator_breakpoints() if lo < t < hi})
 
     def generator(a, b):
         if spec.generator_constant_on(a, b):
@@ -437,4 +434,5 @@ def check_regularity(fund: FundamentalOperator) -> RegularityReport:
     jump_norms = np.linalg.norm(fund.jumps[inner] - np.eye(fund.n), 2, axis=(-2, -1))
     return RegularityReport(
         C_a=float(np.max(inv_norms, initial=1.0)),
-        V_Lambda=norm_integral(cuts, generator, float(np.sum(jump_norms))))
+        V_Lambda=norm_integral(fund.window, spec.generator_breakpoints(), generator,
+                               float(np.sum(jump_norms))))

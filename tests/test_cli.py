@@ -159,6 +159,30 @@ def test_manifold_nonconvergence_exit(tmp_path):
     assert proc.returncode == 3
 
 
+WCOS = {"kind": "wcos", "params": [0.5, 3.0, 12]}
+
+
+@pytest.mark.parametrize("kind", ["ide", "mde"])
+def test_check_on_an_oscillatory_coefficient_is_nonconvergence(tmp_path, kind):
+    # a lacunary sum of 12 terms on [0, 10]: the variation quadrature misses
+    # its tolerance (worst cell error about 5e-2) and must not pass in silence
+    system = {"kind": kind, "n": 1,
+              "nonlinearity": {"registry": "saturated_tanh",
+                               "params": {"gain": [[0.2]]}, "rho": 1.0}}
+    if kind == "ide":
+        system.update(A={"preset": {**WCOS, "amp": [[-1.0]]}}, impulses=[])
+    else:
+        system.update(A={"constant": [[-1.0]]}, C={"constant": [[1.0]]},
+                      u={"density": {"preset": {**WCOS, "amp": 1.0}}, "atoms": []})
+    path = tmp_path / "osc.json"
+    path.write_text(json.dumps({"system": system, "solver": {"s": 0.0, "T": 10.0},
+                                "output": {"prefix": "osc"}}))
+    proc = run_cli(["check", "--config", str(path), "--out", str(tmp_path)])
+    assert proc.returncode == 3, proc.stderr
+    err = json.loads(proc.stderr.splitlines()[-1])
+    assert err["error"] == "nonconvergence"
+
+
 def test_manifold_grid_of_wrong_dimension_is_config_error(tmp_path):
     cfg = json.loads(open(config_path("planar_quadratic.json")).read())
     cfg["solver"]["zeta_grid"] = [[0.1, 0.05], [0, 0]]

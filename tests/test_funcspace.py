@@ -44,12 +44,12 @@ def test_variation_monotone_and_additive():
 
 def test_regulated_evaluation_returns_stored_one_sided_values():
     path = PiecewisePath.from_segments(
-        [1.0], [Segment.constant(2.0), Segment.constant(5.0)], values=[3.0])
+        [1.0], [Segment.constant(2.0), Segment.constant(5.0)])
     assert path.left(1.0) == pytest.approx(2.0)
-    assert path(1.0) == pytest.approx(3.0)
+    # left-continuous: the value at the breakpoint is the left limit
+    assert path(1.0) == pytest.approx(2.0)
     assert path.right(1.0) == pytest.approx(5.0)
-    # removable-value point: the two one-sided jumps both count
-    assert total_variation(path, (0.0, 2.0)) == pytest.approx(1.0 + 2.0)
+    assert total_variation(path, (0.0, 2.0)) == pytest.approx(3.0)
 
 
 def test_breakpoint_times_must_increase():
@@ -57,6 +57,13 @@ def test_breakpoint_times_must_increase():
         PiecewisePath.from_segments(
             [1.0, 1.0],
             [Segment.constant(0.0), Segment.constant(1.0), Segment.constant(2.0)])
+
+
+def test_non_finite_breakpoint_value_is_refused():
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValueError, match="non-finite breakpoint value"):
+        PiecewisePath.from_segments(
+            [800.0], [Segment.preset("exp", 1.0, (1.0,)), Segment.constant(0.0)])
 
 
 def test_matrix_norm_is_operator_two_norm():
@@ -72,7 +79,7 @@ def test_running_integral_stitches_across_jumps():
     assert ri(1.0) == pytest.approx(1.0)
     assert ri(2.0) == pytest.approx(4.0)
     assert ri(-1.0) == pytest.approx(-1.0)
-    assert not any(norm(bp.right_jump) > 0 for bp in ri.breakpoints)
+    assert not any(norm(ri.right(t) - ri(t)) > 0 for t in ri.times)
 
 
 def test_measure_distribution_left_continuous():
@@ -106,7 +113,7 @@ def test_path_algebra_addition_merges_breakpoints():
     a = PiecewisePath.step(0.3, 1.0)
     b = PiecewisePath.step(0.7, 2.0)
     s = a + b
-    assert [bp.time for bp in s.breakpoints] == [0.3, 0.7]
+    assert s.times.tolist() == [0.3, 0.7]
     assert s(0.5) == pytest.approx(1.0)
     assert s(0.9) == pytest.approx(3.0)
     assert (2.0 * a)(0.5) == pytest.approx(2.0)

@@ -1,6 +1,8 @@
 """Static guards: every module-level import in the package is used, every
-definition is reached by the package or the benchmark, and every defaulted
-parameter is set by some call in the package, the tests or the benchmark.
+definition is reached by the package or the benchmark, every defaulted
+parameter is set by some call in the package, the tests or the benchmark,
+and only ``funcspace`` calls scipy's ``quad`` (so every adaptive quadrature
+goes through its error check).
 
 No linter ships with the test environment, so these walk the source with
 ``ast``.  ``__init__.py`` is skipped by the import guard (its imports are the
@@ -207,3 +209,28 @@ def test_every_defaulted_parameter_is_set_by_some_call():
                for d in (SRC, ROOT / "tests", ROOT / "perfbench")
                for p in sorted(d.glob("*.py"))]
     assert unset_defaults(sources, callers) == []
+
+
+def scipy_quad_calls(source):
+    """Lines that call scipy's ``quad``: by a name imported from
+    ``scipy.integrate`` or as an attribute ``.quad``."""
+    tree = ast.parse(source)
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "scipy.integrate"
+             for alias in node.names if alias.name == "quad"}
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and (getattr(node.func, "id", None) in names
+                       or getattr(node.func, "attr", None) == "quad"))
+
+
+def test_guard_flags_a_scipy_quad_call():
+    src = ("import scipy.integrate\nfrom scipy.integrate import quad as q, quad_vec\n"
+           "def f(t):\n    return q(abs, 0, t)\n\n"
+           "quad_vec(f, 0, 1)\nscipy.integrate.quad(f, 0, 1)\n")
+    assert scipy_quad_calls(src) == [4, 7]
+
+
+def test_only_funcspace_calls_scipy_quad():
+    calls = {p.name: scipy_quad_calls(p.read_text(encoding="utf-8"))
+             for p in MODULES if p.name != "funcspace.py"}
+    assert {name: lines for name, lines in calls.items() if lines} == {}

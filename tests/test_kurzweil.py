@@ -180,8 +180,7 @@ CLOSED_FORM_CASES = {
         (0.0, 1.0)),
     "piecewise_poly_with_shared_jump": (
         PiecewisePath.from_segments(
-            [0.4], [Segment.polynomial([1.0, 2.0]), Segment.polynomial([0.0, -1.0, 3.0])],
-            values=[2.5]),
+            [0.4], [Segment.polynomial([1.0, 2.0]), Segment.polynomial([0.0, -1.0, 3.0])]),
         StieltjesMeasure(PiecewisePath.from_segments(
             [0.6], [Segment.polynomial([1.0, -0.5]), Segment.constant(2.0)]),
             [(0.4, 0.8)]),

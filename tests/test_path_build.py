@@ -42,10 +42,10 @@ def assert_same_path(new, old):
 
     assert new.shape == old.shape
     np.testing.assert_array_equal(new.times, old.times)
-    for bn, bo in zip(new.breakpoints, old.breakpoints):
-        close(bn.left_limit, bo.left_limit)
-        close(bn.value_at, bo.value_at)
-        close(bn.right_limit, bo.right_limit)
+    for t in new.times:
+        close(new.left(t), old.left(t))
+        close(new(t), old(t))
+        close(new.right(t), old.right(t))
     lo, hi = (new.times[0] - 1.0, new.times[-1] + 1.0) if len(new.times) else (-1.0, 1.0)
     ts = np.union1d(np.linspace(lo, hi, 257), new.times)
     for vn, vo in zip(new.sample(ts), old.sample(ts)):
@@ -201,7 +201,7 @@ def quad_calls(monkeypatch):
 
 
 def test_quadrature_failures_raise_in_variation_and_regularity(monkeypatch):
-    # both read one rule: a cell error above max(100 tol, 1e-8 (1 + V)) raises
+    # all read one rule: a cell error above max(100 tol, 1e-8 (1 + V)) raises
     monkeypatch.setattr(funcspace, "_quad_cell", lambda f, a, b, tol: (0.0, 1e-6))
     path = PiecewisePath.preset("exp", np.diag([1.0, 2.0]), (0.5,))
     with pytest.raises(funcspace.QuadratureError):
@@ -209,6 +209,12 @@ def test_quadrature_failures_raise_in_variation_and_regularity(monkeypatch):
     fund = FundamentalOperator(_piecewise_spec(), (0.0, 3.5))
     with pytest.raises(funcspace.QuadratureError):
         check_regularity(fund)
+    mu = three_atom_measure()
+    with pytest.raises(funcspace.QuadratureError):
+        mu.variation((0.0, 3.0))
+    spec = SimpleNamespace(C=PiecewisePath.constant([[1.0]]), u=mu)
+    with pytest.raises(funcspace.QuadratureError):
+        apps._measure_domination(spec, (0.0, 3.0))
 
 
 def test_linear_matrix_segments_use_the_closed_form(quad_calls):
@@ -222,7 +228,7 @@ def test_linear_matrix_segments_use_the_closed_form(quad_calls):
     cuts = [0.0, 0.4, 1.3, 2.0]
     oracle = sum(quad(lambda t, s=s: norm(s.derivative().value(t)), a, b)[0]
                  for s, a, b in zip(segs, cuts, cuts[1:]))
-    oracle += sum(norm(bp.right_jump) for bp in path.breakpoints)
+    oracle += sum(norm(path.right(t) - path(t)) for t in path.times)
     assert got == pytest.approx(oracle, rel=1e-13)
 
 
