@@ -11,9 +11,10 @@ construction refuses specs whose structural hypotheses (invertible jump
 factors, monotone driver) fail, while smallness gates are reported rather
 than enforced (the observed contraction ratio is the operative gate).
 
-Constant-rate forcing has no finite bound over the whole line, so the bound
-constants for pointwise forcing are computed over the solve window and
-reported as window-relative.
+Both forcings integrate against a driving measure: dt for an ``IdeSpec``,
+u for an ``MdeSpec``.  Lebesgue measure has no finite mass over the whole
+line, so the forcing bound of an impulsive system is computed over the solve
+window and reported as window-relative.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dichotomy import certify
-from .funcspace import (PiecewisePath, StieltjesMeasure, norm, norm_integral,
-                        running_integral, total_variation)
+from .funcspace import (LEBESGUE, PiecewisePath, StieltjesMeasure, norm,
+                        norm_integral, running_integral, total_variation)
 from .linsys import FundamentalOperator, LinearSystemSpec, check_regularity
 from .lp_manifold import (LPContext, NonlinearitySpec, auto_horizon,
                           contraction_bound, safe_exp)
@@ -42,7 +43,7 @@ class HypothesisError(ValueError):
 
 @dataclass(frozen=True)
 class IdeSpec:
-    """Impulsive system: smooth coefficients, state resets, pointwise forcing."""
+    """Impulsive system: smooth coefficients, state resets, forcing f dt."""
 
     n: int
     A: PiecewisePath
@@ -53,8 +54,9 @@ class IdeSpec:
                 "impulse_times_increasing", "c_gamma_dominates")
 
     def __post_init__(self):
-        if self.f.kind != "ide_pointwise":
-            raise ValueError("IdeSpec needs an ide_pointwise nonlinearity")
+        if self.f.measure is not LEBESGUE:
+            raise ValueError("IdeSpec forcing integrates against dt: give its "
+                             "nonlinearity no measure")
         object.__setattr__(self, "impulses",
                            tuple((float(t), np.asarray(B, dtype=float))
                                  for t, B in self.impulses))
@@ -82,8 +84,6 @@ class MdeSpec:
                 "b_driver_nondecreasing_bv", "c_kernel_bounded_lipschitz")
 
     def __post_init__(self):
-        if self.H.kind != "mde_kernel":
-            raise ValueError("MdeSpec needs an mde_kernel nonlinearity")
         if self.H.measure is not self.u:
             raise ValueError("the kernel nonlinearity must be driven by spec.u")
 
@@ -174,7 +174,8 @@ def _check_ide(spec: IdeSpec, window) -> HypothesesReport:
     eye = np.eye(n)
 
     rep.items["B1_smooth_integrable"] = CheckItem(True, None)
-    m_int = total_variation(running_integral(spec.A, window[0]), window)
+    m_int = total_variation(running_integral(spec.A, window[0]), window,
+                            "B2 bound int ||A||")
     rep.items["B2_coefficient_bound"] = CheckItem(math.isfinite(m_int), m_int)
 
     sum_B = 0.0
@@ -191,18 +192,15 @@ def _check_ide(spec: IdeSpec, window) -> HypothesesReport:
     C_b = max(sum_B, inv_B)
     rep.items["a_jump_norms_summable"] = CheckItem(bad is None, C_b, bad)
 
-    gamma = spec.f.gamma_path()
-    M_gamma = float(running_integral(gamma, window[0])(window[1]))
+    M_gamma = spec.f.v_h(window)
     rep.items["b_forcing_integrable"] = CheckItem(
         math.isfinite(M_gamma), M_gamma,
         "window-relative over %r" % (list(window),))
 
     sup_f, lip_f = _lipschitz_probe(spec.f, n, 2.0 * spec.f.rho)
-    grid = np.linspace(window[0], window[1], 101)
-    gamma_min = float(np.min(gamma.sample(grid)))
-    dominated = gamma_min >= max(sup_f, lip_f) - 1e-9
+    gamma = spec.f.modulus
     rep.items["c_gamma_dominates"] = CheckItem(
-        bool(dominated), (gamma_min, sup_f, lip_f))
+        bool(gamma >= max(sup_f, lip_f) - 1e-9), (gamma, sup_f, lip_f))
 
     times = [t for t, _ in spec.impulses]
     increasing = all(b > a for a, b in zip(times, times[1:]))
@@ -221,7 +219,8 @@ def _check_mde(spec: MdeSpec, window) -> HypothesesReport:
     rep.items["D1_smooth_integrable"] = CheckItem(True, None)
     rep.items["D2_driver_left_continuous"] = CheckItem(True, None)
     rep.items["D3_measure_coefficient_integrable"] = CheckItem(True, None)
-    m1 = total_variation(running_integral(spec.A, window[0]), window)
+    m1 = total_variation(running_integral(spec.A, window[0]), window,
+                         "D4 bound int ||A||")
     rep.items["D4_smooth_dominated"] = CheckItem(math.isfinite(m1), m1)
     m2 = _measure_domination(spec, window)
     rep.items["D5_measure_dominated"] = CheckItem(math.isfinite(m2), m2)
@@ -242,12 +241,11 @@ def _check_mde(spec: MdeSpec, window) -> HypothesesReport:
         bool(spec.u.nondecreasing and math.isfinite(V_u)), V_u)
 
     sup_H, lip_H = _lipschitz_probe(spec.H, n, 2.0 * spec.H.rho)
-    ok_MH = spec.H.M_H >= sup_H - 1e-9
-    ok_LH = spec.H.L_H >= lip_H - 1e-9
+    M_H, L_H = spec.H.sup_eff, spec.H.lip_eff
     rep.items["c_kernel_bounded_lipschitz"] = CheckItem(
-        bool(ok_MH and ok_LH), (spec.H.M_H, sup_H, spec.H.L_H, lip_H))
+        bool(M_H >= sup_H - 1e-9 and L_H >= lip_H - 1e-9), (M_H, sup_H, L_H, lip_H))
 
-    rep.constants.update(C_g=C_g, V_u=V_u, M_H=spec.H.M_H, L_H=spec.H.L_H,
+    rep.constants.update(C_g=C_g, V_u=V_u, M_H=M_H, L_H=L_H,
                          sampled_sup_H=sup_H, sampled_lip_H=lip_H)
     return rep
 
@@ -268,7 +266,8 @@ def _measure_domination(spec, window):
         return lambda t: norm(C(t)) * abs(float(dens(t)))
 
     atoms = sum(norm(C(t)) * abs(w) for t, w in spec.u.atoms_in(*window))
-    return norm_integral(window, [*C.times, *dens.times], piece, atoms)
+    return norm_integral(window, [*C.times, *dens.times], piece, atoms,
+                         "(D5) domination int ||C|| d|u|")
 
 
 def build_context(spec, s=0.0, T=None, tol=1e-10, base_step=0.1, P0=None,
@@ -281,7 +280,8 @@ def build_context(spec, s=0.0, T=None, tol=1e-10, base_step=0.1, P0=None,
     the dichotomy, the ``contraction_bound`` of the accumulation modulus and
     the realization's printed gate, with V the variation of Lambda, from the
     mesh store: M_gamma (1 + K(1+2K)) C_b^3 exp(3 C_b V) V^2 (impulsive) or
-    2 L_H V_u (1 + K(1+2K)) C_g^3 exp(3 C_g V) V^2 (measure-driven).
+    2 L_H V_u (1 + K(1+2K)) C_g^3 exp(3 C_g V) V^2 (measure-driven), with
+    L_H the kernel's ``lip_eff``.
     """
     s = float(s)
     probe_hi = T if T is not None else s + 20.0
@@ -306,7 +306,7 @@ def build_context(spec, s=0.0, T=None, tol=1e-10, base_step=0.1, P0=None,
     if isinstance(spec, IdeSpec):
         scale, C = hyp.constants["M_gamma"], hyp.constants["C_b"]
     else:
-        scale, C = 2.0 * spec.H.L_H * spec.u.variation(window), hyp.constants["C_g"]
+        scale, C = 2.0 * spec.H.lip_eff * spec.u.variation(window), hyp.constants["C_g"]
     printed = scale * (1.0 + K * (1.0 + 2.0 * K)) * C ** 3 \
         * safe_exp(3.0 * C * V) * V ** 2
     return LPContext(fund, dich, nonlin, T=window[1], tol=tol, regularity=reg,

@@ -126,9 +126,14 @@ def parse_measure(node, what):
 
 
 def parse_nonlinearity(node, u=None):
+    """The nonlinearity block (``registry``, ``params``, ``rho``), driven by
+    the measure ``u`` (dt when None); any other key is a ``ConfigError``."""
     if node is None:
         raise ConfigError("system.nonlinearity is required for this subcommand")
-    kind = node.get("kind", "ide_pointwise" if u is None else "mde_kernel")
+    extra = sorted(set(node) - {"registry", "params", "rho"})
+    if extra:
+        raise ConfigError("system.nonlinearity takes only registry, params and "
+                          "rho, not %s" % ", ".join(map(repr, extra)))
     params = {}
     raw = node.get("params", {})
     for key, val in raw.items():
@@ -138,13 +143,9 @@ def parse_nonlinearity(node, u=None):
             params[key] = np.asarray(val, dtype=float)
         else:
             params[key] = val
-    gamma = node.get("gamma")
-    if isinstance(gamma, dict):
-        gamma = parse_path(gamma, "nonlinearity.gamma", scalar=True)
     try:
-        return NonlinearitySpec(
-            kind, node["registry"], params, rho=float(node.get("rho", 0.5)),
-            measure=u, gamma=gamma, M_H=node.get("M_H"), L_H=node.get("L_H"))
+        return NonlinearitySpec(node["registry"], params,
+                                rho=float(node.get("rho", 0.5)), measure=u)
     except KeyError as exc:
         raise ConfigError("nonlinearity spec: %s" % exc)
 
@@ -295,15 +296,7 @@ def _context_from_config(cfg, args):
 
 
 def _run_integrand(cfg, args, default_tol):
-    """Both evaluators on the configured integrand.
-
-    With a measure the fast side is the Stieltjes decomposition; without one
-    the integrand is the pure node-increment form whose fast value is the
-    endpoint difference f(d) - f(c).
-    """
-    from .funcspace import norm as vnorm
-    from .kurzweil import PointIntervalFn, ks_integral_ref
-
+    """Both evaluators on the configured integrand (``cross_check``)."""
     block = cfg.get("integrand")
     if not isinstance(block, dict):
         raise ConfigError("config needs an 'integrand' block")
@@ -314,16 +307,7 @@ def _run_integrand(cfg, args, default_tol):
         tol = args.tol if args.tol is not None else float(block.get("tol", default_tol))
         _sane_tol(tol)
         mu = parse_measure(block["mu"], "integrand.mu") if "mu" in block else None
-    if mu is not None:
-        return cross_check(f, mu, window, tol=tol), tol
-    fast = np.asarray(f(window[1]) - f(window[0]))
-    ref = ks_integral_ref(PointIntervalFn.node_function(f), window,
-                          tol=min(tol / 10.0, 1e-9))
-    difference = vnorm(fast - ref.value)
-    tolerance = max(tol, 10.0 * ref.achieved_tolerance)
-    from .kurzweil import CrossCheckReport
-    return CrossCheckReport(fast, ref, difference, tolerance,
-                            difference <= tolerance), tol
+    return cross_check(f, mu, window, tol=tol), tol
 
 
 def cmd_integrate(cfg, args):

@@ -39,6 +39,7 @@ _IDEMPOTENCY_TOL = 1e-10   # ||P0^2 - P0|| accepted for a reference projection
 _FIT_SLACK = 1e-9          # resolution in log K of the envelope fit
 _ALPHA_CAP = 60.0          # largest decay rate the fit reports
 _NEWTON_CAP = 100          # Newton steps allowed for a matrix sign
+_SVD_HORIZON = 10.0        # flow horizon of the singular-subspace heuristic
 
 
 class SplittingError(ValueError):
@@ -97,15 +98,14 @@ def _validate_projection(P0):
     return P0
 
 
-def spectral_projection(spec: LinearSystemSpec, mode="auto", P0=None,
-                        horizon=10.0):
+def spectral_projection(spec: LinearSystemSpec, mode="auto", P0=None):
     """Reference projection onto the contracting directions at ``spec.t0``.
 
     Modes: ``explicit`` validates and passes through ``P0``; ``autonomous``
     splits the spectrum of the constant generator, or of the one-period
     monodromy when the jump pattern is periodic; ``svd`` splits by the
     contracting right / expanding left singular directions of the flow over
-    ``horizon`` (a labeled heuristic for genuinely nonautonomous systems).
+    ``_SVD_HORIZON`` (a labeled heuristic for genuinely nonautonomous systems).
     ``auto`` picks explicit > autonomous > svd.  The ``autonomous`` and
     ``periodic`` branches emit one DEBUG record on the ``kurzmani`` logger
     (see ``_sign_split``).
@@ -160,8 +160,8 @@ def spectral_projection(spec: LinearSystemSpec, mode="auto", P0=None,
         raise SplittingError("generator is not autonomous; supply P0 or use svd")
 
     # singular-subspace heuristic over a finite horizon
-    op = FundamentalOperator(spec, (t0 - horizon, t0 + horizon))
-    fwd = op.value(t0 + horizon, t0)
+    op = FundamentalOperator(spec, (t0 - _SVD_HORIZON, t0 + _SVD_HORIZON))
+    fwd = op.value(t0 + _SVD_HORIZON, t0)
     _, sv_f, vt = np.linalg.svd(fwd)
     k = int(np.sum(sv_f < 1.0))
     if k == 0:
@@ -169,7 +169,7 @@ def spectral_projection(spec: LinearSystemSpec, mode="auto", P0=None,
     if k == n:
         return np.eye(n), "svd"
     stable = vt[n - k:, :].T
-    bwd = op.value(t0, t0 - horizon)
+    bwd = op.value(t0, t0 - _SVD_HORIZON)
     u_l, sv_b, _ = np.linalg.svd(bwd)
     unstable = u_l[:, :n - k]
     return _oblique_projector(stable, unstable), "svd"

@@ -470,7 +470,8 @@ class StieltjesMeasure:
             return seg.coeffs[0] if seg.is_constant else density
 
         atoms = sum(abs(w) for _, w in self.atoms_in(*window))
-        return norm_integral(window, density.times, piece, atoms)
+        return norm_integral(window, density.times, piece, atoms,
+                             "measure variation")
 
     def distribution(self, t0=0.0):
         """The left-continuous function u with du equal to this measure.
@@ -479,6 +480,10 @@ class StieltjesMeasure:
         differences of u ever matter to the integrals.
         """
         return add_jumps(running_integral(self.density, t0), self.atoms)
+
+
+# dt: the driving measure of a forcing that is given no other
+LEBESGUE = StieltjesMeasure(PiecewisePath.constant(1.0), nondecreasing=True)
 
 
 # ---------------------------------------------------------------------------
@@ -509,14 +514,19 @@ class TaggedDivision:
 # ---------------------------------------------------------------------------
 
 def _quad_cell(f, a, b, tol):
-    from scipy.integrate import quad
-    val, err = quad(f, a, b, epsabs=tol, epsrel=1e-12, limit=200)
-    return val, err
+    """scipy's ``quad`` on one cell, its warning silenced: the caller checks
+    the returned error estimate."""
+    import warnings
+
+    from scipy.integrate import IntegrationWarning, quad
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return quad(f, a, b, epsabs=tol, epsrel=1e-12, limit=200)
 
 
-def norm_integral(window, breaks, piece, jumps):
+def norm_integral(window, breaks, piece, jumps, what):
     """Integral of ||g|| over the window [c, d], plus ``jumps``, the
-    variation that jumps add.
+    variation that jumps add; ``what`` names the integral in errors.
 
     The window is cut at every time of ``breaks`` inside it.  ``piece(a, b)``
     gives g on the cell (a, b): its value where g is constant there, which
@@ -538,13 +548,14 @@ def norm_integral(window, breaks, piece, jumps):
         worst_err = max(worst_err, err)
     total += jumps
     if worst_err > max(100 * _QUAD_TOL, 1e-8 * (1.0 + abs(total))):
-        raise QuadratureError(
-            "variation quadrature achieved only %.3e" % worst_err, worst_err)
+        raise QuadratureError("%s quadrature achieved only %.3e"
+                              % (what, worst_err), worst_err)
     return total
 
 
-def total_variation(path, window):
-    """Variation of a piecewise-smooth path over [c, d].
+def total_variation(path, window, what="variation"):
+    """Variation of a piecewise-smooth path over [c, d] (``what`` names it
+    in a ``QuadratureError``).
 
     Exact for this path class up to quadrature tolerance: the smooth part
     contributes the integral of the derivative's norm (``norm_integral``:
@@ -558,4 +569,4 @@ def total_variation(path, window):
         return dseg.coeffs[0] if dseg.is_constant else dseg.value
 
     jumps = sum(norm(path.right(t) - path(t)) for t in path.times if c <= t < d)
-    return norm_integral((c, d), path.times, derivative, jumps)
+    return norm_integral((c, d), path.times, derivative, jumps, what)

@@ -26,6 +26,7 @@ from .funcspace import (_QUAD_TOL, PiecewisePath, StieltjesMeasure,
                         TaggedDivision, norm)
 
 _MAX_CELLS = 1 << 22
+_MAX_ROUNDS = 18          # refinement rounds of the gauge-limit reference
 
 
 class IntegrationError(RuntimeError):
@@ -120,8 +121,7 @@ def pinned_division(window, atoms, radius, step) -> TaggedDivision:
     return TaggedDivision(np.array(nodes), np.array(tags))
 
 
-def ks_integral_ref(V: PointIntervalFn, window, tol=1e-9,
-                    max_rounds=18) -> IntegralResult:
+def ks_integral_ref(V: PointIntervalFn, window, tol=1e-9) -> IntegralResult:
     """Gauge-limit reference evaluation of ``V`` over a window.
 
     Round k uses uniform fineness ``(d - c) / 2**(k + 3)`` and pins every atom
@@ -137,7 +137,7 @@ def ks_integral_ref(V: PointIntervalFn, window, tol=1e-9,
     radius = step / 8.0
     atoms = [t for t in V.atom_times if c <= t <= d]
     previous = None
-    for k in range(max_rounds):
+    for k in range(_MAX_ROUNDS):
         division = pinned_division((c, d), atoms, radius, step)
         if len(division.tags) > _MAX_CELLS:
             raise IntegrationError("division grew past %d cells" % _MAX_CELLS,
@@ -152,7 +152,7 @@ def ks_integral_ref(V: PointIntervalFn, window, tol=1e-9,
         radius *= 0.5
     raise IntegrationError(
         "no convergence within %d rounds (last diff %.3e)"
-        % (max_rounds, norm(current - previous) if previous is not None else math.nan),
+        % (_MAX_ROUNDS, norm(current - previous) if previous is not None else math.nan),
         last_two=(previous, current))
 
 
@@ -207,16 +207,23 @@ class CrossCheckReport:
     passed: bool
 
 
-def cross_check(f: PiecewisePath, mu: StieltjesMeasure, window,
+def cross_check(f: PiecewisePath, mu: StieltjesMeasure | None, window,
                 tol=1e-6) -> CrossCheckReport:
     """Run both evaluators on the same data and compare.
 
-    Passes iff the values differ by at most ``max(tol, 10 x achieved
-    reference tolerance)``; reference non-convergence propagates.
+    With a measure the fast side is ``stieltjes_integral``; with ``mu`` None
+    the integrand is the node-increment form V(tag, t) = f(t), whose fast
+    value is the endpoint difference f(d) - f(c).  Passes iff the values
+    differ by at most ``max(tol, 10 x achieved reference tolerance)``;
+    reference non-convergence propagates.
     """
-    fast = np.asarray(stieltjes_integral(f, mu, window))
-    ref = ks_integral_ref(PointIntervalFn.stieltjes_pair(f, mu), window,
-                          tol=min(tol / 10.0, 1e-8))
+    if mu is None:
+        fast = np.asarray(f(window[1]) - f(window[0]))
+        V, ref_tol = PointIntervalFn.node_function(f), min(tol / 10.0, 1e-9)
+    else:
+        fast = np.asarray(stieltjes_integral(f, mu, window))
+        V, ref_tol = PointIntervalFn.stieltjes_pair(f, mu), min(tol / 10.0, 1e-8)
+    ref = ks_integral_ref(V, window, tol=ref_tol)
     difference = norm(fast - ref.value)
     tolerance = max(tol, 10.0 * ref.achieved_tolerance)
     return CrossCheckReport(fast, ref, difference, tolerance,

@@ -435,4 +435,4 @@ def check_regularity(fund: FundamentalOperator) -> RegularityReport:
     return RegularityReport(
         C_a=float(np.max(inv_norms, initial=1.0)),
         V_Lambda=norm_integral(fund.window, spec.generator_breakpoints(), generator,
-                               float(np.sum(jump_norms))))
+                               float(np.sum(jump_norms)), "V_Lambda variation"))

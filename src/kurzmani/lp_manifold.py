@@ -6,9 +6,10 @@ The solver iterates the integral operator
                     + int_s^t  V(t, sigma) P(sigma)        dN_z(sigma)
                     - int_t^T  V(t, sigma) (Id - P(sigma)) dN_z(sigma)
 
-on mesh-sampled paths, where dN_z accumulates the (cutoff) nonlinearity:
-a plain density f(t, z(t)) dt for pointwise forcing, or a kernel against a
-driving measure (density plus atoms) for measure-driven systems.  Atoms that
+on mesh-sampled paths, where dN_z = f(t, z(t)) du(t) accumulates the
+(cutoff) nonlinearity against its one driving measure u: Lebesgue measure
+(du = dt) for impulsive systems, the driver (density plus atoms) for
+measure-driven ones, with no branch between the two.  Atoms that
 sit exactly at the evaluation time t belong to the unstable-side integral, so
 iterates stay left-continuous like the solutions they approximate.  The fixed
 point phi yields the graph value m(s, zeta) = phi(s) - zeta in the unstable
@@ -36,7 +37,7 @@ A second, much slower evaluation path implements the operator literally as
 with the inner accumulation built from gauge-style sums (atom times pinned as
 tags) and the outer Stieltjes sums taken against the sampled matrix paths on
 successively refined subdivisions of the solver mesh.  Refinement doubles
-until two passes agree to ``max(tol, 1e-9)``; stopping at ``max_refine``
+until two passes agree to ``max(tol, 1e-9)``; stopping at ``_MAX_REFINE``
 instead logs a warning on the ``kurzmani`` logger.  Agreement of the two
 modes is the standing certificate for the reduced form.
 
@@ -55,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dichotomy import DichotomyData, SplittingError, projection_family
-from .funcspace import PiecewisePath, StieltjesMeasure, norm, running_integral
+from .funcspace import LEBESGUE, StieltjesMeasure, norm
 from .linsys import (FundamentalOperator, PropagationError, RegularityReport,
                      _same_time, expm)
 
@@ -63,6 +64,9 @@ log = logging.getLogger("kurzmani")
 
 _RANGE_TOL = 1e-10
 _IDEMPOTENCY_TOL = 1e-8
+_MAX_ITER = 80        # fixed-point iterations of one solve
+_REFINE0 = 2          # first subdivision of a cell in the reference apply
+_MAX_REFINE = 32      # finest subdivision the reference apply tries
 
 
 class NonContractionError(RuntimeError):
@@ -166,21 +170,20 @@ def _smooth_cutoff(r, rho):
 
 
 class NonlinearitySpec:
-    """A registry nonlinearity with cutoff and smallness data.
+    """A registry nonlinearity f(t, z), integrated against a driving measure.
 
-    Kinds: ``ide_pointwise`` (forcing f(t, z) dt, with a bounding path
-    gamma) and ``mde_kernel`` (kernel H(t, z) du against a driving measure,
-    with bounds M_H and L_H).  The registry functions vanish at z = 0, and
-    outside radius ``rho`` the value is smoothly truncated so the global
-    smallness hypotheses hold; the computed manifold is local to the ball of
-    radius rho.
+    The forcing of the generalized ODE is F(z, t) = int f(sigma, z) du(sigma)
+    for the driving ``measure`` u: Lebesgue measure (``LEBESGUE``, du = dt)
+    when none is given, as for impulsive systems, or the driver of a
+    measure-driven system, atoms included.  The registry functions vanish at
+    z = 0, and outside radius ``rho`` the value is smoothly truncated so the
+    global smallness hypotheses hold; the computed manifold is local to the
+    ball of radius rho.  ``sup_eff`` and ``lip_eff`` bound the cutoff
+    function and its Lipschitz constant, and their max, ``modulus``, bounds
+    the forcing per unit of |u|.
     """
 
-    def __init__(self, kind, registry_id, params=None, rho=0.5, measure=None,
-                 gamma=None, M_H=None, L_H=None):
-        if kind not in ("ide_pointwise", "mde_kernel"):
-            raise ValueError("unknown nonlinearity kind %r" % kind)
-        self.kind = kind
+    def __init__(self, registry_id, params=None, rho=0.5, measure=None):
         self.registry_id = registry_id
         self.params = dict(params or {})
         self.rho = float(rho)
@@ -189,19 +192,14 @@ class NonlinearitySpec:
         if registry_id not in REGISTRY:
             raise KeyError("no registered nonlinearity %r" % registry_id)
         self._raw = REGISTRY[registry_id](self.params)
-        if kind == "mde_kernel":
-            if not isinstance(measure, StieltjesMeasure):
-                raise ValueError("mde_kernel needs a driving StieltjesMeasure")
-        self.measure = measure
-        if gamma is not None and not isinstance(gamma, PiecewisePath):
-            gamma = PiecewisePath.constant(float(gamma))
-        self._gamma = gamma
+        if measure is not None and not isinstance(measure, StieltjesMeasure):
+            raise ValueError("the driving measure must be a StieltjesMeasure")
+        self.measure = LEBESGUE if measure is None else measure
         sup2 = self._raw.sup_bound(2 * self.rho)
         lip2 = self._raw.lip_bound(2 * self.rho)
         self.sup_eff = sup2
         self.lip_eff = lip2 + sup2 * 1.5 / self.rho
-        self.M_H = float(M_H) if M_H is not None else self.sup_eff
-        self.L_H = float(L_H) if L_H is not None else self.lip_eff
+        self.modulus = max(self.sup_eff, self.lip_eff)
         zero = np.zeros(self._raw.n)
         if norm(self.value(0.0, zero)) != 0.0:
             raise ValueError("registry nonlinearity must vanish at z = 0")
@@ -213,20 +211,10 @@ class NonlinearitySpec:
         return self._raw(z) * psi[..., None] if z.ndim > 1 else \
             float(psi) * self._raw(z)
 
-    def gamma_path(self):
-        """Bounding path for the pointwise kind (value and Lipschitz)."""
-        if self._gamma is not None:
-            return self._gamma
-        return PiecewisePath.constant(max(self.sup_eff, self.lip_eff))
-
     def atom_times(self):
-        if self.kind == "mde_kernel":
-            return tuple(t for t, _ in self.measure.atoms)
-        return ()
+        return tuple(t for t, _ in self.measure.atoms)
 
     def atom_weight(self, t):
-        if self.kind != "mde_kernel":
-            return 0.0
         for ta, w in self.measure.atoms:
             if _same_time(t, ta):
                 return w
@@ -234,25 +222,17 @@ class NonlinearitySpec:
 
     def density_factor(self, ts):
         """Scalar factor multiplying F in the density of dN at times ts."""
-        ts = np.asarray(ts, dtype=float)
-        if self.kind == "mde_kernel":
-            return self.measure.density.sample(ts)
-        return np.ones(ts.shape)
+        return self.measure.density.sample(ts)
 
     def v_h(self, window):
         """Variation of the accumulation modulus h over the window."""
-        if self.kind == "mde_kernel":
-            return max(self.M_H, self.L_H) * self.measure.variation(window)
-        g = self.gamma_path()
-        return float(running_integral(g, window[0])(window[1]))
+        return self.modulus * self.measure.variation(window)
 
     def h_rate(self, window):
         """Sup of the absolutely continuous rate of h (for horizon choice)."""
         grid = np.linspace(window[0], window[1], 101)
-        if self.kind == "mde_kernel":
-            return max(self.M_H, self.L_H) * float(
-                np.max(np.abs(self.measure.density.sample(grid))))
-        return float(np.max(self.gamma_path().sample(grid)))
+        return self.modulus * float(
+            np.max(np.abs(self.measure.density.sample(grid))))
 
 
 # ---------------------------------------------------------------------------
@@ -403,14 +383,13 @@ class LPContext:
     """Everything a manifold solve needs, with read-only stacked kernels."""
 
     def __init__(self, fund: FundamentalOperator, dich: DichotomyData,
-                 nonlin: NonlinearitySpec, T, tol=1e-10, max_iter=80,
+                 nonlin: NonlinearitySpec, T, tol=1e-10,
                  regularity: RegularityReport | None = None, reports=None):
         self.fund = fund
         self.dich = dich
         self.nonlin = nonlin
         self.T = float(T)
         self.tol = float(tol)
-        self.max_iter = int(max_iter)
         self.regularity = regularity
         self.reports = dict(reports or {})
         if not fund.is_node(self.T):
@@ -668,8 +647,7 @@ def _inner_accumulation(ctx, z, idx, layout):
     return node_vals, mid_vals
 
 
-def _reference_apply(z: SolutionPath, zeta, s, ctx: LPContext, refine0=2,
-                     max_refine=32):
+def _reference_apply(z: SolutionPath, zeta, s, ctx: LPContext):
     idx = ctx.span(float(s))
     x = ctx.fund.nodes[idx]
     M = len(idx) - 1
@@ -678,7 +656,7 @@ def _reference_apply(z: SolutionPath, zeta, s, ctx: LPContext, refine0=2,
     tol = max(ctx.tol, 1e-9)
     prev = None
     change = math.nan
-    refine = refine0
+    refine = _REFINE0
     while True:
         layout = _fine_layout(ctx, idx, refine)
         step_invs = [np.linalg.inv(steps) for _, steps in layout]
@@ -722,8 +700,8 @@ def _reference_apply(z: SolutionPath, zeta, s, ctx: LPContext, refine0=2,
             change = float(np.max(np.linalg.norm(vals - prev, axis=1)))
             if change < tol:
                 break
-        if refine >= max_refine:
-            log.warning("reference apply stopped at refine=%d (max_refine) with "
+        if refine >= _MAX_REFINE:
+            log.warning("reference apply stopped at refine=%d (_MAX_REFINE) with "
                         "sup-norm change %.3e, not below tol %.3e",
                         refine, change, tol)
             break
@@ -797,7 +775,7 @@ def _solve_batch(zetas, s, ctx: LPContext, Bu):
     iteration.  Each sample keeps its own difference and ratio history: it
     leaves the batch once its difference drops below ``ctx.tol``, and it
     gets its own ``NonContractionError`` (three non-shrinking differences)
-    or ``SolveError`` (``max_iter`` reached).  Returns one ``LPSolution`` or
+    or ``SolveError`` (``_MAX_ITER`` reached).  Returns one ``LPSolution`` or
     exception per sample; ``Bu`` is the unstable basis at s.
     """
     idx = ctx.span(s)
@@ -812,7 +790,7 @@ def _solve_batch(zetas, s, ctx: LPContext, Bu):
     diffs = [[] for _ in range(S)]
     ratios = [[] for _ in range(S)]
     active = np.arange(S)
-    for it in range(1, ctx.max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         if not active.size:
             break
         new_v, new_r = _fast_apply(ctx, kern, x, vals[..., active],
@@ -841,7 +819,7 @@ def _solve_batch(zetas, s, ctx: LPContext, Bu):
         active = np.array(still, dtype=int)
     for i in active:
         out[i] = SolveError("no convergence in %d iterations (last diff %.3e)"
-                            % (ctx.max_iter, diffs[i][-1]), residual=diffs[i][-1])
+                            % (_MAX_ITER, diffs[i][-1]), residual=diffs[i][-1])
     return out
 
 
@@ -850,7 +828,7 @@ def solve_lp(zeta, s, ctx: LPContext) -> LPSolution:
 
     Stops when the sup-norm difference of consecutive iterates drops below
     ``ctx.tol``.  Three consecutive non-shrinking differences abort with the
-    ratio history; ``max_iter`` aborts with the last residual.  A batch of
+    ratio history; ``_MAX_ITER`` aborts with the last residual.  A batch of
     one for the solve behind ``manifold_graph``.
     """
     s = float(s)

@@ -21,8 +21,7 @@ def quadratic_forcing(eps, rho=0.5):
     Q1 = np.zeros((2, 2))
     Q2 = np.zeros((2, 2))
     Q2[0, 0] = eps
-    return NonlinearitySpec("ide_pointwise", "quadratic",
-                            {"mats": [Q1, Q2]}, rho=rho)
+    return NonlinearitySpec("quadratic", {"mats": [Q1, Q2]}, rho=rho)
 
 
 @pytest.fixture(scope="session")
@@ -64,8 +63,7 @@ def ctx_scalar_mde():
     """Scalar contraction driven by Lebesgue + one atom, tanh kernel."""
     u = StieltjesMeasure(PiecewisePath.constant(1.0), [(1.0, 0.3)],
                          nondecreasing=True)
-    H = NonlinearitySpec("mde_kernel", "saturated_tanh", {"gain": [[0.2]]},
-                         rho=1.0, measure=u)
+    H = NonlinearitySpec("saturated_tanh", {"gain": [[0.2]]}, rho=1.0, measure=u)
     spec = MdeSpec(1, PiecewisePath.constant([[-1.0]]),
                    PiecewisePath.constant([[0.0]]), u, H)
     return mde_to_context(spec, s=0.0, T=12.0, tol=1e-10,

@@ -190,8 +190,7 @@ def test_acceptance_12_mode_agreement(ctx_scalar_mde):
     Q1[1, 1] = 0.1
     Q2 = np.zeros((2, 2))
     Q2[0, 0] = 0.1
-    nl = NonlinearitySpec("ide_pointwise", "quadratic", {"mats": [Q1, Q2]},
-                          rho=0.5)
+    nl = NonlinearitySpec("quadratic", {"mats": [Q1, Q2]}, rho=0.5)
     ide = IdeSpec(2, PiecewisePath.constant(np.diag([-1.0, 1.0])),
                   ((1.5, np.diag([0.2, 0.0])),), nl)
     ctx = ide_to_context(ide, s=0.0, T=8.0, tol=1e-10,
@@ -217,14 +216,12 @@ def test_acceptance_13_front_end_round_trip():
     Q1 = np.zeros((2, 2))
     Q2 = np.zeros((2, 2))
     Q2[0, 0] = 1.0
-    f = NonlinearitySpec("ide_pointwise", "quadratic", {"mats": [Q1, Q2]},
-                         rho=0.5)
+    f = NonlinearitySpec("quadratic", {"mats": [Q1, Q2]}, rho=0.5)
     ide_ctx = ide_to_context(
         IdeSpec(2, PiecewisePath.constant(np.diag([-1.0, 1.0])), (), f),
         s=0.0, T=40.0, tol=1e-10)
     u = lebesgue()
-    H = NonlinearitySpec("mde_kernel", "quadratic", {"mats": [Q1, Q2]},
-                         rho=0.5, measure=u)
+    H = NonlinearitySpec("quadratic", {"mats": [Q1, Q2]}, rho=0.5, measure=u)
     mde_ctx = mde_to_context(
         MdeSpec(2, PiecewisePath.constant(np.diag([-1.0, 1.0])),
                 PiecewisePath.constant(np.zeros((2, 2))), u, H),

@@ -18,7 +18,7 @@ def saddle_path():
 
 
 def test_linear_forcing_gives_zero_modulus():
-    f = NonlinearitySpec("ide_pointwise", "zero", {"n": 2}, rho=0.5)
+    f = NonlinearitySpec("zero", {"n": 2}, rho=0.5)
     ctx = ide_to_context(IdeSpec(2, saddle_path(), (), f), s=0.0, T=10.0)
     assert ctx.nonlin.v_h((0.0, 10.0)) == 0.0
     assert ctx.reports["smallness_gate"] == 0.0
@@ -36,7 +36,7 @@ def test_planar_benchmark_context_construction():
 
 
 def test_context_default_grid_spans_ten_units_from_s():
-    f = NonlinearitySpec("ide_pointwise", "zero", {"n": 2}, rho=0.5)
+    f = NonlinearitySpec("zero", {"n": 2}, rho=0.5)
     ctx = ide_to_context(IdeSpec(2, saddle_path(), (), f), s=1.0, T=41.0,
                          grid=None)
     report = ctx.reports["dichotomy"]
@@ -88,7 +88,7 @@ def test_ide_rejects_singular_jump():
 
 def test_mde_zero_kernel_is_linear():
     u = lebesgue()
-    H = NonlinearitySpec("mde_kernel", "zero", {"n": 2}, rho=0.5, measure=u)
+    H = NonlinearitySpec("zero", {"n": 2}, rho=0.5, measure=u)
     spec = MdeSpec(2, saddle_path(), PiecewisePath.constant(np.zeros((2, 2))),
                    u, H)
     ctx = mde_to_context(spec, s=0.0, T=10.0)
@@ -99,7 +99,7 @@ def test_mde_zero_kernel_is_linear():
 def test_mde_atom_enters_accumulated_variation():
     u = StieltjesMeasure(PiecewisePath.constant(0.0), [(1.0, 0.2)],
                          nondecreasing=True)
-    H = NonlinearitySpec("mde_kernel", "zero", {"n": 1}, rho=0.5, measure=u)
+    H = NonlinearitySpec("zero", {"n": 1}, rho=0.5, measure=u)
     spec = MdeSpec(1, PiecewisePath.constant([[0.0]]),
                    PiecewisePath.constant([[1.0]]), u, H)
     ctx = mde_to_context(spec, s=0.0, T=3.0)
@@ -109,7 +109,7 @@ def test_mde_atom_enters_accumulated_variation():
 def test_mde_rejects_singular_atom_factor():
     u = StieltjesMeasure(PiecewisePath.constant(0.0), [(1.0, 1.0)],
                          nondecreasing=True)
-    H = NonlinearitySpec("mde_kernel", "zero", {"n": 1}, rho=0.5, measure=u)
+    H = NonlinearitySpec("zero", {"n": 1}, rho=0.5, measure=u)
     spec = MdeSpec(1, PiecewisePath.constant([[0.0]]),
                    PiecewisePath.constant([[-1.0]]), u, H)
     rep = check_hypotheses(spec, (0.0, 3.0))
@@ -120,7 +120,7 @@ def test_mde_rejects_singular_atom_factor():
 
 def test_mde_flags_non_monotone_driver():
     u = StieltjesMeasure(PiecewisePath.constant(-1.0), [])
-    H = NonlinearitySpec("mde_kernel", "zero", {"n": 1}, rho=0.5, measure=u)
+    H = NonlinearitySpec("zero", {"n": 1}, rho=0.5, measure=u)
     spec = MdeSpec(1, PiecewisePath.constant([[-1.0]]),
                    PiecewisePath.constant([[0.0]]), u, H)
     rep = check_hypotheses(spec, (0.0, 3.0))
@@ -132,8 +132,7 @@ def test_mde_flags_non_monotone_driver():
 def test_mde_smallness_gate_printed_formula():
     u = StieltjesMeasure(PiecewisePath.constant(1.0), [(1.0, 0.3)],
                          nondecreasing=True)
-    H = NonlinearitySpec("mde_kernel", "saturated_tanh", {"gain": [[0.2]]},
-                         rho=1.0, measure=u)
+    H = NonlinearitySpec("saturated_tanh", {"gain": [[0.2]]}, rho=1.0, measure=u)
     spec = MdeSpec(1, PiecewisePath.constant([[-1.0]]),
                    PiecewisePath.constant([[0.0]]), u, H)
     ctx = mde_to_context(spec, s=0.0, T=12.0)
@@ -141,40 +140,55 @@ def test_mde_smallness_gate_printed_formula():
     V = ctx.regularity.V_Lambda
     K = ctx.dich.K
     C_g = 1.0
-    expected = 2.0 * H.L_H * V_u * (1.0 + K * (1.0 + 2.0 * K)) * C_g ** 3 \
+    expected = 2.0 * H.lip_eff * V_u * (1.0 + K * (1.0 + 2.0 * K)) * C_g ** 3 \
         * math.exp(3.0 * C_g * V) * V ** 2
     assert ctx.reports["realization_gate"] == pytest.approx(expected, rel=1e-12)
 
 
 def test_round_trip_classical_system_between_front_ends():
     # the same classical system encoded both ways: impulse-free vs
-    # Lebesgue-driven; operators and manifold samples must coincide
+    # Lebesgue-driven; the forcing integrates against dt either way, so the
+    # two contexts and their solves agree bit for bit
     f = quadratic_forcing(1.0)
     ide_ctx = ide_to_context(IdeSpec(2, saddle_path(), (), f),
                              s=0.0, T=40.0, tol=1e-10)
     u = lebesgue()
-    H = NonlinearitySpec("mde_kernel", "quadratic",
+    H = NonlinearitySpec("quadratic",
                          {"mats": [np.zeros((2, 2)),
                                    np.array([[1.0, 0.0], [0.0, 0.0]])]},
                          rho=0.5, measure=u)
     mde_ctx = mde_to_context(
         MdeSpec(2, saddle_path(), PiecewisePath.constant(np.zeros((2, 2))),
                 u, H), s=0.0, T=40.0, tol=1e-10)
-    ts = np.linspace(0.0, 5.0, 9)
-    worst = max(float(np.max(np.abs(ide_ctx.fund.value(t, s)
-                                    - mde_ctx.fund.value(t, s))))
-                for t in ts for s in ts)
-    assert worst <= 1e-8
+    nodes = range(len(ide_ctx.fund.nodes))
+    assert np.array_equal(ide_ctx.fund.nodes, mde_ctx.fund.nodes)
+    assert np.array_equal([ide_ctx.P(i) for i in nodes],
+                          [mde_ctx.P(i) for i in nodes])
+    assert ide_ctx.nonlin.v_h((0.0, 40.0)) == mde_ctx.nonlin.v_h((0.0, 40.0))
+    assert ide_ctx.reports["smallness_gate"] == mde_ctx.reports["smallness_gate"]
     for zeta1 in (0.1, 0.2):
         a = solve_lp(np.array([zeta1, 0.0]), 0.0, ide_ctx)
         b = solve_lp(np.array([zeta1, 0.0]), 0.0, mde_ctx)
-        assert abs(a.m[0] - b.m[0]) <= 1e-5
+        assert np.array_equal(a.m, b.m)
+        assert np.array_equal(a.phi.values, b.phi.values)
+
+
+def test_ide_forcing_takes_no_measure():
+    u = lebesgue()
+    with pytest.raises(ValueError, match="IdeSpec forcing integrates against dt"):
+        IdeSpec(2, saddle_path(), (),
+                NonlinearitySpec("zero", {"n": 2}, rho=0.5, measure=u))
+    with pytest.raises(ValueError, match="driven by spec.u"):
+        MdeSpec(2, saddle_path(), PiecewisePath.constant(np.zeros((2, 2))), u,
+                NonlinearitySpec("zero", {"n": 2}, rho=0.5))
+    with pytest.raises(ValueError, match="StieltjesMeasure"):
+        NonlinearitySpec("zero", {"n": 2}, measure=PiecewisePath.constant(1.0))
 
 
 def test_context_meshes_contain_kernel_atoms():
     u = StieltjesMeasure(PiecewisePath.constant(1.0), [(1.234, 0.1)],
                          nondecreasing=True)
-    H = NonlinearitySpec("mde_kernel", "zero", {"n": 1}, rho=0.5, measure=u)
+    H = NonlinearitySpec("zero", {"n": 1}, rho=0.5, measure=u)
     spec = MdeSpec(1, PiecewisePath.constant([[-1.0]]),
                    PiecewisePath.constant([[0.0]]), u, H)
     ctx = mde_to_context(spec, s=0.0, T=5.0)

@@ -164,8 +164,10 @@ WCOS = {"kind": "wcos", "params": [0.5, 3.0, 12]}
 
 @pytest.mark.parametrize("kind", ["ide", "mde"])
 def test_check_on_an_oscillatory_coefficient_is_nonconvergence(tmp_path, kind):
-    # a lacunary sum of 12 terms on [0, 10]: the variation quadrature misses
-    # its tolerance (worst cell error about 5e-2) and must not pass in silence
+    # a lacunary sum of 12 terms on [0, 10]: the quadrature of the B2 bound
+    # int ||A|| (ide) or of the (D5) domination int ||C|| d|u| (mde) misses
+    # its tolerance (worst cell error about 5e-2) and must not pass in
+    # silence; stderr holds the one JSON line that names the integral
     system = {"kind": kind, "n": 1,
               "nonlinearity": {"registry": "saturated_tanh",
                                "params": {"gain": [[0.2]]}, "rho": 1.0}}
@@ -179,8 +181,73 @@ def test_check_on_an_oscillatory_coefficient_is_nonconvergence(tmp_path, kind):
                                 "output": {"prefix": "osc"}}))
     proc = run_cli(["check", "--config", str(path), "--out", str(tmp_path)])
     assert proc.returncode == 3, proc.stderr
-    err = json.loads(proc.stderr.splitlines()[-1])
+    (line,) = proc.stderr.splitlines()
+    err = json.loads(line)
     assert err["error"] == "nonconvergence"
+    integral = "B2 bound int ||A||" if kind == "ide" else "(D5) domination"
+    assert err["message"].startswith(integral), err["message"]
+
+
+@pytest.mark.parametrize("key, value", [("gamma", 1.0), ("M_H", 1.0),
+                                        ("L_H", 1.0), ("kind", "ide_pointwise")])
+def test_nonlinearity_takes_only_registry_params_and_rho(tmp_path, capsys,
+                                                         key, value):
+    _, cfg = small_saddle_config(tmp_path)
+    cfg["system"]["nonlinearity"][key] = value
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["check", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "config"
+    assert repr(key) in err["message"]
+
+
+def test_svd_projection_mode_certifies(tmp_path, capsys):
+    cfg = {"system": {"kind": "linear", "n": 2,
+                      "A": {"constant": [[-1.0, 0.0], [0.0, 1.0]]}},
+           "solver": {"window": [0.0, 10.0], "projection_mode": "svd"},
+           "output": {"prefix": "svd"}}
+    path = tmp_path / "svd.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["dichotomy", "--config", str(path), "--out", str(tmp_path)]) == 0
+    cert = json.loads((tmp_path / "svd_dichotomy.json").read_text())
+    assert cert["dichotomy_detected"]
+    np.testing.assert_allclose(cert["P0"], [[1.0, 0.0], [0.0, 0.0]], atol=1e-8)
+
+
+def test_autonomous_projection_mode_on_aperiodic_kicks_exits_two(tmp_path, capsys):
+    _, cfg = small_saddle_config(tmp_path, projection_mode="autonomous")
+    cfg["system"]["impulses"] = [{"time": t, "B": [[0.1, 0.0], [0.0, 0.0]]}
+                                 for t in (1.0, 2.0, 3.5)]
+    path = tmp_path / "aperiodic.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["manifold", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "hypothesis"
+    assert "not periodic" in err["message"]
+
+
+@pytest.mark.parametrize("t0, code", [(1.0, 0), (5.0, 1)])
+def test_linear_reference_time_must_lie_in_the_window(tmp_path, capsys, t0, code):
+    cfg = json.loads(open(config_path("expansion_example.json")).read())
+    cfg["system"]["t0"] = t0        # window [0, 3]
+    path = tmp_path / "t0.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["fundamental", "--config", str(path), "--out", str(tmp_path)]) == code
+    if code:
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "config" and "t0" in err["message"]
+
+
+def test_output_dir_applies_without_out_flag(tmp_path, capsys):
+    cfg = json.loads(open(config_path("lacunary_integral.json")).read())
+    cfg["output"]["dir"] = str(tmp_path / "from_config")
+    path = tmp_path / "dir.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["integrate", "--config", str(path)]) == 0
+    written = tmp_path / "from_config" / "lacunary_integrate.csv"
+    assert capsys.readouterr().out.splitlines() == [str(written)]
+    assert written.exists()
 
 
 def test_manifold_grid_of_wrong_dimension_is_config_error(tmp_path):

@@ -166,8 +166,9 @@ def test_spectral_projection_logs_one_debug_record(caplog):
     assert "Newton steps, residual" in msg
 
 
-def test_svd_mode_recovers_diagonal_splitting():
-    P0, how = spectral_projection(saddle_spec(), mode="svd", horizon=5.0)
+def test_svd_mode_recovers_diagonal_splitting(monkeypatch):
+    monkeypatch.setattr(dichotomy, "_SVD_HORIZON", 5.0)
+    P0, how = spectral_projection(saddle_spec(), mode="svd")
     np.testing.assert_allclose(P0, np.diag([1.0, 0.0]), atol=1e-8)
     assert how == "svd"
 

@@ -9,6 +9,7 @@ import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
 from conftest import lebesgue
+from kurzmani import kurzweil
 from kurzmani.funcspace import PiecewisePath, Segment, StieltjesMeasure
 from kurzmani.kurzweil import (IntegrationError, PointIntervalFn, cross_check,
                                ks_integral_ref, pinned_division,
@@ -42,12 +43,13 @@ def test_tag_times_node_product_integrates_to_half():
     assert float(res.value) == pytest.approx(0.5, abs=1e-8)
 
 
-def test_reference_failure_carries_last_two_sums():
+def test_reference_failure_carries_last_two_sums(monkeypatch):
     # Riemann-type sums of (b - a) / tag grow without bound on [0, 1]
     blowup = PointIntervalFn(
         lambda taus, los, his: (his - los) / np.maximum(taus, 1e-300))
+    monkeypatch.setattr(kurzweil, "_MAX_ROUNDS", 8)
     with pytest.raises(IntegrationError) as err:
-        ks_integral_ref(blowup, (0.0, 1.0), tol=1e-12, max_rounds=8)
+        ks_integral_ref(blowup, (0.0, 1.0), tol=1e-12)
     assert err.value.last_two is not None
 
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import kurzmani.lp_manifold as lpm
 from conftest import (SADDLE, coupled_context, impulsive_manifold_closed_form,
                       quadratic_forcing)
 from kurzmani.apps import IdeSpec, ide_to_context
@@ -21,20 +22,14 @@ from kurzmani.lp_manifold import (LPContext, NonlinearitySpec, SolutionPath,
 
 def test_registry_nonlinearities_vanish_at_zero():
     specs = [
-        NonlinearitySpec("ide_pointwise", "quadratic",
+        NonlinearitySpec("quadratic",
                          {"mats": [np.eye(2), np.zeros((2, 2))]}, rho=1.0),
-        NonlinearitySpec("ide_pointwise", "cubic", {"coef": np.eye(2)}, rho=1.0),
-        NonlinearitySpec("ide_pointwise", "saturated_tanh",
+        NonlinearitySpec("cubic", {"coef": np.eye(2)}, rho=1.0),
+        NonlinearitySpec("saturated_tanh",
                          {"gain": 0.3 * np.eye(2)}, rho=1.0),
     ]
     for spec in specs:
         assert np.allclose(spec.value(0.0, np.zeros(2)), 0.0)
-
-
-@pytest.mark.parametrize("kind", ["generic", "pointwise"])
-def test_nonlinearity_rejects_unknown_kind(kind):
-    with pytest.raises(ValueError, match="unknown nonlinearity kind"):
-        NonlinearitySpec(kind, "zero", {"n": 2})
 
 
 def test_projection_family_on_a_mesh_that_starts_before_t0():
@@ -46,8 +41,7 @@ def test_projection_family_on_a_mesh_that_starts_before_t0():
                   (3.55, np.array([[-0.1, -0.1], [0.2, 0.2]]))), t0=2.0)
     fund = FundamentalOperator(spec, (0.0, 6.0))
     dich = certify(fund, P0=np.diag([1.0, 0.0]))
-    ctx = LPContext(fund, dich, NonlinearitySpec("ide_pointwise", "zero", {"n": 2}),
-                    T=6.0)
+    ctx = LPContext(fund, dich, NonlinearitySpec("zero", {"n": 2}), T=6.0)
     nodes, i0 = fund.nodes, fund.i_t0
     assert i0 > 0 and nodes[i0] == 2.0
     P = [ctx.P(i) for i in range(len(nodes))]
@@ -67,8 +61,7 @@ def test_projection_family_on_a_mesh_that_starts_before_t0():
 
 
 def test_cutoff_truncates_smoothly():
-    nl = NonlinearitySpec("ide_pointwise", "quadratic",
-                          {"mats": [np.eye(1)]}, rho=0.5)
+    nl = NonlinearitySpec("quadratic", {"mats": [np.eye(1)]}, rho=0.5)
     inside = nl.value(0.0, np.array([0.4]))
     assert inside[0] == pytest.approx(0.16)
     assert np.allclose(nl.value(0.0, np.array([1.5])), 0.0)
@@ -83,7 +76,7 @@ def test_operator_on_zero_path_with_zero_anchor(ctx_planar):
 
 
 def test_operator_linear_case_returns_decaying_mode(ctx_planar):
-    lin = NonlinearitySpec("ide_pointwise", "zero", {"n": 2}, rho=0.5)
+    lin = NonlinearitySpec("zero", {"n": 2}, rho=0.5)
     ctx = LPContext(ctx_planar.fund, ctx_planar.dich, lin, T=ctx_planar.T,
                     tol=1e-10, regularity=ctx_planar.regularity)
     zeta = np.array([0.2, 0.0])
@@ -195,8 +188,7 @@ def test_context_rejects_a_projection_family_that_lost_idempotency():
 def test_atom_times_match_relative_to_their_size():
     u = StieltjesMeasure(PiecewisePath.constant(1.0), [(1e6, 0.3)],
                          nondecreasing=True)
-    H = NonlinearitySpec("mde_kernel", "saturated_tanh", {"gain": [[0.2]]},
-                         rho=1.0, measure=u)
+    H = NonlinearitySpec("saturated_tanh", {"gain": [[0.2]]}, rho=1.0, measure=u)
     assert H.atom_weight(np.nextafter(1e6, 2e6)) == 0.3
     assert H.atom_weight(1e6 * (1.0 + 1e-6)) == 0.0
 
@@ -248,7 +240,7 @@ def test_solve_at_the_horizon_has_a_one_node_span(ctx_planar):
 
 
 def test_linear_manifold_is_the_stable_subspace(ctx_planar):
-    lin = NonlinearitySpec("ide_pointwise", "zero", {"n": 2}, rho=0.5)
+    lin = NonlinearitySpec("zero", {"n": 2}, rho=0.5)
     ctx = LPContext(ctx_planar.fund, ctx_planar.dich, lin, T=ctx_planar.T,
                     tol=1e-10, regularity=ctx_planar.regularity)
     sol = solve_lp(np.array([0.2, 0.0]), 0.0, ctx)
@@ -317,8 +309,7 @@ def test_batched_graph_keeps_a_diverging_sample_to_itself(ctx_planar):
     Q1[1, 1] = 1.0
     Q2 = np.zeros((2, 2))
     Q2[0, 0] = 1.0
-    blow = NonlinearitySpec("ide_pointwise", "quadratic", {"mats": [Q1, Q2]},
-                            rho=50.0)
+    blow = NonlinearitySpec("quadratic", {"mats": [Q1, Q2]}, rho=50.0)
     ctx = LPContext(ctx_planar.fund, ctx_planar.dich, blow, T=12.0,
                     tol=1e-10, regularity=ctx_planar.regularity)
     graph = manifold_graph(0.0, [np.array([0.05]), np.array([6.0])], ctx)
@@ -355,7 +346,7 @@ def test_classification_of_zero_initial_state(ctx_planar):
 
 
 def test_classification_escape_time_linear_growth(ctx_planar):
-    lin = NonlinearitySpec("ide_pointwise", "zero", {"n": 2}, rho=0.5)
+    lin = NonlinearitySpec("zero", {"n": 2}, rho=0.5)
     ctx = LPContext(ctx_planar.fund, ctx_planar.dich, lin, T=ctx_planar.T,
                     tol=1e-10, regularity=ctx_planar.regularity)
     res = classify_initial(np.array([0.0, 0.01]), 0.0, ctx, bound=1e3)
@@ -376,7 +367,7 @@ def test_classification_requires_room_below_the_bound(ctx_planar):
 
 
 def test_bisection_oracle_linear_system(ctx_planar):
-    lin = NonlinearitySpec("ide_pointwise", "zero", {"n": 2}, rho=0.5)
+    lin = NonlinearitySpec("zero", {"n": 2}, rho=0.5)
     ctx = LPContext(ctx_planar.fund, ctx_planar.dich, lin, T=ctx_planar.T,
                     tol=1e-10, regularity=ctx_planar.regularity)
     eta = bisect_manifold_oracle(np.array([0.1, 0.0]), 0.0, ctx, bound=1e3)
@@ -427,11 +418,12 @@ def test_splitting_bases_sign_canonical():
     np.testing.assert_allclose(Bu, [[0.0], [1.0]])
 
 
-def test_iteration_cap_raises_with_residual(ctx_scalar_mde):
+def test_iteration_cap_raises_with_residual(ctx_scalar_mde, monkeypatch):
     from kurzmani.lp_manifold import SolveError
+    monkeypatch.setattr(lpm, "_MAX_ITER", 2)
     ctx = LPContext(ctx_scalar_mde.fund, ctx_scalar_mde.dich,
                     ctx_scalar_mde.nonlin, T=ctx_scalar_mde.T, tol=1e-12,
-                    max_iter=2, regularity=ctx_scalar_mde.regularity)
+                    regularity=ctx_scalar_mde.regularity)
     with pytest.raises(SolveError) as err:
         solve_lp(np.array([0.4]), 0.0, ctx)
     assert err.value.residual is not None
@@ -444,8 +436,7 @@ def test_divergence_detected_with_ratio_history(ctx_planar):
     Q1[1, 1] = 1.0
     Q2 = np.zeros((2, 2))
     Q2[0, 0] = 1.0
-    blow = NonlinearitySpec("ide_pointwise", "quadratic", {"mats": [Q1, Q2]},
-                            rho=50.0)
+    blow = NonlinearitySpec("quadratic", {"mats": [Q1, Q2]}, rho=50.0)
     ctx = LPContext(ctx_planar.fund, ctx_planar.dich, blow, T=12.0,
                     tol=1e-10, regularity=ctx_planar.regularity)
     with pytest.raises(NonContractionError) as err:
@@ -461,8 +452,7 @@ def test_mode_agreement_ide_with_impulse():
     Q1[1, 1] = 0.1
     Q2 = np.zeros((2, 2))
     Q2[0, 0] = 0.1
-    nl = NonlinearitySpec("ide_pointwise", "quadratic", {"mats": [Q1, Q2]},
-                          rho=0.5)
+    nl = NonlinearitySpec("quadratic", {"mats": [Q1, Q2]}, rho=0.5)
     spec = IdeSpec(2, PiecewisePath.constant(np.diag([-1.0, 1.0])),
                    ((1.5, np.diag([0.2, 0.0])),), nl)
     ctx = ide_to_context(spec, s=0.0, T=8.0, tol=1e-10,
@@ -490,12 +480,15 @@ def _short_planar(ctx_planar):
                      T=1.0, tol=1e-10, regularity=ctx_planar.regularity)
 
 
-def test_reference_apply_warns_when_refinement_stops_at_the_cap(ctx_planar, caplog):
+def test_reference_apply_warns_when_refinement_stops_at_the_cap(ctx_planar, caplog,
+                                                                monkeypatch):
     ctx = _short_planar(ctx_planar)
     zeta = np.array([0.01, 0.0])
     z0 = ctx.initial_path(zeta, 0.0)
+    monkeypatch.setattr(lpm, "_REFINE0", 1)
+    monkeypatch.setattr(lpm, "_MAX_REFINE", 2)
     with caplog.at_level(logging.WARNING, logger="kurzmani"):
-        _reference_apply(z0, zeta, 0.0, ctx, refine0=1, max_refine=2)
+        _reference_apply(z0, zeta, 0.0, ctx)
     records = [r for r in caplog.records if r.name == "kurzmani"]
     assert len(records) == 1
     assert records[0].levelno == logging.WARNING

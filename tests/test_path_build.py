@@ -68,7 +68,7 @@ def test_impulse_at_t0_still_rejected():
         apps.build_context(spec, s=1.0, T=5.0)
     u = StieltjesMeasure(PiecewisePath.constant(1.0), [(1.0, 0.3)],
                          nondecreasing=True)
-    H = NonlinearitySpec("mde_kernel", "zero", {"n": 1}, rho=0.5, measure=u)
+    H = NonlinearitySpec("zero", {"n": 1}, rho=0.5, measure=u)
     spec = MdeSpec(1, PiecewisePath.constant([[-1.0]]),
                    PiecewisePath.constant([[0.5]]), u, H)
     ctx = apps.build_context(spec, s=1.0, T=5.0)
