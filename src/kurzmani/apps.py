@@ -29,7 +29,7 @@ from .funcspace import (LEBESGUE, PiecewisePath, StieltjesMeasure, norm,
                         norm_integral, running_integral, total_variation)
 from .linsys import FundamentalOperator, LinearSystemSpec, check_regularity
 from .lp_manifold import (LPContext, NonlinearitySpec, auto_horizon,
-                          contraction_bound, safe_exp)
+                          contraction_bound)
 
 
 class HypothesisError(ValueError):
@@ -271,17 +271,16 @@ def _measure_domination(spec, window):
 
 
 def build_context(spec, s=0.0, T=None, tol=1e-10, base_step=0.1, P0=None,
-                  grid=None, projection_mode="auto") -> LPContext:
+                  grid=None) -> LPContext:
     """Build a solver context for an ``IdeSpec`` or an ``MdeSpec``.
 
     A failed hypothesis of ``spec.enforced`` raises ``HypothesisError`` with
     the named condition; without ``T`` a probe certification on [s, s + 20]
     sets the horizon (``auto_horizon``).  The reports carry the hypotheses,
-    the dichotomy, the ``contraction_bound`` of the accumulation modulus and
-    the realization's printed gate, with V the variation of Lambda, from the
-    mesh store: M_gamma (1 + K(1+2K)) C_b^3 exp(3 C_b V) V^2 (impulsive) or
-    2 L_H V_u (1 + K(1+2K)) C_g^3 exp(3 C_g V) V^2 (measure-driven), with
-    L_H the kernel's ``lip_eff``.
+    the dichotomy, and two ``contraction_bound`` gates with V the variation
+    of Lambda from the mesh store: the smallness gate, scale 2 V_h with C_a,
+    and the realization's printed gate, scale M_gamma with C_b (impulsive)
+    or 2 L_H V_u with C_g (measure-driven), L_H the kernel's ``lip_eff``.
     """
     s = float(s)
     probe_hi = T if T is not None else s + 20.0
@@ -294,26 +293,24 @@ def build_context(spec, s=0.0, T=None, tol=1e-10, base_step=0.1, P0=None,
     linspec = spec.linear_spec(s)
     if T is None:
         probe = certify(FundamentalOperator(linspec, (s, probe_hi), base_step),
-                        grid, P0, projection_mode)
+                        grid, P0)
         T = auto_horizon(s, probe.K, probe.alpha,
                          nonlin.h_rate((s, probe_hi)), tol)
         T = math.ceil(T / base_step) * base_step
     window = (s, float(T))
     fund = FundamentalOperator(linspec, window, base_step)
-    dich = certify(fund, grid, P0, projection_mode)
+    dich = certify(fund, grid, P0)
     reg = check_regularity(fund)
     K, V = dich.K, reg.V_Lambda
     if isinstance(spec, IdeSpec):
         scale, C = hyp.constants["M_gamma"], hyp.constants["C_b"]
     else:
         scale, C = 2.0 * spec.H.lip_eff * spec.u.variation(window), hyp.constants["C_g"]
-    printed = scale * (1.0 + K * (1.0 + 2.0 * K)) * C ** 3 \
-        * safe_exp(3.0 * C * V) * V ** 2
     return LPContext(fund, dich, nonlin, T=window[1], tol=tol, regularity=reg,
                      reports={"hypotheses": hyp, "dichotomy": dich.report,
                               "smallness_gate": contraction_bound(
-                                  nonlin.v_h(window), K, reg.C_a, V),
-                              "realization_gate": printed})
+                                  2.0 * nonlin.v_h(window), K, reg.C_a, V),
+                              "realization_gate": contraction_bound(scale, K, C, V)})
 
 
 ide_to_context = mde_to_context = build_context

@@ -60,11 +60,11 @@ def _sane_tol(tol):
 
 @contextmanager
 def _reading(what):
-    """A wrong-type value met reading the ``what`` block (with block or
-    decorated parser) becomes a ``ConfigError``; solver errors pass through."""
+    """A wrong-type or axis-less value met reading the ``what`` block (with
+    block or decorated parser) becomes a ``ConfigError``; solver errors pass."""
     try:
         yield
-    except (TypeError, AttributeError) as exc:
+    except (TypeError, AttributeError, IndexError) as exc:
         raise ConfigError("%r block: a value has the wrong type (%s)"
                           % (what, exc)) from None
 
@@ -134,17 +134,8 @@ def parse_nonlinearity(node, u=None):
     if extra:
         raise ConfigError("system.nonlinearity takes only registry, params and "
                           "rho, not %s" % ", ".join(map(repr, extra)))
-    params = {}
-    raw = node.get("params", {})
-    for key, val in raw.items():
-        if key in ("mats",):
-            params[key] = [np.asarray(m, dtype=float) for m in val]
-        elif key in ("coef", "gain"):
-            params[key] = np.asarray(val, dtype=float)
-        else:
-            params[key] = val
     try:
-        return NonlinearitySpec(node["registry"], params,
+        return NonlinearitySpec(node["registry"], node.get("params", {}),
                                 rho=float(node.get("rho", 0.5)), measure=u)
     except KeyError as exc:
         raise ConfigError("nonlinearity spec: %s" % exc)
@@ -186,7 +177,10 @@ def parse_system(cfg):
 
 
 def solver_block(cfg):
-    return dict(cfg.get("solver", {}))
+    sol = dict(cfg.get("solver", {}))
+    if "projection_mode" in sol:
+        raise ConfigError("solver takes no 'projection_mode': give P0 or none")
+    return sol
 
 
 def parse_grid(node, default):
@@ -288,7 +282,6 @@ def _context_from_config(cfg, args):
             base_step=float(sol.get("base_step", 0.1)),
             grid=parse_grid(sol.get("grid"), None),
             P0=np.asarray(sol["P0"], dtype=float) if "P0" in sol else None,
-            projection_mode=sol.get("projection_mode", "auto"),
         )
     if isinstance(spec, LinearSystemSpec):
         raise ConfigError("this subcommand needs system.kind = ide or mde")
@@ -375,8 +368,7 @@ def cmd_dichotomy(cfg, args):
     sol, op, grid = _operator_from_config(cfg, 21)
     with _reading("solver"):
         P0 = np.asarray(sol["P0"], dtype=float) if "P0" in sol else None
-    data = certify(op, grid=grid, P0=P0,
-                   mode=sol.get("projection_mode", "auto"))
+    data = certify(op, grid=grid, P0=P0)
     rows = [(float(sep), float(logN), side)
             for sep, logN, _, _, side in data.report.samples]
     csv_path = _outpath(cfg, args, "dichotomy.csv")

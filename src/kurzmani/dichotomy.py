@@ -43,7 +43,7 @@ _SVD_HORIZON = 10.0        # flow horizon of the singular-subspace heuristic
 
 
 class SplittingError(ValueError):
-    """No admissible hyperbolic splitting for the requested mode."""
+    """No admissible hyperbolic splitting."""
 
 
 def _oblique_projector(stable_basis, unstable_basis):
@@ -98,17 +98,17 @@ def _validate_projection(P0):
     return P0
 
 
-def spectral_projection(spec: LinearSystemSpec, mode="auto", P0=None):
+def spectral_projection(spec: LinearSystemSpec, P0=None):
     """Reference projection onto the contracting directions at ``spec.t0``.
 
-    Modes: ``explicit`` validates and passes through ``P0``; ``autonomous``
-    splits the spectrum of the constant generator, or of the one-period
-    monodromy when the jump pattern is periodic; ``svd`` splits by the
-    contracting right / expanding left singular directions of the flow over
-    ``_SVD_HORIZON`` (a labeled heuristic for genuinely nonautonomous systems).
-    ``auto`` picks explicit > autonomous > svd.  The ``autonomous`` and
-    ``periodic`` branches emit one DEBUG record on the ``kurzmani`` logger
-    (see ``_sign_split``).
+    The data pick the branch, first match wins: a given ``P0`` is validated
+    and passed through; an autonomous generator has its spectrum split, or
+    the one-period monodromy's when the jump pattern is periodic; anything
+    else is split by the contracting right / expanding left singular
+    directions of the flow over ``_SVD_HORIZON`` (a labeled heuristic for
+    genuinely nonautonomous systems).  The ``autonomous`` and ``periodic``
+    branches emit one DEBUG record on the ``kurzmani`` logger (see
+    ``_sign_split``).
 
     Returns ``(P0, how)`` where ``how`` names the branch that produced P0:
     ``explicit``, ``autonomous`` (generator spectrum), ``periodic``
@@ -118,17 +118,13 @@ def spectral_projection(spec: LinearSystemSpec, mode="auto", P0=None):
     n = spec.n
     if P0 is not None:
         return _validate_projection(P0), "explicit"
-    if mode not in ("auto", "autonomous", "svd", "explicit"):
-        raise ValueError("unknown projection mode %r" % mode)
-    if mode == "explicit":
-        raise SplittingError("explicit mode needs a P0 matrix")
 
     autonomous = spec.generator_constant_on(t0 - 1e-3, t0 + 1e-3) and \
         len(spec.smooth.times) == 0
     if spec.measure_part is not None:
         _, u = spec.measure_part
         autonomous = autonomous and len(u.density.times) == 0
-    if mode in ("auto", "autonomous") and autonomous:
+    if autonomous:
         events = spec.jump_events()
         if not events:
             gen = spec.generator(t0)
@@ -153,11 +149,6 @@ def spectral_projection(spec: LinearSystemSpec, mode="auto", P0=None):
             k = int(np.sum(np.abs(lam) < 1.0))
             cayley = np.linalg.solve(mono + np.eye(n), mono - np.eye(n))
             return _sign_split(cayley, k, "periodic"), "periodic"
-        if mode == "autonomous":
-            raise SplittingError("jump pattern is not periodic; supply P0 or use svd")
-
-    if mode == "autonomous":
-        raise SplittingError("generator is not autonomous; supply P0 or use svd")
 
     # singular-subspace heuristic over a finite horizon
     op = FundamentalOperator(spec, (t0 - _SVD_HORIZON, t0 + _SVD_HORIZON))
@@ -326,8 +317,7 @@ def verify_dichotomy(op: FundamentalOperator, P0, grid):
     return K_fit, alpha_fit, report
 
 
-def certify(op: FundamentalOperator, grid=None, P0=None,
-            mode="auto") -> DichotomyData:
+def certify(op: FundamentalOperator, grid=None, P0=None) -> DichotomyData:
     """Construct P0 for the operator's system, fit the envelope, package both.
 
     The default grid is 21 points on [lo, min(hi, lo + 10)] of the operator
@@ -337,7 +327,7 @@ def certify(op: FundamentalOperator, grid=None, P0=None,
     if grid is None:
         grid = np.linspace(lo, min(hi, lo + 10.0), 21)
     grid = np.asarray([g for g in grid if lo <= g <= hi])
-    proj, how = spectral_projection(op.spec, mode=mode, P0=P0)
+    proj, how = spectral_projection(op.spec, P0)
     K_fit, alpha_fit, report = verify_dichotomy(op, proj, grid)
     report.projection_mode = how
     return DichotomyData(P0=proj, K=K_fit, alpha=alpha_fit, report=report)

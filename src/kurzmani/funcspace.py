@@ -7,6 +7,8 @@ running integrals, variation) and covers exactly what the impulsive and
 measure-driven realizations produce.  Smooth segments are polynomials in t
 plus a small set of named function families (exp, sin/cos, and lacunary
 trigonometric sums), each closed under differentiation and antidifferentiation.
+A Stieltjes measure (a density plus atoms) is read through its variation
+and its mass of half-open cells, mu([a, b)); no distribution path is built.
 
 Conventions used throughout:
   * paths are left-continuous: the value at a breakpoint is the left
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -184,8 +187,9 @@ class Segment:
         ts = np.asarray(ts, dtype=float)
         scalar_in = ts.ndim == 0
         ts = np.atleast_1d(ts)
-        powers = np.vander(ts, N=self.coeffs.shape[0], increasing=True)
-        out = np.tensordot(powers, self.coeffs, axes=(1, 0))
+        k = self.coeffs.shape[0]
+        powers = np.vander(ts, N=k, increasing=True)
+        out = np.dot(powers, self.coeffs.reshape(k, -1)).reshape(ts.shape + self.shape)
         for term in self.terms:
             out = out + term.eval(ts)
         return out[0] if scalar_in else out
@@ -324,8 +328,6 @@ class PiecewisePath:
         t = float(t)
         return self.segments[self.segment_index(t)].value(t)
 
-    left = __call__
-
     def right(self, t):
         t = float(t)
         return self.segments[self.segment_index(t, side=+1)].value(t)
@@ -356,37 +358,6 @@ class PiecewisePath:
             sb = other.segments[other.segment_index(probe)]
             segments.append(sa.plus(sb))
         return PiecewisePath(segments, times)
-
-    def __mul__(self, c):
-        c = float(c)
-        return PiecewisePath([s.scaled(c) for s in self.segments], self.times)
-
-    __rmul__ = __mul__
-
-
-def add_jumps(path, jumps):
-    """``path`` plus a right-jump at each ``(time, jump)``, built in one pass.
-
-    Equals folding ``PiecewisePath.step(time, jump)`` into ``path`` one jump
-    at a time (jumps at one time add up), with one cumulative offset per
-    interval and a single validation of the result.
-    """
-    if not jumps:
-        return path
-    jumps = sorted(jumps, key=lambda e: float(e[0]))
-    jt = np.array([float(t) for t, _ in jumps])
-    jv = np.stack([np.asarray(j, dtype=float) for _, j in jumps])
-    times = np.union1d(path.times, jt)
-    # offsets[i] holds on the interval (times[i-1], times[i])
-    cum = np.concatenate([np.zeros((1,) + path.shape), np.cumsum(jv, axis=0)])
-    passed = np.searchsorted(jt, times, side="right")
-    offsets = cum[np.concatenate([[0], passed])]
-    probes = [_interior_point(lo, hi) for lo, hi in
-              zip([-math.inf] + list(times), list(times) + [math.inf])]
-    seg_idx = np.searchsorted(path.times, probes, side="left")
-    segments = [path.segments[k].plus(Segment.constant(off))
-                for k, off in zip(seg_idx, offsets)]
-    return PiecewisePath(segments, times)
 
 
 def _interior_point(lo, hi):
@@ -473,13 +444,22 @@ class StieltjesMeasure:
         return norm_integral(window, density.times, piece, atoms,
                              "measure variation")
 
-    def distribution(self, t0=0.0):
-        """The left-continuous function u with du equal to this measure.
+    @cached_property
+    def _cumulative(self):
+        """The density's running integral from 0, the atom times and the
+        running sums of the atom weights (0 first), built once."""
+        weights = np.cumsum([0.0] + [w for _, w in self.atoms])
+        return running_integral(self.density, 0.0), \
+            np.array([t for t, _ in self.atoms]), weights
 
-        Normalized so u(t0) accounts for no atom at t0 itself; only
-        differences of u ever matter to the integrals.
-        """
-        return add_jumps(running_integral(self.density, t0), self.atoms)
+    def mass(self, los, his):
+        """mu([lo, hi)) for arrays of cell ends: u(hi) - u(lo) for the
+        left-continuous distribution u, so an atom at lo counts and one at
+        hi does not, as in ``atoms_in``."""
+        dens, times, weights = self._cumulative
+        return dens.sample(his) - dens.sample(los) \
+            + (weights[np.searchsorted(times, his, side="left")]
+               - weights[np.searchsorted(times, los, side="left")])
 
 
 # dt: the driving measure of a forcing that is given no other
@@ -524,6 +504,13 @@ def _quad_cell(f, a, b, tol):
         return quad(f, a, b, epsabs=tol, epsrel=1e-12, limit=200)
 
 
+def check_quadrature(err, size, what):
+    """The one quadrature-miss rule: ``QuadratureError`` (naming ``what``) when
+    the error ``err`` exceeds max(100 tol, 1e-8 (1 + size)), size = |integral|."""
+    if err > max(100 * _QUAD_TOL, 1e-8 * (1.0 + size)):
+        raise QuadratureError("%s quadrature achieved only %.3e" % (what, err), err)
+
+
 def norm_integral(window, breaks, piece, jumps, what):
     """Integral of ||g|| over the window [c, d], plus ``jumps``, the
     variation that jumps add; ``what`` names the integral in errors.
@@ -531,8 +518,8 @@ def norm_integral(window, breaks, piece, jumps, what):
     The window is cut at every time of ``breaks`` inside it.  ``piece(a, b)``
     gives g on the cell (a, b): its value where g is constant there, which
     contributes ``norm(value) * (b - a)`` exactly, else a callable of t,
-    integrated by adaptive quadrature.  Raises ``QuadratureError`` when the
-    worst cell error exceeds max(100 tol, 1e-8 (1 + total)).
+    integrated by adaptive quadrature.  The worst cell error goes through
+    ``check_quadrature``.
     """
     c, d = _check_window(window)
     cuts = sorted({c, d} | {t for t in breaks if c < t < d})
@@ -547,9 +534,7 @@ def norm_integral(window, breaks, piece, jumps, what):
         total += val
         worst_err = max(worst_err, err)
     total += jumps
-    if worst_err > max(100 * _QUAD_TOL, 1e-8 * (1.0 + abs(total))):
-        raise QuadratureError("%s quadrature achieved only %.3e"
-                              % (what, worst_err), worst_err)
+    check_quadrature(worst_err, abs(total), what)
     return total
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .funcspace import (_QUAD_TOL, PiecewisePath, StieltjesMeasure,
-                        TaggedDivision, norm)
+                        TaggedDivision, check_quadrature, norm)
 
 _MAX_CELLS = 1 << 22
 _MAX_ROUNDS = 18          # refinement rounds of the gauge-limit reference
@@ -53,7 +53,7 @@ class PointIntervalFn:
 
     * ``node_function(f)``       V(tag, t) = f(t)
     * ``stieltjes_pair(f, mu)``  V(tag, t) = f(tag) * u(t), u the distribution
-      of ``mu``
+      of ``mu``: a cell term is f(tag) mu([a, b)) (``StieltjesMeasure.mass``)
     """
 
     def __init__(self, batch, atom_times=()):
@@ -69,12 +69,9 @@ class PointIntervalFn:
 
     @classmethod
     def stieltjes_pair(cls, f: PiecewisePath, mu: StieltjesMeasure):
-        u = mu.distribution(0.0)
-
         def batch(taus, los, his):
-            du = u.sample(his) - u.sample(los)
-            fv = f.sample(taus)
-            return fv * du.reshape(du.shape + (1,) * len(f.shape))
+            du = mu.mass(los, his)
+            return f.sample(taus) * du.reshape(du.shape + (1,) * len(f.shape))
 
         atoms = [t for t, _ in mu.atoms] + f.times.tolist()
         return cls(batch, atom_times=atoms)
@@ -164,7 +161,8 @@ def stieltjes_integral(f: PiecewisePath, mu: StieltjesMeasure, window):
     (``Segment.times_scalar_segment``), so the cell contributes
     ``anti(b) - anti(a)`` of its antiderivative exactly.  Only a preset times
     a non-constant factor leaves the segment class; such a cell is
-    integrated by ``quad_vec`` to ``_QUAD_TOL``.  Finally adds f's left
+    integrated by ``quad_vec`` to ``_QUAD_TOL``, and a miss raises
+    ``QuadratureError`` (``check_quadrature``).  Finally adds f's left
     limit at the atom times its weight for each atom in [c, d).
     """
     c, d = float(window[0]), float(window[1])
@@ -187,9 +185,7 @@ def stieltjes_integral(f: PiecewisePath, mu: StieltjesMeasure, window):
             from scipy.integrate import quad_vec
             val, err = quad_vec(lambda t: f.sample(t) * float(density.sample(t)),
                                 a, b, epsabs=_QUAD_TOL, epsrel=1e-12)
-            if err > max(100 * _QUAD_TOL, 1e-8 * (1.0 + norm(val))):
-                raise IntegrationError(
-                    "density quadrature achieved only %.3e on [%g, %g]" % (err, a, b))
+            check_quadrature(err, norm(val), "density on [%g, %g]" % (a, b))
             total = total + val
         else:
             total = total + (anti.value(b) - anti.value(a))

@@ -211,18 +211,11 @@ class NonlinearitySpec:
         return self._raw(z) * psi[..., None] if z.ndim > 1 else \
             float(psi) * self._raw(z)
 
-    def atom_times(self):
-        return tuple(t for t, _ in self.measure.atoms)
-
     def atom_weight(self, t):
         for ta, w in self.measure.atoms:
             if _same_time(t, ta):
                 return w
         return 0.0
-
-    def density_factor(self, ts):
-        """Scalar factor multiplying F in the density of dN at times ts."""
-        return self.measure.density.sample(ts)
 
     def v_h(self, window):
         """Variation of the accumulation modulus h over the window."""
@@ -394,7 +387,7 @@ class LPContext:
         self.reports = dict(reports or {})
         if not fund.is_node(self.T):
             raise ValueError("horizon T=%g must be a mesh node" % self.T)
-        for t in nonlin.atom_times():
+        for t, _ in nonlin.measure.atoms:
             if fund.window[0] <= t <= fund.window[1] and not fund.is_node(t):
                 raise ValueError("nonlinearity atom at t=%g missing from the mesh" % t)
         self.i_T = fund.node_index(self.T)
@@ -458,7 +451,7 @@ class LPContext:
         a, b = fund.nodes[:m, None], fund.nodes[1:m + 1, None]
         return _Kernels(
             sigma=sigma, lam=(sigma - a) / (b - a),
-            wq=fund._weights[:m] * self.nonlin.density_factor(sigma),
+            wq=fund._weights[:m] * self.nonlin.measure.density.sample(sigma),
             atom_w=np.array([self.nonlin.atom_weight(t) for t in fund.nodes[:m]],
                             dtype=float),
             J=J, F=F, atom_s=atom_s, atom_u=atom_u,
@@ -613,6 +606,7 @@ def _inner_accumulation(ctx, z, idx, layout):
     """
     gl5, gw5 = np.polynomial.legendre.leggauss(5)
     n = ctx.fund.n
+    density = ctx.nonlin.measure.density
     node_vals = []
     mid_vals = []
     acc = np.zeros(n)
@@ -633,12 +627,12 @@ def _inner_accumulation(ctx, z, idx, layout):
             sig = 0.5 * (a + tau) + 0.5 * (tau - a) * gl5
             w = 0.5 * (tau - a) * gw5
             f = ctx.nonlin.value(sig, np.broadcast_to(z_tau, (5, n)))
-            inc_half = np.einsum("q,qi->i", w * ctx.nonlin.density_factor(sig), f)
+            inc_half = np.einsum("q,qi->i", w * density.sample(sig), f)
             sig2 = 0.5 * (tau + b) + 0.5 * (b - tau) * gl5
             w2 = 0.5 * (b - tau) * gw5
             f2 = ctx.nonlin.value(sig2, np.broadcast_to(z_tau, (5, n)))
             inc_full = inc_half + np.einsum(
-                "q,qi->i", w2 * ctx.nonlin.density_factor(sig2), f2)
+                "q,qi->i", w2 * density.sample(sig2), f2)
             cells_mids[l] = acc + inc_half
             acc = acc + inc_full
             cells_nodes[l + 1] = acc
@@ -727,12 +721,12 @@ def safe_exp(x):
         return math.inf
 
 
-def contraction_bound(v_h, K, C_a, V_Lambda):
-    """2 V_h (1 + K(1+2K)) C_a^3 exp(3 C_a V_Lambda) V_Lambda^2."""
-    grow = safe_exp(3.0 * C_a * V_Lambda)
+def contraction_bound(scale, K, C, V):
+    """scale (1 + K(1+2K)) C^3 exp(3 C V) V^2, the formula of every gate."""
+    grow = safe_exp(3.0 * C * V)
     if grow == math.inf:
         return math.inf
-    return 2.0 * v_h * (1.0 + K * (1.0 + 2.0 * K)) * C_a ** 3 * grow * V_Lambda ** 2
+    return scale * (1.0 + K * (1.0 + 2.0 * K)) * C ** 3 * grow * V ** 2
 
 
 def contraction_estimate(ctx: LPContext, s) -> float:
@@ -743,7 +737,7 @@ def contraction_estimate(ctx: LPContext, s) -> float:
     """
     if ctx.regularity is None:
         raise ValueError("context carries no regularity report")
-    return contraction_bound(ctx.nonlin.v_h((float(s), ctx.T)), ctx.dich.K,
+    return contraction_bound(2.0 * ctx.nonlin.v_h((float(s), ctx.T)), ctx.dich.K,
                              ctx.regularity.C_a, ctx.regularity.V_Lambda)
 
 
@@ -985,10 +979,11 @@ def classify_initial(z0, s, ctx: LPContext, bound) -> Classification:
     n = ctx.fund.n
     state = z0.copy()
     sup = norm(state)
+    density = ctx.nonlin.measure.density
 
     def rhs(t, y):
         return ctx.fund.spec.generator(t) @ y + \
-            np.asarray(ctx.nonlin.value(t, y)) * float(ctx.nonlin.density_factor(t))
+            np.asarray(ctx.nonlin.value(t, y)) * float(density.sample(t))
 
     def escape(t, y):
         return float(np.linalg.norm(y)) - bound

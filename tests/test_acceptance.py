@@ -238,7 +238,7 @@ def test_acceptance_13_front_end_round_trip():
 def test_acceptance_14_gate_arithmetic_machine_precision():
     expected = 2.0 * 0.01 * (1.0 + 1.0 * (1.0 + 2.0)) * 1.0 ** 3 \
         * math.exp(3.0 * 1.0 * 0.5) * 0.5 ** 2
-    got = contraction_bound(0.01, 1.0, 1.0, 0.5)
+    got = contraction_bound(2.0 * 0.01, 1.0, 1.0, 0.5)   # scale 2 V_h
     assert got == expected
     assert got == pytest.approx(0.0896, abs=5e-4)
     _ok(14, "printed gate formula reproduced exactly")

@@ -3,13 +3,14 @@ import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from kurzmani.cli import (ConfigError, config_hash, load_config, main,
-                          normalize_config, parse_measure, parse_path,
-                          parse_system)
+from kurzmani.cli import (ConfigError, _context_from_config, config_hash,
+                          load_config, main, normalize_config, parse_measure,
+                          parse_path, parse_system)
 from kurzmani.dichotomy import _FIT_SLACK
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -203,9 +204,12 @@ def test_nonlinearity_takes_only_registry_params_and_rho(tmp_path, capsys,
 
 
 def test_svd_projection_mode_certifies(tmp_path, capsys):
+    # aperiodic kicks: the default projection is the svd splitting
+    kicks = [{"time": t, "B": [[0.1, 0.0], [0.0, 0.0]]} for t in (1.0, 2.0, 3.5)]
     cfg = {"system": {"kind": "linear", "n": 2,
-                      "A": {"constant": [[-1.0, 0.0], [0.0, 1.0]]}},
-           "solver": {"window": [0.0, 10.0], "projection_mode": "svd"},
+                      "A": {"constant": [[-1.0, 0.0], [0.0, 1.0]]},
+                      "impulses": kicks},
+           "solver": {"window": [0.0, 10.0]},
            "output": {"prefix": "svd"}}
     path = tmp_path / "svd.json"
     path.write_text(json.dumps(cfg))
@@ -215,16 +219,28 @@ def test_svd_projection_mode_certifies(tmp_path, capsys):
     np.testing.assert_allclose(cert["P0"], [[1.0, 0.0], [0.0, 0.0]], atol=1e-8)
 
 
-def test_autonomous_projection_mode_on_aperiodic_kicks_exits_two(tmp_path, capsys):
-    _, cfg = small_saddle_config(tmp_path, projection_mode="autonomous")
+def test_aperiodic_kicks_config_goes_through_svd(tmp_path, capsys):
+    _, cfg = small_saddle_config(tmp_path)
     cfg["system"]["impulses"] = [{"time": t, "B": [[0.1, 0.0], [0.0, 0.0]]}
                                  for t in (1.0, 2.0, 3.5)]
     path = tmp_path / "aperiodic.json"
     path.write_text(json.dumps(cfg))
-    assert main(["manifold", "--config", str(path), "--out", str(tmp_path)]) == 2
-    err = json.loads(capsys.readouterr().err.splitlines()[-1])
-    assert err["error"] == "hypothesis"
-    assert "not periodic" in err["message"]
+    assert main(["manifold", "--config", str(path), "--out", str(tmp_path)]) == 0
+    args = SimpleNamespace(tol=None)
+    _, ctx = _context_from_config(cfg, args)
+    assert ctx.reports["dichotomy"].projection_mode == "svd"
+    np.testing.assert_allclose(ctx.dich.P0, np.diag([1.0, 0.0]), atol=1e-8)
+    # the removed knob is a config error naming it, in both of its commands
+    for cmd in ("manifold", "dichotomy"):
+        cfg["solver"]["projection_mode"] = "autonomous"
+        if cmd == "dichotomy":
+            cfg["system"]["kind"] = "linear"
+        path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert main([cmd, "--config", str(path), "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "config"
+        assert "'projection_mode'" in err["message"]
 
 
 @pytest.mark.parametrize("t0, code", [(1.0, 0), (5.0, 1)])
@@ -301,6 +317,17 @@ def _nonlinearity_of_wrong_type(cfg):
     return "manifold", cfg
 
 
+def _params_of_wrong_type(cfg):
+    cfg["system"]["nonlinearity"]["params"] = 5
+    return "check", cfg
+
+
+def _coef_without_an_axis(cfg):
+    # the registry class converts its params itself: a scalar has no rows
+    cfg["system"]["nonlinearity"].update(registry="cubic", params={"coef": 5})
+    return "check", cfg
+
+
 def _null_horizon_in_check(cfg):
     cfg["solver"]["T"] = None
     return "check", cfg
@@ -315,10 +342,13 @@ def _null_horizon_in_check(cfg):
                                        (_impulses_of_wrong_type, "system"),
                                        (_zeta_grid_of_wrong_type, "solver"),
                                        (_nonlinearity_of_wrong_type, "system"),
+                                       (_params_of_wrong_type, "system"),
+                                       (_coef_without_an_axis, "system"),
                                        (_null_horizon_in_check, "solver")],
                          ids=["integrand-window", "grid-stop", "impulse-time",
                               "poly-int", "window-int", "impulses-int",
-                              "zeta-grid-int", "nonlinearity-int", "check-T-null"])
+                              "zeta-grid-int", "nonlinearity-int", "params-int",
+                              "coef-int", "check-T-null"])
 def test_missing_required_key_is_config_error(tmp_path, case, key):
     _, cfg = small_saddle_config(tmp_path)
     command, cfg = case(cfg)

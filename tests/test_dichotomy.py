@@ -23,6 +23,13 @@ def saddle_spec(impulses=()):
     return LinearSystemSpec(2, PiecewisePath.constant(SADDLE), impulses=impulses)
 
 
+def aperiodic_saddle_spec():
+    """The saddle with diagonal kicks at t = 1, 2 and 3.5: autonomous between
+    kicks but not periodic, so P0 comes from the svd branch."""
+    kick = np.diag([0.1, 0.0])
+    return saddle_spec(((1.0, kick), (2.0, kick), (3.5, kick)))
+
+
 def test_spectral_projection_saddle():
     P0, how = spectral_projection(saddle_spec())
     np.testing.assert_allclose(P0, np.diag([1.0, 0.0]), atol=1e-12)
@@ -168,7 +175,7 @@ def test_spectral_projection_logs_one_debug_record(caplog):
 
 def test_svd_mode_recovers_diagonal_splitting(monkeypatch):
     monkeypatch.setattr(dichotomy, "_SVD_HORIZON", 5.0)
-    P0, how = spectral_projection(saddle_spec(), mode="svd")
+    P0, how = spectral_projection(aperiodic_saddle_spec())
     np.testing.assert_allclose(P0, np.diag([1.0, 0.0]), atol=1e-8)
     assert how == "svd"
 
@@ -187,8 +194,10 @@ def test_certify_records_explicit_and_requested_svd_modes():
     op = FundamentalOperator(cli._linear_spec(cfg), (0.0, 3.0))
     explicit = certify(op, P0=np.asarray(cli.solver_block(cfg)["P0"], dtype=float))
     assert explicit.report.projection_mode == "explicit"
-    saddle = FundamentalOperator(saddle_spec(), (0.0, 10.0))
-    assert certify(saddle, mode="svd").report.projection_mode == "svd"
+    kicked = FundamentalOperator(aperiodic_saddle_spec(), (0.0, 10.0))
+    svd = certify(kicked)
+    assert svd.report.projection_mode == "svd"
+    np.testing.assert_allclose(svd.P0, np.diag([1.0, 0.0]), atol=1e-8)
 
 
 def test_saddle_envelope_fit_is_exact():

@@ -45,7 +45,6 @@ def test_variation_monotone_and_additive():
 def test_regulated_evaluation_returns_stored_one_sided_values():
     path = PiecewisePath.from_segments(
         [1.0], [Segment.constant(2.0), Segment.constant(5.0)])
-    assert path.left(1.0) == pytest.approx(2.0)
     # left-continuous: the value at the breakpoint is the left limit
     assert path(1.0) == pytest.approx(2.0)
     assert path.right(1.0) == pytest.approx(5.0)
@@ -82,12 +81,15 @@ def test_running_integral_stitches_across_jumps():
     assert not any(norm(ri.right(t) - ri(t)) > 0 for t in ri.times)
 
 
-def test_measure_distribution_left_continuous():
+def test_measure_mass_left_continuous():
     mu = StieltjesMeasure(PiecewisePath.constant(1.0), [(0.5, 2.0)],
                           nondecreasing=True)
-    u = mu.distribution(0.0)
-    assert u(0.5) == pytest.approx(0.5)
-    assert u.right(0.5) == pytest.approx(2.5)
+    # u(t) = t + 2 [t > 0.5]: mu([0, 0.5)) = u(0.5) - u(0) = 0.5, and the
+    # cell [0.5, 0.5 + h) holds the atom
+    los, his = np.array([0.0, 0.0, 0.5, 0.25]), np.array([0.5, 1.0, 0.5 + 1e-9, 0.5])
+    np.testing.assert_allclose(mu.mass(los, his), [0.5, 3.0, 2.0 + 1e-9, 0.25],
+                               rtol=1e-12)
+    assert mu.mass(np.array([0.5]), np.array([0.5]))[0] == 0.0
     assert mu.variation((0.0, 1.0)) == pytest.approx(3.0)
     # atom at the right window end is outside [a, b)
     assert mu.variation((0.0, 0.5)) == pytest.approx(0.5)
@@ -116,7 +118,7 @@ def test_path_algebra_addition_merges_breakpoints():
     assert s.times.tolist() == [0.3, 0.7]
     assert s(0.5) == pytest.approx(1.0)
     assert s(0.9) == pytest.approx(3.0)
-    assert (2.0 * a)(0.5) == pytest.approx(2.0)
+    assert (a + a)(0.5) == pytest.approx(2.0)
 
 
 def test_preset_derivative_antiderivative_roundtrip():

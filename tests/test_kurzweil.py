@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -10,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import lebesgue
 from kurzmani import kurzweil
-from kurzmani.funcspace import PiecewisePath, Segment, StieltjesMeasure
+from kurzmani.cli import main
+from kurzmani.funcspace import (PiecewisePath, QuadratureError, Segment,
+                                StieltjesMeasure)
 from kurzmani.kurzweil import (IntegrationError, PointIntervalFn, cross_check,
                                ks_integral_ref, pinned_division,
                                stieltjes_integral)
@@ -119,7 +122,9 @@ def test_linearity_in_the_integrand():
     f = PiecewisePath.polynomial([0.0, 1.0])
     g = PiecewisePath.preset("cos", 1.0, (2.0, 0.0))
     mu = StieltjesMeasure(PiecewisePath.constant(1.0), [(0.3, 0.4)])
-    lhs = stieltjes_integral(2.0 * f + (-3.0) * g, mu, (0.0, 1.0))
+    combo = PiecewisePath.polynomial([0.0, 2.0]) \
+        + PiecewisePath.preset("cos", -3.0, (2.0, 0.0))   # 2 f - 3 g
+    lhs = stieltjes_integral(combo, mu, (0.0, 1.0))
     rhs = 2.0 * stieltjes_integral(f, mu, (0.0, 1.0)) \
         - 3.0 * stieltjes_integral(g, mu, (0.0, 1.0))
     assert float(lhs) == pytest.approx(float(rhs), abs=1e-10)
@@ -240,6 +245,26 @@ def test_preset_times_nonconstant_density_falls_back_to_quad_vec(monkeypatch):
     exact = (math.e - 1.0) + 0.5 + 2.0 * math.exp(0.5)
     assert value == pytest.approx(exact, abs=1e-10)
     assert value == pytest.approx(float(expected), abs=1e-10)
+
+
+def test_quad_vec_miss_is_nonconvergence(monkeypatch, tmp_path, capsys):
+    # one miss rule for every quadrature: a cell error of 1e-6 raises
+    # QuadratureError, which the CLI reports as nonconvergence (exit 3)
+    monkeypatch.setattr(scipy.integrate, "quad_vec",
+                        lambda f, a, b, **kwargs: (f(0.5 * (a + b)) * (b - a), 1e-6))
+    f = PiecewisePath.preset("exp", 1.0, (1.0,))
+    mu = StieltjesMeasure(PiecewisePath.polynomial([1.0, 0.5]), [(0.5, 2.0)])
+    with pytest.raises(QuadratureError, match="density on \\[0, 0.5\\]"):
+        stieltjes_integral(f, mu, (0.0, 1.0))
+    cfg = {"integrand": {"f": {"preset": {"kind": "exp", "params": [1.0]}},
+                         "mu": {"density": {"poly": [1.0, 0.5]}},
+                         "window": [0.0, 1.0]},
+           "output": {"prefix": "miss"}}
+    path = tmp_path / "miss.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["crosscheck", "--config", str(path), "--out", str(tmp_path)]) == 3
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "nonconvergence"
 
 
 def pinned_division_by_cell_loop(window, atoms, radius, step):

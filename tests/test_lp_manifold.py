@@ -115,7 +115,7 @@ def _loop_apply(z, zeta, s, ctx):
         P_plus = J @ ctx.P(j) @ J_inv
         lam = (sigma - x[k]) / (x[k + 1] - x[k])
         zq = (1.0 - lam)[:, None] * z.right_values[k] + lam[:, None] * z.values[k + 1]
-        dens = nl.value(sigma, zq) * nl.density_factor(sigma)[:, None]
+        dens = nl.value(sigma, zq) * nl.measure.density.sample(sigma)[:, None]
         w = nl.atom_weight(x[k])
         atom = w * nl.value(x[k], z.values[k]) if w else np.zeros(n)
         K_s = np.stack([phi @ P_plus @ inv for inv in fund.cells.phi_sig_inv[j]])
@@ -263,13 +263,13 @@ def test_fixed_point_and_flow_residuals(ctx_planar):
 
 
 def test_contraction_bound_hand_arithmetic():
-    # printed formula at (C_a, V, K, V_h) = (1, 0.5, 1, 0.01):
+    # smallness gate (scale 2 V_h) at (C_a, V, K, V_h) = (1, 0.5, 1, 0.01):
     # 2 * 0.01 * (1 + 1 * 3) * 1 * e^{1.5} * 0.25
     expected = 2.0 * 0.01 * 4.0 * math.exp(1.5) * 0.25
-    assert contraction_bound(0.01, 1.0, 1.0, 0.5) == pytest.approx(
+    assert contraction_bound(2.0 * 0.01, 1.0, 1.0, 0.5) == pytest.approx(
         expected, rel=1e-15)
     assert contraction_bound(0.0, 1.0, 1.0, 0.5) == 0.0
-    assert contraction_bound(0.01, 1.0, 1.0, 0.0) == 0.0
+    assert contraction_bound(2.0 * 0.01, 1.0, 1.0, 0.0) == 0.0
 
 
 def test_contraction_estimate_reports_conservative_gate(ctx_planar):

@@ -1,10 +1,11 @@
-"""One-pass jump folds, closed-form variation and the regularity constants.
+"""Measure masses, closed-form variation and the regularity constants.
 
-The one-pass jump fold is checked against the fold it replaces (one
-``PiecewisePath.step`` + ``__add__`` per jump), kept here as the oracle;
-the closed-form variation cells are checked against adaptive quadrature;
-the regularity constants read from the mesh store are checked against the
-variation of the accumulated path that the fold builds.
+A measure's mass of half-open cells is checked against differences of the
+distribution path that a jump fold builds (one ``PiecewisePath.step`` +
+``__add__`` per jump), kept here as the oracle; the closed-form variation
+cells are checked against adaptive quadrature; the regularity constants
+read from the mesh store are checked against the variation of the
+accumulated path that the fold builds.
 """
 
 import math
@@ -21,7 +22,7 @@ from conftest import COUPLED, SADDLE, quadratic_forcing
 from kurzmani.apps import IdeSpec, MdeSpec, ide_to_context
 from kurzmani.cli import load_config, parse_system
 from kurzmani.funcspace import (PiecewisePath, Segment, StieltjesMeasure,
-                                add_jumps, norm, running_integral, total_variation)
+                                norm, running_integral, total_variation)
 from kurzmani.linsys import FundamentalOperator, LinearSystemSpec, check_regularity
 from kurzmani.lp_manifold import NonlinearitySpec
 from test_linsys import _piecewise_spec
@@ -34,22 +35,6 @@ def folded(path, jumps):
     for t, jump in jumps:
         path = path + PiecewisePath.step(t, np.asarray(jump, dtype=float))
     return path
-
-
-def assert_same_path(new, old):
-    def close(a, b):
-        assert norm(np.asarray(a) - np.asarray(b)) <= 1e-12 * (1.0 + norm(b))
-
-    assert new.shape == old.shape
-    np.testing.assert_array_equal(new.times, old.times)
-    for t in new.times:
-        close(new.left(t), old.left(t))
-        close(new(t), old(t))
-        close(new.right(t), old.right(t))
-    lo, hi = (new.times[0] - 1.0, new.times[-1] + 1.0) if len(new.times) else (-1.0, 1.0)
-    ts = np.union1d(np.linspace(lo, hi, 257), new.times)
-    for vn, vo in zip(new.sample(ts), old.sample(ts)):
-        close(vn, vo)
 
 
 def three_atom_measure():
@@ -76,18 +61,17 @@ def test_impulse_at_t0_still_rejected():
     assert ctx.regularity.V_Lambda == pytest.approx(2.0 + 0.15, rel=1e-14)
 
 
-def test_distribution_matches_fold_on_three_atoms():
+def test_mass_matches_fold_on_three_atoms():
+    # cell ends on, just before and just after each atom, and across the
+    # density's breakpoint at 1.5
     mu = three_atom_measure()
-    oracle = folded(running_integral(mu.density, 0.0), mu.atoms)
-    assert_same_path(mu.distribution(0.0), oracle)
-
-
-def test_add_jumps_sums_unsorted_and_coincident_jumps_like_the_fold():
-    path = running_integral(PiecewisePath.polynomial([1.0, -2.0]), 0.0)
-    jumps = [(2.0, 0.5), (-1.0, 0.25), (2.0, -1.5), (0.5, 3.0)]
-    assert_same_path(add_jumps(path, jumps), folded(path, jumps))
-    with pytest.raises(ValueError):
-        add_jumps(PiecewisePath.constant(np.zeros((2, 2))), [(1.0, np.eye(3))])
+    u = folded(running_integral(mu.density, 0.0), mu.atoms)
+    ends = np.array([-0.5, 0.0, 1.0, 3.0]
+                    + [t + d for t, _ in mu.atoms for d in (-1e-7, 0.0, 1e-7)])
+    los, his = (a.ravel() for a in np.meshgrid(ends, ends))
+    want = u.sample(his) - u.sample(los)
+    got = mu.mass(los, his)
+    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
 
 
 # ---------------------------------------------------------------------------
