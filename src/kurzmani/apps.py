@@ -296,7 +296,7 @@ def build_context(spec, s=0.0, T=None, tol=1e-10, base_step=0.1, P0=None,
                         grid, P0)
         T = auto_horizon(s, probe.K, probe.alpha,
                          nonlin.h_rate((s, probe_hi)), tol)
-        T = math.ceil(T / base_step) * base_step
+        T = s + math.ceil((T - s) / base_step) * base_step
     window = (s, float(T))
     fund = FundamentalOperator(linspec, window, base_step)
     dich = certify(fund, grid, P0)

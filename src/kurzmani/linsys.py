@@ -15,7 +15,9 @@ regularity constants C_a and V_Lambda (``check_regularity``) all read; no
 accumulated coefficient path is built.
 Solutions are stored left-continuous: the factor at a jump time applies when
 propagating past it, so V(t, s) includes the factors at times in [s, t) and
-V(t, t) = Id exactly.
+V(t, t) = Id exactly.  The mesh is the only code that matches times: one
+radius per mesh, from its window and grid step, and ``node_index`` to
+resolve jumps, atoms, kinks and base times to nodes.
 
 Accuracy note: the product formula itself is well conditioned; what limits a
 long horizon is the projection family conjugated along it, whose roundoff
@@ -34,19 +36,10 @@ import numpy as np
 
 from .funcspace import PiecewisePath, StieltjesMeasure, norm_integral
 
-_TIME_TOL = 1e-11
+_TIME_TOL = 1e-11     # match radius per unit of the window's magnitude,
+_STEP_FRAC = 1e-3     # capped at this fraction of the grid step
 _ODE_TOL = 1e-12      # rtol and atol of the smooth one-step integrator
 _QUAD_NODES = 3       # Gauss-Legendre nodes per mesh cell
-
-
-def _same_time(t, ref):
-    """Whether ``t`` matches ``ref`` to ``_TIME_TOL``, relative where |ref| > 1.
-
-    Scalars stay in Python arithmetic; an array ``ref`` matches elementwise.
-    """
-    if isinstance(ref, np.ndarray):
-        return np.abs(t - ref) <= _TIME_TOL * np.maximum(1.0, np.abs(ref))
-    return abs(t - ref) <= _TIME_TOL * max(1.0, abs(ref))
 
 
 def solve_ivp(*args, **kwargs):
@@ -116,8 +109,8 @@ class LinearSystemSpec:
 
     ``smooth`` is the matrix path A(t); ``impulses`` are (time, B) with
     strictly increasing times; ``measure_part`` is an optional (C, u) pair.
-    Construction verifies every jump factor is invertible and that no two
-    jump times, impulses and atoms together, match under ``_same_time``.
+    Construction verifies every jump factor is invertible; the mesh refuses
+    two jumps on one node (``FundamentalOperator``).
     """
 
     n: int
@@ -141,12 +134,7 @@ class LinearSystemSpec:
             if not isinstance(u, StieltjesMeasure):
                 raise ValueError("measure_part must be (PiecewisePath, StieltjesMeasure)")
         object.__setattr__(self, "t0", float(self.t0))
-        events = self.jump_events()
-        # jumps that share a mesh node would keep only one of their factors
-        for (a, _), (b, _) in zip(events, events[1:]):
-            if _same_time(b, a):
-                raise ValueError("jumps at t=%r and t=%r coincide" % (a, b))
-        for t, J in events:
+        for t, J in self.jump_events():
             if _inverse_or_none(J) is None:
                 raise ValueError("jump factor Id + B or Id + C*du is singular "
                                  "at t=%g" % t)
@@ -205,39 +193,48 @@ class _Cells(NamedTuple):
 class FundamentalOperator:
     """Mesh-cached realization of the solution operator V(t, s).
 
-    The mesh contains the window endpoints, a uniform grid at ``base_step``,
-    every jump time inside the window, every breakpoint of the generator,
-    and the reference time t0; times that match under ``_same_time``
-    (relative away from 0) share one node.  The mesh is held as stacked
-    arrays: ``jumps`` and ``jump_invs`` (N, n, n) carry the jump factor at
-    each node (identity where nothing jumps, ``event_nodes`` indexes the
-    others), and ``cells`` the propagators
-    across each cell and to its quadrature nodes, filled on first use.  All
-    are read-only.
+    The mesh contains the window endpoints, the grid lo + base_step k, every
+    jump time inside the window, every breakpoint of the generator, and the
+    reference time t0.  It is the one place that matches times: one
+    ``radius`` per mesh, _TIME_TOL times the window's magnitude capped at
+    _STEP_FRAC base_step, covers the rounding of input times of that size
+    and stays far below the grid step.  A time within it of the node before
+    it shares that node, ``node_index`` resolves any time within it of a
+    node to that node, and two jumps on one node are refused.  The mesh is
+    held as stacked arrays: ``jumps`` and ``jump_invs`` (N, n, n) carry the
+    jump factor at each node (identity where nothing jumps, ``event_nodes``
+    indexes the others), and ``cells`` the propagators across each cell and
+    to its quadrature nodes, filled on first use.  All are read-only.
     """
 
     def __init__(self, spec: LinearSystemSpec, window, base_step=0.1):
         self.spec = spec
         self.n = spec.n
         lo, hi = float(window[0]), float(window[1])
-        if hi <= lo:
+        if not 0.0 < base_step < math.inf:
+            raise ValueError("base_step must be positive and finite, got %r"
+                             % base_step)
+        r = min(_TIME_TOL * max(1.0, abs(lo), abs(hi)), _STEP_FRAC * base_step)
+        if not hi - lo > r:
             raise ValueError("window must have positive length")
         if not (lo <= spec.t0 <= hi):
             raise ValueError("reference time t0 must lie inside the window")
-        self.window = (lo, hi)
+        self.window, self.radius = (lo, hi), r
         # a jump outside the window cannot act on V there
         events = [(t, J) for t, J in spec.jump_events() if lo <= t <= hi]
-        nodes = [lo, hi, spec.t0]
-        nodes += list(np.arange(lo, hi, base_step)[1:])
-        nodes += [t for t, _ in events]
-        nodes += [t for t in spec.generator_breakpoints() if lo < t < hi]
-        nodes = np.array(sorted(nodes))
-        keep = np.concatenate([[True], ~_same_time(nodes[1:], nodes[:-1])])
-        self.nodes = nodes[keep]
-        self._times = self.nodes.tolist()   # Python floats for scalar matching
+        inner = np.concatenate([
+            lo + base_step * np.arange(1, math.ceil((hi - lo) / base_step)),
+            [spec.t0, *(t for t, _ in events), *spec.generator_breakpoints()]])
+        inner = np.sort(inner[(inner > lo + r) & (inner < hi - r)])
+        nodes = np.concatenate([[lo], inner, [hi]])
+        self.nodes = nodes[np.concatenate([[True], np.diff(nodes) > r])]
+        self._times = self.nodes.tolist()   # Python floats for scalar steps
         self._index = {t: i for i, t in enumerate(self._times)}
-        self.event_nodes = np.array([self.node_index(t) for t, _ in events],
-                                    dtype=int)
+        self.event_nodes = self.node_index([t for t, _ in events])
+        for i in np.flatnonzero(np.diff(self.event_nodes) == 0):
+            # one node would keep only one of the two factors
+            raise ValueError("jumps at t=%r and t=%r coincide"
+                             % (events[i][0], events[i + 1][0]))
         self.jumps = np.tile(np.eye(self.n), (len(self.nodes), 1, 1))
         self.jump_invs = self.jumps.copy()
         if events:
@@ -252,21 +249,23 @@ class FundamentalOperator:
         self._weights = 0.5 * (b - a) * gl_weights
         self.i_t0 = self.node_index(spec.t0)
 
-    # -- mesh helpers -------------------------------------------------------
+    # -- mesh lookup --------------------------------------------------------
+
+    def _nearest(self, t):
+        """For each time, the first node at or past t - radius (the last node
+        if there is none) and whether it lies within the radius."""
+        t = np.asarray(t, dtype=float)
+        i = self.nodes[:-1].searchsorted(t - self.radius)
+        return i, abs(self.nodes[i] - t) <= self.radius
 
     def node_index(self, t):
-        i = int(np.searchsorted(self.nodes, t))
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < len(self.nodes) and _same_time(t, self._times[j]):
-                return j
-        raise KeyError("time %g is not a mesh node" % t)
-
-    def is_node(self, t):
-        try:
-            self.node_index(t)
-            return True
-        except KeyError:
-            return False
+        """The node of a time, or an index array for an array of times;
+        ``KeyError`` names the first time that is no node."""
+        i, hit = self._nearest(t)
+        if not hit.all():
+            raise KeyError("time %r is not a mesh node"
+                           % float(np.atleast_1d(t)[np.flatnonzero(~hit)[0]]))
+        return int(i) if i.ndim == 0 else i
 
     # -- smooth propagation -------------------------------------------------
 
@@ -351,7 +350,7 @@ class FundamentalOperator:
                 return self.cells.phi[j] @ self.jumps[j]
             if j > 0 and t == self._times[j - 1]:
                 return self.jump_invs[j - 1] @ self.cells.phi_inv[j - 1]
-        if _same_time(t, s):
+        if abs(t - s) <= self.radius:
             return np.eye(self.n)
         if t > s:
             return self._forward(s, t)
@@ -366,33 +365,24 @@ class FundamentalOperator:
         return self._propagate(a, b)[0]
 
     def _forward(self, s, t):
-        """Product of factors from s up to t (s < t)."""
-        out = np.eye(self.n)
+        """Product of factors from s up to t (s < t); a time within the
+        radius of a node is at that node."""
+        (i, k), (s_at, t_at) = self._nearest([s, t])
         lo, hi = self.window
-        if (s < lo and not _same_time(s, lo)) or (t > hi and not _same_time(t, hi)):
+        if (s < lo and not s_at) or (t > hi and not t_at):
             raise ValueError("query (%g, %g) outside window %r" % (t, s, self.window))
-        # left partial cell
-        try:
-            i = self.node_index(s)
-            cursor = i
-        except KeyError:
-            j = int(np.searchsorted(self.nodes, s)) - 1
-            nxt = self._times[j + 1]
-            if t <= nxt or _same_time(t, nxt):
+        out = np.eye(self.n)
+        if not s_at:
+            # i is the first node after s: the left partial cell ends there
+            if t < self._times[i] or (t_at and k == i):
                 return self._partial(s, t)
-            out = self._partial(s, nxt)
-            cursor = j + 1
-        while True:
-            tj = self._times[cursor]
-            if t <= tj or _same_time(t, tj):
-                break
-            out = self.jumps[cursor] @ out
-            nxt = self._times[cursor + 1]
-            if t < nxt and not _same_time(t, nxt):
-                out = self._partial(tj, t) @ out
-                return out
-            out = self.cells.phi[cursor] @ out
-            cursor += 1
+            out = self._partial(s, self._times[i])
+        if not t_at:
+            k -= 1      # the last node before t
+        for c in range(i, k):
+            out = self.cells.phi[c] @ (self.jumps[c] @ out)
+        if not t_at:
+            out = self._partial(self._times[k], t) @ (self.jumps[k] @ out)
         return out
 
 
@@ -417,11 +407,10 @@ def check_regularity(fund: FundamentalOperator) -> RegularityReport:
     window.  An impulse at the reference time is refused: which side of t0
     it belongs to is ambiguous.  Atoms there are accepted.
     """
-    spec = fund.spec
-    for t, _ in spec.impulses:
-        if _same_time(t, spec.t0):
-            raise ValueError("impulse at the reference time t0=%g is ambiguous"
-                             % spec.t0)
+    spec, (lo, hi) = fund.spec, fund.window
+    if fund.i_t0 in fund.node_index([t for t, _ in spec.impulses if lo <= t <= hi]):
+        raise ValueError("impulse at the reference time t0=%g is ambiguous"
+                         % spec.t0)
     ev = fund.event_nodes
     inv_norms = np.linalg.norm(fund.jump_invs[ev], 2, axis=(-2, -1))
 

@@ -58,7 +58,7 @@ import numpy as np
 from .dichotomy import DichotomyData, SplittingError, projection_family
 from .funcspace import LEBESGUE, StieltjesMeasure, norm
 from .linsys import (FundamentalOperator, PropagationError, RegularityReport,
-                     _same_time, expm)
+                     expm)
 
 log = logging.getLogger("kurzmani")
 
@@ -210,12 +210,6 @@ class NonlinearitySpec:
         psi = _smooth_cutoff(np.linalg.norm(z, axis=-1), self.rho)
         return self._raw(z) * psi[..., None] if z.ndim > 1 else \
             float(psi) * self._raw(z)
-
-    def atom_weight(self, t):
-        for ta, w in self.measure.atoms:
-            if _same_time(t, ta):
-                return w
-        return 0.0
 
     def v_h(self, window):
         """Variation of the accumulation modulus h over the window."""
@@ -373,7 +367,11 @@ def _stable_sweep(kern: _Kernels, zetas, c1):
 
 
 class LPContext:
-    """Everything a manifold solve needs, with read-only stacked kernels."""
+    """Everything a manifold solve needs, with read-only stacked kernels.
+
+    ``atom_weights`` holds the weight of the nonlinearity's driving measure
+    at each mesh node (zero where it has no atom).
+    """
 
     def __init__(self, fund: FundamentalOperator, dich: DichotomyData,
                  nonlin: NonlinearitySpec, T, tol=1e-10,
@@ -385,12 +383,17 @@ class LPContext:
         self.tol = float(tol)
         self.regularity = regularity
         self.reports = dict(reports or {})
-        if not fund.is_node(self.T):
-            raise ValueError("horizon T=%g must be a mesh node" % self.T)
-        for t, _ in nonlin.measure.atoms:
-            if fund.window[0] <= t <= fund.window[1] and not fund.is_node(t):
-                raise ValueError("nonlinearity atom at t=%g missing from the mesh" % t)
-        self.i_T = fund.node_index(self.T)
+        lo, hi = fund.window
+        atoms = [(t, w) for t, w in nonlin.measure.atoms if lo <= t <= hi]
+        try:
+            self.i_T = fund.node_index(self.T)
+            at = fund.node_index([t for t, _ in atoms])
+        except KeyError as exc:
+            raise ValueError("the horizon and every nonlinearity atom must be "
+                             "mesh nodes: %s" % exc.args[0]) from None
+        self.atom_weights = np.zeros(len(fund.nodes))
+        self.atom_weights[at] = [w for _, w in atoms]
+        self.atom_weights.flags.writeable = False
         self._proj = None
         self._proj_defect = None
         self._kernels = None
@@ -452,8 +455,7 @@ class LPContext:
         return _Kernels(
             sigma=sigma, lam=(sigma - a) / (b - a),
             wq=fund._weights[:m] * self.nonlin.measure.density.sample(sigma),
-            atom_w=np.array([self.nonlin.atom_weight(t) for t in fund.nodes[:m]],
-                            dtype=float),
+            atom_w=self.atom_weights[:m],
             J=J, F=F, atom_s=atom_s, atom_u=atom_u,
             K_stable=_q_blocks(atom_s[:, None] @ phi_sig_inv),
             K_unstable=_q_blocks(atom_u[:, None] @ phi_sig_inv),
@@ -562,7 +564,7 @@ def lp_operator_apply(z: SolutionPath, zeta, s, ctx: LPContext, mode="fast"):
     """
     idx = ctx.span(float(s))
     x = ctx.fund.nodes[idx]
-    if len(z.times) != len(x) or not np.all(_same_time(z.times, x)):
+    if not np.array_equal(z.times, x):
         raise ValueError("path mesh does not match the context mesh from s")
     zeta = _check_zeta(zeta, ctx.P(idx[0]))
     if mode == "reference":
@@ -612,7 +614,7 @@ def _inner_accumulation(ctx, z, idx, layout):
     acc = np.zeros(n)
     for k in range(len(idx) - 1):
         pts, _ = layout[k]
-        atom_w = ctx.nonlin.atom_weight(ctx.fund.nodes[idx[k]])
+        atom_w = ctx.atom_weights[idx[k]]
         cells_nodes = np.empty((len(pts), n))
         cells_mids = np.empty((len(pts) - 1, n))
         cells_nodes[0] = acc
@@ -703,7 +705,7 @@ def _reference_apply(z: SolutionPath, zeta, s, ctx: LPContext):
         refine *= 2
     rights = vals.copy()
     for k in range(M + 1):
-        a_k = ctx.nonlin.atom_weight(x[k]) if k < M else 0.0
+        a_k = ctx.atom_weights[idx[k]] if k < M else 0.0
         add = a_k * ctx.nonlin.value(x[k], z.values[k]) if a_k else np.zeros(n)
         rights[k] = ctx.fund.jumps[idx[k]] @ vals[k] + add
     return SolutionPath(x, vals, rights)
@@ -948,10 +950,9 @@ def invariance_check(s, zeta, t1, ctx: LPContext) -> float:
     """
     sol = solve_lp(zeta, s, ctx)
     idx = ctx.span(float(s))
-    nodes = ctx.fund.nodes[idx]
-    k = int(np.argmin(np.abs(nodes - float(t1))))
-    if not _same_time(t1, nodes[k]):
-        raise ValueError("t1=%g is not a mesh node" % t1)
+    k = ctx.fund.node_index(t1) - idx[0]
+    if not 0 <= k < len(idx):
+        raise ValueError("t1=%g lies outside [s, T]" % t1)
     phi_t1 = sol.phi.values[k]
     P_t1 = ctx.P(idx[k])
     zeta1 = P_t1 @ phi_t1
@@ -976,7 +977,6 @@ def classify_initial(z0, s, ctx: LPContext, bound) -> Classification:
         raise ValueError("bound must exceed the initial norm")
     idx = ctx.span(float(s))
     nodes = ctx.fund.nodes[idx]
-    n = ctx.fund.n
     state = z0.copy()
     sup = norm(state)
     density = ctx.nonlin.measure.density
@@ -992,16 +992,13 @@ def classify_initial(z0, s, ctx: LPContext, bound) -> Classification:
 
     # integrate between genuine events only: jumps, kernel atoms, and kinks
     # of the generator; everything in between is one smooth solve
-    eye = np.eye(n)
-    kinks = ctx.fund.spec.generator_breakpoints()
-    stops = [0]
-    for k in range(1, len(nodes)):
-        if k == len(nodes) - 1 or not np.array_equal(ctx.fund.jumps[idx[k]], eye) \
-                or ctx.nonlin.atom_weight(nodes[k]) or \
-                any(_same_time(nodes[k], b) for b in kinks):
-            stops.append(k)
+    lo, hi = ctx.fund.window
+    kinks = [b for b in ctx.fund.spec.generator_breakpoints() if lo <= b <= hi]
+    marks = np.concatenate([ctx.fund.event_nodes, np.flatnonzero(ctx.atom_weights),
+                            ctx.fund.node_index(kinks), idx[-1:]]) - idx[0]
+    stops = [0, *np.unique(marks[(marks > 0) & (marks < len(idx))]).tolist()]
     for a_i, b_i in zip(stops[:-1], stops[1:]):
-        cc_w = ctx.nonlin.atom_weight(nodes[a_i])
+        cc_w = ctx.atom_weights[idx[a_i]]
         kick = cc_w * np.asarray(ctx.nonlin.value(nodes[a_i], state)) if cc_w else 0.0
         state = ctx.fund.jumps[idx[a_i]] @ state + kick
         sol = solve_ivp(rhs, (nodes[a_i], nodes[b_i]), state, method="DOP853",

@@ -35,6 +35,18 @@ def test_planar_benchmark_context_construction():
     assert sol.m[0] == pytest.approx(-0.1 ** 2 / 3.0, abs=5e-3 * 0.01)
 
 
+@pytest.mark.parametrize("s", [0.05, 1e8 + 0.05])
+def test_auto_horizon_ends_a_whole_step_from_s(s):
+    """Without T the horizon is rounded up on the grid s + base_step k, so the
+    last cell is one base_step, not what is left of a step counted from 0."""
+    spec = IdeSpec(2, saddle_path(), (), quadratic_forcing(0.05))
+    ctx = ide_to_context(spec, s=s, tol=1e-10, base_step=0.1)
+    x = ctx.fund.nodes
+    assert x[-1] == ctx.T
+    # both ends of the cell are rounded at the size of T
+    assert abs((x[-1] - x[-2]) - 0.1) <= 2.0 * np.spacing(ctx.T)
+
+
 def test_context_default_grid_spans_ten_units_from_s():
     f = NonlinearitySpec("zero", {"n": 2}, rho=0.5)
     ctx = ide_to_context(IdeSpec(2, saddle_path(), (), f), s=1.0, T=41.0,
@@ -192,7 +204,7 @@ def test_context_meshes_contain_kernel_atoms():
     spec = MdeSpec(1, PiecewisePath.constant([[-1.0]]),
                    PiecewisePath.constant([[0.0]]), u, H)
     ctx = mde_to_context(spec, s=0.0, T=5.0)
-    assert ctx.fund.is_node(1.234)
+    assert ctx.fund.nodes[ctx.fund.node_index(1.234)] == 1.234
 
 
 def test_check_hypotheses_rejects_other_types():

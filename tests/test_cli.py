@@ -255,6 +255,18 @@ def test_linear_reference_time_must_lie_in_the_window(tmp_path, capsys, t0, code
         assert err["error"] == "config" and "t0" in err["message"]
 
 
+@pytest.mark.parametrize("base_step", [0, -0.1])
+def test_bad_base_step_is_config_error(tmp_path, capsys, base_step):
+    # 0 used to divide by zero; -0.1 solved on the window ends and kicks alone
+    cfg = json.loads(open(config_path("impulsive_saddle.json")).read())
+    cfg["solver"]["base_step"] = base_step
+    path = tmp_path / "step.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["manifold", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "config" and "base_step" in err["message"]
+
+
 def test_output_dir_applies_without_out_flag(tmp_path, capsys):
     cfg = json.loads(open(config_path("lacunary_integral.json")).read())
     cfg["output"]["dir"] = str(tmp_path / "from_config")

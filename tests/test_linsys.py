@@ -379,6 +379,6 @@ def _two_jumps(kinds, gap):
 def test_coincident_jumps_are_refused(kinds):
     # one mesh node would keep one factor: V(2, 0) = 3 instead of 6
     with pytest.raises(ValueError, match="coincide"):
-        _two_jumps(kinds, 1e-13)
+        FundamentalOperator(_two_jumps(kinds, 1e-13), (0.0, 3.0))
     op = FundamentalOperator(_two_jumps(kinds, 1e-6), (0.0, 3.0))
     assert op.value(2.0, 0.0)[0, 0] == pytest.approx(6.0, rel=1e-12)

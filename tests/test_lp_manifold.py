@@ -7,7 +7,7 @@ import pytest
 import kurzmani.lp_manifold as lpm
 from conftest import (SADDLE, coupled_context, impulsive_manifold_closed_form,
                       quadratic_forcing)
-from kurzmani.apps import IdeSpec, ide_to_context
+from kurzmani.apps import IdeSpec, MdeSpec, ide_to_context, mde_to_context
 from kurzmani.dichotomy import SplittingError, certify, projection_family
 from kurzmani.funcspace import PiecewisePath, StieltjesMeasure, norm
 from kurzmani.linsys import FundamentalOperator, LinearSystemSpec
@@ -116,7 +116,7 @@ def _loop_apply(z, zeta, s, ctx):
         lam = (sigma - x[k]) / (x[k + 1] - x[k])
         zq = (1.0 - lam)[:, None] * z.right_values[k] + lam[:, None] * z.values[k + 1]
         dens = nl.value(sigma, zq) * nl.measure.density.sample(sigma)[:, None]
-        w = nl.atom_weight(x[k])
+        w = ctx.atom_weights[j]
         atom = w * nl.value(x[k], z.values[k]) if w else np.zeros(n)
         K_s = np.stack([phi @ P_plus @ inv for inv in fund.cells.phi_sig_inv[j]])
         K_u = np.stack([J_inv @ (eye - P_plus) @ inv
@@ -186,32 +186,60 @@ def test_context_rejects_a_projection_family_that_lost_idempotency():
 
 
 def test_atom_times_match_relative_to_their_size():
-    u = StieltjesMeasure(PiecewisePath.constant(1.0), [(1e6, 0.3)],
-                         nondecreasing=True)
-    H = NonlinearitySpec("saturated_tanh", {"gain": [[0.2]]}, rho=1.0, measure=u)
-    assert H.atom_weight(np.nextafter(1e6, 2e6)) == 0.3
-    assert H.atom_weight(1e6 * (1.0 + 1e-6)) == 0.0
+    """An atom one ulp past the grid node 1e6 acts at that node; one 1e-6
+    relative away does not.  The context holds the weights per node."""
+    for t_atom, at_grid_node in ((np.nextafter(1e6, 2e6), 0.3),
+                                 (1e6 * (1.0 + 1e-6), 0.0)):
+        u = StieltjesMeasure(PiecewisePath.constant(1.0), [(t_atom, 0.3)],
+                             nondecreasing=True)
+        H = NonlinearitySpec("saturated_tanh", {"gain": [[0.2]]}, rho=1.0, measure=u)
+        spec = MdeSpec(1, PiecewisePath.constant([[-1.0]]),
+                       PiecewisePath.constant([[0.0]]), u, H)
+        ctx = mde_to_context(spec, s=1e6 - 1.0, T=1e6 + 3.0)
+        assert len(ctx.fund.nodes) == 41
+        assert ctx.atom_weights[ctx.fund.node_index(1e6)] == at_grid_node
+        assert ctx.atom_weights[ctx.fund.node_index(t_atom)] == 0.3
+        assert np.count_nonzero(ctx.atom_weights) == 1
 
 
-def shifted_kicked_context(s):
-    """The kicked saddle with 10 impulses at s + 0.3 + k on [s, s + 40]."""
-    impulses = tuple((s + 0.3 + k, np.diag([0.1, 0.0])) for k in range(10))
+def kicked_context(s, times):
+    """The kicked saddle with impulses at ``times`` on [s, s + 40]."""
+    impulses = tuple((t, np.diag([0.1, 0.0])) for t in times)
     spec = IdeSpec(2, PiecewisePath.constant(SADDLE), impulses,
                    quadratic_forcing(0.05))
     return ide_to_context(spec, s=s, T=s + 40.0, tol=1e-10,
                           grid=np.linspace(s, s + 10.0, 21))
 
 
-@pytest.mark.parametrize("s", [1e5, 1e7])
+def shifted_kicked_context(s):
+    """The kicked saddle with 10 impulses at s + 0.3 + k on [s, s + 40]."""
+    return kicked_context(s, [s + 0.3 + k for k in range(10)])
+
+
+@pytest.mark.parametrize("s", [1e5, 1e7, 1e8, 1e9, 1e10])
 def test_mesh_and_graph_value_hold_far_from_time_zero(s):
-    # absolute time matching left a sliver cell (1.5e-11 at 1e5, 1.9e-9 at
-    # 1e7) beside every impulse, where the grid and the impulse time differ
-    # by roundoff; the relative rule merges them into one node
+    # where the grid and an impulse time differ by roundoff they must share
+    # a node (an absolute radius leaves a sliver cell: 1.5e-11 at 1e5, 1.9e-9
+    # at 1e7); the grid must not drift with s (np.arange from s drifts by
+    # 2.4e-6 over the window at 1e8); and the radius must stay below the
+    # step (one relative to |t| alone merges grid nodes at 1e10)
     zeta = np.array([0.15, 0.0])
-    m0 = solve_lp(zeta, 0.0, shifted_kicked_context(0.0)).m
     ctx = shifted_kicked_context(s)
     assert len(ctx.fund.nodes) == 401
-    assert norm(solve_lp(zeta, s, ctx).m - m0) <= 1e-12
+    m = solve_lp(zeta, s, ctx).m
+    if s <= 1e8:
+        assert norm(m - solve_lp(zeta, 0.0, shifted_kicked_context(0.0)).m) <= 1e-12
+        return
+    # From 1e9 on the impulse times s + 0.3 + k round by up to 4.8e-8, so
+    # compare with the s = 0 problem at the same rounded offsets.  With a
+    # constant generator the cell products do not depend on where the grid
+    # nodes sit; what is left is the forcing quadrature, whose nodes and
+    # weights 0.5 (b - a) w come from absolute times: off by up to about
+    # 10 spacing(s) relative on a cell of 0.1.  The forcing makes all of m,
+    # so m moves by at most about 10 |m| spacing(s) (measured: 1e-4 of it).
+    offsets = [(s + 0.3 + k) - s for k in range(10)]   # exact differences
+    m0 = solve_lp(zeta, 0.0, kicked_context(0.0, offsets)).m
+    assert norm(m - m0) <= 10.0 * norm(m0) * np.spacing(s)
 
 
 def test_operator_rejects_zeta_off_the_stable_range(ctx_planar):
