@@ -336,6 +336,8 @@ class PiecewisePath:
         """Batch evaluation; a breakpoint time gets its left limit."""
         ts = np.asarray(ts, dtype=float)
         flat = np.atleast_1d(ts)
+        if not len(self.times):
+            return self.segments[0].eval(ts.ravel()).reshape(ts.shape + self.shape)
         out = np.empty(flat.shape + self.shape)
         idx = np.searchsorted(self.times, flat, side="left")
         for seg_i in np.unique(idx):

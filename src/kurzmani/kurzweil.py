@@ -3,7 +3,8 @@
 ``ks_integral_ref`` is the slow reference: it drives Riemann-type sums
 K(V, D) = sum_j [V(tag_j, t_j) - V(tag_j, t_{j-1})] through a sequence of
 divisions that halve a uniform fineness each round while forcing every known
-atom time to be the tag of a shrinking private cell.  ``stieltjes_integral``
+atom time to be the tag of a shrinking private cell; each round is one
+concatenate of array blocks and one batched sum.  ``stieltjes_integral``
 is the fast evaluator for the piecewise class: the density part in closed
 form, cell by cell, from the antiderivative of ``f * density``, plus explicit
 atom terms.  ``cross_check`` runs both on the same data and is the standing
@@ -90,32 +91,24 @@ def pinned_division(window, atoms, radius, step) -> TaggedDivision:
     """
     c, d = float(window[0]), float(window[1])
     atoms = sorted({t for t in atoms if c <= t <= d})
-    if atoms:
-        gaps = [b - a for a, b in zip(atoms, atoms[1:])]
-        limit = min([d - c] + gaps) / 4.0
-        radius = min(radius, limit) if limit > 0 else radius
-    pins = []
-    for t in atoms:
-        pins.append((max(c, t - radius), t, min(d, t + radius)))
-    nodes = [c]
-    tags = []
+    limit = min([d - c, *np.diff(atoms)]) / 4.0
+    radius = min(radius, limit) if limit > 0 else radius
+    nodes, tags = [np.array([c])], [np.empty(0)]
 
     def fill(a, b):
-        if b <= a:
-            return
-        ncells = max(1, int(math.ceil((b - a) / step)))
-        edges = np.linspace(a, b, ncells + 1)
-        nodes.extend(edges[1:])
-        tags.extend(0.5 * (edges[:-1] + edges[1:]))
+        if b > a:
+            edges = np.linspace(a, b, max(1, int(math.ceil((b - a) / step))) + 1)
+            nodes.append(edges[1:])
+            tags.append(0.5 * (edges[:-1] + edges[1:]))
 
     cursor = c
-    for lo, t, hi in pins:
-        fill(cursor, lo)
-        nodes.append(hi)
-        tags.append(t)
-        cursor = hi
+    for t in atoms:
+        fill(cursor, max(c, t - radius))
+        cursor = min(d, t + radius)
+        nodes.append(np.array([cursor]))
+        tags.append(np.array([t]))
     fill(cursor, d)
-    return TaggedDivision(np.array(nodes), np.array(tags))
+    return TaggedDivision(np.concatenate(nodes), np.concatenate(tags))
 
 
 def ks_integral_ref(V: PointIntervalFn, window, tol=1e-9) -> IntegralResult:
@@ -132,10 +125,9 @@ def ks_integral_ref(V: PointIntervalFn, window, tol=1e-9) -> IntegralResult:
         raise ValueError("tol must be positive")
     step = (d - c) / 8.0
     radius = step / 8.0
-    atoms = [t for t in V.atom_times if c <= t <= d]
     previous = None
     for k in range(_MAX_ROUNDS):
-        division = pinned_division((c, d), atoms, radius, step)
+        division = pinned_division((c, d), V.atom_times, radius, step)
         if len(division.tags) > _MAX_CELLS:
             raise IntegrationError("division grew past %d cells" % _MAX_CELLS,
                                    last_two=(previous, None))

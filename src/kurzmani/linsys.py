@@ -200,11 +200,12 @@ class FundamentalOperator:
     _STEP_FRAC base_step, covers the rounding of input times of that size
     and stays far below the grid step.  A time within it of the node before
     it shares that node, ``node_index`` resolves any time within it of a
-    node to that node, and two jumps on one node are refused.  The mesh is
-    held as stacked arrays: ``jumps`` and ``jump_invs`` (N, n, n) carry the
-    jump factor at each node (identity where nothing jumps, ``event_nodes``
-    indexes the others), and ``cells`` the propagators across each cell and
-    to its quadrature nodes, filled on first use.  All are read-only.
+    node to that node; two jumps on one node, or a chain of close times
+    wider than the radius, are refused.  The mesh is held as stacked arrays:
+    ``jumps`` and ``jump_invs`` (N, n, n) carry the jump factor at each node
+    (identity where nothing jumps, ``event_nodes`` indexes the others), and
+    ``cells`` the propagators across each cell and to its quadrature nodes,
+    filled on first use.  All are read-only.
     """
 
     def __init__(self, spec: LinearSystemSpec, window, base_step=0.1):
@@ -227,7 +228,12 @@ class FundamentalOperator:
             [spec.t0, *(t for t, _ in events), *spec.generator_breakpoints()]])
         inner = np.sort(inner[(inner > lo + r) & (inner < hi - r)])
         nodes = np.concatenate([[lo], inner, [hi]])
-        self.nodes = nodes[np.concatenate([[True], np.diff(nodes) > r])]
+        keep = np.concatenate([[True], np.diff(nodes) > r])
+        self.nodes = nodes[keep]
+        head = self.nodes[np.cumsum(keep) - 1]      # the node each time joins
+        for i in np.flatnonzero(nodes - head > r):   # node_index would miss i
+            raise ValueError("times %r and %r chain into one node wider than "
+                             "the match radius %g" % (float(head[i]), float(nodes[i]), r))
         self._times = self.nodes.tolist()   # Python floats for scalar steps
         self._index = {t: i for i, t in enumerate(self._times)}
         self.event_nodes = self.node_index([t for t, _ in events])

@@ -130,3 +130,56 @@ def test_preset_derivative_antiderivative_roundtrip():
     wc = Segment.preset("wcos", 1.0, (0.5, 3.0, 5))
     np.testing.assert_allclose(wc.antiderivative().derivative().eval(ts),
                                wc.eval(ts), atol=1e-12)
+
+
+
+# paths whose segments evaluate elementwise (constants and the exp/sin/cos
+# presets), with and without breakpoints, scalar and matrix valued
+SAMPLE_PATHS = {
+    "preset_scalar": PiecewisePath.preset("exp", 1.5, (0.7,)),
+    "preset_matrix": PiecewisePath.preset("sin", [[1.0, -2.0], [0.5, 3.0]], (2.5, 0.3)),
+    "steps_scalar": PiecewisePath.from_segments(
+        [0.25, 0.6], [Segment.preset("cos", 2.0, (1.3, -0.4)), -0.5,
+                      Segment.preset("exp", 1.5, (0.7,))]),
+    "steps_matrix": PiecewisePath.step(0.4, [[1.0, 0.0], [0.2, -1.0]],
+                                       base=[[0.0, 1.0], [1.0, 0.0]]),
+}
+POLY_PATHS = {
+    "poly_scalar": [0.3, -1.2, 0.7],
+    "poly_matrix": [np.eye(2), [[0.1, -1.3], [2.2, 0.4]], [[0.7, 0.0], [-0.9, 1.1]]],
+}
+SAMPLE_TIMES = {
+    "0d": np.float64(0.4),
+    "1d": np.linspace(-0.5, 1.5, 17),
+    "2d": np.array([[0.25, 0.6, 0.1, 0.3, 0.9], [0.4, 1.3, -0.2, 0.7, 0.5]]),
+    "unsorted": np.array([0.9, 0.25, -1.0, 0.6, 0.4, 0.4, 0.05, 1.2, 0.6]),
+}
+
+
+@pytest.mark.parametrize("ts", SAMPLE_TIMES.values(), ids=SAMPLE_TIMES.keys())
+@pytest.mark.parametrize("path", SAMPLE_PATHS.values(), ids=SAMPLE_PATHS.keys())
+def test_sample_equals_pointwise_call_exactly(path, ts):
+    """Batch sampling is the per-point value bit for bit (the left limit at
+    a breakpoint), in the shape ``ts.shape + path.shape``."""
+    got = path.sample(ts)
+    assert got.shape == np.shape(ts) + path.shape
+    want = np.array([path(t) for t in np.ravel(ts)]).reshape(got.shape)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("ts", SAMPLE_TIMES.values(), ids=SAMPLE_TIMES.keys())
+@pytest.mark.parametrize("coeffs", POLY_PATHS.values(), ids=POLY_PATHS.keys())
+def test_sample_without_breakpoints_equals_the_grouped_sample(coeffs, ts):
+    """A path without breakpoints is evaluated in one call; it equals the
+    segment grouping bit for bit (the same segment on both sides of a
+    breakpoint no time reaches).  A polynomial's batch value is a BLAS
+    product whose kernel depends on the batch length, so against the
+    one-point ``path(t)`` it agrees to a few ulps, not bit for bit."""
+    path = PiecewisePath.polynomial(coeffs)
+    seg = path.segments[0]
+    grouped = PiecewisePath([seg, seg], [1e3]).sample(ts)
+    got = path.sample(ts)
+    assert got.shape == np.shape(ts) + path.shape
+    assert np.array_equal(got, grouped)
+    want = np.array([path(t) for t in np.ravel(ts)]).reshape(got.shape)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)

@@ -13,7 +13,7 @@ from conftest import lebesgue
 from kurzmani import kurzweil
 from kurzmani.cli import main
 from kurzmani.funcspace import (PiecewisePath, QuadratureError, Segment,
-                                StieltjesMeasure)
+                                StieltjesMeasure, TaggedDivision)
 from kurzmani.kurzweil import (IntegrationError, PointIntervalFn, cross_check,
                                ks_integral_ref, pinned_division,
                                stieltjes_integral)
@@ -310,6 +310,49 @@ def test_pinned_division_matches_the_cell_loop(window, atoms, radius, step):
     nodes, tags = pinned_division_by_cell_loop(window, atoms, radius, step)
     assert np.array_equal(div.nodes, nodes)
     assert np.array_equal(div.tags, tags)
+
+
+# (integrand coefficients, density coefficients, atoms): every integrand
+# size and atom count of acceptance test 01, the density size alternating
+CASE_SHAPES = [(n_f, 1 + (n_f + n_atoms) % 2, n_atoms)
+               for n_f in (1, 2, 3) for n_atoms in (0, 1, 2, 3)]
+
+
+def _shape_cases(seed):
+    rng = np.random.default_rng(seed)
+    cases = []
+    for n_f, n_density, n_atoms in CASE_SHAPES:
+        f = PiecewisePath.polynomial(rng.normal(size=n_f))
+        density = PiecewisePath.polynomial(rng.normal(size=n_density))
+        times = np.sort(rng.uniform(0.05, 0.95, size=n_atoms))
+        cases.append((f, StieltjesMeasure(density, [(float(t), float(rng.normal()))
+                                                    for t in times])))
+    return cases
+
+
+def _reference_outputs(cases):
+    out = []
+    for f, mu in cases:
+        for m in (mu, None):
+            rep = cross_check(f, m, (0.0, 1.0), tol=1e-6)
+            out.append((rep.fast_value, rep.reference.value,
+                        rep.reference.achieved_tolerance,
+                        rep.reference.refinement_rounds, rep.difference))
+    return out
+
+
+def test_reference_is_bit_identical_to_the_cell_loop_division(monkeypatch):
+    """The gauge reference built from array blocks gives the values, achieved
+    tolerances and round counts of the per-cell loop division exactly."""
+    cases = _shape_cases(7)
+    fast = _reference_outputs(cases)
+    monkeypatch.setattr(kurzweil, "pinned_division", lambda *args: TaggedDivision(
+        *pinned_division_by_cell_loop(*args)))
+    loop = _reference_outputs(cases)
+    assert len(fast) == 2 * len(CASE_SHAPES)
+    for got, want in zip(fast, loop):
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 def test_cross_check_on_polynomials_leaves_scipy_integrate_unloaded():

@@ -1,12 +1,14 @@
-"""Static guards on ``lp_manifold``: the oracles stay off the fast kernels,
-and the fast operator has no Python loop over mesh cells.
+"""Static guards: the oracles stay off the fast evaluators they check, and
+the fast operator has no Python loop over mesh cells.
 
 The reference apply, the escape classifier and the bisection oracle certify
-the fast operator only while they share none of its machinery.  This walks
-the module with ``ast``: a function is tainted when it calls ``kernels``,
-``_build_kernels`` or a scan helper, reads a ``_Kernels`` field as an
-attribute, or calls a tainted function of the module.  The oracles must stay
-untainted.
+the fast operator only while they share none of its machinery; the gauge
+reference (``ks_integral_ref``, its divisions and integrands) certifies
+``stieltjes_integral`` on the same terms.  This walks a module with ``ast``:
+a function is tainted when it calls a forbidden name (in ``lp_manifold``:
+``kernels``, ``_build_kernels`` or a scan helper), reads a forbidden field
+as an attribute (a ``_Kernels`` field), or calls a tainted function of the
+module.  The oracles must stay untainted.
 """
 
 import ast
@@ -50,8 +52,9 @@ def _reads_field(fn, fields):
                and n.attr in fields for n in ast.walk(fn))
 
 
-def tainted(source, fields):
-    """Names of the module's functions that reach the fast kernels.
+def tainted(source, fields, forbidden=FORBIDDEN_CALLS):
+    """Names of the module's functions that call a ``forbidden`` name or
+    read one of ``fields``, directly or through another of its functions.
 
     Methods are matched by name alone, so a name shared by several
     definitions is tainted when any of them is.
@@ -59,7 +62,7 @@ def tainted(source, fields):
     funcs = _functions(ast.parse(source))
     calls = {name: set().union(*map(_called, defs)) for name, defs in funcs.items()}
     bad = {name for name, defs in funcs.items()
-           if calls[name] & FORBIDDEN_CALLS
+           if calls[name] & forbidden
            or any(_reads_field(fn, fields) for fn in defs)}
     grew = True
     while grew:
@@ -83,6 +86,20 @@ def test_oracles_never_touch_the_fast_kernels():
     funcs = _functions(ast.parse(source))
     assert set(ORACLES) <= set(funcs)
     assert not set(ORACLES) & tainted(source, _Kernels._fields)
+
+
+def test_gauge_reference_never_reaches_the_fast_stieltjes_split():
+    """``ks_integral_ref``, ``pinned_division`` and the methods of
+    ``PointIntervalFn`` (its batch closures included) stay untainted."""
+    source = (SRC / "kurzweil.py").read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    (cls,) = [n for n in tree.body
+              if isinstance(n, ast.ClassDef) and n.name == "PointIntervalFn"]
+    oracles = {"ks_integral_ref", "pinned_division", *_functions(cls)}
+    assert oracles <= set(_functions(tree))
+    bad = tainted(source, (), forbidden={"stieltjes_integral"})
+    assert "cross_check" in bad      # the guard sees the fast side's caller
+    assert not oracles & bad
 
 
 def test_mesh_store_names_stay_off_the_kernel_fields():
