@@ -187,9 +187,11 @@ class Segment:
         ts = np.asarray(ts, dtype=float)
         scalar_in = ts.ndim == 0
         ts = np.atleast_1d(ts)
-        k = self.coeffs.shape[0]
-        powers = np.vander(ts, N=k, increasing=True)
-        out = np.dot(powers, self.coeffs.reshape(k, -1)).reshape(ts.shape + self.shape)
+        # elementwise Horner: a time's value has the same bits in any batch
+        t = ts.reshape(ts.shape + (1,) * len(self.shape))
+        out = np.full(ts.shape + self.shape, self.coeffs[-1])
+        for c in self.coeffs[-2::-1]:
+            out = out * t + c
         for term in self.terms:
             out = out + term.eval(ts)
         return out[0] if scalar_in else out

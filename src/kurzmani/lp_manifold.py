@@ -84,7 +84,9 @@ class SolveError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# nonlinearity registry
+# nonlinearity registry: each function reduces a contiguous (N, n) block of
+# states with elementwise einsum loops, never a BLAS kernel (whose blocking
+# depends on N), so a point's value has the same bits in any batch
 # ---------------------------------------------------------------------------
 
 class _Quadratic:
@@ -95,7 +97,9 @@ class _Quadratic:
         self.n = self.mats.shape[0]
 
     def __call__(self, z):
-        return np.einsum("...i,kij,...j->...k", z, self.mats, z)
+        flat = np.ascontiguousarray(z).reshape(-1, z.shape[-1])
+        w = np.einsum("kij,Nj->Nki", self.mats, flat)
+        return np.einsum("Ni,Nki->Nk", flat, w).reshape(z.shape)
 
     def sup_bound(self, r):
         return r * r * math.sqrt(sum(norm(Q) ** 2 for Q in self.mats))
@@ -112,8 +116,8 @@ class _Cubic:
         self.n = self.coef.shape[0]
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=float)
-        return np.einsum("ij,...j->...i", self.coef, z ** 3)
+        flat = np.ascontiguousarray(z).reshape(-1, z.shape[-1])
+        return np.einsum("ij,Nj->Ni", self.coef, flat ** 3).reshape(z.shape)
 
     def sup_bound(self, r):
         return norm(self.coef) * r ** 3
@@ -130,8 +134,8 @@ class _SaturatedTanh:
         self.n = self.gain.shape[0]
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=float)
-        return np.einsum("ij,...j->...i", self.gain, np.tanh(z))
+        flat = np.ascontiguousarray(z).reshape(-1, z.shape[-1])
+        return np.einsum("ij,Nj->Ni", self.gain, np.tanh(flat)).reshape(z.shape)
 
     def sup_bound(self, r):
         n = self.gain.shape[1]
@@ -205,11 +209,14 @@ class NonlinearitySpec:
             raise ValueError("registry nonlinearity must vanish at z = 0")
 
     def value(self, t, z):
-        """Cutoff nonlinearity; broadcasts over leading axes of z."""
+        """Cutoff nonlinearity; broadcasts over leading axes of z.  psi is
+        exactly 1 on |z| <= rho: a batch inside that ball skips the multiply."""
         z = np.asarray(z, dtype=float)
-        psi = _smooth_cutoff(np.linalg.norm(z, axis=-1), self.rho)
-        return self._raw(z) * psi[..., None] if z.ndim > 1 else \
-            float(psi) * self._raw(z)
+        r, f = np.linalg.norm(z, axis=-1), self._raw(z)
+        if np.max(r, initial=0.0) <= self.rho:
+            return f
+        psi = _smooth_cutoff(r, self.rho)
+        return f * psi[..., None] if z.ndim > 1 else float(psi) * f
 
     def v_h(self, window):
         """Variation of the accumulation modulus h over the window."""
@@ -506,29 +513,29 @@ def _check_zeta(zeta, P_s):
     return zeta
 
 
-def _columns(fn, t, z):
-    """``fn(t, z)`` for states stored along axis -2, samples along -1."""
-    return np.moveaxis(fn(t, np.moveaxis(z, -1, -2)), -1, -2)
-
-
 def _forcing(ctx, kern: _Kernels, values, rights, x):
     """Nonlinearity terms of a batch of paths on the mesh ``x``.
 
     ``values`` and ``rights`` are (M+1, n, S) left values and right limits.
-    Returns f, the (M, Q n, S) weighted density at every quadrature state (z
-    runs linearly from its right value at x_k to its left value at x_{k+1}),
-    the cells ``at`` that carry an atom, and the atom terms per node (zero
-    away from ``at`` and at the last node).
+    The quadrature states (z runs linearly from its right value at x_k to
+    its left value at x_{k+1}) form one contiguous (M, Q, S, n) block,
+    states last as the registry functions take them.  Returns f, the
+    (M, Q n, S) weighted density in the q-block layout of ``K_stable``, the
+    cells ``at`` that carry an atom, and the atom terms per node (zero away
+    from ``at`` and at the last node).
     """
     lam = kern.lam[..., None, None]
-    zq = (1.0 - lam) * rights[:-1, None] + lam * values[1:, None]
-    f = _columns(ctx.nonlin.value, kern.sigma, zq) * kern.wq[..., None, None]
+    zq = np.multiply(1.0 - lam, rights[:-1, None].swapaxes(-1, -2), order="C")
+    zq += lam * values[1:, None].swapaxes(-1, -2)
+    f = ctx.nonlin.value(kern.sigma, zq)
+    f *= kern.wq[..., None, None]
+    M, Q, S, n = f.shape
     at = np.flatnonzero(kern.atom_w)
     atoms = np.zeros(values.shape)
-    atoms[at] = kern.atom_w[at, None, None] * _columns(ctx.nonlin.value, x[at],
-                                                       values[at])
-    M, Q, n, S = f.shape
-    return f.reshape(M, Q * n, S), at, atoms
+    if at.size:
+        atoms[at] = kern.atom_w[at, None, None] * ctx.nonlin.value(
+            x[at], values[at].swapaxes(-1, -2)).swapaxes(-1, -2)
+    return f.swapaxes(-1, -2).reshape(M, Q * n, S), at, atoms
 
 
 def _fast_apply(ctx, kern: _Kernels, x, values, rights, zetas):
@@ -540,8 +547,9 @@ def _fast_apply(ctx, kern: _Kernels, x, values, rights, zetas):
     f, at, atoms = _forcing(ctx, kern, values, rights, x)
     c1 = _mv(kern.K_stable, f)
     c2 = _mv(kern.K_unstable, f)
-    c1[at] += _mv(kern.atom_s[at], atoms[at])
-    c2[at] += _mv(kern.atom_u[at], atoms[at])
+    if at.size:
+        c1[at] += _mv(kern.atom_s[at], atoms[at])
+        c2[at] += _mv(kern.atom_u[at], atoms[at])
     # y = V(t, s) zeta + stable integral up to t, minus the unstable one to T
     vals = _stable_sweep(kern, zetas, c1)
     vals[:-1] -= _scan(kern.G_scan, c2, forward=False)

@@ -134,7 +134,8 @@ def test_preset_derivative_antiderivative_roundtrip():
 
 
 # paths whose segments evaluate elementwise (constants and the exp/sin/cos
-# presets), with and without breakpoints, scalar and matrix valued
+# presets; the wcos/wsin sums reduce through ``tensordot``), with and
+# without breakpoints, scalar and matrix valued; polynomials are below
 SAMPLE_PATHS = {
     "preset_scalar": PiecewisePath.preset("exp", 1.5, (0.7,)),
     "preset_matrix": PiecewisePath.preset("sin", [[1.0, -2.0], [0.5, 3.0]], (2.5, 0.3)),
@@ -172,9 +173,8 @@ def test_sample_equals_pointwise_call_exactly(path, ts):
 def test_sample_without_breakpoints_equals_the_grouped_sample(coeffs, ts):
     """A path without breakpoints is evaluated in one call; it equals the
     segment grouping bit for bit (the same segment on both sides of a
-    breakpoint no time reaches).  A polynomial's batch value is a BLAS
-    product whose kernel depends on the batch length, so against the
-    one-point ``path(t)`` it agrees to a few ulps, not bit for bit."""
+    breakpoint no time reaches) and the one-point ``path(t)``: a segment
+    evaluates its polynomial elementwise, so no batch length moves a bit."""
     path = PiecewisePath.polynomial(coeffs)
     seg = path.segments[0]
     grouped = PiecewisePath([seg, seg], [1e3]).sample(ts)
@@ -182,4 +182,4 @@ def test_sample_without_breakpoints_equals_the_grouped_sample(coeffs, ts):
     assert got.shape == np.shape(ts) + path.shape
     assert np.array_equal(got, grouped)
     want = np.array([path(t) for t in np.ravel(ts)]).reshape(got.shape)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    assert np.array_equal(got, want)

@@ -1,9 +1,10 @@
 """Static guards: every module-level import in the package is used, every
 definition is reached by the package or the benchmark, every defaulted
 parameter is set by some call in the package or the benchmark (a value only
-a test sets is a module constant the test patches), and only ``funcspace``
+a test sets is a module constant the test patches), only ``funcspace``
 calls scipy's ``quad`` (so every adaptive quadrature goes through its error
-check).
+check), and the registry nonlinearities and ``Segment.eval`` take no BLAS
+product (so a point's value never depends on its batch).
 
 No linter ships with the test environment, so these walk the source with
 ``ast``.  ``__init__.py`` is skipped by the import guard (its imports are the
@@ -240,3 +241,70 @@ def test_only_funcspace_calls_scipy_quad():
     calls = {p.name: scipy_quad_calls(p.read_text(encoding="utf-8"))
              for p in MODULES if p.name != "funcspace.py"}
     assert {name: lines for name, lines in calls.items() if lines} == {}
+
+
+# calls that reach a BLAS kernel (or, for ``vander``, feed one)
+BLAS_CALLS = ("dot", "matmul", "tensordot", "inner", "vander")
+
+
+def blas_products(source, targets):
+    """Lines that take ``@`` or call one of ``BLAS_CALLS`` inside the
+    functions ``targets`` names as (class or None, function), and inside
+    the module-level functions they call by name."""
+    tree = ast.parse(source)
+    funcs = {(None, n.name): n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    funcs.update(((c.name, f.name), f) for c in tree.body if isinstance(c, ast.ClassDef)
+                 for f in c.body if isinstance(f, ast.FunctionDef))
+    missing = [t for t in targets if t not in funcs]
+    if missing:
+        raise KeyError("no function %r in the source" % (missing,))
+    todo, seen, lines = list(targets), set(), set()
+    while todo:
+        key = todo.pop()
+        if key in seen or key not in funcs:
+            continue
+        seen.add(key)
+        for node in ast.walk(funcs[key]):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) \
+                    and isinstance(node.op, ast.MatMult):
+                lines.add(node.lineno)
+            elif isinstance(node, ast.Call):
+                f = node.func
+                if (getattr(f, "id", None) or getattr(f, "attr", None)) in BLAS_CALLS:
+                    lines.add(node.lineno)
+                elif isinstance(f, ast.Name):
+                    todo.append((None, f.id))
+    return sorted(lines)
+
+
+def registry_classes(source):
+    """Classes the module-level ``REGISTRY`` mapping constructs."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "REGISTRY" for t in node.targets):
+            return sorted({c.func.id for c in ast.walk(node.value)
+                           if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)})
+    return []
+
+
+def test_guard_flags_a_blas_product():
+    src = ("import numpy as np\n"
+           "def helper(a):\n    return np.dot(a, a)\n\n"
+           "class F:\n    def __call__(self, z):\n        w = z @ z\n"
+           "        return helper(np.vander(w))\n\n"
+           "    def other(self, z):\n        return np.matmul(z, z)\n")
+    assert blas_products(src, [("F", "__call__")]) == [3, 7, 8]
+    assert blas_products(src, [("F", "other")]) == [11]
+    with pytest.raises(KeyError):
+        blas_products(src, [("F", "eval")])
+    reg = "REGISTRY = {'a': lambda p: _A(p['x']), 'b': lambda p: _B(p.get('n'))}\n"
+    assert registry_classes(reg) == ["_A", "_B"]
+
+
+def test_registry_calls_and_segment_eval_take_no_blas_product():
+    lpm = (SRC / "lp_manifold.py").read_text(encoding="utf-8")
+    classes = registry_classes(lpm)
+    assert classes == ["_Cubic", "_Quadratic", "_SaturatedTanh", "_Zero"]
+    assert blas_products(lpm, [(c, "__call__") for c in classes]) == []
+    funcspace = (SRC / "funcspace.py").read_text(encoding="utf-8")
+    assert blas_products(funcspace, [("Segment", "eval")]) == []

@@ -12,7 +12,7 @@ from kurzmani.dichotomy import SplittingError, certify, projection_family
 from kurzmani.funcspace import PiecewisePath, StieltjesMeasure, norm
 from kurzmani.linsys import FundamentalOperator, LinearSystemSpec
 from kurzmani.lp_manifold import (LPContext, NonlinearitySpec, SolutionPath,
-                                  _reference_apply,
+                                  _fast_apply, _reference_apply,
                                   bisect_manifold_oracle, classify_initial,
                                   contraction_bound, contraction_estimate,
                                   fixed_point_residual, flow_residual,
@@ -30,6 +30,92 @@ def test_registry_nonlinearities_vanish_at_zero():
     ]
     for spec in specs:
         assert np.allclose(spec.value(0.0, np.zeros(2)), 0.0)
+
+
+_RNG = np.random.default_rng(18)
+REGISTRY_SPECS = {
+    **{"quadratic_n%d" % n: NonlinearitySpec(
+        "quadratic", {"mats": _RNG.standard_normal((n, n, n))}, rho=0.5)
+       for n in (1, 2, 3)},
+    "cubic": NonlinearitySpec("cubic", {"coef": _RNG.standard_normal((3, 3))},
+                              rho=0.5),
+    "saturated_tanh": NonlinearitySpec(
+        "saturated_tanh", {"gain": _RNG.standard_normal((2, 2))}, rho=0.5),
+    "zero": NonlinearitySpec("zero", {"n": 3}, rho=0.5),
+}
+# |z| ranges in units of rho: inside the ball, across rho and 2 rho, outside
+RADII = {"inside": (0.0, 1.0), "straddle": (0.0, 3.0), "outside": (2.0, 4.0)}
+
+
+def _shell(rng, shape, n, radii):
+    d = rng.standard_normal(shape + (n,))
+    d /= np.linalg.norm(d, axis=-1, keepdims=True)
+    return d * rng.uniform(*radii, size=shape)[..., None]
+
+
+@pytest.mark.parametrize("radii", RADII.values(), ids=RADII.keys())
+@pytest.mark.parametrize("spec", REGISTRY_SPECS.values(), ids=REGISTRY_SPECS.keys())
+def test_registry_batch_equals_per_point_values(spec, radii):
+    """A (400, 3, 1, n) quadrature-shaped batch, and batches of other
+    lengths, give every point the bits of its own one-point value, and of
+    f(z) psi(|z|) with the cutoff always multiplied in."""
+    n = spec._raw.n
+    rng = np.random.default_rng(7)
+    for shape in ((400, 3, 1), (1,), (2,), (5,), (17,)):
+        z = _shell(rng, shape, n, tuple(spec.rho * r for r in radii))
+        got = spec.value(0.0, z)
+        assert got.shape == z.shape
+        psi = lpm._smooth_cutoff(np.linalg.norm(z, axis=-1), spec.rho)
+        assert np.array_equal(got, spec._raw(z) * psi[..., None])
+        want = np.array([spec.value(0.0, p) for p in z.reshape(-1, n)])
+        assert np.array_equal(got, want.reshape(z.shape))
+
+
+@pytest.mark.parametrize("registry_id, params", [
+    ("quadratic", {"mats": [np.eye(1)]}), ("cubic", {"coef": [[1.0]]}),
+    ("saturated_tanh", {"gain": [[0.2]]}),
+])
+def test_nonlinearity_of_another_dimension_is_refused(registry_id, params):
+    """A one-dimensional forcing on planar states raises; it must not be
+    read as twice as many one-dimensional states."""
+    spec = NonlinearitySpec(registry_id, params, rho=0.5)
+    with pytest.raises(ValueError):
+        spec.value(0.0, np.full((4, 3, 1, 2), 0.1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_quadratic_agrees_with_the_three_operand_form(n):
+    """Q z then z.w agrees with sum_ij z_i Q_kij z_j to 1e-15 of the sum of
+    the absolute terms (the value itself may cancel)."""
+    spec = REGISTRY_SPECS["quadratic_n%d" % n]
+    mats = spec._raw.mats
+    z = _shell(np.random.default_rng(8), (1200,), n, (0.0, 3.0))
+    old = np.einsum("...i,kij,...j->...k", z, mats, z)
+    scale = np.einsum("...i,kij,...j->...k", abs(z), abs(mats), abs(z))
+    assert np.all(np.abs(spec._raw(z) - old) <= 1e-15 * scale)
+
+
+@pytest.mark.parametrize("name", ["ctx_planar", "ctx_impulsive", "ctx_scalar_mde"])
+def test_batch_apply_equals_its_columns(request, name):
+    """An S = 3 application agrees with three S = 1 applications column by
+    column.  The columns' |z| reach past rho, so the batch takes the cutoff
+    multiply where a lone column may skip it; the scalar MDE adds its atom."""
+    ctx = request.getfixturevalue(name)
+    idx = ctx.span(0.0)
+    x, kern = ctx.fund.nodes[idx], ctx.kernels(idx[0])
+    Bs, _ = splitting_bases(ctx.P(idx[0]))
+    zetas = [Bs @ np.array([c]) for c in (0.1, -0.3, 0.7)]
+    paths = [lp_operator_apply(ctx.initial_path(z, 0.0), z, 0.0, ctx)
+             for z in zetas]
+    vals = np.stack([p.values for p in paths], axis=-1)
+    rights = np.stack([p.right_values for p in paths], axis=-1)
+    zs = np.stack(zetas, axis=-1)
+    batch = _fast_apply(ctx, kern, x, vals, rights, zs)
+    for j in range(3):
+        col = _fast_apply(ctx, kern, x, vals[..., j:j + 1], rights[..., j:j + 1],
+                          zs[:, j:j + 1])
+        for b, c in zip(batch, col):
+            assert float(np.max(np.abs(b[..., j:j + 1] - c))) <= 1e-15
 
 
 def test_projection_family_on_a_mesh_that_starts_before_t0():
