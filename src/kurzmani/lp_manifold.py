@@ -213,7 +213,7 @@ class NonlinearitySpec:
         exactly 1 on |z| <= rho: a batch inside that ball skips the multiply."""
         z = np.asarray(z, dtype=float)
         r, f = np.linalg.norm(z, axis=-1), self._raw(z)
-        if np.max(r, initial=0.0) <= self.rho:
+        if r.max(initial=0.0) <= self.rho:
             return f
         psi = _smooth_cutoff(r, self.rho)
         return f * psi[..., None] if z.ndim > 1 else float(psi) * f

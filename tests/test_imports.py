@@ -3,8 +3,11 @@ definition is reached by the package or the benchmark, every defaulted
 parameter is set by some call in the package or the benchmark (a value only
 a test sets is a module constant the test patches), only ``funcspace``
 calls scipy's ``quad`` (so every adaptive quadrature goes through its error
-check), and the registry nonlinearities and ``Segment.eval`` take no BLAS
-product (so a point's value never depends on its batch).
+check), and the registry nonlinearities and the polynomial part of
+``Segment.eval`` take no BLAS product (so a point's value there never
+depends on its batch).  The guard follows calls by bare name only, so it
+does not reach ``PresetTerm._scalar`` through ``term.eval``: that function
+still sums the lacunary ``wcos``/``wsin`` families with ``np.tensordot``.
 
 No linter ships with the test environment, so these walk the source with
 ``ast``.  ``__init__.py`` is skipped by the import guard (its imports are the
@@ -306,5 +309,7 @@ def test_registry_calls_and_segment_eval_take_no_blas_product():
     classes = registry_classes(lpm)
     assert classes == ["_Cubic", "_Quadratic", "_SaturatedTanh", "_Zero"]
     assert blas_products(lpm, [(c, "__call__") for c in classes]) == []
+    # Segment.eval's own body: its polynomial part (its preset terms are
+    # method calls, which the guard does not follow)
     funcspace = (SRC / "funcspace.py").read_text(encoding="utf-8")
     assert blas_products(funcspace, [("Segment", "eval")]) == []
