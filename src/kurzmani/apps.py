@@ -57,6 +57,7 @@ class IdeSpec:
         if self.f.measure is not LEBESGUE:
             raise ValueError("IdeSpec forcing integrates against dt: give its "
                              "nonlinearity no measure")
+        self.f.require_dimension(self.n)
         object.__setattr__(self, "impulses",
                            tuple((float(t), np.asarray(B, dtype=float))
                                  for t, B in self.impulses))
@@ -86,6 +87,7 @@ class MdeSpec:
     def __post_init__(self):
         if self.H.measure is not self.u:
             raise ValueError("the kernel nonlinearity must be driven by spec.u")
+        self.H.require_dimension(self.n)
 
     @property
     def nonlin(self):

@@ -46,17 +46,6 @@ class SplittingError(ValueError):
     """No admissible hyperbolic splitting."""
 
 
-def _oblique_projector(stable_basis, unstable_basis):
-    m = np.hstack([stable_basis, unstable_basis])
-    k = stable_basis.shape[1]
-    n = m.shape[0]
-    if m.shape[1] != n:
-        raise SplittingError("stable and unstable bases do not span the space")
-    sel = np.zeros((n, n))
-    sel[:k, :k] = np.eye(k)
-    return m @ sel @ np.linalg.inv(m)
-
-
 def _sign_split(x, k, how):
     """P = (Id - sign(x)) / 2 for ``x`` with ``k`` eigenvalues left of the
     imaginary axis and none on it; an empty side gives exact 0 or Id.
@@ -136,12 +125,12 @@ def spectral_projection(spec: LinearSystemSpec, P0=None):
             k = int(np.sum(eig.real < 0))
             return _sign_split(gen, k, "autonomous"), "autonomous"
         times = [t for t, _ in events]
-        kick = events[0][1]
+        kicks = np.array([J for _, J in events])
         period = times[1] - times[0] if len(times) > 1 else None
         if period is not None and np.allclose(np.diff(times), period, atol=1e-9) \
-                and all(np.allclose(J, kick, atol=1e-12) for _, J in events):
+                and np.allclose(kicks, kicks[0], rtol=0.0, atol=1e-12):
             gen = spec.generator(times[0] + 0.5 * period)
-            mono = kick @ expm(gen * period)
+            mono = kicks[0] @ expm(gen * period)
             lam = np.linalg.eigvals(mono)
             if np.any(np.abs(np.abs(lam) - 1.0) <= _IMAG_MARGIN):
                 raise SplittingError("monodromy eigenvalue within %g of the unit circle"
@@ -160,10 +149,30 @@ def spectral_projection(spec: LinearSystemSpec, P0=None):
     if k == n:
         return np.eye(n), "svd"
     stable = vt[n - k:, :].T
-    bwd = op.value(t0, t0 - _SVD_HORIZON)
-    u_l, sv_b, _ = np.linalg.svd(bwd)
-    unstable = u_l[:, :n - k]
-    return _oblique_projector(stable, unstable), "svd"
+    u_l, _, _ = np.linalg.svd(op.value(t0, t0 - _SVD_HORIZON))
+    # projection onto the stable columns along the unstable ones
+    return stable @ np.linalg.inv(np.hstack([stable, u_l[:, :n - k]]))[:k], "svd"
+
+
+def _family_and_steps(op, P0, times):
+    """``projection_family`` and the steps it conjugates by, each formed once:
+    for the sorted times x, the lists ``fwd[i]`` = V(x_{i+1}, x_i) and
+    ``bwd[i]`` = V(x_i, x_{i+1})."""
+    order = np.argsort(times)
+    x = np.asarray(times, dtype=float)[order]
+    fwd = [op.value(b, a) for a, b in zip(x[:-1], x[1:])]
+    bwd = [op.value(a, b) for a, b in zip(x[:-1], x[1:])]
+    t0, out = op.spec.t0, np.empty((len(x), op.n, op.n))
+    i0 = int(np.searchsorted(x, t0))
+
+    def from_t0(t):
+        return op.value(t, t0) @ P0 @ op.value(t0, t)
+
+    for i in range(i0, len(x)):
+        out[i] = P = from_t0(x[i]) if i == i0 else fwd[i - 1] @ P @ bwd[i - 1]
+    for i in range(i0 - 1, -1, -1):
+        out[i] = P = from_t0(x[i]) if i == i0 - 1 else bwd[i] @ P @ fwd[i]
+    return out[np.argsort(order)], fwd, bwd
 
 
 def projection_family(op: FundamentalOperator, P0, times):
@@ -176,29 +185,7 @@ def projection_family(op: FundamentalOperator, P0, times):
     operator window, mesh nodes or not: the same family serves the
     certification grid and the solver mesh of ``LPContext``.
     """
-    times = np.asarray(times, dtype=float)
-    order = np.argsort(times)
-    P_t0 = np.asarray(P0, dtype=float)
-    t0 = op.spec.t0
-    out = np.empty((len(times), op.n, op.n))
-    sorted_times = times[order]
-    i_anchor = int(np.searchsorted(sorted_times, t0))
-
-    def step(P, a, b):
-        return op.value(b, a) @ P @ op.value(a, b)
-
-    current = step(P_t0, t0, sorted_times[i_anchor]) if i_anchor < len(sorted_times) else None
-    for idx in range(i_anchor, len(sorted_times)):
-        if idx > i_anchor:
-            current = step(current, sorted_times[idx - 1], sorted_times[idx])
-        out[order[idx]] = current
-    if i_anchor > 0:
-        current = step(P_t0, t0, sorted_times[i_anchor - 1])
-        for idx in range(i_anchor - 1, -1, -1):
-            if idx < i_anchor - 1:
-                current = step(current, sorted_times[idx + 1], sorted_times[idx])
-            out[order[idx]] = current
-    return out
+    return _family_and_steps(op, np.asarray(P0, dtype=float), times)[0]
 
 
 @dataclass
@@ -268,45 +255,46 @@ def verify_dichotomy(op: FundamentalOperator, P0, grid):
     t = s; the unstable family is sampled strictly at t < s.  A side of rank
     zero (round(trace P0) is 0 or n) has no family: its samples would be
     roundoff, which the backward chain can blow up past the true bound.
-    Both families chain the adjacent steps V(g_{i+1}, g_i) and
-    V(g_i, g_{i+1}), each computed once per grid, and the 2-norms of all
-    sample matrices are one stacked call.
+    The separation-d samples of a side are one stacked product of the grid
+    steps per diagonal, and their 2-norms one stacked call; the report lists
+    them by s: stable t ascending, the unstable limit, unstable t descending.
     A fitted alpha at or below 1e-6 flags "no dichotomy detected" in the
     report instead of raising (a flat system fits only a vanishing rate).
     """
     grid = np.asarray(sorted(grid), dtype=float)
     P0 = _validate_projection(P0)
     rank = int(round(float(np.trace(P0))))
-    fam = projection_family(op, P0, grid)
-    eye = np.eye(op.n)
-    fwd = [op.value(b, a) for a, b in zip(grid[:-1], grid[1:])]
-    bwd = [op.value(a, b) for a, b in zip(grid[:-1], grid[1:])]
-    mats, keys = [], []   # sample matrices and their (sep, t, s, side)
-    for j, s in enumerate(grid):
-        if rank > 0:
-            X = fam[j]
+    fam, fwd, bwd = _family_and_steps(op, P0, grid)
+    fwd, bwd = np.array(fwd), np.array(bwd)   # (G - 1, n, n) stacks
+    G, at = len(grid), np.arange(len(grid))
+    mats, keys = [], []   # per diagonal: sample matrices, their (s, t, side)
+    if rank > 0:
+        X = fam
+        for d in range(G):
+            if d:
+                X = fwd[d - 1:] @ X[:-1]
             mats.append(X)
-            keys.append((0.0, s, s, "stable"))
-            for i in range(j + 1, len(grid)):
-                X = fwd[i - 1] @ X
-                mats.append(X)
-                keys.append((grid[i] - s, grid[i], s, "stable"))
-        if rank < op.n:
-            Y = eye - fam[j]
-            # t -> s^- limit of the backward bound forces K >= ||Id - P(s)||;
-            # recorded as a zero-separation constraint, not a t = s sample
+            keys.append(np.broadcast_arrays(at[:G - d], at[d:], 0))
+    if rank < op.n:
+        # t -> s^- limit of the backward bound forces K >= ||Id - P(s)||;
+        # recorded as a zero-separation constraint (side 1), not a t = s sample
+        Y = np.eye(op.n) - fam
+        for d in range(G):
+            if d:
+                Y = bwd[:G - d] @ Y[1:]
             mats.append(Y)
-            keys.append((0.0, s, s, "unstable-limit"))
-            for i in range(j - 1, -1, -1):
-                Y = bwd[i] @ Y
-                mats.append(Y)
-                keys.append((s - grid[i], grid[i], s, "unstable"))
-    norms = np.linalg.norm(np.stack(mats), 2, axis=(-2, -1)).tolist()
+            keys.append(np.broadcast_arrays(at[d:], at[:G - d], 2 if d else 1))
+    s_at, t_at, side = np.concatenate(keys, axis=1)
+    order = np.lexsort((np.where(side == 0, t_at, -t_at), side, s_at))
+    s_at, t_at, side = s_at[order], t_at[order], side[order]
+    norms = np.linalg.norm(np.concatenate(mats)[order], 2, axis=(-2, -1)).tolist()
     # a steep contraction can underflow to 0, which has no log: drop it
-    samples = [(sep, math.log(v), t, s, side)
-               for (sep, t, s, side), v in zip(keys, norms) if v > 1e-250]
-    seps = np.array([x[0] for x in samples])
-    logs = np.array([x[1] for x in samples])
+    samples = [(sep, math.log(v), t, s, ("stable", "unstable-limit", "unstable")[c])
+               for sep, v, t, s, c in zip(
+                   np.abs(grid[t_at] - grid[s_at]).tolist(), norms,
+                   grid[t_at].tolist(), grid[s_at].tolist(), side.tolist())
+               if v > 1e-250]
+    seps, logs = np.array([x[:2] for x in samples]).T
     alpha_fit, logK = fit_envelope(seps, logs)
     K_fit = math.exp(logK)
     _, iworst = _max_envelope(seps, logs, alpha_fit)

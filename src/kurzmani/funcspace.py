@@ -99,9 +99,10 @@ class PresetTerm:
             return np.cos(self.params[0] * ts + self.params[1])
         a, b, n = self.params
         ks = np.arange(int(n))
-        args = np.multiply.outer(b ** ks * math.pi, ts)
-        trig = np.cos(args) if self.kind == "wcos" else np.sin(args)
-        return np.tensordot(a ** ks, trig, axes=(0, 0))
+        trig = np.cos if self.kind == "wcos" else np.sin
+        # summed elementwise over k, so a time's value is the same in any batch
+        return sum((w * trig(f * ts) for w, f in zip(a ** ks, b ** ks * math.pi)),
+                   np.zeros(np.shape(ts)))
 
     def eval(self, ts):
         """Values at an array of times; shape ``ts.shape + amp.shape``."""
@@ -307,14 +308,10 @@ class PiecewisePath:
         return PiecewisePath(segments, times)
 
     @staticmethod
-    def step(time, jump, base=None):
-        """A path equal to ``base`` up to ``time`` and ``base + jump`` after it."""
+    def step(time, jump):
+        """A path equal to 0 up to ``time`` and ``jump`` after it."""
         jump = np.asarray(jump, dtype=float)
-        if base is None:
-            base = np.zeros_like(jump)
-        lo = Segment.constant(base)
-        hi = Segment.constant(np.asarray(base, float) + jump)
-        return PiecewisePath.from_segments([time], [lo, hi])
+        return PiecewisePath.from_segments([time], [np.zeros_like(jump), jump])
 
     # -- evaluation ---------------------------------------------------------
 

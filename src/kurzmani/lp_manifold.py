@@ -95,6 +95,7 @@ class _Quadratic:
     def __init__(self, mats):
         self.mats = np.asarray(mats, dtype=float)
         self.n = self.mats.shape[0]
+        self.shape = self.mats.shape        # (n, n, n) on R^n
 
     def __call__(self, z):
         flat = np.ascontiguousarray(z).reshape(-1, z.shape[-1])
@@ -114,6 +115,7 @@ class _Cubic:
     def __init__(self, coef):
         self.coef = np.asarray(coef, dtype=float)
         self.n = self.coef.shape[0]
+        self.shape = self.coef.shape        # (n, n) on R^n
 
     def __call__(self, z):
         flat = np.ascontiguousarray(z).reshape(-1, z.shape[-1])
@@ -132,6 +134,7 @@ class _SaturatedTanh:
     def __init__(self, gain):
         self.gain = np.asarray(gain, dtype=float)
         self.n = self.gain.shape[0]
+        self.shape = self.gain.shape        # (n, n) on R^n
 
     def __call__(self, z):
         flat = np.ascontiguousarray(z).reshape(-1, z.shape[-1])
@@ -148,6 +151,7 @@ class _SaturatedTanh:
 class _Zero:
     def __init__(self, n):
         self.n = int(n)
+        self.shape = (self.n, self.n)
 
     def __call__(self, z):
         return np.zeros(np.shape(z))
@@ -207,6 +211,14 @@ class NonlinearitySpec:
         zero = np.zeros(self._raw.n)
         if norm(self.value(0.0, zero)) != 0.0:
             raise ValueError("registry nonlinearity must vanish at z = 0")
+
+    def require_dimension(self, n):
+        """ValueError unless the registry parameters map R^n to R^n."""
+        shape = self._raw.shape
+        if shape != (n,) * len(shape):
+            raise ValueError("nonlinearity %r maps R^%d to R^%d (parameters of shape "
+                             "%r), but the system has n = %d"
+                             % (self.registry_id, shape[-1], shape[0], shape, n))
 
     def value(self, t, z):
         """Cutoff nonlinearity; broadcasts over leading axes of z.  psi is

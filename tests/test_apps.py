@@ -197,6 +197,21 @@ def test_ide_forcing_takes_no_measure():
         NonlinearitySpec("zero", {"n": 2}, measure=PiecewisePath.constant(1.0))
 
 
+def test_specs_refuse_a_nonlinearity_of_another_dimension():
+    u = lebesgue()
+    one = NonlinearitySpec("quadratic", {"mats": [[[1.0]]]}, rho=0.5)
+    with pytest.raises(ValueError, match=r"'quadratic' maps R\^1 to R\^1 .*n = 2"):
+        IdeSpec(2, saddle_path(), (), one)
+    # einsum broadcasts the length-1 state past the (1, 2, 2) forms
+    wide = NonlinearitySpec("quadratic", {"mats": np.ones((1, 2, 2))}, rho=0.5)
+    with pytest.raises(ValueError, match=r"maps R\^2 to R\^1 .*n = 1"):
+        IdeSpec(1, PiecewisePath.constant([[-1.0]]), (), wide)
+    # the zero registry without "n" declares n = 1
+    with pytest.raises(ValueError, match=r"'zero' maps R\^1 to R\^1 .*n = 2"):
+        MdeSpec(2, saddle_path(), PiecewisePath.constant(np.zeros((2, 2))), u,
+                NonlinearitySpec("zero", rho=0.5, measure=u))
+
+
 def test_context_meshes_contain_kernel_atoms():
     u = StieltjesMeasure(PiecewisePath.constant(1.0), [(1.234, 0.1)],
                          nondecreasing=True)

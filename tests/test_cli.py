@@ -289,6 +289,23 @@ def test_manifold_grid_of_wrong_dimension_is_config_error(tmp_path):
     assert err["error"] == "config"
 
 
+@pytest.mark.parametrize("cmd", ["manifold", "check", "classify"])
+@pytest.mark.parametrize("nonlinearity", [
+    {"registry": "quadratic", "params": {"mats": [[[1.0]]]}, "rho": 0.5},
+    {"registry": "zero", "rho": 0.5},         # no "n": the zero map of R^1
+], ids=["quadratic", "zero"])
+def test_nonlinearity_of_another_dimension_is_config_error(tmp_path, capsys, cmd,
+                                                           nonlinearity):
+    cfg = json.loads(open(config_path("planar_quadratic.json")).read())
+    cfg["system"]["nonlinearity"] = nonlinearity
+    path = tmp_path / "dim.json"
+    path.write_text(json.dumps(cfg))
+    assert main([cmd, "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "config"
+    assert "maps R^1 to R^1" in err["message"] and "n = 2" in err["message"]
+
+
 def _without_window(cfg):
     return "integrate", {"integrand": {"f": 1.0, "mu": {"density": 1.0}},
                          "output": {"prefix": "nowin"}}

@@ -61,6 +61,29 @@ def test_periodic_kick_monodromy_projection():
     assert how == "periodic"
 
 
+@pytest.mark.parametrize("offset, how", [(5e-13, "periodic"), (2e-12, "svd")])
+def test_periodic_branch_needs_equal_kicks_within_1e_12(monkeypatch, offset, how):
+    # evenly spaced kicks; the factor at t = 5 is off by ``offset`` in its
+    # largest entry, where numpy's default relative tolerance lets 2e-12 pass
+    monkeypatch.setattr(dichotomy, "_SVD_HORIZON", 5.0)
+    impulses = [(float(k), np.diag([0.1, 0.0])) for k in range(1, 10)]
+    impulses[4] = (5.0, np.diag([0.1 + offset, 0.0]))
+    assert spectral_projection(saddle_spec(tuple(impulses)))[1] == how
+
+
+def test_certify_forms_each_grid_step_once(monkeypatch):
+    # 21-point grid from t0: 20 steps each way plus the anchor step at t0,
+    # shared by the projection family and the envelope samples
+    calls = []
+    value = FundamentalOperator.value
+    monkeypatch.setattr(FundamentalOperator, "value",
+                        lambda self, t, s: calls.append((t, s)) or value(self, t, s))
+    impulses = tuple((float(k), np.diag([0.1, 0.0])) for k in range(1, 10))
+    data = certify(FundamentalOperator(saddle_spec(impulses), (0.0, 10.0)))
+    assert data.report.projection_mode == "periodic"
+    assert len(calls) <= 2 * 20 + 2
+
+
 def _schur_projector(x, stable):
     """Spectral projector onto the ``stable`` eigenvalues of ``x`` from two
     ordered real Schur forms (scipy), the oracle of the sign splitting."""

@@ -142,8 +142,8 @@ SAMPLE_PATHS = {
     "steps_scalar": PiecewisePath.from_segments(
         [0.25, 0.6], [Segment.preset("cos", 2.0, (1.3, -0.4)), -0.5,
                       Segment.preset("exp", 1.5, (0.7,))]),
-    "steps_matrix": PiecewisePath.step(0.4, [[1.0, 0.0], [0.2, -1.0]],
-                                       base=[[0.0, 1.0], [1.0, 0.0]]),
+    "steps_matrix": PiecewisePath.from_segments(
+        [0.4], [[[0.0, 1.0], [1.0, 0.0]], [[1.0, 1.0], [1.2, -1.0]]]),
 }
 POLY_PATHS = {
     "poly_scalar": [0.3, -1.2, 0.7],
@@ -166,6 +166,18 @@ def test_sample_equals_pointwise_call_exactly(path, ts):
     assert got.shape == np.shape(ts) + path.shape
     want = np.array([path(t) for t in np.ravel(ts)]).reshape(got.shape)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", ["wcos", "wsin"])
+def test_lacunary_preset_batch_equals_one_point_value(kind):
+    """The wcos/wsin sums run elementwise over k, so a time's value has the
+    same bits in a batch of any length as on its own."""
+    seg = Segment.preset(kind, 1.0, (0.5, 3.0, 12))
+    rng = np.random.default_rng(3)
+    for length in (3, 4, 7, 8, 9, 16, 17, 31, 64, 129, 500, 1200):
+        ts = rng.uniform(-2.0, 5.0, length)
+        want = np.array([seg.eval(t) for t in ts])
+        assert np.array_equal(seg.eval(ts), want), length
 
 
 @pytest.mark.parametrize("ts", SAMPLE_TIMES.values(), ids=SAMPLE_TIMES.keys())
