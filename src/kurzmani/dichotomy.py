@@ -6,9 +6,10 @@ a singular-subspace heuristic over a finite horizon.  The spectral splitting
 is P0 = (Id - sign(X)) / 2 by a scaled Newton iteration, X the generator or
 the Cayley transform (M + Id)^{-1} (M - Id) of the one-period monodromy M
 (from the numpy ``linsys.expm``); an empty side is exact 0 or Id.
-``projection_family`` is the one place that conjugates P0 along the
-operator, P(t) = V(t, t0) P0 V(t0, t), both on a certification grid and on
-the solver mesh.  The two decay inequalities
+One recurrence conjugates P0 along the operator, P(t) = V(t, t0) P0 V(t0, t),
+by the stored mesh steps on the solver mesh (``projection_family``) and by
+steps formed through ``value`` on a certification grid.  The two decay
+inequalities
 
     ||V(t, s) P(s)||        <= K exp(-alpha (t - s)),   t >= s
     ||V(t, s) (Id - P(s))|| <= K exp(+alpha (t - s)),   t <  s
@@ -154,38 +155,41 @@ def spectral_projection(spec: LinearSystemSpec, P0=None):
     return stable @ np.linalg.inv(np.hstack([stable, u_l[:, :n - k]]))[:k], "svd"
 
 
-def _family_and_steps(op, P0, times):
-    """``projection_family`` and the steps it conjugates by, each formed once:
-    for the sorted times x, the lists ``fwd[i]`` = V(x_{i+1}, x_i) and
-    ``bwd[i]`` = V(x_i, x_{i+1})."""
-    order = np.argsort(times)
-    x = np.asarray(times, dtype=float)[order]
-    fwd = [op.value(b, a) for a, b in zip(x[:-1], x[1:])]
-    bwd = [op.value(a, b) for a, b in zip(x[:-1], x[1:])]
-    t0, out = op.spec.t0, np.empty((len(x), op.n, op.n))
-    i0 = int(np.searchsorted(x, t0))
-
-    def from_t0(t):
-        return op.value(t, t0) @ P0 @ op.value(t0, t)
-
-    for i in range(i0, len(x)):
-        out[i] = P = from_t0(x[i]) if i == i0 else fwd[i - 1] @ P @ bwd[i - 1]
+def _conjugate(P0, fwd, bwd, i0):
+    """P_i on a chain from P_{i0} = P0 by the steps between neighbours:
+    P_{i+1} = fwd[i] P_i bwd[i] forward, P_i = bwd[i] P_{i+1} fwd[i] back."""
+    out = np.empty((len(fwd) + 1, *P0.shape))
+    out[i0] = P0
+    for i in range(i0, len(fwd)):
+        out[i + 1] = fwd[i] @ out[i] @ bwd[i]
     for i in range(i0 - 1, -1, -1):
-        out[i] = P = from_t0(x[i]) if i == i0 - 1 else bwd[i] @ P @ fwd[i]
-    return out[np.argsort(order)], fwd, bwd
+        out[i] = bwd[i] @ out[i + 1] @ fwd[i]
+    return out
 
 
-def projection_family(op: FundamentalOperator, P0, times):
-    """P(t_i) = V(t_i, t0) P0 V(t0, t_i) for each requested time.
+def _family_and_steps(op, P0, times):
+    """P(x_i) = V(x_i, t0) P0 V(t0, x_i) at sorted times x in the window, and
+    the lists ``fwd[i]`` = V(x_{i+1}, x_i), ``bwd[i]`` = V(x_i, x_{i+1}), each
+    formed once by ``op.value``.  t0 joins the chain as its anchor."""
+    x, t0 = np.asarray(times, dtype=float), op.spec.t0
+    i0 = int(np.searchsorted(x, t0))
+    chain = np.insert(x, i0, t0)
+    fwd = [op.value(b, a) for a, b in zip(chain[:-1], chain[1:])]
+    bwd = [op.value(a, b) for a, b in zip(chain[:-1], chain[1:])]
+    fam = np.delete(_conjugate(P0, fwd, bwd, i0), i0, axis=0)
+    # t0's one or two steps give way to the one across it (none at an end)
+    lo, hi = max(i0 - 1, 0), min(i0 + 1, len(x))
+    fwd[lo:hi] = [op.value(b, a) for a, b in zip(x[lo:hi - 1], x[lo + 1:hi])]
+    bwd[lo:hi] = [op.value(a, b) for a, b in zip(x[lo:hi - 1], x[lo + 1:hi])]
+    return fam, fwd, bwd
 
-    Propagated by local conjugation between consecutive times to keep the
-    factors short, forward from t0 and backward from t0.  Each step is
-    V(b, a) P V(a, b); between adjacent mesh nodes both factors are stored,
-    so the mesh family takes no inverse.  ``times`` may be any times in the
-    operator window, mesh nodes or not: the same family serves the
-    certification grid and the solver mesh of ``LPContext``.
-    """
-    return _family_and_steps(op, np.asarray(P0, dtype=float), times)[0]
+
+def projection_family(op: FundamentalOperator, P0):
+    """P(x_i) = V(x_i, t0) P0 V(t0, x_i) on every mesh node: P0 at the node
+    of t0, conjugated both ways by the stored ``op.cells.fwd`` and
+    ``op.cells.bwd``, with no ``value`` call and no inverse."""
+    cells = op.cells
+    return _conjugate(np.asarray(P0, dtype=float), cells.fwd, cells.bwd, op.i_t0)
 
 
 @dataclass

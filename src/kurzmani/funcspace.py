@@ -307,12 +307,6 @@ class PiecewisePath:
         segments = [s if isinstance(s, Segment) else Segment.constant(s) for s in segments]
         return PiecewisePath(segments, times)
 
-    @staticmethod
-    def step(time, jump):
-        """A path equal to 0 up to ``time`` and ``jump`` after it."""
-        jump = np.asarray(jump, dtype=float)
-        return PiecewisePath.from_segments([time], [np.zeros_like(jump), jump])
-
     # -- evaluation ---------------------------------------------------------
 
     def segment_index(self, t, side=0):

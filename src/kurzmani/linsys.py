@@ -8,11 +8,11 @@ density adds C(t) * density(t) to the smooth generator.
 The fundamental operator V(t, s) is realized by the product formula: smooth
 propagation between consecutive mesh nodes (the numpy ``expm`` below on
 constant cells, scipy's adaptive order-8 integrator otherwise) interleaved
-with the jump factors.  The operator holds its mesh as one stacked store,
-the jump factor and its inverse per node and the cell propagators per cell,
-which the projection family, the fast kernels, the reference oracle and the
-regularity constants C_a and V_Lambda (``check_regularity``) all read; no
-accumulated coefficient path is built.
+with the jump factors.  The operator holds its mesh as one stacked store:
+jump factors and inverses per node, propagators and both mesh steps per cell.
+The projection family, the fast kernels, ``value``, the reference oracle and
+the regularity constants C_a and V_Lambda (``check_regularity``) all read it;
+no accumulated coefficient path is built.
 Solutions are stored left-continuous: the factor at a jump time applies when
 propagating past it, so V(t, s) includes the factors at times in [s, t) and
 V(t, t) = Id exactly.  The mesh is the only code that matches times: one
@@ -183,11 +183,13 @@ class LinearSystemSpec:
 # ---------------------------------------------------------------------------
 
 class _Cells(NamedTuple):
-    """Per-cell propagators stacked along the mesh; row j is [x_j, x_{j+1}]."""
+    """Per-cell propagators and the two mesh steps across each cell, each
+    formed once, stacked along the mesh; row j is [x_j, x_{j+1}]."""
 
     phi: np.ndarray          # (M, n, n) Phi(x_{j+1}, x_j)
-    phi_inv: np.ndarray      # (M, n, n)
     phi_sig_inv: np.ndarray  # (M, Q, n, n) Phi(sigma_q, x_j)^{-1}
+    fwd: np.ndarray          # (M, n, n) phi_j J_j = V(x_{j+1}, x_j)
+    bwd: np.ndarray          # (M, n, n) J_j^{-1} phi_j^{-1} = V(x_j, x_{j+1})
 
 
 class FundamentalOperator:
@@ -204,8 +206,8 @@ class FundamentalOperator:
     wider than the radius, are refused.  The mesh is held as stacked arrays:
     ``jumps`` and ``jump_invs`` (N, n, n) carry the jump factor at each node
     (identity where nothing jumps, ``event_nodes`` indexes the others), and
-    ``cells`` the propagators across each cell and to its quadrature nodes,
-    filled on first use.  All are read-only.
+    ``cells`` the propagators and mesh steps of each cell, filled on first
+    use.  All are read-only.
     """
 
     def __init__(self, spec: LinearSystemSpec, window, base_step=0.1):
@@ -296,17 +298,17 @@ class FundamentalOperator:
 
     @cached_property
     def cells(self) -> _Cells:
-        """Propagators of every cell, filled on first use.
+        """Propagators and mesh steps of every cell, filled on first use.
 
         Constant-generator cells are grouped by the segments of A, C and the
         density that hold their midpoints.  Each group evaluates its
         generator once and makes one stacked call of the numpy Pade ``expm``
         of this module over its distinct exact steps from the left node (the
         Gauss nodes and the cell end), then one stacked inverse.  Slices of a
-        stacked ``expm`` or ``inv`` are computed independently, so every
-        entry equals its one-matrix value bit for bit.  Every other cell is
-        integrated on its own in the same fill, the only step that imports
-        scipy.
+        stacked ``expm``, ``inv`` or product are computed independently, so
+        every entry equals its one-matrix value bit for bit.  Every other
+        cell is integrated on its own, the only step that imports scipy.
+        The steps multiply in the jump factors, one stacked product each.
         """
         spec, n = self.spec, self.n
         left, right = self.nodes[:-1], self.nodes[1:]
@@ -336,26 +338,27 @@ class FundamentalOperator:
             mats = self._propagate(left[j], right[j], t_eval=self._sigma[j])
             phi[j], phi_inv[j] = mats[-1], np.linalg.inv(mats[-1])
             phi_sig_inv[j] = np.linalg.inv(np.stack(mats[:-1]))
-        for arr in (phi, phi_inv, phi_sig_inv):
+        fwd = phi @ self.jumps[:-1]
+        bwd = self.jump_invs[:-1] @ phi_inv
+        for arr in (phi, phi_sig_inv, fwd, bwd):
             arr.flags.writeable = False
-        return _Cells(phi, phi_inv, phi_sig_inv)
+        return _Cells(phi, phi_sig_inv, fwd, bwd)
 
     # -- queries ------------------------------------------------------------
 
     def value(self, t, s):
         """V(t, s); jump factors at times in [min, max) apply per direction.
 
-        A step between adjacent nodes reads the stored factors: forward,
-        the cell propagator times the jump factor at its left node; backward,
-        their inverses in the opposite order.
+        A step between adjacent nodes is the stored row ``cells.fwd[j]`` or
+        ``cells.bwd[j]``, returned as a read-only view: copy it to modify.
         """
         t, s = float(t), float(s)
         j = self._index.get(s)
         if j is not None:
             if j + 1 < len(self._times) and t == self._times[j + 1]:
-                return self.cells.phi[j] @ self.jumps[j]
+                return self.cells.fwd[j]
             if j > 0 and t == self._times[j - 1]:
-                return self.jump_invs[j - 1] @ self.cells.phi_inv[j - 1]
+                return self.cells.bwd[j - 1]
         if abs(t - s) <= self.radius:
             return np.eye(self.n)
         if t > s:
@@ -365,10 +368,6 @@ class FundamentalOperator:
         if inv is None:
             raise PropagationError("forward operator is numerically singular")
         return inv
-
-    def _partial(self, a, b):
-        """Smooth Phi(b, a) within one cell (no interior jump times)."""
-        return self._propagate(a, b)[0]
 
     def _forward(self, s, t):
         """Product of factors from s up to t (s < t); a time within the
@@ -381,14 +380,14 @@ class FundamentalOperator:
         if not s_at:
             # i is the first node after s: the left partial cell ends there
             if t < self._times[i] or (t_at and k == i):
-                return self._partial(s, t)
-            out = self._partial(s, self._times[i])
+                return self._propagate(s, t)[0]
+            out = self._propagate(s, self._times[i])[0]
         if not t_at:
             k -= 1      # the last node before t
         for c in range(i, k):
             out = self.cells.phi[c] @ (self.jumps[c] @ out)
         if not t_at:
-            out = self._partial(self._times[k], t) @ (self.jumps[k] @ out)
+            out = self._propagate(self._times[k], t)[0] @ (self.jumps[k] @ out)
         return out
 
 

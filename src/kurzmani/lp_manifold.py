@@ -318,7 +318,8 @@ class _Kernels(NamedTuple):
     Row k belongs to the cell [x_k, x_{k+1}]; ``J`` has one row per node.
     ``P+`` is J P J^{-1}, the projection just after the jump at x_k.  The
     scan levels are the sweep propagators projected by the dichotomy,
-    F~_k = F_k P(x_k) and G~_k = G_k (Id - P(x_{k+1})) with G_k = F_k^{-1};
+    F~_k = F_k P(x_k) and G~_k = G_k (Id - P(x_{k+1})), with F_k and
+    G_k = F_k^{-1} slices of the mesh steps ``cells.fwd`` and ``cells.bwd``;
     level d multiplies 2^d consecutive ones, truncated at the mesh ends
     where no sweep reads them.  A forward product sits in the row of its
     last cell and a backward one in the row of its first, so slicing off
@@ -389,12 +390,14 @@ class LPContext:
     """Everything a manifold solve needs, with read-only stacked kernels.
 
     ``atom_weights`` holds the weight of the nonlinearity's driving measure
-    at each mesh node (zero where it has no atom).
+    at each mesh node (zero where it has no atom).  A nonlinearity that does
+    not map R^n to R^n for the operator's n is refused.
     """
 
     def __init__(self, fund: FundamentalOperator, dich: DichotomyData,
                  nonlin: NonlinearitySpec, T, tol=1e-10,
                  regularity: RegularityReport | None = None, reports=None):
+        nonlin.require_dimension(fund.n)
         self.fund = fund
         self.dich = dich
         self.nonlin = nonlin
@@ -427,7 +430,7 @@ class LPContext:
         raises ``SplittingError`` at the first bad node.
         """
         if self._proj is None:
-            proj = projection_family(self.fund, self.dich.P0, self.fund.nodes)
+            proj = projection_family(self.fund, self.dich.P0)
             defect = _stacked_norm(proj @ proj - proj)
             bad = np.flatnonzero(~(defect <= _IDEMPOTENCY_TOL))
             if bad.size:
@@ -457,14 +460,12 @@ class LPContext:
     def _build_kernels(self):
         fund, m = self.fund, self.i_T
         eye = np.eye(fund.n)
-        phi, phi_inv, phi_sig_inv = (a[:m] for a in fund.cells)
+        phi, phi_sig_inv, F, G = (a[:m] for a in fund.cells)
         J, J_inv = fund.jumps[:m + 1], fund.jump_invs[:m + 1]
         proj = self._projections()[:m + 1]
         P_plus = J[:m] @ proj[:m] @ J_inv[:m]
         atom_s = phi @ P_plus
         atom_u = J_inv[:m] @ (eye - P_plus)
-        F = phi @ J[:m]
-        G = J_inv[:m] @ phi_inv
         self.reports["splitting"] = {
             "idempotency_defect": self._proj_defect,
             "cocycle_gap": float(np.max(_stacked_norm(proj[1:] @ F - F @ proj[:m]),

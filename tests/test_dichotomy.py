@@ -23,6 +23,11 @@ def saddle_spec(impulses=()):
     return LinearSystemSpec(2, PiecewisePath.constant(SADDLE), impulses=impulses)
 
 
+def grid_family(op, P0, grid):
+    """The certification grid's projection family."""
+    return dichotomy._family_and_steps(op, np.asarray(P0, dtype=float), grid)[0]
+
+
 def aperiodic_saddle_spec():
     """The saddle with diagonal kicks at t = 1, 2 and 3.5: autonomous between
     kicks but not periodic, so P0 comes from the svd branch."""
@@ -260,7 +265,7 @@ def test_strengthened_contraction_from_jumps():
 def test_projection_family_consistency():
     op = FundamentalOperator(saddle_spec(), (-10.0, 10.0), base_step=0.5)
     grid = np.linspace(-10.0, 10.0, 21)
-    fam = projection_family(op, np.diag([1.0, 0.0]), grid)
+    fam = grid_family(op, np.diag([1.0, 0.0]), grid)
     eye = np.eye(2)
     for i, t in enumerate(grid):
         P = fam[i]
@@ -317,7 +322,7 @@ def test_certify_default_grid_is_the_first_ten_time_units():
 def _loop_samples(op, P0, grid):
     """The certificate's samples, one matrix and one 2-norm at a time; a
     side of rank zero (P0 = 0 or Id) has no samples."""
-    fam = projection_family(op, P0, grid)
+    fam = grid_family(op, P0, grid)
     eye = np.eye(op.n)
     rank = int(round(float(np.trace(P0))))
     samples = []
@@ -393,21 +398,52 @@ def _inverse_step_family(op, P0):
     return out
 
 
-@pytest.mark.parametrize("name", ["impulsive_saddle", "t0_inside"])
-def test_mesh_family_matches_inverse_step_oracle(name):
-    if name == "t0_inside":
-        # a jump on each side of t0 = 2, so the family runs both ways
+_T0 = {"t0_inside": 2.0, "t0_at_end": 6.0}
+
+
+def _mesh_case(name):
+    """The operator and P0 of a mesh-family case: impulsive_saddle, or the
+    saddle with a jump on each side of t0 = 2 (or t0 = 6, the window end)."""
+    if name in _T0:
         spec = LinearSystemSpec(
-            2, PiecewisePath.constant(SADDLE), t0=2.0,
+            2, PiecewisePath.constant(SADDLE), t0=_T0[name],
             impulses=((1.05, np.array([[0.1, 0.2], [0.1, -0.1]])),
                       (3.55, np.array([[-0.1, -0.1], [0.2, 0.2]]))))
-        op = FundamentalOperator(spec, (0.0, 6.0))
-        P0 = np.diag([1.0, 0.0])
-    else:
-        ctx, _ = _shipped_context(name)
-        op, P0 = ctx.fund, ctx.dich.P0
-    fam = projection_family(op, P0, op.nodes)
+        return FundamentalOperator(spec, (0.0, 6.0)), np.diag([1.0, 0.0])
+    ctx, _ = _shipped_context(name)
+    return ctx.fund, ctx.dich.P0
+
+
+@pytest.mark.parametrize("name", ["impulsive_saddle", "t0_inside"])
+def test_mesh_family_matches_inverse_step_oracle(name):
+    op, P0 = _mesh_case(name)
+    fam = projection_family(op, P0)
     want = _inverse_step_family(op, P0)
     gap = np.linalg.norm(fam - want, 2, axis=(-2, -1))
     scale = np.linalg.norm(want, 2, axis=(-2, -1))
     assert np.all(gap <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("name", ["impulsive_saddle", "t0_inside", "t0_at_end"])
+def test_mesh_family_equals_value_step_recurrence(name):
+    """Conjugated one ``value`` step at a time from P(t0) = P0, the mesh
+    family keeps its bits."""
+    op, P0 = _mesh_case(name)
+    x, i0 = op.nodes, op.i_t0
+    want = np.empty((len(x), op.n, op.n))
+    want[i0] = P0
+    for i in range(i0 + 1, len(x)):
+        want[i] = op.value(x[i], x[i - 1]) @ want[i - 1] @ op.value(x[i - 1], x[i])
+    for i in range(i0 - 1, -1, -1):
+        want[i] = op.value(x[i], x[i + 1]) @ want[i + 1] @ op.value(x[i + 1], x[i])
+    assert np.array_equal(projection_family(op, P0), want)
+
+
+def test_mesh_family_makes_no_value_call(monkeypatch):
+    op, P0 = _mesh_case("impulsive_saddle")
+    calls = []
+    value = FundamentalOperator.value
+    monkeypatch.setattr(FundamentalOperator, "value",
+                        lambda self, t, s: calls.append((t, s)) or value(self, t, s))
+    assert len(projection_family(op, P0)) == len(op.nodes) == 401
+    assert calls == []

@@ -14,7 +14,7 @@ def test_variation_of_constant_path_is_zero():
 
 
 def test_variation_of_unit_step():
-    step = PiecewisePath.step(0.5, 1.0)
+    step = PiecewisePath.from_segments([0.5], [0.0, 1.0])
     assert total_variation(step, (0.0, 1.0)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -112,8 +112,8 @@ def test_variation_nested_window_monotonicity(a, b):
 
 
 def test_path_algebra_addition_merges_breakpoints():
-    a = PiecewisePath.step(0.3, 1.0)
-    b = PiecewisePath.step(0.7, 2.0)
+    a = PiecewisePath.from_segments([0.3], [0.0, 1.0])
+    b = PiecewisePath.from_segments([0.7], [0.0, 2.0])
     s = a + b
     assert s.times.tolist() == [0.3, 0.7]
     assert s(0.5) == pytest.approx(1.0)

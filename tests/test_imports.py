@@ -5,8 +5,11 @@ a test sets is a module constant the test patches), only ``funcspace``
 calls scipy's ``quad`` (so every adaptive quadrature goes through its error
 check), and the registry nonlinearities, ``Segment.eval`` and the preset terms'
 ``PresetTerm.eval``/``_scalar`` take no BLAS product (so a point's value
-there never depends on its batch).  The guard follows calls by bare name
-only, so each method is named as a target.
+there never depends on its batch).  The BLAS guard follows calls by bare
+name only, so each method is named as a target.  The dead-definition guard
+counts a method as reached only by an attribute read (``x.name``): a bare
+name, such as a local variable of the method's name, reaches only a
+module-level definition.
 
 No linter ships with the test environment, so these walk the source with
 ``ast``.  ``__init__.py`` is skipped by the import guard (its imports are the
@@ -58,38 +61,44 @@ def test_no_unused_module_level_imports(path):
 
 
 def definitions(source):
-    """Module-level functions and classes, and non-dunder methods, by line."""
+    """(line, name, is_method) of the module-level functions and classes and
+    the non-dunder methods."""
     out = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            out.append((node.lineno, node.name))
+            out.append((node.lineno, node.name, False))
         if isinstance(node, ast.ClassDef):
-            out += [(item.lineno, item.name) for item in node.body
+            out += [(item.lineno, item.name, True) for item in node.body
                     if isinstance(item, ast.FunctionDef)
                     and not (item.name.startswith("__") and item.name.endswith("__"))]
     return out
 
 
 def names_read(source):
-    """Every name the source reads, bare or as an attribute."""
-    read = set()
+    """The names the source reads bare, and those it reads as attributes."""
+    bare, attrs = set(), set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
+            bare.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            read.add(node.attr)
-    return read
+            attrs.add(node.attr)
+    return bare, attrs
 
 
 def unreached(modules, readers, allowed):
     """(module, line, name) of every definition in ``modules`` (name ->
-    source) that no source in ``readers`` reads and ``allowed`` lacks.  An
-    import, a re-export included, binds a name without reading it."""
-    read = set(allowed)
+    source) that no source in ``readers`` reads and ``allowed`` lacks.  A
+    method is reached only by an attribute read (``x.name``), not by a bare
+    name such as a local variable.  An import, a re-export included, binds a
+    name without reading it."""
+    bare, attrs = set(allowed), set(allowed)
     for source in readers:
-        read |= names_read(source)
+        b, a = names_read(source)
+        bare |= b
+        attrs |= a
     return sorted((mod, line, name) for mod, source in modules.items()
-                  for line, name in definitions(source) if name not in read)
+                  for line, name, method in definitions(source)
+                  if name not in attrs and (method or name not in bare))
 
 
 def test_dead_definition_guard_flags_an_unread_definition():
@@ -103,6 +112,10 @@ def test_dead_definition_guard_flags_an_unread_definition():
         ("lib", 5, "unused"), ("lib", 16, "label")]
     assert unreached({"lib": lib}, [lib, caller], ("unused",)) == [
         ("lib", 16, "label")]
+    # a local variable of a method's name does not reach the method
+    shadow = "label = Box().size()\nprint(label)\n"
+    assert unreached({"lib": lib}, [lib, caller, shadow], ("unused",)) == [
+        ("lib", 16, "label")]
 
 
 def test_every_definition_is_reached_by_the_package_or_the_benchmark():
@@ -115,7 +128,7 @@ def test_every_definition_is_reached_by_the_package_or_the_benchmark():
 def test_every_public_check_is_called_by_a_test():
     tests = set()
     for p in sorted((ROOT / "tests").glob("test_*.py")):
-        tests |= names_read(p.read_text(encoding="utf-8"))
+        tests |= set().union(*names_read(p.read_text(encoding="utf-8")))
     assert set(PUBLIC_CHECKS) <= tests
 
 

@@ -34,7 +34,7 @@ def test_node_increment_of_nowhere_smooth_like_sum():
 
 
 def test_scalar_step_integrates_to_its_height():
-    step = PiecewisePath.step(0.5, 2.5)
+    step = PiecewisePath.from_segments([0.5], [0.0, 2.5])
     res = ks_integral_ref(PointIntervalFn.node_function(step), (0, 1), tol=1e-12)
     assert float(res.value) == pytest.approx(2.5, abs=1e-12)
 

@@ -224,7 +224,8 @@ def _cell_oracle(op, j):
 
     ``expm`` is the library's one-matrix call, bound at import so that a
     test counting ``linsys.expm`` calls does not count the oracle's;
-    ``test_expm_matches_scipy_on_shipped_cells`` ties it to scipy.
+    ``test_expm_matches_scipy_on_shipped_cells`` ties it to scipy.  The jump
+    factor at x_j comes from the spec's events, not from the operator.
     """
     a, b = op.nodes[j], op.nodes[j + 1]
     x, w = np.polynomial.legendre.leggauss(3)
@@ -232,9 +233,11 @@ def _cell_oracle(op, j):
     gen = op.spec.generator(0.5 * (a + b))
     phi = expm(gen * (b - a))
     phi_sig = [expm(gen * (t - a)) for t in sigma]
-    return {"phi": phi, "phi_inv": np.linalg.inv(phi), "gen": gen,
-            "sigma": sigma, "weights": 0.5 * (b - a) * w,
-            "phi_sig_inv": np.stack([np.linalg.inv(m) for m in phi_sig])}
+    J = next((J for t, J in op.spec.jump_events() if abs(t - a) <= op.radius),
+             np.eye(op.n))
+    return {"phi": phi, "gen": gen, "sigma": sigma, "weights": 0.5 * (b - a) * w,
+            "phi_sig_inv": np.stack([np.linalg.inv(m) for m in phi_sig]),
+            "fwd": phi @ J, "bwd": np.linalg.inv(J) @ np.linalg.inv(phi)}
 
 
 def _shipped_linear_spec(name):
@@ -354,6 +357,20 @@ def test_adjacent_backward_step_is_the_inverse_forward_step(make, window):
     for j in range(len(x) - 1):
         want = np.linalg.inv(op.value(x[j + 1], x[j]))
         assert norm(op.value(x[j], x[j + 1]) - want) <= 1e-13 * norm(want), j
+
+
+@pytest.mark.parametrize("make, window", [
+    (lambda: _shipped_linear_spec("scalar_mde"), (0.0, 12.0)),
+    (_piecewise_spec, (0.0, 3.5)),
+], ids=["scalar_mde", "piecewise"])
+def test_adjacent_step_is_the_read_only_store_row(make, window):
+    op = FundamentalOperator(make(), window)
+    x = op.nodes
+    for j in range(len(x) - 1):
+        for got, row in ((op.value(x[j + 1], x[j]), op.cells.fwd[j]),
+                         (op.value(x[j], x[j + 1]), op.cells.bwd[j])):
+            assert np.shares_memory(got, row) and np.array_equal(got, row), j
+            assert not got.flags.writeable
 
 
 def _two_jumps(kinds, gap):

@@ -8,7 +8,8 @@ import kurzmani.lp_manifold as lpm
 from conftest import (SADDLE, coupled_context, impulsive_manifold_closed_form,
                       quadratic_forcing)
 from kurzmani.apps import IdeSpec, MdeSpec, ide_to_context, mde_to_context
-from kurzmani.dichotomy import SplittingError, certify, projection_family
+from kurzmani.dichotomy import (SplittingError, _family_and_steps, certify,
+                                projection_family)
 from kurzmani.funcspace import PiecewisePath, StieltjesMeasure, norm
 from kurzmani.linsys import FundamentalOperator, LinearSystemSpec
 from kurzmani.lp_manifold import (LPContext, NonlinearitySpec, SolutionPath,
@@ -140,7 +141,7 @@ def test_projection_family_on_a_mesh_that_starts_before_t0():
         assert gap <= 1e-13 * norm(V) * norm(P[i]), (nodes[i], gap)
     # the grid family verify_dichotomy fits on (certify's default grid)
     grid = np.linspace(0.0, 6.0, 21)
-    fam = projection_family(fund, dich.P0, grid)
+    fam, _, _ = _family_and_steps(fund, dich.P0, grid)
     for Pg, t in zip(fam, grid):
         Pm = P[fund.node_index(t)]
         assert norm(Pg - Pm) <= 1e-12 * (1.0 + norm(Pm))
@@ -195,7 +196,8 @@ def _loop_apply(z, zeta, s, ctx):
     cells = []
     for k in range(M):
         j = idx[k]
-        phi, phi_inv = fund.cells.phi[j], fund.cells.phi_inv[j]
+        phi = fund.cells.phi[j]
+        phi_inv = np.linalg.inv(phi)
         sigma, weights = fund._sigma[j], fund._weights[j]
         J, J_inv = fund.jumps[j], fund.jump_invs[j]
         P_plus = J @ ctx.P(j) @ J_inv
@@ -251,6 +253,33 @@ def test_array_apply_matches_loop_form(request, name, s, zetas):
         bound = 1e-13 * (1.0 + float(np.max(np.abs(vals))))
         assert float(np.max(np.abs(out.values - vals))) <= bound
         assert float(np.max(np.abs(out.right_values - rights))) <= bound
+
+
+@pytest.mark.parametrize("name", ["ctx_impulsive", "ctx_scalar_mde"])
+def test_kernels_read_the_stored_mesh_steps(request, name):
+    ctx = request.getfixturevalue(name)
+    cells, m = ctx.fund.cells, ctx.i_T
+    kern = ctx.kernels(0)
+    assert np.shares_memory(kern.F, cells.fwd)
+    assert np.array_equal(kern.F, cells.fwd[:m])
+    # level 0 of the backward scan is the stored backward step, projected
+    unstable = np.eye(ctx.fund.n) - ctx._projections()[1:m + 1]
+    assert np.array_equal(kern.G_scan[:, 0], cells.bwd[:m] @ unstable)
+
+
+@pytest.mark.parametrize("registry, params, maps", [
+    ("quadratic", {"mats": np.ones((1, 2, 2))}, r"R\^2 to R\^1"),
+    ("cubic", {"coef": np.ones((2, 1))}, r"R\^1 to R\^2"),
+])
+def test_context_refuses_a_nonlinearity_of_another_dimension(registry, params, maps):
+    """einsum broadcasts these length-1 axes, so the spec builds on its own;
+    the context names both dimensions before any solve."""
+    fund = FundamentalOperator(LinearSystemSpec(2, PiecewisePath.constant(SADDLE)),
+                               (0.0, 4.0))
+    dich = certify(fund, P0=np.diag([1.0, 0.0]))
+    nonlin = NonlinearitySpec(registry, params, rho=0.5)
+    with pytest.raises(ValueError, match="%r maps %s .*n = 2" % (registry, maps)):
+        LPContext(fund, dich, nonlin, T=4.0)
 
 
 def test_context_reports_the_splitting_defects():

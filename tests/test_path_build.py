@@ -1,7 +1,7 @@
 """Measure masses, closed-form variation and the regularity constants.
 
 A measure's mass of half-open cells is checked against differences of the
-distribution path that a jump fold builds (one ``PiecewisePath.step`` +
+distribution path that a jump fold builds (one step path and one
 ``__add__`` per jump), kept here as the oracle; the closed-form variation
 cells are checked against adaptive quadrature; the regularity constants
 read from the mesh store are checked against the variation of the
@@ -33,7 +33,8 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 def folded(path, jumps):
     """The old fold: one step path added per jump, each add re-validated."""
     for t, jump in jumps:
-        path = path + PiecewisePath.step(t, np.asarray(jump, dtype=float))
+        jump = np.asarray(jump, dtype=float)
+        path = path + PiecewisePath.from_segments([t], [np.zeros_like(jump), jump])
     return path
 
 
