@@ -17,16 +17,16 @@ directions.
 
 The fast mode evaluates both integrals as affine recurrences over the mesh
 cells: forward from s with the propagators F~_k = V(x_{k+1}, x_k) P(x_k) and
-backward from T with G~_k = V(x_k, x_{k+1}) (Id - P(x_{k+1})).  Each runs as
-a Hillis-Steele inclusive prefix scan (Blelloch, "Prefix sums and their
-applications", 1990): log2(M) levels of stored products, so an application
-is a few stacked products with no Python loop over cells.  The projections
-change nothing in exact arithmetic (P(x_{k+1}) F_k = F_k P(x_k)), but they
-make every stored product a dichotomy-bounded propagator, norm <= K.  A
-solve iterates a batch of anchors (sample axis last) with one application
+backward from T with G~_k = V(x_k, x_{k+1}) (Id - P(x_{k+1})).  The backward
+one, reversed, follows the forward one in a single 2M-row sequence, and one
+Hillis-Steele inclusive prefix scan (Blelloch, "Prefix sums and their
+applications", 1990) runs both: log2(M) levels of stored products, so an
+application is a few stacked products with no Python loop over cells.  The
+projections change nothing in exact arithmetic (P(x_{k+1}) F_k = F_k P(x_k)),
+but they make every stored product a dichotomy-bounded propagator, norm <= K.
+A solve iterates a batch of anchors (sample axis last) with one application
 per iteration for all unconverged samples; each sample keeps its own
-convergence test, ratio history and error, and ``solve_lp`` is a batch of
-one.
+convergence test, ratio history and error, and ``solve_lp`` is a batch of one.
 
 A second, much slower evaluation path implements the operator literally as
 
@@ -84,13 +84,29 @@ class SolveError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# nonlinearity registry: each function reduces a contiguous (N, n) block of
-# states with elementwise einsum loops, never a BLAS kernel (whose blocking
-# depends on N), so a point's value has the same bits in any batch
+# nonlinearity registry: each function sweeps the (n, N) component rows of its
+# states elementwise, never with a BLAS kernel (whose blocking depends on N),
+# so a point's value has the same bits in any batch
 # ---------------------------------------------------------------------------
 
+def _component_sum(a, b):
+    """sum_j a[j] * b[j] over the leading (component) axis, elementwise, in
+    the order numpy's einsum adds fewer than 8 terms (even and odd components
+    in two lanes, then the lanes; a zero sum is +0), so with einsum's bits in
+    any batch.  A length-1 component axis broadcasts; other lengths raise."""
+    n = max(len(a), len(b))
+    if min(len(a), len(b)) not in (1, n):
+        raise ValueError("%d components against %d" % (len(a), len(b)))
+    lanes = [a[j % len(a)] * b[j % len(b)] for j in range(min(n, 2))] + [0.0]
+    for j in range(2, n):
+        lanes[j % 2] += a[j % len(a)] * b[j % len(b)]
+    lanes[0] += lanes[1]
+    lanes[0] += 0.0
+    return lanes[0]
+
+
 class _Quadratic:
-    """Component-wise quadratic forms, f_i(z) = z^T Q_i z."""
+    """Component-wise quadratic forms, f_i(z) = z^T Q_i z, one i at a time."""
 
     def __init__(self, mats):
         self.mats = np.asarray(mats, dtype=float)
@@ -98,9 +114,9 @@ class _Quadratic:
         self.shape = self.mats.shape        # (n, n, n) on R^n
 
     def __call__(self, z):
-        flat = np.ascontiguousarray(z).reshape(-1, z.shape[-1])
-        w = np.einsum("kij,Nj->Nki", self.mats, flat)
-        return np.einsum("Ni,Nki->Nk", flat, w).reshape(z.shape)
+        x = z.reshape(-1, z.shape[-1]).T
+        return np.array([_component_sum(x, _component_sum(Q.T[..., None], x[:, None]))
+                         for Q in self.mats]).T.reshape(z.shape)
 
     def sup_bound(self, r):
         return r * r * math.sqrt(sum(norm(Q) ** 2 for Q in self.mats))
@@ -118,8 +134,8 @@ class _Cubic:
         self.shape = self.coef.shape        # (n, n) on R^n
 
     def __call__(self, z):
-        flat = np.ascontiguousarray(z).reshape(-1, z.shape[-1])
-        return np.einsum("ij,Nj->Ni", self.coef, flat ** 3).reshape(z.shape)
+        x = z.reshape(-1, z.shape[-1]).T ** 3
+        return _component_sum(self.coef.T[..., None], x[:, None]).T.reshape(z.shape)
 
     def sup_bound(self, r):
         return norm(self.coef) * r ** 3
@@ -137,8 +153,8 @@ class _SaturatedTanh:
         self.shape = self.gain.shape        # (n, n) on R^n
 
     def __call__(self, z):
-        flat = np.ascontiguousarray(z).reshape(-1, z.shape[-1])
-        return np.einsum("ij,Nj->Ni", self.gain, np.tanh(flat)).reshape(z.shape)
+        x = np.tanh(z.reshape(-1, z.shape[-1]).T)
+        return _component_sum(self.gain.T[..., None], x[:, None]).T.reshape(z.shape)
 
     def sup_bound(self, r):
         n = self.gain.shape[1]
@@ -221,13 +237,13 @@ class NonlinearitySpec:
                              % (self.registry_id, shape[-1], shape[0], shape, n))
 
     def value(self, t, z):
-        """Cutoff nonlinearity; broadcasts over leading axes of z.  psi is
-        exactly 1 on |z| <= rho: a batch inside that ball skips the multiply."""
+        """Cutoff nonlinearity; broadcasts over leading axes of z.  psi is 1 on
+        |z| <= rho: a batch with sqrt(n) max |z_i| <= rho skips norm and psi."""
         z = np.asarray(z, dtype=float)
-        r, f = np.linalg.norm(z, axis=-1), self._raw(z)
-        if r.max(initial=0.0) <= self.rho:
+        f = self._raw(z)
+        if math.sqrt(z.shape[-1]) * np.abs(z).max(initial=0.0) <= self.rho:
             return f
-        psi = _smooth_cutoff(r, self.rho)
+        psi = _smooth_cutoff(np.linalg.norm(z, axis=-1), self.rho)
         return f * psi[..., None] if z.ndim > 1 else float(psi) * f
 
     def v_h(self, window):
@@ -266,7 +282,8 @@ class SolutionPath:
         return float(np.max(np.linalg.norm(self.values, axis=1)))
 
     def diff_sup(self, other):
-        return float(np.max(np.linalg.norm(self.values - other.values, axis=1)))
+        d = self.values - other.values      # sqrt is monotone: one, of the max
+        return float(np.sqrt(np.max(np.einsum("ij,ij->i", d, d))))
 
 
 def _canon_sign(B):
@@ -290,13 +307,13 @@ def splitting_bases(P):
     return Bs, Bu
 
 
-def _mv(A, v):
+def _mv(A, v, out=None):
     """Stacked products A[..., :, :] @ v[..., :, :] of matrices and columns.
 
     Mesh arrays of the fast operator keep the sample axis last, (M, n, S),
     so one stacked product serves a single path (S = 1) and a batch alike.
     """
-    return np.einsum("...ij,...js->...is", A, v)
+    return np.einsum("...ij,...js->...is", A, v, out=out)
 
 
 def _q_blocks(K):
@@ -317,13 +334,13 @@ class _Kernels(NamedTuple):
 
     Row k belongs to the cell [x_k, x_{k+1}]; ``J`` has one row per node.
     ``P+`` is J P J^{-1}, the projection just after the jump at x_k.  The
-    scan levels are the sweep propagators projected by the dichotomy,
-    F~_k = F_k P(x_k) and G~_k = G_k (Id - P(x_{k+1})), with F_k and
-    G_k = F_k^{-1} slices of the mesh steps ``cells.fwd`` and ``cells.bwd``;
-    level d multiplies 2^d consecutive ones, truncated at the mesh ends
-    where no sweep reads them.  A forward product sits in the row of its
-    last cell and a backward one in the row of its first, so slicing off
-    leading rows keeps every product a later start reads.
+    rows of the one ``scan`` stack are the sweep propagators projected by
+    the dichotomy, F~_k = F_k P(x_k) for k < M, then G~_k = G_k (Id - P(x_{k+1}))
+    for k = M-1 .. 0, with F_k and G_k = F_k^{-1} slices of the mesh steps
+    ``cells.fwd`` and ``cells.bwd``.  Row M, G~_{M-1}, multiplies I_M = 0,
+    so it is zero, which keeps the stable sweep out of the unstable one.
+    Level d multiplies 2^d rows, ending at its own.  A start at node i
+    reads rows [i, 2M - i): the first 2 (M - i) left after dropping i.
     """
 
     sigma: np.ndarray       # (M, Q) quadrature times
@@ -336,54 +353,42 @@ class _Kernels(NamedTuple):
     atom_u: np.ndarray      # (M, n, n) J^{-1} (Id - P+)
     K_stable: np.ndarray    # (M, n, Q n) V(x_{k+1}, sigma_q) P(sigma_q), q-blocks
     K_unstable: np.ndarray  # (M, n, Q n) V(x_k, sigma_q) (Id - P(sigma_q))
-    F_scan: np.ndarray      # (M, L, n, n) F~_k F~_{k-1} ... F~_{k-2^d+1}
-    G_scan: np.ndarray      # (M, L, n, n) G~_k G~_{k+1} ... G~_{k+2^d-1}
+    scan: np.ndarray        # (2M, L, n, n) level d: rows k, k-1 .. k-2^d+1 multiplied
 
 
-def _scan_levels(A, forward):
-    """Hillis-Steele level products of a stacked (M, n, n) sequence.
-
-    Level d + 1 joins two level-d products 2^d rows apart; a forward level
-    ends at its row, a backward level starts there.  Returns (M, L, n, n)
-    with L levels, enough for ``_scan`` over any row suffix.
+def _scan_levels(A):
+    """Hillis-Steele level products of a stacked (2M, n, n) sequence: level
+    d + 1 joins two level-d products 2^d rows apart and ends at its row.
+    Returns (2M, L, n, n), the L levels of offset below M that ``_scan`` reads.
     """
-    levels = [A]
-    o = 1
-    while 2 * o < len(A):
-        prev = levels[-1]
-        nxt = prev.copy()
-        if forward:
-            nxt[o:] = prev[o:] @ prev[:-o]
-        else:
-            nxt[:-o] = prev[:-o] @ prev[o:]
-        levels.append(nxt)
-        o *= 2
-    return np.stack(levels, axis=1)
+    levels = np.empty((len(A), max(1, (len(A) // 2 - 1).bit_length())) + A.shape[1:])
+    levels[:, 0] = A
+    for d in range(1, levels.shape[1]):
+        prev, o = levels[:, d - 1], 2 ** (d - 1)
+        levels[:, d] = np.concatenate([prev[:o], prev[o:] @ prev[:-o]])
+    return levels
 
 
-def _scan(levels, c, forward):
-    """Inclusive scan of the affine recurrence u_k = A_k u_{k-1} + c_k
-    (forward) or u_k = A_k u_{k+1} + c_k (backward) with zero outside;
-    ``c`` is (M, n, S) and is overwritten with the result."""
-    M = len(c)
-    o, d = 1, 0
-    while o < M:
-        if forward:
-            c[o:] += _mv(levels[o:, d], c[:-o])
-        else:
-            c[:-o] += _mv(levels[:-o, d], c[o:])
+def _scan(kern: _Kernels, c):
+    """Inclusive scan of the affine recurrence u_k = A_k u_{k-1} + c_k over
+    the ``scan`` rows, with zero before row 0; ``c`` is (M, n, S) or
+    (2M, n, S) for the M cells of ``kern`` and is overwritten."""
+    K, o, d = len(c), 1, 0
+    while o < len(kern.F):
+        c[o:] += _mv(kern.scan[o:K, d], c[:-o])
         o, d = 2 * o, d + 1
     return c
 
 
-def _stable_sweep(kern: _Kernels, zetas, c1):
+def _stable_sweep(kern: _Kernels, zetas, c):
     """V(x_k, s) zeta plus the stable integral up to x_k, for every node.
 
-    ``zetas`` is (n, S) and ``c1`` the (M, n, S) per-cell increments; zeta
-    enters as F~_0 zeta on the first cell.  Returns (M+1, n, S).
+    ``zetas`` is (n, S) and ``c`` the (M, n, S) per-cell increments (or
+    (2M, n, S), the unstable ones reversed after them, for the scan to sum
+    too); zeta enters as F~_0 zeta on the first cell.  Returns (M+1, n, S).
     """
-    c1[:1] += _mv(kern.F_scan[:1, 0], zetas[None])
-    return np.concatenate([zetas[None], _scan(kern.F_scan, c1, forward=True)])
+    c[:1] += _mv(kern.scan[:1, 0], zetas[None])
+    return np.concatenate([zetas[None], _scan(kern, c)[:len(kern.F)]])
 
 
 class LPContext:
@@ -479,8 +484,8 @@ class LPContext:
             J=J, F=F, atom_s=atom_s, atom_u=atom_u,
             K_stable=_q_blocks(atom_s[:, None] @ phi_sig_inv),
             K_unstable=_q_blocks(atom_u[:, None] @ phi_sig_inv),
-            F_scan=_scan_levels(F @ proj[:m], forward=True),
-            G_scan=_scan_levels(G @ (eye - proj[1:]), forward=False))
+            scan=_scan_levels(np.concatenate([F @ proj[:m], np.zeros((1,) + eye.shape),
+                                              (G @ (eye - proj[1:]))[-2::-1]])))
 
     def span(self, s):
         """Mesh node indices covering [s, T]; s must be a node."""
@@ -558,14 +563,16 @@ def _fast_apply(ctx, kern: _Kernels, x, values, rights, zetas):
     new left values and right limits.
     """
     f, at, atoms = _forcing(ctx, kern, values, rights, x)
-    c1 = _mv(kern.K_stable, f)
-    c2 = _mv(kern.K_unstable, f)
+    M = len(f)
+    c = np.empty((2 * M,) + zetas.shape)    # stable rows k, unstable 2M-1-k
+    _mv(kern.K_stable, f, out=c[:M])
+    _mv(kern.K_unstable, f, out=c[M:][::-1])
     if at.size:
-        c1[at] += _mv(kern.atom_s[at], atoms[at])
-        c2[at] += _mv(kern.atom_u[at], atoms[at])
+        c[at] += _mv(kern.atom_s[at], atoms[at])
+        c[2 * M - 1 - at] += _mv(kern.atom_u[at], atoms[at])
     # y = V(t, s) zeta + stable integral up to t, minus the unstable one to T
-    vals = _stable_sweep(kern, zetas, c1)
-    vals[:-1] -= _scan(kern.G_scan, c2, forward=False)
+    vals = _stable_sweep(kern, zetas, c)
+    vals[:-1] -= c[M:][::-1]
     return vals, _mv(kern.J, vals) + atoms
 
 
@@ -574,14 +581,15 @@ def lp_operator_apply(z: SolutionPath, zeta, s, ctx: LPContext, mode="fast"):
 
     Fast mode computes the stable integral from s and the unstable integral
     back from T as two affine recurrences over the mesh cells,
-    y_{k+1} = F~_k y_k + c_k and I_k = G~_k I_{k+1} + c'_k, each evaluated
-    as a log2(M)-level inclusive prefix scan over the context's stored
-    products of the dichotomy-projected propagators (``_Kernels``).  By the
-    cocycle identity P(x_{k+1}) F_k = F_k P(x_k) the projection leaves the
-    sweeps unchanged in exact arithmetic, and it keeps every stored product
-    bounded by the dichotomy constant.  The reference mode evaluates the
-    literal four-term form (see module docstring).  Both return a new
-    ``SolutionPath`` on the same mesh.
+    y_{k+1} = F~_k y_k + c_k and I_k = G~_k I_{k+1} + c'_k; reversed, the
+    second continues the first, and one log2(M)-level inclusive prefix scan
+    over the context's stored products of the dichotomy-projected
+    propagators (``_Kernels``) evaluates both.  By the cocycle identity
+    P(x_{k+1}) F_k = F_k P(x_k) the projection leaves the sweeps unchanged in
+    exact arithmetic, and it keeps every stored product bounded by the
+    dichotomy constant.  The reference mode evaluates the literal four-term
+    form (see module docstring).  Both return a new ``SolutionPath`` on the
+    same mesh.
     """
     idx = ctx.span(float(s))
     x = ctx.fund.nodes[idx]
@@ -812,7 +820,8 @@ def _solve_batch(zetas, s, ctx: LPContext, Bu):
             break
         new_v, new_r = _fast_apply(ctx, kern, x, vals[..., active],
                                    rights[..., active], zetas[:, active])
-        step = np.max(np.linalg.norm(new_v - vals[..., active], axis=1), axis=0)
+        d = new_v - vals[..., active]       # sqrt is monotone: one per sample
+        step = np.sqrt(np.max(np.einsum("kis,kis->ks", d, d), axis=0))
         vals[..., active], rights[..., active] = new_v, new_r
         still = []
         for i, diff in zip(active, step.tolist()):

@@ -202,7 +202,7 @@ def test_specs_refuse_a_nonlinearity_of_another_dimension():
     one = NonlinearitySpec("quadratic", {"mats": [[[1.0]]]}, rho=0.5)
     with pytest.raises(ValueError, match=r"'quadratic' maps R\^1 to R\^1 .*n = 2"):
         IdeSpec(2, saddle_path(), (), one)
-    # einsum broadcasts the length-1 state past the (1, 2, 2) forms
+    # the component sweep broadcasts the length-1 state past the (1, 2, 2) forms
     wide = NonlinearitySpec("quadratic", {"mats": np.ones((1, 2, 2))}, rho=0.5)
     with pytest.raises(ValueError, match=r"maps R\^2 to R\^1 .*n = 1"):
         IdeSpec(1, PiecewisePath.constant([[-1.0]]), (), wide)

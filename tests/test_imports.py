@@ -321,6 +321,11 @@ def test_registry_calls_and_segment_eval_take_no_blas_product():
     classes = registry_classes(lpm)
     assert classes == ["_Cubic", "_Quadratic", "_SaturatedTanh", "_Zero"]
     assert blas_products(lpm, [(c, "__call__") for c in classes]) == []
+    # the guard follows the calls into the shared component sweep
+    swept = lpm.replace("lanes = [a[j % len(a)] * b", "lanes = [a[j % len(a)] @ b")
+    assert swept != lpm
+    for c in classes[:3]:
+        assert len(blas_products(swept, [(c, "__call__")])) == 1
     # Segment.eval's polynomial part and, as method calls the guard does not
     # follow, its preset terms
     funcspace = (SRC / "funcspace.py").read_text(encoding="utf-8")

@@ -96,6 +96,92 @@ def test_quadratic_agrees_with_the_three_operand_form(n):
     assert np.all(np.abs(spec._raw(z) - old) <= 1e-15 * scale)
 
 
+def _einsum_map(raw, z):
+    """The registry maps as einsum contractions of a states-last (N, n)
+    array: the reference for the component sweeps."""
+    flat = np.ascontiguousarray(z).reshape(-1, z.shape[-1])
+    if isinstance(raw, lpm._Quadratic):
+        w = np.einsum("kij,Nj->Nki", raw.mats, flat)
+        out = np.einsum("Ni,Nki->Nk", flat, w)
+    elif isinstance(raw, lpm._Cubic):
+        out = np.einsum("ij,Nj->Ni", raw.coef, flat ** 3)
+    elif isinstance(raw, lpm._SaturatedTanh):
+        out = np.einsum("ij,Nj->Ni", raw.gain, np.tanh(flat))
+    else:
+        out = np.zeros(flat.shape)
+    return out.reshape(z.shape)
+
+
+@pytest.mark.parametrize("spec", REGISTRY_SPECS.values(), ids=REGISTRY_SPECS.keys())
+def test_component_sweeps_keep_the_einsum_bits(spec):
+    """The component-first sweeps give the two-einsum forms' bits and zero
+    signs on the quadrature shape, an 11-anchor batch and single points."""
+    n = spec._raw.n
+    rng = np.random.default_rng(21)
+    for shape in ((400, 3, 1), (400, 3, 11), (), (1,)):
+        z = _shell(rng, shape, n, (0.0, 3.0 * spec.rho))
+        z.reshape(-1)[::5] = 0.0              # zero products of both signs
+        z.reshape(-1)[1::7] = -0.0
+        got, want = spec._raw(z), _einsum_map(spec._raw, z)
+        assert got.shape == z.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_component_sweep_refuses_other_dimensions():
+    """Only a length-1 component axis broadcasts; a planar map refuses
+    three-component states."""
+    with pytest.raises(ValueError):
+        REGISTRY_SPECS["quadratic_n2"]._raw(np.ones((5, 3)))
+    with pytest.raises(ValueError):
+        REGISTRY_SPECS["cubic"]._raw(np.ones((5, 2)))
+    with pytest.raises(ValueError):
+        lpm._component_sum(np.ones((2, 4)), np.ones((3, 4)))
+
+
+@pytest.mark.parametrize("spec", REGISTRY_SPECS.values(), ids=REGISTRY_SPECS.keys())
+def test_ball_test_inside_the_box_takes_no_norm(spec, monkeypatch):
+    """sqrt(n) max |z_i| <= rho puts the batch in the ball: no norm, no psi."""
+    n = spec._raw.n
+    z = np.random.default_rng(3).uniform(-1.0, 1.0, (400, 3, 1, n))
+    z *= spec.rho / math.sqrt(n)
+    want = spec._raw(z)
+
+    def no_norm(*args, **kwargs):
+        raise AssertionError("the box test should not take a norm")
+    monkeypatch.setattr(np.linalg, "norm", no_norm)
+    assert np.array_equal(spec.value(0.0, z), want)
+
+
+@pytest.mark.parametrize("name", ["quadratic_n2", "quadratic_n3", "saturated_tanh"])
+def test_ball_test_falls_back_to_the_norm(name, monkeypatch):
+    """|z| <= rho < sqrt(n) max |z_i| fails the box but not the ball: the
+    norms decide, and the raw map's bits come back; past rho psi is
+    multiplied in."""
+    spec = REGISTRY_SPECS[name]
+    n, rho = spec._raw.n, spec.rho
+    z = np.zeros((2, n))
+    z[0, 0] = 0.9 * rho
+    z[1, :2] = 0.6 * rho
+    calls = []
+    real_norm = np.linalg.norm
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real_norm(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    got = spec.value(0.0, z)
+    assert len(calls) == 1
+    assert np.array_equal(got, spec._raw(z))
+    assert np.array_equal(np.signbit(got), np.signbit(spec._raw(z)))
+    # a straddling batch: one point past rho, so psi is multiplied in
+    z[1, 0] = 1.5 * rho
+    got = spec.value(0.0, z)
+    psi = lpm._smooth_cutoff(real_norm(z, axis=-1), rho)
+    assert psi[1] < 1.0
+    assert np.array_equal(got, spec._raw(z) * psi[:, None])
+
+
 @pytest.mark.parametrize("name", ["ctx_planar", "ctx_impulsive", "ctx_scalar_mde"])
 def test_batch_apply_equals_its_columns(request, name):
     """An S = 3 application agrees with three S = 1 applications column by
@@ -241,8 +327,8 @@ def test_array_apply_matches_loop_form(request, name, s, zetas):
     ctx = request.getfixturevalue(name)
     kern = ctx.kernels(ctx.span(s)[0])
     # the scan levels are dichotomy-projected propagators: bounded by K
-    for levels in (kern.F_scan, kern.G_scan):
-        assert float(np.max(np.linalg.norm(levels, 2, axis=(-2, -1)))) <= 2.0 * ctx.dich.K
+    levels = np.linalg.norm(kern.scan, 2, axis=(-2, -1))
+    assert float(np.max(levels)) <= 2.0 * ctx.dich.K
     Bs, _ = splitting_bases(ctx.P(ctx.span(s)[0]))
     for zeta1 in zetas:
         zeta = Bs @ np.array([zeta1])
@@ -262,9 +348,90 @@ def test_kernels_read_the_stored_mesh_steps(request, name):
     kern = ctx.kernels(0)
     assert np.shares_memory(kern.F, cells.fwd)
     assert np.array_equal(kern.F, cells.fwd[:m])
-    # level 0 of the backward scan is the stored backward step, projected
-    unstable = np.eye(ctx.fund.n) - ctx._projections()[1:m + 1]
-    assert np.array_equal(kern.G_scan[:, 0], cells.bwd[:m] @ unstable)
+    # level 0 holds the stored forward steps, projected, then the stored
+    # backward steps, projected and reversed; row m, G~_{m-1}, is zero
+    proj = ctx._projections()
+    assert kern.scan.shape[0] == 2 * m
+    assert np.array_equal(kern.scan[:m, 0], cells.fwd[:m] @ proj[:m])
+    unstable = (cells.bwd[:m] @ (np.eye(ctx.fund.n) - proj[1:m + 1]))[::-1]
+    assert np.array_equal(kern.scan[m + 1:, 0], unstable[1:])
+    assert not np.any(kern.scan[m])
+
+
+def _two_sweep_levels(A, forward):
+    """Hillis-Steele levels of one sweep in its own stack: a forward level
+    ends at its row, a backward level starts there.  With ``_two_sweep_scan``
+    and ``_two_sweep_apply`` the reference for the one scan."""
+    levels = [A]
+    o = 1
+    while 2 * o < len(A):
+        prev = levels[-1]
+        nxt = prev.copy()
+        if forward:
+            nxt[o:] = prev[o:] @ prev[:-o]
+        else:
+            nxt[:-o] = prev[:-o] @ prev[o:]
+        levels.append(nxt)
+        o *= 2
+    return np.stack(levels, axis=1)
+
+
+def _two_sweep_scan(levels, c, forward):
+    M = len(c)
+    o, d = 1, 0
+    while o < M:
+        if forward:
+            c[o:] += lpm._mv(levels[o:, d], c[:-o])
+        else:
+            c[:-o] += lpm._mv(levels[:-o, d], c[o:])
+        o, d = 2 * o, d + 1
+    return c
+
+
+def _two_sweep_apply(ctx, i_s, values, rights, zetas):
+    """The fast operator with a forward scan for the stable sweep and a
+    separate backward scan for the unstable one."""
+    fund, m = ctx.fund, ctx.i_T
+    proj = ctx._projections()
+    F_scan = _two_sweep_levels(fund.cells.fwd[:m] @ proj[:m], True)[i_s:]
+    G_scan = _two_sweep_levels(
+        fund.cells.bwd[:m] @ (np.eye(fund.n) - proj[1:m + 1]), False)[i_s:]
+    kern = ctx.kernels(i_s)
+    f, at, atoms = lpm._forcing(ctx, kern, values, rights, fund.nodes[i_s:m + 1])
+    c1 = lpm._mv(kern.K_stable, f)
+    c2 = lpm._mv(kern.K_unstable, f)
+    if at.size:
+        c1[at] += lpm._mv(kern.atom_s[at], atoms[at])
+        c2[at] += lpm._mv(kern.atom_u[at], atoms[at])
+    c1[:1] += lpm._mv(F_scan[:1, 0], zetas[None])
+    vals = np.concatenate([zetas[None], _two_sweep_scan(F_scan, c1, True)])
+    vals[:-1] -= _two_sweep_scan(G_scan, c2, False)
+    return vals, lpm._mv(kern.J, vals) + atoms
+
+
+@pytest.mark.parametrize("name", ["ctx_planar", "ctx_impulsive", "ctx_scalar_mde",
+                                  "ctx_coupled"])
+def test_one_scan_equals_two_sweeps(request, name):
+    """The one forward scan over [F~; reversed G~] gives the bits of a
+    forward and a backward sweep, from s = 0, s = 1, the last cell and T."""
+    ctx = request.getfixturevalue(name)
+    m = ctx.i_T
+    for i_s in (0, ctx.fund.node_index(1.0), m - 1, m):
+        s = float(ctx.fund.nodes[i_s])
+        Bs, _ = splitting_bases(ctx.P(i_s))
+        zetas = np.stack([Bs @ np.array([c]) for c in (0.15, -0.4)], axis=-1)
+        paths = [ctx.initial_path(z, s) for z in zetas.T]
+        vals = np.stack([p.values for p in paths], axis=-1)
+        rights = np.stack([p.right_values for p in paths], axis=-1)
+        zero = np.zeros_like(vals)
+        want, _ = _two_sweep_apply(ctx, i_s, zero, zero, zetas)
+        assert np.array_equal(vals, want)
+        got = _fast_apply(ctx, ctx.kernels(i_s), ctx.fund.nodes[i_s:m + 1],
+                          vals, rights, zetas)
+        want = _two_sweep_apply(ctx, i_s, vals, rights, zetas)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+            assert np.array_equal(np.signbit(g), np.signbit(w))
 
 
 @pytest.mark.parametrize("registry, params, maps", [
@@ -272,8 +439,9 @@ def test_kernels_read_the_stored_mesh_steps(request, name):
     ("cubic", {"coef": np.ones((2, 1))}, r"R\^1 to R\^2"),
 ])
 def test_context_refuses_a_nonlinearity_of_another_dimension(registry, params, maps):
-    """einsum broadcasts these length-1 axes, so the spec builds on its own;
-    the context names both dimensions before any solve."""
+    """The component sweep broadcasts these length-1 axes, as einsum did, so
+    the spec builds on its own; the context names both dimensions before
+    any solve."""
     fund = FundamentalOperator(LinearSystemSpec(2, PiecewisePath.constant(SADDLE)),
                                (0.0, 4.0))
     dich = certify(fund, P0=np.diag([1.0, 0.0]))

@@ -75,7 +75,7 @@ def tainted(source, fields, forbidden=FORBIDDEN_CALLS):
 def test_guard_flags_direct_and_transitive_kernel_use():
     src = (
         "def reads_field(ctx):\n    return ctx.kernels(0)\n"
-        "def reads_level(kern):\n    return kern.G_scan\n"
+        "def reads_level(kern):\n    return kern.scan\n"
         "def helper(ctx):\n    return reads_field(ctx)\n"
         "def clean(ctx):\n    return ctx.fund.nodes\n")
     assert tainted(src, _Kernels._fields) == {"reads_field", "reads_level", "helper"}
