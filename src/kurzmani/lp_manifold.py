@@ -58,7 +58,7 @@ import numpy as np
 from .dichotomy import DichotomyData, SplittingError, projection_family
 from .funcspace import LEBESGUE, StieltjesMeasure, norm
 from .linsys import (FundamentalOperator, PropagationError, RegularityReport,
-                     expm)
+                     dop853, expm)
 
 log = logging.getLogger("kurzmani")
 
@@ -998,9 +998,27 @@ class Classification:
     sup_norm: float
 
 
+def _first_time(reached, lo, hi):
+    """Where the predicate ``reached``, false at lo and true at hi, turns
+    true: bisection down to adjacent floats, returning the later one."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if reached(mid):
+            hi = mid
+        else:
+            lo = mid
+
+
 def classify_initial(z0, s, ctx: LPContext, bound) -> Classification:
-    """Forward-integrate the full nonlinear system until escape or horizon."""
-    from scipy.integrate import solve_ivp
+    """Forward-integrate the full nonlinear system until escape or horizon.
+
+    ``dop853`` runs between the event stops.  The solution escapes in the
+    first step across which its norm rises through ``bound``; the escape
+    time is where the step's dense output reaches the bound.  A failed step
+    reads "indeterminate".
+    """
     z0 = np.asarray(z0, dtype=float)
     bound = float(bound)
     if bound <= norm(z0):
@@ -1015,11 +1033,6 @@ def classify_initial(z0, s, ctx: LPContext, bound) -> Classification:
         return ctx.fund.spec.generator(t) @ y + \
             np.asarray(ctx.nonlin.value(t, y)) * float(density.sample(t))
 
-    def escape(t, y):
-        return float(np.linalg.norm(y)) - bound
-    escape.terminal = True
-    escape.direction = 1.0
-
     # integrate between genuine events only: jumps, kernel atoms, and kinks
     # of the generator; everything in between is one smooth solve
     lo, hi = ctx.fund.window
@@ -1031,15 +1044,18 @@ def classify_initial(z0, s, ctx: LPContext, bound) -> Classification:
         cc_w = ctx.atom_weights[idx[a_i]]
         kick = cc_w * np.asarray(ctx.nonlin.value(nodes[a_i], state)) if cc_w else 0.0
         state = ctx.fund.jumps[idx[a_i]] @ state + kick
-        sol = solve_ivp(rhs, (nodes[a_i], nodes[b_i]), state, method="DOP853",
-                        rtol=1e-10, atol=1e-12, events=escape, dense_output=False)
-        if not sol.success:
+        t_old, r_old = nodes[a_i], norm(state)
+        sup = max(sup, r_old)
+        try:
+            for t, y, dense in dop853(rhs, nodes[a_i], state, nodes[b_i],
+                                      rtol=1e-10, atol=1e-12):
+                r = norm(y)
+                if r_old <= bound <= r:
+                    t_esc = _first_time(lambda t: norm(dense(t)) >= bound, t_old, t)
+                    return Classification("escapes", float(t_esc), dense(t_esc), bound)
+                t_old, r_old, state, sup = t, r, y, max(sup, r)
+        except PropagationError:
             return Classification("indeterminate", None, state, sup)
-        if sol.t_events[0].size:
-            t_esc = float(sol.t_events[0][0])
-            return Classification("escapes", t_esc, sol.y_events[0][0], bound)
-        state = sol.y[:, -1]
-        sup = max(sup, float(np.max(np.linalg.norm(sol.y, axis=0))))
     return Classification("bounded_to_horizon", None, state, sup)
 
 

@@ -582,8 +582,9 @@ def test_metadata_header_present(tmp_path):
 
 
 def test_default_commands_run_without_importing_scipy(tmp_path):
-    # constant generators need no quadrature, no ODE solver and no
-    # scipy.linalg, so the CLI must not pay for importing scipy at all
+    # constant generators need no quadrature and no scipy.linalg, and the
+    # escape integrator is the package's own, so the CLI must not pay for
+    # importing scipy at all
     code = "\n".join([
         "import sys",
         "def no_scipy(after):",
@@ -597,7 +598,9 @@ def test_default_commands_run_without_importing_scipy(tmp_path):
         "                  ('dichotomy', 'expansion_example'),",
         "                  ('fundamental', 'expansion_example'),",
         "                  ('check', 'scalar_mde'),",
-        "                  ('integrate', 'lacunary_integral')]:",
+        "                  ('integrate', 'lacunary_integral'),",
+        "                  ('classify', 'planar_quadratic'),",
+        "                  ('crosscheck', 'lacunary_integral')]:",
         "    cfg = sys.argv[1] + '/' + name + '.json'",
         "    assert cli.main([cmd, '--config', cfg, '--out', sys.argv[2]]) == 0",
         "    no_scipy(cmd + ' ' + name)",

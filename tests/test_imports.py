@@ -258,6 +258,32 @@ def test_only_funcspace_calls_scipy_quad():
     assert {name: lines for name, lines in calls.items() if lines} == {}
 
 
+def solve_ivp_uses(source):
+    """Lines that import or name scipy's ``solve_ivp``, bare or as an
+    attribute."""
+    tree = ast.parse(source)
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and any(a.name == "solve_ivp" for a in node.names)
+                   or getattr(node, "id", None) == "solve_ivp"
+                   or getattr(node, "attr", None) == "solve_ivp"})
+
+
+def test_guard_flags_solve_ivp():
+    src = ("from scipy.integrate import quad, solve_ivp as ivp\n"
+           "import scipy.integrate\n"
+           "sol = scipy.integrate.solve_ivp(f, (0, 1), y0)\n"
+           "x = solve_ivp\n")
+    assert solve_ivp_uses(src) == [1, 3, 4]
+
+
+def test_no_module_uses_solve_ivp():
+    """``linsys.dop853`` is the package's one ODE integrator."""
+    uses = {p.name: solve_ivp_uses(p.read_text(encoding="utf-8"))
+            for p in SRC.glob("*.py")}
+    assert {name: lines for name, lines in uses.items() if lines} == {}
+
+
 # calls that reach a BLAS kernel (or, for ``vander``, feed one)
 BLAS_CALLS = ("dot", "matmul", "tensordot", "inner", "vander")
 

@@ -263,8 +263,8 @@ def _piecewise_spec():
 def test_stacked_constant_cells_equal_per_cell_oracle(monkeypatch, make, window,
                                                       smooth_cells):
     ivp_calls = []
-    real_ivp = linsys.solve_ivp
-    monkeypatch.setattr(linsys, "solve_ivp",
+    real_ivp = linsys.dop853
+    monkeypatch.setattr(linsys, "dop853",
                         lambda *a, **k: ivp_calls.append(1) or real_ivp(*a, **k))
     spec = make()
     op = FundamentalOperator(spec, window)
@@ -284,6 +284,56 @@ def test_stacked_constant_cells_equal_per_cell_oracle(monkeypatch, make, window,
 
 def _rel_gap(x, ref):
     return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
+
+
+def test_dop853_matches_expm_on_a_linear_system():
+    """Step ends and dense output of y' = A y, y(0) = Id, against expm(A t)
+    over [0, 5] at the tolerance the cell propagator uses."""
+    A = np.array([[-1.0, 3.0, 0.0], [0.5, 1.0, -0.4], [0.0, 2.0, -0.3]])
+    eye = np.eye(3).ravel()
+    ends, dense_gaps = [], []
+    for t, y, dense in linsys.dop853(lambda t, y: (A @ y.reshape(3, 3)).ravel(),
+                                     0.0, eye, 5.0, 1e-12, 1e-12):
+        ends.append(t)
+        assert _rel_gap(y.reshape(3, 3), expm(A * t)) <= 1e-10, t
+        t_mid = ends[-2] + 0.37 * (t - ends[-2]) if len(ends) > 1 else 0.37 * t
+        dense_gaps.append(_rel_gap(dense(t_mid).reshape(3, 3), expm(A * t_mid)))
+    assert ends[-1] == 5.0 and len(ends) > 10
+    assert max(dense_gaps) <= 1e-10
+
+
+def test_dop853_takes_the_steps_of_scipys_dop853():
+    """The step control and the initial step are Hairer's, as in scipy's
+    port of his code: the same steps on a nonlinear saddle whose forcing
+    pulse at t = 4 makes the control reject steps."""
+    from scipy.integrate import solve_ivp
+
+    def fun(t, y):
+        pulse = 5.0 * math.exp(-50.0 * (t - 4.0) ** 2)
+        return np.array([-y[0], y[1] + y[0] ** 2 * math.cos(t) + pulse])
+
+    y0 = np.array([0.3, 0.01])
+    ref = solve_ivp(fun, (0.0, 8.0), y0, method="DOP853", rtol=1e-10, atol=1e-12)
+    steps = list(linsys.dop853(fun, 0.0, y0, 8.0, 1e-10, 1e-12))
+    assert len(steps) == len(ref.t) - 1 > 20
+    np.testing.assert_allclose([t for t, _, _ in steps], ref.t[1:], rtol=1e-14, atol=0)
+    np.testing.assert_allclose([y for _, y, _ in steps], ref.y[:, 1:].T,
+                               rtol=1e-12, atol=1e-15)
+
+
+def test_non_finite_generator_mid_cell_raises_propagation_error(monkeypatch):
+    """A right-hand side that turns NaN inside an integrated cell fails the
+    cell; the step never shrinks to a floor and returns as converged."""
+    spec = _piecewise_spec()
+    smooth = LinearSystemSpec.generator
+    # NaN on the polynomial piece (1, 2) from t = 1.55 on
+    monkeypatch.setattr(LinearSystemSpec, "generator", lambda self, t: smooth(
+        self, t) * (np.nan if 1.55 < t < 2.0 else 1.0))
+    op = FundamentalOperator(spec, (0.0, 3.5))
+    with pytest.raises(linsys.PropagationError, match="step size fell below"):
+        op._propagate(1.5, 1.6)
+    with pytest.raises(linsys.PropagationError):
+        op.cells
 
 
 @pytest.mark.parametrize("n", [1, 3])

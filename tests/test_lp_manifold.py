@@ -662,7 +662,19 @@ def test_classification_escape_time_linear_growth(ctx_planar):
                     tol=1e-10, regularity=ctx_planar.regularity)
     res = classify_initial(np.array([0.0, 0.01]), 0.0, ctx, bound=1e3)
     assert res.status == "escapes"
-    assert res.t_escape == pytest.approx(math.log(1e5), abs=1e-3)
+    assert res.t_escape == pytest.approx(math.log(1e5), abs=1e-9)
+
+
+def test_classification_is_indeterminate_when_the_forcing_turns_non_finite(
+        ctx_planar, monkeypatch):
+    lin = NonlinearitySpec("zero", {"n": 2}, rho=0.5)
+    ctx = LPContext(ctx_planar.fund, ctx_planar.dich, lin, T=ctx_planar.T,
+                    tol=1e-10, regularity=ctx_planar.regularity)
+    # mid-way through the one stop [0, 40], long before the escape at 11.5
+    monkeypatch.setattr(lin, "value",
+                        lambda t, z: np.full(2, np.nan if t > 5.0 else 0.0))
+    res = classify_initial(np.array([0.0, 0.01]), 0.0, ctx, bound=1e3)
+    assert res.status == "indeterminate" and res.t_escape is None
 
 
 def test_classification_off_manifold_offset_escapes(ctx_planar):

@@ -20,6 +20,7 @@ from kurzmani.lp_manifold import _Kernels
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "kurzmani"
 ORACLES = ("_fine_layout", "_inner_accumulation", "_reference_apply",
            "classify_initial", "bisect_manifold_oracle")
+INTEGRATOR = {"dop853", "_initial_step", "_stages", "_error_norm", "_dense_output"}
 FORBIDDEN_CALLS = {"kernels", "_build_kernels", "_scan_levels", "_scan",
                    "_stable_sweep", "_fast_apply"}
 FAST_PATH = ("_scan", "_stable_sweep", "_fast_apply", "lp_operator_apply",
@@ -86,6 +87,14 @@ def test_oracles_never_touch_the_fast_kernels():
     funcs = _functions(ast.parse(source))
     assert set(ORACLES) <= set(funcs)
     assert not set(ORACLES) & tainted(source, _Kernels._fields)
+
+
+def test_escape_integrator_never_touches_the_fast_kernels():
+    """``classify_initial`` steps with ``linsys.dop853``, which the
+    ``lp_manifold`` walk does not enter."""
+    source = (SRC / "linsys.py").read_text(encoding="utf-8")
+    assert INTEGRATOR <= set(_functions(ast.parse(source)))
+    assert not INTEGRATOR & tainted(source, _Kernels._fields)
 
 
 def test_gauge_reference_never_reaches_the_fast_stieltjes_split():
