@@ -26,10 +26,14 @@ import numpy as np
 
 from .dichotomy import certify
 from .funcspace import (LEBESGUE, PiecewisePath, StieltjesMeasure, norm,
-                        norm_integral, running_integral, total_variation)
+                        norm_integral, plain, running_integral,
+                        total_variation)
 from .linsys import FundamentalOperator, LinearSystemSpec, check_regularity
 from .lp_manifold import (LPContext, NonlinearitySpec, auto_horizon,
                           contraction_bound)
+
+
+_PROBE_COUNT = 64    # points of the Lipschitz probe, two per ray
 
 
 class HypothesisError(ValueError):
@@ -128,29 +132,33 @@ class HypothesesReport:
         }
 
 
-def plain(value):
-    """A JSON-ready copy: arrays and numpy scalars become Python values,
-    tuples become lists and infinities become the strings "inf"/"-inf"."""
-    if isinstance(value, dict):
-        return {k: plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [plain(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return plain(value.tolist())
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return value
+def _probe_points(n, radius):
+    """``_PROBE_COUNT`` fixed points of the ball of ``radius`` in R^n, in
+    pairs on one ray each, at radii in [0.05, 1] radius.  Pair k is the k-th
+    point u of Roberts' additive recurrence frac(k alpha) in d = 2 + 2m
+    dimensions, m = ceil(n / 2) (alpha_j = g^-j, g the positive root of
+    x^(d+1) = x + 1): u_1 and u_2 set the two radii, and the Box-Muller
+    transform of the other 2m coordinates gives a normal vector whose first
+    n entries, normalized, are the direction.  No seed: the set depends on
+    n and the radius alone."""
+    m = -(-n // 2)
+    g = 2.0
+    for _ in range(60):     # g = (1 + g)^(1/(d+1)) contracts by < 1/2
+        g = (1.0 + g) ** (1.0 / (2 * m + 3))
+    u = (np.arange(1, _PROBE_COUNT // 2 + 1)[:, None]
+         * g ** -np.arange(1.0, 2 * m + 3)) % 1.0
+    size, angle = np.sqrt(-2.0 * np.log(u[:, 2::2])), 2.0 * math.pi * u[:, 3::2]
+    dirs = np.concatenate([size * np.cos(angle), size * np.sin(angle)], axis=1)[:, :n]
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    radii = radius * (0.05 + 0.95 * u[:, :2])
+    return (radii[:, :, None] * dirs[:, None, :]).reshape(-1, n)
 
 
 def _lipschitz_probe(nonlin, n, radius):
-    """Sampled sup and Lipschitz constants of the cutoff nonlinearity, from
-    64 seeded random states."""
-    rng = np.random.default_rng(0)
-    pts = rng.normal(size=(64, n))
-    pts *= (radius * rng.uniform(0.05, 1.0, size=(len(pts), 1))
-            / np.linalg.norm(pts, axis=1, keepdims=True))
+    """Sampled sup and Lipschitz constants of the cutoff nonlinearity over
+    the fixed probe set ``_probe_points``; the slopes are those of the
+    pairs (0, 1), (2, 3), ..., each along its ray."""
+    pts = _probe_points(n, radius)
     vals = nonlin.value(0.0, pts)
     sup = float(np.max(np.linalg.norm(vals, axis=1)))
     lip = 0.0

@@ -13,6 +13,10 @@ non-convergence.  Every output file carries a metadata header with the
 config hash, the library version and the effective tolerance, and floats are
 written with shortest round-trip formatting, so identical configs produce
 byte-identical files.
+
+Each command imports the layers it runs when it runs, so a fresh process
+loads only those: ``integrate`` needs no solver layer and ``fundamental``
+no manifold solver.
 """
 
 from __future__ import annotations
@@ -28,14 +32,8 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import __version__
-from .apps import (HypothesisError, IdeSpec, MdeSpec, build_context,
-                   check_hypotheses, plain)
-from .dichotomy import SplittingError
-from .funcspace import PiecewisePath, QuadratureError, StieltjesMeasure
-from .kurzweil import IntegrationError, cross_check
-from .linsys import FundamentalOperator, LinearSystemSpec, PropagationError
-from .lp_manifold import (NonContractionError, NonlinearitySpec, SolveError,
-                          classify_initial, manifold_graph)
+from .funcspace import (PiecewisePath, QuadratureError, StieltjesMeasure,
+                        norm, plain)
 
 log = logging.getLogger("kurzmani")
 
@@ -130,6 +128,7 @@ def parse_nonlinearity(node, u=None):
     the measure ``u`` (dt when None); any other key is a ``ConfigError``."""
     if node is None:
         raise ConfigError("system.nonlinearity is required for this subcommand")
+    from .lp_manifold import NonlinearitySpec
     extra = sorted(set(node) - {"registry", "params", "rho"})
     if extra:
         raise ConfigError("system.nonlinearity takes only registry, params and "
@@ -160,13 +159,16 @@ def parse_system(cfg):
                       _matrix(_field(e, "B", "system.impulses entry"), "impulse B"))
                      for e in sysblock.get("impulses", []))
     if kind == "ide":
+        from .apps import IdeSpec
         f = parse_nonlinearity(sysblock.get("nonlinearity"))
         return IdeSpec(n, A, impulses, f)
     if kind == "mde":
+        from .apps import MdeSpec
         u = parse_measure(sysblock.get("u", {}), "system.u")
         C = parse_path(sysblock.get("C", 0.0), "system.C")
         H = parse_nonlinearity(sysblock.get("nonlinearity"), u=u)
         return MdeSpec(n, A, C, u, H)
+    from .linsys import LinearSystemSpec
     measure_part = None
     if "u" in sysblock:
         u = parse_measure(sysblock["u"], "system.u")
@@ -268,6 +270,8 @@ def _outpath(cfg, args, suffix):
 
 
 def _context_from_config(cfg, args):
+    from .apps import build_context
+    from .linsys import LinearSystemSpec
     spec = parse_system(cfg)
     with _reading("solver"):
         sol = solver_block(cfg)
@@ -290,6 +294,7 @@ def _context_from_config(cfg, args):
 
 def _run_integrand(cfg, args, default_tol):
     """Both evaluators on the configured integrand (``cross_check``)."""
+    from .kurzweil import cross_check
     block = cfg.get("integrand")
     if not isinstance(block, dict):
         raise ConfigError("config needs an 'integrand' block")
@@ -333,6 +338,7 @@ def cmd_crosscheck(cfg, args):
 
 
 def _linear_spec(cfg):
+    from .linsys import LinearSystemSpec
     spec = parse_system(cfg)
     return spec if isinstance(spec, LinearSystemSpec) else spec.linear_spec(0.0)
 
@@ -340,6 +346,7 @@ def _linear_spec(cfg):
 def _operator_from_config(cfg, count):
     """The solver block, the linear part's operator over ``solver.window``
     and ``solver.grid`` (default: ``count`` points across the window)."""
+    from .linsys import FundamentalOperator
     spec = _linear_spec(cfg)
     with _reading("solver"):
         sol = solver_block(cfg)
@@ -353,10 +360,9 @@ def _operator_from_config(cfg, count):
 def cmd_fundamental(cfg, args):
     _, op, grid = _operator_from_config(cfg, 11)
     rows = []
-    from .funcspace import norm as opnorm
     for s in grid:
         for t in grid:
-            rows.append((float(t), float(s), opnorm(op.value(t, s))))
+            rows.append((float(t), float(s), norm(op.value(t, s))))
     path = _outpath(cfg, args, "fundamental.csv")
     write_csv(path, _meta(cfg, args), ["t", "s", "operator_norm"], rows)
     print(path)
@@ -387,6 +393,7 @@ def cmd_dichotomy(cfg, args):
 
 
 def cmd_manifold(cfg, args):
+    from .lp_manifold import manifold_graph
     spec, ctx = _context_from_config(cfg, args)
     sol = solver_block(cfg)
     s = float(sol.get("s", 0.0))
@@ -424,6 +431,7 @@ def cmd_manifold(cfg, args):
 
 
 def cmd_classify(cfg, args):
+    from .lp_manifold import classify_initial
     spec, ctx = _context_from_config(cfg, args)
     sol = solver_block(cfg)
     s = float(sol.get("s", 0.0))
@@ -451,6 +459,8 @@ def cmd_classify(cfg, args):
 
 
 def cmd_check(cfg, args):
+    from .apps import check_hypotheses
+    from .linsys import LinearSystemSpec
     spec = parse_system(cfg)
     if isinstance(spec, LinearSystemSpec):
         raise ConfigError("check needs system.kind = ide or mde")
@@ -489,6 +499,19 @@ def build_parser():
     return parser
 
 
+def _loaded(*names):
+    """The exception classes ``layer.Class`` of the layers this process has
+    imported.  A layer never imported raised nothing, so the handlers below
+    name its errors without importing it."""
+    found = []
+    for name in names:
+        layer, cls = name.split(".")
+        module = sys.modules.get("%s.%s" % (__package__, layer))
+        if module is not None:
+            found.append(getattr(module, cls))
+    return tuple(found)
+
+
 def main(argv=None):
     level = os.environ.get("KURZMANI_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
@@ -499,17 +522,19 @@ def main(argv=None):
     except ConfigError as exc:
         error_json("config", exc)
         return EXIT_CONFIG
-    except (HypothesisError, SplittingError) as exc:
+    except _loaded("apps.HypothesisError", "dichotomy.SplittingError") as exc:
         error_json("hypothesis", exc,
                    condition=getattr(exc, "condition", None))
         return EXIT_CERTIFIED_FAIL
-    except IntegrationError as exc:
+    except _loaded("kurzweil.IntegrationError") as exc:
         extra = {}
         if exc.last_two is not None:
             extra["last_two_sums"] = [v for v in exc.last_two if v is not None]
         error_json("divergent_integrand", exc, **extra)
         return EXIT_CERTIFIED_FAIL
-    except (PropagationError, NonContractionError, SolveError, QuadratureError) as exc:
+    except (QuadratureError, *_loaded("linsys.PropagationError",
+                                      "lp_manifold.NonContractionError",
+                                      "lp_manifold.SolveError")) as exc:
         error_json("nonconvergence", exc)
         return EXIT_NONCONVERGENCE
     except ValueError as exc:

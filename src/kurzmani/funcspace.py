@@ -28,6 +28,17 @@ import numpy as np
 
 _QUAD_TOL = 1e-10   # absolute tolerance of every adaptive quadrature cell
 
+# Gauss-Legendre nodes and weights on [-1, 1] by node count, written out with
+# the bits of numpy's ``leggauss`` (whose 5/9 reads 0.5555555555555557)
+GAUSS_LEGENDRE = {
+    3: (np.array([-0.7745966692414834, 0.0, 0.7745966692414834]),
+        np.array([0.5555555555555557, 0.8888888888888888, 0.5555555555555557])),
+    5: (np.array([-0.906179845938664, -0.5384693101056831, 0.0,
+                  0.5384693101056831, 0.906179845938664]),
+        np.array([0.23692688505618928, 0.4786286704993663, 0.5688888888888887,
+                  0.4786286704993663, 0.23692688505618928])),
+}
+
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature stopped above the requested tolerance."""
@@ -43,6 +54,47 @@ def norm(value) -> float:
     if a.ndim <= 1:
         return float(np.linalg.norm(a))
     return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+def sorted_unique(a, return_inverse=False):
+    """The sorted distinct entries of a 1-D array, or the distinct rows of a
+    2-D one in lexicographic order, and with ``return_inverse`` the index of
+    each entry (row) among them: ``np.unique(a)`` or ``np.unique(a, axis=0)``
+    for data without NaN.  One sort and a neighbour mask; ``np.unique``
+    itself reads ``numpy.ma``, an import a fresh process would pay for."""
+    a = np.asarray(a)
+    if a.ndim == 1 and not return_inverse:
+        s = np.sort(a)
+        new = np.empty(len(s), dtype=bool)
+        new[:1] = True
+        np.not_equal(s[1:], s[:-1], out=new[1:])
+        return s[new]
+    rows = a if a.ndim > 1 else a[:, None]
+    order = np.lexsort(rows.T[::-1])
+    s = rows[order]
+    new = np.ones(len(s), dtype=bool)
+    new[1:] = (s[1:] != s[:-1]).any(axis=1)
+    if not return_inverse:
+        return a[order[new]]
+    inverse = np.empty(len(s), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return a[order[new]], inverse
+
+
+def plain(value):
+    """A JSON-ready copy: arrays and numpy scalars become Python values,
+    tuples become lists and infinities become the strings "inf"/"-inf"."""
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return plain(value.tolist())
+    if isinstance(value, (np.floating, np.integer, np.bool_)):
+        return value.item()
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    return value
 
 
 def _check_window(window):
@@ -333,7 +385,7 @@ class PiecewisePath:
             return self.segments[0].eval(ts.ravel()).reshape(ts.shape + self.shape)
         out = np.empty(flat.shape + self.shape)
         idx = np.searchsorted(self.times, flat, side="left")
-        for seg_i in np.unique(idx):
+        for seg_i in sorted_unique(idx.ravel()):
             mask = idx == seg_i
             out[mask] = self.segments[seg_i].eval(flat[mask])
         return out.reshape(ts.shape + self.shape)
@@ -343,7 +395,7 @@ class PiecewisePath:
     def __add__(self, other):
         if other.shape != self.shape:
             raise ValueError("path shapes differ: %r vs %r" % (self.shape, other.shape))
-        times = np.union1d(self.times, other.times)
+        times = sorted_unique(np.concatenate([self.times, other.times]))
         segments = []
         for i in range(len(times) + 1):
             lo = -math.inf if i == 0 else times[i - 1]
@@ -419,7 +471,7 @@ class StieltjesMeasure:
         cuts = [-1.0, 0.0, 1.0] if len(self.density.times) == 0 else \
             list(self.density.times)
         lo, hi = min(cuts) - 1.0, max(cuts) + 1.0
-        grid = np.unique(np.concatenate([np.linspace(lo, hi, 41), np.asarray(cuts)]))
+        grid = sorted_unique(np.concatenate([np.linspace(lo, hi, 41), cuts]))
         if np.any(self.density.sample(grid) < -1e-12):
             raise ValueError("nondecreasing measure needs a nonnegative density")
 

@@ -35,7 +35,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .funcspace import PiecewisePath, StieltjesMeasure, norm_integral
+from .funcspace import (GAUSS_LEGENDRE, PiecewisePath, StieltjesMeasure,
+                        norm_integral, sorted_unique)
 
 _TIME_TOL = 1e-11     # match radius per unit of the window's magnitude,
 _STEP_FRAC = 1e-3     # capped at this fraction of the grid step
@@ -451,7 +452,7 @@ class FundamentalOperator:
             self.jump_invs[at] = np.linalg.inv(self.jumps[at])
         for arr in (self.event_nodes, self.jumps, self.jump_invs):
             arr.flags.writeable = False
-        gl_nodes, gl_weights = np.polynomial.legendre.leggauss(_QUAD_NODES)
+        gl_nodes, gl_weights = GAUSS_LEGENDRE[_QUAD_NODES]
         a, b = self.nodes[:-1, None], self.nodes[1:, None]
         self._sigma = 0.5 * (a + b) + 0.5 * (b - a) * gl_nodes   # (cells, Q)
         self._weights = 0.5 * (b - a) * gl_weights
@@ -525,11 +526,11 @@ class FundamentalOperator:
         const = np.all([np.array([sg.is_constant for sg in p.segments])[k]
                         for p, k in zip(paths, seg.T)], axis=0)
         js = np.flatnonzero(const)
-        for key in np.unique(seg[js], axis=0):
+        for key in sorted_unique(seg[js]):
             jg = js[np.all(seg[js] == key, axis=1)]
             a, b = left[jg, None], right[jg, None]
             steps = np.concatenate([self._sigma[jg] - a, b - a], axis=1)
-            distinct, where = np.unique(steps, return_inverse=True)
+            distinct, where = sorted_unique(steps.ravel(), return_inverse=True)
             mats = expm(spec.generator(mids[jg[0]]) * distinct[:, None, None])
             where = where.reshape(steps.shape)
             inv = np.linalg.inv(mats)

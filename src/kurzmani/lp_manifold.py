@@ -56,7 +56,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .dichotomy import DichotomyData, SplittingError, projection_family
-from .funcspace import LEBESGUE, StieltjesMeasure, norm
+from .funcspace import (GAUSS_LEGENDRE, LEBESGUE, StieltjesMeasure, norm,
+                        sorted_unique)
 from .linsys import (FundamentalOperator, PropagationError, RegularityReport,
                      dop853, expm)
 
@@ -635,7 +636,7 @@ def _inner_accumulation(ctx, z, idx, layout):
     with frozen-state increments per fine cell and atom terms added when the
     accumulation crosses an atom time (atoms are mesh nodes).
     """
-    gl5, gw5 = np.polynomial.legendre.leggauss(5)
+    gl5, gw5 = GAUSS_LEGENDRE[5]
     n = ctx.fund.n
     density = ctx.nonlin.measure.density
     node_vals = []
@@ -1015,9 +1016,11 @@ def classify_initial(z0, s, ctx: LPContext, bound) -> Classification:
     """Forward-integrate the full nonlinear system until escape or horizon.
 
     ``dop853`` runs between the event stops.  The solution escapes in the
-    first step across which its norm rises through ``bound``; the escape
-    time is where the step's dense output reaches the bound.  A failed step
-    reads "indeterminate".
+    first step across which its norm rises through ``bound``, the escape
+    time where the step's dense output reaches the bound, or at the first
+    stop whose jump or atom kick carries its norm to the bound or past it
+    (there ``sup_norm`` is the norm after the jump).  A failed step reads
+    "indeterminate".
     """
     z0 = np.asarray(z0, dtype=float)
     bound = float(bound)
@@ -1039,13 +1042,15 @@ def classify_initial(z0, s, ctx: LPContext, bound) -> Classification:
     kinks = [b for b in ctx.fund.spec.generator_breakpoints() if lo <= b <= hi]
     marks = np.concatenate([ctx.fund.event_nodes, np.flatnonzero(ctx.atom_weights),
                             ctx.fund.node_index(kinks), idx[-1:]]) - idx[0]
-    stops = [0, *np.unique(marks[(marks > 0) & (marks < len(idx))]).tolist()]
+    stops = [0, *sorted_unique(marks[(marks > 0) & (marks < len(idx))]).tolist()]
     for a_i, b_i in zip(stops[:-1], stops[1:]):
         cc_w = ctx.atom_weights[idx[a_i]]
         kick = cc_w * np.asarray(ctx.nonlin.value(nodes[a_i], state)) if cc_w else 0.0
         state = ctx.fund.jumps[idx[a_i]] @ state + kick
         t_old, r_old = nodes[a_i], norm(state)
         sup = max(sup, r_old)
+        if r_old >= bound:
+            return Classification("escapes", float(t_old), state, sup)
         try:
             for t, y, dense in dop853(rhs, nodes[a_i], state, nodes[b_i],
                                       rtol=1e-10, atol=1e-12):

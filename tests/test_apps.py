@@ -6,8 +6,9 @@ import pytest
 
 from conftest import SADDLE, lebesgue, quadratic_forcing
 from kurzmani import cli
-from kurzmani.apps import (HypothesisError, IdeSpec, MdeSpec, build_context,
-                           check_hypotheses, ide_to_context, mde_to_context)
+from kurzmani.apps import (HypothesisError, IdeSpec, MdeSpec, _probe_points,
+                           build_context, check_hypotheses, ide_to_context,
+                           mde_to_context)
 from kurzmani.funcspace import PiecewisePath, StieltjesMeasure
 from kurzmani.linsys import FundamentalOperator, check_regularity
 from kurzmani.lp_manifold import NonlinearitySpec, solve_lp
@@ -244,3 +245,35 @@ def test_context_without_horizon_matches_shipped_horizon(name, horizon):
     zeta[0] = 0.1
     np.testing.assert_allclose(solve_lp(zeta, 0.0, auto).m,
                                solve_lp(zeta, 0.0, shipped).m, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_probe_points_pair_up_on_rays_inside_the_ball(n):
+    pts = _probe_points(n, 0.8)
+    assert pts.shape == (64, n) and np.array_equal(pts, _probe_points(n, 0.8))
+    radii = np.linalg.norm(pts, axis=1)
+    assert np.all(radii >= 0.05 * 0.8 * (1 - 1e-12))
+    assert np.all(radii <= 0.8 * (1 + 1e-12))
+    # each pair (i, i + 1) shares its direction, at two different radii
+    a, b = pts[0::2], pts[1::2]
+    ra, rb = radii[0::2, None], radii[1::2, None]
+    np.testing.assert_allclose(a / ra, b / rb, rtol=0, atol=1e-12)
+    assert np.all(abs(ra - rb) > 1e-9)
+    # the directions are spread: no two pairs share one, and on the line
+    # both occur
+    dirs = a / ra
+    if n == 1:
+        assert set(dirs[:, 0]) == {-1.0, 1.0}
+    else:
+        assert np.max(dirs @ dirs.T - 2 * np.eye(32)) < 1 - 1e-9
+
+
+@pytest.mark.parametrize("name", ["impulsive_saddle", "planar_quadratic",
+                                  "scalar_mde"])
+def test_every_c_hypothesis_passes_on_the_shipped_configs(name):
+    cfg = cli.load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                       "configs", name + ".json"))
+    sol = cli.solver_block(cfg)
+    report = check_hypotheses(cli.parse_system(cfg), (sol.get("s", 0.0), sol["T"]))
+    items = {k: v for k, v in report.items.items() if k.startswith("c_")}
+    assert len(items) == 1 and all(item.passed for item in items.values())

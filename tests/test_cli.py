@@ -609,3 +609,58 @@ def test_default_commands_run_without_importing_scipy(tmp_path):
                            str(tmp_path)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "impulsive_saddle_manifold.csv").exists()
+
+
+# the package layers each command runs, so a fresh process loads no other
+ALL_LAYERS = ("funcspace", "linsys", "dichotomy", "lp_manifold", "apps")
+SHIPPED_CALLS = {
+    ("manifold", "planar_quadratic"): ALL_LAYERS,
+    ("manifold", "impulsive_saddle"): ALL_LAYERS,
+    ("manifold", "scalar_mde"): ALL_LAYERS,
+    ("classify", "planar_quadratic"): ALL_LAYERS,
+    ("dichotomy", "expansion_example"): ("funcspace", "linsys", "dichotomy"),
+    ("fundamental", "expansion_example"): ("funcspace", "linsys"),
+    ("check", "scalar_mde"): ALL_LAYERS,
+    ("integrate", "lacunary_integral"): ("funcspace", "kurzweil"),
+    ("crosscheck", "lacunary_integral"): ("funcspace", "kurzweil"),
+    ("--help", None): ("funcspace",),
+}
+# imports no shipped call needs: numpy.ma comes in through np.unique
+UNNEEDED = ("numpy.ma", "numpy.random", "numpy.polynomial", "scipy")
+
+
+def fresh_imports(argv):
+    """(exit code, every module a fresh ``python -X importtime argv`` loads)."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                          capture_output=True, text=True)
+    return proc.returncode, {line.split("|")[2].strip()
+                             for line in proc.stderr.splitlines()
+                             if line.startswith("import time:")}
+
+
+@pytest.fixture(scope="module")
+def numpy_imports():
+    """What ``import numpy`` loads by itself (numpy 1.x loads ``numpy.ma``,
+    ``numpy.random`` and ``numpy.polynomial`` eagerly)."""
+    code, loaded = fresh_imports(["-c", "import numpy"])
+    assert code == 0
+    return loaded
+
+
+@pytest.mark.parametrize("cmd, name", SHIPPED_CALLS)
+def test_a_fresh_cli_process_loads_only_what_its_command_runs(cmd, name, tmp_path,
+                                                              numpy_imports):
+    args = [cmd] if name is None else [cmd, "--config", config_path(name + ".json"),
+                                       "--out", str(tmp_path)]
+    code, loaded = fresh_imports(["-m", "kurzmani.cli", *args])
+    assert code == 0
+    assert sorted(m for m in loaded - numpy_imports
+                  if any(m == u or m.startswith(u + ".") for u in UNNEEDED)) == []
+    layers = {m.split(".")[1] for m in loaded if m.startswith("kurzmani.")}
+    assert layers == set(SHIPPED_CALLS[cmd, name])
+
+
+def test_importing_the_package_loads_no_layer():
+    code, loaded = fresh_imports(["-c", "import kurzmani"])
+    assert code == 0 and "kurzmani" in loaded
+    assert sorted(m for m in loaded if m.startswith("kurzmani.")) == []

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from kurzmani.funcspace import (PiecewisePath, Segment, StieltjesMeasure, norm,
-                                running_integral, total_variation)
+from kurzmani.funcspace import (GAUSS_LEGENDRE, PiecewisePath, Segment,
+                                StieltjesMeasure, norm, running_integral,
+                                sorted_unique, total_variation)
 
 
 def test_variation_of_constant_path_is_zero():
@@ -195,3 +196,33 @@ def test_sample_without_breakpoints_equals_the_grouped_sample(coeffs, ts):
     assert np.array_equal(got, grouped)
     want = np.array([path(t) for t in np.ravel(ts)]).reshape(got.shape)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("count", [3, 5])
+def test_gauss_legendre_table_has_the_bits_of_leggauss(count):
+    nodes, weights = np.polynomial.legendre.leggauss(count)
+    assert np.array_equal(GAUSS_LEGENDRE[count][0], nodes)
+    assert np.array_equal(GAUSS_LEGENDRE[count][1], weights)
+
+
+@pytest.mark.parametrize("values", [
+    [3, 1, 3, 0, 1, 1, 7, -2], [5], [],
+    [0.3, -1.5, 0.3, 1e-300, 2.0, -1.5, 0.1 + 0.2, 0.30000000000000004],
+    np.arange(40) % 7 * 0.1])
+def test_sorted_unique_equals_np_unique(values):
+    a = np.asarray(values)
+    got, inverse = sorted_unique(a, return_inverse=True)
+    want, want_inverse = np.unique(a, return_inverse=True)
+    for out in (got, sorted_unique(a)):
+        assert out.dtype == want.dtype and np.array_equal(out, want)
+    assert np.array_equal(inverse, want_inverse.ravel())
+    assert np.array_equal(got[inverse], a)
+
+
+def test_sorted_unique_of_rows_equals_np_unique_on_axis_0():
+    rows = np.array([[2, 0, 1], [0, 5, 5], [2, 0, 1], [0, 5, 4], [1, 0, 0],
+                     [0, 5, 5]])
+    assert np.array_equal(sorted_unique(rows), np.unique(rows, axis=0))
+    got, inverse = sorted_unique(rows, return_inverse=True)
+    assert np.array_equal(got[inverse], rows)
+    assert sorted_unique(rows[:0]).shape == (0, 3)

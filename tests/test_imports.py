@@ -5,17 +5,21 @@ a test sets is a module constant the test patches), only ``funcspace``
 calls scipy's ``quad`` (so every adaptive quadrature goes through its error
 check), and the registry nonlinearities, ``Segment.eval`` and the preset terms'
 ``PresetTerm.eval``/``_scalar`` take no BLAS product (so a point's value
-there never depends on its batch).  The BLAS guard follows calls by bare
-name only, so each method is named as a target.  The dead-definition guard
-counts a method as reached only by an attribute read (``x.name``): a bare
-name, such as a local variable of the method's name, reaches only a
-module-level definition.
+there never depends on its batch), no module reads a numpy name that imports
+``numpy.ma``, ``numpy.random`` or ``numpy.polynomial``, and neither the
+package nor the CLI imports a solver layer at module level (so a fresh
+process loads only the layers its command runs).  The BLAS guard follows
+calls by bare name only, so each method is named as a target.  The
+dead-definition guard counts a method as reached only by an attribute read
+(``x.name``): a bare name, such as a local variable of the method's name,
+reaches only a module-level definition; dunders, module-level ones such as
+the package's ``__getattr__`` included, are the interpreter's to call.
 
 No linter ships with the test environment, so these walk the source with
-``ast``.  ``__init__.py`` is skipped by the import guard (its imports are the
-public re-exports), and a re-export reaches nothing: a definition that only
-``__init__.py`` names is dead.  ``PUBLIC_CHECKS`` lists the one kind of
-definition the package may hold for its tests alone.
+``ast``.  A name that ``__init__.py`` lists for lazy export reaches
+nothing: a definition that only it names is dead.
+``PUBLIC_CHECKS`` lists the one kind of definition the package may hold for
+its tests alone.
 """
 
 import ast
@@ -26,7 +30,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "kurzmani"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 # public checks that the tests call and the package does not
 PUBLIC_CHECKS = ("invariance_check",)
 # (module, function, parameter) of entry points whose defaults only the
@@ -60,17 +64,21 @@ def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(source):
     """(line, name, is_method) of the module-level functions and classes and
-    the non-dunder methods."""
+    the methods, dunders left out: the interpreter calls those (a module's
+    ``__getattr__`` and ``__dir__`` too, PEP 562)."""
     out = []
     for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _dunder(node.name):
             out.append((node.lineno, node.name, False))
         if isinstance(node, ast.ClassDef):
             out += [(item.lineno, item.name, True) for item in node.body
-                    if isinstance(item, ast.FunctionDef)
-                    and not (item.name.startswith("__") and item.name.endswith("__"))]
+                    if isinstance(item, ast.FunctionDef) and not _dunder(item.name)]
     return out
 
 
@@ -110,6 +118,10 @@ def test_dead_definition_guard_flags_an_unread_definition():
     init = "from .lib import Box, unused, used\n"
     assert unreached({"lib": lib}, [lib, caller, init], ()) == [
         ("lib", 5, "unused"), ("lib", 16, "label")]
+    # a module-level dunder is a hook the interpreter calls; its helpers are not
+    hooks = ("def __getattr__(name):\n    return name\n\n\n"
+             "def _resolve(name):\n    return name\n")
+    assert unreached({"init": hooks}, [hooks], ()) == [("init", 5, "_resolve")]
     assert unreached({"lib": lib}, [lib, caller], ("unused",)) == [
         ("lib", 16, "label")]
     # a local variable of a method's name does not reach the method
@@ -357,3 +369,127 @@ def test_registry_calls_and_segment_eval_take_no_blas_product():
     funcspace = (SRC / "funcspace.py").read_text(encoding="utf-8")
     assert blas_products(funcspace, [("Segment", "eval"), ("PresetTerm", "eval"),
                                      ("PresetTerm", "_scalar")]) == []
+
+
+# numpy names whose use imports a numpy subpackage: ``numpy.ma`` (read by
+# ``np.unique`` and the set operations built on it), ``numpy.random`` and
+# ``numpy.polynomial``
+NUMPY_SUBPACKAGE_NAMES = ("unique", "union1d", "intersect1d", "setdiff1d",
+                          "setxor1d", "isin", "in1d", "ma", "random", "polynomial")
+
+
+def numpy_subpackage_reads(source):
+    """Lines that read one of ``NUMPY_SUBPACKAGE_NAMES`` from numpy: as an
+    attribute of ``np``/``numpy``, or by an import from numpy."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in NUMPY_SUBPACKAGE_NAMES \
+                and getattr(node.value, "id", None) in ("np", "numpy"):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            parts = node.module.split(".")[1:] + [a.name for a in node.names]
+            if set(parts) & set(NUMPY_SUBPACKAGE_NAMES):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Import) and any(
+                set(a.name.split(".")[1:]) & set(NUMPY_SUBPACKAGE_NAMES)
+                for a in node.names if a.name.split(".")[0] == "numpy"):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_guard_flags_a_numpy_subpackage_read():
+    src = ("import numpy as np\nimport numpy.random\n"
+           "from numpy.polynomial.legendre import leggauss\n"
+           "from numpy import sort, unique\n"
+           "a = np.unique([1, 1])\nb = np.sort(a)\n"
+           "c = np.ma.is_masked(a)\nd = np.union1d(a, b)\n"
+           "e = np.random.default_rng(0)\nf = numpy.polynomial\n")
+    assert numpy_subpackage_reads(src) == [2, 3, 4, 5, 7, 8, 9, 10]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reads_a_numpy_subpackage(path):
+    assert numpy_subpackage_reads(path.read_text(encoding="utf-8")) == []
+
+
+# the layers a fresh CLI process imports only for the commands that use them
+HEAVY_LAYERS = ("apps", "linsys", "dichotomy", "lp_manifold")
+
+
+def imported_layers(node):
+    """The package layers an import statement imports."""
+    if isinstance(node, ast.Import):
+        return {a.name.split(".")[1] for a in node.names
+                if a.name.startswith("kurzmani.")}
+    module = node.module or ""
+    if node.level:
+        return {module.split(".")[0]} if module else {a.name for a in node.names}
+    if module == "kurzmani":
+        return {a.name for a in node.names}
+    return {module.split(".")[1]} if module.startswith("kurzmani.") else set()
+
+
+def module_level_layer_imports(source):
+    """Lines that import one of ``HEAVY_LAYERS`` when the module itself is
+    imported: anywhere outside a function body."""
+    lines = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, (ast.Import, ast.ImportFrom)) \
+                    and imported_layers(child) & set(HEAVY_LAYERS):
+                lines.append(child.lineno)
+            visit(child)
+
+    visit(ast.parse(source))
+    return sorted(lines)
+
+
+def test_guard_flags_a_module_level_layer_import():
+    src = ("from . import __version__, apps\nfrom .linsys import expm\n"
+           "from .funcspace import norm\nimport kurzmani.dichotomy\n"
+           "from kurzmani.lp_manifold import solve_lp\n"
+           "if True:\n    from .apps import plain\n"
+           "def f():\n    from .apps import build_context\n    return build_context\n")
+    assert module_level_layer_imports(src) == [1, 2, 4, 5, 7]
+
+
+@pytest.mark.parametrize("name", ["__init__.py", "cli.py"])
+def test_package_and_cli_import_no_heavy_layer_at_module_level(name):
+    assert module_level_layer_imports((SRC / name).read_text(encoding="utf-8")) == []
+
+
+# the names ``kurzmani`` re-exported from its layers before they resolved lazily
+PUBLIC_NAMES = (
+    "PiecewisePath", "Segment", "StieltjesMeasure", "TaggedDivision", "norm",
+    "running_integral", "total_variation", "IntegralResult", "PointIntervalFn",
+    "cross_check", "ks_integral_ref", "stieltjes_integral", "FundamentalOperator",
+    "LinearSystemSpec", "check_regularity", "DichotomyData", "certify",
+    "spectral_projection", "verify_dichotomy", "LPContext", "ManifoldGraph",
+    "NonlinearitySpec", "SolutionPath", "bisect_manifold_oracle",
+    "classify_initial", "contraction_estimate", "invariance_check",
+    "lp_operator_apply", "manifold_graph", "solve_lp", "IdeSpec", "MdeSpec",
+    "check_hypotheses", "ide_to_context", "mde_to_context")
+
+
+def test_every_public_name_still_resolves():
+    import importlib
+
+    import kurzmani
+    for name in PUBLIC_NAMES:
+        assert name in dir(kurzmani) and name in kurzmani.__all__, name
+        value = getattr(kurzmani, name)
+        namespace = {}
+        exec("from kurzmani import %s" % name, namespace)
+        assert namespace[name] is value, name
+        assert getattr(importlib.import_module(value.__module__), name) is value
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    import kurzmani
+    with pytest.raises(AttributeError, match="no attribute 'solve_lpp'"):
+        kurzmani.solve_lpp
+    with pytest.raises(ImportError):
+        exec("from kurzmani import solve_lpp", {})

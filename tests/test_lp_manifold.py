@@ -684,6 +684,34 @@ def test_classification_off_manifold_offset_escapes(ctx_planar):
     assert res.t_escape < ctx_planar.T
 
 
+def test_classification_escapes_through_an_impulse():
+    # the kick diag(0, 100) at t = 1 carries (0, 0.01 e) to norm 2.75 > 2;
+    # counting only smooth crossings read "bounded_to_horizon", sup 2.2e4
+    spec = IdeSpec(2, PiecewisePath.constant(SADDLE),
+                   ((1.0, np.diag([0.0, 100.0])),), quadratic_forcing(0.05))
+    ctx = ide_to_context(spec, s=0.0, T=10.0, tol=1e-10,
+                         grid=np.linspace(0.0, 10.0, 21))
+    res = classify_initial(np.array([0.0, 0.01]), 0.0, ctx, bound=2.0)
+    assert res.status == "escapes" and res.t_escape == 1.0
+    assert res.sup_norm == norm(res.final_state)
+    assert res.final_state[1] == pytest.approx(101 * 0.01 * math.e, rel=1e-9)
+
+
+def test_classification_escapes_through_an_atom():
+    # no density: the state decays as e^-t until the atom at t = 1 scales it
+    # by 1 + 10 * 0.3 and the kernel's kick adds 0.3 H
+    u = StieltjesMeasure(PiecewisePath.constant(0.0), [(1.0, 0.3)],
+                         nondecreasing=True)
+    H = NonlinearitySpec("saturated_tanh", {"gain": [[0.2]]}, rho=1.0, measure=u)
+    spec = MdeSpec(1, PiecewisePath.constant([[-1.0]]),
+                   PiecewisePath.constant([[10.0]]), u, H)
+    ctx = mde_to_context(spec, s=0.0, T=12.0, tol=1e-10,
+                         grid=np.linspace(0.0, 10.0, 21))
+    res = classify_initial(np.array([0.5]), 0.0, ctx, bound=0.6)
+    assert res.status == "escapes" and res.t_escape == 1.0
+    assert 0.6 < res.sup_norm == abs(res.final_state[0])
+
+
 def test_classification_requires_room_below_the_bound(ctx_planar):
     with pytest.raises(ValueError):
         classify_initial(np.array([10.0, 0.0]), 0.0, ctx_planar, bound=1.0)
