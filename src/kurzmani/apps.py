@@ -28,7 +28,8 @@ from .dichotomy import certify
 from .funcspace import (LEBESGUE, PiecewisePath, StieltjesMeasure, norm,
                         norm_integral, plain, running_integral,
                         total_variation)
-from .linsys import FundamentalOperator, LinearSystemSpec, check_regularity
+from .linsys import (FundamentalOperator, LinearSystemSpec, check_regularity,
+                     inverse_bound, jump_table)
 from .lp_manifold import (LPContext, NonlinearitySpec, auto_horizon,
                           contraction_bound)
 
@@ -181,23 +182,17 @@ def check_hypotheses(spec, window=(0.0, 10.0)) -> HypothesesReport:
 def _check_ide(spec: IdeSpec, window) -> HypothesesReport:
     rep = HypothesesReport(kind="ide")
     n = spec.n
-    eye = np.eye(n)
 
     rep.items["B1_smooth_integrable"] = CheckItem(True, None)
     m_int = total_variation(running_integral(spec.A, window[0]), window,
                             "B2 bound int ||A||")
     rep.items["B2_coefficient_bound"] = CheckItem(math.isfinite(m_int), m_int)
 
-    sum_B = 0.0
-    inv_B = 1.0
-    bad = None
-    for t, B in spec.impulses:
-        sum_B += norm(B)
-        try:
-            inv_B = max(inv_B, norm(np.linalg.inv(eye + B)))
-        except np.linalg.LinAlgError:
-            bad = t
-            break
+    table = jump_table(n, spec.impulses, None)
+    inv_B, bad = inverse_bound(table.inverses), table.singular_at
+    # in time order, up to and including the first singular factor
+    upto = sorted(spec.impulses, key=lambda e: e[0])[:len(table.inverses) + 1]
+    sum_B = sum((norm(B) for _, B in upto), 0.0)
     rep.items["B3_jump_inverses"] = CheckItem(bad is None, inv_B, bad)
     C_b = max(sum_B, inv_B)
     rep.items["a_jump_norms_summable"] = CheckItem(bad is None, C_b, bad)
@@ -224,7 +219,6 @@ def _check_ide(spec: IdeSpec, window) -> HypothesesReport:
 def _check_mde(spec: MdeSpec, window) -> HypothesesReport:
     rep = HypothesesReport(kind="mde")
     n = spec.n
-    eye = np.eye(n)
 
     rep.items["D1_smooth_integrable"] = CheckItem(True, None)
     rep.items["D2_driver_left_continuous"] = CheckItem(True, None)
@@ -235,14 +229,8 @@ def _check_mde(spec: MdeSpec, window) -> HypothesesReport:
     m2 = _measure_domination(spec, window)
     rep.items["D5_measure_dominated"] = CheckItem(math.isfinite(m2), m2)
 
-    C_g = 1.0
-    bad = None
-    for t, w in spec.u.atoms:
-        try:
-            C_g = max(C_g, norm(np.linalg.inv(eye + spec.C(t) * w)))
-        except np.linalg.LinAlgError:
-            bad = t
-            break
+    table = jump_table(n, (), (spec.C, spec.u))
+    C_g, bad = inverse_bound(table.inverses), table.singular_at
     rep.items["D6_atom_inverses"] = CheckItem(bad is None, C_g, bad)
     rep.items["a_atom_inverse_bound"] = CheckItem(bad is None, C_g, bad)
 

@@ -8,7 +8,8 @@ the Cayley transform (M + Id)^{-1} (M - Id) of the one-period monodromy M
 (from the numpy ``linsys.expm``); an empty side is exact 0 or Id.
 One recurrence conjugates P0 along the operator, P(t) = V(t, t0) P0 V(t0, t),
 by the stored mesh steps on the solver mesh (``projection_family``) and by
-steps formed through ``value`` on a certification grid.  The two decay
+steps formed through ``value`` on a certification grid, which starts from P0
+carried to its first time at or past t0 by one conjugation.  The two decay
 inequalities
 
     ||V(t, s) P(s)||        <= K exp(-alpha (t - s)),   t >= s
@@ -16,8 +17,9 @@ inequalities
 
 are certified by fitting the exact max-envelope over sampled pairs: both
 families contribute constraints log N <= log K - alpha * |t - s|, the fitted
-alpha is the largest one that does not raise the minimal envelope constant,
-and K is the resulting constant.  A uniform bound, not a regression.
+alpha is the largest one that raises the minimal envelope constant by at
+most ``_FIT_SLACK`` (in closed form, no search), and K is the resulting
+constant.  A uniform bound, not a regression.
 ``certify`` runs the whole chain on a built operator and returns
 ``DichotomyData(P0, K, alpha, report)``.
 """
@@ -115,8 +117,8 @@ def spectral_projection(spec: LinearSystemSpec, P0=None):
         _, u = spec.measure_part
         autonomous = autonomous and len(u.density.times) == 0
     if autonomous:
-        events = spec.jump_events()
-        if not events:
+        times, kicks = spec.jumps.times, spec.jumps.factors
+        if not len(times):
             gen = spec.generator(t0)
             eig = np.linalg.eigvals(gen)
             if np.any(np.abs(eig.real) <= _IMAG_MARGIN):
@@ -125,8 +127,6 @@ def spectral_projection(spec: LinearSystemSpec, P0=None):
                     % _IMAG_MARGIN)
             k = int(np.sum(eig.real < 0))
             return _sign_split(gen, k, "autonomous"), "autonomous"
-        times = [t for t, _ in events]
-        kicks = np.array([J for _, J in events])
         period = times[1] - times[0] if len(times) > 1 else None
         if period is not None and np.allclose(np.diff(times), period, atol=1e-9) \
                 and np.allclose(kicks, kicks[0], rtol=0.0, atol=1e-12):
@@ -169,19 +169,15 @@ def _conjugate(P0, fwd, bwd, i0):
 
 def _family_and_steps(op, P0, times):
     """P(x_i) = V(x_i, t0) P0 V(t0, x_i) at sorted times x in the window, and
-    the lists ``fwd[i]`` = V(x_{i+1}, x_i), ``bwd[i]`` = V(x_i, x_{i+1}), each
-    formed once by ``op.value``.  t0 joins the chain as its anchor."""
+    the stacks ``fwd[i]`` = V(x_{i+1}, x_i), ``bwd[i]`` = V(x_i, x_{i+1}), each
+    formed once by ``op.value``.  The chain starts at x_{i0}, the first time
+    at or past t0 (the last time if none is), from V(x_{i0}, t0) P0 V(t0, x_{i0})."""
     x, t0 = np.asarray(times, dtype=float), op.spec.t0
-    i0 = int(np.searchsorted(x, t0))
-    chain = np.insert(x, i0, t0)
-    fwd = [op.value(b, a) for a, b in zip(chain[:-1], chain[1:])]
-    bwd = [op.value(a, b) for a, b in zip(chain[:-1], chain[1:])]
-    fam = np.delete(_conjugate(P0, fwd, bwd, i0), i0, axis=0)
-    # t0's one or two steps give way to the one across it (none at an end)
-    lo, hi = max(i0 - 1, 0), min(i0 + 1, len(x))
-    fwd[lo:hi] = [op.value(b, a) for a, b in zip(x[lo:hi - 1], x[lo + 1:hi])]
-    bwd[lo:hi] = [op.value(a, b) for a, b in zip(x[lo:hi - 1], x[lo + 1:hi])]
-    return fam, fwd, bwd
+    i0 = min(int(np.searchsorted(x, t0)), len(x) - 1)
+    fwd = np.array([op.value(b, a) for a, b in zip(x[:-1], x[1:])])
+    bwd = np.array([op.value(a, b) for a, b in zip(x[:-1], x[1:])])
+    anchor = op.value(x[i0], t0) @ P0 @ op.value(t0, x[i0])
+    return _conjugate(anchor, fwd, bwd, i0), fwd, bwd
 
 
 def projection_family(op: FundamentalOperator, P0):
@@ -216,40 +212,21 @@ class DichotomyData:
         self.rank = int(round(float(np.trace(self.P0))))
 
 
-def _max_envelope(seps, logs, alpha):
-    vals = logs + alpha * seps
-    i = int(np.argmax(vals))
-    return float(vals[i]), i
-
-
 def fit_envelope(seps, logs):
     """Largest alpha whose uniform envelope constant stays minimal.
 
     c(alpha) = max(log N + alpha * sep) is convex nondecreasing (all
-    separations are >= 0); the fit returns the right edge of its flat bottom,
-    located by bisection to ``_FIT_SLACK`` resolution in c and capped at
-    ``_ALPHA_CAP``.
+    separations are >= 0), and c(alpha) <= c(0) + ``_FIT_SLACK`` holds
+    while alpha <= (c(0) + _FIT_SLACK - log N) / sep for every sample with
+    sep > 0.  The fit returns the least of these bounds, capped at
+    ``_ALPHA_CAP``, and c at it (a few ulps may remain): ``(alpha, log K)``.
     """
     seps = np.asarray(seps, dtype=float)
     logs = np.asarray(logs, dtype=float)
-    c0, _ = _max_envelope(seps, logs, 0.0)
-    target = c0 + _FIT_SLACK
-
-    def ok(alpha):
-        return _max_envelope(seps, logs, alpha)[0] <= target
-
-    if ok(_ALPHA_CAP):
-        return _ALPHA_CAP, c0
-    lo, hi = 0.0, _ALPHA_CAP
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13 * _ALPHA_CAP:
-            break
-    return lo, _max_envelope(seps, logs, lo)[0]
+    moving = seps > 0
+    bounds = (np.max(logs) + _FIT_SLACK - logs[moving]) / seps[moving]
+    alpha = float(np.min(bounds, initial=_ALPHA_CAP))
+    return alpha, float(np.max(logs + alpha * seps))
 
 
 def verify_dichotomy(op: FundamentalOperator, P0, grid):
@@ -264,12 +241,16 @@ def verify_dichotomy(op: FundamentalOperator, P0, grid):
     them by s: stable t ascending, the unstable limit, unstable t descending.
     A fitted alpha at or below 1e-6 flags "no dichotomy detected" in the
     report instead of raising (a flat system fits only a vanishing rate).
+    A grid without two distinct times raises ``ValueError``, as does a
+    time outside the window (``certify`` drops those).
     """
     grid = np.asarray(sorted(grid), dtype=float)
+    if not grid.size or grid[-1] - grid[0] <= op.radius:
+        raise ValueError("the certification grid needs two distinct times in "
+                         "the window [%g, %g]" % op.window)
     P0 = _validate_projection(P0)
     rank = int(round(float(np.trace(P0))))
     fam, fwd, bwd = _family_and_steps(op, P0, grid)
-    fwd, bwd = np.array(fwd), np.array(bwd)   # (G - 1, n, n) stacks
     G, at = len(grid), np.arange(len(grid))
     mats, keys = [], []   # per diagonal: sample matrices, their (s, t, side)
     if rank > 0:
@@ -301,7 +282,7 @@ def verify_dichotomy(op: FundamentalOperator, P0, grid):
     seps, logs = np.array([x[:2] for x in samples]).T
     alpha_fit, logK = fit_envelope(seps, logs)
     K_fit = math.exp(logK)
-    _, iworst = _max_envelope(seps, logs, alpha_fit)
+    iworst = int(np.argmax(logs + alpha_fit * seps))
     report = DichotomyReport(
         K_fit=K_fit, alpha_fit=alpha_fit,
         dichotomy_detected=alpha_fit > 1e-6,

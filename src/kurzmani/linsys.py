@@ -5,12 +5,14 @@ impulses (t_i, B_i) that reset the state through Id + B_i, and a driving
 measure (C, u) whose atoms reset it through Id + C(t) * du({t}) while its
 density adds C(t) * density(t) to the smooth generator.
 
+The jump factors and their inverses are formed once per system, in one
+stacked call (``jump_table``, kept by ``LinearSystemSpec``).
 The fundamental operator V(t, s) is realized by the product formula: smooth
 propagation between consecutive mesh nodes (the numpy ``expm`` below on
 constant cells, the adaptive order-8 integrator ``dop853`` below otherwise)
 interleaved with the jump factors.  The operator holds its mesh as one
-stacked store: jump factors and inverses per node, propagators and both mesh
-steps per cell.
+stacked store: jump factors and inverses per node, sliced from that table,
+and propagators and both mesh steps per cell.
 The projection family, the fast kernels, ``value``, the reference oracle and
 the regularity constants C_a and V_Lambda (``check_regularity``) all read it;
 no accumulated coefficient path is built.
@@ -304,14 +306,53 @@ def _inverse_or_none(m):
     return inv
 
 
+class JumpTable(NamedTuple):
+    """The jump factors of a system in time order and their inverses."""
+
+    times: np.ndarray          # (E,) impulse and atom times, ascending
+    factors: np.ndarray        # (E, n, n) Id + B, or Id + C(t) du({t}) at an atom
+    inverses: np.ndarray       # (E, n, n), or the rows before ``singular_at``
+    singular_at: float | None  # time of the first factor without a finite inverse
+
+
+def jump_table(n, impulses, measure_part):
+    """The ``JumpTable`` of impulses (t, B) and the atoms of a (C, u) pair,
+    impulses first at a tie.  One stacked ``np.linalg.inv`` inverts every
+    factor; only if it fails does a pass factor by factor locate the first
+    singular one.  The arrays are read-only."""
+    events = [(t, np.eye(n) + B) for t, B in impulses]
+    if measure_part is not None:
+        C, u = measure_part
+        events += [(t, np.eye(n) + C(t) * w) for t, w in u.atoms]
+    events.sort(key=lambda e: e[0])
+    times = np.array([t for t, _ in events], dtype=float)
+    factors = np.array([J for _, J in events], dtype=float).reshape(-1, n, n)
+    try:
+        inverses = np.linalg.inv(factors)
+        ok = np.isfinite(inverses).all(axis=(-2, -1))
+        k = len(ok) if ok.all() else int(np.argmin(ok))
+    except np.linalg.LinAlgError:
+        k = next(i for i, J in enumerate(factors) if _inverse_or_none(J) is None)
+        inverses = np.linalg.inv(factors[:k])
+    inverses = inverses[:k]
+    for arr in (times, factors, inverses):
+        arr.flags.writeable = False
+    return JumpTable(times, factors, inverses, float(times[k]) if k < len(times) else None)
+
+
+def inverse_bound(inverses):
+    """max(1, max ||J^{-1}||) over a stack of inverse jump factors."""
+    return float(np.max(np.linalg.norm(inverses, 2, axis=(-2, -1)), initial=1.0))
+
+
 @dataclass(frozen=True)
 class LinearSystemSpec:
     """Coefficients of one linear system.
 
     ``smooth`` is the matrix path A(t); ``impulses`` are (time, B) with
     strictly increasing times; ``measure_part`` is an optional (C, u) pair.
-    Construction verifies every jump factor is invertible; the mesh refuses
-    two jumps on one node (``FundamentalOperator``).
+    Construction keeps their ``jump_table`` as ``jumps`` and refuses a
+    singular factor; the mesh refuses two jumps on one node.
     """
 
     n: int
@@ -335,19 +376,11 @@ class LinearSystemSpec:
             if not isinstance(u, StieltjesMeasure):
                 raise ValueError("measure_part must be (PiecewisePath, StieltjesMeasure)")
         object.__setattr__(self, "t0", float(self.t0))
-        for t, J in self.jump_events():
-            if _inverse_or_none(J) is None:
-                raise ValueError("jump factor Id + B or Id + C*du is singular "
-                                 "at t=%g" % t)
-
-    def jump_events(self):
-        """Sorted (time, factor) pairs combining impulses and measure atoms."""
-        events = [(t, np.eye(self.n) + B) for t, B in self.impulses]
-        if self.measure_part is not None:
-            C, u = self.measure_part
-            events += [(t, np.eye(self.n) + C(t) * w) for t, w in u.atoms]
-        events.sort(key=lambda e: e[0])
-        return events
+        jumps = jump_table(self.n, imp, self.measure_part)
+        if jumps.singular_at is not None:
+            raise ValueError("jump factor Id + B or Id + C*du is singular "
+                             "at t=%g" % jumps.singular_at)
+        object.__setattr__(self, "jumps", jumps)
 
     def generator(self, t):
         """Effective smooth coefficient A(t) (+ C(t) * density(t))."""
@@ -425,10 +458,12 @@ class FundamentalOperator:
             raise ValueError("reference time t0 must lie inside the window")
         self.window, self.radius = (lo, hi), r
         # a jump outside the window cannot act on V there
-        events = [(t, J) for t, J in spec.jump_events() if lo <= t <= hi]
+        table = spec.jumps
+        inside = (table.times >= lo) & (table.times <= hi)
+        times = table.times[inside].tolist()
         inner = np.concatenate([
             lo + base_step * np.arange(1, math.ceil((hi - lo) / base_step)),
-            [spec.t0, *(t for t, _ in events), *spec.generator_breakpoints()]])
+            [spec.t0, *times, *spec.generator_breakpoints()]])
         inner = np.sort(inner[(inner > lo + r) & (inner < hi - r)])
         nodes = np.concatenate([[lo], inner, [hi]])
         keep = np.concatenate([[True], np.diff(nodes) > r])
@@ -439,17 +474,13 @@ class FundamentalOperator:
                              "the match radius %g" % (float(head[i]), float(nodes[i]), r))
         self._times = self.nodes.tolist()   # Python floats for scalar steps
         self._index = {t: i for i, t in enumerate(self._times)}
-        self.event_nodes = self.node_index([t for t, _ in events])
-        for i in np.flatnonzero(np.diff(self.event_nodes) == 0):
+        self.event_nodes = at = self.node_index(times)
+        for i in np.flatnonzero(np.diff(at) == 0):
             # one node would keep only one of the two factors
-            raise ValueError("jumps at t=%r and t=%r coincide"
-                             % (events[i][0], events[i + 1][0]))
+            raise ValueError("jumps at t=%r and t=%r coincide" % (times[i], times[i + 1]))
         self.jumps = np.tile(np.eye(self.n), (len(self.nodes), 1, 1))
         self.jump_invs = self.jumps.copy()
-        if events:
-            at = self.event_nodes
-            self.jumps[at] = [J for _, J in events]
-            self.jump_invs[at] = np.linalg.inv(self.jumps[at])
+        self.jumps[at], self.jump_invs[at] = table.factors[inside], table.inverses[inside]
         for arr in (self.event_nodes, self.jumps, self.jump_invs):
             arr.flags.writeable = False
         gl_nodes, gl_weights = GAUSS_LEGENDRE[_QUAD_NODES]
@@ -587,7 +618,7 @@ class FundamentalOperator:
         if not t_at:
             k -= 1      # the last node before t
         for c in range(i, k):
-            out = self.cells.phi[c] @ (self.jumps[c] @ out)
+            out = self.cells.fwd[c] @ out
         if not t_at:
             out = self._propagate(self._times[k], t)[0] @ (self.jumps[k] @ out)
         return out
@@ -619,7 +650,6 @@ def check_regularity(fund: FundamentalOperator) -> RegularityReport:
         raise ValueError("impulse at the reference time t0=%g is ambiguous"
                          % spec.t0)
     ev = fund.event_nodes
-    inv_norms = np.linalg.norm(fund.jump_invs[ev], 2, axis=(-2, -1))
 
     def generator(a, b):
         if spec.generator_constant_on(a, b):
@@ -629,6 +659,6 @@ def check_regularity(fund: FundamentalOperator) -> RegularityReport:
     inner = ev[ev < len(fund.nodes) - 1]
     jump_norms = np.linalg.norm(fund.jumps[inner] - np.eye(fund.n), 2, axis=(-2, -1))
     return RegularityReport(
-        C_a=float(np.max(inv_norms, initial=1.0)),
+        C_a=inverse_bound(fund.jump_invs[ev]),
         V_Lambda=norm_integral(fund.window, spec.generator_breakpoints(), generator,
                                float(np.sum(jump_norms)), "V_Lambda variation"))

@@ -9,7 +9,7 @@ from kurzmani import cli
 from kurzmani.apps import (HypothesisError, IdeSpec, MdeSpec, _probe_points,
                            build_context, check_hypotheses, ide_to_context,
                            mde_to_context)
-from kurzmani.funcspace import PiecewisePath, StieltjesMeasure
+from kurzmani.funcspace import PiecewisePath, StieltjesMeasure, norm
 from kurzmani.linsys import FundamentalOperator, check_regularity
 from kurzmani.lp_manifold import NonlinearitySpec, solve_lp
 
@@ -277,3 +277,69 @@ def test_every_c_hypothesis_passes_on_the_shipped_configs(name):
     report = check_hypotheses(cli.parse_system(cfg), (sol.get("s", 0.0), sol["T"]))
     items = {k: v for k, v in report.items.items() if k.startswith("c_")}
     assert len(items) == 1 and all(item.passed for item in items.values())
+
+
+def test_impulsive_saddle_inverts_its_jumps_twice(monkeypatch):
+    # LinearSystemSpec and check_hypotheses each invert the 39 kick factors
+    # in one stacked call; the operator slices the spec's table
+    cfg = cli.load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                       "configs", "impulsive_saddle.json"))
+    spec = cli.parse_system(cfg)
+    sizes = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: sizes.append(
+        1 if np.ndim(a) == 2 else len(a)) or inv(a))
+    FundamentalOperator(spec.linear_spec(0.0), (0.0, 40.0))
+    check_hypotheses(spec, (0.0, 40.0))
+    assert sizes == [39, 39]
+
+
+def _loop_inverse_items(factors):
+    """The inverse bound, the first singular time and the impulse-norm sum of
+    the per-factor loop that stops at a ``LinAlgError``."""
+    bound, bad, total = 1.0, None, 0.0
+    for t, J, B in factors:
+        total += norm(B)
+        try:
+            bound = max(bound, norm(np.linalg.inv(J)))
+        except np.linalg.LinAlgError:
+            bad = t
+            break
+    return bound, bad, total
+
+
+@pytest.mark.parametrize("middle, singular_at", [
+    ([[0.5, 0.1], [0.0, -0.3]], None), (-np.eye(2), 2.0),
+], ids=["regular", "singular"])
+def test_ide_inverse_items_equal_the_per_factor_loop(middle, singular_at):
+    Bs = [np.array([[0.3, -0.2], [0.1, 0.4]]), np.asarray(middle, dtype=float),
+          np.array([[-0.6, 0.0], [0.7, 0.1]])]
+    impulses = tuple(zip((1.0, 2.0, 3.0), Bs))
+    rep = check_hypotheses(IdeSpec(2, saddle_path(), impulses,
+                                   quadratic_forcing(1.0)), (0.0, 5.0))
+    bound, bad, total = _loop_inverse_items(
+        [(t, np.eye(2) + B, B) for t, B in impulses])
+    item = rep.items["B3_jump_inverses"]
+    assert (item.passed, item.value, item.witness) == (bad is None, bound, bad)
+    C_b = rep.items["a_jump_norms_summable"]
+    assert (C_b.value, C_b.witness) == (max(total, bound), bad)
+    assert rep.constants["sum_impulse_norms"] == total
+    assert bad == singular_at
+
+
+@pytest.mark.parametrize("weight", [0.5, 1.0], ids=["regular", "singular"])
+def test_mde_inverse_items_equal_the_per_factor_loop(weight):
+    # C(t) = [[-t, 0], [0.2, -0.5]]: Id + C(1) is singular
+    C = PiecewisePath.polynomial([np.array([[0.0, 0.0], [0.2, -0.5]]),
+                                  np.array([[-1.0, 0.0], [0.0, 0.0]])])
+    u = StieltjesMeasure(PiecewisePath.constant(0.0),
+                         [(0.5, 0.3), (1.0, weight), (2.0, 0.7)], nondecreasing=True)
+    H = NonlinearitySpec("zero", {"n": 2}, rho=0.5, measure=u)
+    rep = check_hypotheses(MdeSpec(2, saddle_path(), C, u, H), (0.0, 3.0))
+    bound, bad, _ = _loop_inverse_items(
+        [(t, np.eye(2) + C(t) * w, C(t) * w) for t, w in u.atoms])
+    for name in ("D6_atom_inverses", "a_atom_inverse_bound"):
+        item = rep.items[name]
+        assert (item.passed, item.value, item.witness) == (bad is None, bound, bad)
+    assert rep.constants["C_g"] == bound
+    assert bad == (1.0 if weight == 1.0 else None)

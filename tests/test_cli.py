@@ -267,6 +267,20 @@ def test_bad_base_step_is_config_error(tmp_path, capsys, base_step):
     assert err["error"] == "config" and "base_step" in err["message"]
 
 
+def test_one_point_certification_grid_is_config_error(tmp_path, capsys):
+    # a one-time grid used to certify alpha = 60 and tail_bound 0 with exit 0
+    cfg = json.loads(open(config_path("planar_quadratic.json")).read())
+    cfg["solver"]["grid"] = {"start": 0, "stop": 10, "count": 1}
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["manifold", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "config"
+    assert "two distinct times in the window [0, %g]" % cfg["solver"]["T"] \
+        in err["message"]
+    assert not list(tmp_path.glob("*manifold*"))
+
+
 def test_output_dir_applies_without_out_flag(tmp_path, capsys):
     cfg = json.loads(open(config_path("lacunary_integral.json")).read())
     cfg["output"]["dir"] = str(tmp_path / "from_config")

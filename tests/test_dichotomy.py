@@ -5,6 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from conftest import COUPLED, coupled_context
 from kurzmani import cli, dichotomy
@@ -77,8 +78,9 @@ def test_periodic_branch_needs_equal_kicks_within_1e_12(monkeypatch, offset, how
 
 
 def test_certify_forms_each_grid_step_once(monkeypatch):
-    # 21-point grid from t0: 20 steps each way plus the anchor step at t0,
-    # shared by the projection family and the envelope samples
+    # 21-point grid from t0: 20 steps each way plus the two factors that
+    # carry P0 to the first grid time, shared by the projection family and
+    # the envelope samples
     calls = []
     value = FundamentalOperator.value
     monkeypatch.setattr(FundamentalOperator, "value",
@@ -86,7 +88,7 @@ def test_certify_forms_each_grid_step_once(monkeypatch):
     impulses = tuple((float(k), np.diag([0.1, 0.0])) for k in range(1, 10))
     data = certify(FundamentalOperator(saddle_spec(impulses), (0.0, 10.0)))
     assert data.report.projection_mode == "periodic"
-    assert len(calls) <= 2 * 20 + 2
+    assert len(calls) == 2 * 20 + 2
 
 
 def _schur_projector(x, stable):
@@ -109,7 +111,7 @@ def _inside(re, im):
 
 
 def _monodromy(spec):
-    (t1, J), (t2, _) = spec.jump_events()[:2]
+    (t1, t2), J = spec.jumps.times[:2], spec.jumps.factors[0]
     return J @ scipy.linalg.expm(spec.generator(t1) * (t2 - t1))
 
 
@@ -288,12 +290,79 @@ def test_flat_system_reports_no_dichotomy():
     assert alpha <= 1e-6
 
 
+def _bisection_fit(seps, logs):
+    """The envelope fit by bisection on c(alpha) <= c(0) + _FIT_SLACK, to
+    1e-13 _ALPHA_CAP: the oracle of the closed form."""
+    target = np.max(logs) + dichotomy._FIT_SLACK
+
+    def ok(alpha):
+        return np.max(logs + alpha * seps) <= target
+
+    if ok(dichotomy._ALPHA_CAP):
+        return dichotomy._ALPHA_CAP
+    lo, hi = 0.0, dichotomy._ALPHA_CAP
+    while hi - lo >= 1e-13 * dichotomy._ALPHA_CAP:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if ok(mid) else (lo, mid)
+    return lo
+
+
+_SAMPLES = st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.05, 20.0)),
+                              st.floats(-100.0, 10.0)), min_size=1, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SAMPLES)
+def test_fit_envelope_is_the_largest_admissible_rate(samples):
+    seps, logs = np.array(samples).T
+    alpha, log_k = fit_envelope(seps, logs)
+    target = np.max(logs) + dichotomy._FIT_SLACK
+    env = logs + alpha * seps
+    # a few ulps of the largest term the envelope sums
+    ulps = 4 * np.spacing(max(np.max(np.abs(logs)), np.max(alpha * seps), 1.0))
+    assert 0.0 < alpha <= dichotomy._ALPHA_CAP
+    assert log_k == np.max(env) <= target + ulps
+    if alpha < dichotomy._ALPHA_CAP:
+        # a sample that moves with alpha is tight, so a larger rate lifts it
+        # past the target
+        assert np.max(env[seps > 0]) >= target - ulps
+        assert np.max(logs + (alpha + 1e-10) * seps) > target
+    assert alpha == pytest.approx(_bisection_fit(seps, logs), abs=1e-11)
+
+
 def test_fit_envelope_recovers_known_rate():
     seps = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
     logs = math.log(2.0) - 0.7 * seps
     alpha, log_k = fit_envelope(seps, logs)
     assert alpha == pytest.approx(0.7, abs=1e-9)
     assert log_k == pytest.approx(math.log(2.0), abs=1e-6)
+
+
+@pytest.mark.parametrize("grid", [[0.0], [3.0, 3.0], [20.0, 30.0]],
+                         ids=["one_time", "one_time_twice", "outside"])
+def test_certify_refuses_a_grid_without_two_times_in_the_window(grid):
+    # each used to certify alpha = _ALPHA_CAP (or fail inside numpy)
+    op = FundamentalOperator(saddle_spec(), (0.0, 10.0))
+    with pytest.raises(ValueError, match=r"two distinct times in the window \[0, 10\]"):
+        certify(op, grid=grid)
+    with pytest.raises(ValueError, match="window"):
+        verify_dichotomy(op, np.diag([1.0, 0.0]), grid)
+
+
+def test_t0_between_grid_times_anchors_at_the_next_grid_time(monkeypatch):
+    op, P0 = _mesh_case("t0_inside")          # t0 = 2, jumps at 1.05 and 3.55
+    grid = np.linspace(0.0, 6.0, 9)            # 1.5 < t0 < 2.25
+    calls = []
+    value = FundamentalOperator.value
+    monkeypatch.setattr(FundamentalOperator, "value",
+                        lambda self, t, s: calls.append((t, s)) or value(self, t, s))
+    fam = grid_family(op, P0, grid)
+    assert len(calls) == 2 * 8 + 2
+    assert (2.25, 2.0) in calls and (2.0, 2.25) in calls
+    monkeypatch.undo()
+    for P, x in zip(fam, grid):
+        want = op.value(x, 2.0) @ P0 @ op.value(2.0, x)
+        assert norm(P - want) <= 1e-12 * max(1.0, norm(want)), x
 
 
 def test_certify_packages_constants_and_report():
@@ -379,8 +448,8 @@ def test_scalar_mde_certificate_samples_only_the_stable_side():
     assert np.array_equal(ctx.dich.P0, np.eye(1))
     assert len(report.samples) == 21 * 22 // 2
     assert {side for *_, side in report.samples} == {"stable"}
-    assert report.alpha_fit == 1.000000000097998
-    assert report.K_fit == pytest.approx(1.000000000979977, rel=1e-14)
+    assert report.alpha_fit == 1.0000000000999998
+    assert report.K_fit == pytest.approx(1.000000001, rel=1e-14)
 
 
 def _inverse_step_family(op, P0):

@@ -3,7 +3,8 @@ definition is reached by the package or the benchmark, every defaulted
 parameter is set by some call in the package or the benchmark (a value only
 a test sets is a module constant the test patches), only ``funcspace``
 calls scipy's ``quad`` (so every adaptive quadrature goes through its error
-check), and the registry nonlinearities, ``Segment.eval`` and the preset terms'
+check), ``apps`` calls no ``np.linalg.inv`` (the jump table inverts every
+jump factor), and the registry nonlinearities, ``Segment.eval`` and the preset terms'
 ``PresetTerm.eval``/``_scalar`` take no BLAS product (so a point's value
 there never depends on its batch), no module reads a numpy name that imports
 ``numpy.ma``, ``numpy.random`` or ``numpy.polynomial``, and neither the
@@ -294,6 +295,33 @@ def test_no_module_uses_solve_ivp():
     uses = {p.name: solve_ivp_uses(p.read_text(encoding="utf-8"))
             for p in SRC.glob("*.py")}
     assert {name: lines for name, lines in uses.items() if lines} == {}
+
+
+def linalg_inv_calls(source):
+    """Lines that call numpy's ``inv``: as an attribute of ``.linalg`` or
+    by a name imported from ``numpy.linalg``."""
+    tree = ast.parse(source)
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+             for alias in node.names if alias.name == "inv"}
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and (getattr(node.func, "id", None) in names
+                       or getattr(node.func, "attr", None) == "inv"
+                       and getattr(node.func.value, "attr", None) == "linalg"))
+
+
+def test_guard_flags_a_linalg_inv_call():
+    src = ("import numpy as np\nimport numpy\n"
+           "from numpy.linalg import inv as invert, solve\n"
+           "a = np.linalg.inv(np.eye(2))\nb = invert(a)\nc = solve(a, a)\n"
+           "d = np.linalg.pinv(a)\ne = numpy.linalg.inv(a)\nf = a.inv\n")
+    assert linalg_inv_calls(src) == [4, 5, 8]
+
+
+def test_apps_calls_no_linalg_inv():
+    """``check_hypotheses`` reads the jump factors' inverses from
+    ``linsys.jump_table``, which inverts them in one stacked call."""
+    assert linalg_inv_calls((SRC / "apps.py").read_text(encoding="utf-8")) == []
 
 
 # calls that reach a BLAS kernel (or, for ``vander``, feed one)

@@ -10,7 +10,7 @@ from conftest import lebesgue
 from kurzmani.cli import load_config, parse_system
 from kurzmani.funcspace import PiecewisePath, StieltjesMeasure, norm
 from kurzmani.linsys import (FundamentalOperator, LinearSystemSpec,
-                             check_regularity, expm)
+                             check_regularity, expm, jump_table)
 
 EYE1 = np.eye(1)
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -233,8 +233,9 @@ def _cell_oracle(op, j):
     gen = op.spec.generator(0.5 * (a + b))
     phi = expm(gen * (b - a))
     phi_sig = [expm(gen * (t - a)) for t in sigma]
-    J = next((J for t, J in op.spec.jump_events() if abs(t - a) <= op.radius),
-             np.eye(op.n))
+    table = op.spec.jumps
+    J = next((J for t, J in zip(table.times, table.factors)
+              if abs(t - a) <= op.radius), np.eye(op.n))
     return {"phi": phi, "gen": gen, "sigma": sigma, "weights": 0.5 * (b - a) * w,
             "phi_sig_inv": np.stack([np.linalg.inv(m) for m in phi_sig]),
             "fwd": phi @ J, "bwd": np.linalg.inv(J) @ np.linalg.inv(phi)}
@@ -449,3 +450,91 @@ def test_coincident_jumps_are_refused(kinds):
         FundamentalOperator(_two_jumps(kinds, 1e-13), (0.0, 3.0))
     op = FundamentalOperator(_two_jumps(kinds, 1e-6), (0.0, 3.0))
     assert op.value(2.0, 0.0)[0, 0] == pytest.approx(6.0, rel=1e-12)
+
+
+def _per_event_table(spec):
+    """The jump table one event at a time: np.eye(n) + B per impulse and
+    np.eye(n) + C(t) w per atom, sorted by time (impulses first at a tie),
+    with one ``np.linalg.inv`` per factor."""
+    events = [(t, np.eye(spec.n) + B) for t, B in spec.impulses]
+    if spec.measure_part is not None:
+        C, u = spec.measure_part
+        events += [(t, np.eye(spec.n) + C(t) * w) for t, w in u.atoms]
+    events.sort(key=lambda e: e[0])
+    return ([t for t, _ in events], [J for _, J in events],
+            [np.linalg.inv(J) for _, J in events])
+
+
+def _three_atom_spec():
+    """A 2-d measure-driven system: time-dependent C, three atoms."""
+    C = PiecewisePath.polynomial([np.array([[0.3, -0.2], [0.1, 0.4]]),
+                                  np.array([[0.05, 0.0], [-0.1, 0.02]])])
+    u = StieltjesMeasure(PiecewisePath.constant(0.5),
+                         [(0.7, 0.3), (1.9, 1.2), (2.6, 0.45)])
+    return LinearSystemSpec(2, PiecewisePath.constant(np.diag([-1.0, 0.5])),
+                            measure_part=(C, u))
+
+
+def _interleaved_spec():
+    """Impulses at 0.5, 1.5 and 2.5 between atoms at 1 and 2, plus an
+    impulse and an atom at one time (3)."""
+    C = PiecewisePath.constant(np.array([[0.2, 0.1], [-0.3, 0.4]]))
+    u = StieltjesMeasure(PiecewisePath.constant(0.0),
+                         [(1.0, 0.5), (2.0, 1.5), (3.0, 0.25)])
+    impulses = tuple((t, np.array([[0.1 * t, -0.2], [0.05, -0.3]]))
+                     for t in (0.5, 1.5, 2.5, 3.0))
+    return LinearSystemSpec(2, PiecewisePath.constant(np.diag([-1.0, 0.5])),
+                            impulses=impulses, measure_part=(C, u))
+
+
+@pytest.mark.parametrize("make, hi", [
+    (lambda: _shipped_linear_spec("impulsive_saddle"), 40.0),
+    (_three_atom_spec, 3.0),
+    (_interleaved_spec, 2.8),     # the operator refuses the tie at t = 3
+], ids=["impulsive_saddle", "three_atoms", "interleaved"])
+def test_jump_table_equals_per_event_oracle(make, hi):
+    spec = make()
+    table = spec.jumps
+    times, factors, inverses = _per_event_table(spec)
+    assert table.times.tolist() == times and table.singular_at is None
+    assert np.array_equal(table.factors, np.array(factors))
+    assert np.array_equal(table.inverses, np.array(inverses))
+    for arr in table[:3]:
+        assert not arr.flags.writeable
+    # the operator's node store holds the rows of the events in its window
+    op = FundamentalOperator(spec, (0.0, hi))
+    inside = table.times <= hi
+    assert np.array_equal(op.jumps[op.event_nodes], table.factors[inside])
+    assert np.array_equal(op.jump_invs[op.event_nodes], table.inverses[inside])
+
+
+def test_table_orders_impulses_and_atoms_by_time():
+    table = _interleaved_spec().jumps
+    assert table.times.tolist() == [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.0]
+    # at the tie the impulse comes first, then the atom
+    assert table.factors[5][0, 0] == 1.0 + 0.1 * 3.0
+    assert len(_shipped_linear_spec("impulsive_saddle").jumps.times) == 39
+
+
+@pytest.mark.parametrize("middle", [
+    -np.eye(2),                                  # LinAlgError in the stacked call
+    np.array([[-1.0 + 2.0 ** -53, 1e300], [0.0, 0.0]]),   # an inverse with -inf
+], ids=["singular", "non_finite_inverse"])
+def test_singular_factor_in_the_middle_is_named(middle):
+    B = np.array([[0.2, 0.1], [0.0, -0.4]])
+    impulses = ((1.0, B), (2.0, middle), (3.0, 2.0 * B))
+    table = jump_table(2, impulses, None)
+    assert table.singular_at == 2.0
+    assert np.array_equal(table.inverses, np.linalg.inv(np.eye(2) + B)[None])
+    with pytest.raises(ValueError, match="singular at t=2$"):
+        LinearSystemSpec(2, PiecewisePath.constant(np.diag([-1.0, 1.0])),
+                         impulses=impulses)
+
+
+def test_operator_init_makes_no_inverse_call(monkeypatch):
+    spec = _interleaved_spec()
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(1) or inv(a))
+    op = FundamentalOperator(spec, (0.0, 2.8))
+    assert calls == [] and len(op.event_nodes) == 5
