@@ -17,8 +17,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "funcspace": ("PiecewisePath", "Segment", "StieltjesMeasure",
-                  "TaggedDivision", "norm", "running_integral",
-                  "total_variation"),
+                  "TaggedDivision", "norm", "running_integral"),
     "kurzweil": ("IntegralResult", "PointIntervalFn", "cross_check",
                  "ks_integral_ref", "stieltjes_integral"),
     "linsys": ("FundamentalOperator", "LinearSystemSpec", "check_regularity"),

@@ -26,8 +26,7 @@ import numpy as np
 
 from .dichotomy import certify
 from .funcspace import (LEBESGUE, PiecewisePath, StieltjesMeasure, norm,
-                        norm_integral, plain, running_integral,
-                        total_variation)
+                        norm_integral, plain)
 from .linsys import (FundamentalOperator, LinearSystemSpec, check_regularity,
                      inverse_bound, jump_table)
 from .lp_manifold import (LPContext, NonlinearitySpec, auto_horizon,
@@ -184,8 +183,7 @@ def _check_ide(spec: IdeSpec, window) -> HypothesesReport:
     n = spec.n
 
     rep.items["B1_smooth_integrable"] = CheckItem(True, None)
-    m_int = total_variation(running_integral(spec.A, window[0]), window,
-                            "B2 bound int ||A||")
+    m_int = norm_integral(window, spec.A, (spec.A,), 0.0, "B2 bound int ||A||")
     rep.items["B2_coefficient_bound"] = CheckItem(math.isfinite(m_int), m_int)
 
     table = jump_table(n, spec.impulses, None)
@@ -223,8 +221,7 @@ def _check_mde(spec: MdeSpec, window) -> HypothesesReport:
     rep.items["D1_smooth_integrable"] = CheckItem(True, None)
     rep.items["D2_driver_left_continuous"] = CheckItem(True, None)
     rep.items["D3_measure_coefficient_integrable"] = CheckItem(True, None)
-    m1 = total_variation(running_integral(spec.A, window[0]), window,
-                         "D4 bound int ||A||")
+    m1 = norm_integral(window, spec.A, (spec.A,), 0.0, "D4 bound int ||A||")
     rep.items["D4_smooth_dominated"] = CheckItem(math.isfinite(m1), m1)
     m2 = _measure_domination(spec, window)
     rep.items["D5_measure_dominated"] = CheckItem(math.isfinite(m2), m2)
@@ -249,23 +246,12 @@ def _check_mde(spec: MdeSpec, window) -> HypothesesReport:
 
 
 def _measure_domination(spec, window):
-    """int ||C|| d|u| over the window: the (D5) domination constant.
-
-    Exact on cells where C and the density are both constant; adaptive
-    quadrature on the others (``norm_integral``).
-    """
+    """int ||C|| d|u| over the window: the (D5) domination constant
+    (``norm_integral`` over the pieces of C and the density)."""
     C, dens = spec.C, spec.u.density
-
-    def piece(a, b):
-        mid = 0.5 * (a + b)
-        if C.segments[C.segment_index(mid)].is_constant and \
-                dens.segments[dens.segment_index(mid)].is_constant:
-            return norm(C(mid)) * abs(float(dens(mid)))
-        return lambda t: norm(C(t)) * abs(float(dens(t)))
-
     atoms = sum(norm(C(t)) * abs(w) for t, w in spec.u.atoms_in(*window))
-    return norm_integral(window, [*C.times, *dens.times], piece, atoms,
-                         "(D5) domination int ||C|| d|u|")
+    return norm_integral(window, lambda t: norm(C(t)) * abs(float(dens(t))),
+                         (C, dens), atoms, "(D5) domination int ||C|| d|u|")
 
 
 def build_context(spec, s=0.0, T=None, tol=1e-10, base_step=0.1, P0=None,

@@ -94,8 +94,11 @@ def spectral_projection(spec: LinearSystemSpec, P0=None):
     """Reference projection onto the contracting directions at ``spec.t0``.
 
     The data pick the branch, first match wins: a given ``P0`` is validated
-    and passed through; an autonomous generator has its spectrum split, or
-    the one-period monodromy's when the jump pattern is periodic; anything
+    and passed through; an autonomous generator (no path of ``spec.paths``
+    has a breakpoint) has its spectrum split, or, when the jump pattern is
+    periodic and some jump lies at or after t0, that of the one-period
+    monodromy V(t0 + p, t0), which starts with the flow to that first jump;
+    anything
     else is split by the contracting right / expanding left singular
     directions of the flow over ``_SVD_HORIZON`` (a labeled heuristic for
     genuinely nonautonomous systems).  The ``autonomous`` and ``periodic``
@@ -111,15 +114,10 @@ def spectral_projection(spec: LinearSystemSpec, P0=None):
     if P0 is not None:
         return _validate_projection(P0), "explicit"
 
-    autonomous = spec.generator_constant_on(t0 - 1e-3, t0 + 1e-3) and \
-        len(spec.smooth.times) == 0
-    if spec.measure_part is not None:
-        _, u = spec.measure_part
-        autonomous = autonomous and len(u.density.times) == 0
-    if autonomous:
+    if not spec.generator_breakpoints() and spec.generator_constant_on(t0, t0):
         times, kicks = spec.jumps.times, spec.jumps.factors
+        gen = spec.generator(t0)
         if not len(times):
-            gen = spec.generator(t0)
             eig = np.linalg.eigvals(gen)
             if np.any(np.abs(eig.real) <= _IMAG_MARGIN):
                 raise SplittingError(
@@ -128,10 +126,14 @@ def spectral_projection(spec: LinearSystemSpec, P0=None):
             k = int(np.sum(eig.real < 0))
             return _sign_split(gen, k, "autonomous"), "autonomous"
         period = times[1] - times[0] if len(times) > 1 else None
-        if period is not None and np.allclose(np.diff(times), period, atol=1e-9) \
+        ahead = int(np.searchsorted(times, t0))   # first jump at or after t0
+        if period is not None and ahead < len(times) \
+                and np.allclose(np.diff(times), period, atol=1e-9) \
                 and np.allclose(kicks, kicks[0], rtol=0.0, atol=1e-12):
-            gen = spec.generator(times[0] + 0.5 * period)
-            mono = kicks[0] @ expm(gen * period)
+            # V(t0 + p, t0): flow to the first jump, kick, flow the rest; a
+            # jump at t0 itself (delta = 0) acts first
+            delta = times[ahead] - t0
+            mono = expm(gen * (period - delta)) @ kicks[0] @ expm(gen * delta)
             lam = np.linalg.eigvals(mono)
             if np.any(np.abs(np.abs(lam) - 1.0) <= _IMAG_MARGIN):
                 raise SplittingError("monodromy eigenvalue within %g of the unit circle"

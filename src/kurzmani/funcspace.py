@@ -2,17 +2,21 @@
 
 Every path handled by this library is smooth between finitely many
 breakpoints and is held as nothing but its segments and its breakpoint
-times.  This class is closed under the operations the solvers need (sums,
-running integrals, variation) and covers exactly what the impulsive and
+times.  This class is closed under the operations the solvers need (sums
+and running integrals) and covers exactly what the impulsive and
 measure-driven realizations produce.  Smooth segments are polynomials in t
 plus a small set of named function families (exp, sin/cos, and lacunary
 trigonometric sums), each closed under differentiation and antidifferentiation.
+Every variation the theorem reads is an integral of a norm over the pieces
+of coefficient paths plus the jumps (``norm_integral``), and
+``constant_on`` is the one rule for a constant cell.
 A Stieltjes measure (a density plus atoms) is read through its variation
 and its mass of half-open cells, mu([a, b)); no distribution path is built.
 
 Conventions used throughout:
   * paths are left-continuous: the value at a breakpoint is the left
-    segment's, and a jump shows up as a right-jump ``right(t) - path(t)``;
+    segment's, and a jump is a right-jump, the right segment's value there
+    minus the left one's;
   * vector norms are Euclidean, matrix norms are the operator 2-norm;
   * a window is a finite closed interval [c, d].
 """
@@ -373,10 +377,6 @@ class PiecewisePath:
         t = float(t)
         return self.segments[self.segment_index(t)].value(t)
 
-    def right(self, t):
-        t = float(t)
-        return self.segments[self.segment_index(t, side=+1)].value(t)
-
     def sample(self, ts):
         """Batch evaluation; a breakpoint time gets its left limit."""
         ts = np.asarray(ts, dtype=float)
@@ -481,14 +481,8 @@ class StieltjesMeasure:
 
     def variation(self, window):
         """|mu|([c, d)): the integral of |density| plus the atoms in [c, d)."""
-        density = self.density
-
-        def piece(a, b):
-            seg = density.segments[density.segment_index(0.5 * (a + b))]
-            return seg.coeffs[0] if seg.is_constant else density
-
         atoms = sum(abs(w) for _, w in self.atoms_in(*window))
-        return norm_integral(window, density.times, piece, atoms,
+        return norm_integral(window, self.density, (self.density,), atoms,
                              "measure variation")
 
     @cached_property
@@ -537,7 +531,7 @@ class TaggedDivision:
 
 
 # ---------------------------------------------------------------------------
-# variation
+# norm integrals
 # ---------------------------------------------------------------------------
 
 def _quad_cell(f, a, b, tol):
@@ -558,24 +552,30 @@ def check_quadrature(err, size, what):
         raise QuadratureError("%s quadrature achieved only %.3e" % (what, err), err)
 
 
-def norm_integral(window, breaks, piece, jumps, what):
-    """Integral of ||g|| over the window [c, d], plus ``jumps``, the
+def constant_on(paths, t):
+    """The one constant-cell rule: every path's segment at t (the left one
+    at a breakpoint) is constant."""
+    return all(p.segments[p.segment_index(t)].is_constant for p in paths)
+
+
+def norm_integral(window, g, paths, jumps, what):
+    """Integral of ||g(t)|| over the window [c, d], plus ``jumps``, the
     variation that jumps add; ``what`` names the integral in errors.
 
-    The window is cut at every time of ``breaks`` inside it.  ``piece(a, b)``
-    gives g on the cell (a, b): its value where g is constant there, which
-    contributes ``norm(value) * (b - a)`` exactly, else a callable of t,
-    integrated by adaptive quadrature.  The worst cell error goes through
-    ``check_quadrature``.
+    ``g`` is a function of time built from the coefficient ``paths``, and
+    the window is cut at every breakpoint of theirs inside it.  A cell on
+    which ``constant_on`` holds contributes ``norm(g(mid)) * (b - a)``
+    exactly; every other cell is integrated by adaptive quadrature, and the
+    worst cell error goes through ``check_quadrature``.
     """
     c, d = _check_window(window)
-    cuts = sorted({c, d} | {t for t in breaks if c < t < d})
+    cuts = sorted({c, d} | {t for p in paths for t in p.times.tolist() if c < t < d})
     total = 0.0
     worst_err = 0.0
     for a, b in zip(cuts, cuts[1:]):
-        g = piece(a, b)
-        if not callable(g):
-            total += norm(g) * (b - a)
+        mid = 0.5 * (a + b)
+        if constant_on(paths, mid):
+            total += norm(g(mid)) * (b - a)
             continue
         val, err = _quad_cell(lambda t: norm(g(t)), a, b, _QUAD_TOL)
         total += val
@@ -583,22 +583,3 @@ def norm_integral(window, breaks, piece, jumps, what):
     total += jumps
     check_quadrature(worst_err, abs(total), what)
     return total
-
-
-def total_variation(path, window, what="variation"):
-    """Variation of a piecewise-smooth path over [c, d] (``what`` names it
-    in a ``QuadratureError``).
-
-    Exact for this path class up to quadrature tolerance: the smooth part
-    contributes the integral of the derivative's norm (``norm_integral``:
-    exact on cells where the derivative is constant), and a breakpoint in
-    [c, d) contributes its jump norm ||right(t) - path(t)||; a
-    left-continuous path has no left jumps."""
-    c, d = _check_window(window)
-
-    def derivative(a, b):
-        dseg = path.segments[path.segment_index(0.5 * (a + b))].derivative()
-        return dseg.coeffs[0] if dseg.is_constant else dseg.value
-
-    jumps = sum(norm(path.right(t) - path(t)) for t in path.times if c <= t < d)
-    return norm_integral((c, d), path.times, derivative, jumps, what)

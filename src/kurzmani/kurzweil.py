@@ -201,17 +201,18 @@ def cross_check(f: PiecewisePath, mu: StieltjesMeasure | None, window,
 
     With a measure the fast side is ``stieltjes_integral``; with ``mu`` None
     the integrand is the node-increment form V(tag, t) = f(t), whose fast
-    value is the endpoint difference f(d) - f(c).  Passes iff the values
+    value is the endpoint difference f(d) - f(c).  Either form asks the
+    reference for min(tol / 10, 1e-8).  Passes iff the values
     differ by at most ``max(tol, 10 x achieved reference tolerance)``;
     reference non-convergence propagates.
     """
     if mu is None:
         fast = np.asarray(f(window[1]) - f(window[0]))
-        V, ref_tol = PointIntervalFn.node_function(f), min(tol / 10.0, 1e-9)
+        V = PointIntervalFn.node_function(f)
     else:
         fast = np.asarray(stieltjes_integral(f, mu, window))
-        V, ref_tol = PointIntervalFn.stieltjes_pair(f, mu), min(tol / 10.0, 1e-8)
-    ref = ks_integral_ref(V, window, tol=ref_tol)
+        V = PointIntervalFn.stieltjes_pair(f, mu)
+    ref = ks_integral_ref(V, window, tol=min(tol / 10.0, 1e-8))
     difference = norm(fast - ref.value)
     tolerance = max(tol, 10.0 * ref.achieved_tolerance)
     return CrossCheckReport(fast, ref, difference, tolerance,

@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .funcspace import (GAUSS_LEGENDRE, PiecewisePath, StieltjesMeasure,
-                        norm_integral, sorted_unique)
+                        constant_on, norm_integral, sorted_unique)
 
 _TIME_TOL = 1e-11     # match radius per unit of the window's magnitude,
 _STEP_FRAC = 1e-3     # capped at this fraction of the grid step
@@ -352,7 +352,9 @@ class LinearSystemSpec:
     ``smooth`` is the matrix path A(t); ``impulses`` are (time, B) with
     strictly increasing times; ``measure_part`` is an optional (C, u) pair.
     Construction keeps their ``jump_table`` as ``jumps`` and refuses a
-    singular factor; the mesh refuses two jumps on one node.
+    singular factor; the mesh refuses two jumps on one node.  ``paths`` is
+    the one list of the coefficient paths the generator is made of: A, then
+    C and u's density when there is a measure part.
     """
 
     n: int
@@ -375,6 +377,9 @@ class LinearSystemSpec:
                 raise ValueError("measure coefficient must be a matrix path")
             if not isinstance(u, StieltjesMeasure):
                 raise ValueError("measure_part must be (PiecewisePath, StieltjesMeasure)")
+            object.__setattr__(self, "paths", (self.smooth, C, u.density))
+        else:
+            object.__setattr__(self, "paths", (self.smooth,))
         object.__setattr__(self, "t0", float(self.t0))
         jumps = jump_table(self.n, imp, self.measure_part)
         if jumps.singular_at is not None:
@@ -391,25 +396,10 @@ class LinearSystemSpec:
         return m
 
     def generator_breakpoints(self):
-        times = set(self.smooth.times.tolist())
-        if self.measure_part is not None:
-            C, u = self.measure_part
-            times |= set(C.times.tolist()) | set(u.density.times.tolist())
-        return times
+        return {t for p in self.paths for t in p.times.tolist()}
 
     def generator_constant_on(self, lo, hi):
-        mid = 0.5 * (lo + hi)
-
-        def seg_const(path):
-            return path.segments[path.segment_index(mid)].is_constant
-
-        if not seg_const(self.smooth):
-            return False
-        if self.measure_part is not None:
-            C, u = self.measure_part
-            if not (seg_const(C) and seg_const(u.density)):
-                return False
-        return True
+        return constant_on(self.paths, 0.5 * (lo + hi))
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +523,9 @@ class FundamentalOperator:
     def cells(self) -> _Cells:
         """Propagators and mesh steps of every cell, filled on first use.
 
-        Constant-generator cells are grouped by the segments of A, C and the
-        density that hold their midpoints.  Each group evaluates its
+        Constant-generator cells (``constant_on``'s rule, applied to every
+        cell at once) are grouped by the segments of ``spec.paths`` that hold
+        their midpoints.  Each group evaluates its
         generator once and makes one stacked call of the numpy Pade ``expm``
         of this module over its distinct exact steps from the left node (the
         Gauss nodes and the cell end), then one stacked inverse.  Slices of a
@@ -549,13 +540,9 @@ class FundamentalOperator:
         phi, phi_inv = np.empty((2, M, n, n))
         phi_sig_inv = np.empty((M, Q, n, n))
         mids = 0.5 * (left + right)
-        paths = [spec.smooth]
-        if spec.measure_part is not None:
-            C, u = spec.measure_part
-            paths += [C, u.density]
-        seg = np.stack([np.searchsorted(p.times, mids) for p in paths], axis=1)
+        seg = np.stack([np.searchsorted(p.times, mids) for p in spec.paths], axis=1)
         const = np.all([np.array([sg.is_constant for sg in p.segments])[k]
-                        for p, k in zip(paths, seg.T)], axis=0)
+                        for p, k in zip(spec.paths, seg.T)], axis=0)
         js = np.flatnonzero(const)
         for key in sorted_unique(seg[js]):
             jg = js[np.all(seg[js] == key, axis=1)]
@@ -639,26 +626,21 @@ def check_regularity(fund: FundamentalOperator) -> RegularityReport:
 
     C_a bounds the inverse jump factors: max(1, max ||J^{-1}||) over the
     events in the window, either end included.  V_Lambda is the variation of
-    Lambda: the integral of ||A + C density|| over the generator's pieces
-    (exact where the generator is constant, quadrature elsewhere) plus
-    ||J - Id|| for every event in [lo, hi); a jump at hi acts past the
-    window.  An impulse at the reference time is refused: which side of t0
-    it belongs to is ambiguous.  Atoms there are accepted.
+    Lambda: the integral of ||A + C density|| over the pieces of
+    ``spec.paths`` (``norm_integral``: exact on a cell where every path is
+    constant, quadrature elsewhere) plus ||J - Id|| for every event in
+    [lo, hi); a jump at hi acts past the window.  An impulse at the
+    reference time is refused: which side of t0 it belongs to is ambiguous.
+    Atoms there are accepted.
     """
     spec, (lo, hi) = fund.spec, fund.window
     if fund.i_t0 in fund.node_index([t for t, _ in spec.impulses if lo <= t <= hi]):
         raise ValueError("impulse at the reference time t0=%g is ambiguous"
                          % spec.t0)
     ev = fund.event_nodes
-
-    def generator(a, b):
-        if spec.generator_constant_on(a, b):
-            return spec.generator(0.5 * (a + b))
-        return spec.generator
-
     inner = ev[ev < len(fund.nodes) - 1]
     jump_norms = np.linalg.norm(fund.jumps[inner] - np.eye(fund.n), 2, axis=(-2, -1))
     return RegularityReport(
         C_a=inverse_bound(fund.jump_invs[ev]),
-        V_Lambda=norm_integral(fund.window, spec.generator_breakpoints(), generator,
+        V_Lambda=norm_integral(fund.window, spec.generator, spec.paths,
                                float(np.sum(jump_norms)), "V_Lambda variation"))

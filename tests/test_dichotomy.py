@@ -13,7 +13,7 @@ from kurzmani.apps import build_context
 from kurzmani.dichotomy import (DichotomyData, SplittingError, certify,
                                 fit_envelope, projection_family,
                                 spectral_projection, verify_dichotomy)
-from kurzmani.funcspace import PiecewisePath, norm
+from kurzmani.funcspace import PiecewisePath, StieltjesMeasure, norm
 from kurzmani.linsys import FundamentalOperator, LinearSystemSpec
 
 SADDLE = np.diag([-1.0, 1.0])
@@ -77,6 +77,33 @@ def test_periodic_branch_needs_equal_kicks_within_1e_12(monkeypatch, offset, how
     assert spectral_projection(saddle_spec(tuple(impulses)))[1] == how
 
 
+def test_measure_coefficient_breakpoint_leaves_the_autonomous_branch():
+    # A = 0, density 1 and C = diag(-1, 1) swapped to diag(1, -1) at t = 5:
+    # the generator is constant near t0 but not on the line
+    C = PiecewisePath.from_segments([5.0], [np.diag([-1.0, 1.0]), np.diag([1.0, -1.0])])
+    u = StieltjesMeasure(PiecewisePath.constant(1.0), nondecreasing=True)
+    spec = LinearSystemSpec(2, PiecewisePath.constant(np.zeros((2, 2))),
+                            measure_part=(C, u))
+    assert spectral_projection(spec)[1] == "svd"
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5])
+def test_periodic_splitting_follows_the_phase_of_t0(s):
+    # the coupled generator kicked at 1, ..., 7, certified on [s, s + 5]:
+    # the monodromy from s must start with the flow to the first kick
+    impulses = tuple((float(k), np.diag([0.1, 0.0])) for k in range(1, 8))
+    spec = LinearSystemSpec(2, PiecewisePath.constant(COUPLED), impulses=impulses,
+                            t0=s)
+    op = FundamentalOperator(spec, (s, s + 5.0))
+    data = certify(op)
+    assert data.report.projection_mode == "periodic"
+    assert data.K <= 1.4
+    family = projection_family(op, data.P0)
+    at = op.node_index([s + k for k in range(5)])
+    for i in at[1:]:
+        assert norm(family[i] - family[at[0]]) <= 1e-9
+
+
 def test_certify_forms_each_grid_step_once(monkeypatch):
     # 21-point grid from t0: 20 steps each way plus the two factors that
     # carry P0 to the first grid time, shared by the projection family and
@@ -111,13 +138,20 @@ def _inside(re, im):
 
 
 def _monodromy(spec):
-    (t1, t2), J = spec.jumps.times[:2], spec.jumps.factors[0]
-    return J @ scipy.linalg.expm(spec.generator(t1) * (t2 - t1))
+    """V(t0 + p, t0) over one kick period p: the flow from t0 to the first
+    kick at or after it, the kick (first, when it sits at t0), then the flow
+    on to t0 + p."""
+    t0, times = spec.t0, spec.jumps.times
+    p, first = times[1] - times[0], times[times >= t0][0]
+    A = spec.generator(t0)
+    return scipy.linalg.expm(A * (t0 + p - first)) @ spec.jumps.factors[0] \
+        @ scipy.linalg.expm(A * (first - t0))
 
 
-def _kicked(gen, kick):
+def _kicked(gen, kick, t0=0.0):
     impulses = tuple((float(k), kick) for k in range(1, 10))
-    return LinearSystemSpec(len(gen), PiecewisePath.constant(gen), impulses=impulses)
+    return LinearSystemSpec(len(gen), PiecewisePath.constant(gen), impulses=impulses,
+                            t0=t0)
 
 
 def _assert_schur_match(spec, how):
@@ -144,8 +178,12 @@ def _shipped_spec(name):
     (lambda: _kicked(COUPLED, np.array([[0.1, 0.2], [-0.1, 0.3]])), "periodic"),
     (lambda: _kicked(np.array([[-0.5, 2.0, 0.0], [0.0, 0.3, 1.0],
                                [0.0, -1.0, 0.3]]), np.eye(3) * -0.2), "periodic"),
+    (lambda: _kicked(COUPLED, np.array([[0.1, 0.2], [-0.1, 0.3]]), t0=0.3),
+     "periodic"),                             # first kick 0.7 past t0
+    (lambda: _kicked(COUPLED, np.array([[0.1, 0.2], [-0.1, 0.3]]), t0=2.0),
+     "periodic"),                             # a kick at t0 acts first
 ], ids=["planar_quadratic", "impulsive_saddle", "jordan", "kicked_coupled",
-        "kicked_3d"])
+        "kicked_3d", "kicked_coupled_t0_0.3", "kicked_coupled_kick_at_t0"])
 def test_sign_projection_matches_schur(make, how):
     _assert_schur_match(make(), how)
 

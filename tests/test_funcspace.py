@@ -6,28 +6,44 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from kurzmani.funcspace import (GAUSS_LEGENDRE, PiecewisePath, Segment,
-                                StieltjesMeasure, norm, running_integral,
-                                sorted_unique, total_variation)
+                                StieltjesMeasure, constant_on, norm,
+                                norm_integral, running_integral, sorted_unique)
+
+
+def right_limit(path, t):
+    """The right limit at t: the right segment's value at a breakpoint."""
+    return path.segments[path.segment_index(t, side=+1)].value(t)
+
+
+def _integral(path, window):
+    """The integral of ||path|| over the window: the variation of the
+    path's running integral."""
+    return norm_integral(window, path, (path,), 0.0, "test integral")
 
 
 def test_variation_of_constant_path_is_zero():
-    assert total_variation(PiecewisePath.constant(3.0), (0.0, 1.0)) == 0.0
+    # no density and no atoms: the distribution is a constant path
+    assert StieltjesMeasure(PiecewisePath.constant(0.0)).variation((0.0, 1.0)) == 0.0
 
 
 def test_variation_of_unit_step():
-    step = PiecewisePath.from_segments([0.5], [0.0, 1.0])
-    assert total_variation(step, (0.0, 1.0)) == pytest.approx(1.0, abs=1e-12)
+    # one unit atom at 0.5: the distribution is a unit step
+    mu = StieltjesMeasure(PiecewisePath.constant(0.0), [(0.5, 1.0)])
+    assert mu.variation((0.0, 1.0)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_variation_of_linear_ramp_matches_quadrature_oracle():
-    ramp = PiecewisePath.polynomial([0.0, 1.0])
+    # density 1: the distribution is a linear ramp
+    mu = StieltjesMeasure(PiecewisePath.constant(1.0))
     oracle, _ = quad(lambda t: 1.0, 0.0, 1.0)
-    assert total_variation(ramp, (0.0, 1.0)) == pytest.approx(oracle, abs=1e-10)
+    assert mu.variation((0.0, 1.0)) == pytest.approx(oracle, abs=1e-10)
 
 
 def test_variation_rejects_infinite_window():
     with pytest.raises(ValueError):
-        total_variation(PiecewisePath.constant(0.0), (0.0, math.inf))
+        _integral(PiecewisePath.constant(0.0), (0.0, math.inf))
+    with pytest.raises(ValueError):
+        StieltjesMeasure(PiecewisePath.constant(1.0)).variation((-math.inf, 0.0))
 
 
 def test_variation_monotone_and_additive():
@@ -35,11 +51,11 @@ def test_variation_monotone_and_additive():
         [0.3, 0.7],
         [Segment.polynomial([0.0, 2.0]), Segment.constant(1.0),
          Segment.preset("exp", 1.0, (1.0,))])
-    inner = total_variation(path, (0.1, 0.6))
-    outer = total_variation(path, (0.0, 1.0))
+    inner = _integral(path, (0.1, 0.6))
+    outer = _integral(path, (0.0, 1.0))
     assert inner <= outer + 1e-12
-    left = total_variation(path, (0.0, 0.5))
-    right = total_variation(path, (0.5, 1.0))
+    left = _integral(path, (0.0, 0.5))
+    right = _integral(path, (0.5, 1.0))
     assert left + right == pytest.approx(outer, abs=2e-10)
 
 
@@ -48,8 +64,19 @@ def test_regulated_evaluation_returns_stored_one_sided_values():
         [1.0], [Segment.constant(2.0), Segment.constant(5.0)])
     # left-continuous: the value at the breakpoint is the left limit
     assert path(1.0) == pytest.approx(2.0)
-    assert path.right(1.0) == pytest.approx(5.0)
-    assert total_variation(path, (0.0, 2.0)) == pytest.approx(3.0)
+    assert right_limit(path, 1.0) == pytest.approx(5.0)
+    # the measure whose distribution jumps by 3 there
+    mu = StieltjesMeasure(PiecewisePath.constant(0.0), [(1.0, 3.0)])
+    assert mu.variation((0.0, 2.0)) == pytest.approx(3.0)
+
+
+def test_constant_on_reads_the_left_segment_at_a_breakpoint():
+    ramp = PiecewisePath.from_segments(
+        [1.0], [Segment.constant(2.0), Segment.polynomial([0.0, 1.0])])
+    flat = PiecewisePath.constant(1.0)
+    assert constant_on((ramp, flat), 1.0) and constant_on((flat,), 7.0)
+    assert not constant_on((flat, ramp), 1.0 + 1e-9)
+    assert constant_on((), 0.0)
 
 
 def test_breakpoint_times_must_increase():
@@ -79,7 +106,7 @@ def test_running_integral_stitches_across_jumps():
     assert ri(1.0) == pytest.approx(1.0)
     assert ri(2.0) == pytest.approx(4.0)
     assert ri(-1.0) == pytest.approx(-1.0)
-    assert not any(norm(ri.right(t) - ri(t)) > 0 for t in ri.times)
+    assert not any(norm(right_limit(ri, t) - ri(t)) > 0 for t in ri.times)
 
 
 def test_measure_mass_left_continuous():
@@ -109,7 +136,7 @@ def test_nondecreasing_flag_enforced():
 def test_variation_nested_window_monotonicity(a, b):
     path = PiecewisePath.from_segments(
         [0.5], [Segment.polynomial([0.0, 1.0]), Segment.constant(2.0)])
-    assert total_variation(path, (a, b)) <= total_variation(path, (0.0, 1.0)) + 1e-10
+    assert _integral(path, (a, b)) <= _integral(path, (0.0, 1.0)) + 1e-10
 
 
 def test_path_algebra_addition_merges_breakpoints():

@@ -3,8 +3,10 @@ definition is reached by the package or the benchmark, every defaulted
 parameter is set by some call in the package or the benchmark (a value only
 a test sets is a module constant the test patches), only ``funcspace``
 calls scipy's ``quad`` (so every adaptive quadrature goes through its error
-check), ``apps`` calls no ``np.linalg.inv`` (the jump table inverts every
-jump factor), and the registry nonlinearities, ``Segment.eval`` and the preset terms'
+check), only ``funcspace`` and the stacked cell grouping of
+``FundamentalOperator.cells`` read ``.is_constant`` (so the constant-cell
+rule lives in one place), ``apps`` calls no ``np.linalg.inv`` (the jump
+table inverts every jump factor), and the registry nonlinearities, ``Segment.eval`` and the preset terms'
 ``PresetTerm.eval``/``_scalar`` take no BLAS product (so a point's value
 there never depends on its batch), no module reads a numpy name that imports
 ``numpy.ma``, ``numpy.random`` or ``numpy.polynomial``, and neither the
@@ -324,6 +326,55 @@ def test_apps_calls_no_linalg_inv():
     assert linalg_inv_calls((SRC / "apps.py").read_text(encoding="utf-8")) == []
 
 
+def attribute_reads(source, attr):
+    """(scope, line) of every read of ``.attr``.  The scope is the
+    module-level function or class that holds it, a method as
+    "Class.method", and "<module>" for any other statement."""
+    scopes = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            scopes += [("%s.%s" % (node.name, item.name)
+                        if isinstance(item, ast.FunctionDef) else node.name, item)
+                       for item in node.body]
+        else:
+            scopes.append((getattr(node, "name", "<module>"), node))
+    return sorted((scope, n.lineno) for scope, node in scopes for n in ast.walk(node)
+                  if isinstance(n, ast.Attribute) and n.attr == attr
+                  and isinstance(n.ctx, ast.Load))
+
+
+def constant_cell_readers(sources):
+    """The scopes outside ``funcspace`` that read ``.is_constant``, per module."""
+    out = {}
+    for name, source in sources.items():
+        scopes = sorted({s for s, _ in attribute_reads(source, "is_constant")})
+        if scopes and name != "funcspace.py":
+            out[name] = scopes
+    return out
+
+
+def test_guard_flags_a_planted_is_constant_read():
+    src = ("class Spec:\n    kind = seg.is_constant\n\n"
+           "    def flat(self, seg):\n        return seg.is_constant\n\n\n"
+           "def f(p):\n    return [s.is_constant for s in p]\n\n\n"
+           "x = y.is_constant\nz.is_constant = True\n")
+    assert attribute_reads(src, "is_constant") == [
+        ("<module>", 12), ("Spec", 2), ("Spec.flat", 5), ("f", 9)]
+    planted = (SRC / "apps.py").read_text(encoding="utf-8") + (
+        "\n\ndef _flat(spec, t):\n"
+        "    return spec.smooth.segments[spec.smooth.segment_index(t)].is_constant\n")
+    assert constant_cell_readers({"apps.py": planted}) == {"apps.py": ["_flat"]}
+
+
+def test_only_funcspace_and_the_stacked_cell_grouping_read_is_constant():
+    """``funcspace.constant_on`` is the one constant-cell rule; the stacked
+    grouping of ``FundamentalOperator.cells`` applies it to every cell at
+    once."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert constant_cell_readers(sources) == {
+        "linsys.py": ["FundamentalOperator.cells"]}
+
+
 # calls that reach a BLAS kernel (or, for ``vander``, feed one)
 BLAS_CALLS = ("dot", "matmul", "tensordot", "inner", "vander")
 
@@ -492,7 +543,7 @@ def test_package_and_cli_import_no_heavy_layer_at_module_level(name):
 # the names ``kurzmani`` re-exported from its layers before they resolved lazily
 PUBLIC_NAMES = (
     "PiecewisePath", "Segment", "StieltjesMeasure", "TaggedDivision", "norm",
-    "running_integral", "total_variation", "IntegralResult", "PointIntervalFn",
+    "running_integral", "IntegralResult", "PointIntervalFn",
     "cross_check", "ks_integral_ref", "stieltjes_integral", "FundamentalOperator",
     "LinearSystemSpec", "check_regularity", "DichotomyData", "certify",
     "spectral_projection", "verify_dichotomy", "LPContext", "ManifoldGraph",

@@ -96,6 +96,22 @@ def test_cross_check_passes_on_spec_examples():
         assert cross_check(f, mu, (0.0, 1.0), tol=1e-6).passed
 
 
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+def test_cross_check_asks_one_reference_tolerance_of_both_forms(monkeypatch, tol):
+    asked = []
+    real = kurzweil.ks_integral_ref
+
+    def recorded(V, window, tol):
+        asked.append(tol)
+        return real(V, window, tol=tol)
+
+    monkeypatch.setattr(kurzweil, "ks_integral_ref", recorded)
+    f = PiecewisePath.polynomial([0.0, 1.0])
+    cross_check(f, None, (0.0, 1.0), tol=tol)
+    cross_check(f, lebesgue(), (0.0, 1.0), tol=tol)
+    assert asked == [min(tol / 10.0, 1e-8)] * 2
+
+
 def test_shared_jump_uses_stored_value_and_full_jump():
     f = PiecewisePath.from_segments(
         [0.5], [Segment.constant(1.0), Segment.constant(3.0)])

@@ -1,11 +1,12 @@
-"""Measure masses, closed-form variation and the regularity constants.
+"""Measure masses, closed-form norm integrals and the regularity constants.
 
 A measure's mass of half-open cells is checked against differences of the
 distribution path that a jump fold builds (one step path and one
-``__add__`` per jump), kept here as the oracle; the closed-form variation
-cells are checked against adaptive quadrature; the regularity constants
-read from the mesh store are checked against the variation of the
-accumulated path that the fold builds.
+``__add__`` per jump), kept here as the oracle; the closed-form cells of
+``norm_integral`` are checked against adaptive quadrature; the regularity
+constants read from the mesh store are checked against the variation of the
+accumulated path that the fold builds (``total_variation`` below, the
+package's former path variation).
 """
 
 import math
@@ -19,12 +20,13 @@ from scipy.integrate import quad
 import kurzmani.apps as apps
 import kurzmani.funcspace as funcspace
 from conftest import COUPLED, SADDLE, quadratic_forcing
-from kurzmani.apps import IdeSpec, MdeSpec, ide_to_context
+from kurzmani.apps import IdeSpec, MdeSpec, check_hypotheses, ide_to_context
 from kurzmani.cli import load_config, parse_system
 from kurzmani.funcspace import (PiecewisePath, Segment, StieltjesMeasure,
-                                norm, running_integral, total_variation)
+                                norm, norm_integral, running_integral)
 from kurzmani.linsys import FundamentalOperator, LinearSystemSpec, check_regularity
 from kurzmani.lp_manifold import NonlinearitySpec
+from test_funcspace import right_limit
 from test_linsys import _piecewise_spec
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -36,6 +38,37 @@ def folded(path, jumps):
         jump = np.asarray(jump, dtype=float)
         path = path + PiecewisePath.from_segments([t], [np.zeros_like(jump), jump])
     return path
+
+
+def closure_norm_integral(window, breaks, piece, jumps):
+    """The package's former norm integral, kept as the oracle: the window is
+    cut at ``breaks``, and ``piece(a, b)`` gives the integrand on a cell,
+    its value where constant, else a callable of t for the quadrature."""
+    c, d = window
+    cuts = sorted({c, d} | {t for t in breaks if c < t < d})
+    total = 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        g = piece(a, b)
+        if not callable(g):
+            total += norm(g) * (b - a)
+            continue
+        total += funcspace._quad_cell(lambda t: norm(g(t)), a, b,
+                                      funcspace._QUAD_TOL)[0]
+    return total + jumps
+
+
+def total_variation(path, window):
+    """The package's former path variation: the derivative's norm
+    integrated per piece plus the norm of the right-jump at every breakpoint in
+    [c, d)."""
+    c, d = window
+
+    def derivative(a, b):
+        dseg = path.segments[path.segment_index(0.5 * (a + b))].derivative()
+        return dseg.coeffs[0] if dseg.is_constant else dseg.value
+
+    jumps = sum(norm(right_limit(path, t) - path(t)) for t in path.times if c <= t < d)
+    return closure_norm_integral(window, path.times, derivative, jumps)
 
 
 def three_atom_measure():
@@ -190,7 +223,7 @@ def test_quadrature_failures_raise_in_variation_and_regularity(monkeypatch):
     monkeypatch.setattr(funcspace, "_quad_cell", lambda f, a, b, tol: (0.0, 1e-6))
     path = PiecewisePath.preset("exp", np.diag([1.0, 2.0]), (0.5,))
     with pytest.raises(funcspace.QuadratureError):
-        total_variation(path, (0.0, 1.0))
+        norm_integral((0.0, 1.0), path, (path,), 0.0, "test integral")
     fund = FundamentalOperator(_piecewise_spec(), (0.0, 3.5))
     with pytest.raises(funcspace.QuadratureError):
         check_regularity(fund)
@@ -203,26 +236,30 @@ def test_quadrature_failures_raise_in_variation_and_regularity(monkeypatch):
 
 
 def test_linear_matrix_segments_use_the_closed_form(quad_calls):
+    # the variation of a path of linear pieces: its constant derivative
+    # integrated in closed form, plus its jumps
     rng = np.random.default_rng(5)
     segs = [Segment.polynomial([rng.normal(size=(2, 2)), rng.normal(size=(2, 2))])
             for _ in range(3)]
     path = PiecewisePath.from_segments([0.4, 1.3], segs)
     window = (0.0, 2.0)
-    got = total_variation(path, window)
+    slope = PiecewisePath.from_segments(path.times, [s.derivative() for s in segs])
+    jumps = sum(norm(right_limit(path, t) - path(t)) for t in path.times)
+    got = norm_integral(window, slope, (slope,), jumps, "test variation")
     assert quad_calls == []
     cuts = [0.0, 0.4, 1.3, 2.0]
     oracle = sum(quad(lambda t, s=s: norm(s.derivative().value(t)), a, b)[0]
                  for s, a, b in zip(segs, cuts, cuts[1:]))
-    oracle += sum(norm(path.right(t) - path(t)) for t in path.times)
+    oracle += sum(norm(right_limit(path, t) - path(t)) for t in path.times)
     assert got == pytest.approx(oracle, rel=1e-13)
 
 
 def test_exp_preset_path_still_uses_quadrature(quad_calls):
     path = PiecewisePath.preset("exp", np.diag([1.0, 2.0]), (0.5,))
-    got = total_variation(path, (0.0, 1.0))
+    got = norm_integral((0.0, 1.0), path, (path,), 0.0, "test integral")
     assert len(quad_calls) == 1
-    # ||d/dt diag(e^{t/2}, 2 e^{t/2})|| = e^{t/2}
-    assert got == pytest.approx(2.0 * (math.exp(0.5) - 1.0), rel=1e-12)
+    # ||diag(e^{t/2}, 2 e^{t/2})|| = 2 e^{t/2}
+    assert got == pytest.approx(4.0 * (math.exp(0.5) - 1.0), rel=1e-12)
 
 
 def test_measure_variation_closed_form_only_on_constant_density(quad_calls):
@@ -264,3 +301,120 @@ def test_ide_context_checks_regularity_once(monkeypatch):
     ctx = ide_to_context(spec, s=0.0, T=6.0, grid=np.linspace(0.0, 6.0, 13))
     assert calls == [(0.0, 6.0)]
     assert ctx.regularity.V_Lambda == pytest.approx(6.0 + 0.5, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# one norm integral against the four former closures
+# ---------------------------------------------------------------------------
+
+def _closure_generator_constant_on(spec, mid):
+    """The former ``LinearSystemSpec.generator_constant_on`` at a midpoint."""
+    def seg_const(path):
+        return path.segments[path.segment_index(mid)].is_constant
+
+    if not seg_const(spec.smooth):
+        return False
+    if spec.measure_part is not None:
+        C, u = spec.measure_part
+        return seg_const(C) and seg_const(u.density)
+    return True
+
+
+def _closure_regularity(fund):
+    """V_Lambda by the former ``check_regularity`` closure."""
+    spec = fund.spec
+    breaks = set(spec.smooth.times.tolist())
+    if spec.measure_part is not None:
+        C, u = spec.measure_part
+        breaks |= set(C.times.tolist()) | set(u.density.times.tolist())
+
+    def generator(a, b):
+        if _closure_generator_constant_on(spec, 0.5 * (a + b)):
+            return spec.generator(0.5 * (a + b))
+        return spec.generator
+
+    ev = fund.event_nodes
+    inner = ev[ev < len(fund.nodes) - 1]
+    jump_norms = np.linalg.norm(fund.jumps[inner] - np.eye(fund.n), 2, axis=(-2, -1))
+    return closure_norm_integral(fund.window, breaks, generator,
+                                 float(np.sum(jump_norms)))
+
+
+def _closure_measure_variation(mu, window):
+    """|mu|([c, d)) by the former ``StieltjesMeasure.variation`` closure."""
+    density = mu.density
+
+    def piece(a, b):
+        seg = density.segments[density.segment_index(0.5 * (a + b))]
+        return seg.coeffs[0] if seg.is_constant else density
+
+    atoms = sum(abs(w) for _, w in mu.atoms_in(*window))
+    return closure_norm_integral(window, density.times, piece, atoms)
+
+
+def _closure_measure_domination(C, mu, window):
+    """(D5) by the former ``apps._measure_domination`` closure."""
+    dens = mu.density
+
+    def piece(a, b):
+        mid = 0.5 * (a + b)
+        if C.segments[C.segment_index(mid)].is_constant and \
+                dens.segments[dens.segment_index(mid)].is_constant:
+            return norm(C(mid)) * abs(float(dens(mid)))
+        return lambda t: norm(C(t)) * abs(float(dens(t)))
+
+    atoms = sum(norm(C(t)) * abs(w) for t, w in mu.atoms_in(*window))
+    return closure_norm_integral(window, [*C.times, *dens.times], piece, atoms)
+
+
+def _three_atom_spec():
+    """Constant A and C driven by ``three_atom_measure``, whose density has
+    a linear piece."""
+    C = PiecewisePath.constant([[0.4, -0.2], [0.1, 0.3]])
+    return LinearSystemSpec(2, PiecewisePath.constant(COUPLED),
+                            measure_part=(C, three_atom_measure()))
+
+
+def _as_system(spec):
+    """The ``IdeSpec`` or ``MdeSpec`` of a linear spec, with no forcing."""
+    if spec.measure_part is None:
+        f = NonlinearitySpec("zero", {"n": spec.n}, rho=0.5)
+        return IdeSpec(spec.n, spec.smooth, spec.impulses, f)
+    C, u = spec.measure_part
+    H = NonlinearitySpec("zero", {"n": spec.n}, rho=0.5, measure=u)
+    return MdeSpec(spec.n, spec.smooth, C, u, H)
+
+
+@pytest.mark.parametrize("make, window", [
+    (lambda: _shipped("planar_quadratic").linear_spec(0.0), (0.0, 40.0)),
+    (lambda: _shipped("impulsive_saddle").linear_spec(0.0), (0.0, 40.0)),
+    (lambda: _shipped("scalar_mde").linear_spec(0.0), (0.0, 12.0)),
+    (_piecewise_spec, (0.0, 3.5)),
+    (_mde_with_polynomial_C, (0.0, 3.0)),
+    (_three_atom_spec, (0.0, 3.0)),
+], ids=["planar_quadratic", "impulsive_saddle", "scalar_mde", "piecewise",
+        "mde_polynomial_C", "three_atom_measure"])
+def test_norm_integral_reproduces_the_former_closures(make, window):
+    spec = make()
+    fund = FundamentalOperator(spec, window)
+    cuts = np.union1d(fund.nodes, sorted(spec.generator_breakpoints()))
+    for mid in 0.5 * (cuts[:-1] + cuts[1:]):
+        assert funcspace.constant_on(spec.paths, mid) == \
+            _closure_generator_constant_on(spec, mid), mid
+    assert check_regularity(fund).V_Lambda == _closure_regularity(fund)
+    system = _as_system(spec)
+    items = check_hypotheses(system, window).items
+    got = items["B2_coefficient_bound" if spec.measure_part is None
+                else "D4_smooth_dominated"].value
+    # the former (B2)/(D4) differentiated an antiderivative of A
+    want = total_variation(running_integral(spec.smooth, window[0]), window)
+    if all(seg.is_constant for seg in spec.smooth.segments):
+        assert got == want
+    else:
+        assert abs(got - want) <= 1e-14 * want
+    if spec.measure_part is not None:
+        C, u = spec.measure_part
+        assert items["D5_measure_dominated"].value == \
+            _closure_measure_domination(C, u, window)
+        assert items["b_driver_nondecreasing_bv"].value == \
+            _closure_measure_variation(u, window)
