@@ -190,7 +190,8 @@ def _check_ide(spec: IdeSpec, window) -> HypothesesReport:
     inv_B, bad = inverse_bound(table.inverses), table.singular_at
     # in time order, up to and including the first singular factor
     upto = sorted(spec.impulses, key=lambda e: e[0])[:len(table.inverses) + 1]
-    sum_B = sum((norm(B) for _, B in upto), 0.0)
+    norms = np.linalg.norm(np.reshape([B for _, B in upto], (-1, n, n)), 2, axis=(-2, -1))
+    sum_B = sum(norms.tolist(), 0.0)
     rep.items["B3_jump_inverses"] = CheckItem(bad is None, inv_B, bad)
     C_b = max(sum_B, inv_B)
     rep.items["a_jump_norms_summable"] = CheckItem(bad is None, C_b, bad)

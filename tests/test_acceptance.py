@@ -184,7 +184,6 @@ def test_acceptance_11_zero_anchor_on_every_shipped_config():
     _ok(11, "m(s, 0) = 0 within tolerance on %d shipped configs" % checked)
 
 
-@pytest.mark.slow
 def test_acceptance_12_mode_agreement(ctx_scalar_mde):
     Q1 = np.zeros((2, 2))
     Q1[1, 1] = 0.1

@@ -87,6 +87,8 @@ def test_ide_window_relative_forcing_bound():
     assert rep.all_passed
     gamma_const = max(spec.f.sup_eff, spec.f.lip_eff)
     assert rep.constants["M_gamma"] == pytest.approx(10.0 * gamma_const)
+    # no impulses: an empty stack of norms sums to +0.0
+    assert repr(rep.constants["sum_impulse_norms"]) == "0.0"
 
 
 def test_ide_rejects_singular_jump():

@@ -1,5 +1,6 @@
 import logging
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from conftest import (SADDLE, coupled_context, impulsive_manifold_closed_form,
 from kurzmani.apps import IdeSpec, MdeSpec, ide_to_context, mde_to_context
 from kurzmani.dichotomy import (SplittingError, _family_and_steps, certify,
                                 projection_family)
-from kurzmani.funcspace import PiecewisePath, StieltjesMeasure, norm
+from kurzmani.funcspace import (GAUSS_LEGENDRE, PiecewisePath,
+                                StieltjesMeasure, norm)
 from kurzmani.linsys import FundamentalOperator, LinearSystemSpec
 from kurzmani.lp_manifold import (LPContext, NonlinearitySpec, SolutionPath,
                                   _fast_apply, _reference_apply,
@@ -19,6 +21,8 @@ from kurzmani.lp_manifold import (LPContext, NonlinearitySpec, SolutionPath,
                                   fixed_point_residual, flow_residual,
                                   invariance_check, lp_operator_apply,
                                   manifold_graph, solve_lp, splitting_bases)
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_registry_nonlinearities_vanish_at_zero():
@@ -796,9 +800,10 @@ def test_divergence_detected_with_ratio_history(ctx_planar):
     assert all(r >= 1.0 for r in err.value.ratio_history[-3:])
 
 
-@pytest.mark.slow
-def test_mode_agreement_ide_with_impulse():
-    from kurzmani.apps import IdeSpec, ide_to_context
+@pytest.fixture(scope="module")
+def ctx_kicked_window():
+    """The saddle with f = (0.1 y^2, 0.1 x^2), kicked by diag(0.2, 0) at
+    t = 1.5, on the short window [0, 8]."""
     Q1 = np.zeros((2, 2))
     Q1[1, 1] = 0.1
     Q2 = np.zeros((2, 2))
@@ -806,8 +811,27 @@ def test_mode_agreement_ide_with_impulse():
     nl = NonlinearitySpec("quadratic", {"mats": [Q1, Q2]}, rho=0.5)
     spec = IdeSpec(2, PiecewisePath.constant(np.diag([-1.0, 1.0])),
                    ((1.5, np.diag([0.2, 0.0])),), nl)
-    ctx = ide_to_context(spec, s=0.0, T=8.0, tol=1e-10,
-                         grid=np.linspace(0.0, 8.0, 17))
+    return ide_to_context(spec, s=0.0, T=8.0, tol=1e-10,
+                          grid=np.linspace(0.0, 8.0, 17))
+
+
+def _shipped_context(name):
+    """The context of a shipped config, built as the CLI builds it."""
+    from kurzmani.cli import load_config, parse_grid, parse_system, solver_block
+    cfg = load_config(str(CONFIG_DIR / (name + ".json")))
+    sol = solver_block(cfg)
+    return ide_to_context(parse_system(cfg), s=float(sol["s"]), T=float(sol["T"]),
+                          tol=float(sol["tol"]), base_step=float(sol["base_step"]),
+                          grid=parse_grid(sol["grid"], None))
+
+
+@pytest.mark.parametrize("name", [
+    "kicked_window",
+    pytest.param("impulsive_saddle", marks=pytest.mark.slow),    # T = 40, M = 400
+    pytest.param("planar_quadratic", marks=pytest.mark.slow)])   # T = 40, M = 400
+def test_mode_agreement_ide_with_impulse(request, name):
+    ctx = (request.getfixturevalue("ctx_kicked_window") if name == "kicked_window"
+           else _shipped_context(name))
     zeta = ctx.P(ctx.span(0.0)[0]) @ np.array([0.2, 0.0])
     z0 = ctx.initial_path(zeta, 0.0)
     fast = lp_operator_apply(z0, zeta, 0.0, ctx, mode="fast")
@@ -816,7 +840,6 @@ def test_mode_agreement_ide_with_impulse():
     assert agreement <= 1e-5
 
 
-@pytest.mark.slow
 def test_mode_agreement_scalar_mde_with_atom(ctx_scalar_mde):
     zeta = np.array([0.4])
     z0 = ctx_scalar_mde.initial_path(zeta, 0.0)
@@ -824,6 +847,128 @@ def test_mode_agreement_scalar_mde_with_atom(ctx_scalar_mde):
     ref = lp_operator_apply(z0, zeta, 0.0, ctx_scalar_mde, mode="reference")
     agreement = float(np.max(np.abs(fast.values - ref.values)))
     assert agreement <= 1e-5
+
+
+def _per_cell_accumulation(ctx, z, idx, layout):
+    """``_inner_accumulation`` one fine cell at a time, the reference for
+    its batched registry calls and running sum."""
+    gl5, gw5 = GAUSS_LEGENDRE[5]
+    n = ctx.fund.n
+    density = ctx.nonlin.measure.density
+    node_vals = []
+    mid_vals = []
+    acc = np.zeros(n)
+    for k in range(len(idx) - 1):
+        pts, _ = layout[k]
+        atom_w = ctx.atom_weights[idx[k]]
+        cells_nodes = np.empty((len(pts), n))
+        cells_mids = np.empty((len(pts) - 1, n))
+        cells_nodes[0] = acc
+        if atom_w:
+            acc = acc + atom_w * ctx.nonlin.value(pts[0], z.values[k])
+        a_cell, b_cell = pts[0], pts[-1]
+        for l in range(len(pts) - 1):
+            a, b = pts[l], pts[l + 1]
+            tau = 0.5 * (a + b)
+            lam = (tau - a_cell) / (b_cell - a_cell)
+            z_tau = (1.0 - lam) * z.right_values[k] + lam * z.values[k + 1]
+            sig = 0.5 * (a + tau) + 0.5 * (tau - a) * gl5
+            w = 0.5 * (tau - a) * gw5
+            f = ctx.nonlin.value(sig, np.broadcast_to(z_tau, (5, n)))
+            inc_half = np.einsum("q,qi->i", w * density.sample(sig), f)
+            sig2 = 0.5 * (tau + b) + 0.5 * (b - tau) * gl5
+            w2 = 0.5 * (b - tau) * gw5
+            f2 = ctx.nonlin.value(sig2, np.broadcast_to(z_tau, (5, n)))
+            inc_full = inc_half + np.einsum(
+                "q,qi->i", w2 * density.sample(sig2), f2)
+            cells_mids[l] = acc + inc_half
+            acc = acc + inc_full
+            cells_nodes[l + 1] = acc
+        node_vals.append(cells_nodes)
+        mid_vals.append(cells_mids)
+    return node_vals, mid_vals
+
+
+def _per_output_reference(z, zeta, s, ctx):
+    """``_reference_apply`` with both outer Stieltjes sums restarted from
+    every output node: the reference for the one sweep per side."""
+    idx = ctx.span(float(s))
+    x = ctx.fund.nodes[idx]
+    M = len(idx) - 1
+    n = ctx.fund.n
+    eye = np.eye(n)
+    tol = max(ctx.tol, 1e-9)
+    prev = None
+    refine = lpm._REFINE0
+    while True:
+        layout = lpm._fine_layout(ctx, idx, refine)
+        step_invs = [np.linalg.inv(steps) for _, steps in layout]
+        node_N, mid_N = _per_cell_accumulation(ctx, z, idx, layout)
+        vals = np.empty((M + 1, n))
+        for out in range(M + 1):
+            t = x[out]
+            stable = np.zeros(n)
+            Mcur = ctx.P(idx[out])
+            for k in range(out - 1, -1, -1):
+                pts, steps = layout[k]
+                J = ctx.fund.jumps[idx[k]]
+                for l in range(len(steps) - 1, -1, -1):
+                    M_hi = Mcur
+                    Mcur = Mcur @ steps[l]
+                    stable += (M_hi - Mcur) @ mid_N[k][l]
+                M_plus = Mcur
+                Mcur = Mcur @ J
+                stable += (M_plus - Mcur) @ node_N[k][0]
+            unstable = np.zeros(n)
+            Ucur = eye - ctx.P(idx[out])
+            for k in range(out, M):
+                pts, steps = layout[k]
+                U_left = Ucur
+                Ucur = Ucur @ ctx.fund.jump_invs[idx[k]]
+                unstable += (Ucur - U_left) @ node_N[k][0]
+                for l in range(len(steps)):
+                    U_lo = Ucur
+                    Ucur = Ucur @ step_invs[k][l]
+                    unstable += (Ucur - U_lo) @ mid_N[k][l]
+            unstable -= Ucur @ node_N[-1][-1]
+            lin = ctx.fund.value(t, float(s)) @ (ctx.P(idx[0]) @ zeta)
+            N_t = node_N[out][0] if out < M else node_N[-1][-1]
+            vals[out] = lin + N_t - stable + unstable
+        if prev is not None and float(np.max(np.linalg.norm(vals - prev, axis=1))) < tol:
+            break
+        if refine >= lpm._MAX_REFINE:
+            break
+        prev = vals
+        refine *= 2
+    rights = vals.copy()
+    for k in range(M + 1):
+        a_k = ctx.atom_weights[idx[k]] if k < M else 0.0
+        add = a_k * ctx.nonlin.value(x[k], z.values[k]) if a_k else np.zeros(n)
+        rights[k] = ctx.fund.jumps[idx[k]] @ vals[k] + add
+    return vals, rights
+
+
+@pytest.mark.parametrize("max_refine", [2, 4])
+@pytest.mark.parametrize("name, s", [("ctx_kicked_window", 0.0), ("ctx_scalar_mde", 0.0),
+                                     ("ctx_planar", 30.0), ("ctx_coupled", 0.0)])
+def test_reference_sweeps_equal_the_per_output_sweeps(request, monkeypatch, name, s,
+                                                      max_refine):
+    """Values and right limits keep their bits at refine 2 and at 4 (two
+    passes).  The path is three times the initial path of a zeta of norm
+    0.4 rho, so its states reach past the cutoff radius and the batched
+    registry calls mix points inside and outside the ball.  The planar
+    saddle starts at s = 30: 100 cells keep the per-output sums quick."""
+    ctx = request.getfixturevalue(name)
+    monkeypatch.setattr(lpm, "_MAX_REFINE", max_refine)
+    zeta = ctx.P(ctx.span(s)[0]) @ np.eye(ctx.fund.n)[0]
+    zeta *= 0.4 * ctx.nonlin.rho / norm(zeta)
+    z0 = ctx.initial_path(zeta, s)
+    z = SolutionPath(z0.times, 3.0 * z0.values, 3.0 * z0.right_values)
+    assert np.max(np.linalg.norm(z.values, axis=1)) > ctx.nonlin.rho
+    ref = _reference_apply(z, zeta, s, ctx)
+    vals, rights = _per_output_reference(z, zeta, s, ctx)
+    assert np.array_equal(ref.values, vals)
+    assert np.array_equal(ref.right_values, rights)
 
 
 def _short_planar(ctx_planar):
