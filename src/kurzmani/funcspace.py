@@ -11,7 +11,8 @@ Every variation the theorem reads is an integral of a norm over the pieces
 of coefficient paths plus the jumps (``norm_integral``), and
 ``constant_on`` is the one rule for a constant cell.
 A Stieltjes measure (a density plus atoms) is read through its variation
-and its mass of half-open cells, mu([a, b)); no distribution path is built.
+and the masses of the half-open cells between consecutive nodes,
+mu([t_{j-1}, t_j)); no distribution path is built.
 
 Conventions used throughout:
   * paths are left-continuous: the value at a breakpoint is the left
@@ -243,12 +244,23 @@ class Segment:
     def eval(self, ts):
         ts = np.asarray(ts, dtype=float)
         scalar_in = ts.ndim == 0
-        ts = np.atleast_1d(ts)
-        # elementwise Horner: a time's value has the same bits in any batch
-        t = ts.reshape(ts.shape + (1,) * len(self.shape))
-        out = np.full(ts.shape + self.shape, self.coeffs[-1])
-        for c in self.coeffs[-2::-1]:
-            out = out * t + c
+        if scalar_in:
+            ts = ts.reshape(1)
+        # elementwise Horner: a time's value has the same bits in any batch;
+        # a scalar segment's coefficients as Python floats, which numpy
+        # multiplies and adds faster than its own scalars
+        shape = self.coeffs.shape[1:]
+        coeffs = list(self.coeffs) if shape else self.coeffs.tolist()
+        if len(coeffs) == 1:
+            out = np.empty(ts.shape + shape)
+            out[...] = coeffs[0]
+        else:
+            t = ts.reshape(ts.shape + (1,) * len(shape))
+            out = coeffs[-1] * t
+            out += coeffs[-2]
+            for c in coeffs[-3::-1]:
+                out *= t
+                out += c
         for term in self.terms:
             out = out + term.eval(ts)
         return out[0] if scalar_in else out
@@ -380,9 +392,9 @@ class PiecewisePath:
     def sample(self, ts):
         """Batch evaluation; a breakpoint time gets its left limit."""
         ts = np.asarray(ts, dtype=float)
-        flat = np.atleast_1d(ts)
         if not len(self.times):
             return self.segments[0].eval(ts.ravel()).reshape(ts.shape + self.shape)
+        flat = np.atleast_1d(ts)
         out = np.empty(flat.shape + self.shape)
         idx = np.searchsorted(self.times, flat, side="left")
         for seg_i in sorted_unique(idx.ravel()):
@@ -493,14 +505,16 @@ class StieltjesMeasure:
         return running_integral(self.density, 0.0), \
             np.array([t for t, _ in self.atoms]), weights
 
-    def mass(self, los, his):
-        """mu([lo, hi)) for arrays of cell ends: u(hi) - u(lo) for the
-        left-continuous distribution u, so an atom at lo counts and one at
-        hi does not, as in ``atoms_in``."""
+    def cell_masses(self, nodes):
+        """mu([t_{j-1}, t_j)) for consecutive entries of the array ``nodes``:
+        u(t_j) - u(t_{j-1}) for the left-continuous distribution u, so an
+        atom at t_{j-1} counts and one at t_j does not, as in ``atoms_in``.
+        u is sampled once per node, its density part and its atom part
+        apart, and the two differences are added."""
         dens, times, weights = self._cumulative
-        return dens.sample(his) - dens.sample(los) \
-            + (weights[np.searchsorted(times, his, side="left")]
-               - weights[np.searchsorted(times, los, side="left")])
+        D = dens.sample(nodes)
+        W = weights[np.searchsorted(times, nodes, side="left")]
+        return (D[1:] - D[:-1]) + (W[1:] - W[:-1])
 
 
 # dt: the driving measure of a forcing that is given no other
@@ -513,21 +527,29 @@ LEBESGUE = StieltjesMeasure(PiecewisePath.constant(1.0), nondecreasing=True)
 
 @dataclass(frozen=True)
 class TaggedDivision:
-    """Nodes c = t_0 <= ... <= t_m = d with a tag in every subinterval."""
+    """Finite nodes c = t_0 <= ... <= t_m = d with a tag in every subinterval."""
 
     nodes: np.ndarray
     tags: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
-        object.__setattr__(self, "tags", np.asarray(self.tags, dtype=float))
-        if len(self.nodes) != len(self.tags) + 1:
+        nodes = np.asarray(self.nodes, dtype=float)
+        tags = np.asarray(self.tags, dtype=float)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "tags", tags)
+        if len(nodes) != len(tags) + 1:
             raise ValueError("need len(nodes) == len(tags) + 1")
-        if np.any(np.diff(self.nodes) < 0):
+        # t_{j-1} <= tag_j <= t_j for every cell orders the nodes as well, and
+        # a NaN fails it; with finite ends, every node and tag is finite
+        lo, hi = nodes[:-1], nodes[1:]
+        if (math.isfinite(nodes[0]) and math.isfinite(nodes[-1])
+                and (lo <= tags).all() and (tags <= hi).all()):
+            return
+        if not (np.isfinite(nodes).all() and np.isfinite(tags).all()):
+            raise ValueError("division nodes and tags must be finite")
+        if (hi < lo).any():
             raise ValueError("division nodes must be weakly increasing")
-        lo, hi = self.nodes[:-1], self.nodes[1:]
-        if np.any(self.tags < lo) or np.any(self.tags > hi):
-            raise ValueError("every tag must lie in its subinterval")
+        raise ValueError("every tag must lie in its subinterval")
 
 
 # ---------------------------------------------------------------------------

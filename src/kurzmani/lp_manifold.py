@@ -687,7 +687,11 @@ def _reference_apply(z: SolutionPath, zeta, s, ctx: LPContext):
     prev = None
     change = math.nan
     refine = _REFINE0
-    while True:
+    # at s = T the span is the one node s, with no cell to integrate over:
+    # the path is its anchor zeta, as in the fast mode (zeta lies in the
+    # range of P(s), so this is V(s, s) P(s) zeta to the range tolerance)
+    vals = zeta[None]
+    while M:
         layout = _fine_layout(ctx, idx, refine)
         node_N, mid_N = _inner_accumulation(ctx, z, idx, layout)
         # stable outer integral over [s, t), one sweep of sigma downward:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kurzmani.apps import IdeSpec, MdeSpec, ide_to_context, mde_to_context
-from kurzmani.funcspace import PiecewisePath, StieltjesMeasure
+from kurzmani.funcspace import PiecewisePath, StieltjesMeasure, running_integral
 from kurzmani.lp_manifold import NonlinearitySpec
 
 SADDLE = np.diag([-1.0, 1.0])
@@ -14,6 +14,24 @@ COUPLED = np.array([[-1.0, 3.0], [0.5, 1.0]])
 def lebesgue():
     """Lebesgue measure: density 1, no atoms."""
     return StieltjesMeasure(PiecewisePath.constant(1.0), (), nondecreasing=True)
+
+
+def masses_of_pairs(mu, los, his):
+    """mu([lo, hi)) for arrays of cell ends, read through ``cell_masses`` of
+    the interleaved nodes lo_0, hi_0, lo_1, hi_1, ...: every other cell."""
+    return mu.cell_masses(np.column_stack([los, his]).ravel())[::2]
+
+
+def mass_by_cell_ends(mu, los, his):
+    """The former ``StieltjesMeasure.mass(los, his)``, kept as the oracle of
+    ``cell_masses``: the density's running integral from 0 and the running
+    sums of the atom weights, each sampled at both ends of every cell."""
+    dens = running_integral(mu.density, 0.0)
+    times = np.array([t for t, _ in mu.atoms])
+    weights = np.cumsum([0.0] + [w for _, w in mu.atoms])
+    return dens.sample(his) - dens.sample(los) \
+        + (weights[np.searchsorted(times, his, side="left")]
+           - weights[np.searchsorted(times, los, side="left")])
 
 
 def quadratic_forcing(eps, rho=0.5):

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from conftest import mass_by_cell_ends, masses_of_pairs
 from kurzmani.funcspace import (GAUSS_LEGENDRE, PiecewisePath, Segment,
-                                StieltjesMeasure, constant_on, norm,
-                                norm_integral, running_integral, sorted_unique)
+                                StieltjesMeasure, TaggedDivision, constant_on,
+                                norm, norm_integral, running_integral,
+                                sorted_unique)
 
 
 def right_limit(path, t):
@@ -115,12 +117,62 @@ def test_measure_mass_left_continuous():
     # u(t) = t + 2 [t > 0.5]: mu([0, 0.5)) = u(0.5) - u(0) = 0.5, and the
     # cell [0.5, 0.5 + h) holds the atom
     los, his = np.array([0.0, 0.0, 0.5, 0.25]), np.array([0.5, 1.0, 0.5 + 1e-9, 0.5])
-    np.testing.assert_allclose(mu.mass(los, his), [0.5, 3.0, 2.0 + 1e-9, 0.25],
-                               rtol=1e-12)
-    assert mu.mass(np.array([0.5]), np.array([0.5]))[0] == 0.0
+    np.testing.assert_allclose(masses_of_pairs(mu, los, his),
+                               [0.5, 3.0, 2.0 + 1e-9, 0.25], rtol=1e-12)
+    assert masses_of_pairs(mu, np.array([0.5]), np.array([0.5]))[0] == 0.0
+    assert mu.cell_masses(np.array([0.5])).shape == (0,)
     assert mu.variation((0.0, 1.0)) == pytest.approx(3.0)
     # atom at the right window end is outside [a, b)
     assert mu.variation((0.0, 0.5)) == pytest.approx(0.5)
+
+
+CELL_MASS_MEASURES = {
+    "three_atoms_and_a_density_break": StieltjesMeasure(
+        PiecewisePath.from_segments([1.5], [Segment.polynomial([1.0, 0.5]),
+                                            Segment.constant(2.0)]),
+        [(0.5, 0.3), (1.5, 0.7), (2.25, 1.1)], nondecreasing=True),
+    "signed_polynomial": StieltjesMeasure(
+        PiecewisePath.polynomial([0.3, -1.2, 0.7]), [(-0.4, -0.8), (0.9, 0.25)]),
+    "preset_density": StieltjesMeasure(
+        PiecewisePath.preset("cos", 0.5, (3.0, 0.1)), [(0.5, 2.0)]),
+    "no_atoms": StieltjesMeasure(PiecewisePath.constant(1.0), nondecreasing=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CELL_MASS_MEASURES))
+def test_cell_masses_equal_the_sum_by_cell_ends(name):
+    """One sample of the distribution per node gives the masses of the
+    per-cell form u(hi) - u(lo) bit for bit: each part's difference is
+    formed from the same samples and added in the same order."""
+    mu = CELL_MASS_MEASURES[name]
+    rng = np.random.default_rng(4)
+    special = [t + e for t, _ in mu.atoms for e in (-1e-7, 0.0, 1e-7)] \
+        + mu.density.times.tolist() + [0.0, 0.0, 3.0]
+    for nodes in (np.sort(np.concatenate([rng.uniform(-1.0, 3.0, 40), special])),
+                  np.linspace(-1.0, 3.0, 1025), np.array([0.5, 0.5])):
+        want = mass_by_cell_ends(mu, nodes[:-1], nodes[1:])
+        assert np.array_equal(mu.cell_masses(nodes), want)
+
+
+@pytest.mark.parametrize("nodes,tags,message", [
+    ([0.0, math.nan, 1.0], [0.0, 1.0], "finite"),
+    ([0.0, 0.5, 1.0], [0.25, math.nan], "finite"),
+    ([0.0, 1.0, math.inf], [0.5, 2.0], "finite"),
+    ([-math.inf, 0.0], [-1.0], "finite"),
+    ([math.nan], [], "finite"),
+    ([0.0, 1.0, 0.5], [0.5, 0.75], "weakly increasing"),
+    ([0.0, 0.5, 1.0], [0.25, 1.5], "subinterval"),
+    ([0.0, 1.0], [0.5, 0.6], "len"),
+])
+def test_tagged_division_refuses_bad_entries(nodes, tags, message):
+    with pytest.raises(ValueError, match=message):
+        TaggedDivision(nodes, tags)
+
+
+def test_tagged_division_accepts_touching_tags_and_empty_cells():
+    div = TaggedDivision([0.0, 0.0, 0.5, 1.0], [0.0, 0.5, 0.5])
+    assert div.nodes.dtype == div.tags.dtype == float
+    assert TaggedDivision([2.0], []).tags.shape == (0,)
 
 
 def test_nondecreasing_flag_enforced():

@@ -9,11 +9,11 @@ import pytest
 import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
-from conftest import lebesgue
+from conftest import lebesgue, mass_by_cell_ends
 from kurzmani import kurzweil
 from kurzmani.cli import main
-from kurzmani.funcspace import (PiecewisePath, QuadratureError, Segment,
-                                StieltjesMeasure, TaggedDivision)
+from kurzmani.funcspace import (_QUAD_TOL, PiecewisePath, QuadratureError,
+                                Segment, StieltjesMeasure, TaggedDivision)
 from kurzmani.kurzweil import (IntegrationError, PointIntervalFn, cross_check,
                                ks_integral_ref, pinned_division,
                                stieltjes_integral)
@@ -49,11 +49,14 @@ def test_tag_times_node_product_integrates_to_half():
 def test_reference_failure_carries_last_two_sums(monkeypatch):
     # Riemann-type sums of (b - a) / tag grow without bound on [0, 1]
     blowup = PointIntervalFn(
-        lambda taus, los, his: (his - los) / np.maximum(taus, 1e-300))
+        lambda tags, nodes: (nodes[1:] - nodes[:-1]) / np.maximum(tags, 1e-300))
     monkeypatch.setattr(kurzweil, "_MAX_ROUNDS", 8)
     with pytest.raises(IntegrationError) as err:
         ks_integral_ref(blowup, (0.0, 1.0), tol=1e-12)
-    assert err.value.last_two is not None
+    previous, last = err.value.last_two
+    # the sums of the last two rounds, and the message names their difference
+    assert last > previous
+    assert "last diff %.3e" % float(abs(last - previous)) in str(err.value)
 
 
 def test_pinned_division_tags_atoms():
@@ -387,3 +390,143 @@ def test_cross_check_on_polynomials_leaves_scipy_integrate_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# the grouped fast side and the node-sampled reference against their former
+# forms, and the window rules of both sides
+# ---------------------------------------------------------------------------
+
+def stieltjes_integral_by_cut(f, mu, window):
+    """The per-cut loop form of ``stieltjes_integral``: one antiderivative
+    and two one-point values per cell, and one one-point value per atom,
+    each term added to the total as it is formed."""
+    c, d = float(window[0]), float(window[1])
+    if d < c:
+        return -stieltjes_integral_by_cut(f, mu, (d, c))
+    density = mu.density
+    total = np.zeros(f.shape)
+    breaks = [*f.times, *density.times, *(t for t, _ in mu.atoms)]
+    cuts = sorted({c, d} | {t for t in breaks if c < t < d})
+    for a, b in zip(cuts, cuts[1:]):
+        fs = f.segments[f.segment_index(a, side=+1)]
+        rs = density.segments[density.segment_index(a, side=+1)]
+        try:
+            anti = fs.times_scalar_segment(rs).antiderivative()
+        except NotImplementedError:
+            val, _ = scipy.integrate.quad_vec(
+                lambda t: f.sample(t) * float(density.sample(t)), a, b,
+                epsabs=_QUAD_TOL, epsrel=1e-12)
+            total = total + val
+        else:
+            total = total + (anti.value(b) - anti.value(a))
+    for t, w in mu.atoms_in(c, d):
+        total = total + w * f(t)
+    return total
+
+
+BY_CUT_CASES = {
+    # breakpoints of f at 0.25 and 0.6, of the density at 0.4 and 0.6, and
+    # atoms at both window ends and on breakpoints of each
+    "breakpoints_and_atoms_on_them": (
+        PiecewisePath.from_segments([0.25, 0.6], [
+            Segment.polynomial([[1.0, -0.5], [2.0, 0.25]]),
+            Segment.polynomial([[0.0, 1.5], [-1.0, 3.0], [0.5, 0.5]]),
+            Segment.constant([0.75, -2.0])]),
+        StieltjesMeasure(PiecewisePath.from_segments([0.4, 0.6], [
+            Segment.polynomial([1.0, -0.5]), Segment.constant(2.0),
+            Segment.polynomial([0.5, 0.1, -0.3])]),
+            [(0.0, 0.3), (0.25, -0.8), (0.4, 0.6), (0.6, 1.2), (1.0, 0.5)]),
+        (0.0, 1.0)),
+    "constant_matrix_x_preset": (
+        PiecewisePath.from_segments([0.5], [np.eye(2), [[0.0, 1.0], [2.0, 0.0]]]),
+        StieltjesMeasure(PiecewisePath.preset("cos", 0.5, (3.0, 0.1)),
+                         [(0.5, 2.0), (0.8, -0.4)]),
+        (0.0, 1.0)),
+    "preset_x_polynomial_quadrature": (
+        PiecewisePath.from_segments([0.3], [Segment.preset("exp", 1.0, (1.0,)),
+                                            Segment.preset("sin", 2.0, (5.0, 0.2))]),
+        StieltjesMeasure(PiecewisePath.from_segments(
+            [0.7], [Segment.polynomial([1.0, 0.5]), Segment.constant(0.25)]),
+            [(0.3, 0.9), (0.5, 2.0)]),
+        (-0.2, 1.0)),
+    "reversed_window": (
+        PiecewisePath.from_segments([0.4], [Segment.polynomial([1.0, 2.0]),
+                                            Segment.polynomial([0.0, -1.0, 3.0])]),
+        StieltjesMeasure(PiecewisePath.polynomial([0.5, 0.25]), [(0.4, 0.8), (1.0, 0.1)]),
+        (1.0, -0.5)),
+    "degenerate_window": (
+        PiecewisePath.constant([1.0, -2.0]),
+        StieltjesMeasure(PiecewisePath.constant(0.5), [(0.5, 0.4)]), (0.5, 0.5)),
+}
+BY_CUT_CASES.update(CLOSED_FORM_CASES)
+
+
+@pytest.mark.parametrize("case", sorted(BY_CUT_CASES))
+def test_stieltjes_integral_equals_the_per_cut_loop(case):
+    """One antiderivative per run of cells and one sample of every atom's
+    left value give the per-cut loop's total bit for bit."""
+    f, mu, window = BY_CUT_CASES[case]
+    got = stieltjes_integral(f, mu, window)
+    want = stieltjes_integral_by_cut(f, mu, window)
+    assert np.shape(got) == np.shape(want) == f.shape
+    assert np.array_equal(got, want)
+
+
+def test_node_sampled_cell_terms_equal_the_sum_by_cell_ends():
+    """The ``stieltjes_pair`` sum, from one distribution sample per node, is
+    the sum of f(tag) mu([lo, hi)) with both ends of every cell sampled."""
+    cases = [(f, mu) for f, mu in _shape_cases(7)] + [
+        (f, mu) for f, mu, _ in BY_CUT_CASES.values()]
+    for f, mu in cases:
+        V = PointIntervalFn.stieltjes_pair(f, mu)
+        for step in (0.125, 2.0 ** -10):
+            div = pinned_division((0.0, 1.0), V.atom_times, step / 8.0, step)
+            du = mass_by_cell_ends(mu, div.nodes[:-1], div.nodes[1:])
+            want = (f.sample(div.tags)
+                    * du.reshape(du.shape + (1,) * len(f.shape))).sum(axis=0)
+            assert np.array_equal(V.k_sum(div), want)
+
+
+def test_reversed_window_mirrors_the_sign_on_both_sides():
+    f = PiecewisePath.polynomial([1.0, 2.0])
+    mu = StieltjesMeasure(PiecewisePath.constant(0.5), [(0.3, 0.4)])
+    back = cross_check(f, mu, (1.0, 0.0), tol=1e-6)
+    ahead = cross_check(f, mu, (0.0, 1.0), tol=1e-6)
+    # 0.5 (1 + 1) from the density and 0.4 (1 + 0.6) from the atom
+    assert float(back.fast_value) == pytest.approx(-1.64, abs=1e-12)
+    assert back.passed
+    assert np.array_equal(back.fast_value, -ahead.fast_value)
+    assert np.array_equal(back.reference.value, -ahead.reference.value)
+    assert back.reference.refinement_rounds == ahead.reference.refinement_rounds
+    assert back.difference == ahead.difference
+    node = cross_check(f, None, (1.0, 0.0), tol=1e-6)
+    assert node.passed and float(node.reference.value) == pytest.approx(-2.0)
+
+
+def test_degenerate_window_gives_a_zero_of_the_integrands_shape():
+    f = PiecewisePath.polynomial([[1.0, -2.0], [0.5, 3.0]])
+    mu = StieltjesMeasure(PiecewisePath.constant(0.5), [(0.5, 0.4)])
+    for V in (PointIntervalFn.stieltjes_pair(f, mu), PointIntervalFn.node_function(f)):
+        res = ks_integral_ref(V, (0.5, 0.5))
+        assert res.value.shape == (2,) and not res.value.any()
+        assert res.refinement_rounds == 0
+    for m in (mu, None):
+        rep = cross_check(f, m, (0.5, 0.5))
+        assert rep.passed
+        assert np.shape(rep.fast_value) == rep.reference.value.shape == (2,)
+
+
+@pytest.mark.parametrize("window", [(math.nan, 1.0), (0.0, math.inf),
+                                    (-math.inf, 0.0), (1.0, math.nan)])
+def test_non_finite_window_is_refused_by_both_sides(window):
+    f = PiecewisePath.polynomial([1.0, 2.0])
+    mu = StieltjesMeasure(PiecewisePath.constant(0.5), [(0.3, 0.4)])
+    with pytest.raises(ValueError, match="finite"):
+        ks_integral_ref(PointIntervalFn.stieltjes_pair(f, mu), window)
+    with pytest.raises(ValueError, match="finite"):
+        ks_integral_ref(PointIntervalFn.node_function(f), window)
+    with pytest.raises(ValueError, match="finite"):
+        stieltjes_integral(f, mu, window)
+    with pytest.raises(ValueError, match="finite"):
+        cross_check(f, mu, window)

@@ -1002,3 +1002,18 @@ def test_converging_reference_apply_logs_nothing(ctx_planar, caplog):
     with caplog.at_level(logging.DEBUG, logger="kurzmani"):
         _reference_apply(z0, zeta, 0.0, ctx)
     assert not [r for r in caplog.records if r.name == "kurzmani"]
+
+
+@pytest.mark.parametrize("name", ["planar_quadratic", "impulsive_saddle"])
+def test_reference_apply_at_the_horizon_is_the_fast_anchor(name):
+    """At s = T the span is one node and no cell: the reference returns the
+    fast mode's one-node path, its anchor zeta, bit for bit."""
+    ctx = _shipped_context(name)
+    zeta = ctx.P(ctx.span(ctx.T)[0]) @ np.array([0.2, 0.0])
+    z0 = ctx.initial_path(zeta, ctx.T)
+    fast = lp_operator_apply(z0, zeta, ctx.T, ctx, mode="fast")
+    ref = lp_operator_apply(z0, zeta, ctx.T, ctx, mode="reference")
+    assert len(ref.times) == 1
+    for a, b in ((fast.times, ref.times), (fast.values, ref.values),
+                 (fast.right_values, ref.right_values)):
+        assert np.array_equal(a, b)

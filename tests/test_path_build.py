@@ -19,7 +19,7 @@ from scipy.integrate import quad
 
 import kurzmani.apps as apps
 import kurzmani.funcspace as funcspace
-from conftest import COUPLED, SADDLE, quadratic_forcing
+from conftest import COUPLED, SADDLE, masses_of_pairs, quadratic_forcing
 from kurzmani.apps import IdeSpec, MdeSpec, check_hypotheses, ide_to_context
 from kurzmani.cli import load_config, parse_system
 from kurzmani.funcspace import (PiecewisePath, Segment, StieltjesMeasure,
@@ -104,7 +104,7 @@ def test_mass_matches_fold_on_three_atoms():
                     + [t + d for t, _ in mu.atoms for d in (-1e-7, 0.0, 1e-7)])
     los, his = (a.ravel() for a in np.meshgrid(ends, ends))
     want = u.sample(his) - u.sample(los)
-    got = mu.mass(los, his)
+    got = masses_of_pairs(mu, los, his)
     assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
 
 
