@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .funcspace import norm
-from .linsys import FundamentalOperator, LinearSystemSpec, expm
+from .linsys import (FundamentalOperator, LinearSystemSpec, PropagationError,
+                     _inverse_or_none, expm)
 
 log = logging.getLogger("kurzmani")
 
@@ -171,13 +172,17 @@ def _conjugate(P0, fwd, bwd, i0):
 
 def _family_and_steps(op, P0, times):
     """P(x_i) = V(x_i, t0) P0 V(t0, x_i) at sorted times x in the window, and
-    the stacks ``fwd[i]`` = V(x_{i+1}, x_i), ``bwd[i]`` = V(x_i, x_{i+1}), each
-    formed once by ``op.value``.  The chain starts at x_{i0}, the first time
-    at or past t0 (the last time if none is), from V(x_{i0}, t0) P0 V(t0, x_{i0})."""
+    the stacks ``fwd[i]`` = V(x_{i+1}, x_i), each formed once by ``op.value``,
+    and ``bwd[i]`` = V(x_i, x_{i+1}), their inverses in one stacked call (a
+    singular or non-finite one raises ``PropagationError``).  The chain
+    starts at x_{i0}, the first time at or past t0 (the last time if none
+    is), from V(x_{i0}, t0) P0 V(t0, x_{i0})."""
     x, t0 = np.asarray(times, dtype=float), op.spec.t0
     i0 = min(int(np.searchsorted(x, t0)), len(x) - 1)
     fwd = np.array([op.value(b, a) for a, b in zip(x[:-1], x[1:])])
-    bwd = np.array([op.value(a, b) for a, b in zip(x[:-1], x[1:])])
+    bwd = _inverse_or_none(fwd)
+    if bwd is None:
+        raise PropagationError("forward operator is numerically singular")
     anchor = op.value(x[i0], t0) @ P0 @ op.value(t0, x[i0])
     return _conjugate(anchor, fwd, bwd, i0), fwd, bwd
 

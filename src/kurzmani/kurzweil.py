@@ -3,11 +3,12 @@
 ``ks_integral_ref`` is the slow reference: it drives Riemann-type sums
 K(V, D) = sum_j [V(tag_j, t_j) - V(tag_j, t_{j-1})] through a sequence of
 divisions that halve a uniform fineness each round while forcing every known
-atom time to be the tag of a shrinking private cell; a round is a few array
-passes, with one sample of the integrand per node and per tag.
+atom time to be the tag of a private cell whose radius quarters; a round is
+a few array passes, with one sample of the integrand per node and per tag.
 ``stieltjes_integral`` is the fast evaluator for the piecewise class: the
 density part in closed form from the antiderivative of ``f * density``,
-one per pair of segments, plus explicit atom terms.  ``cross_check`` runs
+one per pair of segments (``funcspace.gauss_kronrod`` where a preset meets
+a non-constant factor), plus explicit atom terms.  ``cross_check`` runs
 both on the same data and is the standing validation that the fast
 decomposition agrees with the defining limit.  Both refuse a non-finite
 window and, over a reversed one, return minus the integral over [d, c].
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcspace import (_QUAD_TOL, PiecewisePath, StieltjesMeasure,
-                        TaggedDivision, check_quadrature, norm)
+from .funcspace import (PiecewisePath, StieltjesMeasure, TaggedDivision,
+                        check_quadrature, gauss_kronrod, norm)
 
 _MAX_CELLS = 1 << 22
 _MAX_ROUNDS = 18          # refinement rounds of the gauge-limit reference
@@ -134,8 +135,11 @@ def ks_integral_ref(V: PointIntervalFn, window, tol=1e-9) -> IntegralResult:
     """Gauge-limit reference evaluation of ``V`` over a window.
 
     Round k uses uniform fineness ``(d - c) / 2**(k + 3)`` and pins every atom
-    of ``V`` as the tag of a private cell whose radius also halves; the
+    of ``V`` as the tag of a private cell whose radius quarters; the
     iteration stops when two successive sums differ by less than ``tol``.
+    Where f jumps at an atom over a density, the pinned cell's tag misses
+    the density on one half by about |jump| density r, so a radius that
+    shrank only with the fineness would converge linearly.
     For d < c the value is minus the one over [d, c], as for
     ``stieltjes_integral``; over c = d it is the zero of the integrand's
     shape.  The window must be finite.
@@ -169,7 +173,7 @@ def ks_integral_ref(V: PointIntervalFn, window, tol=1e-9) -> IntegralResult:
         last_two = (previous, current)
         previous = current
         step *= 0.5
-        radius *= 0.5
+        radius *= 0.25
     raise IntegrationError("no convergence within %d rounds (last diff %.3e)"
                            % (_MAX_ROUNDS, diff), last_two=last_two)
 
@@ -183,7 +187,7 @@ def stieltjes_integral(f: PiecewisePath, mu: StieltjesMeasure, window):
     ``anti(b) - anti(a)`` of its antiderivative exactly, formed once per
     pair of segments and evaluated at all its cells' ends in one call.  Only
     a preset times a non-constant factor leaves the segment class; such a
-    cell is integrated by ``quad_vec`` to ``_QUAD_TOL``, and a miss raises
+    cell is integrated by ``funcspace.gauss_kronrod``, and a miss raises
     ``QuadratureError`` (``check_quadrature``).  Finally adds f's left
     limit at the atom times its weight for each atom in [c, d), read in one
     ``f.sample``; the terms are added one by one in that order.
@@ -209,10 +213,9 @@ def stieltjes_integral(f: PiecewisePath, mu: StieltjesMeasure, window):
         try:
             anti = f.segments[i].times_scalar_segment(density.segments[j]).antiderivative()
         except NotImplementedError:
-            from scipy.integrate import quad_vec
             for a, b in zip(ends, ends[1:]):
-                val, err = quad_vec(lambda t: f.sample(t) * float(density.sample(t)),
-                                    a, b, epsabs=_QUAD_TOL, epsrel=1e-12)
+                val, err = gauss_kronrod(lambda ts: f.sample(ts) * density.sample(ts).reshape(
+                    ts.shape + (1,) * len(f.shape)), a, b)
                 check_quadrature(err, norm(val), "density on [%g, %g]" % (a, b))
                 terms.append(val)
         else:

@@ -37,14 +37,18 @@ A second, much slower evaluation path implements the operator literally as
 with the inner accumulation built from gauge-style sums (atom times pinned as
 tags) and the outer Stieltjes sums taken against the sampled matrix paths on
 successively refined subdivisions of the solver mesh.  Refinement doubles
-until two passes agree to ``max(tol, 1e-9)``; stopping at ``_MAX_REFINE``
-instead logs a warning on the ``kurzmani`` logger.  A pass sweeps the fine
-cells once downward for the stable sum and once upward for the unstable one,
-each sweep carrying the stack of every output node it has passed (row o
-holds P(x_o) V(x_o, sigma), or (Id - P(x_o)) V(x_o, sigma)), so each output
-sees the products and sums of a sweep restarted from it, in the same order.
-A full-size apply (M = 400, refine 2 to 32) takes about 2.4 s on the
-impulsive saddle on a 2-core x86 machine with one BLAS thread.  Agreement
+until two passes agree to ``max(tol, 1e-9)``, or until the Richardson
+extrapolates (4 v_2r - v_r) / 3 of the last three passes agree to it while
+the plain change fell by about 4 (``_H2_FALL``), as an O(h^2) error does;
+it then returns the newer extrapolate.  Reaching ``_MAX_REFINE`` raises
+``SolveError``.  A pass (``_reference_pass``) sweeps the fine cells once
+downward for the stable sum and once upward for the unstable one, each
+sweep carrying the stack of every output node it has passed (row o holds
+P(x_o) V(x_o, sigma), or (Id - P(x_o)) V(x_o, sigma)), so each output sees
+the products and sums of a sweep restarted from it, in the same order.
+From the initial path the shipped configs stop after the refine-8 pass; a
+full-size apply (M = 400) takes about 0.55 s on the impulsive saddle on a
+2-core x86 machine with one BLAS thread.  Agreement
 of the two modes is the standing certificate for the reduced form.
 
 Truncation: the dropped unstable tail beyond T is bounded by
@@ -54,7 +58,6 @@ sits below the solver tolerance.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -67,13 +70,12 @@ from .funcspace import (GAUSS_LEGENDRE, LEBESGUE, StieltjesMeasure, norm,
 from .linsys import (FundamentalOperator, PropagationError, RegularityReport,
                      dop853, expm)
 
-log = logging.getLogger("kurzmani")
-
 _RANGE_TOL = 1e-10
 _IDEMPOTENCY_TOL = 1e-8
 _MAX_ITER = 80        # fixed-point iterations of one solve
 _REFINE0 = 2          # first subdivision of a cell in the reference apply
 _MAX_REFINE = 32      # finest subdivision the reference apply tries
+_H2_FALL = (3.5, 4.5)  # plain-change ratio per doubling that Richardson trusts
 
 
 class NonContractionError(RuntimeError):
@@ -674,17 +676,60 @@ def _inner_accumulation(ctx, z, idx, layout):
     return node_N, mid_N
 
 
+def _reference_pass(ctx, z, idx, lin, refine):
+    """The reference values at the mesh nodes from ``refine`` fine cells per
+    mesh cell; ``lin`` holds V(x_o, s) P(s) zeta at every output x_o."""
+    M = len(idx) - 1
+    n = ctx.fund.n
+    jumps, jump_invs = ctx.fund.jumps[idx], ctx.fund.jump_invs[idx]
+    proj = ctx.P(idx)
+    layout = _fine_layout(ctx, idx, refine)
+    node_N, mid_N = _inner_accumulation(ctx, z, idx, layout)
+    # stable outer integral over [s, t), one sweep of sigma downward:
+    # row o carries P(x_o) V(x_o, sigma) for the outputs x_o above sigma
+    stable = np.zeros((M + 1, n))
+    Ms = proj.copy()
+    for k in range(M - 1, -1, -1):
+        cur = Ms[k + 1:]
+        for step, N in zip(layout[k][1][::-1], mid_N[k][::-1]):
+            nxt = cur @ step
+            stable[k + 1:] += (cur - nxt) @ N
+            cur = nxt
+        # jump of the integrator at the cell's left node
+        Ms[k + 1:] = cur @ jumps[k]
+        stable[k + 1:] += (cur - Ms[k + 1:]) @ node_N[k, 0]
+    # unstable outer integral over [t, T), one sweep of sigma upward: row
+    # o carries (Id - P(x_o)) V(x_o, sigma) for the outputs at or below
+    # sigma; the final boundary term carries the truncated tail beyond T
+    # (int_T^inf d[M~] N ~ -M~(T) N(T) up to the decayed dN tail)
+    unstable = np.zeros((M + 1, n))
+    Us = np.eye(n) - proj
+    for k in range(M):
+        cur = Us[:k + 1] @ jump_invs[k]
+        unstable[:k + 1] += (cur - Us[:k + 1]) @ node_N[k, 0]
+        for step_inv, N in zip(np.linalg.inv(layout[k][1]), mid_N[k]):
+            nxt = cur @ step_inv
+            unstable[:k + 1] += (nxt - cur) @ N
+            cur = nxt
+        Us[:k + 1] = cur
+    unstable -= Us @ node_N[-1, -1]
+    N_t = np.concatenate([node_N[:, 0], node_N[-1:, -1]])
+    return lin + N_t - stable + unstable
+
+
+def _sup_change(a, b):
+    return float(np.max(np.linalg.norm(a - b, axis=1)))
+
+
 def _reference_apply(z: SolutionPath, zeta, s, ctx: LPContext):
     idx = ctx.span(float(s))
     x = ctx.fund.nodes[idx]
     M = len(idx) - 1
     n = ctx.fund.n
-    jumps, jump_invs = ctx.fund.jumps[idx], ctx.fund.jump_invs[idx]
-    proj = ctx.P(idx)
     Pz = ctx.P(idx[0]) @ zeta
     lin = np.array([ctx.fund.value(t, float(s)) @ Pz for t in x])
     tol = max(ctx.tol, 1e-9)
-    prev = None
+    passes = []     # the last two passes, coarser first
     change = math.nan
     refine = _REFINE0
     # at s = T the span is the one node s, with no cell to integrate over:
@@ -692,49 +737,28 @@ def _reference_apply(z: SolutionPath, zeta, s, ctx: LPContext):
     # range of P(s), so this is V(s, s) P(s) zeta to the range tolerance)
     vals = zeta[None]
     while M:
-        layout = _fine_layout(ctx, idx, refine)
-        node_N, mid_N = _inner_accumulation(ctx, z, idx, layout)
-        # stable outer integral over [s, t), one sweep of sigma downward:
-        # row o carries P(x_o) V(x_o, sigma) for the outputs x_o above sigma
-        stable = np.zeros((M + 1, n))
-        Ms = proj.copy()
-        for k in range(M - 1, -1, -1):
-            cur = Ms[k + 1:]
-            for step, N in zip(layout[k][1][::-1], mid_N[k][::-1]):
-                nxt = cur @ step
-                stable[k + 1:] += (cur - nxt) @ N
-                cur = nxt
-            # jump of the integrator at the cell's left node
-            Ms[k + 1:] = cur @ jumps[k]
-            stable[k + 1:] += (cur - Ms[k + 1:]) @ node_N[k, 0]
-        # unstable outer integral over [t, T), one sweep of sigma upward: row
-        # o carries (Id - P(x_o)) V(x_o, sigma) for the outputs at or below
-        # sigma; the final boundary term carries the truncated tail beyond T
-        # (int_T^inf d[M~] N ~ -M~(T) N(T) up to the decayed dN tail)
-        unstable = np.zeros((M + 1, n))
-        Us = np.eye(n) - proj
-        for k in range(M):
-            cur = Us[:k + 1] @ jump_invs[k]
-            unstable[:k + 1] += (cur - Us[:k + 1]) @ node_N[k, 0]
-            for step_inv, N in zip(np.linalg.inv(layout[k][1]), mid_N[k]):
-                nxt = cur @ step_inv
-                unstable[:k + 1] += (nxt - cur) @ N
-                cur = nxt
-            Us[:k + 1] = cur
-        unstable -= Us @ node_N[-1, -1]
-        N_t = np.concatenate([node_N[:, 0], node_N[-1:, -1]])
-        vals = lin + N_t - stable + unstable
-        if prev is not None:
-            change = float(np.max(np.linalg.norm(vals - prev, axis=1)))
+        vals = _reference_pass(ctx, z, idx, lin, refine)
+        if passes:
+            change = _sup_change(vals, passes[-1])
             if change < tol:
                 break
+        if len(passes) == 2:
+            # Richardson on an O(h^2) error: (4 v_2r - v_r) / 3 from the last
+            # two pairs of passes, trusted once the plain change fell by ~4
+            older = (4.0 * passes[1] - passes[0]) / 3.0
+            newer = (4.0 * vals - passes[1]) / 3.0
+            fall = _sup_change(passes[1], passes[0]) / change
+            if _sup_change(newer, older) < tol and \
+                    _H2_FALL[0] <= fall <= _H2_FALL[1]:
+                vals = newer
+                break
         if refine >= _MAX_REFINE:
-            log.warning("reference apply stopped at refine=%d (_MAX_REFINE) with "
-                        "sup-norm change %.3e, not below tol %.3e",
-                        refine, change, tol)
-            break
-        prev = vals
+            raise SolveError("reference apply reached refine=%d (_MAX_REFINE) with "
+                             "sup-norm change %.3e, not below tol %.3e"
+                             % (refine, change, tol), residual=change)
+        passes = passes[-1:] + [vals]
         refine *= 2
+    jumps = ctx.fund.jumps[idx]
     at = np.flatnonzero(ctx.atom_weights[idx[:-1]])
     add = np.zeros((M + 1, n))
     add[at] = ctx.atom_weights[idx[at], None] * ctx.nonlin.value(x[at], z.values[at])

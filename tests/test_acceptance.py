@@ -199,15 +199,15 @@ def test_acceptance_12_mode_agreement(ctx_scalar_mde):
     fast = lp_operator_apply(z0, zeta, 0.0, ctx, mode="fast")
     ref = lp_operator_apply(z0, zeta, 0.0, ctx, mode="reference")
     gap_ide = float(np.max(np.linalg.norm(fast.values - ref.values, axis=1)))
-    assert gap_ide <= 1e-5
+    assert gap_ide <= 1e-10
 
     zeta_m = np.array([0.4])
     zm = ctx_scalar_mde.initial_path(zeta_m, 0.0)
     fast_m = lp_operator_apply(zm, zeta_m, 0.0, ctx_scalar_mde, mode="fast")
     ref_m = lp_operator_apply(zm, zeta_m, 0.0, ctx_scalar_mde, mode="reference")
     gap_mde = float(np.max(np.abs(fast_m.values - ref_m.values)))
-    assert gap_mde <= 1e-5
-    _ok(12, "mode agreement %.2e (impulsive) / %.2e (measure atom) <= 1e-5"
+    assert gap_mde <= 1e-10
+    _ok(12, "mode agreement %.2e (impulsive) / %.2e (measure atom) <= 1e-10"
         % (gap_ide, gap_mde))
 
 

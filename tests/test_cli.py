@@ -625,6 +625,52 @@ def test_default_commands_run_without_importing_scipy(tmp_path):
     assert (tmp_path / "impulsive_saddle_manifold.csv").exists()
 
 
+def _piecewise_planar():
+    """planar_quadratic with a linear-in-time coupling after t = 5: its (B2)
+    bound integrates a non-constant ||A||."""
+    cfg = load_config(config_path("planar_quadratic.json"))
+    cfg["system"]["A"] = {"piecewise": {"times": [5.0], "segments": [
+        {"constant": [[-1.0, 0.0], [0.0, 1.0]]},
+        {"poly": [[[-1.0, 0.0], [0.0, 1.0]], [[0.0, 0.01], [0.0, 0.0]]]}]}}
+    cfg["output"] = {"prefix": "pw"}
+    return cfg
+
+
+# configs whose integrals take the adaptive quadrature: a non-constant
+# coefficient norm, and an exp integrand against a linear density
+QUADRATURE_CONFIGS = {
+    "check": _piecewise_planar,
+    "crosscheck": lambda: {
+        "integrand": {"f": {"preset": {"kind": "exp", "params": [1.0]}},
+                      "mu": {"density": {"poly": [1.0, 0.5]}, "atoms": [[0.5, 2.0]]},
+                      "window": [0.0, 1.0]},
+        "output": {"prefix": "pre"}},
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(QUADRATURE_CONFIGS))
+def test_quadrature_runs_where_scipy_cannot_be_imported(tmp_path, cmd):
+    """numpy is the one runtime dependency: a fresh process in which every
+    scipy import fails exits 0 and writes the in-process run's bytes."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(QUADRATURE_CONFIGS[cmd]()))
+    here, child = tmp_path / "here", tmp_path / "child"
+    assert main([cmd, "--config", str(cfg), "--out", str(here)]) == 0
+    code = "\n".join([
+        "import sys",
+        "sys.modules['scipy'] = None",
+        "from kurzmani.cli import main",
+        "sys.exit(main(sys.argv[1:]))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code, cmd, "--config", str(cfg),
+                           "--out", str(child)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    names = sorted(p.name for p in here.iterdir())
+    assert names and names == sorted(p.name for p in child.iterdir())
+    for name in names:
+        assert (child / name).read_bytes() == (here / name).read_bytes(), name
+
+
 # the package layers each command runs, so a fresh process loads no other
 ALL_LAYERS = ("funcspace", "linsys", "dichotomy", "lp_manifold", "apps")
 SHIPPED_CALLS = {

@@ -14,7 +14,7 @@ from kurzmani.dichotomy import (DichotomyData, SplittingError, certify,
                                 fit_envelope, projection_family,
                                 spectral_projection, verify_dichotomy)
 from kurzmani.funcspace import PiecewisePath, StieltjesMeasure, norm
-from kurzmani.linsys import FundamentalOperator, LinearSystemSpec
+from kurzmani.linsys import FundamentalOperator, LinearSystemSpec, PropagationError
 
 SADDLE = np.diag([-1.0, 1.0])
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -105,9 +105,9 @@ def test_periodic_splitting_follows_the_phase_of_t0(s):
 
 
 def test_certify_forms_each_grid_step_once(monkeypatch):
-    # 21-point grid from t0: 20 steps each way plus the two factors that
-    # carry P0 to the first grid time, shared by the projection family and
-    # the envelope samples
+    # 21-point grid from t0: 20 forward steps, whose inverses are the
+    # backward ones, plus the two factors that carry P0 to the first grid
+    # time, shared by the projection family and the envelope samples
     calls = []
     value = FundamentalOperator.value
     monkeypatch.setattr(FundamentalOperator, "value",
@@ -115,7 +115,7 @@ def test_certify_forms_each_grid_step_once(monkeypatch):
     impulses = tuple((float(k), np.diag([0.1, 0.0])) for k in range(1, 10))
     data = certify(FundamentalOperator(saddle_spec(impulses), (0.0, 10.0)))
     assert data.report.projection_mode == "periodic"
-    assert len(calls) == 2 * 20 + 2
+    assert len(calls) == 20 + 2
 
 
 def _schur_projector(x, stable):
@@ -387,6 +387,15 @@ def test_certify_refuses_a_grid_without_two_times_in_the_window(grid):
         verify_dichotomy(op, np.diag([1.0, 0.0]), grid)
 
 
+def test_an_underflowing_grid_step_is_a_propagation_error():
+    # e^{-2000 / 2} underflows to 0: the forward step over half a time unit
+    # is singular, and its stacked inverse refuses it
+    spec = LinearSystemSpec(2, PiecewisePath.constant(np.diag([-2000.0, 1.0])))
+    op = FundamentalOperator(spec, (0.0, 10.0))
+    with pytest.raises(PropagationError, match="singular"):
+        verify_dichotomy(op, np.diag([1.0, 0.0]), np.linspace(0.0, 10.0, 21))
+
+
 def test_t0_between_grid_times_anchors_at_the_next_grid_time(monkeypatch):
     op, P0 = _mesh_case("t0_inside")          # t0 = 2, jumps at 1.05 and 3.55
     grid = np.linspace(0.0, 6.0, 9)            # 1.5 < t0 < 2.25
@@ -395,7 +404,7 @@ def test_t0_between_grid_times_anchors_at_the_next_grid_time(monkeypatch):
     monkeypatch.setattr(FundamentalOperator, "value",
                         lambda self, t, s: calls.append((t, s)) or value(self, t, s))
     fam = grid_family(op, P0, grid)
-    assert len(calls) == 2 * 8 + 2
+    assert len(calls) == 8 + 2
     assert (2.25, 2.0) in calls and (2.0, 2.25) in calls
     monkeypatch.undo()
     for P, x in zip(fam, grid):

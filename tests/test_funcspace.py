@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
 
+import kurzmani.funcspace as funcspace
 from conftest import mass_by_cell_ends, masses_of_pairs
-from kurzmani.funcspace import (GAUSS_LEGENDRE, PiecewisePath, Segment,
-                                StieltjesMeasure, TaggedDivision, constant_on,
+from kurzmani.funcspace import (GAUSS_LEGENDRE, PiecewisePath, QuadratureError,
+                                Segment, StieltjesMeasure, TaggedDivision,
+                                check_quadrature, constant_on, gauss_kronrod,
                                 norm, norm_integral, running_integral,
                                 sorted_unique)
 
@@ -305,3 +307,111 @@ def test_sorted_unique_of_rows_equals_np_unique_on_axis_0():
     got, inverse = sorted_unique(rows, return_inverse=True)
     assert np.array_equal(got[inverse], rows)
     assert sorted_unique(rows[:0]).shape == (0, 3)
+
+
+# ---------------------------------------------------------------------------
+# the Gauss-Kronrod rule, with scipy's quad and quad_vec as the outside oracle
+# ---------------------------------------------------------------------------
+
+def _one_cell(f, a, b):
+    """K21 and |K21 - G10| on the single cell [a, b]."""
+    k21, err = funcspace._kronrod_cells(f, np.array([a]), np.array([b]))
+    return float(k21[0]), float(err[0])
+
+
+@pytest.mark.parametrize("degree", range(34))
+def test_kronrod_pair_is_exact_to_degree_31_and_gauss_to_19(degree):
+    k21, diff = _one_cell(lambda t: t ** degree, -1.0, 1.0)
+    exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+    if degree <= 31:
+        assert abs(k21 - exact) <= 1e-15
+    else:
+        # the first even degree past 31 is the first one K21 misses
+        assert degree == 33 or abs(k21 - exact) > 1e-13
+    if degree <= 19 or degree % 2:
+        assert diff <= 1e-15
+    else:
+        assert diff > 1e-7
+
+
+def test_one_cell_integrals_have_the_bits_of_quadpack():
+    """Where one cell meets the tolerance, K21 summed in qk21's order is
+    scipy's ``quad`` result bit for bit, on a smooth scalar integrand and on
+    the norm of a linear-in-time matrix path."""
+    got, err = gauss_kronrod(np.exp, 0.0, 2.0)
+    assert got == quad(np.exp, 0.0, 2.0, epsabs=1e-10, epsrel=1e-12)[0]
+    A = PiecewisePath.from_segments([5.0], [
+        Segment.constant(np.diag([-1.0, 1.0])),
+        Segment.polynomial([np.diag([-1.0, 1.0]), [[0.0, 0.01], [0.0, 0.0]]])])
+    cell, _ = quad(lambda t: norm(A(t)), 5.0, 40.0, epsabs=1e-10, epsrel=1e-12)
+    assert norm_integral((0.0, 40.0), A, (A,), 0.0, "test integral") == 5.0 + cell
+
+
+SCALAR_CASES = {
+    "exp": (np.exp, 0.0, 2.0),
+    "runge": (lambda t: 1.0 / (1.0 + 25.0 * t * t), -1.0, 1.0),
+    "kink": (lambda t: np.abs(t - 0.3), 0.0, 1.0),
+    "sqrt_cusp": (lambda t: np.sqrt(np.abs(t)), 0.0, 1.0),
+    "sin_30t": (lambda t: np.sin(30.0 * t), 0.0, 2.0),
+    "damped_cos_100t": (lambda t: np.exp(-t) * np.cos(100.0 * t), 0.0, 3.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCALAR_CASES))
+def test_rule_agrees_with_quad_on_scalar_integrands(case):
+    f, a, b = SCALAR_CASES[case]
+    got, err = gauss_kronrod(f, a, b)
+    want = quad(f, a, b, epsabs=1e-13, epsrel=1e-13, limit=500)[0]
+    assert err <= max(funcspace._QUAD_TOL, 1e-12 * abs(got))
+    assert abs(got - want) <= 10 * funcspace._QUAD_TOL * max(1.0, abs(want))
+
+
+VECTOR_CASES = {
+    "smooth_vector": (lambda t: np.stack([np.exp(t), np.sin(3.0 * t)], axis=-1),
+                      0.0, 1.0),
+    "oscillatory_kinked_vector": (
+        lambda t: np.stack([np.cos(40.0 * t), t * np.sin(25.0 * t), np.abs(t - 0.4)],
+                           axis=-1), 0.0, 1.5),
+    "matrix": (lambda t: np.moveaxis(np.array([[np.exp(-t), np.cos(7.0 * t)],
+                                               [t ** 3, 1.0 / (1.0 + t)]]),
+                                     [0, 1], [-2, -1]), 0.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VECTOR_CASES))
+def test_rule_agrees_with_quad_vec_on_vector_and_matrix_integrands(case):
+    f, a, b = VECTOR_CASES[case]
+    got, err = gauss_kronrod(f, a, b)
+    want = quad_vec(lambda t: f(np.array([t]))[0], a, b, epsabs=1e-13, epsrel=1e-13,
+                    limit=2000)[0]
+    assert got.shape == want.shape
+    assert err <= max(funcspace._QUAD_TOL, 1e-12 * norm(got))
+    # |K21 - G10| understates the error at a kink: 1.2e-10 against an
+    # estimate of 6.9e-11 on the third component here
+    assert np.max(np.abs(got - want)) <= 10 * funcspace._QUAD_TOL
+
+
+def test_kinked_matrix_norm_integrates_to_three_quarters():
+    # ||diag(t, 1 - t)|| = max(t, 1 - t) kinks at 0.5, inside the one cell
+    # of the window; the first bisection cuts there
+    path = PiecewisePath.polynomial([np.diag([0.0, 1.0]), np.diag([1.0, -1.0])])
+    got = norm_integral((0.0, 1.0), path, (path,), 0.0, "test integral")
+    assert got == 0.75
+    assert got == pytest.approx(quad(lambda t: norm(path(t)), 0.0, 1.0)[0], abs=1e-14)
+
+
+def test_rule_stops_at_the_cell_limit_with_a_miss():
+    # 12 lacunary terms on [0, 10], up to 3^11 pi rad per time unit: 200
+    # cells cannot resolve them, and the estimate is a miss
+    path = PiecewisePath.preset("wcos", 1.0, (0.5, 3.0, 12))
+    sizes = []
+
+    def f(ts):
+        sizes.append(len(ts))
+        return np.abs(path.sample(ts))
+
+    got, err = gauss_kronrod(f, 0.0, 10.0)
+    assert sizes == [21] + [42] * (funcspace._QUAD_CELLS - 1)
+    assert err > 1e-3
+    with pytest.raises(QuadratureError, match="test integral"):
+        check_quadrature(err, abs(got), "test integral")

@@ -1,9 +1,9 @@
 """Static guards: every module-level import in the package is used, every
 definition is reached by the package or the benchmark, every defaulted
 parameter is set by some call in the package or the benchmark (a value only
-a test sets is a module constant the test patches), only ``funcspace``
-calls scipy's ``quad`` (so every adaptive quadrature goes through its error
-check), only ``funcspace`` and the stacked cell grouping of
+a test sets is a module constant the test patches), no module imports scipy
+(numpy is the one runtime dependency), only ``funcspace`` and the stacked
+cell grouping of
 ``FundamentalOperator.cells`` read ``.is_constant`` (so the constant-cell
 rule lives in one place), ``apps`` calls no ``np.linalg.inv`` (the jump
 table inverts every jump factor), and the registry nonlinearities, ``Segment.eval`` and the preset terms'
@@ -248,29 +248,30 @@ def test_every_defaulted_parameter_is_set_by_some_call():
     assert unset == list(ENTRY_POINTS)
 
 
-def scipy_quad_calls(source):
-    """Lines that call scipy's ``quad``: by a name imported from
-    ``scipy.integrate`` or as an attribute ``.quad``."""
-    tree = ast.parse(source)
-    names = {alias.asname or alias.name for node in ast.walk(tree)
-             if isinstance(node, ast.ImportFrom) and node.module == "scipy.integrate"
-             for alias in node.names if alias.name == "quad"}
-    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
-                  and (getattr(node.func, "id", None) in names
-                       or getattr(node.func, "attr", None) == "quad"))
+def scipy_imports(source):
+    """Lines that import scipy or one of its submodules, at module level or
+    inside a function."""
+    def scipy(name):
+        return name is not None and name.split(".")[0] == "scipy"
+
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Import) and any(scipy(a.name) for a in node.names)
+                  or isinstance(node, ast.ImportFrom) and scipy(node.module))
 
 
-def test_guard_flags_a_scipy_quad_call():
-    src = ("import scipy.integrate\nfrom scipy.integrate import quad as q, quad_vec\n"
-           "def f(t):\n    return q(abs, 0, t)\n\n"
-           "quad_vec(f, 0, 1)\nscipy.integrate.quad(f, 0, 1)\n")
-    assert scipy_quad_calls(src) == [4, 7]
+def test_guard_flags_a_planted_scipy_import():
+    src = ("import numpy as np, scipy.linalg\nfrom scipy.integrate import quad\n"
+           "import scipyx\nfrom . import scipy\n"
+           "def f(t):\n    from scipy import integrate\n    return t\n"
+           "import scipy as sp\n")
+    assert scipy_imports(src) == [1, 2, 6, 8]
 
 
-def test_only_funcspace_calls_scipy_quad():
-    calls = {p.name: scipy_quad_calls(p.read_text(encoding="utf-8"))
-             for p in MODULES if p.name != "funcspace.py"}
-    assert {name: lines for name, lines in calls.items() if lines} == {}
+def test_no_module_imports_scipy():
+    """numpy is the one runtime dependency: the adaptive quadrature is
+    ``funcspace.gauss_kronrod``, and scipy serves the tests as an oracle."""
+    lines = {p.name: scipy_imports(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert {name: found for name, found in lines.items() if found} == {}
 
 
 def solve_ivp_uses(source):

@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import lebesgue, mass_by_cell_ends
 from kurzmani import kurzweil
 from kurzmani.cli import main
-from kurzmani.funcspace import (_QUAD_TOL, PiecewisePath, QuadratureError,
-                                Segment, StieltjesMeasure, TaggedDivision)
+from kurzmani.funcspace import (PiecewisePath, QuadratureError, Segment,
+                                StieltjesMeasure, TaggedDivision, gauss_kronrod)
 from kurzmani.kurzweil import (IntegrationError, PointIntervalFn, cross_check,
                                ks_integral_ref, pinned_division,
                                stieltjes_integral)
@@ -194,8 +194,8 @@ def quad_vec_oracle(f, mu, window):
     return total
 
 
-def _refuse_quad_vec(*args, **kwargs):
-    raise AssertionError("quad_vec called on a closed-form cell")
+def _refuse_quadrature(*args, **kwargs):
+    raise AssertionError("quadrature called on a closed-form cell")
 
 
 CLOSED_FORM_CASES = {
@@ -239,25 +239,25 @@ CLOSED_FORM_CASES = {
 def test_closed_form_cells_match_quad_vec_without_calling_it(case, monkeypatch):
     f, mu, window = CLOSED_FORM_CASES[case]
     expected = quad_vec_oracle(f, mu, window)
-    monkeypatch.setattr(scipy.integrate, "quad_vec", _refuse_quad_vec)
+    monkeypatch.setattr(kurzweil, "gauss_kronrod", _refuse_quadrature)
     value = stieltjes_integral(f, mu, window)
     assert np.shape(value) == f.shape
     err = float(np.max(np.abs(value - expected)))
     assert err <= 1e-12 * (1.0 + float(np.max(np.abs(expected))))
 
 
-def test_preset_times_nonconstant_density_falls_back_to_quad_vec(monkeypatch):
+def test_preset_times_nonconstant_density_falls_back_to_quadrature(monkeypatch):
     f = PiecewisePath.preset("exp", 1.0, (1.0,))
     mu = StieltjesMeasure(PiecewisePath.polynomial([1.0, 0.5]), [(0.5, 2.0)])
     expected = quad_vec_oracle(f, mu, (0.0, 1.0))
     calls = []
-    orig = scipy.integrate.quad_vec
+    orig = kurzweil.gauss_kronrod
 
     def counted(*args, **kwargs):
         calls.append(args[1:3])
         return orig(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.integrate, "quad_vec", counted)
+    monkeypatch.setattr(kurzweil, "gauss_kronrod", counted)
     value = float(stieltjes_integral(f, mu, (0.0, 1.0)))
     assert calls == [(0.0, 0.5), (0.5, 1.0)]
     # int_0^1 e^t (1 + t/2) dt = (e - 1) + (1/2); atom 2 e^{1/2}
@@ -266,11 +266,11 @@ def test_preset_times_nonconstant_density_falls_back_to_quad_vec(monkeypatch):
     assert value == pytest.approx(float(expected), abs=1e-10)
 
 
-def test_quad_vec_miss_is_nonconvergence(monkeypatch, tmp_path, capsys):
+def test_quadrature_miss_is_nonconvergence(monkeypatch, tmp_path, capsys):
     # one miss rule for every quadrature: a cell error of 1e-6 raises
     # QuadratureError, which the CLI reports as nonconvergence (exit 3)
-    monkeypatch.setattr(scipy.integrate, "quad_vec",
-                        lambda f, a, b, **kwargs: (f(0.5 * (a + b)) * (b - a), 1e-6))
+    monkeypatch.setattr(kurzweil, "gauss_kronrod",
+                        lambda f, a, b: (f(np.array([0.5 * (a + b)]))[0] * (b - a), 1e-6))
     f = PiecewisePath.preset("exp", 1.0, (1.0,))
     mu = StieltjesMeasure(PiecewisePath.polynomial([1.0, 0.5]), [(0.5, 2.0)])
     with pytest.raises(QuadratureError, match="density on \\[0, 0.5\\]"):
@@ -284,6 +284,16 @@ def test_quad_vec_miss_is_nonconvergence(monkeypatch, tmp_path, capsys):
     assert main(["crosscheck", "--config", str(path), "--out", str(tmp_path)]) == 3
     err = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert err["error"] == "nonconvergence"
+
+
+def test_an_overflowing_integrand_is_a_quadrature_miss():
+    # e^{800 t} overflows to inf, so K21 - G10 is not a number: the miss
+    # rule refuses it instead of returning nan as a value
+    f = PiecewisePath.preset("exp", 1.0, (800.0,))
+    mu = StieltjesMeasure(PiecewisePath.polynomial([1.0, 0.5]))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(QuadratureError, match="achieved only nan"):
+        stieltjes_integral(f, mu, (0.0, 1.0))
 
 
 def pinned_division_by_cell_loop(window, atoms, radius, step):
@@ -414,9 +424,9 @@ def stieltjes_integral_by_cut(f, mu, window):
         try:
             anti = fs.times_scalar_segment(rs).antiderivative()
         except NotImplementedError:
-            val, _ = scipy.integrate.quad_vec(
-                lambda t: f.sample(t) * float(density.sample(t)), a, b,
-                epsabs=_QUAD_TOL, epsrel=1e-12)
+            val, _ = gauss_kronrod(
+                lambda ts: f.sample(ts) * density.sample(ts).reshape(
+                    ts.shape + (1,) * len(f.shape)), a, b)
             total = total + val
         else:
             total = total + (anti.value(b) - anti.value(a))
@@ -502,6 +512,19 @@ def test_reversed_window_mirrors_the_sign_on_both_sides():
     assert back.difference == ahead.difference
     node = cross_check(f, None, (1.0, 0.0), tol=1e-6)
     assert node.passed and float(node.reference.value) == pytest.approx(-2.0)
+
+
+def test_reference_converges_where_f_jumps_at_an_atom_over_a_density():
+    """The pinned cell is tagged with f's left value while its right half
+    carries density against f's right value; its radius quarters each round,
+    so the sums settle, in 13 rounds."""
+    f = PiecewisePath.from_segments([0.5], [1.0, 3.0])
+    mu = StieltjesMeasure(PiecewisePath.constant(1.0), [(0.5, 1.0)])
+    rep = cross_check(f, mu, (0.0, 1.0), tol=1e-6)
+    # 1 * 0.5 + 3 * 0.5 from the density, f(0.5) = 1 times the atom
+    assert float(rep.fast_value) == 3.0
+    assert rep.passed and rep.difference <= 1e-8
+    assert rep.reference.refinement_rounds == 13
 
 
 def test_degenerate_window_gives_a_zero_of_the_integrands_shape():

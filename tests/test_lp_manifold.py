@@ -15,7 +15,7 @@ from kurzmani.funcspace import (GAUSS_LEGENDRE, PiecewisePath,
                                 StieltjesMeasure, norm)
 from kurzmani.linsys import FundamentalOperator, LinearSystemSpec
 from kurzmani.lp_manifold import (LPContext, NonlinearitySpec, SolutionPath,
-                                  _fast_apply, _reference_apply,
+                                  SolveError, _fast_apply, _reference_apply,
                                   bisect_manifold_oracle, classify_initial,
                                   contraction_bound, contraction_estimate,
                                   fixed_point_residual, flow_residual,
@@ -837,7 +837,7 @@ def test_mode_agreement_ide_with_impulse(request, name):
     fast = lp_operator_apply(z0, zeta, 0.0, ctx, mode="fast")
     ref = lp_operator_apply(z0, zeta, 0.0, ctx, mode="reference")
     agreement = float(np.max(np.linalg.norm(fast.values - ref.values, axis=1)))
-    assert agreement <= 1e-5
+    assert agreement <= 1e-10
 
 
 def test_mode_agreement_scalar_mde_with_atom(ctx_scalar_mde):
@@ -846,7 +846,7 @@ def test_mode_agreement_scalar_mde_with_atom(ctx_scalar_mde):
     fast = lp_operator_apply(z0, zeta, 0.0, ctx_scalar_mde, mode="fast")
     ref = lp_operator_apply(z0, zeta, 0.0, ctx_scalar_mde, mode="reference")
     agreement = float(np.max(np.abs(fast.values - ref.values)))
-    assert agreement <= 1e-5
+    assert agreement <= 1e-10
 
 
 def _per_cell_accumulation(ctx, z, idx, layout):
@@ -889,86 +889,86 @@ def _per_cell_accumulation(ctx, z, idx, layout):
     return node_vals, mid_vals
 
 
-def _per_output_reference(z, zeta, s, ctx):
-    """``_reference_apply`` with both outer Stieltjes sums restarted from
+def _per_output_pass(z, zeta, s, ctx, refine):
+    """``_reference_pass`` with both outer Stieltjes sums restarted from
     every output node: the reference for the one sweep per side."""
     idx = ctx.span(float(s))
     x = ctx.fund.nodes[idx]
     M = len(idx) - 1
     n = ctx.fund.n
     eye = np.eye(n)
-    tol = max(ctx.tol, 1e-9)
-    prev = None
-    refine = lpm._REFINE0
-    while True:
-        layout = lpm._fine_layout(ctx, idx, refine)
-        step_invs = [np.linalg.inv(steps) for _, steps in layout]
-        node_N, mid_N = _per_cell_accumulation(ctx, z, idx, layout)
-        vals = np.empty((M + 1, n))
-        for out in range(M + 1):
-            t = x[out]
-            stable = np.zeros(n)
-            Mcur = ctx.P(idx[out])
-            for k in range(out - 1, -1, -1):
-                pts, steps = layout[k]
-                J = ctx.fund.jumps[idx[k]]
-                for l in range(len(steps) - 1, -1, -1):
-                    M_hi = Mcur
-                    Mcur = Mcur @ steps[l]
-                    stable += (M_hi - Mcur) @ mid_N[k][l]
-                M_plus = Mcur
-                Mcur = Mcur @ J
-                stable += (M_plus - Mcur) @ node_N[k][0]
-            unstable = np.zeros(n)
-            Ucur = eye - ctx.P(idx[out])
-            for k in range(out, M):
-                pts, steps = layout[k]
-                U_left = Ucur
-                Ucur = Ucur @ ctx.fund.jump_invs[idx[k]]
-                unstable += (Ucur - U_left) @ node_N[k][0]
-                for l in range(len(steps)):
-                    U_lo = Ucur
-                    Ucur = Ucur @ step_invs[k][l]
-                    unstable += (Ucur - U_lo) @ mid_N[k][l]
-            unstable -= Ucur @ node_N[-1][-1]
-            lin = ctx.fund.value(t, float(s)) @ (ctx.P(idx[0]) @ zeta)
-            N_t = node_N[out][0] if out < M else node_N[-1][-1]
-            vals[out] = lin + N_t - stable + unstable
-        if prev is not None and float(np.max(np.linalg.norm(vals - prev, axis=1))) < tol:
-            break
-        if refine >= lpm._MAX_REFINE:
-            break
-        prev = vals
-        refine *= 2
+    layout = lpm._fine_layout(ctx, idx, refine)
+    step_invs = [np.linalg.inv(steps) for _, steps in layout]
+    node_N, mid_N = _per_cell_accumulation(ctx, z, idx, layout)
+    vals = np.empty((M + 1, n))
+    for out in range(M + 1):
+        t = x[out]
+        stable = np.zeros(n)
+        Mcur = ctx.P(idx[out])
+        for k in range(out - 1, -1, -1):
+            pts, steps = layout[k]
+            J = ctx.fund.jumps[idx[k]]
+            for l in range(len(steps) - 1, -1, -1):
+                M_hi = Mcur
+                Mcur = Mcur @ steps[l]
+                stable += (M_hi - Mcur) @ mid_N[k][l]
+            M_plus = Mcur
+            Mcur = Mcur @ J
+            stable += (M_plus - Mcur) @ node_N[k][0]
+        unstable = np.zeros(n)
+        Ucur = eye - ctx.P(idx[out])
+        for k in range(out, M):
+            pts, steps = layout[k]
+            U_left = Ucur
+            Ucur = Ucur @ ctx.fund.jump_invs[idx[k]]
+            unstable += (Ucur - U_left) @ node_N[k][0]
+            for l in range(len(steps)):
+                U_lo = Ucur
+                Ucur = Ucur @ step_invs[k][l]
+                unstable += (Ucur - U_lo) @ mid_N[k][l]
+        unstable -= Ucur @ node_N[-1][-1]
+        lin = ctx.fund.value(t, float(s)) @ (ctx.P(idx[0]) @ zeta)
+        N_t = node_N[out][0] if out < M else node_N[-1][-1]
+        vals[out] = lin + N_t - stable + unstable
+    return vals
+
+
+def _per_node_rights(z, s, ctx, vals):
+    """The right limits of reference values, formed one node at a time."""
+    idx = ctx.span(float(s))
+    x = ctx.fund.nodes[idx]
+    M = len(idx) - 1
     rights = vals.copy()
     for k in range(M + 1):
         a_k = ctx.atom_weights[idx[k]] if k < M else 0.0
-        add = a_k * ctx.nonlin.value(x[k], z.values[k]) if a_k else np.zeros(n)
+        add = a_k * ctx.nonlin.value(x[k], z.values[k]) if a_k else np.zeros(ctx.fund.n)
         rights[k] = ctx.fund.jumps[idx[k]] @ vals[k] + add
-    return vals, rights
+    return rights
 
 
-@pytest.mark.parametrize("max_refine", [2, 4])
+@pytest.mark.parametrize("refine", [2, 4])
 @pytest.mark.parametrize("name, s", [("ctx_kicked_window", 0.0), ("ctx_scalar_mde", 0.0),
                                      ("ctx_planar", 30.0), ("ctx_coupled", 0.0)])
-def test_reference_sweeps_equal_the_per_output_sweeps(request, monkeypatch, name, s,
-                                                      max_refine):
-    """Values and right limits keep their bits at refine 2 and at 4 (two
-    passes).  The path is three times the initial path of a zeta of norm
-    0.4 rho, so its states reach past the cutoff radius and the batched
-    registry calls mix points inside and outside the ball.  The planar
-    saddle starts at s = 30: 100 cells keep the per-output sums quick."""
+def test_reference_sweeps_equal_the_per_output_sweeps(request, name, s, refine):
+    """A pass keeps its bits at refine 2 and at 4.  The path is three times
+    the initial path of a zeta of norm 0.4 rho, so its states reach past the
+    cutoff radius and the batched registry calls mix points inside and
+    outside the ball.  The apply from the initial path gives its values the
+    right limits formed per node.  The planar saddle starts at s = 30: 100
+    cells keep the per-output sums quick."""
     ctx = request.getfixturevalue(name)
-    monkeypatch.setattr(lpm, "_MAX_REFINE", max_refine)
     zeta = ctx.P(ctx.span(s)[0]) @ np.eye(ctx.fund.n)[0]
     zeta *= 0.4 * ctx.nonlin.rho / norm(zeta)
     z0 = ctx.initial_path(zeta, s)
     z = SolutionPath(z0.times, 3.0 * z0.values, 3.0 * z0.right_values)
     assert np.max(np.linalg.norm(z.values, axis=1)) > ctx.nonlin.rho
-    ref = _reference_apply(z, zeta, s, ctx)
-    vals, rights = _per_output_reference(z, zeta, s, ctx)
-    assert np.array_equal(ref.values, vals)
-    assert np.array_equal(ref.right_values, rights)
+    idx = ctx.span(s)
+    Pz = ctx.P(idx[0]) @ zeta
+    lin = np.array([ctx.fund.value(t, float(s)) @ Pz for t in ctx.fund.nodes[idx]])
+    vals = _per_output_pass(z, zeta, s, ctx, refine)
+    assert np.array_equal(lpm._reference_pass(ctx, z, idx, lin, refine), vals)
+    ref = _reference_apply(z0, zeta, s, ctx)
+    assert np.array_equal(ref.right_values, _per_node_rights(z0, s, ctx, ref.values))
 
 
 def _short_planar(ctx_planar):
@@ -976,23 +976,17 @@ def _short_planar(ctx_planar):
                      T=1.0, tol=1e-10, regularity=ctx_planar.regularity)
 
 
-def test_reference_apply_warns_when_refinement_stops_at_the_cap(ctx_planar, caplog,
-                                                                monkeypatch):
+def test_reference_apply_raises_at_the_cap(ctx_planar, monkeypatch):
     ctx = _short_planar(ctx_planar)
     zeta = np.array([0.01, 0.0])
     z0 = ctx.initial_path(zeta, 0.0)
     monkeypatch.setattr(lpm, "_REFINE0", 1)
     monkeypatch.setattr(lpm, "_MAX_REFINE", 2)
-    with caplog.at_level(logging.WARNING, logger="kurzmani"):
+    with pytest.raises(SolveError, match="refine=2") as info:
         _reference_apply(z0, zeta, 0.0, ctx)
-    records = [r for r in caplog.records if r.name == "kurzmani"]
-    assert len(records) == 1
-    assert records[0].levelno == logging.WARNING
-    refine, change, tol = records[0].args
-    assert refine == 2 and tol == 1e-9
-    # one doubling from refine 1 leaves a change well above tol
-    assert tol < change < 1e-5
-    assert "refine=2" in records[0].getMessage()
+    # one doubling from refine 1 leaves a change well above tol, and two
+    # passes give no extrapolate to stop on
+    assert 1e-9 < info.value.residual < 1e-5
 
 
 def test_converging_reference_apply_logs_nothing(ctx_planar, caplog):
@@ -1002,6 +996,26 @@ def test_converging_reference_apply_logs_nothing(ctx_planar, caplog):
     with caplog.at_level(logging.DEBUG, logger="kurzmani"):
         _reference_apply(z0, zeta, 0.0, ctx)
     assert not [r for r in caplog.records if r.name == "kurzmani"]
+
+
+def _refinements(monkeypatch):
+    refines = []
+    layout = lpm._fine_layout
+    monkeypatch.setattr(lpm, "_fine_layout",
+                        lambda ctx, idx, refine: refines.append(refine)
+                        or layout(ctx, idx, refine))
+    return refines
+
+
+def test_converging_reference_apply_stops_on_the_extrapolate(ctx_planar, monkeypatch):
+    ctx = _short_planar(ctx_planar)
+    zeta = np.array([0.01, 0.0])
+    z0 = ctx.initial_path(zeta, 0.0)
+    refines = _refinements(monkeypatch)
+    ref = _reference_apply(z0, zeta, 0.0, ctx)
+    assert refines == [2, 4, 8]
+    fast = lp_operator_apply(z0, zeta, 0.0, ctx, mode="fast")
+    assert float(np.max(np.linalg.norm(fast.values - ref.values, axis=1))) <= 1e-10
 
 
 @pytest.mark.parametrize("name", ["planar_quadratic", "impulsive_saddle"])

@@ -43,7 +43,8 @@ def folded(path, jumps):
 def closure_norm_integral(window, breaks, piece, jumps):
     """The package's former norm integral, kept as the oracle: the window is
     cut at ``breaks``, and ``piece(a, b)`` gives the integrand on a cell,
-    its value where constant, else a callable of t for the quadrature."""
+    its value where constant, else a callable of t for the quadrature, the
+    package's ``gauss_kronrod`` on the norms taken one node at a time."""
     c, d = window
     cuts = sorted({c, d} | {t for t in breaks if c < t < d})
     total = 0.0
@@ -52,8 +53,8 @@ def closure_norm_integral(window, breaks, piece, jumps):
         if not callable(g):
             total += norm(g) * (b - a)
             continue
-        total += funcspace._quad_cell(lambda t: norm(g(t)), a, b,
-                                      funcspace._QUAD_TOL)[0]
+        total += funcspace.gauss_kronrod(
+            lambda ts: np.array([norm(g(t)) for t in ts]), a, b)[0]
     return total + jumps
 
 
@@ -208,19 +209,19 @@ def test_check_regularity_builds_no_path(monkeypatch):
 @pytest.fixture
 def quad_calls(monkeypatch):
     calls = []
-    orig = funcspace._quad_cell
+    orig = funcspace.gauss_kronrod
 
     def counted(*args, **kwargs):
         calls.append(args[1:3])
         return orig(*args, **kwargs)
 
-    monkeypatch.setattr(funcspace, "_quad_cell", counted)
+    monkeypatch.setattr(funcspace, "gauss_kronrod", counted)
     return calls
 
 
 def test_quadrature_failures_raise_in_variation_and_regularity(monkeypatch):
     # all read one rule: a cell error above max(100 tol, 1e-8 (1 + V)) raises
-    monkeypatch.setattr(funcspace, "_quad_cell", lambda f, a, b, tol: (0.0, 1e-6))
+    monkeypatch.setattr(funcspace, "gauss_kronrod", lambda f, a, b: (0.0, 1e-6))
     path = PiecewisePath.preset("exp", np.diag([1.0, 2.0]), (0.5,))
     with pytest.raises(funcspace.QuadratureError):
         norm_integral((0.0, 1.0), path, (path,), 0.0, "test integral")
