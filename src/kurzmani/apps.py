@@ -169,8 +169,9 @@ def _lipschitz_probe(nonlin, n, radius):
     return sup, lip
 
 
-def check_hypotheses(spec, window=(0.0, 10.0)) -> HypothesesReport:
-    """Evaluate every named condition of the realization with witnesses."""
+def check_hypotheses(spec, window) -> HypothesesReport:
+    """Evaluate every named condition of the realization over ``window``,
+    with witnesses."""
     if isinstance(spec, IdeSpec):
         return _check_ide(spec, window)
     if isinstance(spec, MdeSpec):
@@ -264,8 +265,9 @@ def build_context(spec, s=0.0, T=None, tol=1e-10, base_step=0.1, P0=None,
     sets the horizon (``auto_horizon``).  The reports carry the hypotheses,
     the dichotomy, and two ``contraction_bound`` gates with V the variation
     of Lambda from the mesh store: the smallness gate, scale 2 V_h with C_a,
-    and the realization's printed gate, scale M_gamma with C_b (impulsive)
-    or 2 L_H V_u with C_g (measure-driven), L_H the kernel's ``lip_eff``.
+    and the realization's printed gate, scale M_gamma = V_h with C_b
+    (impulsive) or 2 L_H V_u with C_g (measure-driven), L_H the kernel's
+    ``lip_eff``; V_h and V_u are taken over the run window [s, T].
     """
     s = float(s)
     probe_hi = T if T is not None else s + 20.0
@@ -286,15 +288,15 @@ def build_context(spec, s=0.0, T=None, tol=1e-10, base_step=0.1, P0=None,
     fund = FundamentalOperator(linspec, window, base_step)
     dich = certify(fund, grid, P0)
     reg = check_regularity(fund)
-    K, V = dich.K, reg.V_Lambda
+    K, V, v_h = dich.K, reg.V_Lambda, nonlin.v_h(window)
     if isinstance(spec, IdeSpec):
-        scale, C = hyp.constants["M_gamma"], hyp.constants["C_b"]
+        scale, C = v_h, hyp.constants["C_b"]
     else:
         scale, C = 2.0 * spec.H.lip_eff * spec.u.variation(window), hyp.constants["C_g"]
     return LPContext(fund, dich, nonlin, T=window[1], tol=tol, regularity=reg,
                      reports={"hypotheses": hyp, "dichotomy": dich.report,
                               "smallness_gate": contraction_bound(
-                                  2.0 * nonlin.v_h(window), K, reg.C_a, V),
+                                  2.0 * v_h, K, reg.C_a, V),
                               "realization_gate": contraction_bound(scale, K, C, V)})
 
 

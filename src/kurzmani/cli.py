@@ -28,6 +28,7 @@ import logging
 import os
 import sys
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -47,9 +48,12 @@ class ConfigError(ValueError):
     pass
 
 
-def _sane_tol(tol):
+def _sane_tol(value):
+    """The tolerance ``value`` as a float, refused outside (0, 1e-2]."""
+    tol = float(value)
     if not (0.0 < tol <= 1e-2):
         raise ConfigError("tolerance %g outside the sane range (0, 1e-2]" % tol)
+    return tol
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +259,8 @@ def error_json(kind, message, **extra):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _meta(cfg, args, **extra):
-    meta = {"config_sha256": config_hash(cfg), "version": __version__}
-    meta.update(extra)
-    return meta
+def _meta(cfg, **extra):
+    return {"config_sha256": config_hash(cfg), "version": __version__, **extra}
 
 
 @_reading("output")
@@ -269,27 +271,56 @@ def _outpath(cfg, args, suffix):
     return os.path.join(out, "%s_%s" % (prefix, suffix))
 
 
-def _context_from_config(cfg, args):
-    from .apps import build_context
+def _read_run(cfg, args):
+    """The system and the one reading of the ``solver`` block, made before
+    any layer work; a null value counts as absent.
+
+    An ide or mde run starts at t0 = s (0 when absent) and spans [s, T]:
+    without T, ``manifold`` and ``classify`` leave the horizon to
+    ``build_context`` and the other commands take s + 10.  A linear run
+    spans ``solver.window``, which only it takes.  ``context`` holds the
+    ``build_context`` keywords the config sets (``--tol`` over
+    ``solver.tol``), so their defaults stay the layers' own.  The
+    command's own keys are checked here too: ``zeta_grid`` for
+    ``manifold``, ``initial_points`` of n coordinates each for ``classify``.
+    """
     from .linsys import LinearSystemSpec
     spec = parse_system(cfg)
+    linear = isinstance(spec, LinearSystemSpec)
+    if linear and args.command not in ("fundamental", "dichotomy"):
+        raise ConfigError("%s needs system.kind = ide or mde" % args.command)
     with _reading("solver"):
-        sol = solver_block(cfg)
-        tol = args.tol if args.tol is not None else float(sol.get("tol", 1e-10))
-        _sane_tol(tol)
-        if sol.get("T") is not None and float(sol["T"]) <= float(sol.get("s", 0.0)):
+        sol = {k: v for k, v in solver_block(cfg).items() if v is not None}
+        if args.tol is not None:
+            sol["tol"] = args.tol
+        context = {k: read(sol[k]) for k, read in (
+            ("s", float), ("T", float), ("tol", _sane_tol), ("base_step", float),
+            ("grid", lambda g: parse_grid(g, None)),
+            ("P0", lambda a: np.asarray(a, dtype=float))) if k in sol}
+        s = context.get("s", 0.0)
+        window = (s, context.get("T", s + 10.0))
+        if not window[1] > s:
             raise ConfigError("solver.T must exceed the base time s")
-        kwargs = dict(
-            s=float(sol.get("s", 0.0)),
-            T=sol.get("T"),
-            tol=tol,
-            base_step=float(sol.get("base_step", 0.1)),
-            grid=parse_grid(sol.get("grid"), None),
-            P0=np.asarray(sol["P0"], dtype=float) if "P0" in sol else None,
-        )
-    if isinstance(spec, LinearSystemSpec):
-        raise ConfigError("this subcommand needs system.kind = ide or mde")
-    return spec, build_context(spec, **kwargs)
+        if linear:
+            window = tuple(float(x) for x in sol.get("window", (0.0, 10.0)))
+        elif "window" in sol:
+            raise ConfigError("solver takes a 'window' for linear systems "
+                              "only: an ide or mde run spans [s, T]")
+        run = SimpleNamespace(s=s, window=window, context=context, linear=linear)
+        if args.command == "manifold":
+            run.zeta = [np.asarray(z, dtype=float) for z in
+                        _field(sol, "zeta_grid", "the manifold command's solver")]
+        if args.command == "classify":
+            run.bound = float(sol.get("bound", 1e3))
+            run.points = [(z0, np.asarray(z0, dtype=float))
+                          for z0 in sol.get("initial_points", ())]
+            if not run.points:
+                raise ConfigError("solver.initial_points is required for classify")
+            for z0, state in run.points:
+                if state.shape != (spec.n,):
+                    raise ConfigError("initial point %r needs n = %d coordinates"
+                                      % (z0, spec.n))
+    return spec, run
 
 
 def _run_integrand(cfg, args, default_tol):
@@ -302,8 +333,7 @@ def _run_integrand(cfg, args, default_tol):
         f = parse_path(_field(block, "f", "integrand"), "integrand.f",
                        scalar=bool(block.get("scalar", True)))
         window = tuple(float(x) for x in _field(block, "window", "integrand"))
-        tol = args.tol if args.tol is not None else float(block.get("tol", default_tol))
-        _sane_tol(tol)
+        tol = _sane_tol(args.tol if args.tol is not None else block.get("tol", default_tol))
         mu = parse_measure(block["mu"], "integrand.mu") if "mu" in block else None
     return cross_check(f, mu, window, tol=tol), tol
 
@@ -316,7 +346,7 @@ def cmd_integrate(cfg, args):
          report.reference.achieved_tolerance, report.reference.refinement_rounds),
     ]
     path = _outpath(cfg, args, "integrate.csv")
-    write_csv(path, _meta(cfg, args, tol=tol),
+    write_csv(path, _meta(cfg, tol=tol),
               ["evaluator", "value", "tolerance", "rounds"], rows)
     print(path)
     return EXIT_OK if report.passed else EXIT_CERTIFIED_FAIL
@@ -325,7 +355,7 @@ def cmd_integrate(cfg, args):
 def cmd_crosscheck(cfg, args):
     report, tol = _run_integrand(cfg, args, default_tol=1e-6)
     path = _outpath(cfg, args, "crosscheck.json")
-    write_json(path, _meta(cfg, args, tol=tol), {
+    write_json(path, _meta(cfg, tol=tol), {
         "fast_value": report.fast_value,
         "reference_value": report.reference.value,
         "difference": report.difference,
@@ -337,51 +367,43 @@ def cmd_crosscheck(cfg, args):
     return EXIT_OK if report.passed else EXIT_CERTIFIED_FAIL
 
 
-def _linear_spec(cfg):
-    from .linsys import LinearSystemSpec
-    spec = parse_system(cfg)
-    return spec if isinstance(spec, LinearSystemSpec) else spec.linear_spec(0.0)
-
-
-def _operator_from_config(cfg, count):
-    """The solver block, the linear part's operator over ``solver.window``
-    and ``solver.grid`` (default: ``count`` points across the window)."""
+def _operator(spec, run):
+    """The linear part's operator over the run window, referenced at s for
+    an ide/mde run."""
     from .linsys import FundamentalOperator
-    spec = _linear_spec(cfg)
-    with _reading("solver"):
-        sol = solver_block(cfg)
-        window = tuple(float(x) for x in sol.get("window", (0.0, 10.0)))
-        base_step = float(sol.get("base_step", 0.1))
-        grid = parse_grid(sol.get("grid"),
-                          np.linspace(window[0], window[1], count))
-    return sol, FundamentalOperator(spec, window, base_step=base_step), grid
+    linear = spec if run.linear else spec.linear_spec(run.s)
+    step = {"base_step": run.context["base_step"]} if "base_step" in run.context else {}
+    return FundamentalOperator(linear, run.window, **step)
 
 
 def cmd_fundamental(cfg, args):
-    _, op, grid = _operator_from_config(cfg, 11)
+    spec, run = _read_run(cfg, args)
+    op = _operator(spec, run)
+    grid = run.context.get("grid", np.linspace(*run.window, 11))
     rows = []
     for s in grid:
         for t in grid:
             rows.append((float(t), float(s), norm(op.value(t, s))))
     path = _outpath(cfg, args, "fundamental.csv")
-    write_csv(path, _meta(cfg, args), ["t", "s", "operator_norm"], rows)
+    write_csv(path, _meta(cfg), ["t", "s", "operator_norm"], rows)
     print(path)
     return EXIT_OK
 
 
 def cmd_dichotomy(cfg, args):
     from .dichotomy import certify
-    sol, op, grid = _operator_from_config(cfg, 21)
-    with _reading("solver"):
-        P0 = np.asarray(sol["P0"], dtype=float) if "P0" in sol else None
-    data = certify(op, grid=grid, P0=P0)
+    spec, run = _read_run(cfg, args)
+    # a linear run certifies across its window, an ide/mde run on the grid
+    # ``build_context`` certifies
+    default = np.linspace(*run.window, 21) if run.linear else None
+    data = certify(_operator(spec, run), grid=run.context.get("grid", default),
+                   P0=run.context.get("P0"))
     rows = [(float(sep), float(logN), side)
             for sep, logN, _, _, side in data.report.samples]
     csv_path = _outpath(cfg, args, "dichotomy.csv")
-    write_csv(csv_path, _meta(cfg, args),
-              ["separation", "log_norm", "side"], rows)
+    write_csv(csv_path, _meta(cfg), ["separation", "log_norm", "side"], rows)
     cert_path = _outpath(cfg, args, "dichotomy.json")
-    write_json(cert_path, _meta(cfg, args), {
+    write_json(cert_path, _meta(cfg), {
         "K": data.K, "alpha": data.alpha,
         "dichotomy_detected": data.report.dichotomy_detected,
         "witness": data.report.witness,
@@ -393,16 +415,11 @@ def cmd_dichotomy(cfg, args):
 
 
 def cmd_manifold(cfg, args):
+    from .apps import build_context
     from .lp_manifold import manifold_graph
-    spec, ctx = _context_from_config(cfg, args)
-    sol = solver_block(cfg)
-    s = float(sol.get("s", 0.0))
-    zg = sol.get("zeta_grid")
-    if zg is None:
-        raise ConfigError("solver.zeta_grid is required for the manifold command")
-    with _reading("solver"):
-        grid = [np.atleast_1d(np.asarray(z, dtype=float)) for z in zg]
-    graph = manifold_graph(s, grid, ctx)
+    spec, run = _read_run(cfg, args)
+    ctx = build_context(spec, **run.context)
+    graph = manifold_graph(run.s, run.zeta, ctx)
     rows = []
     for g in graph.samples:
         coords = ";".join(_fmt(v) for v in g.zeta_coords)
@@ -412,10 +429,10 @@ def cmd_manifold(cfg, args):
             ms = "failed"
         rows.append((coords, ms, int(g.ok), g.iterations))
     csv_path = _outpath(cfg, args, "manifold.csv")
-    write_csv(csv_path, _meta(cfg, args, tol=ctx.tol),
+    write_csv(csv_path, _meta(cfg, tol=ctx.tol),
               ["zeta", "m", "ok", "iterations"], rows)
     cert_path = _outpath(cfg, args, "manifold.json")
-    write_json(cert_path, _meta(cfg, args), {
+    write_json(cert_path, _meta(cfg), {
         "K": ctx.dich.K, "alpha": ctx.dich.alpha,
         "L_theory": graph.L_theory, "L_empirical": graph.L_empirical,
         "lipschitz_estimate": graph.lipschitz_estimate,
@@ -431,28 +448,18 @@ def cmd_manifold(cfg, args):
 
 
 def cmd_classify(cfg, args):
+    from .apps import build_context
     from .lp_manifold import classify_initial
-    spec, ctx = _context_from_config(cfg, args)
-    sol = solver_block(cfg)
-    s = float(sol.get("s", 0.0))
-    with _reading("solver"):
-        bound = float(sol.get("bound", 1e3))
-        points = sol.get("initial_points")
-        states = [np.asarray(z0, dtype=float) for z0 in points or ()]
-    if not points:
-        raise ConfigError("solver.initial_points is required for classify")
-    for z0, state in zip(points, states):
-        if state.shape != (ctx.fund.n,):
-            raise ConfigError("initial point %r needs n = %d coordinates"
-                              % (z0, ctx.fund.n))
+    spec, run = _read_run(cfg, args)
+    ctx = build_context(spec, **run.context)
     rows = []
-    for z0, state in zip(points, states):
-        res = classify_initial(state, s, ctx, bound)
+    for z0, state in run.points:
+        res = classify_initial(state, run.s, ctx, run.bound)
         rows.append((";".join(_fmt(v) for v in z0), res.status,
                      _fmt(res.t_escape) if res.t_escape is not None else "",
                      res.sup_norm))
     path = _outpath(cfg, args, "classify.csv")
-    write_csv(path, _meta(cfg, args, bound=bound),
+    write_csv(path, _meta(cfg, bound=run.bound),
               ["z0", "status", "t_escape", "sup_norm"], rows)
     print(path)
     return EXIT_OK
@@ -460,17 +467,10 @@ def cmd_classify(cfg, args):
 
 def cmd_check(cfg, args):
     from .apps import check_hypotheses
-    from .linsys import LinearSystemSpec
-    spec = parse_system(cfg)
-    if isinstance(spec, LinearSystemSpec):
-        raise ConfigError("check needs system.kind = ide or mde")
-    with _reading("solver"):
-        sol = solver_block(cfg)
-        window = (float(sol.get("s", 0.0)),
-                  float(sol.get("T", float(sol.get("s", 0.0)) + 10.0)))
-    report = check_hypotheses(spec, window)
+    spec, run = _read_run(cfg, args)
+    report = check_hypotheses(spec, run.window)
     path = _outpath(cfg, args, "check.json")
-    write_json(path, _meta(cfg, args), report.to_dict())
+    write_json(path, _meta(cfg), report.to_dict())
     print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
     return EXIT_OK if report.all_passed else EXIT_CERTIFIED_FAIL
 

@@ -586,9 +586,12 @@ class TaggedDivision:
 # ---------------------------------------------------------------------------
 
 def _kronrod_cells(f, lo, hi):
-    """K21 over each cell [lo_i, hi_i] and the norm of K21 - G10 there, from
+    """K21 over each cell [lo_i, hi_i] and qk21's error estimate there, from
     one call of ``f`` at the 21 nodes of every cell; each sum is added in
-    qk21's order, so a cell's K21 has the bits of QUADPACK's."""
+    qk21's order, so a cell's K21 has the bits of QUADPACK's.  Per component
+    |K21 - G10| becomes resasc min(1, 200 |K21 - G10| / resasc)^1.5, at
+    least 50 eps resabs (resasc and resabs the K21 integrals of
+    |f - K21 / (b - a)| and |f|), and a cell's estimate is its norm."""
     x, wk, wc, wg = KRONROD_21
     centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     step = np.multiply.outer(half, x)
@@ -603,8 +606,12 @@ def _kronrod_cells(f, lo, hi):
         if j < 5:
             gauss = gauss + wg[j] * pairs[:, j]
     half = half.reshape((-1,) + (1,) * (v.ndim - 2))
-    return kron * half, np.linalg.norm(((kron - gauss) * half).reshape(len(lo), -1),
-                                       axis=1)
+    w = np.concatenate([[wc], wk, wk]).reshape((1, 21) + (1,) * (v.ndim - 2))
+    fl, diff = np.finfo(float), np.abs(kron - gauss) * half
+    resasc = np.sum(w * np.abs(v - 0.5 * kron[:, None]), axis=1) * half
+    scaled = resasc * np.minimum(1.0, 200.0 * diff / np.maximum(resasc, fl.tiny)) ** 1.5
+    err = np.maximum(scaled, 50.0 * fl.eps * np.sum(w * np.abs(v), axis=1) * half)
+    return kron * half, np.linalg.norm(err.reshape(len(lo), -1), axis=1)
 
 
 def gauss_kronrod(f, a, b):
@@ -612,7 +619,7 @@ def gauss_kronrod(f, a, b):
     ``KRONROD_21`` pair with global adaptive bisection.
 
     ``f`` maps a 1-D array of times to the stacked integrand values there.
-    A cell's estimate is the norm of K21 - G10 on it.  While the estimates
+    A cell's estimate is qk21's (``_kronrod_cells``).  While the estimates
     sum to more than max(_QUAD_TOL, _QUAD_RTOL |integral|), the cell with the
     largest one is halved, both halves sampled in one call, up to
     ``_QUAD_CELLS`` cells.  Returns the sum over the cells and the summed

@@ -462,8 +462,6 @@ class FundamentalOperator:
         for i in np.flatnonzero(nodes - head > r):   # node_index would miss i
             raise ValueError("times %r and %r chain into one node wider than "
                              "the match radius %g" % (float(head[i]), float(nodes[i]), r))
-        self._times = self.nodes.tolist()   # Python floats for scalar steps
-        self._index = {t: i for i, t in enumerate(self._times)}
         self.event_nodes = at = self.node_index(times)
         for i in np.flatnonzero(np.diff(at) == 0):
             # one node would keep only one of the two factors
@@ -567,18 +565,8 @@ class FundamentalOperator:
     # -- queries ------------------------------------------------------------
 
     def value(self, t, s):
-        """V(t, s); jump factors at times in [min, max) apply per direction.
-
-        A step between adjacent nodes is the stored row ``cells.fwd[j]`` or
-        ``cells.bwd[j]``, returned as a read-only view: copy it to modify.
-        """
+        """V(t, s); jump factors at times in [min, max) apply per direction."""
         t, s = float(t), float(s)
-        j = self._index.get(s)
-        if j is not None:
-            if j + 1 < len(self._times) and t == self._times[j + 1]:
-                return self.cells.fwd[j]
-            if j > 0 and t == self._times[j - 1]:
-                return self.cells.bwd[j - 1]
         if abs(t - s) <= self.radius:
             return np.eye(self.n)
         if t > s:
@@ -599,15 +587,15 @@ class FundamentalOperator:
         out = np.eye(self.n)
         if not s_at:
             # i is the first node after s: the left partial cell ends there
-            if t < self._times[i] or (t_at and k == i):
+            if t < self.nodes[i] or (t_at and k == i):
                 return self._propagate(s, t)[0]
-            out = self._propagate(s, self._times[i])[0]
+            out = self._propagate(s, float(self.nodes[i]))[0]
         if not t_at:
             k -= 1      # the last node before t
         for c in range(i, k):
             out = self.cells.fwd[c] @ out
         if not t_at:
-            out = self._propagate(self._times[k], t)[0] @ (self.jumps[k] @ out)
+            out = self._propagate(float(self.nodes[k]), t)[0] @ (self.jumps[k] @ out)
         return out
 
 

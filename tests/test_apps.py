@@ -11,7 +11,7 @@ from kurzmani.apps import (HypothesisError, IdeSpec, MdeSpec, _probe_points,
                            mde_to_context)
 from kurzmani.funcspace import PiecewisePath, StieltjesMeasure, norm
 from kurzmani.linsys import FundamentalOperator, check_regularity
-from kurzmani.lp_manifold import NonlinearitySpec, solve_lp
+from kurzmani.lp_manifold import NonlinearitySpec, contraction_bound, solve_lp
 
 
 def saddle_path():
@@ -227,7 +227,7 @@ def test_context_meshes_contain_kernel_atoms():
 
 def test_check_hypotheses_rejects_other_types():
     with pytest.raises(TypeError):
-        check_hypotheses(object())
+        check_hypotheses(object(), (0.0, 1.0))
 
 
 @pytest.mark.parametrize("name, horizon", [("impulsive_saddle", 32.6),
@@ -247,6 +247,25 @@ def test_context_without_horizon_matches_shipped_horizon(name, horizon):
     zeta[0] = 0.1
     np.testing.assert_allclose(solve_lp(zeta, 0.0, auto).m,
                                solve_lp(zeta, 0.0, shipped).m, rtol=0, atol=1e-12)
+
+
+def test_context_without_horizon_takes_both_gates_over_the_run_window():
+    # the hypotheses are checked on the probe window [0, 20]; the forcing
+    # variation of both gates is taken over the run window [0, T]
+    cfg = cli.load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                       "configs", "planar_quadratic.json"))
+    spec, sol = cli.parse_system(cfg), cli.solver_block(cfg)
+    ctx = build_context(spec, T=None, tol=sol["tol"],
+                        grid=cli.parse_grid(sol["grid"], None))
+    hyp, reg, K = ctx.reports["hypotheses"], ctx.regularity, ctx.dich.K
+    assert ctx.T == pytest.approx(30.4, abs=1e-9)
+    assert hyp.constants["M_gamma"] == spec.f.v_h((0.0, 20.0)) == pytest.approx(100.0)
+    v_h = spec.f.v_h((0.0, ctx.T))
+    assert v_h == pytest.approx(152.0)
+    assert ctx.reports["realization_gate"] == contraction_bound(
+        v_h, K, hyp.constants["C_b"], reg.V_Lambda) == pytest.approx(2.28e45, rel=1e-2)
+    assert ctx.reports["smallness_gate"] == contraction_bound(
+        2.0 * v_h, K, reg.C_a, reg.V_Lambda)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])

@@ -8,9 +8,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from kurzmani.cli import (ConfigError, _context_from_config, config_hash,
-                          load_config, main, normalize_config, parse_measure,
-                          parse_path, parse_system)
+from kurzmani import apps
+from kurzmani.cli import (ConfigError, _read_run, config_hash, load_config, main,
+                          normalize_config, parse_measure, parse_path,
+                          parse_system)
 from kurzmani.dichotomy import _FIT_SLACK
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -226,8 +227,8 @@ def test_aperiodic_kicks_config_goes_through_svd(tmp_path, capsys):
     path = tmp_path / "aperiodic.json"
     path.write_text(json.dumps(cfg))
     assert main(["manifold", "--config", str(path), "--out", str(tmp_path)]) == 0
-    args = SimpleNamespace(tol=None)
-    _, ctx = _context_from_config(cfg, args)
+    spec, run = _read_run(cfg, SimpleNamespace(command="manifold", tol=None))
+    ctx = apps.build_context(spec, **run.context)
     assert ctx.reports["dichotomy"].projection_mode == "svd"
     np.testing.assert_allclose(ctx.dich.P0, np.diag([1.0, 0.0]), atol=1e-8)
     # the removed knob is a config error naming it, in both of its commands
@@ -371,11 +372,6 @@ def _coef_without_an_axis(cfg):
     return "check", cfg
 
 
-def _null_horizon_in_check(cfg):
-    cfg["solver"]["T"] = None
-    return "check", cfg
-
-
 # a wrong-type value is named by the block that holds it
 @pytest.mark.parametrize("case, key", [(_without_window, "window"),
                                        (_grid_without_stop, "stop"),
@@ -386,12 +382,11 @@ def _null_horizon_in_check(cfg):
                                        (_zeta_grid_of_wrong_type, "solver"),
                                        (_nonlinearity_of_wrong_type, "system"),
                                        (_params_of_wrong_type, "system"),
-                                       (_coef_without_an_axis, "system"),
-                                       (_null_horizon_in_check, "solver")],
+                                       (_coef_without_an_axis, "system")],
                          ids=["integrand-window", "grid-stop", "impulse-time",
                               "poly-int", "window-int", "impulses-int",
                               "zeta-grid-int", "nonlinearity-int", "params-int",
-                              "coef-int", "check-T-null"])
+                              "coef-int"])
 def test_missing_required_key_is_config_error(tmp_path, case, key):
     _, cfg = small_saddle_config(tmp_path)
     command, cfg = case(cfg)
@@ -724,3 +719,79 @@ def test_importing_the_package_loads_no_layer():
     code, loaded = fresh_imports(["-c", "import kurzmani"])
     assert code == 0 and "kurzmani" in loaded
     assert sorted(m for m in loaded if m.startswith("kurzmani.")) == []
+
+
+def coupled_run_config(tmp_path):
+    """Generator [[-1, 3], [0.5, 1]], kicks diag(0.1, 0) at 1, ..., 10, a run
+    on [0.5, 10.5] and no certification grid."""
+    path, cfg = small_saddle_config(tmp_path, s=0.5, T=10.5)
+    cfg["system"]["A"] = {"constant": [[-1.0, 3.0], [0.5, 1.0]]}
+    cfg["system"]["impulses"] = [{"time": float(t), "B": [[0.1, 0.0], [0.0, 0.0]]}
+                                 for t in range(1, 11)]
+    del cfg["solver"]["grid"]
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    return path, cfg
+
+
+def test_dichotomy_certifies_the_manifold_context(tmp_path):
+    # the projection is taken at t0 = s = 0.5 on the grid build_context
+    # certifies; at t0 = 0 it read [[0.8001, -1.0274], [-0.1557, 0.1999]]
+    path, cfg = coupled_run_config(tmp_path)
+    assert main(["dichotomy", "--config", path, "--out", str(tmp_path)]) == 0
+    cert = json.loads((tmp_path / "t_dichotomy.json").read_text())
+    spec, run = _read_run(cfg, SimpleNamespace(command="manifold", tol=None))
+    dich = apps.build_context(spec, **run.context).dich
+    assert cert["P0"] == dich.P0.tolist()
+    assert (cert["K"], cert["alpha"]) == (dich.K, dich.alpha)
+    np.testing.assert_allclose(cert["P0"], [[0.8098, -0.9612], [-0.1602, 0.1902]],
+                               atol=1e-4)
+
+
+def _without_zeta_grid(cfg):
+    del cfg["solver"]["zeta_grid"]
+    return "manifold", "zeta_grid"
+
+
+def _short_initial_point(cfg):
+    cfg["solver"]["initial_points"] = [[0.1, 0.0], [0.1]]
+    return "classify", "n = 2"
+
+
+def _window_of_an_ide_run(cfg):
+    cfg["solver"]["window"] = [0.0, 12.0]
+    return "check", "'window'"
+
+
+@pytest.mark.parametrize("case", [_without_zeta_grid, _short_initial_point,
+                                  _window_of_an_ide_run],
+                         ids=["manifold-zeta-grid", "classify-point", "ide-window"])
+def test_run_keys_are_refused_before_any_layer_work(tmp_path, capsys, monkeypatch,
+                                                   case):
+    def refused(*args, **kwargs):
+        raise AssertionError("the run reached a solver layer")
+
+    monkeypatch.setattr(apps, "build_context", refused)
+    monkeypatch.setattr(apps, "check_hypotheses", refused)
+    _, cfg = small_saddle_config(tmp_path)
+    command, named = case(cfg)
+    path = tmp_path / "keys.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "config" and named in err["message"]
+
+
+def test_check_without_horizon_spans_s_to_s_plus_10(tmp_path, capsys):
+    reports = []
+    for T in ("absent", None, 10.5):
+        path, cfg = small_saddle_config(tmp_path, s=0.5, T=T)
+        if T == "absent":
+            del cfg["solver"]["T"]
+            with open(path, "w") as fh:
+                json.dump(cfg, fh)
+        assert main(["check", "--config", path, "--out", str(tmp_path)]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0]["conditions"]["b_forcing_integrable"]["witness"] \
+        == "window-relative over [0.5, 10.5]"

@@ -259,7 +259,7 @@ def test_certify_records_the_projection_mode(request, name, how):
 
 def test_certify_records_explicit_and_requested_svd_modes():
     cfg = cli.load_config(CONFIGS / "expansion_example.json")
-    op = FundamentalOperator(cli._linear_spec(cfg), (0.0, 3.0))
+    op = FundamentalOperator(cli.parse_system(cfg), (0.0, 3.0))
     explicit = certify(op, P0=np.asarray(cli.solver_block(cfg)["P0"], dtype=float))
     assert explicit.report.projection_mode == "explicit"
     kicked = FundamentalOperator(aperiodic_saddle_spec(), (0.0, 10.0))
@@ -542,16 +542,19 @@ def test_mesh_family_matches_inverse_step_oracle(name):
 
 @pytest.mark.parametrize("name", ["impulsive_saddle", "t0_inside", "t0_at_end"])
 def test_mesh_family_equals_value_step_recurrence(name):
-    """Conjugated one ``value`` step at a time from P(t0) = P0, the mesh
-    family keeps its bits."""
+    """Conjugated one mesh step at a time from P(t0) = P0, each step
+    V(x_{i+1}, x_i) one ``value`` call (the stored row ``cells.fwd[i]``, bit
+    for bit) and its inverse the stored ``cells.bwd[i]``, the mesh family
+    keeps its bits.  ``value`` itself inverts a backward step, which
+    ``test_mesh_family_matches_inverse_step_oracle`` compares."""
     op, P0 = _mesh_case(name)
-    x, i0 = op.nodes, op.i_t0
+    x, i0, bwd = op.nodes, op.i_t0, op.cells.bwd
     want = np.empty((len(x), op.n, op.n))
     want[i0] = P0
     for i in range(i0 + 1, len(x)):
-        want[i] = op.value(x[i], x[i - 1]) @ want[i - 1] @ op.value(x[i - 1], x[i])
+        want[i] = op.value(x[i], x[i - 1]) @ want[i - 1] @ bwd[i - 1]
     for i in range(i0 - 1, -1, -1):
-        want[i] = op.value(x[i], x[i + 1]) @ want[i + 1] @ op.value(x[i + 1], x[i])
+        want[i] = bwd[i] @ want[i + 1] @ op.value(x[i + 1], x[i])
     assert np.array_equal(projection_family(op, P0), want)
 
 

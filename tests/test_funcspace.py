@@ -313,15 +313,19 @@ def test_sorted_unique_of_rows_equals_np_unique_on_axis_0():
 # the Gauss-Kronrod rule, with scipy's quad and quad_vec as the outside oracle
 # ---------------------------------------------------------------------------
 
-def _one_cell(f, a, b):
-    """K21 and |K21 - G10| on the single cell [a, b]."""
-    k21, err = funcspace._kronrod_cells(f, np.array([a]), np.array([b]))
-    return float(k21[0]), float(err[0])
+def _one_cell(f):
+    """K21 on the single cell [-1, 1] and the raw pair difference |K21 - G10|
+    there, G10 summed from the table (the cell estimate floors it at
+    50 eps resabs)."""
+    x, _, _, wg = funcspace.KRONROD_21
+    k21, _ = funcspace._kronrod_cells(f, np.array([-1.0]), np.array([1.0]))
+    g10 = float(np.dot(wg, f(-x[:5]) + f(x[:5])))
+    return float(k21[0]), abs(float(k21[0]) - g10)
 
 
 @pytest.mark.parametrize("degree", range(34))
 def test_kronrod_pair_is_exact_to_degree_31_and_gauss_to_19(degree):
-    k21, diff = _one_cell(lambda t: t ** degree, -1.0, 1.0)
+    k21, diff = _one_cell(lambda t: t ** degree)
     exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
     if degree <= 31:
         assert abs(k21 - exact) <= 1e-15
@@ -363,7 +367,7 @@ def test_rule_agrees_with_quad_on_scalar_integrands(case):
     got, err = gauss_kronrod(f, a, b)
     want = quad(f, a, b, epsabs=1e-13, epsrel=1e-13, limit=500)[0]
     assert err <= max(funcspace._QUAD_TOL, 1e-12 * abs(got))
-    assert abs(got - want) <= 10 * funcspace._QUAD_TOL * max(1.0, abs(want))
+    assert abs(got - want) <= err
 
 
 VECTOR_CASES = {
@@ -386,9 +390,9 @@ def test_rule_agrees_with_quad_vec_on_vector_and_matrix_integrands(case):
                     limit=2000)[0]
     assert got.shape == want.shape
     assert err <= max(funcspace._QUAD_TOL, 1e-12 * norm(got))
-    # |K21 - G10| understates the error at a kink: 1.2e-10 against an
-    # estimate of 6.9e-11 on the third component here
-    assert np.max(np.abs(got - want)) <= 10 * funcspace._QUAD_TOL
+    # qk21's scaled estimate bounds the error, at the kink of the third
+    # component too (the raw |K21 - G10| read 6.9e-11 against 1.2e-10 there)
+    assert np.max(np.abs(got - want)) <= err
 
 
 def test_kinked_matrix_norm_integrates_to_three_quarters():

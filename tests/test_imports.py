@@ -11,7 +11,8 @@ table inverts every jump factor), and the registry nonlinearities, ``Segment.eva
 there never depends on its batch), no module reads a numpy name that imports
 ``numpy.ma``, ``numpy.random`` or ``numpy.polynomial``, and neither the
 package nor the CLI imports a solver layer at module level (so a fresh
-process loads only the layers its command runs).  The BLAS guard follows
+process loads only the layers its command runs), and only ``cli._read_run``
+calls ``solver_block`` (so the CLI reads a run once).  The BLAS guard follows
 calls by bare name only, so each method is named as a target.  The
 dead-definition guard counts a method as reached only by an attribute read
 (``x.name``): a bare name, such as a local variable of the method's name,
@@ -327,19 +328,25 @@ def test_apps_calls_no_linalg_inv():
     assert linalg_inv_calls((SRC / "apps.py").read_text(encoding="utf-8")) == []
 
 
-def attribute_reads(source, attr):
-    """(scope, line) of every read of ``.attr``.  The scope is the
+def scopes(source):
+    """(scope, node) of every top-level statement: the scope is the
     module-level function or class that holds it, a method as
     "Class.method", and "<module>" for any other statement."""
-    scopes = []
+    out = []
     for node in ast.parse(source).body:
         if isinstance(node, ast.ClassDef):
-            scopes += [("%s.%s" % (node.name, item.name)
-                        if isinstance(item, ast.FunctionDef) else node.name, item)
-                       for item in node.body]
+            out += [("%s.%s" % (node.name, item.name)
+                     if isinstance(item, ast.FunctionDef) else node.name, item)
+                    for item in node.body]
         else:
-            scopes.append((getattr(node, "name", "<module>"), node))
-    return sorted((scope, n.lineno) for scope, node in scopes for n in ast.walk(node)
+            out.append((getattr(node, "name", "<module>"), node))
+    return out
+
+
+def attribute_reads(source, attr):
+    """(scope, line) of every read of ``.attr`` (scopes as ``scopes``)."""
+    return sorted((scope, n.lineno) for scope, node in scopes(source)
+                  for n in ast.walk(node)
                   if isinstance(n, ast.Attribute) and n.attr == attr
                   and isinstance(n.ctx, ast.Load))
 
@@ -374,6 +381,31 @@ def test_only_funcspace_and_the_stacked_cell_grouping_read_is_constant():
     sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
     assert constant_cell_readers(sources) == {
         "linsys.py": ["FundamentalOperator.cells"]}
+
+
+def callers(source, name):
+    """The scopes (as ``scopes``) that call ``name``, by bare name or as an
+    attribute."""
+    return sorted({scope for scope, node in scopes(source) for n in ast.walk(node)
+                   if isinstance(n, ast.Call)
+                   and name in (getattr(n.func, "id", None),
+                                getattr(n.func, "attr", None))})
+
+
+def test_guard_flags_a_planted_solver_block_reader():
+    src = ("def f(cfg):\n    return solver_block(cfg)\n\n\n"
+           "class Cmd:\n    def run(self, cfg):\n        return cli.solver_block(cfg)\n\n\n"
+           "def g(cfg):\n    return solver_block\n\n\nx = solver_block({})\n")
+    assert callers(src, "solver_block") == ["<module>", "Cmd.run", "f"]
+    planted = (SRC / "cli.py").read_text(encoding="utf-8") + (
+        "\n\ndef _horizon(cfg):\n    return solver_block(cfg).get(\"T\")\n")
+    assert callers(planted, "solver_block") == ["_horizon", "_read_run"]
+
+
+def test_only_the_run_reader_reads_the_solver_block():
+    """``cli._read_run`` parses the solver block once for every command."""
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert callers(source, "solver_block") == ["_read_run"]
 
 
 # calls that reach a BLAS kernel (or, for ``vander``, feed one)

@@ -410,20 +410,6 @@ def test_adjacent_backward_step_is_the_inverse_forward_step(make, window):
         assert norm(op.value(x[j], x[j + 1]) - want) <= 1e-13 * norm(want), j
 
 
-@pytest.mark.parametrize("make, window", [
-    (lambda: _shipped_linear_spec("scalar_mde"), (0.0, 12.0)),
-    (_piecewise_spec, (0.0, 3.5)),
-], ids=["scalar_mde", "piecewise"])
-def test_adjacent_step_is_the_read_only_store_row(make, window):
-    op = FundamentalOperator(make(), window)
-    x = op.nodes
-    for j in range(len(x) - 1):
-        for got, row in ((op.value(x[j + 1], x[j]), op.cells.fwd[j]),
-                         (op.value(x[j], x[j + 1]), op.cells.bwd[j])):
-            assert np.shares_memory(got, row) and np.array_equal(got, row), j
-            assert not got.flags.writeable
-
-
 def _two_jumps(kinds, gap):
     """Factor 2 at t = 1 and factor 3 at t = 1 + gap, each an impulse or an
     atom of the measure part (C = 1)."""
