@@ -4,8 +4,8 @@ Both realizations are one generalized ODE, dz = D[Lambda(t) z + F(z, t)]:
 an ``IdeSpec`` or ``MdeSpec`` names its linear part (``linear_spec``), its
 nonlinearity (``nonlin``) and the hypotheses it enforces (``enforced``), and
 ``build_context`` turns either into a ready solver context: fundamental
-operator, certified splitting, regularity constants and the smallness
-gates.  Every named hypothesis of the two realizations is evaluated by
+operator, certified splitting, regularity constants and the realization's
+gate.  Every named hypothesis of the two realizations is evaluated by
 ``check_hypotheses`` with computed constants and witnesses; context
 construction refuses specs whose structural hypotheses (invertible jump
 factors, monotone driver) fail, while smallness gates are reported rather
@@ -26,9 +26,9 @@ import numpy as np
 
 from .dichotomy import certify
 from .funcspace import (LEBESGUE, PiecewisePath, StieltjesMeasure, norm,
-                        norm_integral, plain)
-from .linsys import (FundamentalOperator, LinearSystemSpec, check_regularity,
-                     inverse_bound, jump_table)
+                        norm_integral, plain, quadrature_miss)
+from .linsys import (FundamentalOperator, LinearSystemSpec, inverse_bound,
+                     jump_table)
 from .lp_manifold import (LPContext, NonlinearitySpec, auto_horizon,
                           contraction_bound)
 
@@ -233,9 +233,12 @@ def _check_mde(spec: MdeSpec, window) -> HypothesesReport:
     rep.items["D6_atom_inverses"] = CheckItem(bad is None, C_g, bad)
     rep.items["a_atom_inverse_bound"] = CheckItem(bad is None, C_g, bad)
 
+    # u is nondecreasing on the window when its variation there is its mass
     V_u = spec.u.variation(window)
+    mass = float(spec.u.cell_masses(np.array(window, dtype=float))[0])
+    monotone = bool(V_u - mass <= quadrature_miss(V_u))
     rep.items["b_driver_nondecreasing_bv"] = CheckItem(
-        bool(spec.u.nondecreasing and math.isfinite(V_u)), V_u)
+        monotone, V_u, None if monotone else mass)
 
     sup_H, lip_H = _lipschitz_probe(spec.H, n, 2.0 * spec.H.rho)
     M_H, L_H = spec.H.sup_eff, spec.H.lip_eff
@@ -262,12 +265,12 @@ def build_context(spec, s=0.0, T=None, tol=1e-10, base_step=0.1, P0=None,
 
     A failed hypothesis of ``spec.enforced`` raises ``HypothesisError`` with
     the named condition; without ``T`` a probe certification on [s, s + 20]
-    sets the horizon (``auto_horizon``).  The reports carry the hypotheses,
-    the dichotomy, and two ``contraction_bound`` gates with V the variation
-    of Lambda from the mesh store: the smallness gate, scale 2 V_h with C_a,
-    and the realization's printed gate, scale M_gamma = V_h with C_b
-    (impulsive) or 2 L_H V_u with C_g (measure-driven), L_H the kernel's
-    ``lip_eff``; V_h and V_u are taken over the run window [s, T].
+    sets the horizon (``auto_horizon``).  The context's reports gain the
+    hypotheses and the realization's printed gate, a ``contraction_bound``
+    with V the variation of Lambda from the mesh store and scale M_gamma =
+    V_h with C_b (impulsive) or 2 L_H V_u with C_g (measure-driven), L_H the
+    kernel's ``lip_eff``; V_h and V_u are taken over the run window [s, T].
+    The smallness gate is ``contraction_estimate(ctx, s)``.
     """
     s = float(s)
     probe_hi = T if T is not None else s + 20.0
@@ -286,18 +289,14 @@ def build_context(spec, s=0.0, T=None, tol=1e-10, base_step=0.1, P0=None,
         T = s + math.ceil((T - s) / base_step) * base_step
     window = (s, float(T))
     fund = FundamentalOperator(linspec, window, base_step)
-    dich = certify(fund, grid, P0)
-    reg = check_regularity(fund)
-    K, V, v_h = dich.K, reg.V_Lambda, nonlin.v_h(window)
+    ctx = LPContext(fund, certify(fund, grid, P0), nonlin, tol)
     if isinstance(spec, IdeSpec):
-        scale, C = v_h, hyp.constants["C_b"]
+        scale, C = nonlin.v_h(window), hyp.constants["C_b"]
     else:
         scale, C = 2.0 * spec.H.lip_eff * spec.u.variation(window), hyp.constants["C_g"]
-    return LPContext(fund, dich, nonlin, T=window[1], tol=tol, regularity=reg,
-                     reports={"hypotheses": hyp, "dichotomy": dich.report,
-                              "smallness_gate": contraction_bound(
-                                  2.0 * v_h, K, reg.C_a, V),
-                              "realization_gate": contraction_bound(scale, K, C, V)})
+    ctx.reports.update(hypotheses=hyp, realization_gate=contraction_bound(
+        scale, ctx.dich.K, C, ctx.regularity.V_Lambda))
+    return ctx
 
 
 ide_to_context = mde_to_context = build_context

@@ -79,6 +79,18 @@ def _field(node, key, what):
         raise ConfigError("%s needs a %r entry" % (what, key)) from None
 
 
+def _only(node, keys, what):
+    """``node``, an object with no key outside ``keys``: another key is a
+    ``ConfigError`` naming it, and a non-object a ``TypeError`` (wrong type)."""
+    if not isinstance(node, dict):
+        raise TypeError("%s must be an object" % what)
+    extra = sorted(set(node) - set(keys))
+    if extra:
+        raise ConfigError("%s takes only %s, not %s" % (
+            what, ", ".join(keys), ", ".join(map(repr, extra))))
+    return node
+
+
 def _matrix(value, what):
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
@@ -103,10 +115,12 @@ def parse_path(node, what, scalar=False):
     if kind == "poly":
         return PiecewisePath.polynomial([conv(c) for c in body])
     if kind == "preset":
+        _only(body, ("kind", "amp", "params"), what + ".preset")
         return PiecewisePath.preset(_field(body, "kind", what + ".preset"),
                                     conv(body.get("amp", 1.0)),
                                     tuple(_field(body, "params", what + ".preset")))
     if kind == "piecewise":
+        _only(body, ("times", "segments"), what + ".piecewise")
         segs = []
         for seg in _field(body, "segments", what + ".piecewise"):
             piece = parse_path(seg, what, scalar=scalar)
@@ -119,12 +133,10 @@ def parse_path(node, what, scalar=False):
 
 
 def parse_measure(node, what):
-    if not isinstance(node, dict):
-        raise ConfigError("%s must be a measure spec object" % what)
+    _only(node, ("density", "atoms"), what)
     density = parse_path(node.get("density", 0.0), what + ".density", scalar=True)
     atoms = [(float(t), float(w)) for t, w in node.get("atoms", [])]
-    return StieltjesMeasure(density, atoms,
-                            nondecreasing=bool(node.get("nondecreasing", False)))
+    return StieltjesMeasure(density, atoms)
 
 
 def parse_nonlinearity(node, u=None):
@@ -133,15 +145,21 @@ def parse_nonlinearity(node, u=None):
     if node is None:
         raise ConfigError("system.nonlinearity is required for this subcommand")
     from .lp_manifold import NonlinearitySpec
-    extra = sorted(set(node) - {"registry", "params", "rho"})
-    if extra:
-        raise ConfigError("system.nonlinearity takes only registry, params and "
-                          "rho, not %s" % ", ".join(map(repr, extra)))
+    _only(node, ("registry", "params", "rho"), "system.nonlinearity")
     try:
         return NonlinearitySpec(node["registry"], node.get("params", {}),
                                 rho=float(node.get("rho", 0.5)), measure=u)
     except KeyError as exc:
         raise ConfigError("nonlinearity spec: %s" % exc)
+
+
+# the keys the system block takes, per kind
+SYSTEM_KEYS = {"ide": ("kind", "n", "A", "impulses", "nonlinearity"),
+               "mde": ("kind", "n", "A", "C", "u", "nonlinearity"),
+               "linear": ("kind", "n", "A", "impulses", "C", "u", "t0")}
+# the keys any command reads from the solver block
+SOLVER_KEYS = ("s", "T", "tol", "base_step", "grid", "P0", "window",
+               "zeta_grid", "bound", "initial_points")
 
 
 @_reading("system")
@@ -150,8 +168,9 @@ def parse_system(cfg):
     if not isinstance(sysblock, dict):
         raise ConfigError("config needs a 'system' block")
     kind = sysblock.get("kind")
-    if kind not in ("ide", "mde", "linear"):
+    if kind not in SYSTEM_KEYS:
         raise ConfigError("system.kind must be one of ide/mde/linear")
+    _only(sysblock, SYSTEM_KEYS[kind], "system (kind %s)" % kind)
     n = int(sysblock.get("n", 0))
     if n <= 0:
         raise ConfigError("system.n must be a positive integer")
@@ -159,9 +178,11 @@ def parse_system(cfg):
     if A.shape != (n, n):
         raise ConfigError("system.A has shape %r, expected (%d, %d)"
                           % (A.shape, n, n))
+    entries = [_only(e, ("time", "B"), "system.impulses entry")
+               for e in sysblock.get("impulses", [])]
     impulses = tuple((float(_field(e, "time", "system.impulses entry")),
                       _matrix(_field(e, "B", "system.impulses entry"), "impulse B"))
-                     for e in sysblock.get("impulses", []))
+                     for e in entries)
     if kind == "ide":
         from .apps import IdeSpec
         f = parse_nonlinearity(sysblock.get("nonlinearity"))
@@ -183,10 +204,7 @@ def parse_system(cfg):
 
 
 def solver_block(cfg):
-    sol = dict(cfg.get("solver", {}))
-    if "projection_mode" in sol:
-        raise ConfigError("solver takes no 'projection_mode': give P0 or none")
-    return sol
+    return dict(_only(cfg.get("solver", {}), SOLVER_KEYS, "solver"))
 
 
 def parse_grid(node, default):
@@ -329,6 +347,7 @@ def _run_integrand(cfg, args, default_tol):
     block = cfg.get("integrand")
     if not isinstance(block, dict):
         raise ConfigError("config needs an 'integrand' block")
+    _only(block, ("f", "window", "tol", "scalar", "mu"), "integrand")
     with _reading("integrand"):
         f = parse_path(_field(block, "f", "integrand"), "integrand.f",
                        scalar=bool(block.get("scalar", True)))

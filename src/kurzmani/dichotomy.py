@@ -197,8 +197,6 @@ def projection_family(op: FundamentalOperator, P0):
 
 @dataclass
 class DichotomyReport:
-    K_fit: float
-    alpha_fit: float
     dichotomy_detected: bool
     samples: list = field(default_factory=list)   # (separation, log N, t, s, side)
     witness: tuple | None = None
@@ -216,7 +214,6 @@ class DichotomyData:
 
     def __post_init__(self):
         self.P0 = _validate_projection(self.P0)
-        self.rank = int(round(float(np.trace(self.P0))))
 
 
 def fit_envelope(seps, logs):
@@ -239,7 +236,7 @@ def fit_envelope(seps, logs):
 def verify_dichotomy(op: FundamentalOperator, P0, grid):
     """Sample both decay families on a grid and fit (K, alpha).
 
-    Returns ``(K_fit, alpha_fit, report)``.  The stable family includes
+    Returns ``(K, alpha, report)``.  The stable family includes
     t = s; the unstable family is sampled strictly at t < s.  A side of rank
     zero (round(trace P0) is 0 or n) has no family: its samples would be
     roundoff, which the backward chain can blow up past the true bound.
@@ -287,14 +284,11 @@ def verify_dichotomy(op: FundamentalOperator, P0, grid):
                    grid[t_at].tolist(), grid[s_at].tolist(), side.tolist())
                if v > 1e-250]
     seps, logs = np.array([x[:2] for x in samples]).T
-    alpha_fit, logK = fit_envelope(seps, logs)
-    K_fit = math.exp(logK)
-    iworst = int(np.argmax(logs + alpha_fit * seps))
-    report = DichotomyReport(
-        K_fit=K_fit, alpha_fit=alpha_fit,
-        dichotomy_detected=alpha_fit > 1e-6,
-        samples=samples, witness=samples[iworst][2:])
-    return K_fit, alpha_fit, report
+    alpha, logK = fit_envelope(seps, logs)
+    iworst = int(np.argmax(logs + alpha * seps))
+    report = DichotomyReport(dichotomy_detected=alpha > 1e-6, samples=samples,
+                             witness=samples[iworst][2:])
+    return math.exp(logK), alpha, report
 
 
 def certify(op: FundamentalOperator, grid=None, P0=None) -> DichotomyData:
@@ -308,6 +302,6 @@ def certify(op: FundamentalOperator, grid=None, P0=None) -> DichotomyData:
         grid = np.linspace(lo, min(hi, lo + 10.0), 21)
     grid = np.asarray([g for g in grid if lo <= g <= hi])
     proj, how = spectral_projection(op.spec, P0)
-    K_fit, alpha_fit, report = verify_dichotomy(op, proj, grid)
+    K, alpha, report = verify_dichotomy(op, proj, grid)
     report.projection_mode = how
-    return DichotomyData(P0=proj, K=K_fit, alpha=alpha_fit, report=report)
+    return DichotomyData(P0=proj, K=K, alpha=alpha, report=report)

@@ -492,7 +492,7 @@ class StieltjesMeasure:
     at ``b`` does not.
     """
 
-    def __init__(self, density: PiecewisePath, atoms=(), nondecreasing=False):
+    def __init__(self, density: PiecewisePath, atoms=()):
         if density.shape != ():
             raise ValueError("measure density must be scalar-valued")
         self.density = density
@@ -501,20 +501,6 @@ class StieltjesMeasure:
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("atom times must be strictly increasing")
         self.atoms = atoms
-        self.nondecreasing = bool(nondecreasing)
-        if self.nondecreasing:
-            if any(w < 0 for _, w in atoms):
-                raise ValueError("nondecreasing measure cannot have negative atoms")
-            self._check_density_sign()
-
-    def _check_density_sign(self):
-        # sampled check per segment; sufficient for the representable class
-        cuts = [-1.0, 0.0, 1.0] if len(self.density.times) == 0 else \
-            list(self.density.times)
-        lo, hi = min(cuts) - 1.0, max(cuts) + 1.0
-        grid = sorted_unique(np.concatenate([np.linspace(lo, hi, 41), cuts]))
-        if np.any(self.density.sample(grid) < -1e-12):
-            raise ValueError("nondecreasing measure needs a nonnegative density")
 
     def atoms_in(self, lo, hi):
         """Atoms belonging to the window [lo, hi)."""
@@ -547,7 +533,7 @@ class StieltjesMeasure:
 
 
 # dt: the driving measure of a forcing that is given no other
-LEBESGUE = StieltjesMeasure(PiecewisePath.constant(1.0), nondecreasing=True)
+LEBESGUE = StieltjesMeasure(PiecewisePath.constant(1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -637,11 +623,15 @@ def gauss_kronrod(f, a, b):
     return vals.sum(axis=0), float(errs.sum())
 
 
+def quadrature_miss(size):
+    """max(100 tol, 1e-8 (1 + size)): what a quadrature of size may miss by."""
+    return max(100 * _QUAD_TOL, 1e-8 * (1.0 + size))
+
+
 def check_quadrature(err, size, what):
     """The one quadrature-miss rule: ``QuadratureError`` (naming ``what``) when
-    the error ``err`` exceeds max(100 tol, 1e-8 (1 + size)), size = |integral|,
-    or is not a number."""
-    if not err <= max(100 * _QUAD_TOL, 1e-8 * (1.0 + size)):
+    the error ``err`` exceeds ``quadrature_miss(size)`` or is not a number."""
+    if not err <= quadrature_miss(size):
         raise QuadratureError("%s quadrature achieved only %.3e" % (what, err), err)
 
 

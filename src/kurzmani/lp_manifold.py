@@ -67,7 +67,7 @@ import numpy as np
 from .dichotomy import DichotomyData, SplittingError, projection_family
 from .funcspace import (GAUSS_LEGENDRE, LEBESGUE, StieltjesMeasure, norm,
                         sorted_unique)
-from .linsys import (FundamentalOperator, PropagationError, RegularityReport,
+from .linsys import (FundamentalOperator, PropagationError, check_regularity,
                      dop853, expm)
 
 _RANGE_TOL = 1e-10
@@ -403,30 +403,30 @@ def _stable_sweep(kern: _Kernels, zetas, c):
 class LPContext:
     """Everything a manifold solve needs, with read-only stacked kernels.
 
-    ``atom_weights`` holds the weight of the nonlinearity's driving measure
-    at each mesh node (zero where it has no atom).  A nonlinearity that does
-    not map R^n to R^n for the operator's n is refused.
+    ``T`` is the operator's last node, ``regularity`` its ``check_regularity``
+    and ``reports`` starts empty.  ``atom_weights`` holds the weight of the
+    nonlinearity's driving measure at each mesh node (zero where it has no
+    atom).  A nonlinearity that does not map R^n to R^n for the operator's n
+    is refused.
     """
 
     def __init__(self, fund: FundamentalOperator, dich: DichotomyData,
-                 nonlin: NonlinearitySpec, T, tol=1e-10,
-                 regularity: RegularityReport | None = None, reports=None):
+                 nonlin: NonlinearitySpec, tol=1e-10):
         nonlin.require_dimension(fund.n)
         self.fund = fund
         self.dich = dich
         self.nonlin = nonlin
-        self.T = float(T)
+        self.T = float(fund.window[1])
         self.tol = float(tol)
-        self.regularity = regularity
-        self.reports = dict(reports or {})
+        self.regularity = check_regularity(fund)
+        self.reports = {}
         lo, hi = fund.window
         atoms = [(t, w) for t, w in nonlin.measure.atoms if lo <= t <= hi]
         try:
-            self.i_T = fund.node_index(self.T)
             at = fund.node_index([t for t, _ in atoms])
         except KeyError as exc:
-            raise ValueError("the horizon and every nonlinearity atom must be "
-                             "mesh nodes: %s" % exc.args[0]) from None
+            raise ValueError("every nonlinearity atom must be a mesh node: %s"
+                             % exc.args[0]) from None
         self.atom_weights = np.zeros(len(fund.nodes))
         self.atom_weights[at] = [w for _, w in atoms]
         self.atom_weights.flags.writeable = False
@@ -472,36 +472,33 @@ class LPContext:
         return _Kernels._make(a[i_s:] for a in self._kernels)
 
     def _build_kernels(self):
-        fund, m = self.fund, self.i_T
+        fund = self.fund
         eye = np.eye(fund.n)
-        phi, phi_sig_inv, F, G = (a[:m] for a in fund.cells)
-        J, J_inv = fund.jumps[:m + 1], fund.jump_invs[:m + 1]
-        proj = self._projections()[:m + 1]
-        P_plus = J[:m] @ proj[:m] @ J_inv[:m]
+        phi, phi_sig_inv, F, G = fund.cells
+        J, J_inv = fund.jumps, fund.jump_invs
+        proj = self._projections()
+        P_plus = J[:-1] @ proj[:-1] @ J_inv[:-1]
         atom_s = phi @ P_plus
-        atom_u = J_inv[:m] @ (eye - P_plus)
+        atom_u = J_inv[:-1] @ (eye - P_plus)
         self.reports["splitting"] = {
             "idempotency_defect": self._proj_defect,
-            "cocycle_gap": float(np.max(_stacked_norm(proj[1:] @ F - F @ proj[:m]),
+            "cocycle_gap": float(np.max(_stacked_norm(proj[1:] @ F - F @ proj[:-1]),
                                         initial=0.0))}
-        sigma = fund._sigma[:m]
-        a, b = fund.nodes[:m, None], fund.nodes[1:m + 1, None]
+        sigma = fund._sigma
+        a, b = fund.nodes[:-1, None], fund.nodes[1:, None]
         return _Kernels(
             sigma=sigma, lam=(sigma - a) / (b - a),
-            wq=fund._weights[:m] * self.nonlin.measure.density.sample(sigma),
-            atom_w=self.atom_weights[:m],
+            wq=fund._weights * self.nonlin.measure.density.sample(sigma),
+            atom_w=self.atom_weights[:-1],
             J=J, F=F, atom_s=atom_s, atom_u=atom_u,
             K_stable=_q_blocks(atom_s[:, None] @ phi_sig_inv),
             K_unstable=_q_blocks(atom_u[:, None] @ phi_sig_inv),
-            scan=_scan_levels(np.concatenate([F @ proj[:m], np.zeros((1,) + eye.shape),
+            scan=_scan_levels(np.concatenate([F @ proj[:-1], np.zeros((1,) + eye.shape),
                                               (G @ (eye - proj[1:]))[-2::-1]])))
 
     def span(self, s):
         """Mesh node indices covering [s, T]; s must be a node."""
-        i_s = self.fund.node_index(s)
-        if i_s > self.i_T:
-            raise ValueError("base time %g is past the horizon %g" % (s, self.T))
-        return np.arange(i_s, self.i_T + 1)
+        return np.arange(self.fund.node_index(s), len(self.fund.nodes))
 
     def initial_path(self, zeta, s):
         """z_0(t) = V(t, s) zeta for zeta in the stable range at s."""
@@ -791,8 +788,6 @@ def contraction_estimate(ctx: LPContext, s) -> float:
     The bound is wildly conservative (it carries exp(3 C_a V_Lambda)), so it
     is reported and never gates a solve; the observed iterate ratios do.
     """
-    if ctx.regularity is None:
-        raise ValueError("context carries no regularity report")
     return contraction_bound(2.0 * ctx.nonlin.v_h((float(s), ctx.T)), ctx.dich.K,
                              ctx.regularity.C_a, ctx.regularity.V_Lambda)
 
@@ -988,12 +983,10 @@ def manifold_graph(s, zeta_grid, ctx: LPContext) -> ManifoldGraph:
         lip = float(np.max(np.linalg.norm(Mc[i] - Mc[j], axis=-1)[far] / dz[far],
                            initial=0.0))
     L_emp = max((s_.L_empirical for s_ in sols), default=0.0)
-    L_theory = math.nan
-    if ctx.regularity is not None:
-        L_theory = contraction_estimate(ctx, s)
     graph = ManifoldGraph(
         s=s, basis_stable=Bs, basis_unstable=Bu, samples=samples,
-        lipschitz_estimate=lip, L_empirical=L_emp, L_theory=L_theory,
+        lipschitz_estimate=lip, L_empirical=L_emp,
+        L_theory=contraction_estimate(ctx, s),
         tail_bound=ctx.tail_bound(s), K_fit=ctx.dich.K)
     return graph
 

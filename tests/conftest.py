@@ -13,7 +13,7 @@ COUPLED = np.array([[-1.0, 3.0], [0.5, 1.0]])
 
 def lebesgue():
     """Lebesgue measure: density 1, no atoms."""
-    return StieltjesMeasure(PiecewisePath.constant(1.0), (), nondecreasing=True)
+    return StieltjesMeasure(PiecewisePath.constant(1.0), ())
 
 
 def masses_of_pairs(mu, los, his):
@@ -79,8 +79,7 @@ def ctx_coupled():
 @pytest.fixture(scope="session")
 def ctx_scalar_mde():
     """Scalar contraction driven by Lebesgue + one atom, tanh kernel."""
-    u = StieltjesMeasure(PiecewisePath.constant(1.0), [(1.0, 0.3)],
-                         nondecreasing=True)
+    u = StieltjesMeasure(PiecewisePath.constant(1.0), [(1.0, 0.3)])
     H = NonlinearitySpec("saturated_tanh", {"gain": [[0.2]]}, rho=1.0, measure=u)
     spec = MdeSpec(1, PiecewisePath.constant([[-1.0]]),
                    PiecewisePath.constant([[0.0]]), u, H)

@@ -58,8 +58,7 @@ def test_acceptance_02_node_increment_identity():
 
 def test_acceptance_03_fundamental_operator_algebra():
     mu = StieltjesMeasure(PiecewisePath.constant(0.5),
-                          [(1.0, 0.2), (2.5, 0.1), (3.5, 0.3)],
-                          nondecreasing=True)
+                          [(1.0, 0.2), (2.5, 0.1), (3.5, 0.3)])
     specs = [
         LinearSystemSpec(2, PiecewisePath.constant(
             np.array([[-1.0, 0.3], [0.1, 0.8]]))),

@@ -11,7 +11,8 @@ from kurzmani.apps import (HypothesisError, IdeSpec, MdeSpec, _probe_points,
                            mde_to_context)
 from kurzmani.funcspace import PiecewisePath, StieltjesMeasure, norm
 from kurzmani.linsys import FundamentalOperator, check_regularity
-from kurzmani.lp_manifold import NonlinearitySpec, contraction_bound, solve_lp
+from kurzmani.lp_manifold import (NonlinearitySpec, contraction_bound,
+                                  contraction_estimate, solve_lp)
 
 
 def saddle_path():
@@ -22,7 +23,7 @@ def test_linear_forcing_gives_zero_modulus():
     f = NonlinearitySpec("zero", {"n": 2}, rho=0.5)
     ctx = ide_to_context(IdeSpec(2, saddle_path(), (), f), s=0.0, T=10.0)
     assert ctx.nonlin.v_h((0.0, 10.0)) == 0.0
-    assert ctx.reports["smallness_gate"] == 0.0
+    assert contraction_estimate(ctx, 0.0) == 0.0
     sol = solve_lp(np.array([0.2, 0.0]), 0.0, ctx)
     assert np.allclose(sol.m, 0.0, atol=1e-12)
 
@@ -52,8 +53,7 @@ def test_context_default_grid_spans_ten_units_from_s():
     f = NonlinearitySpec("zero", {"n": 2}, rho=0.5)
     ctx = ide_to_context(IdeSpec(2, saddle_path(), (), f), s=1.0, T=41.0,
                          grid=None)
-    report = ctx.reports["dichotomy"]
-    assert report is ctx.dich.report
+    report = ctx.dich.report
     ts = [t for _, _, t, _, _ in report.samples]
     assert min(ts) == 1.0 and max(ts) == 11.0
 
@@ -112,8 +112,7 @@ def test_mde_zero_kernel_is_linear():
 
 
 def test_mde_atom_enters_accumulated_variation():
-    u = StieltjesMeasure(PiecewisePath.constant(0.0), [(1.0, 0.2)],
-                         nondecreasing=True)
+    u = StieltjesMeasure(PiecewisePath.constant(0.0), [(1.0, 0.2)])
     H = NonlinearitySpec("zero", {"n": 1}, rho=0.5, measure=u)
     spec = MdeSpec(1, PiecewisePath.constant([[0.0]]),
                    PiecewisePath.constant([[1.0]]), u, H)
@@ -122,8 +121,7 @@ def test_mde_atom_enters_accumulated_variation():
 
 
 def test_mde_rejects_singular_atom_factor():
-    u = StieltjesMeasure(PiecewisePath.constant(0.0), [(1.0, 1.0)],
-                         nondecreasing=True)
+    u = StieltjesMeasure(PiecewisePath.constant(0.0), [(1.0, 1.0)])
     H = NonlinearitySpec("zero", {"n": 1}, rho=0.5, measure=u)
     spec = MdeSpec(1, PiecewisePath.constant([[0.0]]),
                    PiecewisePath.constant([[-1.0]]), u, H)
@@ -144,9 +142,53 @@ def test_mde_flags_non_monotone_driver():
         mde_to_context(spec, T=3.0)
 
 
+def _driven(density, atoms):
+    """The scalar contraction of ``scalar_mde`` driven by ``density`` and
+    ``atoms``."""
+    u = StieltjesMeasure(density, atoms)
+    H = NonlinearitySpec("saturated_tanh", {"gain": [[0.2]]}, rho=1.0, measure=u)
+    return MdeSpec(1, PiecewisePath.constant([[-1.0]]),
+                   PiecewisePath.constant([[0.0]]), u, H)
+
+
+def test_monotonicity_of_u_is_measured_on_the_window():
+    # 5 - t with the atom (1, 0.3): |u|([0, 12)) = 12.5 + 24.5 + 0.3, while
+    # u([0, 12)) = 60 - 72 + 0.3 has mu([5, 12)) = -24.5 in it
+    spec = _driven(PiecewisePath.polynomial([5.0, -1.0]), [(1.0, 0.3)])
+    item = check_hypotheses(spec, (0.0, 12.0)).items["b_driver_nondecreasing_bv"]
+    assert not item.passed
+    assert item.value == pytest.approx(37.3, rel=1e-12)
+    assert item.witness == pytest.approx(-11.7, rel=1e-12)
+    with pytest.raises(HypothesisError) as err:
+        build_context(spec, s=0.0, T=12.0)
+    assert err.value.condition == "b_driver_nondecreasing_bv"
+    # the same u is nondecreasing on [0, 5]
+    assert check_hypotheses(spec, (0.0, 5.0)).items["b_driver_nondecreasing_bv"].passed
+    # 1 + t is positive on [0, 5], however it continues below 0
+    ctx = build_context(_driven(PiecewisePath.polynomial([1.0, 1.0]), ()),
+                        s=0.0, T=5.0)
+    item = ctx.reports["hypotheses"].items["b_driver_nondecreasing_bv"]
+    assert item.passed and item.witness is None
+    assert item.value == pytest.approx(17.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("t_atom, passed", [(1.5, False), (3.0, True)])
+def test_a_negative_atom_counts_only_inside_the_window(t_atom, passed):
+    # an atom at the window's end belongs to [3, ...), not to [0, 3)
+    spec = _driven(PiecewisePath.constant(1.0), [(t_atom, -0.1)])
+    item = check_hypotheses(spec, (0.0, 3.0)).items["b_driver_nondecreasing_bv"]
+    assert item.passed is passed
+    assert item.witness == (None if passed else pytest.approx(2.9, rel=1e-12))
+
+
+def test_context_reports_hold_what_their_layers_write(ctx_planar):
+    ctx_planar.kernels(0)
+    assert sorted(ctx_planar.reports) == ["hypotheses", "realization_gate",
+                                          "splitting"]
+
+
 def test_mde_smallness_gate_printed_formula():
-    u = StieltjesMeasure(PiecewisePath.constant(1.0), [(1.0, 0.3)],
-                         nondecreasing=True)
+    u = StieltjesMeasure(PiecewisePath.constant(1.0), [(1.0, 0.3)])
     H = NonlinearitySpec("saturated_tanh", {"gain": [[0.2]]}, rho=1.0, measure=u)
     spec = MdeSpec(1, PiecewisePath.constant([[-1.0]]),
                    PiecewisePath.constant([[0.0]]), u, H)
@@ -180,7 +222,7 @@ def test_round_trip_classical_system_between_front_ends():
     assert np.array_equal([ide_ctx.P(i) for i in nodes],
                           [mde_ctx.P(i) for i in nodes])
     assert ide_ctx.nonlin.v_h((0.0, 40.0)) == mde_ctx.nonlin.v_h((0.0, 40.0))
-    assert ide_ctx.reports["smallness_gate"] == mde_ctx.reports["smallness_gate"]
+    assert contraction_estimate(ide_ctx, 0.0) == contraction_estimate(mde_ctx, 0.0)
     for zeta1 in (0.1, 0.2):
         a = solve_lp(np.array([zeta1, 0.0]), 0.0, ide_ctx)
         b = solve_lp(np.array([zeta1, 0.0]), 0.0, mde_ctx)
@@ -216,8 +258,7 @@ def test_specs_refuse_a_nonlinearity_of_another_dimension():
 
 
 def test_context_meshes_contain_kernel_atoms():
-    u = StieltjesMeasure(PiecewisePath.constant(1.0), [(1.234, 0.1)],
-                         nondecreasing=True)
+    u = StieltjesMeasure(PiecewisePath.constant(1.0), [(1.234, 0.1)])
     H = NonlinearitySpec("zero", {"n": 1}, rho=0.5, measure=u)
     spec = MdeSpec(1, PiecewisePath.constant([[-1.0]]),
                    PiecewisePath.constant([[0.0]]), u, H)
@@ -264,7 +305,7 @@ def test_context_without_horizon_takes_both_gates_over_the_run_window():
     assert v_h == pytest.approx(152.0)
     assert ctx.reports["realization_gate"] == contraction_bound(
         v_h, K, hyp.constants["C_b"], reg.V_Lambda) == pytest.approx(2.28e45, rel=1e-2)
-    assert ctx.reports["smallness_gate"] == contraction_bound(
+    assert contraction_estimate(ctx, 0.0) == contraction_bound(
         2.0 * v_h, K, reg.C_a, reg.V_Lambda)
 
 
@@ -354,7 +395,7 @@ def test_mde_inverse_items_equal_the_per_factor_loop(weight):
     C = PiecewisePath.polynomial([np.array([[0.0, 0.0], [0.2, -0.5]]),
                                   np.array([[-1.0, 0.0], [0.0, 0.0]])])
     u = StieltjesMeasure(PiecewisePath.constant(0.0),
-                         [(0.5, 0.3), (1.0, weight), (2.0, 0.7)], nondecreasing=True)
+                         [(0.5, 0.3), (1.0, weight), (2.0, 0.7)])
     H = NonlinearitySpec("zero", {"n": 2}, rho=0.5, measure=u)
     rep = check_hypotheses(MdeSpec(2, saddle_path(), C, u, H), (0.0, 3.0))
     bound, bad, _ = _loop_inverse_items(

@@ -67,8 +67,7 @@ def test_path_spec_forms():
 
 
 def test_measure_spec_round_trip():
-    mu = parse_measure({"density": 1.0, "atoms": [[0.5, 2.0]],
-                        "nondecreasing": True}, "u")
+    mu = parse_measure({"density": 1.0, "atoms": [[0.5, 2.0]]}, "u")
     assert mu.variation((0.0, 1.0)) == pytest.approx(3.0)
 
 
@@ -229,13 +228,14 @@ def test_aperiodic_kicks_config_goes_through_svd(tmp_path, capsys):
     assert main(["manifold", "--config", str(path), "--out", str(tmp_path)]) == 0
     spec, run = _read_run(cfg, SimpleNamespace(command="manifold", tol=None))
     ctx = apps.build_context(spec, **run.context)
-    assert ctx.reports["dichotomy"].projection_mode == "svd"
+    assert ctx.dich.report.projection_mode == "svd"
     np.testing.assert_allclose(ctx.dich.P0, np.diag([1.0, 0.0]), atol=1e-8)
     # the removed knob is a config error naming it, in both of its commands
     for cmd in ("manifold", "dichotomy"):
         cfg["solver"]["projection_mode"] = "autonomous"
         if cmd == "dichotomy":
             cfg["system"]["kind"] = "linear"
+            del cfg["system"]["nonlinearity"]     # a linear system has none
         path.write_text(json.dumps(cfg))
         capsys.readouterr()
         assert main([cmd, "--config", str(path), "--out", str(tmp_path)]) == 1
@@ -795,3 +795,88 @@ def test_check_without_horizon_spans_s_to_s_plus_10(tmp_path, capsys):
     assert reports[0] == reports[1] == reports[2]
     assert reports[0]["conditions"]["b_forcing_integrable"]["witness"] \
         == "window-relative over [0.5, 10.5]"
+
+
+# ---------------------------------------------------------------------------
+# a misspelt key is refused, not dropped: one planted misspelling per block
+# ---------------------------------------------------------------------------
+
+def _impulse_key(cfg):             # read, this would run with no kicks at all
+    cfg["system"]["impulse"] = cfg["system"].pop("impulses")
+    return "manifold", "impulse"
+
+
+def _impulses_of_an_mde(cfg):      # read, these would be parsed and dropped
+    cfg["system"]["impulses"] = [{"time": 2.0, "B": [[0.1]]}]
+    return "check", "impulses"
+
+
+def _linear_t0_key(cfg):
+    cfg["system"]["t_0"] = 1.0
+    return "dichotomy", "t_0"
+
+
+def _atom_key(cfg):                # read, u would lose its atom
+    cfg["system"]["u"]["atom"] = cfg["system"]["u"].pop("atoms")
+    return "check", "atom"
+
+
+def _impulse_entry_key(cfg):
+    cfg["system"]["impulses"][0]["Time"] = cfg["system"]["impulses"][0].pop("time")
+    return "check", "Time"
+
+
+def _solver_key(cfg):
+    cfg["solver"]["base_stp"] = cfg["solver"].pop("base_step")
+    return "manifold", "base_stp"
+
+
+def _integrand_key(cfg):
+    cfg["integrand"]["tolerance"] = cfg["integrand"].pop("tol")
+    return "integrate", "tolerance"
+
+
+def _preset_key(cfg):
+    cfg["integrand"]["f"]["preset"]["amplitude"] = 2.0
+    return "integrate", "amplitude"
+
+
+def _piecewise_key(cfg):
+    cfg["integrand"]["f"] = {"piecewise": {"times": [0.5], "segments": [0.0, 1.0],
+                                           "time": [0.25]}}
+    return "crosscheck", "time"
+
+
+@pytest.mark.parametrize("name, case", [
+    ("impulsive_saddle", _impulse_key), ("scalar_mde", _impulses_of_an_mde),
+    ("expansion_example", _linear_t0_key), ("scalar_mde", _atom_key),
+    ("impulsive_saddle", _impulse_entry_key), ("planar_quadratic", _solver_key),
+    ("lacunary_integral", _integrand_key), ("lacunary_integral", _preset_key),
+    ("lacunary_integral", _piecewise_key)],
+    ids=["ide-system", "mde-system", "linear-system", "measure", "impulse-entry",
+         "solver", "integrand", "preset", "piecewise"])
+def test_a_misspelt_key_exits_one_and_is_named(tmp_path, capsys, name, case):
+    cfg = load_config(config_path(name + ".json"))
+    command, key = case(cfg)
+    path = tmp_path / "misspelt.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "config"
+    assert repr(key) in err["message"]
+
+
+@pytest.mark.parametrize("density, T, code", [([5.0, -1.0], 12.0, 2),
+                                              ([1.0, 1.0], 5.0, 0)])
+def test_u_is_judged_on_the_run_window(tmp_path, capsys, density, T, code):
+    # 5 - t turns negative inside [0, 12]; 1 + t stays positive on [0, 5]
+    cfg = load_config(config_path("scalar_mde.json"))
+    cfg["system"]["u"]["density"] = {"poly": density}
+    cfg["solver"]["T"] = T
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps(cfg))
+    for command in ("check", "manifold"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == code
+    if code:
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["condition"] == "b_driver_nondecreasing_bv"

@@ -81,7 +81,7 @@ def test_measure_coefficient_breakpoint_leaves_the_autonomous_branch():
     # A = 0, density 1 and C = diag(-1, 1) swapped to diag(1, -1) at t = 5:
     # the generator is constant near t0 but not on the line
     C = PiecewisePath.from_segments([5.0], [np.diag([-1.0, 1.0]), np.diag([1.0, -1.0])])
-    u = StieltjesMeasure(PiecewisePath.constant(1.0), nondecreasing=True)
+    u = StieltjesMeasure(PiecewisePath.constant(1.0))
     spec = LinearSystemSpec(2, PiecewisePath.constant(np.zeros((2, 2))),
                             measure_part=(C, u))
     assert spectral_projection(spec)[1] == "svd"
@@ -254,7 +254,7 @@ def test_svd_mode_recovers_diagonal_splitting(monkeypatch):
     ("ctx_scalar_mde", "svd"),           # scalar_mde: one atom, no period
 ])
 def test_certify_records_the_projection_mode(request, name, how):
-    assert request.getfixturevalue(name).reports["dichotomy"].projection_mode == how
+    assert request.getfixturevalue(name).dich.report.projection_mode == how
 
 
 def test_certify_records_explicit_and_requested_svd_modes():
@@ -418,7 +418,7 @@ def test_certify_packages_constants_and_report():
     assert isinstance(data, DichotomyData)
     assert [f.name for f in dataclasses.fields(data)] == ["P0", "K", "alpha",
                                                           "report"]
-    assert data.rank == 1
+    assert round(float(np.trace(data.P0))) == 1
     assert data.report.dichotomy_detected
     assert abs(data.K - 1.0) <= 0.01 and abs(data.alpha - 1.0) <= 0.01
 
@@ -480,7 +480,7 @@ def test_verify_dichotomy_samples_equal_per_sample_loop(name):
     else:
         ctx, grid = _shipped_context(name)
     want = _loop_samples(ctx.fund, ctx.dich.P0, grid)
-    assert ctx.reports["dichotomy"].samples == want
+    assert ctx.dich.report.samples == want
     _, _, report = verify_dichotomy(ctx.fund, ctx.dich.P0, grid)
     assert report.samples == want
 
@@ -490,13 +490,13 @@ def test_scalar_mde_certificate_samples_only_the_stable_side():
     # roundoff rows (log N <= -26) were sampled and were never binding, so K
     # and alpha stay those of that certificate
     ctx, _ = _shipped_context("scalar_mde")
-    report = ctx.reports["dichotomy"]
+    report = ctx.dich.report
     assert report.projection_mode == "svd"
     assert np.array_equal(ctx.dich.P0, np.eye(1))
     assert len(report.samples) == 21 * 22 // 2
     assert {side for *_, side in report.samples} == {"stable"}
-    assert report.alpha_fit == 1.0000000000999998
-    assert report.K_fit == pytest.approx(1.000000001, rel=1e-14)
+    assert ctx.dich.alpha == 1.0000000000999998
+    assert ctx.dich.K == pytest.approx(1.000000001, rel=1e-14)
 
 
 def _inverse_step_family(op, P0):

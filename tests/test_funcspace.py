@@ -114,8 +114,7 @@ def test_running_integral_stitches_across_jumps():
 
 
 def test_measure_mass_left_continuous():
-    mu = StieltjesMeasure(PiecewisePath.constant(1.0), [(0.5, 2.0)],
-                          nondecreasing=True)
+    mu = StieltjesMeasure(PiecewisePath.constant(1.0), [(0.5, 2.0)])
     # u(t) = t + 2 [t > 0.5]: mu([0, 0.5)) = u(0.5) - u(0) = 0.5, and the
     # cell [0.5, 0.5 + h) holds the atom
     los, his = np.array([0.0, 0.0, 0.5, 0.25]), np.array([0.5, 1.0, 0.5 + 1e-9, 0.5])
@@ -132,12 +131,12 @@ CELL_MASS_MEASURES = {
     "three_atoms_and_a_density_break": StieltjesMeasure(
         PiecewisePath.from_segments([1.5], [Segment.polynomial([1.0, 0.5]),
                                             Segment.constant(2.0)]),
-        [(0.5, 0.3), (1.5, 0.7), (2.25, 1.1)], nondecreasing=True),
+        [(0.5, 0.3), (1.5, 0.7), (2.25, 1.1)]),
     "signed_polynomial": StieltjesMeasure(
         PiecewisePath.polynomial([0.3, -1.2, 0.7]), [(-0.4, -0.8), (0.9, 0.25)]),
     "preset_density": StieltjesMeasure(
         PiecewisePath.preset("cos", 0.5, (3.0, 0.1)), [(0.5, 2.0)]),
-    "no_atoms": StieltjesMeasure(PiecewisePath.constant(1.0), nondecreasing=True),
+    "no_atoms": StieltjesMeasure(PiecewisePath.constant(1.0)),
 }
 
 
@@ -175,14 +174,6 @@ def test_tagged_division_accepts_touching_tags_and_empty_cells():
     div = TaggedDivision([0.0, 0.0, 0.5, 1.0], [0.0, 0.5, 0.5])
     assert div.nodes.dtype == div.tags.dtype == float
     assert TaggedDivision([2.0], []).tags.shape == (0,)
-
-
-def test_nondecreasing_flag_enforced():
-    with pytest.raises(ValueError):
-        StieltjesMeasure(PiecewisePath.constant(-1.0), [], nondecreasing=True)
-    with pytest.raises(ValueError):
-        StieltjesMeasure(PiecewisePath.constant(1.0), [(0.0, -1.0)],
-                         nondecreasing=True)
 
 
 @settings(max_examples=20, deadline=None)

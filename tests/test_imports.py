@@ -16,14 +16,16 @@ calls ``solver_block`` (so the CLI reads a run once).  The BLAS guard follows
 calls by bare name only, so each method is named as a target.  The
 dead-definition guard counts a method as reached only by an attribute read
 (``x.name``): a bare name, such as a local variable of the method's name,
-reaches only a module-level definition; dunders, module-level ones such as
-the package's ``__getattr__`` included, are the interpreter's to call.
+reaches only a module-level definition; a read inside a definition named N
+reaches no definition named N, so namesakes that call only each other are
+dead; dunders, module-level ones such as the package's ``__getattr__``
+included, are the interpreter's to call.
 
 No linter ships with the test environment, so these walk the source with
 ``ast``.  A name that ``__init__.py`` lists for lazy export reaches
 nothing: a definition that only it names is dead.
-``PUBLIC_CHECKS`` lists the one kind of definition the package may hold for
-its tests alone.
+``PUBLIC_CHECKS`` and ``TEST_ORACLES`` list the definitions the package
+may hold for its tests alone.
 """
 
 import ast
@@ -37,6 +39,13 @@ SRC = ROOT / "src" / "kurzmani"
 MODULES = sorted(SRC.glob("*.py"))
 # public checks that the tests call and the package does not
 PUBLIC_CHECKS = ("invariance_check",)
+# methods only the tests' oracles call: ``Segment.derivative`` and
+# ``PresetTerm.derivative`` (which reach only each other in the package)
+# serve the derivative/antiderivative round trip in test_funcspace.py and
+# the variation oracles in test_path_build.py.  ``PiecewisePath.__add__``
+# is a dunder the guard skips; only the fold oracle of test_path_build.py
+# calls it.
+TEST_ORACLES = ("derivative",)
 # (module, function, parameter) of entry points whose defaults only the
 # interpreter's own call relies on: ``cli.main`` parses sys.argv when argv
 # is None
@@ -87,13 +96,23 @@ def definitions(source):
 
 
 def names_read(source):
-    """The names the source reads bare, and those it reads as attributes."""
+    """The names the source reads bare, and those it reads as attributes.
+    A read inside a definition named N (at any depth) is no read of N."""
     bare, attrs = set(), set()
-    for node in ast.walk(ast.parse(source)):
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            bare.add(node.id)
+            if node.id not in inside:
+                bare.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            attrs.add(node.attr)
+            if node.attr not in inside:
+                attrs.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), frozenset())
     return bare, attrs
 
 
@@ -132,20 +151,28 @@ def test_dead_definition_guard_flags_an_unread_definition():
     shadow = "label = Box().size()\nprint(label)\n"
     assert unreached({"lib": lib}, [lib, caller, shadow], ("unused",)) == [
         ("lib", 16, "label")]
+    # two namesakes that call only each other reach nothing, not even when
+    # their classes are used
+    pair = ("class A:\n    def grow(self):\n        return B().grow()\n\n\n"
+            "class B:\n    def grow(self):\n        return A().grow()\n")
+    assert unreached({"pair": pair}, [pair, "print(A(), B())\n"], ()) == [
+        ("pair", 2, "grow"), ("pair", 7, "grow")]
+    assert unreached({"pair": pair}, [pair, "print(A().grow(), B())\n"], ()) == []
 
 
 def test_every_definition_is_reached_by_the_package_or_the_benchmark():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     bench = [p.read_text(encoding="utf-8")
              for p in sorted((ROOT / "perfbench").glob("*.py"))]
-    assert unreached(sources, list(sources.values()) + bench, PUBLIC_CHECKS) == []
+    assert unreached(sources, list(sources.values()) + bench,
+                     PUBLIC_CHECKS + TEST_ORACLES) == []
 
 
 def test_every_public_check_is_called_by_a_test():
     tests = set()
     for p in sorted((ROOT / "tests").glob("test_*.py")):
         tests |= set().union(*names_read(p.read_text(encoding="utf-8")))
-    assert set(PUBLIC_CHECKS) <= tests
+    assert set(PUBLIC_CHECKS + TEST_ORACLES) <= tests
 
 
 def defaulted_parameters(source):

@@ -151,8 +151,7 @@ def test_linearity_in_the_integrand():
 
 def test_bounded_integrand_respects_variation_bound():
     # |integral| <= variation of the (nondecreasing) integrator when |f| <= 1
-    mu = StieltjesMeasure(PiecewisePath.constant(0.7), [(0.25, 0.5), (0.75, 1.0)],
-                          nondecreasing=True)
+    mu = StieltjesMeasure(PiecewisePath.constant(0.7), [(0.25, 0.5), (0.75, 1.0)])
     f = PiecewisePath.preset("sin", 1.0, (7.0, 0.3))
     val = abs(float(stieltjes_integral(f, mu, (0.0, 1.0))))
     assert val <= mu.variation((0.0, 1.0)) + 1e-12

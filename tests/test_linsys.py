@@ -126,8 +126,7 @@ def _three_test_specs():
                            impulses=tuple((0.5 + k, np.diag([0.1, -0.05]))
                                           for k in range(5)))
     mu = StieltjesMeasure(PiecewisePath.constant(0.5),
-                          [(1.0, 0.2), (2.5, 0.1), (3.5, 0.3)],
-                          nondecreasing=True)
+                          [(1.0, 0.2), (2.5, 0.1), (3.5, 0.3)])
     mde = LinearSystemSpec(2, PiecewisePath.constant(
         np.array([[-0.5, 0.0], [0.2, 0.4]])),
         measure_part=(PiecewisePath.constant(0.3 * np.eye(2)), mu))

@@ -209,6 +209,13 @@ def test_batch_apply_equals_its_columns(request, name):
             assert float(np.max(np.abs(b[..., j:j + 1] - c))) <= 1e-15
 
 
+def _planar_until(ctx_planar, T, nonlin):
+    """A context for ``nonlin`` on the planar system's operator over [0, T],
+    with the certificate of ``ctx_planar``."""
+    fund = FundamentalOperator(ctx_planar.fund.spec, (0.0, T))
+    return LPContext(fund, ctx_planar.dich, nonlin, tol=1e-10)
+
+
 def test_projection_family_on_a_mesh_that_starts_before_t0():
     """Window (0, 6) with t0 = 2 and a jump on each side of t0: the context
     family is conjugated backward from t0 as well as forward."""
@@ -218,7 +225,7 @@ def test_projection_family_on_a_mesh_that_starts_before_t0():
                   (3.55, np.array([[-0.1, -0.1], [0.2, 0.2]]))), t0=2.0)
     fund = FundamentalOperator(spec, (0.0, 6.0))
     dich = certify(fund, P0=np.diag([1.0, 0.0]))
-    ctx = LPContext(fund, dich, NonlinearitySpec("zero", {"n": 2}), T=6.0)
+    ctx = LPContext(fund, dich, NonlinearitySpec("zero", {"n": 2}))
     nodes, i0 = fund.nodes, fund.i_t0
     assert i0 > 0 and nodes[i0] == 2.0
     P = [ctx.P(i) for i in range(len(nodes))]
@@ -254,8 +261,7 @@ def test_operator_on_zero_path_with_zero_anchor(ctx_planar):
 
 def test_operator_linear_case_returns_decaying_mode(ctx_planar):
     lin = NonlinearitySpec("zero", {"n": 2}, rho=0.5)
-    ctx = LPContext(ctx_planar.fund, ctx_planar.dich, lin, T=ctx_planar.T,
-                    tol=1e-10, regularity=ctx_planar.regularity)
+    ctx = LPContext(ctx_planar.fund, ctx_planar.dich, lin, tol=1e-10)
     zeta = np.array([0.2, 0.0])
     z0 = ctx.initial_path(zeta, 0.0)
     out = lp_operator_apply(z0, zeta, 0.0, ctx)
@@ -348,7 +354,7 @@ def test_array_apply_matches_loop_form(request, name, s, zetas):
 @pytest.mark.parametrize("name", ["ctx_impulsive", "ctx_scalar_mde"])
 def test_kernels_read_the_stored_mesh_steps(request, name):
     ctx = request.getfixturevalue(name)
-    cells, m = ctx.fund.cells, ctx.i_T
+    cells, m = ctx.fund.cells, len(ctx.fund.nodes) - 1
     kern = ctx.kernels(0)
     assert np.shares_memory(kern.F, cells.fwd)
     assert np.array_equal(kern.F, cells.fwd[:m])
@@ -395,7 +401,7 @@ def _two_sweep_scan(levels, c, forward):
 def _two_sweep_apply(ctx, i_s, values, rights, zetas):
     """The fast operator with a forward scan for the stable sweep and a
     separate backward scan for the unstable one."""
-    fund, m = ctx.fund, ctx.i_T
+    fund, m = ctx.fund, len(ctx.fund.nodes) - 1
     proj = ctx._projections()
     F_scan = _two_sweep_levels(fund.cells.fwd[:m] @ proj[:m], True)[i_s:]
     G_scan = _two_sweep_levels(
@@ -419,7 +425,7 @@ def test_one_scan_equals_two_sweeps(request, name):
     """The one forward scan over [F~; reversed G~] gives the bits of a
     forward and a backward sweep, from s = 0, s = 1, the last cell and T."""
     ctx = request.getfixturevalue(name)
-    m = ctx.i_T
+    m = len(ctx.fund.nodes) - 1
     for i_s in (0, ctx.fund.node_index(1.0), m - 1, m):
         s = float(ctx.fund.nodes[i_s])
         Bs, _ = splitting_bases(ctx.P(i_s))
@@ -451,7 +457,17 @@ def test_context_refuses_a_nonlinearity_of_another_dimension(registry, params, m
     dich = certify(fund, P0=np.diag([1.0, 0.0]))
     nonlin = NonlinearitySpec(registry, params, rho=0.5)
     with pytest.raises(ValueError, match="%r maps %s .*n = 2" % (registry, maps)):
-        LPContext(fund, dich, nonlin, T=4.0)
+        LPContext(fund, dich, nonlin)
+
+
+def test_a_hand_built_context_derives_its_horizon_and_regularity(ctx_planar):
+    ctx = LPContext(ctx_planar.fund, ctx_planar.dich, ctx_planar.nonlin)
+    assert ctx.T == ctx_planar.T == ctx.fund.nodes[-1]
+    assert ctx.regularity == ctx_planar.regularity
+    assert ctx.reports == {}
+    graph = manifold_graph(0.0, [np.array([0.1])], ctx)
+    assert math.isfinite(graph.L_theory)
+    assert graph.L_theory == contraction_estimate(ctx_planar, 0.0)
 
 
 def test_context_reports_the_splitting_defects():
@@ -477,8 +493,7 @@ def test_atom_times_match_relative_to_their_size():
     relative away does not.  The context holds the weights per node."""
     for t_atom, at_grid_node in ((np.nextafter(1e6, 2e6), 0.3),
                                  (1e6 * (1.0 + 1e-6), 0.0)):
-        u = StieltjesMeasure(PiecewisePath.constant(1.0), [(t_atom, 0.3)],
-                             nondecreasing=True)
+        u = StieltjesMeasure(PiecewisePath.constant(1.0), [(t_atom, 0.3)])
         H = NonlinearitySpec("saturated_tanh", {"gain": [[0.2]]}, rho=1.0, measure=u)
         spec = MdeSpec(1, PiecewisePath.constant([[-1.0]]),
                        PiecewisePath.constant([[0.0]]), u, H)
@@ -556,8 +571,7 @@ def test_solve_at_the_horizon_has_a_one_node_span(ctx_planar):
 
 def test_linear_manifold_is_the_stable_subspace(ctx_planar):
     lin = NonlinearitySpec("zero", {"n": 2}, rho=0.5)
-    ctx = LPContext(ctx_planar.fund, ctx_planar.dich, lin, T=ctx_planar.T,
-                    tol=1e-10, regularity=ctx_planar.regularity)
+    ctx = LPContext(ctx_planar.fund, ctx_planar.dich, lin, tol=1e-10)
     sol = solve_lp(np.array([0.2, 0.0]), 0.0, ctx)
     assert np.allclose(sol.m, 0.0, atol=1e-12)
 
@@ -625,8 +639,7 @@ def test_batched_graph_keeps_a_diverging_sample_to_itself(ctx_planar):
     Q2 = np.zeros((2, 2))
     Q2[0, 0] = 1.0
     blow = NonlinearitySpec("quadratic", {"mats": [Q1, Q2]}, rho=50.0)
-    ctx = LPContext(ctx_planar.fund, ctx_planar.dich, blow, T=12.0,
-                    tol=1e-10, regularity=ctx_planar.regularity)
+    ctx = _planar_until(ctx_planar, 12.0, blow)
     graph = manifold_graph(0.0, [np.array([0.05]), np.array([6.0])], ctx)
     near, far = graph.samples
     assert not far.ok and "stopped contracting" in far.error
@@ -662,8 +675,7 @@ def test_classification_of_zero_initial_state(ctx_planar):
 
 def test_classification_escape_time_linear_growth(ctx_planar):
     lin = NonlinearitySpec("zero", {"n": 2}, rho=0.5)
-    ctx = LPContext(ctx_planar.fund, ctx_planar.dich, lin, T=ctx_planar.T,
-                    tol=1e-10, regularity=ctx_planar.regularity)
+    ctx = LPContext(ctx_planar.fund, ctx_planar.dich, lin, tol=1e-10)
     res = classify_initial(np.array([0.0, 0.01]), 0.0, ctx, bound=1e3)
     assert res.status == "escapes"
     assert res.t_escape == pytest.approx(math.log(1e5), abs=1e-9)
@@ -672,8 +684,7 @@ def test_classification_escape_time_linear_growth(ctx_planar):
 def test_classification_is_indeterminate_when_the_forcing_turns_non_finite(
         ctx_planar, monkeypatch):
     lin = NonlinearitySpec("zero", {"n": 2}, rho=0.5)
-    ctx = LPContext(ctx_planar.fund, ctx_planar.dich, lin, T=ctx_planar.T,
-                    tol=1e-10, regularity=ctx_planar.regularity)
+    ctx = LPContext(ctx_planar.fund, ctx_planar.dich, lin, tol=1e-10)
     # mid-way through the one stop [0, 40], long before the escape at 11.5
     monkeypatch.setattr(lin, "value",
                         lambda t, z: np.full(2, np.nan if t > 5.0 else 0.0))
@@ -704,8 +715,7 @@ def test_classification_escapes_through_an_impulse():
 def test_classification_escapes_through_an_atom():
     # no density: the state decays as e^-t until the atom at t = 1 scales it
     # by 1 + 10 * 0.3 and the kernel's kick adds 0.3 H
-    u = StieltjesMeasure(PiecewisePath.constant(0.0), [(1.0, 0.3)],
-                         nondecreasing=True)
+    u = StieltjesMeasure(PiecewisePath.constant(0.0), [(1.0, 0.3)])
     H = NonlinearitySpec("saturated_tanh", {"gain": [[0.2]]}, rho=1.0, measure=u)
     spec = MdeSpec(1, PiecewisePath.constant([[-1.0]]),
                    PiecewisePath.constant([[10.0]]), u, H)
@@ -723,8 +733,7 @@ def test_classification_requires_room_below_the_bound(ctx_planar):
 
 def test_bisection_oracle_linear_system(ctx_planar):
     lin = NonlinearitySpec("zero", {"n": 2}, rho=0.5)
-    ctx = LPContext(ctx_planar.fund, ctx_planar.dich, lin, T=ctx_planar.T,
-                    tol=1e-10, regularity=ctx_planar.regularity)
+    ctx = LPContext(ctx_planar.fund, ctx_planar.dich, lin, tol=1e-10)
     eta = bisect_manifold_oracle(np.array([0.1, 0.0]), 0.0, ctx, bound=1e3)
     assert abs(eta) <= 1e-6
 
@@ -752,8 +761,7 @@ def test_tail_bound_certificate(ctx_planar):
     from kurzmani.lp_manifold import LPContext
     from kurzmani.linsys import FundamentalOperator
     fund2 = FundamentalOperator(ctx_planar.fund.spec, (0.0, 80.0), base_step=0.1)
-    ctx2 = LPContext(fund2, ctx_planar.dich, ctx_planar.nonlin, T=80.0,
-                     tol=1e-10, regularity=ctx_planar.regularity)
+    ctx2 = LPContext(fund2, ctx_planar.dich, ctx_planar.nonlin, tol=1e-10)
     sol_2T = solve_lp(np.array([0.2, 0.0]), 0.0, ctx2)
     assert abs(sol_T.m[0] - sol_2T.m[0]) <= max(bound, 1e-6)
 
@@ -777,8 +785,7 @@ def test_iteration_cap_raises_with_residual(ctx_scalar_mde, monkeypatch):
     from kurzmani.lp_manifold import SolveError
     monkeypatch.setattr(lpm, "_MAX_ITER", 2)
     ctx = LPContext(ctx_scalar_mde.fund, ctx_scalar_mde.dich,
-                    ctx_scalar_mde.nonlin, T=ctx_scalar_mde.T, tol=1e-12,
-                    regularity=ctx_scalar_mde.regularity)
+                    ctx_scalar_mde.nonlin, tol=1e-12)
     with pytest.raises(SolveError) as err:
         solve_lp(np.array([0.4]), 0.0, ctx)
     assert err.value.residual is not None
@@ -792,8 +799,7 @@ def test_divergence_detected_with_ratio_history(ctx_planar):
     Q2 = np.zeros((2, 2))
     Q2[0, 0] = 1.0
     blow = NonlinearitySpec("quadratic", {"mats": [Q1, Q2]}, rho=50.0)
-    ctx = LPContext(ctx_planar.fund, ctx_planar.dich, blow, T=12.0,
-                    tol=1e-10, regularity=ctx_planar.regularity)
+    ctx = _planar_until(ctx_planar, 12.0, blow)
     with pytest.raises(NonContractionError) as err:
         solve_lp(np.array([6.0, 0.0]), 0.0, ctx)
     assert len(err.value.ratio_history) >= 3
@@ -972,8 +978,7 @@ def test_reference_sweeps_equal_the_per_output_sweeps(request, name, s, refine):
 
 
 def _short_planar(ctx_planar):
-    return LPContext(ctx_planar.fund, ctx_planar.dich, ctx_planar.nonlin,
-                     T=1.0, tol=1e-10, regularity=ctx_planar.regularity)
+    return _planar_until(ctx_planar, 1.0, ctx_planar.nonlin)
 
 
 def test_reference_apply_raises_at_the_cap(ctx_planar, monkeypatch):

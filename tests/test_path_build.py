@@ -19,6 +19,7 @@ from scipy.integrate import quad
 
 import kurzmani.apps as apps
 import kurzmani.funcspace as funcspace
+import kurzmani.lp_manifold as lp_manifold
 from conftest import COUPLED, SADDLE, masses_of_pairs, quadratic_forcing
 from kurzmani.apps import IdeSpec, MdeSpec, check_hypotheses, ide_to_context
 from kurzmani.cli import load_config, parse_system
@@ -75,8 +76,7 @@ def total_variation(path, window):
 def three_atom_measure():
     density = PiecewisePath.from_segments(
         [1.5], [Segment.polynomial([1.0, 0.5]), Segment.constant(2.0)])
-    return StieltjesMeasure(density, [(0.5, 0.3), (1.5, 0.7), (2.25, 1.1)],
-                            nondecreasing=True)
+    return StieltjesMeasure(density, [(0.5, 0.3), (1.5, 0.7), (2.25, 1.1)])
 
 
 def test_impulse_at_t0_still_rejected():
@@ -86,8 +86,7 @@ def test_impulse_at_t0_still_rejected():
     with pytest.raises(ValueError, match="impulse at the reference time t0=1 "
                                          "is ambiguous"):
         apps.build_context(spec, s=1.0, T=5.0)
-    u = StieltjesMeasure(PiecewisePath.constant(1.0), [(1.0, 0.3)],
-                         nondecreasing=True)
+    u = StieltjesMeasure(PiecewisePath.constant(1.0), [(1.0, 0.3)])
     H = NonlinearitySpec("zero", {"n": 1}, rho=0.5, measure=u)
     spec = MdeSpec(1, PiecewisePath.constant([[-1.0]]),
                    PiecewisePath.constant([[0.5]]), u, H)
@@ -147,8 +146,7 @@ def _mde_with_polynomial_C():
     C1 = np.array([[0.4, -0.2], [0.1, 0.3]])
     C = PiecewisePath.from_segments(
         [1.0], [Segment.constant(C1), Segment.polynomial([C1, 0.3 * np.eye(2)])])
-    mu = StieltjesMeasure(PiecewisePath.constant(0.5), [(1.5, 0.4)],
-                          nondecreasing=True)
+    mu = StieltjesMeasure(PiecewisePath.constant(0.5), [(1.5, 0.4)])
     return LinearSystemSpec(2, PiecewisePath.constant(COUPLED), measure_part=(C, mu))
 
 
@@ -289,13 +287,13 @@ def test_measure_domination_matches_quadrature():
 
 def test_ide_context_checks_regularity_once(monkeypatch):
     calls = []
-    orig = apps.check_regularity
+    orig = lp_manifold.check_regularity
 
     def counted(fund):
         calls.append(fund.window)
         return orig(fund)
 
-    monkeypatch.setattr(apps, "check_regularity", counted)
+    monkeypatch.setattr(lp_manifold, "check_regularity", counted)
     impulses = tuple((float(k), np.diag([0.1, 0.0])) for k in range(1, 6))
     spec = IdeSpec(2, PiecewisePath.constant(SADDLE), impulses,
                    quadratic_forcing(0.05))
