@@ -211,6 +211,7 @@ def parse_grid(node, default):
     if node is None:
         return default
     if isinstance(node, dict):
+        _only(node, ("start", "stop", "count"), "solver.grid")
         return np.linspace(float(_field(node, "start", "solver.grid")),
                            float(_field(node, "stop", "solver.grid")),
                            int(_field(node, "count", "solver.grid")))
@@ -281,6 +282,15 @@ def _meta(cfg, **extra):
     return {"config_sha256": config_hash(cfg), "version": __version__, **extra}
 
 
+@_reading("config")
+def _blocks(cfg, blocks, command):
+    """The config's top level holds only ``blocks`` and ``output``, and
+    ``output`` only ``prefix`` and ``dir``: another key is a
+    ``ConfigError`` naming it, raised before any layer work."""
+    _only(cfg, blocks + ("output",), "a %s config" % command)
+    _only(cfg.get("output", {}), ("prefix", "dir"), "output")
+
+
 @_reading("output")
 def _outpath(cfg, args, suffix):
     out = args.out or cfg.get("output", {}).get("dir", ".")
@@ -303,6 +313,7 @@ def _read_run(cfg, args):
     ``manifold``, ``initial_points`` of n coordinates each for ``classify``.
     """
     from .linsys import LinearSystemSpec
+    _blocks(cfg, ("system", "solver"), args.command)
     spec = parse_system(cfg)
     linear = isinstance(spec, LinearSystemSpec)
     if linear and args.command not in ("fundamental", "dichotomy"):
@@ -344,6 +355,7 @@ def _read_run(cfg, args):
 def _run_integrand(cfg, args, default_tol):
     """Both evaluators on the configured integrand (``cross_check``)."""
     from .kurzweil import cross_check
+    _blocks(cfg, ("integrand",), args.command)
     block = cfg.get("integrand")
     if not isinstance(block, dict):
         raise ConfigError("config needs an 'integrand' block")

@@ -20,8 +20,9 @@ cells: forward from s with the propagators F~_k = V(x_{k+1}, x_k) P(x_k) and
 backward from T with G~_k = V(x_k, x_{k+1}) (Id - P(x_{k+1})).  The backward
 one, reversed, follows the forward one in a single 2M-row sequence, and one
 Hillis-Steele inclusive prefix scan (Blelloch, "Prefix sums and their
-applications", 1990) runs both: log2(M) levels of stored products, so an
-application is a few stacked products with no Python loop over cells.  The
+applications", 1990) runs both: log2(M) levels of stored products, kept as
+column planes, so an application is a few stacked products and elementwise
+sweeps with no Python loop over cells.  The
 projections change nothing in exact arithmetic (P(x_{k+1}) F_k = F_k P(x_k)),
 but they make every stored product a dichotomy-bounded propagator, norm <= K.
 A solve iterates a batch of anchors (sample axis last) with one application
@@ -98,20 +99,43 @@ class SolveError(RuntimeError):
 # so a point's value has the same bits in any batch
 # ---------------------------------------------------------------------------
 
-def _component_sum(a, b):
+def _lane_sum(a, b):
     """sum_j a[j] * b[j] over the leading (component) axis, elementwise, in
-    the order numpy's einsum adds fewer than 8 terms (even and odd components
-    in two lanes, then the lanes; a zero sum is +0), so with einsum's bits in
-    any batch.  A length-1 component axis broadcasts; other lengths raise."""
-    n = max(len(a), len(b))
-    if min(len(a), len(b)) not in (1, n):
-        raise ValueError("%d components against %d" % (len(a), len(b)))
-    lanes = [a[j % len(a)] * b[j % len(b)] for j in range(min(n, 2))] + [0.0]
+    the order numpy's einsum adds fewer than 8 contiguous terms: even and
+    odd components in two lanes, then the lanes.  A zero sum may be -0.  A
+    length-1 component axis broadcasts; other lengths raise."""
+    na, nb = len(a), len(b)
+    n = max(na, nb)
+    if min(na, nb) not in (1, n):
+        raise ValueError("%d components against %d" % (na, nb))
+    lanes = [a[j % na] * b[j % nb] for j in range(min(n, 2))]
     for j in range(2, n):
-        lanes[j % 2] += a[j % len(a)] * b[j % len(b)]
-    lanes[0] += lanes[1]
-    lanes[0] += 0.0
+        lanes[j % 2] += a[j % na] * b[j % nb]
+    if n > 1:
+        lanes[0] += lanes[1]
     return lanes[0]
+
+
+def _component_sum(a, b):
+    """``_lane_sum`` with einsum's +0 for a zero sum, so with einsum's bits
+    in any batch."""
+    out = _lane_sum(a, b)
+    out += 0.0
+    return out
+
+
+def _rows(z):
+    """The (n, N) component rows of states ``z`` (..., n): a view both for
+    states stored last and for states stored component-first and moved last
+    by a transpose, as the fast operator's quadrature states are."""
+    return z.transpose(-1, *range(z.ndim - 1)).reshape(z.shape[-1], -1)
+
+
+def _states(rows, z):
+    """Component rows (n, N) as states of the shape of ``z`` (a view; rows of
+    another length raise): the states axis comes last, the rows stay
+    component-first in memory."""
+    return rows.reshape(z.shape[-1:] + z.shape[:-1]).transpose(*range(1, z.ndim), 0)
 
 
 class _Quadratic:
@@ -123,9 +147,10 @@ class _Quadratic:
         self.shape = self.mats.shape        # (n, n, n) on R^n
 
     def __call__(self, z):
-        x = z.reshape(-1, z.shape[-1]).T
-        return np.array([_component_sum(x, _component_sum(Q.T[..., None], x[:, None]))
-                         for Q in self.mats]).T.reshape(z.shape)
+        x = _rows(z)
+        return _states(np.array([_component_sum(x, _lane_sum(Q.T[..., None],
+                                                             x[:, None]))
+                                 for Q in self.mats]), z)
 
     def sup_bound(self, r):
         return r * r * math.sqrt(sum(norm(Q) ** 2 for Q in self.mats))
@@ -143,8 +168,8 @@ class _Cubic:
         self.shape = self.coef.shape        # (n, n) on R^n
 
     def __call__(self, z):
-        x = z.reshape(-1, z.shape[-1]).T ** 3
-        return _component_sum(self.coef.T[..., None], x[:, None]).T.reshape(z.shape)
+        x = _rows(z) ** 3
+        return _states(_component_sum(self.coef.T[..., None], x[:, None]), z)
 
     def sup_bound(self, r):
         return norm(self.coef) * r ** 3
@@ -162,8 +187,8 @@ class _SaturatedTanh:
         self.shape = self.gain.shape        # (n, n) on R^n
 
     def __call__(self, z):
-        x = np.tanh(z.reshape(-1, z.shape[-1]).T)
-        return _component_sum(self.gain.T[..., None], x[:, None]).T.reshape(z.shape)
+        x = np.tanh(_rows(z))
+        return _states(_component_sum(self.gain.T[..., None], x[:, None]), z)
 
     def sup_bound(self, r):
         n = self.gain.shape[1]
@@ -339,17 +364,20 @@ def _stacked_norm(A):
 
 
 class _Kernels(NamedTuple):
-    """Per-cell arrays of the fast operator, stacked along the mesh.
+    """Per-cell arrays of the fast operator, stacked along the mesh, read-only.
 
     Row k belongs to the cell [x_k, x_{k+1}]; ``J`` has one row per node.
     ``P+`` is J P J^{-1}, the projection just after the jump at x_k.  The
-    rows of the one ``scan`` stack are the sweep propagators projected by
+    rows of the one scan sequence are the sweep propagators projected by
     the dichotomy, F~_k = F_k P(x_k) for k < M, then G~_k = G_k (Id - P(x_{k+1}))
     for k = M-1 .. 0, with F_k and G_k = F_k^{-1} slices of the mesh steps
     ``cells.fwd`` and ``cells.bwd``.  Row M, G~_{M-1}, multiplies I_M = 0,
     so it is zero, which keeps the stable sweep out of the unstable one.
-    Level d multiplies 2^d rows, ending at its own.  A start at node i
-    reads rows [i, 2M - i): the first 2 (M - i) left after dropping i.
+    Level d multiplies 2^d rows, ending at its own.  ``scan`` stores the
+    levels as column planes: ``scan[d, j]`` is column j of every level-d
+    product, component first, (n, 2M, 1), so a level is n broadcast
+    products with the component-first increments.  A start at node i reads
+    rows [i, 2M - i): the first 2 (M - i) left after dropping i.
     """
 
     sigma: np.ndarray       # (M, Q) quadrature times
@@ -362,29 +390,39 @@ class _Kernels(NamedTuple):
     atom_u: np.ndarray      # (M, n, n) J^{-1} (Id - P+)
     K_stable: np.ndarray    # (M, n, Q n) V(x_{k+1}, sigma_q) P(sigma_q), q-blocks
     K_unstable: np.ndarray  # (M, n, Q n) V(x_k, sigma_q) (Id - P(sigma_q))
-    scan: np.ndarray        # (2M, L, n, n) level d: rows k, k-1 .. k-2^d+1 multiplied
+    scan: np.ndarray        # (L, n, n, 2M, 1) [d, j, i, k]: entry (i, j) of the
+    #                         level-d product of rows k, k-1 .. k-2^d+1
 
 
 def _scan_levels(A):
     """Hillis-Steele level products of a stacked (2M, n, n) sequence: level
     d + 1 joins two level-d products 2^d rows apart and ends at its row.
-    Returns (2M, L, n, n), the L levels of offset below M that ``_scan`` reads.
+    Returns the L levels of offset below M that ``_scan`` reads, as column
+    planes (L, n, n, 2M, 1): [d, j, i, k] is entry (i, j) of level d, row k.
     """
-    levels = np.empty((len(A), max(1, (len(A) // 2 - 1).bit_length())) + A.shape[1:])
-    levels[:, 0] = A
-    for d in range(1, levels.shape[1]):
-        prev, o = levels[:, d - 1], 2 ** (d - 1)
-        levels[:, d] = np.concatenate([prev[:o], prev[o:] @ prev[:-o]])
-    return levels
+    levels = [A]
+    for d in range(1, max(1, (len(A) // 2 - 1).bit_length())):
+        prev, o = levels[-1], 2 ** (d - 1)
+        levels.append(np.concatenate([prev[:o], prev[o:] @ prev[:-o]]))
+    return np.ascontiguousarray(np.stack(levels).transpose(0, 3, 2, 1)[..., None])
+
+
+def _plane_mv(planes, v):
+    """Column planes (n, n, K, 1), [j, i, k], times the component-first
+    columns v (n, K, S): sum_j planes[j] v[j], (n, K, S), elementwise in
+    ``_lane_sum``'s order, so a column has the same bits in any batch."""
+    return _lane_sum(planes, v[:, None])
 
 
 def _scan(kern: _Kernels, c):
     """Inclusive scan of the affine recurrence u_k = A_k u_{k-1} + c_k over
-    the ``scan`` rows, with zero before row 0; ``c`` is (M, n, S) or
-    (2M, n, S) for the M cells of ``kern`` and is overwritten."""
-    K, o, d = len(c), 1, 0
+    the ``scan`` rows, with zero before row 0; ``c`` holds the increments
+    component-first, (n, M, S) or (n, 2M, S) for the M cells of ``kern``,
+    and is overwritten.  Level d adds the level-d planes times the
+    increments 2^d rows back (``_plane_mv``)."""
+    K, o, d = c.shape[1], 1, 0
     while o < len(kern.F):
-        c[o:] += _mv(kern.scan[o:K, d], c[:-o])
+        c[:, o:] += _plane_mv(kern.scan[d, :, :, o:K], c[:, :K - o])
         o, d = 2 * o, d + 1
     return c
 
@@ -392,12 +430,17 @@ def _scan(kern: _Kernels, c):
 def _stable_sweep(kern: _Kernels, zetas, c):
     """V(x_k, s) zeta plus the stable integral up to x_k, for every node.
 
-    ``zetas`` is (n, S) and ``c`` the (M, n, S) per-cell increments (or
-    (2M, n, S), the unstable ones reversed after them, for the scan to sum
-    too); zeta enters as F~_0 zeta on the first cell.  Returns (M+1, n, S).
+    ``zetas`` is (n, S) and ``c`` the component-first (n, M, S) per-cell
+    increments (or (n, 2M, S), the unstable ones reversed after them, for
+    the scan to sum too); zeta enters as F~_0 zeta on the first cell.
+    Returns (M+1, n, S).
     """
-    c[:1] += _mv(kern.scan[:1, 0], zetas[None])
-    return np.concatenate([zetas[None], _scan(kern, c)[:len(kern.F)]])
+    c[:, :1] += _plane_mv(kern.scan[0, :, :, :1], zetas[:, None])
+    M = len(kern.F)
+    vals = np.empty((M + 1,) + zetas.shape)
+    vals[0] = zetas
+    vals[1:] = _scan(kern, c)[:, :M].swapaxes(0, 1)
+    return vals
 
 
 class LPContext:
@@ -469,7 +512,8 @@ class LPContext:
         """
         if self._kernels is None:
             self._kernels = self._build_kernels()
-        return _Kernels._make(a[i_s:] for a in self._kernels)
+        kern = self._kernels      # ``scan``, the last field, has its rows on axis 3
+        return _Kernels._make([a[i_s:] for a in kern[:-1]] + [kern.scan[..., i_s:, :]])
 
     def _build_kernels(self):
         fund = self.fund
@@ -486,7 +530,7 @@ class LPContext:
                                         initial=0.0))}
         sigma = fund._sigma
         a, b = fund.nodes[:-1, None], fund.nodes[1:, None]
-        return _Kernels(
+        kern = _Kernels(
             sigma=sigma, lam=(sigma - a) / (b - a),
             wq=fund._weights * self.nonlin.measure.density.sample(sigma),
             atom_w=self.atom_weights[:-1],
@@ -495,6 +539,9 @@ class LPContext:
             K_unstable=_q_blocks(atom_u[:, None] @ phi_sig_inv),
             scan=_scan_levels(np.concatenate([F @ proj[:-1], np.zeros((1,) + eye.shape),
                                               (G @ (eye - proj[1:]))[-2::-1]])))
+        for arr in kern:
+            arr.flags.writeable = False
+        return kern
 
     def span(self, s):
         """Mesh node indices covering [s, T]; s must be a node."""
@@ -506,7 +553,7 @@ class LPContext:
         zeta = _check_zeta(zeta, self.P(idx[0]))
         kern = self.kernels(idx[0])
         vals = _stable_sweep(kern, zeta[:, None],
-                             np.zeros((len(idx) - 1, self.fund.n, 1)))
+                             np.zeros((self.fund.n, len(idx) - 1, 1)))
         return SolutionPath(self.fund.nodes[idx], vals[..., 0],
                             _mv(kern.J, vals)[..., 0])
 
@@ -542,16 +589,17 @@ def _forcing(ctx, kern: _Kernels, values, rights, x):
 
     ``values`` and ``rights`` are (M+1, n, S) left values and right limits.
     The quadrature states (z runs linearly from its right value at x_k to
-    its left value at x_{k+1}) form one contiguous (M, Q, S, n) block,
-    states last as the registry functions take them.  Returns f, the
-    (M, Q n, S) weighted density in the q-block layout of ``K_stable``, the
-    cells ``at`` that carry an atom, and the atom terms per node (zero away
-    from ``at`` and at the last node).
+    its left value at x_{k+1}) form one contiguous component-first
+    (n, M, Q, S) block; the registry function reads its (n, M Q S) rows as
+    a view through a states-last transpose and returns its rows in that
+    layout.  Returns f, the (M, Q n, S) weighted density in the
+    q-block layout of ``K_stable``, the cells ``at`` that carry an atom, and
+    the atom terms per node (zero away from ``at`` and at the last node).
     """
-    lam = kern.lam[..., None, None]
-    zq = np.multiply(1.0 - lam, rights[:-1, None].swapaxes(-1, -2), order="C")
-    zq += lam * values[1:, None].swapaxes(-1, -2)
-    f = ctx.nonlin.value(kern.sigma, zq)
+    lam = kern.lam[..., None]
+    zq = np.multiply(1.0 - lam, rights[:-1, :, None].swapaxes(0, 1), order="C")
+    zq += lam * values[1:, :, None].swapaxes(0, 1)
+    f = ctx.nonlin.value(kern.sigma, zq.transpose(1, 2, 3, 0))
     f *= kern.wq[..., None, None]
     M, Q, S, n = f.shape
     at = np.flatnonzero(kern.atom_w)
@@ -570,15 +618,16 @@ def _fast_apply(ctx, kern: _Kernels, x, values, rights, zetas):
     """
     f, at, atoms = _forcing(ctx, kern, values, rights, x)
     M = len(f)
-    c = np.empty((2 * M,) + zetas.shape)    # stable rows k, unstable 2M-1-k
-    _mv(kern.K_stable, f, out=c[:M])
-    _mv(kern.K_unstable, f, out=c[M:][::-1])
+    # component-first increments: stable rows k, unstable 2M-1-k
+    c = np.empty((len(zetas), 2 * M, zetas.shape[1]))
+    _mv(kern.K_stable, f, out=c[:, :M].swapaxes(0, 1))
+    _mv(kern.K_unstable, f, out=c[:, M:][:, ::-1].swapaxes(0, 1))
     if at.size:
-        c[at] += _mv(kern.atom_s[at], atoms[at])
-        c[2 * M - 1 - at] += _mv(kern.atom_u[at], atoms[at])
+        c[:, at] += _mv(kern.atom_s[at], atoms[at]).swapaxes(0, 1)
+        c[:, 2 * M - 1 - at] += _mv(kern.atom_u[at], atoms[at]).swapaxes(0, 1)
     # y = V(t, s) zeta + stable integral up to t, minus the unstable one to T
     vals = _stable_sweep(kern, zetas, c)
-    vals[:-1] -= c[M:][::-1]
+    vals[:-1] -= c[:, M:][:, ::-1].swapaxes(0, 1)
     return vals, _mv(kern.J, vals) + atoms
 
 
@@ -590,12 +639,15 @@ def lp_operator_apply(z: SolutionPath, zeta, s, ctx: LPContext, mode="fast"):
     y_{k+1} = F~_k y_k + c_k and I_k = G~_k I_{k+1} + c'_k; reversed, the
     second continues the first, and one log2(M)-level inclusive prefix scan
     over the context's stored products of the dichotomy-projected
-    propagators (``_Kernels``) evaluates both.  By the cocycle identity
-    P(x_{k+1}) F_k = F_k P(x_k) the projection leaves the sweeps unchanged in
-    exact arithmetic, and it keeps every stored product bounded by the
-    dichotomy constant.  The reference mode evaluates the literal four-term
-    form (see module docstring).  Both return a new ``SolutionPath`` on the
-    same mesh.
+    propagators (``_Kernels``) evaluates both.  The scan keeps the products
+    as column planes and the increments component-first, so a level is n
+    elementwise multiply-adds per component, summed in einsum's lane order;
+    the quadrature states of the forcing are component-first too.  By the
+    cocycle identity P(x_{k+1}) F_k = F_k P(x_k) the projection leaves the
+    sweeps unchanged in exact arithmetic, and it keeps every stored product
+    bounded by the dichotomy constant.  The reference mode evaluates the
+    literal four-term form (see module docstring).  Both return a new
+    ``SolutionPath`` on the same mesh.
     """
     idx = ctx.span(float(s))
     x = ctx.fund.nodes[idx]
@@ -829,7 +881,7 @@ def _solve_batch(zetas, s, ctx: LPContext, Bu):
     zetas = np.array([_check_zeta(z, P_s) for z in zetas]).reshape(-1, ctx.fund.n).T
     S = zetas.shape[1]
     kern = ctx.kernels(idx[0])
-    vals = _stable_sweep(kern, zetas, np.zeros((len(x) - 1, ctx.fund.n, S)))
+    vals = _stable_sweep(kern, zetas, np.zeros((ctx.fund.n, len(x) - 1, S)))
     rights = _mv(kern.J, vals)
     out = [None] * S
     diffs = [[] for _ in range(S)]
@@ -936,7 +988,6 @@ class ManifoldGraph:
     L_empirical: float
     L_theory: float
     tail_bound: float
-    K_fit: float = math.nan
 
     @property
     def ok_samples(self):
@@ -987,7 +1038,7 @@ def manifold_graph(s, zeta_grid, ctx: LPContext) -> ManifoldGraph:
         s=s, basis_stable=Bs, basis_unstable=Bu, samples=samples,
         lipschitz_estimate=lip, L_empirical=L_emp,
         L_theory=contraction_estimate(ctx, s),
-        tail_bound=ctx.tail_bound(s), K_fit=ctx.dich.K)
+        tail_bound=ctx.tail_bound(s))
     return graph
 
 

@@ -76,6 +76,34 @@ def ctx_coupled():
     return coupled_context(4.0)
 
 
+def generated_context(seed, T=4.0):
+    """A seeded n = 3 kicked system in the style of the generated hard
+    systems: a non-normal constant generator A = S diag(lam) S^{-1} with two
+    stable rates from -U(0.5, 2) and one unstable from U(0.5, 2),
+    S = Id + N(0, 0.7^2); the kick Id + B, B with N(0, 0.1^2) entries, at
+    k + phase, phase ~ U(0, 1), so off the integers t0 and s = 1 sit on; and
+    f = 0.05 x_1^2 in the last component, cutoff 0.5."""
+    rng = np.random.default_rng(seed)
+    n = 3
+    rates = np.concatenate([-rng.uniform(0.5, 2.0, 2), rng.uniform(0.5, 2.0, 1)])
+    S = np.eye(n) + rng.normal(0.0, 0.7, (n, n))
+    A = S @ np.diag(rates) @ np.linalg.inv(S)
+    phase = rng.uniform(0.0, 1.0)
+    B = rng.normal(0.0, 0.1, (n, n))
+    impulses = tuple((k + phase, B) for k in range(math.ceil(T)) if k + phase < T)
+    mats = np.zeros((n, n, n))
+    mats[-1, 0, 0] = 0.05
+    spec = IdeSpec(n, PiecewisePath.constant(A), impulses,
+                   NonlinearitySpec("quadratic", {"mats": mats}, rho=0.5))
+    return ide_to_context(spec, s=0.0, T=T, tol=1e-10, grid=np.linspace(0.0, T, 21))
+
+
+@pytest.fixture(scope="session")
+def ctx_generated():
+    """The seeded three-dimensional system (seed 2) on a T=4 window."""
+    return generated_context(2)
+
+
 @pytest.fixture(scope="session")
 def ctx_scalar_mde():
     """Scalar contraction driven by Lebesgue + one atom, tanh kernel."""

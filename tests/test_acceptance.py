@@ -132,7 +132,7 @@ def test_acceptance_08_contraction_and_lipschitz(ctx_planar, ctx_impulsive):
                 if sol.ratio_history else True
             assert diffs_ok
         assert graph.lipschitz_estimate <= \
-            graph.K_fit / (1.0 - graph.L_empirical)
+            ctx.dich.K / (1.0 - graph.L_empirical)
     _ok(8, "L_emp < 1 and Lipschitz quotients <= K / (1 - L_emp)")
 
 

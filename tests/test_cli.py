@@ -847,14 +847,37 @@ def _piecewise_key(cfg):
     return "crosscheck", "time"
 
 
+def _top_level_key(cfg):           # read, check would run on [0, 10]
+    cfg["solvr"] = cfg.pop("solver")
+    return "check", "solvr"
+
+
+def _block_of_another_command(cfg):
+    cfg["solver"] = {"T": 5.0}
+    return "integrate", "solver"
+
+
+def _output_key(cfg):              # read, the artifact would be kurzmani_*
+    cfg["output"] = {"prefx": "x"}
+    return "check", "prefx"
+
+
+def _grid_key(cfg):
+    cfg["solver"]["grid"]["step"] = 0.5
+    return "manifold", "step"
+
+
 @pytest.mark.parametrize("name, case", [
     ("impulsive_saddle", _impulse_key), ("scalar_mde", _impulses_of_an_mde),
     ("expansion_example", _linear_t0_key), ("scalar_mde", _atom_key),
     ("impulsive_saddle", _impulse_entry_key), ("planar_quadratic", _solver_key),
     ("lacunary_integral", _integrand_key), ("lacunary_integral", _preset_key),
-    ("lacunary_integral", _piecewise_key)],
+    ("lacunary_integral", _piecewise_key), ("scalar_mde", _top_level_key),
+    ("lacunary_integral", _block_of_another_command), ("scalar_mde", _output_key),
+    ("impulsive_saddle", _grid_key)],
     ids=["ide-system", "mde-system", "linear-system", "measure", "impulse-entry",
-         "solver", "integrand", "preset", "piecewise"])
+         "solver", "integrand", "preset", "piecewise", "top-level",
+         "integrand-top-level", "output", "grid"])
 def test_a_misspelt_key_exits_one_and_is_named(tmp_path, capsys, name, case):
     cfg = load_config(config_path(name + ".json"))
     command, key = case(cfg)

@@ -7,8 +7,9 @@ cell grouping of
 ``FundamentalOperator.cells`` read ``.is_constant`` (so the constant-cell
 rule lives in one place), ``apps`` calls no ``np.linalg.inv`` (the jump
 table inverts every jump factor), and the registry nonlinearities, ``Segment.eval`` and the preset terms'
-``PresetTerm.eval``/``_scalar`` take no BLAS product (so a point's value
-there never depends on its batch), no module reads a numpy name that imports
+``PresetTerm.eval``/``_scalar`` and the fast operator's prefix scan take no
+BLAS product (so a point's value, or a column's scan, there never depends
+on its batch), no module reads a numpy name that imports
 ``numpy.ma``, ``numpy.random`` or ``numpy.polynomial``, and neither the
 package nor the CLI imports a solver layer at module level (so a fresh
 process loads only the layers its command runs), and only ``cli._read_run``
@@ -497,12 +498,15 @@ def test_registry_calls_and_segment_eval_take_no_blas_product():
     lpm = (SRC / "lp_manifold.py").read_text(encoding="utf-8")
     classes = registry_classes(lpm)
     assert classes == ["_Cubic", "_Quadratic", "_SaturatedTanh", "_Zero"]
-    assert blas_products(lpm, [(c, "__call__") for c in classes]) == []
+    # the fast operator's prefix scan sums its column planes the same way,
+    # so a column's scan has the same bits in any batch
+    scan = [(None, "_scan"), (None, "_stable_sweep")]
+    assert blas_products(lpm, [(c, "__call__") for c in classes] + scan) == []
     # the guard follows the calls into the shared component sweep
-    swept = lpm.replace("lanes = [a[j % len(a)] * b", "lanes = [a[j % len(a)] @ b")
+    swept = lpm.replace("lanes = [a[j % na] * b", "lanes = [a[j % na] @ b")
     assert swept != lpm
-    for c in classes[:3]:
-        assert len(blas_products(swept, [(c, "__call__")])) == 1
+    for target in [(c, "__call__") for c in classes[:3]] + scan:
+        assert len(blas_products(swept, [target])) == 1
     # Segment.eval's polynomial part and, as method calls the guard does not
     # follow, its preset terms
     funcspace = (SRC / "funcspace.py").read_text(encoding="utf-8")

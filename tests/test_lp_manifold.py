@@ -186,16 +186,23 @@ def test_ball_test_falls_back_to_the_norm(name, monkeypatch):
     assert np.array_equal(got, spec._raw(z) * psi[:, None])
 
 
-@pytest.mark.parametrize("name", ["ctx_planar", "ctx_impulsive", "ctx_scalar_mde"])
+def _anchor(Bs, c):
+    """The anchor with every stable coordinate c."""
+    return Bs @ np.full(Bs.shape[1], c)
+
+
+@pytest.mark.parametrize("name", ["ctx_planar", "ctx_impulsive", "ctx_scalar_mde",
+                                  "ctx_generated"])
 def test_batch_apply_equals_its_columns(request, name):
     """An S = 3 application agrees with three S = 1 applications column by
     column.  The columns' |z| reach past rho, so the batch takes the cutoff
-    multiply where a lone column may skip it; the scalar MDE adds its atom."""
+    multiply where a lone column may skip it; the scalar MDE adds its atom,
+    the generated system a third component."""
     ctx = request.getfixturevalue(name)
     idx = ctx.span(0.0)
     x, kern = ctx.fund.nodes[idx], ctx.kernels(idx[0])
     Bs, _ = splitting_bases(ctx.P(idx[0]))
-    zetas = [Bs @ np.array([c]) for c in (0.1, -0.3, 0.7)]
+    zetas = [_anchor(Bs, c) for c in (0.1, -0.3, 0.7)]
     paths = [lp_operator_apply(ctx.initial_path(z, 0.0), z, 0.0, ctx)
              for z in zetas]
     vals = np.stack([p.values for p in paths], axis=-1)
@@ -332,16 +339,18 @@ def _loop_apply(z, zeta, s, ctx):
     ("ctx_impulsive", 1.0, (0.15,)),      # a later start slices the stacks
     ("ctx_coupled", 0.0, (0.1, -0.2)),    # non-normal coupled generator
     ("ctx_coupled", 1.0, (0.15,)),
+    ("ctx_generated", 0.0, (0.1, -0.2)),  # n = 3, off-phase kicks
+    ("ctx_generated", 1.0, (0.15,)),
 ])
 def test_array_apply_matches_loop_form(request, name, s, zetas):
     ctx = request.getfixturevalue(name)
     kern = ctx.kernels(ctx.span(s)[0])
     # the scan levels are dichotomy-projected propagators: bounded by K
-    levels = np.linalg.norm(kern.scan, 2, axis=(-2, -1))
+    levels = np.linalg.norm(_level_matrices(kern), 2, axis=(-2, -1))
     assert float(np.max(levels)) <= 2.0 * ctx.dich.K
     Bs, _ = splitting_bases(ctx.P(ctx.span(s)[0]))
     for zeta1 in zetas:
-        zeta = Bs @ np.array([zeta1])
+        zeta = _anchor(Bs, zeta1)
         z = lp_operator_apply(ctx.initial_path(zeta, s), zeta, s, ctx)
         out = lp_operator_apply(z, zeta, s, ctx)
         vals, rights = _loop_apply(z, zeta, s, ctx)
@@ -351,21 +360,44 @@ def test_array_apply_matches_loop_form(request, name, s, zetas):
         assert float(np.max(np.abs(out.right_values - rights))) <= bound
 
 
-@pytest.mark.parametrize("name", ["ctx_impulsive", "ctx_scalar_mde"])
+def _level_matrices(kern):
+    """The column planes of ``kern.scan`` as a (2M, L, n, n) stack of the
+    level products, row k of level d at [k, d]."""
+    return kern.scan[..., 0].transpose(3, 0, 2, 1)
+
+
+@pytest.mark.parametrize("name", ["ctx_impulsive", "ctx_scalar_mde", "ctx_generated"])
 def test_kernels_read_the_stored_mesh_steps(request, name):
     ctx = request.getfixturevalue(name)
-    cells, m = ctx.fund.cells, len(ctx.fund.nodes) - 1
+    cells, m, n = ctx.fund.cells, len(ctx.fund.nodes) - 1, ctx.fund.n
     kern = ctx.kernels(0)
     assert np.shares_memory(kern.F, cells.fwd)
     assert np.array_equal(kern.F, cells.fwd[:m])
     # level 0 holds the stored forward steps, projected, then the stored
-    # backward steps, projected and reversed; row m, G~_{m-1}, is zero
+    # backward steps, projected and reversed; row m, G~_{m-1}, is zero.  The
+    # levels are stored as contiguous column planes (L, n, n, 2m, 1)
     proj = ctx._projections()
-    assert kern.scan.shape[0] == 2 * m
-    assert np.array_equal(kern.scan[:m, 0], cells.fwd[:m] @ proj[:m])
-    unstable = (cells.bwd[:m] @ (np.eye(ctx.fund.n) - proj[1:m + 1]))[::-1]
-    assert np.array_equal(kern.scan[m + 1:, 0], unstable[1:])
-    assert not np.any(kern.scan[m])
+    assert kern.scan.shape[1:] == (n, n, 2 * m, 1) and kern.scan.flags.c_contiguous
+    levels = _level_matrices(kern)
+    assert np.array_equal(levels[:m, 0], cells.fwd[:m] @ proj[:m])
+    unstable = (cells.bwd[:m] @ (np.eye(n) - proj[1:m + 1]))[::-1]
+    assert np.array_equal(levels[m + 1:, 0], unstable[1:])
+    assert not np.any(levels[m])
+    # a later start drops the first rows of every plane
+    i = ctx.fund.node_index(1.0)
+    assert np.array_equal(_level_matrices(ctx.kernels(i)), levels[i:])
+
+
+@pytest.mark.parametrize("name", ["ctx_impulsive", "ctx_scalar_mde"])
+def test_kernels_are_read_only(request, name):
+    """Every stacked kernel, and every slice of a later start, refuses a
+    write, so no apply can change the context it reads."""
+    ctx = request.getfixturevalue(name)
+    for kern in (ctx.kernels(0), ctx.kernels(ctx.fund.node_index(1.0))):
+        for field, arr in zip(kern._fields, kern):
+            assert not arr.flags.writeable, field
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1.0
 
 
 def _two_sweep_levels(A, forward):
@@ -387,20 +419,25 @@ def _two_sweep_levels(A, forward):
 
 
 def _two_sweep_scan(levels, c, forward):
-    M = len(c)
+    """One sweep over the component-first (n, M, S) increments ``c``: each
+    level adds the columns of its (M, n, n) products times the components
+    2^d rows back (ahead, backward), as ``_plane_mv`` sums them."""
+    M = c.shape[1]
     o, d = 1, 0
     while o < M:
+        cols = levels[:, d].transpose(2, 1, 0)[..., None]     # (n_j, n_i, M, 1)
         if forward:
-            c[o:] += lpm._mv(levels[o:, d], c[:-o])
+            c[:, o:] += lpm._plane_mv(cols[:, :, o:], c[:, :-o])
         else:
-            c[:-o] += lpm._mv(levels[:-o, d], c[o:])
+            c[:, :-o] += lpm._plane_mv(cols[:, :, :-o], c[:, o:])
         o, d = 2 * o, d + 1
     return c
 
 
 def _two_sweep_apply(ctx, i_s, values, rights, zetas):
     """The fast operator with a forward scan for the stable sweep and a
-    separate backward scan for the unstable one."""
+    separate backward scan for the unstable one, each on its own
+    matrix-layout levels."""
     fund, m = ctx.fund, len(ctx.fund.nodes) - 1
     proj = ctx._projections()
     F_scan = _two_sweep_levels(fund.cells.fwd[:m] @ proj[:m], True)[i_s:]
@@ -413,14 +450,17 @@ def _two_sweep_apply(ctx, i_s, values, rights, zetas):
     if at.size:
         c1[at] += lpm._mv(kern.atom_s[at], atoms[at])
         c2[at] += lpm._mv(kern.atom_u[at], atoms[at])
-    c1[:1] += lpm._mv(F_scan[:1, 0], zetas[None])
-    vals = np.concatenate([zetas[None], _two_sweep_scan(F_scan, c1, True)])
-    vals[:-1] -= _two_sweep_scan(G_scan, c2, False)
+    c1, c2 = c1.transpose(1, 0, 2).copy(), c2.transpose(1, 0, 2).copy()
+    first = F_scan[:1, 0].transpose(2, 1, 0)[..., None]
+    c1[:, :1] += lpm._plane_mv(first, zetas[:, None])
+    stable = _two_sweep_scan(F_scan, c1, True).transpose(1, 0, 2)
+    vals = np.concatenate([zetas[None], stable])
+    vals[:-1] -= _two_sweep_scan(G_scan, c2, False).transpose(1, 0, 2)
     return vals, lpm._mv(kern.J, vals) + atoms
 
 
 @pytest.mark.parametrize("name", ["ctx_planar", "ctx_impulsive", "ctx_scalar_mde",
-                                  "ctx_coupled"])
+                                  "ctx_coupled", "ctx_generated"])
 def test_one_scan_equals_two_sweeps(request, name):
     """The one forward scan over [F~; reversed G~] gives the bits of a
     forward and a backward sweep, from s = 0, s = 1, the last cell and T."""
@@ -429,7 +469,7 @@ def test_one_scan_equals_two_sweeps(request, name):
     for i_s in (0, ctx.fund.node_index(1.0), m - 1, m):
         s = float(ctx.fund.nodes[i_s])
         Bs, _ = splitting_bases(ctx.P(i_s))
-        zetas = np.stack([Bs @ np.array([c]) for c in (0.15, -0.4)], axis=-1)
+        zetas = np.stack([_anchor(Bs, c) for c in (0.15, -0.4)], axis=-1)
         paths = [ctx.initial_path(z, s) for z in zetas.T]
         vals = np.stack([p.values for p in paths], axis=-1)
         rights = np.stack([p.right_values for p in paths], axis=-1)
@@ -618,7 +658,9 @@ def test_manifold_graph_collects_lipschitz_data(ctx_planar):
         assert m == pytest.approx(-z * z / 3.0, abs=5e-3 * max(z * z, 1e-6))
     # max pairwise quotient of the parabola on this grid is (0.2+0.1)/3
     assert graph.lipschitz_estimate == pytest.approx(0.1, abs=5e-3)
-    assert graph.lipschitz_estimate <= graph.K_fit / (1.0 - graph.L_empirical)
+    # the graph keeps no copy of the dichotomy constant
+    assert not hasattr(graph, "K_fit")
+    assert graph.lipschitz_estimate <= ctx_planar.dich.K / (1.0 - graph.L_empirical)
     assert graph.L_empirical < 1.0
 
 
