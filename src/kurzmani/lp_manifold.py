@@ -21,8 +21,9 @@ backward from T with G~_k = V(x_k, x_{k+1}) (Id - P(x_{k+1})).  The backward
 one, reversed, follows the forward one in a single 2M-row sequence, and one
 Hillis-Steele inclusive prefix scan (Blelloch, "Prefix sums and their
 applications", 1990) runs both: log2(M) levels of stored products, kept as
-column planes, so an application is a few stacked products and elementwise
-sweeps with no Python loop over cells.  The
+column planes, so an application is a few ordered sums over the leading
+(component) axis of elementwise products (``_contract``) with no Python loop
+over cells.  The
 projections change nothing in exact arithmetic (P(x_{k+1}) F_k = F_k P(x_k)),
 but they make every stored product a dichotomy-bounded propagator, norm <= K.
 A solve iterates a batch of anchors (sample axis last) with one application
@@ -95,33 +96,19 @@ class SolveError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # nonlinearity registry: each function sweeps the (n, N) component rows of its
-# states elementwise, never with a BLAS kernel (whose blocking depends on N),
-# so a point's value has the same bits in any batch
+# states with ``_contract``, never with a BLAS kernel (whose blocking depends
+# on N), so a point's value has the same bits in any batch
 # ---------------------------------------------------------------------------
 
-def _lane_sum(a, b):
-    """sum_j a[j] * b[j] over the leading (component) axis, elementwise, in
-    the order numpy's einsum adds fewer than 8 contiguous terms: even and
-    odd components in two lanes, then the lanes.  A zero sum may be -0.  A
-    length-1 component axis broadcasts; other lengths raise."""
-    na, nb = len(a), len(b)
-    n = max(na, nb)
-    if min(na, nb) not in (1, n):
-        raise ValueError("%d components against %d" % (na, nb))
-    lanes = [a[j % na] * b[j % nb] for j in range(min(n, 2))]
-    for j in range(2, n):
-        lanes[j % 2] += a[j % na] * b[j % nb]
-    if n > 1:
-        lanes[0] += lanes[1]
-    return lanes[0]
-
-
-def _component_sum(a, b):
-    """``_lane_sum`` with einsum's +0 for a zero sum, so with einsum's bits
-    in any batch."""
-    out = _lane_sum(a, b)
-    out += 0.0
-    return out
+def _contract(a, b):
+    """sum_j a[j] * b[j] over the leading axis, added in order from +0 (a
+    zero sum is +0, as in einsum): the one product rule of the registry maps
+    and the fast operator.  The products are laid out C-contiguous, so numpy
+    adds whole trailing blocks in order, never pairwise in its inner loop,
+    and a column's bits do not depend on the batch or its memory layout
+    (each caller's output keeps a components axis, so no block is a single
+    element).  Length-1 axes broadcast; other mismatches raise."""
+    return np.add.reduce(np.multiply(a, b, order="C"), axis=0, initial=0.0)
 
 
 def _rows(z):
@@ -139,7 +126,7 @@ def _states(rows, z):
 
 
 class _Quadratic:
-    """Component-wise quadratic forms, f_i(z) = z^T Q_i z, one i at a time."""
+    """Component-wise quadratic forms, f_i(z) = z^T Q_i z, all i at once."""
 
     def __init__(self, mats):
         self.mats = np.asarray(mats, dtype=float)
@@ -148,9 +135,8 @@ class _Quadratic:
 
     def __call__(self, z):
         x = _rows(z)
-        return _states(np.array([_component_sum(x, _lane_sum(Q.T[..., None],
-                                                             x[:, None]))
-                                 for Q in self.mats]), z)
+        Qx = _contract(self.mats.T[..., None], x[:, None, None])   # [k, i]: (Q_i x)_k
+        return _states(_contract(x[:, None], Qx), z)
 
     def sup_bound(self, r):
         return r * r * math.sqrt(sum(norm(Q) ** 2 for Q in self.mats))
@@ -169,7 +155,7 @@ class _Cubic:
 
     def __call__(self, z):
         x = _rows(z) ** 3
-        return _states(_component_sum(self.coef.T[..., None], x[:, None]), z)
+        return _states(_contract(self.coef.T[..., None], x[:, None]), z)
 
     def sup_bound(self, r):
         return norm(self.coef) * r ** 3
@@ -188,7 +174,7 @@ class _SaturatedTanh:
 
     def __call__(self, z):
         x = np.tanh(_rows(z))
-        return _states(_component_sum(self.gain.T[..., None], x[:, None]), z)
+        return _states(_contract(self.gain.T[..., None], x[:, None]), z)
 
     def sup_bound(self, r):
         n = self.gain.shape[1]
@@ -295,6 +281,14 @@ class NonlinearitySpec:
 # discretized paths and context
 # ---------------------------------------------------------------------------
 
+def _sup_change(a, b):
+    """sup over the nodes of the Euclidean distance |a - b| of two paths
+    stored component first, (n, nodes, ...): one value per trailing sample.
+    The sqrt is monotone, so it is taken once, of the max."""
+    d = np.subtract(a, b, order="C")
+    return np.sqrt(np.max(np.add.reduce(d * d, axis=0), axis=0))
+
+
 @dataclass
 class SolutionPath:
     """Mesh-sampled path; left values everywhere plus right limits at jumps."""
@@ -316,8 +310,7 @@ class SolutionPath:
         return float(np.max(np.linalg.norm(self.values, axis=1)))
 
     def diff_sup(self, other):
-        d = self.values - other.values      # sqrt is monotone: one, of the max
-        return float(np.sqrt(np.max(np.einsum("ij,ij->i", d, d))))
+        return float(_sup_change(self.values.T, other.values.T))
 
 
 def _canon_sign(B):
@@ -341,20 +334,6 @@ def splitting_bases(P):
     return Bs, Bu
 
 
-def _mv(A, v, out=None):
-    """Stacked products A[..., :, :] @ v[..., :, :] of matrices and columns.
-
-    Mesh arrays of the fast operator keep the sample axis last, (M, n, S),
-    so one stacked product serves a single path (S = 1) and a batch alike.
-    """
-    return np.einsum("...ij,...js->...is", A, v, out=out)
-
-
-def _q_blocks(K):
-    """(M, Q, n, n) per-node kernels as (M, n, Q n): one product per cell."""
-    return np.concatenate(np.moveaxis(K, 1, 0), axis=-1)
-
-
 def _stacked_norm(A):
     """Operator 2-norms of a stack of matrices; inf where an entry is not finite."""
     out = np.full(A.shape[0], np.inf)
@@ -363,66 +342,69 @@ def _stacked_norm(A):
     return out
 
 
+def _planes(A):
+    """A stack of (n, m) matrices, (K, n, m), or of rows of blocks
+    [A_0 ... A_{Q-1}], (K, Q, n, m), as contiguous column planes
+    (Q m, n, K, 1) with [q m + j, i, k] = A[k, q, i, j]: then
+    ``_contract(planes, v[:, None])`` is the (n, K, S) stack of products
+    A_k v_k for component-first columns v, (Q m, K, S)."""
+    K, Q, n, m = A.shape if A.ndim == 4 else (len(A), 1) + A.shape[1:]
+    blocks = A.reshape(K, Q, n, m).transpose(1, 3, 2, 0)
+    return np.ascontiguousarray(blocks.reshape(Q * m, n, K, 1))
+
+
 class _Kernels(NamedTuple):
     """Per-cell arrays of the fast operator, stacked along the mesh, read-only.
 
     Row k belongs to the cell [x_k, x_{k+1}]; ``J`` has one row per node.
-    ``P+`` is J P J^{-1}, the projection just after the jump at x_k.  The
-    rows of the one scan sequence are the sweep propagators projected by
-    the dichotomy, F~_k = F_k P(x_k) for k < M, then G~_k = G_k (Id - P(x_{k+1}))
-    for k = M-1 .. 0, with F_k and G_k = F_k^{-1} slices of the mesh steps
+    Every matrix field is stored as column planes (``_planes``), with the
+    mesh second to last, so each of its products with the component-first
+    paths (n, M+1, S) is one ``_contract``.  ``P+`` is J P J^{-1}, the
+    projection just after the jump at x_k.  The rows of the one scan
+    sequence are the sweep propagators projected by the dichotomy,
+    F~_k = F_k P(x_k) for k < M, then G~_k = G_k (Id - P(x_{k+1})) for
+    k = M-1 .. 0, with F_k and G_k = F_k^{-1} slices of the mesh steps
     ``cells.fwd`` and ``cells.bwd``.  Row M, G~_{M-1}, multiplies I_M = 0,
     so it is zero, which keeps the stable sweep out of the unstable one.
-    Level d multiplies 2^d rows, ending at its own.  ``scan`` stores the
-    levels as column planes: ``scan[d, j]`` is column j of every level-d
-    product, component first, (n, 2M, 1), so a level is n broadcast
-    products with the component-first increments.  A start at node i reads
-    rows [i, 2M - i): the first 2 (M - i) left after dropping i.
+    Level d multiplies 2^d rows, ending at its own.  A start at node i
+    reads rows [i, 2M - i): the first 2 (M - i) left after dropping i.
     """
 
     sigma: np.ndarray       # (M, Q) quadrature times
     lam: np.ndarray         # (M, Q) their positions in the cell, in [0, 1]
     wq: np.ndarray          # (M, Q) quadrature weights times the density factor
     atom_w: np.ndarray      # (M,) nonlinearity atom weight at x_k
-    J: np.ndarray           # (M+1, n, n) jump factor at each node
-    F: np.ndarray           # (M, n, n) phi J: left value at x_k to x_{k+1}
-    atom_s: np.ndarray      # (M, n, n) phi P+
-    atom_u: np.ndarray      # (M, n, n) J^{-1} (Id - P+)
-    K_stable: np.ndarray    # (M, n, Q n) V(x_{k+1}, sigma_q) P(sigma_q), q-blocks
-    K_unstable: np.ndarray  # (M, n, Q n) V(x_k, sigma_q) (Id - P(sigma_q))
-    scan: np.ndarray        # (L, n, n, 2M, 1) [d, j, i, k]: entry (i, j) of the
-    #                         level-d product of rows k, k-1 .. k-2^d+1
+    J: np.ndarray           # (n, n, M+1, 1) jump factor at each node
+    atom_s: np.ndarray      # (n, n, M, 1) phi P+
+    atom_u: np.ndarray      # (n, n, M, 1) J^{-1} (Id - P+)
+    K_stable: np.ndarray    # (Q n, n, M, 1) V(x_{k+1}, sigma_q) P(sigma_q), q-blocks
+    K_unstable: np.ndarray  # (Q n, n, M, 1) V(x_k, sigma_q) (Id - P(sigma_q))
+    scan: np.ndarray        # (L, n, n, 2M, 1) scan[d]: the level-d products of
+    #                         rows k, k-1 .. k-2^d+1
 
 
 def _scan_levels(A):
     """Hillis-Steele level products of a stacked (2M, n, n) sequence: level
     d + 1 joins two level-d products 2^d rows apart and ends at its row.
-    Returns the L levels of offset below M that ``_scan`` reads, as column
-    planes (L, n, n, 2M, 1): [d, j, i, k] is entry (i, j) of level d, row k.
+    Returns the L levels of offset below M that ``_scan`` reads, each as
+    column planes, (L, n, n, 2M, 1).
     """
     levels = [A]
     for d in range(1, max(1, (len(A) // 2 - 1).bit_length())):
         prev, o = levels[-1], 2 ** (d - 1)
         levels.append(np.concatenate([prev[:o], prev[o:] @ prev[:-o]]))
-    return np.ascontiguousarray(np.stack(levels).transpose(0, 3, 2, 1)[..., None])
-
-
-def _plane_mv(planes, v):
-    """Column planes (n, n, K, 1), [j, i, k], times the component-first
-    columns v (n, K, S): sum_j planes[j] v[j], (n, K, S), elementwise in
-    ``_lane_sum``'s order, so a column has the same bits in any batch."""
-    return _lane_sum(planes, v[:, None])
+    return np.stack([_planes(level) for level in levels])
 
 
 def _scan(kern: _Kernels, c):
     """Inclusive scan of the affine recurrence u_k = A_k u_{k-1} + c_k over
     the ``scan`` rows, with zero before row 0; ``c`` holds the increments
     component-first, (n, M, S) or (n, 2M, S) for the M cells of ``kern``,
-    and is overwritten.  Level d adds the level-d planes times the
-    increments 2^d rows back (``_plane_mv``)."""
+    and is overwritten.  Level d adds the level-d products times the
+    increments 2^d rows back."""
     K, o, d = c.shape[1], 1, 0
-    while o < len(kern.F):
-        c[:, o:] += _plane_mv(kern.scan[d, :, :, o:K], c[:, :K - o])
+    while o < len(kern.atom_w):
+        c[:, o:] += _contract(kern.scan[d, :, :, o:K], c[:, None, :K - o])
         o, d = 2 * o, d + 1
     return c
 
@@ -433,14 +415,19 @@ def _stable_sweep(kern: _Kernels, zetas, c):
     ``zetas`` is (n, S) and ``c`` the component-first (n, M, S) per-cell
     increments (or (n, 2M, S), the unstable ones reversed after them, for
     the scan to sum too); zeta enters as F~_0 zeta on the first cell.
-    Returns (M+1, n, S).
+    Returns (n, M+1, S).
     """
-    c[:, :1] += _plane_mv(kern.scan[0, :, :, :1], zetas[:, None])
-    M = len(kern.F)
-    vals = np.empty((M + 1,) + zetas.shape)
-    vals[0] = zetas
-    vals[1:] = _scan(kern, c)[:, :M].swapaxes(0, 1)
-    return vals
+    c[:, :1] += _contract(kern.scan[0, :, :, :1], zetas[:, None, None])
+    return np.concatenate([zetas[:, None], _scan(kern, c)[:, :len(kern.atom_w)]],
+                          axis=1)
+
+
+def _initial_paths(kern: _Kernels, zetas):
+    """z_0(t) = V(t, s) zeta for the (n, S) anchors ``zetas``: the left
+    values and right limits, (n, M+1, S)."""
+    vals = _stable_sweep(kern, zetas, np.zeros((len(zetas), len(kern.atom_w),
+                                                zetas.shape[1])))
+    return vals, _contract(kern.J, vals[:, None])
 
 
 class LPContext:
@@ -508,12 +495,14 @@ class LPContext:
 
         The stacks for the whole mesh up to T, scan levels included, are
         built on first use (not with the context) and sliced for a span that
-        starts later.
+        starts later: the four per-cell fields on their first axis, the
+        column planes on their mesh axis, the second to last.
         """
         if self._kernels is None:
             self._kernels = self._build_kernels()
-        kern = self._kernels      # ``scan``, the last field, has its rows on axis 3
-        return _Kernels._make([a[i_s:] for a in kern[:-1]] + [kern.scan[..., i_s:, :]])
+        kern = self._kernels
+        return _Kernels(*(a[i_s:] for a in kern[:4]),
+                        *(a[..., i_s:, :] for a in kern[4:]))
 
     def _build_kernels(self):
         fund = self.fund
@@ -534,9 +523,9 @@ class LPContext:
             sigma=sigma, lam=(sigma - a) / (b - a),
             wq=fund._weights * self.nonlin.measure.density.sample(sigma),
             atom_w=self.atom_weights[:-1],
-            J=J, F=F, atom_s=atom_s, atom_u=atom_u,
-            K_stable=_q_blocks(atom_s[:, None] @ phi_sig_inv),
-            K_unstable=_q_blocks(atom_u[:, None] @ phi_sig_inv),
+            J=_planes(J), atom_s=_planes(atom_s), atom_u=_planes(atom_u),
+            K_stable=_planes(atom_s[:, None] @ phi_sig_inv),
+            K_unstable=_planes(atom_u[:, None] @ phi_sig_inv),
             scan=_scan_levels(np.concatenate([F @ proj[:-1], np.zeros((1,) + eye.shape),
                                               (G @ (eye - proj[1:]))[-2::-1]])))
         for arr in kern:
@@ -551,11 +540,8 @@ class LPContext:
         """z_0(t) = V(t, s) zeta for zeta in the stable range at s."""
         idx = self.span(s)
         zeta = _check_zeta(zeta, self.P(idx[0]))
-        kern = self.kernels(idx[0])
-        vals = _stable_sweep(kern, zeta[:, None],
-                             np.zeros((self.fund.n, len(idx) - 1, 1)))
-        return SolutionPath(self.fund.nodes[idx], vals[..., 0],
-                            _mv(kern.J, vals)[..., 0])
+        vals, rights = _initial_paths(self.kernels(idx[0]), zeta[:, None])
+        return SolutionPath(self.fund.nodes[idx], vals[..., 0].T, rights[..., 0].T)
 
     def tail_bound(self, s):
         """Certified size of the discarded unstable tail beyond T."""
@@ -577,8 +563,14 @@ def auto_horizon(s, K, alpha, h_rate, tol):
 # ---------------------------------------------------------------------------
 
 def _check_zeta(zeta, P_s):
+    """``zeta`` as a float vector; refused unless it has the n entries of
+    the n x n projection ``P_s`` and lies in its range."""
     zeta = np.asarray(zeta, dtype=float)
-    resid = norm((np.eye(len(zeta)) - P_s) @ zeta)
+    n = len(P_s)
+    if zeta.shape != (n,):
+        raise ValueError("zeta must be a vector of n = %d entries, not of shape %r"
+                         % (n, zeta.shape))
+    resid = norm(_contract((np.eye(n) - P_s).T, zeta[:, None]))
     if resid > _RANGE_TOL * (1.0 + norm(zeta)):
         raise ValueError("zeta is not in the stable range (residual %.3e)" % resid)
     return zeta
@@ -587,48 +579,52 @@ def _check_zeta(zeta, P_s):
 def _forcing(ctx, kern: _Kernels, values, rights, x):
     """Nonlinearity terms of a batch of paths on the mesh ``x``.
 
-    ``values`` and ``rights`` are (M+1, n, S) left values and right limits.
+    ``values`` and ``rights`` are (n, M+1, S) left values and right limits.
     The quadrature states (z runs linearly from its right value at x_k to
     its left value at x_{k+1}) form one contiguous component-first
     (n, M, Q, S) block; the registry function reads its (n, M Q S) rows as
     a view through a states-last transpose and returns its rows in that
-    layout.  Returns f, the (M, Q n, S) weighted density in the
-    q-block layout of ``K_stable``, the cells ``at`` that carry an atom, and
-    the atom terms per node (zero away from ``at`` and at the last node).
+    layout.  Returns f, the (Q n, S, M) weighted density in the q-block
+    order of the ``K_stable`` planes with the mesh last, the cells ``at``
+    that carry an atom, and the (n, M+1, S) atom terms (zero away from
+    ``at`` and at the last node).
     """
     lam = kern.lam[..., None]
-    zq = np.multiply(1.0 - lam, rights[:-1, :, None].swapaxes(0, 1), order="C")
-    zq += lam * values[1:, :, None].swapaxes(0, 1)
+    zq = np.multiply(1.0 - lam, rights[:, :-1, None], order="C")
+    zq += lam * values[:, 1:, None]
     f = ctx.nonlin.value(kern.sigma, zq.transpose(1, 2, 3, 0))
     f *= kern.wq[..., None, None]
     M, Q, S, n = f.shape
     at = np.flatnonzero(kern.atom_w)
     atoms = np.zeros(values.shape)
     if at.size:
-        atoms[at] = kern.atom_w[at, None, None] * ctx.nonlin.value(
-            x[at], values[at].swapaxes(-1, -2)).swapaxes(-1, -2)
-    return f.swapaxes(-1, -2).reshape(M, Q * n, S), at, atoms
+        atoms[:, at] = kern.atom_w[at, None] * ctx.nonlin.value(
+            x[at], values[:, at].transpose(1, 2, 0)).transpose(2, 0, 1)
+    return f.transpose(1, 3, 2, 0).reshape(Q * n, S, M), at, atoms
 
 
 def _fast_apply(ctx, kern: _Kernels, x, values, rights, zetas):
     """The fast operator on a batch of mesh paths; see ``lp_operator_apply``.
 
-    ``values``/``rights`` are (M+1, n, S) and ``zetas`` (n, S); returns the
-    new left values and right limits.
+    ``values``/``rights`` are (n, M+1, S) and ``zetas`` (n, S); returns the
+    new left values and right limits in that layout.
     """
     f, at, atoms = _forcing(ctx, kern, values, rights, x)
-    M = len(f)
-    # component-first increments: stable rows k, unstable 2M-1-k
-    c = np.empty((len(zetas), 2 * M, zetas.shape[1]))
-    _mv(kern.K_stable, f, out=c[:, :M].swapaxes(0, 1))
-    _mv(kern.K_unstable, f, out=c[:, M:][:, ::-1].swapaxes(0, 1))
+    M = len(kern.atom_w)
+    # the quadrature products run with the mesh innermost, as (n, S, M): a
+    # batch then multiplies rows of M, not of S with the planes broadcast
+    stable = _contract(kern.K_stable.swapaxes(-1, -2), f[:, None]).swapaxes(1, 2)
+    unstable = _contract(kern.K_unstable.swapaxes(-1, -2), f[:, None]).swapaxes(1, 2)
     if at.size:
-        c[:, at] += _mv(kern.atom_s[at], atoms[at]).swapaxes(0, 1)
-        c[:, 2 * M - 1 - at] += _mv(kern.atom_u[at], atoms[at]).swapaxes(0, 1)
+        a = atoms[:, None, at]
+        stable[:, at] += _contract(kern.atom_s[:, :, at], a)
+        unstable[:, at] += _contract(kern.atom_u[:, :, at], a)
+    # one scan runs the stable increments and then the unstable ones from T back
+    c = np.concatenate([stable, unstable[:, ::-1]], axis=1)
     # y = V(t, s) zeta + stable integral up to t, minus the unstable one to T
     vals = _stable_sweep(kern, zetas, c)
-    vals[:-1] -= c[:, M:][:, ::-1].swapaxes(0, 1)
-    return vals, _mv(kern.J, vals) + atoms
+    vals[:, :-1] -= c[:, M:][:, ::-1]
+    return vals, _contract(kern.J, vals[:, None]) + atoms
 
 
 def lp_operator_apply(z: SolutionPath, zeta, s, ctx: LPContext, mode="fast"):
@@ -639,10 +635,12 @@ def lp_operator_apply(z: SolutionPath, zeta, s, ctx: LPContext, mode="fast"):
     y_{k+1} = F~_k y_k + c_k and I_k = G~_k I_{k+1} + c'_k; reversed, the
     second continues the first, and one log2(M)-level inclusive prefix scan
     over the context's stored products of the dichotomy-projected
-    propagators (``_Kernels``) evaluates both.  The scan keeps the products
-    as column planes and the increments component-first, so a level is n
-    elementwise multiply-adds per component, summed in einsum's lane order;
-    the quadrature states of the forcing are component-first too.  By the
+    propagators (``_Kernels``) evaluates both.  The paths stay
+    component-first, (n, M+1, S), from the forcing's quadrature states to
+    the result, and the kernels are column planes, so every product (the
+    quadrature kernels, the atoms, each scan level and the jumps) is one
+    ``_contract``: a sum over the leading axis in order from +0, which
+    gives a column of a batch the bits of the same path applied alone.  By the
     cocycle identity P(x_{k+1}) F_k = F_k P(x_k) the projection leaves the
     sweeps unchanged in exact arithmetic, and it keeps every stored product
     bounded by the dichotomy constant.  The reference mode evaluates the
@@ -658,9 +656,9 @@ def lp_operator_apply(z: SolutionPath, zeta, s, ctx: LPContext, mode="fast"):
         return _reference_apply(z, zeta, s, ctx)
     if mode != "fast":
         raise ValueError("unknown mode %r" % mode)
-    vals, rights = _fast_apply(ctx, ctx.kernels(idx[0]), x, z.values[..., None],
-                               z.right_values[..., None], zeta[:, None])
-    return SolutionPath(x, vals[..., 0], rights[..., 0])
+    vals, rights = _fast_apply(ctx, ctx.kernels(idx[0]), x, z.values.T[..., None],
+                               z.right_values.T[..., None], zeta[:, None])
+    return SolutionPath(x, vals[..., 0].T, rights[..., 0].T)
 
 
 # ---------------------------------------------------------------------------
@@ -715,8 +713,8 @@ def _inner_accumulation(ctx, z, idx, layout):
         for lo, hi in ((a, tau), (tau, b)):
             sig = 0.5 * (lo + hi) + 0.5 * (hi - lo) * gl5
             f = ctx.nonlin.value(sig, np.broadcast_to(z_tau[:, None], sig.shape + (n,)))
-            inc.append(np.einsum("lq,lqi->li",
-                                 0.5 * (hi - lo) * gw5 * density.sample(sig), f))
+            w = 0.5 * (hi - lo) * gw5 * density.sample(sig)
+            inc.append(np.sum(w[..., None] * f, axis=1))
         # cumsum adds the fine cells one after another, as a loop over them would
         chain = np.cumsum(np.concatenate([acc[None], inc[0] + inc[1]]), axis=0)
         node_N[k, 1:] = chain[1:]
@@ -766,10 +764,6 @@ def _reference_pass(ctx, z, idx, lin, refine):
     return lin + N_t - stable + unstable
 
 
-def _sup_change(a, b):
-    return float(np.max(np.linalg.norm(a - b, axis=1)))
-
-
 def _reference_apply(z: SolutionPath, zeta, s, ctx: LPContext):
     idx = ctx.span(float(s))
     x = ctx.fund.nodes[idx]
@@ -788,7 +782,7 @@ def _reference_apply(z: SolutionPath, zeta, s, ctx: LPContext):
     while M:
         vals = _reference_pass(ctx, z, idx, lin, refine)
         if passes:
-            change = _sup_change(vals, passes[-1])
+            change = _sup_change(vals.T, passes[-1].T)
             if change < tol:
                 break
         if len(passes) == 2:
@@ -796,8 +790,8 @@ def _reference_apply(z: SolutionPath, zeta, s, ctx: LPContext):
             # two pairs of passes, trusted once the plain change fell by ~4
             older = (4.0 * passes[1] - passes[0]) / 3.0
             newer = (4.0 * vals - passes[1]) / 3.0
-            fall = _sup_change(passes[1], passes[0]) / change
-            if _sup_change(newer, older) < tol and \
+            fall = _sup_change(passes[1].T, passes[0].T) / change
+            if _sup_change(newer.T, older.T) < tol and \
                     _H2_FALL[0] <= fall <= _H2_FALL[1]:
                 vals = newer
                 break
@@ -881,8 +875,7 @@ def _solve_batch(zetas, s, ctx: LPContext, Bu):
     zetas = np.array([_check_zeta(z, P_s) for z in zetas]).reshape(-1, ctx.fund.n).T
     S = zetas.shape[1]
     kern = ctx.kernels(idx[0])
-    vals = _stable_sweep(kern, zetas, np.zeros((ctx.fund.n, len(x) - 1, S)))
-    rights = _mv(kern.J, vals)
+    vals, rights = _initial_paths(kern, zetas)
     out = [None] * S
     diffs = [[] for _ in range(S)]
     ratios = [[] for _ in range(S)]
@@ -892,8 +885,7 @@ def _solve_batch(zetas, s, ctx: LPContext, Bu):
             break
         new_v, new_r = _fast_apply(ctx, kern, x, vals[..., active],
                                    rights[..., active], zetas[:, active])
-        d = new_v - vals[..., active]       # sqrt is monotone: one per sample
-        step = np.sqrt(np.max(np.einsum("kis,kis->ks", d, d), axis=0))
+        step = _sup_change(new_v, vals[..., active])
         vals[..., active], rights[..., active] = new_v, new_r
         still = []
         for i, diff in zip(active, step.tolist()):
@@ -902,10 +894,11 @@ def _solve_batch(zetas, s, ctx: LPContext, Bu):
                 r.append(diff / d[-1] if d[-1] > 0 else 0.0)
             d.append(diff)
             if diff < ctx.tol:
-                m_vec = vals[0, :, i] - zetas[:, i]
+                m_vec = vals[:, 0, i] - zetas[:, i]
                 out[i] = LPSolution(
-                    phi=SolutionPath(x, vals[..., i].copy(), rights[..., i].copy()),
-                    m_vector=m_vec, m=Bu.T @ m_vec, zeta=zetas[:, i], s=s,
+                    phi=SolutionPath(x, vals[..., i].T.copy(), rights[..., i].T.copy()),
+                    m_vector=m_vec, m=_contract(Bu, m_vec[:, None]), zeta=zetas[:, i],
+                    s=s,
                     iterations=it, residual=diff, ratio_history=r,
                     converged=True)
             elif len(r) >= 3 and all(q >= 1.0 for q in r[-3:]):
@@ -953,14 +946,15 @@ def flow_residual(path: SolutionPath, s, ctx: LPContext):
     roundoff along the unstable directions.)
     """
     idx = ctx.span(float(s))
-    kern = ctx.kernels(idx[0])
-    f, _, atoms = _forcing(ctx, kern, path.values[..., None],
-                           path.right_values[..., None], ctx.fund.nodes[idx])
-    # phi = phi P+ + (phi J) J^{-1} (Id - P+): the projected kernels add up
-    # to the unprojected V(x_{k+1}, sigma) and phi
-    K = kern.K_stable + kern.F @ kern.K_unstable
-    phi = kern.atom_s + kern.F @ kern.atom_u
-    pred = _mv(kern.F, path.values[:-1, :, None]) + _mv(phi, atoms[:-1]) + _mv(K, f)
+    i, M = idx[0], len(idx) - 1
+    f, _, atoms = _forcing(ctx, ctx.kernels(i), path.values.T[..., None],
+                           path.right_values.T[..., None], ctx.fund.nodes[idx])
+    phi, phi_sig_inv, F, _ = ctx.fund.cells
+    # z(x_{k+1}) = F_k z(x_k) + phi_k (atom_k + sum_q phi(sigma_q)^{-1} f_q), with
+    # phi the cell's flow from x_k^+ and f_q the weighted quadrature terms
+    f_q = f[:, 0].reshape(-1, ctx.fund.n, M).transpose(2, 0, 1)[..., None]
+    kicks = atoms[:, :-1, 0].T[..., None] + np.sum(phi_sig_inv[i:] @ f_q, axis=1)
+    pred = F[i:] @ path.values[:-1, :, None] + phi[i:] @ kicks
     return float(np.max(np.linalg.norm(pred[..., 0] - path.values[1:], axis=1),
                         initial=0.0))
 
@@ -1045,13 +1039,17 @@ def manifold_graph(s, zeta_grid, ctx: LPContext) -> ManifoldGraph:
 def invariance_check(s, zeta, t1, ctx: LPContext) -> float:
     """Flow the solved path to t1 and compare with a fresh solve there.
 
-    Returns || (Id - P(t1)) phi(t1) - m(t1, P(t1) phi(t1)) ||.
+    Returns || (Id - P(t1)) phi(t1) - m(t1, P(t1) phi(t1)) ||.  A t1 that
+    is no mesh node of [s, T] raises ``ValueError`` before any solve.
     """
-    sol = solve_lp(zeta, s, ctx)
     idx = ctx.span(float(s))
-    k = ctx.fund.node_index(t1) - idx[0]
+    try:
+        k = ctx.fund.node_index(t1) - idx[0]
+    except KeyError:
+        k = -1
     if not 0 <= k < len(idx):
-        raise ValueError("t1=%g lies outside [s, T]" % t1)
+        raise ValueError("t1=%g is no mesh node of [s, T]" % t1)
+    sol = solve_lp(zeta, s, ctx)
     phi_t1 = sol.phi.values[k]
     P_t1 = ctx.P(idx[k])
     zeta1 = P_t1 @ phi_t1

@@ -436,8 +436,9 @@ def test_only_the_run_reader_reads_the_solver_block():
     assert callers(source, "solver_block") == ["_read_run"]
 
 
-# calls that reach a BLAS kernel (or, for ``vander``, feed one)
-BLAS_CALLS = ("dot", "matmul", "tensordot", "inner", "vander")
+# calls that reach a BLAS kernel (or, for ``vander``, feed one), and einsum,
+# whose summation order changes with the layout of the batch
+BLAS_CALLS = ("dot", "matmul", "tensordot", "inner", "vander", "einsum")
 
 
 def blas_products(source, targets):
@@ -498,15 +499,21 @@ def test_registry_calls_and_segment_eval_take_no_blas_product():
     lpm = (SRC / "lp_manifold.py").read_text(encoding="utf-8")
     classes = registry_classes(lpm)
     assert classes == ["_Cubic", "_Quadratic", "_SaturatedTanh", "_Zero"]
-    # the fast operator's prefix scan sums its column planes the same way,
-    # so a column's scan has the same bits in any batch
-    scan = [(None, "_scan"), (None, "_stable_sweep")]
-    assert blas_products(lpm, [(c, "__call__") for c in classes] + scan) == []
-    # the guard follows the calls into the shared component sweep
-    swept = lpm.replace("lanes = [a[j % na] * b", "lanes = [a[j % na] @ b")
+    # the fast operator and the batch solve take every product the same way,
+    # so a column of a batch has the bits of the same path solved alone
+    fast = [(None, name) for name in ("_scan", "_stable_sweep", "_fast_apply",
+                                      "_forcing", "_solve_batch")]
+    assert blas_products(lpm, [(c, "__call__") for c in classes] + fast) == []
+    # the guard follows the calls into the one product rule
+    swept = lpm.replace('np.multiply(a, b, order="C")', "a @ b")
     assert swept != lpm
-    for target in [(c, "__call__") for c in classes[:3]] + scan:
-        assert len(blas_products(swept, [target])) == 1
+    # (``_forcing`` reaches the registry through a method call, which the
+    # guard does not follow, and takes no product of its own)
+    for target in [(c, "__call__") for c in classes[:3]] + fast:
+        if target != (None, "_forcing"):
+            assert len(blas_products(swept, [target])) == 1
+    # nor does the reference apply: the module calls no einsum at all
+    assert "einsum(" not in lpm
     # Segment.eval's polynomial part and, as method calls the guard does not
     # follow, its preset terms
     funcspace = (SRC / "funcspace.py").read_text(encoding="utf-8")

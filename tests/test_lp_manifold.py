@@ -44,6 +44,9 @@ REGISTRY_SPECS = {
        for n in (1, 2, 3)},
     "cubic": NonlinearitySpec("cubic", {"coef": _RNG.standard_normal((3, 3))},
                               rho=0.5),
+    # eight terms: numpy would sum them pairwise in an inner loop
+    "cubic_n8": NonlinearitySpec("cubic", {"coef": _RNG.standard_normal((8, 8))},
+                                 rho=0.5),
     "saturated_tanh": NonlinearitySpec(
         "saturated_tanh", {"gain": _RNG.standard_normal((2, 2))}, rho=0.5),
     "zero": NonlinearitySpec("zero", {"n": 3}, rho=0.5),
@@ -102,7 +105,7 @@ def test_quadratic_agrees_with_the_three_operand_form(n):
 
 def _einsum_map(raw, z):
     """The registry maps as einsum contractions of a states-last (N, n)
-    array: the reference for the component sweeps."""
+    array."""
     flat = np.ascontiguousarray(z).reshape(-1, z.shape[-1])
     if isinstance(raw, lpm._Quadratic):
         w = np.einsum("kij,Nj->Nki", raw.mats, flat)
@@ -116,20 +119,56 @@ def _einsum_map(raw, z):
     return out.reshape(z.shape)
 
 
+def _ordered_sum(terms):
+    """sum_j terms(j), one point at a time, added in order from +0."""
+    acc = 0.0
+    for term in terms:
+        acc = acc + term
+    return acc
+
+
+def _loop_map(raw, z):
+    """The registry maps as per-point loops over the components, each sum
+    added in order from +0: the reference for ``_contract``."""
+    flat = np.ascontiguousarray(z).reshape(-1, z.shape[-1])
+    n = flat.shape[1]
+    out = np.zeros(flat.shape)
+    if isinstance(raw, lpm._Quadratic):
+        for p, x in enumerate(flat):
+            for i in range(n):
+                Qx = [_ordered_sum(raw.mats[i, k, j] * x[j] for j in range(n))
+                      for k in range(n)]
+                out[p, i] = _ordered_sum(x[k] * Qx[k] for k in range(n))
+    elif isinstance(raw, (lpm._Cubic, lpm._SaturatedTanh)):
+        # the elementwise maps as the registry takes them, then the loop
+        A, v = ((raw.coef, flat ** 3) if isinstance(raw, lpm._Cubic)
+                else (raw.gain, np.tanh(flat)))
+        for p, x in enumerate(v):
+            for i in range(n):
+                out[p, i] = _ordered_sum(A[i, j] * x[j] for j in range(n))
+    return out.reshape(z.shape)
+
+
 @pytest.mark.parametrize("spec", REGISTRY_SPECS.values(), ids=REGISTRY_SPECS.keys())
 def test_component_sweeps_keep_the_einsum_bits(spec):
-    """The component-first sweeps give the two-einsum forms' bits and zero
-    signs on the quadrature shape, an 11-anchor batch and single points."""
+    """The component-first sweeps give the bits and zero signs of per-point
+    sums added in order from +0, on the quadrature shape, an 11-anchor batch
+    and single points; with at most two components, those of the two-einsum
+    forms too."""
     n = spec._raw.n
     rng = np.random.default_rng(21)
     for shape in ((400, 3, 1), (400, 3, 11), (), (1,)):
         z = _shell(rng, shape, n, (0.0, 3.0 * spec.rho))
         z.reshape(-1)[::5] = 0.0              # zero products of both signs
         z.reshape(-1)[1::7] = -0.0
-        got, want = spec._raw(z), _einsum_map(spec._raw, z)
+        got = spec._raw(z)
         assert got.shape == z.shape
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+        wants = [_loop_map(spec._raw, z)]
+        if n <= 2:
+            wants.append(_einsum_map(spec._raw, z))
+        for want in wants:
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_component_sweep_refuses_other_dimensions():
@@ -140,7 +179,7 @@ def test_component_sweep_refuses_other_dimensions():
     with pytest.raises(ValueError):
         REGISTRY_SPECS["cubic"]._raw(np.ones((5, 2)))
     with pytest.raises(ValueError):
-        lpm._component_sum(np.ones((2, 4)), np.ones((3, 4)))
+        lpm._contract(np.ones((2, 4)), np.ones((3, 4)))
 
 
 @pytest.mark.parametrize("spec", REGISTRY_SPECS.values(), ids=REGISTRY_SPECS.keys())
@@ -194,10 +233,10 @@ def _anchor(Bs, c):
 @pytest.mark.parametrize("name", ["ctx_planar", "ctx_impulsive", "ctx_scalar_mde",
                                   "ctx_generated"])
 def test_batch_apply_equals_its_columns(request, name):
-    """An S = 3 application agrees with three S = 1 applications column by
-    column.  The columns' |z| reach past rho, so the batch takes the cutoff
-    multiply where a lone column may skip it; the scalar MDE adds its atom,
-    the generated system a third component."""
+    """An S = 3 application gives each column the bits of its own S = 1
+    application.  The columns' |z| reach past rho, so the batch takes the
+    cutoff multiply where a lone column may skip it; the scalar MDE adds its
+    atom, the generated system a third component."""
     ctx = request.getfixturevalue(name)
     idx = ctx.span(0.0)
     x, kern = ctx.fund.nodes[idx], ctx.kernels(idx[0])
@@ -205,15 +244,46 @@ def test_batch_apply_equals_its_columns(request, name):
     zetas = [_anchor(Bs, c) for c in (0.1, -0.3, 0.7)]
     paths = [lp_operator_apply(ctx.initial_path(z, 0.0), z, 0.0, ctx)
              for z in zetas]
-    vals = np.stack([p.values for p in paths], axis=-1)
-    rights = np.stack([p.right_values for p in paths], axis=-1)
+    vals = np.stack([p.values.T for p in paths], axis=-1)
+    rights = np.stack([p.right_values.T for p in paths], axis=-1)
     zs = np.stack(zetas, axis=-1)
     batch = _fast_apply(ctx, kern, x, vals, rights, zs)
     for j in range(3):
         col = _fast_apply(ctx, kern, x, vals[..., j:j + 1], rights[..., j:j + 1],
                           zs[:, j:j + 1])
         for b, c in zip(batch, col):
-            assert float(np.max(np.abs(b[..., j:j + 1] - c))) <= 1e-15
+            assert np.array_equal(b[..., j:j + 1], c)
+            assert np.array_equal(np.signbit(b[..., j:j + 1]), np.signbit(c))
+
+
+def _shipped_manifold_context(name):
+    """The context and the run the ``manifold`` command builds from a
+    shipped config."""
+    from types import SimpleNamespace
+
+    from kurzmani import cli
+    from kurzmani.apps import build_context
+    cfg = cli.load_config(str(CONFIG_DIR / (name + ".json")))
+    spec, run = cli._read_run(cfg, SimpleNamespace(command="manifold", tol=None))
+    return build_context(spec, **run.context), run
+
+
+@pytest.mark.parametrize("name", ["planar_quadratic", "impulsive_saddle", "scalar_mde"])
+def test_graph_values_equal_lone_solves(name):
+    """On the shipped configs every converged point of ``manifold_graph``,
+    solved in one batch, has the bits of its own ``solve_lp``: m, the
+    iteration count and the converged path."""
+    ctx, run = _shipped_manifold_context(name)
+    graph = manifold_graph(run.s, run.zeta, ctx)
+    zetas = [graph.basis_stable @ np.atleast_1d(z) for z in run.zeta]
+    batch = lpm._solve_batch(zetas, run.s, ctx, graph.basis_unstable)
+    assert len(graph.ok_samples) == len(run.zeta) > 1
+    for g, zeta, sol in zip(graph.samples, zetas, batch):
+        alone = solve_lp(zeta, run.s, ctx)
+        assert np.array_equal(g.m_coords, alone.m)
+        assert g.iterations == alone.iterations
+        assert np.array_equal(sol.phi.values, alone.phi.values)
+        assert np.array_equal(sol.phi.right_values, alone.phi.right_values)
 
 
 def _planar_until(ctx_planar, T, nonlin):
@@ -371,12 +441,21 @@ def test_kernels_read_the_stored_mesh_steps(request, name):
     ctx = request.getfixturevalue(name)
     cells, m, n = ctx.fund.cells, len(ctx.fund.nodes) - 1, ctx.fund.n
     kern = ctx.kernels(0)
-    assert np.shares_memory(kern.F, cells.fwd)
-    assert np.array_equal(kern.F, cells.fwd[:m])
+    # the jump factors and the atom kernels as contiguous planes (n, n, K, 1)
+    assert kern.J.shape == (n, n, m + 1, 1) and kern.J.flags.c_contiguous
+    assert np.array_equal(kern.J[..., 0].T, ctx.fund.jumps)
+    J, J_inv, proj = ctx.fund.jumps[:-1], ctx.fund.jump_invs[:-1], ctx._projections()
+    atom_s = cells.phi @ (J @ proj[:-1] @ J_inv)
+    assert np.array_equal(kern.atom_s[..., 0].T, atom_s)
+    # the quadrature kernels as q-blocks of planes: row q n + j holds column j
+    # of V(x_{k+1}, sigma_q) P(sigma_q)
+    Q = cells.phi_sig_inv.shape[1]
+    assert kern.K_stable.shape == (Q * n, n, m, 1)
+    K_s = kern.K_stable[..., 0].reshape(Q, n, n, m).transpose(3, 0, 2, 1)
+    assert np.array_equal(K_s, atom_s[:, None] @ cells.phi_sig_inv)
     # level 0 holds the stored forward steps, projected, then the stored
     # backward steps, projected and reversed; row m, G~_{m-1}, is zero.  The
     # levels are stored as contiguous column planes (L, n, n, 2m, 1)
-    proj = ctx._projections()
     assert kern.scan.shape[1:] == (n, n, 2 * m, 1) and kern.scan.flags.c_contiguous
     levels = _level_matrices(kern)
     assert np.array_equal(levels[:m, 0], cells.fwd[:m] @ proj[:m])
@@ -385,7 +464,10 @@ def test_kernels_read_the_stored_mesh_steps(request, name):
     assert not np.any(levels[m])
     # a later start drops the first rows of every plane
     i = ctx.fund.node_index(1.0)
-    assert np.array_equal(_level_matrices(ctx.kernels(i)), levels[i:])
+    later = ctx.kernels(i)
+    assert np.array_equal(_level_matrices(later), levels[i:])
+    for field in ("J", "atom_s", "atom_u", "K_stable", "K_unstable"):
+        assert np.array_equal(getattr(later, field), getattr(kern, field)[..., i:, :])
 
 
 @pytest.mark.parametrize("name", ["ctx_impulsive", "ctx_scalar_mde"])
@@ -420,16 +502,16 @@ def _two_sweep_levels(A, forward):
 
 def _two_sweep_scan(levels, c, forward):
     """One sweep over the component-first (n, M, S) increments ``c``: each
-    level adds the columns of its (M, n, n) products times the components
-    2^d rows back (ahead, backward), as ``_plane_mv`` sums them."""
+    level adds its (M, n, n) products, as column planes, times the
+    components 2^d rows back (ahead, backward)."""
     M = c.shape[1]
     o, d = 1, 0
     while o < M:
-        cols = levels[:, d].transpose(2, 1, 0)[..., None]     # (n_j, n_i, M, 1)
+        cols = lpm._planes(levels[:, d])                # (n_j, n_i, M, 1)
         if forward:
-            c[:, o:] += lpm._plane_mv(cols[:, :, o:], c[:, :-o])
+            c[:, o:] += lpm._contract(cols[:, :, o:], c[:, None, :-o])
         else:
-            c[:, :-o] += lpm._plane_mv(cols[:, :, :-o], c[:, o:])
+            c[:, :-o] += lpm._contract(cols[:, :, :-o], c[:, None, o:])
         o, d = 2 * o, d + 1
     return c
 
@@ -445,18 +527,17 @@ def _two_sweep_apply(ctx, i_s, values, rights, zetas):
         fund.cells.bwd[:m] @ (np.eye(fund.n) - proj[1:m + 1]), False)[i_s:]
     kern = ctx.kernels(i_s)
     f, at, atoms = lpm._forcing(ctx, kern, values, rights, fund.nodes[i_s:m + 1])
-    c1 = lpm._mv(kern.K_stable, f)
-    c2 = lpm._mv(kern.K_unstable, f)
+    c1 = lpm._contract(kern.K_stable, f.swapaxes(1, 2)[:, None])
+    c2 = lpm._contract(kern.K_unstable, f.swapaxes(1, 2)[:, None])
     if at.size:
-        c1[at] += lpm._mv(kern.atom_s[at], atoms[at])
-        c2[at] += lpm._mv(kern.atom_u[at], atoms[at])
-    c1, c2 = c1.transpose(1, 0, 2).copy(), c2.transpose(1, 0, 2).copy()
-    first = F_scan[:1, 0].transpose(2, 1, 0)[..., None]
-    c1[:, :1] += lpm._plane_mv(first, zetas[:, None])
-    stable = _two_sweep_scan(F_scan, c1, True).transpose(1, 0, 2)
-    vals = np.concatenate([zetas[None], stable])
-    vals[:-1] -= _two_sweep_scan(G_scan, c2, False).transpose(1, 0, 2)
-    return vals, lpm._mv(kern.J, vals) + atoms
+        c1[:, at] += lpm._contract(kern.atom_s[:, :, at], atoms[:, None, at])
+        c2[:, at] += lpm._contract(kern.atom_u[:, :, at], atoms[:, None, at])
+    first = lpm._planes(F_scan[:1, 0])
+    c1[:, :1] += lpm._contract(first, zetas[:, None, None])
+    stable = _two_sweep_scan(F_scan, c1, True)
+    vals = np.concatenate([zetas[:, None], stable], axis=1)
+    vals[:, :-1] -= _two_sweep_scan(G_scan, c2, False)
+    return vals, lpm._contract(kern.J, vals[:, None]) + atoms
 
 
 @pytest.mark.parametrize("name", ["ctx_planar", "ctx_impulsive", "ctx_scalar_mde",
@@ -471,8 +552,8 @@ def test_one_scan_equals_two_sweeps(request, name):
         Bs, _ = splitting_bases(ctx.P(i_s))
         zetas = np.stack([_anchor(Bs, c) for c in (0.15, -0.4)], axis=-1)
         paths = [ctx.initial_path(z, s) for z in zetas.T]
-        vals = np.stack([p.values for p in paths], axis=-1)
-        rights = np.stack([p.right_values for p in paths], axis=-1)
+        vals = np.stack([p.values.T for p in paths], axis=-1)
+        rights = np.stack([p.right_values.T for p in paths], axis=-1)
         zero = np.zeros_like(vals)
         want, _ = _two_sweep_apply(ctx, i_s, zero, zero, zetas)
         assert np.array_equal(vals, want)
@@ -700,6 +781,29 @@ def test_manifold_graph_rejects_grid_point_of_wrong_dimension(ctx_planar):
         manifold_graph(0.0, [np.array([0.1, 0.05]), np.zeros(2)], ctx_planar)
 
 
+@pytest.mark.parametrize("zeta", [0.2, [0.0, 0.0], [[0.0]]],
+                         ids=["scalar", "two-entries", "matrix"])
+def test_an_anchor_that_is_no_n_vector_is_refused(ctx_scalar_mde, zeta):
+    """On an n = 1 system a scalar, a vector of 2n entries (whose range
+    residual broadcasts to zero) and a 1 x 1 array are no anchor: each
+    raises ValueError naming n, from a solve and from a single apply."""
+    ctx = ctx_scalar_mde
+    with pytest.raises(ValueError, match="n = 1"):
+        solve_lp(zeta, 0.0, ctx)
+    with pytest.raises(ValueError, match="n = 1"):
+        ctx.initial_path(zeta, 0.0)
+    z0 = ctx.initial_path(np.array([0.1]), 0.0)
+    with pytest.raises(ValueError, match="n = 1"):
+        lp_operator_apply(z0, zeta, 0.0, ctx)
+
+
+@pytest.mark.parametrize("t1", [50.0, 0.05, -1.0])
+def test_invariance_check_refuses_a_time_off_the_span(ctx_scalar_mde, t1):
+    """Past T, between nodes or before s, t1 raises ValueError."""
+    with pytest.raises(ValueError, match="no mesh node of"):
+        invariance_check(0.0, [0.0], t1, ctx_scalar_mde)
+
+
 def test_invariance_along_the_flow(ctx_planar):
     for t1 in (0.5, 1.0, 2.0):
         resid = invariance_check(0.0, np.array([0.1, 0.0]), t1, ctx_planar)
@@ -923,12 +1027,12 @@ def _per_cell_accumulation(ctx, z, idx, layout):
             sig = 0.5 * (a + tau) + 0.5 * (tau - a) * gl5
             w = 0.5 * (tau - a) * gw5
             f = ctx.nonlin.value(sig, np.broadcast_to(z_tau, (5, n)))
-            inc_half = np.einsum("q,qi->i", w * density.sample(sig), f)
+            inc_half = np.sum((w * density.sample(sig))[:, None] * f, axis=0)
             sig2 = 0.5 * (tau + b) + 0.5 * (b - tau) * gl5
             w2 = 0.5 * (b - tau) * gw5
             f2 = ctx.nonlin.value(sig2, np.broadcast_to(z_tau, (5, n)))
-            inc_full = inc_half + np.einsum(
-                "q,qi->i", w2 * density.sample(sig2), f2)
+            inc_full = inc_half + np.sum((w2 * density.sample(sig2))[:, None] * f2,
+                                         axis=0)
             cells_mids[l] = acc + inc_half
             acc = acc + inc_full
             cells_nodes[l + 1] = acc

@@ -21,10 +21,10 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "kurzmani"
 ORACLES = ("_fine_layout", "_inner_accumulation", "_reference_apply",
            "classify_initial", "bisect_manifold_oracle")
 INTEGRATOR = {"dop853", "_initial_step", "_stages", "_error_norm", "_dense_output"}
-FORBIDDEN_CALLS = {"kernels", "_build_kernels", "_scan_levels", "_plane_mv", "_scan",
-                   "_stable_sweep", "_fast_apply"}
-FAST_PATH = ("_plane_mv", "_scan", "_stable_sweep", "_fast_apply", "lp_operator_apply",
-             "initial_path", "_forcing")
+FORBIDDEN_CALLS = {"kernels", "_build_kernels", "_scan_levels", "_contract", "_scan",
+                   "_stable_sweep", "_initial_paths", "_fast_apply"}
+FAST_PATH = ("_contract", "_scan", "_stable_sweep", "_initial_paths", "_fast_apply",
+             "lp_operator_apply", "initial_path", "_forcing")
 
 
 def _functions(tree):
